@@ -306,7 +306,7 @@ func runNode(cfg *cluster.Config, id graph.NodeID, stdout io.Writer, rsv *cluste
 	}
 	res := sess.Result()
 	return enc.Encode(summaryLine{
-		Node: id, Done: true, Instances: len(res.Instances),
+		Node: id, Done: true, Instances: res.Committed(),
 		WallSecs: res.Wall.Seconds(), Replays: res.Replays,
 		Dropped: sess.Cluster().Dropped(), Disputes: sess.Disputes().String(),
 	})

@@ -104,7 +104,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		rr.Instances = append(rr.Instances, ir)
+		rr.Add(ir, false)
 		t.Addf(ir.K, ir.Gamma, ir.Rho, ir.Phase1Time, ir.EqualityTime, ir.FlagTime,
 			ir.DisputeTime, ir.TotalTime(), ir.Phase3, fmt.Sprint(ir.NewDisputes), fmt.Sprint(ir.NewFaulty))
 	}

@@ -110,7 +110,7 @@ func recoverAndFinish(t *testing.T, dir string, cfg nab.Config, payloads [][]byt
 	if err := sess.Err(); err != nil {
 		t.Fatalf("recovered session failed: %v", err)
 	}
-	if res := sess.Result(); res == nil || len(res.Instances) != len(all) {
+	if res := sess.Result(); res == nil || res.Committed() != len(all) {
 		t.Errorf("recovered session result incomplete: %v", res)
 	}
 	return all

@@ -71,9 +71,10 @@ func main() {
 	// every peer submits the identical deterministic workload and
 	// collects its local nodes' commits.
 	type peerOut struct {
-		id  nab.NodeID
-		res *nab.PipelineResult
-		err error
+		id      nab.NodeID
+		commits []*nab.InstanceResult // collected from Commits: a session retains none
+		res     *nab.PipelineResult
+		err     error
 	}
 	ctx := context.Background()
 	outs := make([]peerOut, len(nodes))
@@ -98,13 +99,15 @@ func main() {
 				}
 				sess.Drain(ctx)
 			}()
-			for range sess.Commits() {
+			var commits []*nab.InstanceResult
+			for c := range sess.Commits() {
+				commits = append(commits, c.Result)
 			}
 			if err := sess.Err(); err != nil {
 				fail(err)
 				return
 			}
-			outs[i] = peerOut{id: v, res: sess.Result()}
+			outs[i] = peerOut{id: v, commits: commits, res: sess.Result()}
 		}(i, v)
 	}
 	wg.Wait()
@@ -114,7 +117,7 @@ func main() {
 		if po.err != nil {
 			log.Fatalf("peer %d: %v", po.id, po.err)
 		}
-		for k, ir := range po.res.Instances {
+		for k, ir := range po.commits {
 			for v, out := range ir.Outputs {
 				if !bytes.Equal(out, want.Instances[k].Outputs[v]) {
 					log.Fatalf("instance %d: node %d diverged from lockstep", k+1, v)
@@ -125,17 +128,7 @@ func main() {
 	}
 	first := outs[0].res
 	fmt.Printf("cluster of %d peers over TCP: %d instances committed, %d node-outputs byte-identical to lockstep\n",
-		len(nodes), len(first.Instances), agreed)
+		len(nodes), first.Committed(), agreed)
 	fmt.Printf("dispute phases: %d (alarmer excluded), replays at barriers: %d, wall %.0fms\n",
-		countPhase3(first), first.Replays, first.Wall.Seconds()*1000)
-}
-
-func countPhase3(res *nab.PipelineResult) int {
-	n := 0
-	for _, ir := range res.Instances {
-		if ir.Phase3 {
-			n++
-		}
-	}
-	return n
+		first.DisputePhases(), first.Replays, first.Wall.Seconds()*1000)
 }

@@ -60,9 +60,9 @@ func main() {
 	pipeRes := run(nab.WithWindow(4))
 
 	fmt.Printf("lockstep:  %d instances in %v (%.1f/s)\n",
-		len(lockRes.Instances), lockRes.Wall.Round(timeUnit), lockRes.InstancesPerSec())
+		lockRes.Committed(), lockRes.Wall.Round(timeUnit), lockRes.InstancesPerSec())
 	fmt.Printf("pipelined: %d instances in %v (%.1f/s, window %d)\n\n",
-		len(pipeRes.Instances), pipeRes.Wall.Round(timeUnit), pipeRes.InstancesPerSec(), pipeRes.Window)
+		pipeRes.Committed(), pipeRes.Wall.Round(timeUnit), pipeRes.InstancesPerSec(), pipeRes.Window)
 
 	capRep, err := nab.AnalyzeCapacity(g, 1, 2, false)
 	if err != nil {

@@ -57,11 +57,7 @@ func main() {
 
 	// Consumer: commits arrive strictly in Seq order, each carrying the
 	// full instance report.
-	disputes := 0
 	for c := range sess.Commits() {
-		if c.Result.Phase3 {
-			disputes++
-		}
 		fmt.Printf("instance %2d: %d outputs, mismatch=%-5v phase3=%-5v modelTime=%.1f\n",
 			c.Seq, len(c.Result.Outputs), c.Result.Mismatch, c.Result.Phase3, c.Result.TotalTime())
 	}
@@ -69,8 +65,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The session keeps no per-instance reports (they went out on
+	// Commits); its result is the running aggregates.
 	res := sess.Result()
 	fmt.Printf("\nstreamed %d instances in %.2fs (%.1f inst/s wall), %d dispute phases, %d barrier replays\n",
-		len(res.Instances), res.Wall.Seconds(), res.InstancesPerSec(), disputes, res.Replays)
+		res.Committed(), res.Wall.Seconds(), res.InstancesPerSec(), res.DisputePhases(), res.Replays)
 	fmt.Printf("final dispute set: %v\n", sess.Disputes())
 }

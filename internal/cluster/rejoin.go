@@ -292,8 +292,13 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		if ev == nil {
 			n.log.Debug("released")
+			// The result spans the whole committed history, not just the
+			// last supervised RunStream.
 			res := lastRes
-			res.Instances = append([]*core.InstanceResult(nil), n.committed...)
+			res.RunResult = core.RunResult{LenBits: res.LenBits}
+			for _, ir := range n.committed {
+				res.Add(ir, commit == nil)
+			}
 			return res, nil
 		}
 		if err := n.rollback(ctx, *ev, linger); err != nil {

@@ -63,15 +63,6 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 	if cfg.MaxSchemeTries <= 0 {
 		cfg.MaxSchemeTries = 64
 	}
-	if !cfg.SkipConnectivityCheck {
-		conn, err := cfg.Graph.VertexConnectivity()
-		if err != nil {
-			return nil, fmt.Errorf("core: connectivity: %w", err)
-		}
-		if conn < 2*cfg.F+1 {
-			return nil, fmt.Errorf("core: connectivity %d < 2f+1 = %d", conn, 2*cfg.F+1)
-		}
-	}
 	relayPaths := 2*cfg.F + 1
 	if cfg.RelayPaths > 0 {
 		if cfg.RelayPaths < relayPaths {
@@ -79,7 +70,22 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 		}
 		relayPaths = cfg.RelayPaths
 	}
+	// A relay table with relayPaths >= 2f+1 node-disjoint paths for every
+	// ordered pair is itself the proof that the vertex connectivity is at
+	// least 2f+1, so the paper's precondition costs no second round of
+	// max-flows on a graph that meets it. Only when the table cannot be
+	// built (or there is no pair to build it for) is the connectivity
+	// computed, to name the failure as what it is.
 	tab, err := relay.NewTable(cfg.Graph, relayPaths)
+	if !cfg.SkipConnectivityCheck && (err != nil || n < 2) {
+		conn, cerr := cfg.Graph.VertexConnectivity()
+		if cerr != nil {
+			return nil, fmt.Errorf("core: connectivity: %w", cerr)
+		}
+		if conn < 2*cfg.F+1 {
+			return nil, fmt.Errorf("core: connectivity %d < 2f+1 = %d", conn, 2*cfg.F+1)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: relay table: %w", err)
 	}

@@ -86,40 +86,51 @@ func (ir *InstanceResult) TotalTime() float64 {
 	return ir.Phase1Time + ir.EqualityTime + ir.FlagTime + ir.DisputeTime
 }
 
-// RunResult aggregates a sequence of instances.
+// RunResult aggregates a sequence of instances. Every committed instance
+// is accounted by Add; the counts and sums below therefore cover the whole
+// run whether or not the per-instance reports were kept.
 type RunResult struct {
+	// Instances holds the per-instance reports, in commit order, for runs
+	// that have nowhere else to put them: Runner.Run, and a RunStream given
+	// no commit sink. A streaming run hands each report to its sink and
+	// leaves Instances nil, so its memory does not grow with the stream.
 	Instances []*InstanceResult
 	LenBits   int
+
+	committed int
+	modelTime float64
+	disputes  int
 }
 
-// TotalTime sums instance durations (cut-through).
-func (rr *RunResult) TotalTime() float64 {
-	var t float64
-	for _, ir := range rr.Instances {
-		t += ir.TotalTime()
+// Add accounts one committed instance; retain also keeps its report in
+// Instances.
+func (rr *RunResult) Add(ir *InstanceResult, retain bool) {
+	rr.committed++
+	rr.modelTime += ir.TotalTime()
+	if ir.Phase3 {
+		rr.disputes++
 	}
-	return t
+	if retain {
+		rr.Instances = append(rr.Instances, ir)
+	}
 }
+
+// Committed returns the number of instances the run committed.
+func (rr *RunResult) Committed() int { return rr.committed }
+
+// TotalTime sums instance durations (cut-through).
+func (rr *RunResult) TotalTime() float64 { return rr.modelTime }
 
 // Throughput returns bits broadcast per time unit over the whole run.
 func (rr *RunResult) Throughput() float64 {
-	t := rr.TotalTime()
-	if t == 0 {
+	if rr.modelTime == 0 {
 		return 0
 	}
-	return float64(len(rr.Instances)*rr.LenBits) / t
+	return float64(rr.committed*rr.LenBits) / rr.modelTime
 }
 
 // DisputePhases counts instances where Phase 3 ran.
-func (rr *RunResult) DisputePhases() int {
-	n := 0
-	for _, ir := range rr.Instances {
-		if ir.Phase3 {
-			n++
-		}
-	}
-	return n
-}
+func (rr *RunResult) DisputePhases() int { return rr.disputes }
 
 // Runner drives repeated NAB instances on the lockstep simulator, carrying
 // dispute state across them.
@@ -221,7 +232,7 @@ func (r *Runner) Run(inputs [][]byte) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr.Instances = append(rr.Instances, ir)
+		rr.Add(ir, true)
 	}
 	return rr, nil
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nab/internal/adversary"
@@ -88,6 +89,35 @@ func TestNewRunnerValidation(t *testing.T) {
 	bad.Graph = ring
 	if _, err := core.NewRunner(bad); err == nil {
 		t.Error("insufficient connectivity accepted")
+	} else if !strings.Contains(err.Error(), "connectivity 2 < 2f+1 = 3") {
+		// The precondition is established by the relay table on the
+		// success path; a failure must still be named as the paper's
+		// connectivity bound, not as a relay detail.
+		t.Errorf("insufficient connectivity reported as %q", err)
+	}
+	// Connectivity meets 2f+1 but not a larger RelayPaths: that is the
+	// relay table's error.
+	bad = good
+	bad.RelayPaths = 4 // K4 has connectivity 3
+	if _, err := core.NewRunner(bad); err == nil {
+		t.Error("RelayPaths above the connectivity accepted")
+	} else if !strings.Contains(err.Error(), "relay table") {
+		t.Errorf("RelayPaths above the connectivity reported as %q", err)
+	}
+	// With the check skipped the same graph fails on the table alone.
+	bad = good
+	bad.Graph, bad.SkipConnectivityCheck = ring, true
+	if _, err := core.NewRunner(bad); err == nil || !strings.Contains(err.Error(), "relay table") {
+		t.Errorf("low connectivity with the check skipped: err = %v, want the relay table's", err)
+	}
+	// A lone node has no pair to build a table for; connectivity is
+	// undefined there and says so.
+	lone := graph.NewDirected()
+	lone.AddNode(1)
+	bad = good
+	bad.Graph, bad.F = lone, 0
+	if _, err := core.NewRunner(bad); err == nil || !strings.Contains(err.Error(), "connectivity") {
+		t.Errorf("single-node graph: err = %v, want a connectivity error", err)
 	}
 }
 

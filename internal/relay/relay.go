@@ -13,8 +13,8 @@
 package relay
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 
 	"nab/internal/graph"
@@ -91,7 +91,7 @@ type Router struct {
 	table *Table
 
 	mu       sync.Mutex
-	received map[recvKey]map[int][]byte // (origin,msgID) -> pathIdx -> payload
+	received map[recvKey][]pathCopy // (origin,msgID) -> one slot per path
 }
 
 type recvKey struct {
@@ -99,9 +99,16 @@ type recvKey struct {
 	msgID  string
 }
 
+// pathCopy is the copy of a message that arrived along one path; ok tells
+// an empty payload from a copy that never came.
+type pathCopy struct {
+	payload []byte
+	ok      bool
+}
+
 // NewRouter returns a router for node self using the given table.
 func NewRouter(self graph.NodeID, table *Table) *Router {
-	return &Router{self: self, table: table, received: map[recvKey]map[int][]byte{}}
+	return &Router{self: self, table: table, received: map[recvKey][]pathCopy{}}
 }
 
 // Table returns the routing table backing this router.
@@ -113,9 +120,13 @@ func (r *Router) Self() graph.NodeID { return r.self }
 // Send builds the first-hop messages that launch payload toward dest along
 // all k paths. The caller includes them in its Step output.
 func (r *Router) Send(dest graph.NodeID, msgID string, payload []byte) []sim.Message {
-	paths := r.table.Paths(r.self, dest)
-	out := make([]sim.Message, 0, len(paths))
-	for idx, p := range paths {
+	return r.AppendSend(make([]sim.Message, 0, r.table.k), dest, msgID, payload)
+}
+
+// AppendSend is Send appending to out, for callers that address many
+// destinations in one step.
+func (r *Router) AppendSend(out []sim.Message, dest graph.NodeID, msgID string, payload []byte) []sim.Message {
+	for idx, p := range r.table.Paths(r.self, dest) {
 		pkt := Packet{Origin: r.self, Dest: dest, PathIdx: idx, Hop: 1, MsgID: msgID, Payload: payload}
 		out = append(out, sim.Message{
 			From: r.self,
@@ -133,13 +144,18 @@ func (r *Router) Send(dest graph.NodeID, msgID string, payload []byte) []sim.Mes
 // messages and malformed packets yield nil (a Byzantine neighbour can
 // always send garbage; honest nodes ignore it).
 func (r *Router) Handle(m sim.Message) []sim.Message {
+	return r.handle(nil, m)
+}
+
+// handle is Handle appending the forward, if any, to out.
+func (r *Router) handle(out []sim.Message, m sim.Message) []sim.Message {
 	pkt, ok := m.Body.(Packet)
 	if !ok {
-		return nil
+		return out
 	}
 	paths := r.table.Paths(pkt.Origin, pkt.Dest)
 	if pkt.PathIdx < 0 || pkt.PathIdx >= len(paths) {
-		return nil
+		return out
 	}
 	path := paths[pkt.PathIdx]
 	// The packet claims to be at hop pkt.Hop; we must be that node and the
@@ -147,97 +163,94 @@ func (r *Router) Handle(m sim.Message) []sim.Message {
 	// is forged and is dropped. A faulty node can therefore only tamper
 	// with copies on paths it belongs to.
 	if pkt.Hop < 1 || pkt.Hop >= len(path) {
-		return nil
+		return out
 	}
 	if path[pkt.Hop] != r.self || path[pkt.Hop-1] != m.From {
-		return nil
+		return out
 	}
 	if pkt.Dest == r.self {
 		// Final hop: record the copy (first copy per path wins).
 		if pkt.Hop != len(path)-1 {
-			return nil
+			return out
 		}
 		r.mu.Lock()
 		key := recvKey{origin: pkt.Origin, msgID: pkt.MsgID}
-		if r.received[key] == nil {
-			r.received[key] = map[int][]byte{}
+		copies := r.received[key]
+		if copies == nil {
+			copies = make([]pathCopy, len(paths))
+			r.received[key] = copies
 		}
-		if _, dup := r.received[key][pkt.PathIdx]; !dup {
-			r.received[key][pkt.PathIdx] = pkt.Payload
+		if !copies[pkt.PathIdx].ok {
+			copies[pkt.PathIdx] = pathCopy{payload: pkt.Payload, ok: true}
 		}
 		r.mu.Unlock()
-		return nil
+		return out
 	}
 	next := pkt.Hop + 1
 	if next >= len(path) {
-		return nil
+		return out
 	}
-	fwd := pkt
-	fwd.Hop = next
-	return []sim.Message{{
+	pkt.Hop = next
+	return append(out, sim.Message{
 		From: r.self,
 		To:   path[next],
 		Bits: int64(len(pkt.Payload)) * 8,
-		Body: fwd,
-	}}
+		Body: pkt,
+	})
 }
 
 // HandleAll is Handle applied to a whole inbox, concatenating forwards.
 func (r *Router) HandleAll(inbox []sim.Message) []sim.Message {
 	var out []sim.Message
 	for _, m := range inbox {
-		out = append(out, r.Handle(m)...)
+		out = r.handle(out, m)
 	}
 	return out
 }
 
 // Majority returns the payload received from origin for msgID, decided by
-// strict majority over path copies; missing copies count as votes for the
-// default (nil). ok reports whether a strict majority existed among the k
-// expected copies.
+// strict majority over the k expected path copies; a copy that never
+// arrived votes for nothing. ok reports whether a strict majority existed.
+// The returned slice is the copy the router holds (shared with the sender
+// on in-process engines): callers must not modify it.
 func (r *Router) Majority(origin graph.NodeID, msgID string) ([]byte, bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	copies := r.received[recvKey{origin: origin, msgID: msgID}]
-	counts := map[string]int{}
-	for _, payload := range copies {
-		counts[string(payload)]++
-	}
-	missing := r.table.k - len(copies)
-	r.mu.Unlock()
-	if missing > 0 {
-		counts[missingSentinel] += missing
-	}
-	keys := make([]string, 0, len(counts))
-	for s := range counts {
-		keys = append(keys, s)
-	}
-	sort.Strings(keys)
-	bestKey, bestCount := "", -1
-	for _, s := range keys {
-		if counts[s] > bestCount {
-			bestKey, bestCount = s, counts[s]
+	// Boyer-Moore vote over the copies that arrived, then an exact count:
+	// a payload held by more than half of all k paths is necessarily the
+	// surviving candidate.
+	var cand []byte
+	lead := 0
+	for _, c := range copies {
+		switch {
+		case !c.ok:
+		case lead == 0:
+			cand, lead = c.payload, 1
+		case bytes.Equal(cand, c.payload):
+			lead++
+		default:
+			lead--
 		}
 	}
-	if bestCount*2 <= r.table.k {
+	if lead == 0 {
 		return nil, false
 	}
-	if bestKey == missingSentinel {
+	count := 0
+	for _, c := range copies {
+		if c.ok && bytes.Equal(cand, c.payload) {
+			count++
+		}
+	}
+	if count*2 <= r.table.k {
 		return nil, false
 	}
-	return []byte(bestKey), true
+	return cand, true
 }
 
 // Reset clears received state (between protocol stages reusing a router).
 func (r *Router) Reset() {
 	r.mu.Lock()
-	r.received = map[recvKey]map[int][]byte{}
+	r.received = map[recvKey][]pathCopy{}
 	r.mu.Unlock()
 }
-
-// missingSentinel cannot collide with real payloads because Majority keys
-// real payloads by their raw bytes and this value is only used for absent
-// copies; a payload equal to the sentinel bytes would still be counted
-// separately because present copies are tallied before the sentinel is
-// added under a distinct map entry only when missing > 0. The string is
-// long and improbable regardless.
-const missingSentinel = "\x00relay:missing-copy\x00"

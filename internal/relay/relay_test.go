@@ -379,3 +379,75 @@ func BenchmarkRelayPhase(b *testing.B) {
 		}
 	}
 }
+
+// TestMajorityPayloadEqualToOldSentinel is the regression test for the
+// sentinel collision: Majority used to tally absent copies under a magic
+// string in the same table as real payloads, so a message whose bytes
+// equalled that string had its three intact copies merged with the two
+// missing ones and was reported as undelivered. Absent copies are no
+// longer a vote, so no payload is special (baseline.RunFlood relays caller
+// bytes verbatim and could hit this).
+func TestMajorityPayloadEqualToOldSentinel(t *testing.T) {
+	g := completeBi(7, 2)
+	tab, err := NewTable(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("\x00relay:missing-copy\x00")
+	faulty := map[graph.NodeID]sim.Process{2: silentProcess(), 3: silentProcess()}
+	routers := runRelay(t, g, tab, 1, payload, faulty)
+	for v, r := range routers {
+		if v == 1 {
+			continue
+		}
+		got, ok := r.Majority(1, "m1")
+		if !ok || string(got) != string(payload) {
+			t.Errorf("node %d: got %q ok=%v, want the payload with a strict majority", v, got, ok)
+		}
+	}
+}
+
+// TestMajorityCountsAgainstAllPaths pins the denominator: two agreeing
+// copies out of k = 5 are not a majority even when they are all that
+// arrived, and an empty payload is a value, not an absence.
+func TestMajorityCountsAgainstAllPaths(t *testing.T) {
+	g := completeBi(7, 2)
+	tab, err := NewTable(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(r *Router, msgID string, idx int, payload []byte) {
+		path := tab.Paths(1, 7)[idx]
+		hop := len(path) - 1
+		r.Handle(sim.Message{From: path[hop-1], To: 7, Body: Packet{
+			Origin: 1, Dest: 7, PathIdx: idx, Hop: hop, MsgID: msgID, Payload: payload,
+		}})
+	}
+	r := NewRouter(7, tab)
+	deliver(r, "two", 0, []byte("v"))
+	deliver(r, "two", 1, []byte("v"))
+	if got, ok := r.Majority(1, "two"); ok {
+		t.Errorf("2 of 5 copies accepted as majority: %q", got)
+	}
+	deliver(r, "split", 0, []byte("a"))
+	deliver(r, "split", 1, []byte("b"))
+	deliver(r, "split", 2, []byte("a"))
+	deliver(r, "split", 3, []byte("b"))
+	deliver(r, "split", 4, []byte("c"))
+	if got, ok := r.Majority(1, "split"); ok {
+		t.Errorf("2-2-1 split accepted as majority: %q", got)
+	}
+	for idx := 0; idx < 3; idx++ {
+		deliver(r, "empty", idx, nil)
+	}
+	if got, ok := r.Majority(1, "empty"); !ok || len(got) != 0 {
+		t.Errorf("three empty copies of five: got %q ok=%v, want empty payload with a majority", got, ok)
+	}
+	deliver(r, "first", 0, []byte("x"))
+	deliver(r, "first", 0, []byte("y")) // a second copy on one path is ignored
+	deliver(r, "first", 1, []byte("x"))
+	deliver(r, "first", 2, []byte("x"))
+	if got, ok := r.Majority(1, "first"); !ok || string(got) != "x" {
+		t.Errorf("first copy per path should win: got %q ok=%v", got, ok)
+	}
+}

@@ -51,7 +51,7 @@ func (rt *Runtime) Report(res *Result, cap *capacity.Report) *Report {
 // output to include the Theorem 2/3 bounds.
 func NewReport(g *graph.Directed, res *Result, cap *capacity.Report) *Report {
 	rep := &Report{
-		Instances:       len(res.Instances),
+		Instances:       res.Committed(),
 		LenBits:         res.LenBits,
 		WallSeconds:     res.Wall.Seconds(),
 		InstancesPerSec: res.InstancesPerSec(),

@@ -494,7 +494,7 @@ func (res *Result) InstancesPerSec() float64 {
 	if res.Wall <= 0 {
 		return 0
 	}
-	return float64(len(res.Instances)) / res.Wall.Seconds()
+	return float64(res.Committed()) / res.Wall.Seconds()
 }
 
 // ValidateInputs checks a batch against the configured input size,
@@ -522,7 +522,10 @@ func (rt *Runtime) ValidateInputs(inputs [][]byte) error {
 // window slot, so a bounded subs channel gives end-to-end backpressure: a
 // producer blocks once W instances are in flight and the channel buffer is
 // full. commit (when non-nil) is invoked synchronously as each instance
-// commits, in order — a commit error aborts the run. Canceling ctx aborts
+// commits, in order — a commit error aborts the run — and is then the only
+// holder of the per-instance reports: the result keeps running aggregates
+// and a nil Instances, so an endless stream runs in bounded memory. With a
+// nil commit the result retains every report. Canceling ctx aborts
 // every in-flight execution (mid-dispute included), returns ctx.Err(), and
 // leaves the runtime closeable; the transport stays open, so a later
 // RunStream may resume from the folded dispute state.
@@ -677,7 +680,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		if err := rt.proto.Fold(rt.ds, f.ir); err != nil {
 			return fail(err)
 		}
-		res.Instances = append(res.Instances, f.ir)
+		res.Add(f.ir, commit == nil)
 		rt.k++
 		delete(inputs, f.k)
 		mCommitLatency.Observe(time.Since(f.started).Seconds())

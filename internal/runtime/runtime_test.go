@@ -470,22 +470,39 @@ func TestRunStreamIncremental(t *testing.T) {
 			time.Sleep(time.Millisecond) // arrivals straggle behind the pipeline
 		}
 	}()
-	var commits []int
+	// With a commit sink the reports go to the sink alone; the result keeps
+	// the aggregates.
+	var commits []*core.InstanceResult
 	got, err := rt.RunStream(context.Background(), subs, func(ir *core.InstanceResult) error {
-		commits = append(commits, ir.K)
+		commits = append(commits, ir)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Instances) != q || len(commits) != q {
-		t.Fatalf("committed %d instances (%d hooks), want %d", len(got.Instances), len(commits), q)
+	if got.Committed() != q || len(commits) != q {
+		t.Fatalf("committed %d instances (%d hooks), want %d", got.Committed(), len(commits), q)
+	}
+	if got.Instances != nil {
+		t.Errorf("result retains %d reports beside a commit sink", len(got.Instances))
+	}
+	var sunk core.RunResult
+	sunk.LenBits = got.LenBits
+	for _, ir := range commits {
+		sunk.Add(ir, true)
+	}
+	if got.TotalTime() != sunk.TotalTime() || got.DisputePhases() != sunk.DisputePhases() || got.Throughput() != sunk.Throughput() {
+		t.Errorf("aggregates: time %v, %d dispute phases, throughput %v; summed over the sink %v, %d, %v",
+			got.TotalTime(), got.DisputePhases(), got.Throughput(), sunk.TotalTime(), sunk.DisputePhases(), sunk.Throughput())
+	}
+	if got.DisputePhases() != want.DisputePhases() {
+		t.Errorf("%d dispute phases, lockstep %d", got.DisputePhases(), want.DisputePhases())
 	}
 	for i, w := range want.Instances {
-		if commits[i] != i+1 {
-			t.Errorf("commit hook %d fired for instance %d", i+1, commits[i])
+		gi := commits[i]
+		if gi.K != i+1 {
+			t.Errorf("commit hook %d fired for instance %d", i+1, gi.K)
 		}
-		gi := got.Instances[i]
 		if gi.Mismatch != w.Mismatch || gi.Phase3 != w.Phase3 {
 			t.Errorf("instance %d: mismatch/phase3 = %v/%v, want %v/%v", i+1, gi.Mismatch, gi.Phase3, w.Mismatch, w.Phase3)
 		}

@@ -21,8 +21,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nab/internal/graph"
@@ -238,11 +239,8 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 func (e *Engine) routePending() map[graph.NodeID][]Message {
 	inboxes := map[graph.NodeID][]Message{}
 	msgs := append([]Message(nil), e.pending...)
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
-		}
-		return msgs[i].To < msgs[j].To
+	slices.SortStableFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	for _, m := range msgs {
 		inboxes[m.To] = append(inboxes[m.To], m)

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nab/internal/graph"
 )
@@ -56,5 +57,5 @@ func (ps *PhaseStats) Charge(round int, from, to graph.NodeID, bits int64) {
 // per-link emission order. Message-driven engines apply it before invoking
 // a Process so protocol state evolves identically under both substrates.
 func SortInbox(msgs []Message) {
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
+	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
 }

@@ -156,7 +156,10 @@ type (
 	// flight, committing outputs identical to Runner's.
 	PipelinedRunner = runtime.Runtime
 	// PipelineResult extends RunResult with wall-clock, replay and
-	// per-link accounting.
+	// per-link accounting. Its Instances slice is filled only by batch
+	// runs with no commit sink (PipelinedRunner.RunStream(ctx, subs, nil));
+	// a Session's Result carries the aggregates alone — Committed(),
+	// TotalTime(), DisputePhases() — and Instances stays nil.
 	PipelineResult = runtime.Result
 	// PipelineReport is the aggregate throughput accounting, comparable
 	// against CapacityReport's Theorem 2/3 bounds.

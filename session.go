@@ -389,8 +389,10 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 				return
 			}
 			res, err := rt.RunStream(sctx, s.subs, s.emitFunc(sctx))
-			if res != nil && len(s.replayed) > 0 {
-				res.Instances = append(append([]*core.InstanceResult(nil), s.replayed...), res.Instances...)
+			if res != nil {
+				for _, ir := range s.replayed {
+					res.Add(ir, false)
+				}
 			}
 			s.finish(res, err)
 		}()
@@ -517,7 +519,9 @@ func (s *Session) runLockstep(ctx context.Context, runner *core.Runner) {
 		RunResult: core.RunResult{LenBits: runner.Protocol().LenBits()},
 		Window:    1,
 	}
-	res.Instances = append(res.Instances, s.replayed...)
+	for _, ir := range s.replayed {
+		res.Add(ir, false)
+	}
 	emit := s.emitFunc(ctx)
 	start := time.Now()
 	var err error
@@ -535,7 +539,7 @@ loop:
 			if ir, err = runner.RunInstance(in); err != nil {
 				break loop
 			}
-			res.Instances = append(res.Instances, ir)
+			res.Add(ir, false)
 			if err = emit(ir); err != nil {
 				break loop
 			}
@@ -702,9 +706,12 @@ func (s *Session) Err() error {
 	}
 }
 
-// Result returns the session's aggregate accounting (wall clock, replays,
-// per-link bits) once it has ended; nil while live or when the session
-// failed before producing a result.
+// Result returns the session's aggregate accounting (committed count,
+// model time, dispute phases, wall clock, replays, per-link bits) once it
+// has ended; nil while live or when the session failed before producing a
+// result. A session delivers every per-instance report on Commits and
+// keeps none, so Result().Instances is nil — read Committed(), or collect
+// the reports from the Commits channel.
 func (s *Session) Result() *PipelineResult {
 	select {
 	case <-s.done:

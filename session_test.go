@@ -54,8 +54,10 @@ func feedAndCollect(t *testing.T, sess *nab.Session, payloads [][]byte) ([]*nab.
 	if err := sess.Err(); err != nil {
 		t.Fatalf("session error: %v", err)
 	}
-	if res := sess.Result(); res == nil || len(res.Instances) != len(payloads) {
+	if res := sess.Result(); res == nil || res.Committed() != len(payloads) {
 		t.Errorf("session result missing or incomplete")
+	} else if res.Instances != nil {
+		t.Errorf("session result retains %d instance reports; they belong to Commits only", len(res.Instances))
 	}
 	return results, sess.Disputes().String()
 }

@@ -481,8 +481,8 @@ func sessionRun(cfg nab.Config, inputs [][]byte, opts ...nab.SessionOption) (*na
 		return nil, err
 	}
 	res := sess.Result()
-	if res == nil || len(res.Instances) != len(inputs) {
-		return nil, fmt.Errorf("session committed %d instances, want %d", len(res.Instances), len(inputs))
+	if res == nil || res.Committed() != len(inputs) {
+		return nil, fmt.Errorf("session committed %d instances, want %d", res.Committed(), len(inputs))
 	}
 	return res, nil
 }

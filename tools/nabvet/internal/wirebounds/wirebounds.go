@@ -1,9 +1,10 @@
 // Package wirebounds vets the byte-level decoders — the frame codec in
-// nab/internal/transport and the WAL record codecs in nab/internal/wal
-// — for unguarded slice access. These functions are the only code that
-// indexes attacker-controlled bytes (every Byzantine peer and every
-// torn WAL tail reaches them), so a missing length check is not a
-// latent bug but a remotely triggerable panic.
+// nab/internal/transport, the WAL record codecs in nab/internal/wal and
+// the in-place EIG round-batch walker in nab/internal/bb — for unguarded
+// slice access. These functions are the only code that indexes
+// attacker-controlled bytes (every Byzantine peer and every torn WAL tail
+// reaches them), so a missing length check is not a latent bug but a
+// remotely triggerable panic.
 //
 // Within a decoder-shaped function (Decode*/decode*/Read*/read*/Load*/
 // load* — the Load prefix catches file-container decoders such as the
@@ -34,6 +35,7 @@ var Analyzer = &analysis.Analyzer{
 
 // scope is the set of packages holding wire-facing decoders.
 var scope = map[string]bool{
+	"nab/internal/bb":        true,
 	"nab/internal/transport": true,
 	"nab/internal/wal":       true,
 }
