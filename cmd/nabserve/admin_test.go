@@ -185,7 +185,7 @@ func TestDrainFlagFollowsAbandonedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn2.Close()
+	defer func() { conn2.Close() }() // whichever reconnect is live at exit
 	in := bytes.Repeat([]byte{0xee}, lenBytes)
 	for {
 		if err := writeFrame(conn2, in); err != nil {

@@ -54,6 +54,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"nab"
@@ -254,6 +255,34 @@ type server struct {
 	// typed errDraining reply instead of a silent queue (or a reset when
 	// the daemon dies mid-drain).
 	draining atomic.Bool
+
+	// live is the client connection being served; once the listener
+	// closes (stopped), it is closed too, so a session blocked reading an
+	// idle client cannot hold serve open.
+	mu      sync.Mutex
+	live    net.Conn
+	stopped bool
+}
+
+// setLive records the connection session is about to serve (nil: none).
+// After stop it is closed on the spot, failing the session's first read.
+func (s *server) setLive(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.live = conn
+	if s.stopped && conn != nil {
+		conn.Close()
+	}
+}
+
+// stop pre-empts the session in progress by closing its connection.
+func (s *server) stop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stopped = true
+	if s.live != nil {
+		s.live.Close()
+	}
 }
 
 // serve handles clients one at a time: NAB broadcasts a single global
@@ -271,11 +300,13 @@ func (s *server) serve(l net.Listener) error {
 	conns := make(chan net.Conn)
 	done := make(chan struct{})
 	defer close(done)
+	listenerGone := make(chan struct{})
 	go func() {
-		defer close(conns)
+		defer close(listenerGone)
 		for {
 			conn, err := l.Accept()
 			if err != nil {
+				s.stop()
 				return // listener closed: clean shutdown
 			}
 			if s.draining.Load() {
@@ -283,24 +314,34 @@ func (s *server) serve(l net.Listener) error {
 				conn.Close()
 				continue
 			}
-			select {
-			case conns <- conn:
-			case <-done:
-				conn.Close()
-				return
-			}
+			// A client waits its turn off the accept loop: Accept must
+			// keep running to notice the listener closing.
+			go func() {
+				select {
+				case conns <- conn:
+				case <-done:
+					conn.Close()
+				}
+			}()
 		}
 	}()
-	for conn := range conns {
+	for {
+		var conn net.Conn
+		select {
+		case conn = <-conns:
+		case <-listenerGone:
+			return nil
+		}
+		s.setLive(conn)
 		if err := s.session(conn); err != nil && err != io.EOF {
 			fmt.Fprintf(s.w, "nabserve: session %s: %v\n", conn.RemoteAddr(), err)
 		}
+		s.setLive(nil)
 		conn.Close()
 		if err := s.sess.Err(); err != nil {
 			return err // the engine died; stop accepting
 		}
 	}
-	return nil
 }
 
 // session bridges one client connection onto the shared Session: a reader
@@ -463,13 +504,15 @@ func readFrame(r io.Reader, lenBytes int) ([]byte, error) {
 	return in, nil
 }
 
+// writeFrame sends the frame in one write: a peer that already answered
+// and closed (the draining refusal) resets the connection on the first
+// segment it sees, and a second write would fail with EPIPE before the
+// caller gets to read that answer.
 func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 4+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[4:], payload)
+	_, err := w.Write(frame)
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"nab"
 	"nab/internal/adversary"
@@ -140,6 +141,41 @@ func TestBadRequestClosesSession(t *testing.T) {
 	}
 	if _, err := readReply(conn, 16); err == nil {
 		t.Error("expected the session to close on a malformed request")
+	}
+}
+
+// TestServeStopsWhileClientsIdle: closing the listener must end serve even
+// with one client mid-session and silent, and another waiting its turn.
+func TestServeStopsWhileClientsIdle(t *testing.T) {
+	const lenBytes = 16
+	addr, shutdown := startServer(t, lenBytes, 2, nil)
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// One round trip proves the daemon is bridging this connection.
+	if err := writeFrame(idle, bytes.Repeat([]byte{1}, lenBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readReply(idle, lenBytes); err != nil {
+		t.Fatal(err)
+	}
+	waiting, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waiting.Close()
+
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		shutdown()
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after its listener closed")
 	}
 }
 

@@ -45,8 +45,10 @@ type Config struct {
 	Window int
 
 	// Transport overrides the default in-process channel bus — e.g. a
-	// *transport.TCP for loopback serving. The runtime takes ownership
-	// and closes it. It must be built over the same topology as Graph.
+	// *transport.TCP (one single-node transport.Peer per node, every link
+	// a loopback socket) for serving, or a cluster process's *transport.Peer.
+	// The runtime takes ownership and closes it. It must be built over the
+	// same topology as Graph.
 	Transport transport.Transport
 
 	// ChanOptions tunes the default in-process bus when Transport is nil

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"nab/internal/graph"
@@ -28,147 +26,21 @@ type ChanOptions struct {
 	Chaos *ChaosConfig
 }
 
-// Chan is the in-process Transport: one goroutine-safe FIFO per directed
-// link, merged into per-node inboxes.
-type Chan struct {
-	g   *graph.Directed
-	opt ChanOptions
-
-	mu      sync.Mutex
-	links   map[[2]graph.NodeID]*chanLink
-	dialed  map[[2]graph.NodeID]Link // chaos-wrapped view handed to dialers
-	inboxes map[graph.NodeID]chan *Message
-
-	chaos    *chaosState
-	chaosErr error
-
-	closed    chan struct{}
-	closeOnce sync.Once
-}
+// Chan is the in-process Transport: the mesh core hosting every node, so
+// each directed link is a goroutine-safe FIFO into its receiver's inbox.
+type Chan struct{ *mesh }
 
 // NewChan builds the bus over topology g. Nodes and links are fixed at
 // construction; dialing outside the topology fails.
 func NewChan(g *graph.Directed, opt ChanOptions) *Chan {
-	if opt.Buffer <= 0 {
-		opt.Buffer = 4096
-	}
-	t := &Chan{
-		g:       g.Clone(),
-		opt:     opt,
-		links:   map[[2]graph.NodeID]*chanLink{},
-		dialed:  map[[2]graph.NodeID]Link{},
-		inboxes: map[graph.NodeID]chan *Message{},
-		closed:  make(chan struct{}),
-	}
-	t.chaos, t.chaosErr = newChaosState(opt.Chaos, t.closed)
-	for _, v := range t.g.Nodes() {
-		t.inboxes[v] = make(chan *Message, opt.Buffer)
-	}
-	return t
+	return &Chan{newMesh(g, g.Nodes(), opt.TimeUnit, opt.Burst, opt.Buffer, opt.Chaos)}
 }
 
-// Dial implements Transport. Dialing the same link twice returns the same
-// underlying link state, so the token bucket stays per-link no matter how
-// many senders share it.
-func (t *Chan) Dial(from, to graph.NodeID) (Link, error) {
-	if !t.g.HasEdge(from, to) {
-		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)
-	}
-	if t.chaosErr != nil {
-		return nil, t.chaosErr
-	}
-	key := [2]graph.NodeID{from, to}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l, ok := t.dialed[key]; ok {
-		return l, nil
-	}
-	l := &chanLink{
-		t:     t,
-		key:   key,
-		inbox: t.inboxes[to],
-		pace:  newPacer(t.g.Cap(from, to), t.opt.TimeUnit, t.opt.Burst),
-		lm:    linkMetricsFor(from, to),
-	}
-	t.links[key] = l
-	// Chaos wraps outside the pacer: a delayed frame pays its capacity
-	// charge when it finally enters the link. The wrapped view is cached
-	// so repeat dialers share one seeded per-instance hash stream.
-	wrapped := t.chaos.wrap(Link(l), from, to)
-	t.dialed[key] = wrapped
-	return wrapped, nil
-}
-
-// Recv implements Transport.
-func (t *Chan) Recv(self graph.NodeID) (*Message, error) {
-	t.mu.Lock()
-	inbox, ok := t.inboxes[self]
-	t.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("transport: node %d not in topology", self)
-	}
-	select {
-	case m := <-inbox:
-		return m, nil
-	case <-t.closed:
-		// Drain what was already delivered before reporting closure.
-		select {
-		case m := <-inbox:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
-// LinkBits implements Transport.
-func (t *Chan) LinkBits() map[[2]graph.NodeID]int64 {
-	out := map[[2]graph.NodeID]int64{}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for key, l := range t.links {
-		out[key] = l.pace.Bits()
-	}
-	return out
-}
+// Dial implements Transport.
+func (t *Chan) Dial(from, to graph.NodeID) (Link, error) { return t.dial(from, to, nil) }
 
 // Close implements Transport. In-flight Sends return ErrClosed.
 func (t *Chan) Close() error {
 	t.closeOnce.Do(func() { close(t.closed) })
 	return nil
 }
-
-// chanLink is one directed link: a token bucket (see pacer) in front of
-// the recipient's inbox.
-type chanLink struct {
-	t     *Chan
-	key   [2]graph.NodeID
-	inbox chan *Message
-	pace  *pacer
-	lm    linkMetrics
-}
-
-// Send implements Link. The token bucket serializes the link: concurrent
-// senders queue behind each other exactly as frames on a wire would.
-func (l *chanLink) Send(m *Message) error {
-	if m.From != l.key[0] || m.To != l.key[1] {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.key[0], l.key[1])
-	}
-	if m.Bits < 0 {
-		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
-	}
-	if !m.Marker && m.Bits > 0 {
-		l.pace.charge(m.Bits)
-	}
-	select {
-	case l.inbox <- m:
-		l.lm.count(m)
-		return nil
-	case <-l.t.closed:
-		return ErrClosed
-	}
-}
-
-// Close implements Link. Link state is owned by the transport; closing a
-// link is a no-op so other dialers of the same link are unaffected.
-func (l *chanLink) Close() error { return nil }

@@ -10,45 +10,6 @@ import (
 	"nab/internal/topo"
 )
 
-func TestChanFIFOAndAccounting(t *testing.T) {
-	g := topo.Fig1a()
-	tr := NewChan(g, ChanOptions{})
-	defer tr.Close()
-
-	l12, err := tr.Dial(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Dial(2, 5); err == nil {
-		t.Error("dialing a non-link succeeded")
-	}
-	for i := 0; i < 10; i++ {
-		if err := l12.Send(&Message{From: 1, To: 2, Step: uint32(i), Bits: 8, Body: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		m, err := tr.Recv(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(m.Step) != i {
-			t.Fatalf("FIFO violated: got step %d at position %d", m.Step, i)
-		}
-	}
-	if got := tr.LinkBits()[[2]graph.NodeID{1, 2}]; got != 80 {
-		t.Errorf("link (1,2) accounted %d bits, want 80", got)
-	}
-	if err := l12.Send(&Message{From: 2, To: 1}); err == nil {
-		t.Error("frame with wrong endpoints accepted")
-	}
-
-	tr.Close()
-	if _, err := tr.Recv(2); err != ErrClosed {
-		t.Errorf("Recv after close: %v, want ErrClosed", err)
-	}
-}
-
 // TestChanPacingMatchesSimAccounting drives identical per-link loads
 // through (a) the sim PhaseStats accounting and (b) the paced transport on
 // the Fig. 1(a) graph, and checks that real elapsed time matches the

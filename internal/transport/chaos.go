@@ -238,9 +238,9 @@ func newChaosState(cfg *ChaosConfig, stop <-chan struct{}) (*chaosState, error) 
 }
 
 // wrap interposes chaos physics on the sender half of one directed link.
-// Callers must wrap each link at most once (the runtime dials each link
-// once and shares it): two wrappers on one link would split the seeded
-// per-instance hash stream and race their delivery goroutines.
+// mesh.dial wraps each link once and caches the result: two wrappers on
+// one link would split the seeded per-instance hash stream and race
+// their delivery goroutines.
 func (cs *chaosState) wrap(inner Link, from, to graph.NodeID) Link {
 	if cs == nil {
 		return inner
@@ -327,9 +327,6 @@ func (l *chaosLink) Send(m *Message) error {
 		return ErrClosed
 	}
 }
-
-// Close implements Link.
-func (l *chaosLink) Close() error { return l.inner.Close() }
 
 // scheduleLocked stamps one frame's release time. All randomness is a
 // pure function of (seed, link, instance, per-instance frame index).

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nab/internal/graph"
@@ -65,12 +66,13 @@ const (
 	peerRejectPhy = 0x02 // link not in topology or not terminating here
 )
 
-// Peer is the multi-process Transport: this process hosts a subset of the
-// topology's nodes, listens on one TCP address for inbound links, and
-// dials one TCP connection per outgoing directed link whose receiver is
-// hosted by a remote process (local-to-local links short-circuit in
-// memory). Frames for links the handshake did not pin, or violating
-// physics, are dropped on receipt.
+// Peer is the multi-process Transport: the mesh core for the subset of the
+// topology's nodes this process hosts, one TCP listener for inbound links,
+// and one socket link per outgoing directed link whose receiver is hosted
+// by a remote process (local-to-local links stay in memory). Peer is the
+// only code that listens, accepts, handshakes and reads frames: frames for
+// links the handshake did not pin, or violating physics, are dropped on
+// receipt.
 //
 // Trust model: the mesh assumes a trusted network boundary. The
 // handshake pins each connection to one directed link but does not
@@ -80,62 +82,44 @@ const (
 // deployment across an untrusted network needs an authenticated channel
 // (e.g. mTLS) in front of the listeners.
 type Peer struct {
-	g      *graph.Directed
-	locals map[graph.NodeID]bool
-	addrs  map[graph.NodeID]string
-	opt    PeerOptions
+	*mesh
+	addrs map[graph.NodeID]string
+	opt   PeerOptions
 
 	listener net.Listener
-	chaos    *chaosState
 
-	mu      sync.Mutex
-	inboxes map[graph.NodeID]chan *Message
-	pacers  map[[2]graph.NodeID]*pacer
-	recvd   map[[2]graph.NodeID]int64 // receive-side charges from remote peers
-	conns   []net.Conn
-	writers []*frameWriter
-	inbound map[[2]graph.NodeID]net.Conn // live pinned inbound conn per link (Reconnect)
-	relinks []*reconnLink                // outbound links for Reestablish (Reconnect)
-	dropped int64
-	lost    int64 // frames dropped on down outbound links (Reconnect)
+	// Guarded by the mesh's mu.
+	socks    []*sockLink                  // outbound socket links, for Reestablish and teardown
+	accepted map[net.Conn][2]graph.NodeID // live inbound connections and the link each pinned
+	recvd    map[[2]graph.NodeID]int64    // receive-side charges from remote peers
 
-	closed    chan struct{}
-	closeOnce sync.Once
+	dropped atomic.Int64
+	lost    atomic.Int64 // frames dropped on down outbound links (Reconnect)
 }
 
 // NewPeer opens this process's mesh endpoint: a listener on listenAddr
 // for inbound links, and inboxes for the local nodes. addrs must name the
 // listen address of every node's hosting process (local nodes included).
 func NewPeer(g *graph.Directed, localNodes []graph.NodeID, addrs map[graph.NodeID]string, listenAddr string, opt PeerOptions) (*Peer, error) {
-	if opt.Buffer <= 0 {
-		opt.Buffer = 4096
-	}
 	if opt.DialTimeout <= 0 {
 		opt.DialTimeout = 20 * time.Second
 	}
 	p := &Peer{
-		g:       g.Clone(),
-		locals:  map[graph.NodeID]bool{},
-		addrs:   map[graph.NodeID]string{},
-		opt:     opt,
-		inboxes: map[graph.NodeID]chan *Message{},
-		pacers:  map[[2]graph.NodeID]*pacer{},
-		recvd:   map[[2]graph.NodeID]int64{},
-		inbound: map[[2]graph.NodeID]net.Conn{},
-		closed:  make(chan struct{}),
+		mesh:     newMesh(g, localNodes, opt.TimeUnit, opt.Burst, opt.Buffer, opt.Chaos),
+		addrs:    map[graph.NodeID]string{},
+		opt:      opt,
+		accepted: map[net.Conn][2]graph.NodeID{},
+		recvd:    map[[2]graph.NodeID]int64{},
 	}
-	var err error
-	if p.chaos, err = newChaosState(opt.Chaos, p.closed); err != nil {
-		return nil, err
+	if p.chaosErr != nil {
+		return nil, p.chaosErr
 	}
 	for _, v := range localNodes {
 		if !p.g.HasNode(v) {
 			return nil, fmt.Errorf("transport: local node %d not in topology", v)
 		}
-		p.locals[v] = true
-		p.inboxes[v] = make(chan *Message, opt.Buffer)
 	}
-	if len(p.locals) == 0 {
+	if len(p.inboxes) == 0 {
 		return nil, fmt.Errorf("transport: peer hosts no nodes")
 	}
 	for _, v := range p.g.Nodes() {
@@ -168,51 +152,48 @@ func (p *Peer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		p.track(conn)
+		p.mu.Lock()
+		p.accepted[conn] = [2]graph.NodeID{} // pins nothing until the handshake
+		p.mu.Unlock()
 		go p.serveConn(conn)
 	}
 }
 
-func (p *Peer) track(conn net.Conn) {
-	p.mu.Lock()
-	p.conns = append(p.conns, conn)
-	p.mu.Unlock()
-}
-
 // serveConn validates one inbound link handshake, then pumps its frames.
 func (p *Peer) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		p.mu.Lock()
+		delete(p.accepted, conn)
+		p.mu.Unlock()
+	}()
 	conn.SetReadDeadline(time.Now().Add(p.opt.DialTimeout))
 	from, to, err := readHandshake(conn)
+	inbox, local := p.inboxes[to]
 	verdict := byte(peerAccept)
 	if err != nil {
 		verdict = peerRejectBad
-	} else if !p.g.HasEdge(from, to) || !p.locals[to] {
+	} else if !p.g.HasEdge(from, to) || !local {
 		verdict = peerRejectPhy
 	}
 	if _, err := conn.Write([]byte{verdict}); err != nil || verdict != peerAccept {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	key := [2]graph.NodeID{from, to}
+	p.mu.Lock()
 	if p.opt.Reconnect {
 		// Re-pin: a restarted peer process redials every link it owns; the
 		// fresh connection replaces the dead one (whose reader exits when
 		// we close it) so the link heals without tearing the mesh down.
-		key := [2]graph.NodeID{from, to}
-		p.mu.Lock()
-		if old := p.inbound[key]; old != nil && old != conn {
-			old.Close()
-		}
-		p.inbound[key] = conn
-		p.mu.Unlock()
-		defer func() {
-			p.mu.Lock()
-			if p.inbound[key] == conn {
-				delete(p.inbound, key)
+		for old, pinned := range p.accepted {
+			if pinned == key {
+				old.Close()
 			}
-			p.mu.Unlock()
-		}()
+		}
 	}
+	p.accepted[conn] = key
+	p.mu.Unlock()
 	br := bufio.NewReader(conn)
 	for {
 		m, err := ReadFrame(br)
@@ -222,19 +203,17 @@ func (p *Peer) serveConn(conn net.Conn) {
 		// The handshake pinned the link; frames claiming any other
 		// coordinates, or negative charges, violate physics.
 		if m.From != from || m.To != to || m.Bits < 0 {
-			p.mu.Lock()
-			p.dropped++
-			p.mu.Unlock()
+			p.dropped.Add(1)
 			mDropped.Inc()
 			continue
 		}
 		if !m.Marker && m.Bits > 0 {
 			p.mu.Lock()
-			p.recvd[[2]graph.NodeID{from, to}] += m.Bits
+			p.recvd[key] += m.Bits
 			p.mu.Unlock()
 		}
 		select {
-		case p.inboxes[to] <- m:
+		case inbox <- m:
 		case <-p.closed:
 			return
 		}
@@ -273,50 +252,27 @@ func writeHandshake(conn net.Conn, from, to graph.NodeID) error {
 	return nil
 }
 
-// pacerFor returns the shared send-side token bucket of one link.
-func (p *Peer) pacerFor(key [2]graph.NodeID) *pacer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pc, ok := p.pacers[key]
-	if !ok {
-		pc = newPacer(p.g.Cap(key[0], key[1]), p.opt.TimeUnit, p.opt.Burst)
-		p.pacers[key] = pc
-	}
-	return pc
+// Dial implements Transport: the sender half of link (from, to). from
+// must be hosted here; a remote receiver gets one dedicated TCP connection
+// (retried with backoff while the cluster boots), a local one an in-memory
+// enqueue. Dialing a link again returns the same Link.
+func (p *Peer) Dial(from, to graph.NodeID) (Link, error) {
+	return p.dial(from, to, func(s *linkState) (Link, error) {
+		l := &sockLink{linkState: s, p: p}
+		if err := l.connect(); err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		p.socks = append(p.socks, l)
+		p.mu.Unlock()
+		return l, nil
+	})
 }
 
-// Dial implements Transport: the sender half of link (from, to). from
-// must be hosted here; a remote receiver gets a dedicated TCP connection
-// (retried with backoff while the cluster boots), a local one an
-// in-memory enqueue. Both share the link's token bucket.
-func (p *Peer) Dial(from, to graph.NodeID) (Link, error) {
-	if !p.g.HasEdge(from, to) {
-		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)
-	}
-	if !p.locals[from] {
-		return nil, fmt.Errorf("transport: node %d is not hosted by this process", from)
-	}
-	key := [2]graph.NodeID{from, to}
-	lm := linkMetricsFor(from, to)
-	if p.locals[to] {
-		return p.chaos.wrap(&peerLoopLink{p: p, key: key, inbox: p.inboxes[to], pace: p.pacerFor(key), lm: lm}, from, to), nil
-	}
-	conn, fw, err := p.dialLink(from, to)
-	if err != nil {
-		return nil, err
-	}
-	if p.opt.Reconnect {
-		l := &reconnLink{p: p, key: key, conn: conn, fw: fw, pace: p.pacerFor(key), lm: lm}
-		p.mu.Lock()
-		p.relinks = append(p.relinks, l)
-		p.mu.Unlock()
-		// Chaos wraps outside the reconnect machinery: a delayed frame
-		// released after a redial (or a rejoin Reestablish) enters
-		// whatever connection the link carries at that moment, exactly
-		// like a frame that spent the outage in the air.
-		return p.chaos.wrap(l, from, to), nil
-	}
-	return p.chaos.wrap(&peerLink{key: key, conn: conn, fw: fw, pace: p.pacerFor(key), lm: lm}, from, to), nil
+func (p *Peer) sockLinks() []*sockLink {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*sockLink(nil), p.socks...)
 }
 
 // Reestablish force-redials every outbound remote link (Reconnect mode):
@@ -326,14 +282,12 @@ func (p *Peer) Dial(from, to graph.NodeID) (Link, error) {
 // then the frame is gone. Returns once every link carries a fresh,
 // handshaken connection.
 func (p *Peer) Reestablish() error {
-	p.mu.Lock()
-	links := append([]*reconnLink(nil), p.relinks...)
-	p.mu.Unlock()
+	links := p.sockLinks()
 	errs := make([]error, len(links))
 	var wg sync.WaitGroup
 	for i, l := range links {
 		wg.Add(1)
-		go func(i int, l *reconnLink) {
+		go func(i int, l *sockLink) {
 			defer wg.Done()
 			errs[i] = l.reestablish()
 		}(i, l)
@@ -345,49 +299,6 @@ func (p *Peer) Reestablish() error {
 		}
 	}
 	return nil
-}
-
-// dialLink establishes (or re-establishes) the socket and coalescing
-// writer of one outbound remote link.
-func (p *Peer) dialLink(from, to graph.NodeID) (net.Conn, *frameWriter, error) {
-	conn, err := DialRetry(p.addrs[to], p.opt.DialTimeout, p.closed)
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dial link (%d,%d): %w", from, to, err)
-	}
-	if err := writeHandshake(conn, from, to); err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("transport: handshake link (%d,%d): %w", from, to, err)
-	}
-	fw := newFrameWriter(bufio.NewWriter(conn), p.closed)
-	p.mu.Lock()
-	p.conns = append(p.conns, conn)
-	p.writers = append(p.writers, fw)
-	p.mu.Unlock()
-	mDials.Inc()
-	return conn, fw, nil
-}
-
-// untrack retires a replaced connection and its writer — a flapping
-// reconnect link must not grow the transport's teardown lists without
-// bound.
-func (p *Peer) untrack(conn net.Conn, fw *frameWriter) {
-	if fw != nil {
-		fw.retire()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, c := range p.conns {
-		if c == conn {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
-			break
-		}
-	}
-	for i, w := range p.writers {
-		if w == fw {
-			p.writers = append(p.writers[:i], p.writers[i+1:]...)
-			break
-		}
-	}
 }
 
 // DialRetry connects to addr with jittered exponential backoff (25ms
@@ -453,35 +364,13 @@ func retryJitter(addr string, attempt int, backoff time.Duration) time.Duration 
 	return time.Duration(unitFromHash(h) * float64(backoff))
 }
 
-// Recv implements Transport.
-func (p *Peer) Recv(self graph.NodeID) (*Message, error) {
-	inbox, ok := p.inboxes[self]
-	if !ok {
-		return nil, fmt.Errorf("transport: node %d is not hosted by this process", self)
-	}
-	select {
-	case m := <-inbox:
-		return m, nil
-	case <-p.closed:
-		select {
-		case m := <-inbox:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
 // LinkBits implements Transport: send-side charges for local senders plus
 // receive-side charges for remote-to-local links, i.e. every link this
 // process can observe, each counted once.
 func (p *Peer) LinkBits() map[[2]graph.NodeID]int64 {
-	out := map[[2]graph.NodeID]int64{}
+	out := p.mesh.LinkBits()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for key, pc := range p.pacers {
-		out[key] = pc.Bits()
-	}
 	for key, b := range p.recvd {
 		out[key] += b
 	}
@@ -489,93 +378,54 @@ func (p *Peer) LinkBits() map[[2]graph.NodeID]int64 {
 }
 
 // Dropped returns how many inbound frames violated their link pinning.
-func (p *Peer) Dropped() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
-}
+func (p *Peer) Dropped() int64 { return p.dropped.Load() }
 
 // LostSends returns how many outbound frames were dropped on down links
 // while Reconnect was healing them — work the rejoin rollback re-executes.
-func (p *Peer) LostSends() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lost
-}
-
-func (p *Peer) countLost() {
-	p.mu.Lock()
-	p.lost++
-	p.mu.Unlock()
-	mSendsLost.Inc()
-}
+func (p *Peer) LostSends() int64 { return p.lost.Load() }
 
 // Close implements Transport: signals every outbound link's coalescing
-// writer, waits for their final drain and flush (bounded per writer — a
-// writer wedged on a dead peer is unblocked by the connection close
-// below), then closes the listener and every connection. Frames accepted
+// writer, waits for each one's final drain and flush (bounded — a writer
+// wedged on a dead peer is unblocked by the connection close behind the
+// wait), then closes the listener and every connection. Frames accepted
 // by Send before Close reach the socket.
 func (p *Peer) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.closed)
-		p.mu.Lock()
-		writers := append([]*frameWriter(nil), p.writers...)
-		p.mu.Unlock()
-		for _, fw := range writers {
-			fw.join(time.Second)
+		for _, l := range p.sockLinks() {
+			l.mu.Lock()
+			fw := l.fw
+			l.mu.Unlock()
+			if fw != nil {
+				fw.join(time.Second)
+			}
+			l.mu.Lock()
+			l.dropLocked()
+			l.mu.Unlock()
 		}
 		p.listener.Close()
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		for _, c := range p.conns {
+		for c := range p.accepted {
 			c.Close()
 		}
+		p.mu.Unlock()
 	})
 	return nil
 }
 
-// peerLink is the sender half of one remote directed link.
-type peerLink struct {
-	key  [2]graph.NodeID
-	conn net.Conn
-	fw   *frameWriter
-	pace *pacer
-	lm   linkMetrics
-}
-
-// Send implements Link: pace, then queue onto the link's coalescing
-// writer, which batches bursts into single syscalls.
-func (l *peerLink) Send(m *Message) error {
-	if m.From != l.key[0] || m.To != l.key[1] {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.key[0], l.key[1])
-	}
-	if m.Bits < 0 {
-		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
-	}
-	if !m.Marker && m.Bits > 0 {
-		l.pace.charge(m.Bits)
-	}
-	if err := l.fw.enqueue(m); err != nil {
-		return err
-	}
-	l.lm.count(m)
-	return nil
-}
-
-// Close implements Link.
-func (l *peerLink) Close() error { return l.conn.Close() }
-
-// reconnLink is peerLink's self-healing variant (PeerOptions.Reconnect):
-// a write failure marks the link down, drops the frame, and redials in
-// the background until the peer's listener answers again. Senders never
-// observe a peer crash as an error — frames emitted into the outage are
-// counted (LostSends) and recovered by the cluster rollback, which
-// re-executes every uncommitted instance once the peer rejoins.
-type reconnLink struct {
-	p    *Peer
-	key  [2]graph.NodeID
-	pace *pacer
-	lm   linkMetrics
+// sockLink is a directed link whose receiver is hosted by a remote peer:
+// the link state in front of a handshake-pinned TCP connection and its
+// coalescing writer. What a write failure means is PeerOptions.Reconnect:
+// off, the error is sticky and surfaces from Send, so a dead peer fails
+// the run loudly; on, the link marks itself down, drops the frame, and
+// redials in the background until the peer's listener answers again —
+// senders never observe a peer crash as an error, and frames emitted into
+// the outage are counted (LostSends) and recovered by the cluster
+// rollback, which re-executes every uncommitted instance once the peer
+// rejoins.
+type sockLink struct {
+	*linkState
+	p *Peer
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -583,16 +433,11 @@ type reconnLink struct {
 	dialing bool
 }
 
-// Send implements Link.
-func (l *reconnLink) Send(m *Message) error {
-	if m.From != l.key[0] || m.To != l.key[1] {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.key[0], l.key[1])
-	}
-	if m.Bits < 0 {
-		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
-	}
-	if !m.Marker && m.Bits > 0 {
-		l.pace.charge(m.Bits)
+// Send implements Link: pace, then queue onto the link's coalescing
+// writer, which batches bursts into single syscalls.
+func (l *sockLink) Send(m *Message) error {
+	if err := l.admit(m); err != nil {
+		return err
 	}
 	select {
 	case <-l.p.closed:
@@ -608,30 +453,61 @@ func (l *reconnLink) Send(m *Message) error {
 			l.lm.count(m)
 			return nil
 		}
-		if err == ErrClosed {
+		if err == ErrClosed || !l.p.opt.Reconnect {
 			return err
 		}
 		l.markDown(fw)
 	}
-	l.p.countLost()
+	l.p.lost.Add(1)
+	mSendsLost.Inc()
 	return nil
+}
+
+// connect dials (retrying while the remote boots), handshakes and
+// installs a fresh connection and coalescing writer on the link.
+func (l *sockLink) connect() error {
+	from, to := l.key[0], l.key[1]
+	conn, err := DialRetry(l.p.addrs[to], l.p.opt.DialTimeout, l.p.closed)
+	if err != nil {
+		return fmt.Errorf("transport: dial link (%d,%d): %w", from, to, err)
+	}
+	if err := writeHandshake(conn, from, to); err != nil {
+		conn.Close()
+		return fmt.Errorf("transport: handshake link (%d,%d): %w", from, to, err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.p.closed: // Close may already have swept past this link
+		conn.Close()
+		return ErrClosed
+	default:
+	}
+	mDials.Inc()
+	l.conn, l.fw, l.dialing = conn, newFrameWriter(bufio.NewWriter(conn), l.p.closed), false
+	return nil
+}
+
+// dropLocked retires the link's writer and closes its connection.
+func (l *sockLink) dropLocked() {
+	if l.fw != nil {
+		l.fw.retire()
+	}
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	l.conn, l.fw = nil, nil
 }
 
 // markDown retires a failed writer and starts (at most one) background
 // redial.
-func (l *reconnLink) markDown(failed *frameWriter) {
+func (l *sockLink) markDown(failed *frameWriter) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.fw != failed {
 		return // another Send already retired it
 	}
-	conn := l.conn
-	l.fw = nil
-	l.conn = nil
-	if conn != nil {
-		conn.Close()
-	}
-	l.p.untrack(conn, failed)
+	l.dropLocked()
 	reconnLog.Info("link-down", "link", linkString(l.key))
 	if !l.dialing {
 		l.dialing = true
@@ -643,23 +519,16 @@ func (l *reconnLink) markDown(failed *frameWriter) {
 // The retry beat is jittered like DialRetry's: every outbound link of
 // every survivor redials a crashed peer, and identical 100ms beats would
 // hammer the restarted listener in synchronized waves.
-func (l *reconnLink) redial() {
+func (l *sockLink) redial() {
 	for attempt := 0; ; attempt++ {
-		conn, fw, err := l.p.dialLink(l.key[0], l.key[1])
-		if err == nil {
+		if l.connect() == nil {
 			mRedials.Inc()
 			reconnLog.Info("link-redialed", "link", linkString(l.key))
-			l.mu.Lock()
-			l.conn, l.fw, l.dialing = conn, fw, false
-			l.mu.Unlock()
 			return
 		}
 		pause := 100*time.Millisecond + retryJitter(linkString(l.key), attempt, 100*time.Millisecond)
 		select {
 		case <-l.p.closed:
-			l.mu.Lock()
-			l.dialing = false
-			l.mu.Unlock()
 			return
 		case <-time.After(pause):
 		}
@@ -671,12 +540,10 @@ func (l *reconnLink) redial() {
 // background redial is in flight (or completes while we wait), its
 // result IS adopted: that dial succeeded against a live listener, so a
 // second handshake would be redundant.
-func (l *reconnLink) reestablish() error {
-	entryFw := func() *frameWriter {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.fw
-	}()
+func (l *sockLink) reestablish() error {
+	l.mu.Lock()
+	entryFw := l.fw
+	l.mu.Unlock()
 	for {
 		l.mu.Lock()
 		if l.dialing {
@@ -694,70 +561,17 @@ func (l *reconnLink) reestablish() error {
 			l.mu.Unlock()
 			return nil
 		}
-		oldConn, oldFw := l.conn, l.fw
-		if oldConn != nil {
-			oldConn.Close()
-		}
-		l.conn, l.fw = nil, nil
+		l.dropLocked()
 		l.dialing = true
 		l.mu.Unlock()
-		if oldConn != nil || oldFw != nil {
-			l.p.untrack(oldConn, oldFw)
-		}
-		conn, fw, err := l.p.dialLink(l.key[0], l.key[1])
-		l.mu.Lock()
-		l.dialing = false
-		if err != nil {
+		if err := l.connect(); err != nil {
+			l.mu.Lock()
+			l.dialing = false
 			l.mu.Unlock()
 			return err
 		}
-		l.conn, l.fw = conn, fw
-		l.mu.Unlock()
 		mRedials.Inc()
 		reconnLog.Debug("link-reestablished", "link", linkString(l.key))
 		return nil
 	}
 }
-
-// Close implements Link.
-func (l *reconnLink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.conn != nil {
-		return l.conn.Close()
-	}
-	return nil
-}
-
-// peerLoopLink is the sender half of a local-to-local link: same pacing
-// and accounting, no socket.
-type peerLoopLink struct {
-	p     *Peer
-	key   [2]graph.NodeID
-	inbox chan *Message
-	pace  *pacer
-	lm    linkMetrics
-}
-
-// Send implements Link.
-func (l *peerLoopLink) Send(m *Message) error {
-	if m.From != l.key[0] || m.To != l.key[1] {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.key[0], l.key[1])
-	}
-	if m.Bits < 0 {
-		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
-	}
-	if !m.Marker && m.Bits > 0 {
-		l.pace.charge(m.Bits)
-	}
-	select {
-	case l.inbox <- m:
-		l.lm.count(m)
-		return nil
-	case <-l.p.closed:
-		return ErrClosed
-	}
-}
-
-// Close implements Link: link state is owned by the transport.
-func (l *peerLoopLink) Close() error { return nil }

@@ -45,10 +45,13 @@ func twoPeers(t *testing.T, opt transport.PeerOptions) (*transport.Peer, *transp
 	return a, b
 }
 
+// TestPeerMeshDelivery covers what only a multi-node endpoint has (the
+// per-link contract itself is TestTransportConformance): a local-to-local
+// link stays in memory, and both ends of a remote link meter it.
 func TestPeerMeshDelivery(t *testing.T) {
 	a, b := twoPeers(t, transport.PeerOptions{})
 
-	// Remote link (1,3): frames cross a real socket, in order.
+	// Remote link (1,3) crosses a real socket.
 	l13, err := a.Dial(1, 3)
 	if err != nil {
 		t.Fatal(err)

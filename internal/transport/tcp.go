@@ -1,24 +1,12 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"nab/internal/graph"
 )
 
-// TCP is the loopback TCP Transport: every node owns a listener on
-// 127.0.0.1, every directed link is a dialed connection carrying
-// length-prefixed wire frames (see wire.go). Frames addressed to the wrong
-// node or claiming a link absent from the topology are dropped on receipt —
-// the receiver enforces physics, since a wire cannot.
-//
-// TCP does not pace: real sockets have their own clocks. Per-link bit
-// accounting is kept on the receive side so utilization is still
-// comparable against capacity.Report.
 // TCPOptions tunes the loopback transport.
 type TCPOptions struct {
 	// Chaos interposes seeded hostile network physics (latency, jitter,
@@ -27,202 +15,108 @@ type TCPOptions struct {
 	Chaos *ChaosConfig
 }
 
+// TCP is the loopback TCP Transport: the cluster mesh inside one process.
+// Every node is its own single-node Peer on a 127.0.0.1 listener, so every
+// directed link is a real handshake-pinned connection carrying wire frames
+// (see wire.go) through a coalescing writer — no link short-circuits in
+// memory, and forged or mis-pinned frames are dropped on receipt exactly
+// as a cluster process would drop them. TCP itself only routes: Dial to
+// the sender's peer, Recv to the receiver's.
 type TCP struct {
-	g     *graph.Directed
-	chaos *chaosState
-
-	mu        sync.Mutex
-	listeners map[graph.NodeID]net.Listener
-	addrs     map[graph.NodeID]string
-	inboxes   map[graph.NodeID]chan *Message
-	conns     []net.Conn
-	writers   []*frameWriter
-	bits      map[[2]graph.NodeID]int64
-	dropped   int64
-
-	closed    chan struct{}
-	closeOnce sync.Once
+	peers map[graph.NodeID]*Peer
 }
 
 // NewTCP listens on an ephemeral loopback port per node of g and starts
-// the accept loops.
+// one single-node Peer on each.
 func NewTCP(g *graph.Directed) (*TCP, error) {
 	return NewTCPOpts(g, TCPOptions{})
 }
 
 // NewTCPOpts is NewTCP with options.
 func NewTCPOpts(g *graph.Directed, opt TCPOptions) (*TCP, error) {
-	t := &TCP{
-		g:         g.Clone(),
-		listeners: map[graph.NodeID]net.Listener{},
-		addrs:     map[graph.NodeID]string{},
-		inboxes:   map[graph.NodeID]chan *Message{},
-		bits:      map[[2]graph.NodeID]int64{},
-		closed:    make(chan struct{}),
-	}
-	var err error
-	if t.chaos, err = newChaosState(opt.Chaos, t.closed); err != nil {
+	// Every listener is bound before any peer starts: a peer needs the
+	// whole address map, and its first dial must find the remote port open.
+	listeners := map[graph.NodeID]net.Listener{}
+	addrs := map[graph.NodeID]string{}
+	t := &TCP{peers: map[graph.NodeID]*Peer{}}
+	fail := func(err error) (*TCP, error) {
+		t.Close()
+		for _, l := range listeners {
+			l.Close()
+		}
 		return nil, err
 	}
-	for _, v := range t.g.Nodes() {
+	for _, v := range g.Nodes() {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: listen for node %d: %w", v, err)
+			return fail(fmt.Errorf("transport: listen for node %d: %w", v, err))
 		}
-		t.listeners[v] = l
-		t.addrs[v] = l.Addr().String()
-		t.inboxes[v] = make(chan *Message, 4096)
-		go t.acceptLoop(v, l)
+		listeners[v], addrs[v] = l, l.Addr().String()
+	}
+	for v, l := range listeners {
+		p, err := NewPeer(g, []graph.NodeID{v}, addrs, "", PeerOptions{Listener: l, Chaos: opt.Chaos})
+		if err != nil {
+			return fail(err)
+		}
+		t.peers[v] = p
 	}
 	return t, nil
 }
 
 // Addr returns the loopback address node v listens on.
-func (t *TCP) Addr(v graph.NodeID) string { return t.addrs[v] }
-
-func (t *TCP) acceptLoop(v graph.NodeID, l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.mu.Lock()
-		t.conns = append(t.conns, conn)
-		t.mu.Unlock()
-		go t.readLoop(v, conn)
+func (t *TCP) Addr(v graph.NodeID) string {
+	if p, ok := t.peers[v]; ok {
+		return p.Addr()
 	}
+	return ""
 }
 
-func (t *TCP) readLoop(v graph.NodeID, conn net.Conn) {
-	br := bufio.NewReader(conn)
-	for {
-		m, err := ReadFrame(br)
-		if err != nil {
-			return // connection closed or garbage framing
-		}
-		if m.To != v || !t.g.HasEdge(m.From, m.To) || m.Bits < 0 {
-			t.mu.Lock()
-			t.dropped++
-			t.mu.Unlock()
-			mDropped.Inc()
-			continue
-		}
-		if !m.Marker && m.Bits > 0 {
-			t.mu.Lock()
-			t.bits[[2]graph.NodeID{m.From, m.To}] += m.Bits
-			t.mu.Unlock()
-		}
-		select {
-		case t.inboxes[v] <- m:
-		case <-t.closed:
-			return
-		}
-	}
-}
-
-// Dial implements Transport: one TCP connection per call. Runtime engines
-// dial each link once and share it.
+// Dial implements Transport.
 func (t *TCP) Dial(from, to graph.NodeID) (Link, error) {
-	if !t.g.HasEdge(from, to) {
+	p, ok := t.peers[from]
+	if !ok {
 		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)
 	}
-	conn, err := net.Dial("tcp", t.addrs[to])
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial (%d,%d): %w", from, to, err)
-	}
-	fw := newFrameWriter(bufio.NewWriter(conn), t.closed)
-	t.mu.Lock()
-	t.conns = append(t.conns, conn)
-	t.writers = append(t.writers, fw)
-	t.mu.Unlock()
-	mDials.Inc()
-	return t.chaos.wrap(&tcpLink{from: from, to: to, conn: conn, fw: fw, lm: linkMetricsFor(from, to)}, from, to), nil
+	return p.Dial(from, to)
 }
 
 // Recv implements Transport.
 func (t *TCP) Recv(self graph.NodeID) (*Message, error) {
-	inbox, ok := t.inboxes[self]
+	p, ok := t.peers[self]
 	if !ok {
 		return nil, fmt.Errorf("transport: node %d not in topology", self)
 	}
-	select {
-	case m := <-inbox:
-		return m, nil
-	case <-t.closed:
-		select {
-		case m := <-inbox:
-			return m, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
+	return p.Recv(self)
 }
 
-// LinkBits implements Transport.
+// LinkBits implements Transport. Both ends of a link meter it; each link
+// is reported from its sender's peer only.
 func (t *TCP) LinkBits() map[[2]graph.NodeID]int64 {
 	out := map[[2]graph.NodeID]int64{}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for key, b := range t.bits {
-		out[key] = b
+	for v, p := range t.peers {
+		for key, b := range p.LinkBits() {
+			if key[0] == v {
+				out[key] = b
+			}
+		}
 	}
 	return out
 }
 
 // Dropped returns how many received frames violated physics.
 func (t *TCP) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	var n int64
+	for _, p := range t.peers {
+		n += p.Dropped()
+	}
+	return n
 }
 
-// Close implements Transport: signals every link's coalescing writer,
-// waits for their final drain and flush (bounded per writer — a writer
-// wedged on a dead peer is unblocked by the connection close below), then
-// closes every listener and connection. Frames accepted by Send before
-// Close reach the socket.
+// Close implements Transport: closes every peer. Frames accepted by Send
+// before Close reach the socket.
 func (t *TCP) Close() error {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-		t.mu.Lock()
-		writers := append([]*frameWriter(nil), t.writers...)
-		t.mu.Unlock()
-		for _, fw := range writers {
-			fw.join(time.Second)
-		}
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		for _, l := range t.listeners {
-			l.Close()
-		}
-		for _, c := range t.conns {
-			c.Close()
-		}
-	})
+	for _, p := range t.peers {
+		p.Close()
+	}
 	return nil
 }
-
-// tcpLink is the sender half of one dialed link.
-type tcpLink struct {
-	from, to graph.NodeID
-	conn     net.Conn
-	fw       *frameWriter
-	lm       linkMetrics
-}
-
-// Send implements Link: frames are queued in order onto the link's
-// coalescing writer, which batches bursts into single syscalls.
-func (l *tcpLink) Send(m *Message) error {
-	if m.From != l.from || m.To != l.to {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.from, l.to)
-	}
-	if err := l.fw.enqueue(m); err != nil {
-		return err
-	}
-	l.lm.count(m)
-	return nil
-}
-
-// Close implements Link.
-func (l *tcpLink) Close() error { return l.conn.Close() }

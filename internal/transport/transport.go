@@ -9,21 +9,29 @@
 // reproduces the paper's capacity charge bits/z_e (a b-bit frame on a link
 // of capacity z_e occupies it for b/z_e time units).
 //
-// Three implementations ship:
+// One in-memory core (mesh.go) and one socket stack (peer.go) sit behind
+// every Transport:
 //
-//   - Chan: an in-process goroutine/channel bus, the default substrate for
-//     the pipelined runtime and for tests;
-//   - TCP: one loopback TCP connection per directed link with
-//     encoding/binary wire framing (see wire.go), the realistic-serving
-//     substrate used by cmd/nabserve;
-//   - Peer: the multi-process full-mesh used by cluster deployments, with
-//     handshake-pinned links and optional crash-healing reconnects.
+//   - mesh: the core — inboxes of the nodes hosted here, one cached state
+//     per directed link (token bucket, bit meter, metric counters) whose
+//     admit preamble validates and charges every Send, Recv, LinkBits;
+//   - Chan: the mesh hosting every node, no sockets — the default
+//     substrate for the pipelined runtime and for tests;
+//   - Peer: the mesh plus a listener and one handshake-pinned socket link
+//     (coalescing writer, encoding/binary framing, see wire.go) per
+//     directed link to a receiver hosted elsewhere — the multi-process
+//     full-mesh of cluster deployments, optionally crash-healing;
+//   - TCP: one single-node Peer per node on loopback listeners behind a
+//     routing composite, so every link is a real socket — the
+//     realistic-serving substrate used by cmd/nabserve.
 //
-// All keep per-link bit accounting, so aggregate utilization can be
-// compared against capacity.Report's bounds, and all can interpose the
-// seeded hostile-network physics of ChaosConfig (latency, jitter, reorder
-// windows, scheduled asymmetric partitions, slow links) for scenario
-// testing.
+// Bits are metered where frames are admitted, on the send side; a Peer
+// also meters the frames it receives from remote senders, so a process
+// accounts every link it can observe, each once. That makes aggregate
+// utilization comparable against capacity.Report's bounds. Every
+// transport can interpose the seeded hostile-network physics of
+// ChaosConfig (latency, jitter, reorder windows, scheduled asymmetric
+// partitions, slow links) for scenario testing.
 package transport
 
 import (
@@ -58,7 +66,9 @@ type Message struct {
 
 // Link is the sender half of one directed link. A Link is FIFO: frames
 // arrive at the remote node in Send order. Send may block while the link's
-// token bucket drains (pacing) but is safe for concurrent use.
+// token bucket drains (pacing) but is safe for concurrent use. Links are
+// owned by their Transport — dialing a link again returns the same Link —
+// and live until it closes.
 //
 // Ordering invariant: the runtime genuinely depends on FIFO only *within*
 // each (link, instance) stream. An end-of-step marker promises that its
@@ -74,7 +84,6 @@ type Message struct {
 // frames of its connection, never reordered behind them.
 type Link interface {
 	Send(m *Message) error
-	Close() error
 }
 
 // Transport is a point-to-point substrate over a fixed capacitated

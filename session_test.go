@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nab"
+	"nab/internal/metrics"
 )
 
 // mkPayloads builds q deterministic distinct payloads.
@@ -535,5 +538,60 @@ func TestSessionCloseReleasesBlockedSubmit(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("blocked Submit never released")
+	}
+}
+
+// transportCounters scrapes the default registry for the wire-layer
+// totals: connections dialed, frames drained through coalescing writers,
+// and frames accepted by Send summed over every link.
+func transportCounters(t *testing.T) (dials, writerFrames, framesSent float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := metrics.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if !ok || err != nil {
+			continue
+		}
+		switch {
+		case name == "nab_transport_dials_total":
+			dials = v
+		case name == "nab_transport_writer_frames_total":
+			writerFrames = v
+		case strings.HasPrefix(name, "nab_transport_frames_sent_total{"):
+			framesSent += v
+		}
+	}
+	return
+}
+
+// TestLoopbackTCPStaysPhysical: a K7 session over NewTCPTransport opens
+// one real connection per directed link and pushes every frame Send
+// accepted through a socket writer — no link short-circuits in memory.
+func TestLoopbackTCPStaysPhysical(t *testing.T) {
+	g := nab.CompleteGraph(7, 1)
+	tr, err := nab.NewTCPTransport(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dials0, writer0, sent0 := transportCounters(t)
+	sess, err := nab.Open(context.Background(), nab.Config{Graph: g, Source: 1, F: 2, LenBytes: 24, Seed: 7},
+		nab.WithWindow(4), nab.WithTransport(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAndCollect(t, sess, mkPayloads(6, 24))
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dials, writer, sent := transportCounters(t)
+	if got, want := dials-dials0, float64(len(g.Edges())); got != want {
+		t.Errorf("session dialed %v connections, want one per directed link (%v)", got, want)
+	}
+	if sent == sent0 || writer-writer0 != sent-sent0 {
+		t.Errorf("%v frames crossed socket writers, %v were sent: some link is not a socket", writer-writer0, sent-sent0)
 	}
 }
