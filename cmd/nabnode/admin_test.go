@@ -5,24 +5,56 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// freeAdminBase returns a port base whose base+1..base+n all bind, probed
+// downward from the floor of the kernel's ephemeral range. The cluster's
+// own endpoints are ephemeral binds, so a region derived from one can
+// collide with ports the cluster has just reserved; below the floor
+// nothing is handed out implicitly (CI's live-cluster job pins 19300 for
+// the same reason).
+func freeAdminBase(t *testing.T, n int) int {
+	t.Helper()
+	floor := 32768
+	if raw, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(raw)); len(f) == 2 {
+			if v, err := strconv.Atoi(f[0]); err == nil {
+				floor = v
+			}
+		}
+	}
+	for base := floor - n - 1; base > 1024; base -= n {
+		var held []net.Listener
+		for v := 1; v <= n; v++ {
+			l, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", base+v))
+			if err != nil {
+				break
+			}
+			held = append(held, l)
+		}
+		for _, l := range held {
+			l.Close()
+		}
+		if len(held) == n {
+			return base
+		}
+	}
+	t.Fatal("no free admin port region below the ephemeral range")
+	return 0
+}
 
 // TestSpawnLocalAdminEndpoints brings up a real multi-process cluster
 // with -admin-base and scrapes a child's /metrics and /healthz while it
 // runs: the exposition must be well-formed Prometheus text carrying nab_*
 // families, and the health probes must answer.
 func TestSpawnLocalAdminEndpoints(t *testing.T) {
-	// Derive a free port region from an ephemeral bind; node v serves
-	// admin on base+v.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := l.Addr().(*net.TCPAddr).Port
-	l.Close()
+	// Node v serves admin on base+v.
+	base := freeAdminBase(t, 4)
 
 	done := make(chan error, 1)
 	go func() {

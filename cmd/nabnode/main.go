@@ -390,12 +390,23 @@ func spawnLocal(stdout, stderr io.Writer, topoName, file string, source, f, lenB
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
+	var cmds []*exec.Cmd
+	failed := make(chan error, len(nodes)) // never blocks a child's waiter
+	// stop kills every started child and reaps it. A child that dies
+	// leaves its peers waiting for its frames forever, so its death must
+	// take the whole cluster down, and so must a failed spawn.
+	stop := func() {
+		for _, c := range cmds {
+			_ = c.Process.Kill() // fails only for a child that already exited
+		}
+		wg.Wait()
+	}
 	var outMu sync.Mutex
 	childErr := &syncWriter{w: stderr} // children's stderr copies run concurrently
-	for i, v := range nodes {
+	for _, v := range nodes {
 		files, env, err := childExtras(rsv, cfg, v)
 		if err != nil {
+			stop()
 			return err
 		}
 		args := []string{"-cluster", out, "-id", fmt.Sprint(v)}
@@ -414,18 +425,19 @@ func spawnLocal(stdout, stderr io.Writer, topoName, file string, source, f, lenB
 		cmd.ExtraFiles = files
 		cmd.Stderr = childErr
 		pipe, err := cmd.StdoutPipe()
-		if err != nil {
-			return err
+		if err == nil {
+			err = cmd.Start()
 		}
-		err = cmd.Start()
 		for _, f := range files {
 			f.Close() // the child owns the sockets now
 		}
 		if err != nil {
+			stop()
 			return fmt.Errorf("spawn node %d: %w", v, err)
 		}
+		cmds = append(cmds, cmd)
 		wg.Add(1)
-		go func(i int, v graph.NodeID) {
+		go func(v graph.NodeID) {
 			defer wg.Done()
 			sc := bufio.NewScanner(pipe)
 			sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -435,15 +447,17 @@ func spawnLocal(stdout, stderr io.Writer, topoName, file string, source, f, lenB
 				outMu.Unlock()
 			}
 			if err := cmd.Wait(); err != nil {
-				errs[i] = fmt.Errorf("node %d process: %w", v, err)
+				failed <- fmt.Errorf("node %d process: %w", v, err)
 			}
-		}(i, v)
+		}(v)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	go func() {
+		wg.Wait()
+		close(failed)
+	}()
+	if err, ok := <-failed; ok {
+		stop()
+		return err
 	}
 	wall := time.Since(start)
 	fmt.Fprintf(stderr, "nabnode: %d processes x %d instances in %.2fs (%.1f inst/s cluster-wide)\n",

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -253,5 +255,34 @@ func TestSpawnLocal(t *testing.T) {
 	}
 	if done != 4 {
 		t.Errorf("saw %d summary lines, want 4; output:\n%s", done, stdout.String())
+	}
+}
+
+// TestSpawnLocalChildDeathFailsFast makes one child die at boot — node 3's
+// WAL path is a regular file, so its log cannot open — and the spawn must
+// fail with that child's error at once: the survivors would otherwise wait
+// for node 3's frames forever.
+func TestSpawnLocalChildDeathFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e skipped in -short mode")
+	}
+	walDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(walDir, "node-3"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-spawn-local", "-topo", "k4", "-f", "1", "-len", "16",
+			"-q", "8", "-seed", "3", "-wal", walDir,
+		}, io.Discard, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "node 3") {
+			t.Fatalf("spawn-local with a dead node 3 returned %v, want node 3's error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("spawn-local still running 30s after node 3 died")
 	}
 }

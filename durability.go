@@ -80,12 +80,6 @@ func WithSnapshotInterval(n int) SessionOption {
 	}
 }
 
-// WithCheckpointInterval is the former name of WithSnapshotInterval,
-// kept for compatibility. Snapshots carry strictly more state than the
-// dispute checkpoints they replaced (generation, launch epoch, sequence
-// digest); old logs with checkpoint records still recover.
-func WithCheckpointInterval(n int) SessionOption { return WithSnapshotInterval(n) }
-
 const defaultSnapshotEvery = 256
 
 // SnapshotInfo describes one written snapshot record.
@@ -123,7 +117,6 @@ type sessionLog struct {
 	snapEvery int
 	builder   *core.SnapshotBuilder
 	digest    uint64
-	lastK     int
 	sinceSnap int
 	snapCount int64
 	// subSeg tracks the segment of each not-yet-committed submission:
@@ -231,7 +224,6 @@ func (sl *sessionLog) logCommit(ir *core.InstanceResult) error {
 	if err := sl.builder.Fold(ir); err != nil {
 		return err
 	}
-	sl.lastK = ir.K
 	sl.sinceSnap++
 	if sl.snapEvery <= 0 || sl.sinceSnap < sl.snapEvery {
 		return nil
@@ -367,14 +359,15 @@ func (s *Session) Snapshot() (SnapshotInfo, error) {
 type recovery struct {
 	k        int                    // committed watermark
 	tail     int                    // highest logged submission
-	foldList []*core.InstanceResult // restore history above the anchor
+	foldList []*core.InstanceResult // restore tail: the commits above base
 	replayed []*core.InstanceResult // commits present in the log, for re-delivery
 	inputs   map[int][]byte         // logged submissions by instance
-	// base is the anchoring snapshot when one survives in the log: the
-	// engine restores from it directly instead of folding foldList from
-	// instance 1. baseEpoch/baseDigest carry its launch epoch and chain
-	// digest for the cluster layer.
-	base       *core.SnapshotState
+	// base is the state the engine restores from before folding
+	// foldList: the anchoring snapshot when one survives in the log, else
+	// the zero SnapshotState (fresh pre-instance-1 state, foldList then
+	// starting at instance 1). baseEpoch/baseDigest carry its launch epoch
+	// and chain digest for the cluster layer.
+	base       core.SnapshotState
 	baseEpoch  uint64
 	baseDigest uint64
 	// resumed reports a non-empty log: a previous incarnation existed,
@@ -413,10 +406,9 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	subSegs := map[int]uint64{}    // submission K -> segment, for the compaction floor
 	commitSegs := map[int]uint64{} // commit K -> segment, ditto (floor snapshots trail)
 	var commitBufs [][]byte        // raw commit payloads, parallel to rec.foldList
-	sawMeta, sawCkpt := false, false
+	sawMeta := false
 	var snap *wal.Snapshot
 	firstCommit := 0
-	digest := wal.DigestSeed
 	empty := true
 	err = log.Replay(func(typ byte, payload []byte, pos wal.Pos) error {
 		empty = false
@@ -436,9 +428,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 				return fmt.Errorf("nab: recover: log belongs to cluster node %d, not %d", m.Node, node)
 			}
 			sawMeta = true
-			return nil
-		}
-		switch typ {
 		case wal.TypeSubmit:
 			s, err := wal.DecodeSubmit(payload)
 			if err != nil {
@@ -456,15 +445,15 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 			}
 			if firstCommit == 0 {
 				firstCommit = ir.K
-				if snap == nil && !sawCkpt {
+				if snap == nil {
 					// A compacted log's surviving tail starts mid-history;
-					// the snapshot (or legacy checkpoint) record carries the
-					// folded state of everything dropped before it.
+					// the snapshot record carries the folded state of
+					// everything dropped before it.
 					rec.k = ir.K - 1
 				} else if ir.K != rec.k+1 {
-					// An anchoring snapshot/checkpoint pins rec.k at its
-					// watermark; a first commit that does not extend it means
-					// compaction orphaned the (anchor, firstCommit) range.
+					// An anchoring snapshot pins rec.k at its watermark; a
+					// first commit that does not extend it means compaction
+					// orphaned the (anchor, firstCommit) range.
 					return fmt.Errorf("nab: recover: first commit %d does not extend the anchor at %d", ir.K, rec.k)
 				}
 			}
@@ -476,33 +465,7 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 			rec.replayed = append(rec.replayed, ir)
 			commitBufs = append(commitBufs, append([]byte(nil), payload...))
 			commitSegs[ir.K] = pos.Seg
-			digest = wal.Chain(digest, payload)
-		case wal.TypeCheckpoint:
-			if cluster {
-				return fmt.Errorf("nab: recover: checkpoint record in a cluster log")
-			}
-			if snap != nil {
-				return fmt.Errorf("nab: recover: legacy checkpoint after a snapshot record")
-			}
-			cp, err := wal.DecodeCheckpoint(payload)
-			if err != nil {
-				return err
-			}
-			if firstCommit == 0 && rec.k == 0 {
-				rec.k = cp.K // tail starts at the checkpoint itself
-			} else if cp.K != rec.k {
-				return fmt.Errorf("nab: recover: checkpoint at %d does not match committed prefix %d", cp.K, rec.k)
-			}
-			synth := &core.InstanceResult{
-				K: cp.K, Phase3: len(cp.Disputes) > 0 || len(cp.Faulty) > 0,
-				NewDisputes: cp.Disputes, NewFaulty: cp.Faulty,
-			}
-			rec.foldList = []*core.InstanceResult{synth}
-			sawCkpt = true
 		case wal.TypeSnapshot:
-			if sawCkpt {
-				return fmt.Errorf("nab: recover: snapshot after a legacy checkpoint record")
-			}
 			s, err := wal.DecodeSnapshot(payload)
 			if err != nil {
 				return err
@@ -546,30 +509,31 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	if !sawMeta {
 		return fail(fmt.Errorf("nab: recover: log carries no meta record"))
 	}
-	if snap != nil {
-		// Anchor the restore at the snapshot: only commits above it fold.
-		rec.base = &core.SnapshotState{
-			K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty,
+	anchored := snap != nil
+	if !anchored {
+		if firstCommit > 1 {
+			return fail(fmt.Errorf("nab: recover: commits start at %d with no snapshot carrying the prefix", firstCommit))
 		}
-		rec.baseEpoch, rec.baseDigest = snap.Epoch, snap.Digest
-		start := 0
-		if firstCommit > 0 {
-			start = snap.K - (firstCommit - 1)
-		}
-		rec.foldList = rec.foldList[start:]
-		// Chain the anchor's digest over the replayed payload bytes of the
-		// commits above it — the same bytes the write path chained — so the
-		// lineage digest never depends on decode->re-encode being canonical.
-		digest = snap.Digest
-		for _, buf := range commitBufs[start:] {
-			digest = wal.Chain(digest, buf)
-		}
-	} else if firstCommit > 1 && !sawCkpt {
-		return fail(fmt.Errorf("nab: recover: commits start at %d with no snapshot or checkpoint carrying the prefix", firstCommit))
+		snap = &wal.Snapshot{Digest: wal.DigestSeed} // the fresh pre-instance-1 state
+	}
+	// Anchor the restore at the snapshot: only commits above it fold.
+	rec.base = core.SnapshotState{K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty}
+	rec.baseEpoch, rec.baseDigest = snap.Epoch, snap.Digest
+	start := 0
+	if firstCommit > 0 {
+		start = snap.K - (firstCommit - 1)
+	}
+	rec.foldList = rec.foldList[start:]
+	// Chain the anchor's digest over the replayed payload bytes of the
+	// commits above it — the same bytes the write path chained — so the
+	// lineage digest never depends on decode->re-encode being canonical.
+	digest := snap.Digest
+	for _, buf := range commitBufs[start:] {
+		digest = wal.Chain(digest, buf)
 	}
 	recoveryLog.Info("wal-recovered",
 		"dir", o.dir, "k", rec.k, "tail", rec.tail,
-		"replayed", len(rec.replayed), "snapshot", snap != nil, "checkpointed", sawCkpt, "cluster", cluster)
+		"replayed", len(rec.replayed), "snapshot", anchored, "cluster", cluster)
 	// Submissions of committed instances may have been compacted away
 	// with their segments; only the uncommitted range must survive
 	// (validated by uncommitted()), and sequence numbering continues from
@@ -581,7 +545,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	sl.meta = wal.Meta{Fingerprint: fp, Node: node}
 	sl.maxSubmit = rec.tail
 	sl.digest = digest
-	sl.lastK = rec.k
 	// Seed the compaction floor with the recovered-but-uncommitted
 	// backlog: a snapshot fired before those instances commit must not
 	// compact away the segments holding their submissions.
@@ -600,13 +563,7 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	// Seed the snapshot mirror exactly the way the engine restores, so
 	// mirror and engine stay generation-identical.
 	if sl.builder != nil {
-		seed := core.SnapshotState{K: rec.k}
-		if rec.base != nil {
-			seed = *rec.base
-		} else if len(rec.foldList) > 0 {
-			seed = core.SnapshotState{K: rec.foldList[0].K - 1}
-		}
-		if _, err := sl.builder.Seed(seed); err != nil {
+		if _, err := sl.builder.Seed(rec.base); err != nil {
 			return fail(err)
 		}
 		for _, ir := range rec.foldList {

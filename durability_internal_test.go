@@ -16,10 +16,10 @@ import (
 
 // TestRecoveryAcrossSegmentCompaction forces the full compaction
 // machinery through a session: tiny WAL segments rotate constantly, an
-// aggressive checkpoint interval compacts the log mid-run (dropping the
+// aggressive snapshot interval compacts the log mid-run (dropping the
 // original meta record's segment and the committed prefix's submissions),
-// and recovery must still restore through the checkpoint — meta
-// re-asserted ahead of it, the synthetic dispute fold applied, and the
+// and recovery must still restore through the snapshot — meta
+// re-asserted ahead of it, the dispute state restored from it, and the
 // resumed tail byte-identical to an uninterrupted run.
 func TestRecoveryAcrossSegmentCompaction(t *testing.T) {
 	cfg := Config{
@@ -81,7 +81,7 @@ func TestRecoveryAcrossSegmentCompaction(t *testing.T) {
 		return got
 	}
 
-	// First incarnation: run 15 of 24, drain cleanly (checkpoints at 3,
+	// First incarnation: run 15 of 24, drain cleanly (snapshots at 3,
 	// 6, 9, 12, 15 — several compactions over 512-byte segments).
 	runSome(15)
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -93,7 +93,7 @@ func TestRecoveryAcrossSegmentCompaction(t *testing.T) {
 		t.Fatalf("compaction never dropped the first segment (%d segments: %v)", len(segs), segs)
 	}
 
-	// Second incarnation resumes through the checkpoint and finishes;
+	// Second incarnation resumes through the snapshot and finishes;
 	// every delivered commit must match the oracle byte for byte.
 	for _, g := range runSome(q) {
 		w := want.Instances[g.K-1]
@@ -154,7 +154,7 @@ func TestRecoverAnchorGapErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("contiguous anchored tail failed to recover: %v", err)
 	}
-	if rec.k != 5 || rec.base == nil || rec.base.K != 4 || len(rec.foldList) != 1 {
+	if rec.k != 5 || rec.base.K != 4 || len(rec.foldList) != 1 {
 		t.Fatalf("contiguous recovery: k=%d base=%v folds=%d, want k=5 base.K=4 folds=1", rec.k, rec.base, len(rec.foldList))
 	}
 	sl.close()
@@ -211,7 +211,7 @@ func TestFloorSnapshotKeepsCommitTail(t *testing.T) {
 		t.Fatalf("recovery after a trailing floor snapshot: %v", err)
 	}
 	defer sl2.close()
-	if rec.base == nil || rec.base.K != floorK || rec.k != w {
+	if rec.base.K != floorK || rec.k != w {
 		t.Fatalf("recovered base=%v k=%d, want base.K=%d k=%d", rec.base, rec.k, floorK, w)
 	}
 	for i, ir := range rec.foldList {

@@ -3,6 +3,7 @@ package nab_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nab"
+	"nab/internal/wal"
 )
 
 // oracleRun executes payloads on a fresh lockstep runner — the committed
@@ -205,21 +207,21 @@ func TestSessionRecoverTornTail(t *testing.T) {
 	assertSameCommits(t, all, want)
 }
 
-// TestSessionCheckpointRecovery runs with an aggressive checkpoint
-// interval so recovery restores through a dispute-state checkpoint (and
-// the synthetic fold it decodes to) rather than the raw commit history.
-func TestSessionCheckpointRecovery(t *testing.T) {
+// TestSessionSnapshotRecovery runs with an aggressive snapshot interval
+// so recovery restores through an engine-state snapshot and the commits
+// above it rather than the raw commit history.
+func TestSessionSnapshotRecovery(t *testing.T) {
 	cfg := durableCfg()
 	payloads := mkPayloads(10, cfg.LenBytes)
 	want := oracleRun(t, cfg, payloads)
 	dir := t.TempDir()
 
-	crashSession(t, dir, cfg, payloads, 6, nab.WithCheckpointInterval(2))
-	all := recoverAndFinish(t, dir, cfg, payloads, nab.WithCheckpointInterval(2))
+	crashSession(t, dir, cfg, payloads, 6, nab.WithSnapshotInterval(2))
+	all := recoverAndFinish(t, dir, cfg, payloads, nab.WithSnapshotInterval(2))
 	assertSameCommits(t, all, want)
 
 	// A second recovery after the clean drain replays the full sequence.
-	sess, err := nab.Open(context.Background(), cfg, nab.Recover(dir), nab.WithCheckpointInterval(2))
+	sess, err := nab.Open(context.Background(), cfg, nab.Recover(dir), nab.WithSnapshotInterval(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +229,53 @@ func TestSessionCheckpointRecovery(t *testing.T) {
 		t.Errorf("second recovery restored seq %d, want %d", got, len(payloads))
 	}
 	sess.Close()
+}
+
+// TestRecoverRejectsRetiredCheckpointRecord pins that the snapshot is the
+// only state record: a 0x04 record — the retired dispute checkpoint, here
+// one that would have matched the committed prefix — fails recovery as an
+// unknown record type instead of being folded.
+func TestRecoverRejectsRetiredCheckpointRecord(t *testing.T) {
+	cfg := durableCfg()
+	payloads := mkPayloads(3, cfg.LenBytes)
+	dir := t.TempDir()
+	ctx := context.Background()
+	sess, err := nab.Open(ctx, cfg, nab.WithDurability(dir), nab.WithLockstep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if _, err := sess.Submit(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.Drain(ctx)
+	for range sess.Commits() {
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// K = 3, no dispute pairs, no faulty nodes.
+	if _, err := log.Append(0x04, append(binary.AppendVarint(nil, 3), 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err = nab.Open(ctx, cfg, nab.Recover(dir), nab.WithLockstep())
+	if err == nil {
+		sess.Close()
+		t.Fatal("recovery folded a retired checkpoint record")
+	}
+	if !strings.Contains(err.Error(), "unknown record type") {
+		t.Fatalf("recovery failed with %v, want an unknown record type error", err)
+	}
 }
 
 // TestSessionRecoverRacingClose hammers the teardown path: Close lands

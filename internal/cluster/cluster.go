@@ -67,11 +67,11 @@ type Options struct {
 	// the process's own restarts recover) and a genuinely blank WAL —
 	// combining Join with Rejoining is an error.
 	Join bool
-	// RecoveredBase is the snapshot the WAL is anchored on (nil for a
-	// full-history log): this process's floor. Rollbacks below the floor
-	// are impossible by the floor-safety rule — every process fsyncs its
-	// WAL before acknowledging a rewind, so no later round can target a
-	// watermark below any persisted floor.
+	// RecoveredBase is the snapshot the WAL is anchored on (nil or the
+	// zero state for a full-history log): this process's floor. Rollbacks
+	// below the floor are impossible by the floor-safety rule — every
+	// process fsyncs its WAL before acknowledging a rewind, so no later
+	// round can target a watermark below any persisted floor.
 	RecoveredBase *core.SnapshotState
 	// RecoveredEpoch is the launch epoch stored with RecoveredBase.
 	RecoveredEpoch uint64

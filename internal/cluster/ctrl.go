@@ -216,6 +216,7 @@ type ctrlPlane struct {
 	subMu    sync.Mutex
 	log      []ctrlMsg
 	subs     []chan ctrlMsg
+	writers  sync.WaitGroup // per-follower writers, drained by Close
 
 	// Coordinator rollback-round state.
 	rbMu     sync.Mutex
@@ -294,10 +295,19 @@ func (p *ctrlPlane) acceptLoop() {
 		// rejoin protocol.
 		ch := make(chan ctrlMsg, 4096)
 		p.subMu.Lock()
+		select {
+		case <-p.closed: // accepted under Close: its writers are already drained
+			p.subMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		backlog := append([]ctrlMsg(nil), p.log...)
 		p.subs = append(p.subs, ch)
+		p.writers.Add(1)
 		p.subMu.Unlock()
 		go func() {
+			defer p.writers.Done()
 			defer conn.Close()
 			bw := bufio.NewWriter(conn)
 			enc := json.NewEncoder(bw)
@@ -768,6 +778,16 @@ func (p *ctrlPlane) readLoop() {
 	}
 }
 
+// released reports whether the shutdown barrier has opened.
+func (p *ctrlPlane) released() bool {
+	select {
+	case <-p.allDone:
+		return true
+	default:
+		return false
+	}
+}
+
 // barrier announces this process done and waits (bounded) for the rest of
 // the cluster, so sockets stay open while stragglers flush their last
 // frames. Best effort: on timeout, context cancellation or a dead control
@@ -795,6 +815,19 @@ func (p *ctrlPlane) Close() error {
 			}
 			p.subs = nil
 			p.subMu.Unlock()
+			// Let each writer flush what is queued — the "alldone" release
+			// above all — before the process exits: a follower that sees
+			// the connection end without it takes the coordinator for
+			// crashed and waits out a redial.
+			flushed := make(chan struct{})
+			go func() {
+				p.writers.Wait()
+				close(flushed)
+			}()
+			select {
+			case <-flushed:
+			case <-time.After(time.Second):
+			}
 		}
 		p.connMu.Lock()
 		if p.conn != nil {

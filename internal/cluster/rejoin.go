@@ -325,6 +325,11 @@ func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Dura
 			return nil, nil
 		case ev := <-events:
 			if (ev.Type == "sync" || ev.Type == "ctrldown") && !n.ctrl.staleCtrldown(ev) {
+				if ev.Type == "ctrldown" && n.ctrl.released() {
+					// The reader closes allDone before it reports the loss:
+					// the coordinator released us and exited. Do not redial.
+					return nil, nil
+				}
 				return &ev, nil
 			}
 		case <-timeout:

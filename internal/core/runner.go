@@ -163,43 +163,18 @@ func (r *Runner) InstanceGraph() *graph.Directed { return r.ds.Graph() }
 // Disputes returns the accumulated dispute set.
 func (r *Runner) Disputes() *dispute.Set { return r.ds.Disputes() }
 
-// Restore replays a committed-instance history into a fresh runner: the
-// dispute-control findings of each result are folded in increasing-K
-// order and the runner resumes at instance k+1 — the lockstep half of
-// WAL crash-recovery. The history must come from an earlier run with an
-// identical Config; it may start with a synthetic checkpoint result
-// carrying the accumulated disputes (a compacted log), so Ks need not be
-// contiguous, only increasing and bounded by k.
+// RestoreSnapshot boots a fresh runner directly at snap.K with no
+// per-instance replay: the dispute state (generation included) is
+// rebuilt from the snapshot, then any post-snapshot tail results are
+// folded in order, and the runner resumes at the tail's end + 1. A nil
+// tail resumes exactly at snap.K + 1. It is the lockstep half of WAL
+// crash-recovery: a log with no snapshot record restores from the zero
+// SnapshotState with its whole committed history as the tail.
 //
 // The coding-matrix RNG restarts from Seed rather than from its
 // pre-crash position; scheme draws are verified before use, so committed
 // outputs and dispute evolution are unaffected (the same tolerance the
 // pipelined engine's per-generation seeding already relies on).
-func (r *Runner) Restore(k int, committed []*InstanceResult) error {
-	if r.k != 0 {
-		return fmt.Errorf("core: Restore on a runner that already executed %d instances", r.k)
-	}
-	if k < 0 {
-		return fmt.Errorf("core: Restore to negative instance %d", k)
-	}
-	for _, ir := range committed {
-		if ir.K <= r.k || ir.K > k {
-			return fmt.Errorf("core: Restore: instance %d out of order (after %d, limit %d)", ir.K, r.k, k)
-		}
-		if err := r.proto.Fold(r.ds, ir); err != nil {
-			return fmt.Errorf("core: Restore: %w", err)
-		}
-		r.k = ir.K
-	}
-	r.k = k
-	return nil
-}
-
-// RestoreSnapshot boots a fresh runner directly at snap.K with no
-// per-instance replay: the dispute state (generation included) is
-// rebuilt from the snapshot, then any post-snapshot tail results are
-// folded in order, and the runner resumes at the tail's end + 1. A nil
-// tail resumes exactly at snap.K + 1.
 func (r *Runner) RestoreSnapshot(snap SnapshotState, tail []*InstanceResult) error {
 	if r.k != 0 {
 		return fmt.Errorf("core: RestoreSnapshot on a runner that already executed %d instances", r.k)

@@ -10,11 +10,10 @@ import (
 
 // SnapshotState is the portable cross-instance engine state at a commit
 // watermark: everything an engine needs to boot at instance K+1 with no
-// per-instance replay. Unlike a Checkpoint fold, the dispute-graph
-// generation is carried explicitly — plan-cache seeds derive from it, so
-// an engine restored from a snapshot plans byte-identical coding schemes
-// to one that folded the full history. The zero value is the fresh
-// pre-instance-1 state.
+// per-instance replay. The dispute-graph generation is carried
+// explicitly — plan-cache seeds derive from it, so an engine restored
+// from a snapshot plans byte-identical coding schemes to one that folded
+// the full history. The zero value is the fresh pre-instance-1 state.
 type SnapshotState struct {
 	// K is the watermark: every instance <= K is committed and folded.
 	K int

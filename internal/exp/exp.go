@@ -1,10 +1,9 @@
 // Package exp regenerates every reproducible artifact of the paper — the
 // worked examples of Figures 1 and 2, the pipelining construction of
 // Figure 3 / Appendix D, and the quantitative content of Theorems 1-3 —
-// as text tables. cmd/nabexp prints them; bench_test.go wraps each in a
-// benchmark; EXPERIMENTS.md (repo root) records paper-vs-measured,
-// including the lockstep-vs-pipelined runtime comparison whose raw
-// numbers live in BENCH_pipeline.json.
+// as text tables. cmd/nabexp prints them and this package's tests check
+// them; EXPERIMENTS.md (repo root) records paper-vs-measured. Engine
+// performance is measured separately, by bench/ (bash bench/run.sh).
 package exp
 
 import (

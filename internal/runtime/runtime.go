@@ -238,62 +238,26 @@ func (rt *Runtime) Committed() int {
 	return rt.k
 }
 
-// Restore rewrites the scheduler state between streams: the dispute
-// state is rebuilt from scratch by folding the committed history (from a
-// WAL replay, or the in-memory history of a cluster rollback), the next
-// instance becomes k+1, the per-generation plan cache is dropped, and
-// launch numbering restarts at launchBase+1. The history's Ks must be
-// increasing and bounded by k; a compacted log's synthetic checkpoint
-// result (carrying the accumulated disputes) is a valid first entry.
+// RestoreSnapshot rewrites the scheduler state between streams: the
+// dispute state — generation included, which keys the plan cache and the
+// per-generation scheme RNG — is rebuilt directly from snap, then the
+// tail results (snap.K+1 onward, in order) are folded, the next instance
+// becomes the tail's end + 1, the per-generation plan cache is dropped,
+// and launch numbering restarts at launchBase+1. A WAL with no snapshot
+// record restores from the zero SnapshotState with its whole committed
+// history as the tail; a cluster rollback restores from its floor plus
+// the in-memory commits above it.
 //
 // launchBase exists for the cluster rejoin protocol: after a crash
-// + restart every process Restores onto an agreed fresh launch epoch
+// + restart every process restores onto an agreed fresh launch epoch
 // (strictly above any number the old epoch used), so in-flight frames of
 // abandoned executions can never alias a relaunched instance — the
 // demultiplexer drops everything at or below the new base. Single-process
 // recovery passes 0.
 //
-// Restore must not race a RunStream; call it before the first stream or
-// after the previous one returned (a canceled stream counts — cancel
-// reaps every in-flight execution first).
-func (rt *Runtime) Restore(launchBase uint64, k int, committed []*core.InstanceResult) error {
-	rt.runMu.Lock()
-	defer rt.runMu.Unlock()
-	if k < 0 {
-		return fmt.Errorf("runtime: Restore to negative instance %d", k)
-	}
-	ds := core.NewDisputeState(rt.cfg.Graph)
-	prev := 0
-	for _, ir := range committed {
-		if ir.K <= prev || ir.K > k {
-			return fmt.Errorf("runtime: Restore: instance %d out of order (after %d, limit %d)", ir.K, prev, k)
-		}
-		if err := rt.proto.Fold(ds, ir); err != nil {
-			return fmt.Errorf("runtime: Restore: %w", err)
-		}
-		prev = ir.K
-	}
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	if len(rt.engines) != 0 {
-		return fmt.Errorf("runtime: Restore with %d executions in flight", len(rt.engines))
-	}
-	rt.ds = ds
-	rt.k = k
-	rt.entries = map[int]*planEntry{}
-	rt.nextLaunch = launchBase
-	rt.maxLaunch = launchBase
-	rt.pending = map[uint64][]*transport.Message{}
-	return nil
-}
-
-// RestoreSnapshot is Restore with a snapshot base instead of a full
-// committed history: the dispute state — generation included, which
-// keys the plan cache and the per-generation scheme RNG — is rebuilt
-// directly from snap, then the tail results (snap.K+1 onward, in order)
-// are folded, and the runtime resumes after the tail with no
-// per-instance replay below the snapshot. The same no-stream/no-flight
-// preconditions as Restore apply.
+// RestoreSnapshot must not race a RunStream; call it before the first
+// stream or after the previous one returned (a canceled stream counts —
+// cancel reaps every in-flight execution first).
 func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, tail []*core.InstanceResult) error {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
@@ -324,7 +288,15 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 	rt.entries = map[int]*planEntry{}
 	rt.nextLaunch = launchBase
 	rt.maxLaunch = launchBase
-	rt.pending = map[uint64][]*transport.Message{}
+	// The receive loops run from New on, so a booting cluster process can
+	// already hold frames a faster peer sent for the launches it is about
+	// to start: those stay buffered. Frames at or below launchBase belong
+	// to an abandoned epoch and go.
+	for launch := range rt.pending {
+		if launch <= launchBase || launch > launchBase+rt.pendingSlack() {
+			delete(rt.pending, launch)
+		}
+	}
 	return nil
 }
 

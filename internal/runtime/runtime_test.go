@@ -598,10 +598,12 @@ func TestRunBatchRejectsMalformedUpFront(t *testing.T) {
 	}
 }
 
-// TestRestoreResumesMidSequence replays a committed prefix into a fresh
-// runtime (the WAL cold-start path) and finishes the workload: the tail
-// must commit byte-identically to the uninterrupted run, dispute
-// evolution included.
+// TestRestoreResumesMidSequence restores a fresh runtime at a mid-stream
+// watermark on a rejoin-style launch base — once from the zero base with
+// the committed prefix as the tail (an uncompacted WAL), once from a
+// snapshot of that prefix with no tail (a compacted one) — and finishes
+// the workload: the tail must commit byte-identically to the
+// uninterrupted run, dispute evolution included.
 func TestRestoreResumesMidSequence(t *testing.T) {
 	cfg := core.Config{
 		Graph: topo.CompleteBi(4, 1), Source: 1, F: 1, LenBytes: 16, Seed: 5,
@@ -620,48 +622,76 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 	}
 
 	const cut = 3
-	rt, err := runtime.New(runtime.Config{Config: cfg, Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if err := rt.Restore(1<<32, cut, want.Instances[:cut]); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.Committed(); got != cut {
-		t.Fatalf("restored runtime reports %d committed, want %d", got, cut)
-	}
-	res, err := runBatch(rt, inputs[cut:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Instances) != len(inputs)-cut {
-		t.Fatalf("resumed run committed %d instances, want %d", len(res.Instances), len(inputs)-cut)
-	}
-	for i, ir := range res.Instances {
-		w := want.Instances[cut+i]
-		if ir.K != w.K || ir.Mismatch != w.Mismatch || ir.Phase3 != w.Phase3 {
-			t.Errorf("instance %d: k/mismatch/phase3 diverged after restore", w.K)
-		}
-		if !reflect.DeepEqual(ir.Outputs, w.Outputs) {
-			t.Errorf("instance %d: outputs diverged after restore", w.K)
+	b := core.NewSnapshotBuilder(cfg.Graph)
+	for _, ir := range want.Instances[:cut] {
+		if err := b.Fold(ir); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got, want := rt.Disputes().String(), full.Disputes().String(); got != want {
-		t.Errorf("dispute set after restore %q, want %q", got, want)
+	if b.Gen() == 0 {
+		t.Fatal("the prefix made no dispute progress; the snapshot would carry nothing")
 	}
 
-	// Restore validates its history: gaps without a checkpoint, and
-	// out-of-order entries, are rejected.
+	for _, tc := range []struct {
+		name string
+		base core.SnapshotState
+		tail []*core.InstanceResult
+	}{
+		{"ZeroBaseFullPrefix", core.SnapshotState{}, want.Instances[:cut]},
+		{"SnapshotAtCut", b.State(), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := runtime.New(runtime.Config{Config: cfg, Window: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			if err := rt.RestoreSnapshot(1<<32, tc.base, tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			if got := rt.Committed(); got != cut {
+				t.Fatalf("restored runtime reports %d committed, want %d", got, cut)
+			}
+			res, err := runBatch(rt, inputs[cut:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Instances) != len(inputs)-cut {
+				t.Fatalf("resumed run committed %d instances, want %d", len(res.Instances), len(inputs)-cut)
+			}
+			for i, ir := range res.Instances {
+				w := want.Instances[cut+i]
+				if ir.K != w.K || ir.Mismatch != w.Mismatch || ir.Phase3 != w.Phase3 || ir.TotalBits != w.TotalBits {
+					t.Errorf("instance %d: k/mismatch/phase3/bits diverged after restore", w.K)
+				}
+				if !reflect.DeepEqual(ir.Outputs, w.Outputs) {
+					t.Errorf("instance %d: outputs diverged after restore", w.K)
+				}
+				if !reflect.DeepEqual(ir.NewDisputes, w.NewDisputes) || !reflect.DeepEqual(ir.NewFaulty, w.NewFaulty) {
+					t.Errorf("instance %d: dispute findings diverged after restore", w.K)
+				}
+			}
+			if got, want := rt.Disputes().String(), full.Disputes().String(); got != want {
+				t.Errorf("dispute set after restore %q, want %q", got, want)
+			}
+		})
+	}
+
+	// RestoreSnapshot validates its input: a tail that skips an instance,
+	// an out-of-order tail and a negative watermark are rejected.
 	bad, err := runtime.New(runtime.Config{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	if err := bad.Restore(0, 2, want.Instances[:3]); err == nil {
-		t.Error("Restore accepted history beyond its target instance")
+	w := want.Instances
+	if err := bad.RestoreSnapshot(0, core.SnapshotState{}, []*core.InstanceResult{w[0], w[2]}); err == nil {
+		t.Error("RestoreSnapshot accepted a tail that skips an instance")
 	}
-	if err := bad.Restore(0, 3, []*core.InstanceResult{want.Instances[1], want.Instances[0]}); err == nil {
-		t.Error("Restore accepted out-of-order history")
+	if err := bad.RestoreSnapshot(0, core.SnapshotState{}, []*core.InstanceResult{w[1], w[0]}); err == nil {
+		t.Error("RestoreSnapshot accepted an out-of-order tail")
+	}
+	if err := bad.RestoreSnapshot(0, core.SnapshotState{K: -1}, nil); err == nil {
+		t.Error("RestoreSnapshot accepted a negative watermark")
 	}
 }

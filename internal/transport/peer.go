@@ -176,24 +176,29 @@ func (p *Peer) serveConn(conn net.Conn) {
 	} else if !p.g.HasEdge(from, to) || !local {
 		verdict = peerRejectPhy
 	}
+	key := [2]graph.NodeID{from, to}
+	if verdict == peerAccept {
+		p.mu.Lock()
+		if p.opt.Reconnect {
+			// Re-pin: a restarted peer process redials every link it owns;
+			// the fresh connection replaces the dead one (whose reader exits
+			// when we close it) so the link heals without tearing the mesh
+			// down. It happens before the verdict goes out: the dialer opens
+			// the link's next connection only after reading the verdict, so
+			// a stale re-pin can never close its successor.
+			for old, pinned := range p.accepted {
+				if pinned == key {
+					old.Close()
+				}
+			}
+		}
+		p.accepted[conn] = key
+		p.mu.Unlock()
+	}
 	if _, err := conn.Write([]byte{verdict}); err != nil || verdict != peerAccept {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	key := [2]graph.NodeID{from, to}
-	p.mu.Lock()
-	if p.opt.Reconnect {
-		// Re-pin: a restarted peer process redials every link it owns; the
-		// fresh connection replaces the dead one (whose reader exits when
-		// we close it) so the link heals without tearing the mesh down.
-		for old, pinned := range p.accepted {
-			if pinned == key {
-				old.Close()
-			}
-		}
-	}
-	p.accepted[conn] = key
-	p.mu.Unlock()
 	br := bufio.NewReader(conn)
 	for {
 		m, err := ReadFrame(br)

@@ -20,8 +20,8 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(byte(TypeMeta), AppendMeta(nil, Meta{Fingerprint: 0xfeed, Node: 2}))
 	f.Add(byte(TypeSubmit), AppendSubmit(nil, 3, []byte("payload")))
 	f.Add(byte(TypeCommit), AppendCommit(nil, sampleIR(5)))
-	f.Add(byte(TypeCheckpoint), AppendCheckpoint(nil, Checkpoint{K: 9}))
-	f.Add(byte(TypeCheckpoint), AppendCheckpoint(nil, Checkpoint{K: 9, Faulty: []graph.NodeID{4, 4}}))
+	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{K: 9}))
+	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{K: -1, Gen: 2})) // rejected: negative watermark
 	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{
 		K: 12, Epoch: 2, Gen: 3,
 		Disputes: [][2]graph.NodeID{{1, 2}}, Faulty: []graph.NodeID{2, 2},
@@ -29,16 +29,6 @@ func FuzzWALRecord(f *testing.F) {
 	}))
 	f.Add(byte(TypeCommit), []byte{})
 	f.Add(byte(0xFF), bytes.Repeat([]byte{0x80}, 64)) // unterminated varints
-	noDup := func(t *testing.T, kind string, faulty []graph.NodeID) {
-		t.Helper()
-		seen := map[graph.NodeID]bool{}
-		for _, v := range faulty {
-			if seen[v] {
-				t.Fatalf("%s decode surfaced duplicate faulty node %d: %v", kind, v, faulty)
-			}
-			seen[v] = true
-		}
-	}
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		switch typ {
 		case TypeMeta:
@@ -65,16 +55,15 @@ func FuzzWALRecord(f *testing.F) {
 					t.Fatalf("commit re-encode diverged: %+v vs %+v", ir, got)
 				}
 			}
-		case TypeCheckpoint:
-			if cp, err := DecodeCheckpoint(payload); err == nil {
-				noDup(t, "checkpoint", cp.Faulty)
-				if got, err := DecodeCheckpoint(AppendCheckpoint(nil, cp)); err != nil || !reflect.DeepEqual(got, cp) {
-					t.Fatalf("checkpoint re-encode diverged")
-				}
-			}
 		case TypeSnapshot:
 			if s, err := DecodeSnapshot(payload); err == nil {
-				noDup(t, "snapshot", s.Faulty)
+				seen := map[graph.NodeID]bool{}
+				for _, v := range s.Faulty {
+					if seen[v] {
+						t.Fatalf("snapshot decode surfaced duplicate faulty node %d: %v", v, s.Faulty)
+					}
+					seen[v] = true
+				}
 				if s.K < 0 || s.Gen < 0 {
 					t.Fatalf("snapshot decode surfaced negative watermark/generation: %+v", s)
 				}

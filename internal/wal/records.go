@@ -22,10 +22,11 @@ const (
 	// TypeCommit is one committed instance: the full InstanceResult,
 	// appended before the commit is delivered to the consumer.
 	TypeCommit byte = 0x03
-	// TypeCheckpoint snapshots the cross-instance dispute state at a
-	// committed instance; segments before the latest checkpoint are
-	// compactable.
-	TypeCheckpoint byte = 0x04
+	// TypeSnapshot is the full cross-instance engine state at a commit
+	// watermark (see Snapshot); segments before the latest snapshot are
+	// compactable. 0x04, a retired dispute-only checkpoint record, is not
+	// reused: recovery rejects it as an unknown type.
+	TypeSnapshot byte = 0x05
 )
 
 // Meta identifies the session a log belongs to.
@@ -71,18 +72,6 @@ type Submit struct {
 	Payload []byte
 }
 
-// Checkpoint is a decoded TypeCheckpoint record: the accumulated dispute
-// pairs (MarkFaulty expansions included) and proven-faulty nodes as of
-// committed instance K. Folding it as a synthetic instance result
-// reproduces the engine's dispute state; the generation counter is
-// recomputed by the fold rather than stored (plan-cache seeds tolerate
-// the difference — schemes are verified before use).
-type Checkpoint struct {
-	K        int
-	Disputes [][2]graph.NodeID
-	Faulty   []graph.NodeID
-}
-
 // AppendMeta appends a TypeMeta payload to buf.
 //
 //nab:allocfree
@@ -115,42 +104,6 @@ func DecodeSubmit(b []byte) (Submit, error) {
 		return Submit{}, d.wrap("submit")
 	}
 	return Submit{K: int(k), Payload: d.rest()}, nil
-}
-
-// AppendCheckpoint appends a TypeCheckpoint payload to buf.
-//
-//nab:allocfree
-func AppendCheckpoint(buf []byte, cp Checkpoint) []byte {
-	buf = binary.AppendVarint(buf, int64(cp.K))
-	buf = binary.AppendUvarint(buf, uint64(len(cp.Disputes)))
-	for _, p := range cp.Disputes {
-		buf = binary.AppendVarint(buf, int64(p[0]))
-		buf = binary.AppendVarint(buf, int64(p[1]))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(cp.Faulty)))
-	for _, v := range cp.Faulty {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
-}
-
-// DecodeCheckpoint decodes a TypeCheckpoint payload.
-func DecodeCheckpoint(b []byte) (Checkpoint, error) {
-	d := decoder{b: b}
-	cp := Checkpoint{K: int(d.varint())}
-	nd := d.count(2)
-	for i := uint64(0); i < nd && d.err == nil; i++ {
-		cp.Disputes = append(cp.Disputes, [2]graph.NodeID{
-			graph.NodeID(d.varint()), graph.NodeID(d.varint()),
-		})
-	}
-	nf := d.count(1)
-	for i := uint64(0); i < nf && d.err == nil; i++ {
-		// A node is proven faulty at most once; a duplicate is an encoder
-		// bug or corruption that must not inflate the restored set.
-		cp.Faulty = appendFaulty(cp.Faulty, graph.NodeID(d.varint()))
-	}
-	return cp, d.finish("checkpoint")
 }
 
 // AppendCommitFold appends the cross-process fold projection of a

@@ -3,30 +3,19 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"nab/internal/graph"
 )
 
-// TypeSnapshot is a compact serialization of the full cross-instance
-// engine state at a commit watermark: the accumulated dispute pairs,
-// proven-faulty set, dispute-graph generation, launch epoch and the
-// committed-sequence chain digest. Unlike TypeCheckpoint (which it
-// supersedes) a snapshot restores the engine exactly — generation
-// included — so recovery needs no per-instance replay below it, and a
-// blank node can adopt one fetched from peers. Segments before the
-// latest snapshot are compactable.
-const TypeSnapshot byte = 0x05
-
 // DigestSeed anchors the committed-sequence chain digest: the digest at
 // watermark 0, before any instance committed.
 const DigestSeed uint64 = 0x6e61622d64696701 // "nab-dig"
 
-// Snapshot is a decoded TypeSnapshot payload.
+// Snapshot is a decoded TypeSnapshot payload. It restores an engine
+// exactly — generation included — so recovery needs no per-instance
+// replay below it, and a blank node can adopt one fetched from peers.
 type Snapshot struct {
 	// K is the commit watermark the state was captured at.
 	K int
@@ -107,16 +96,6 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	return s, d.finish("snapshot")
 }
 
-// SnapshotDigest hashes a snapshot's canonical payload bytes — the value
-// a joiner compares against f+1 peer claims before trusting fetched
-// content.
-func SnapshotDigest(s Snapshot) uint64 {
-	s.Canonicalize()
-	h := fnv.New64a()
-	h.Write(AppendSnapshot(nil, s))
-	return h.Sum64()
-}
-
 // Chain advances the committed-sequence chain digest by one record
 // payload: D_k = fnv64a(D_{k-1} || payload), with D_0 = DigestSeed. The
 // session log chains full TypeCommit payloads; cluster processes chain
@@ -139,51 +118,4 @@ func appendFaulty(list []graph.NodeID, v graph.NodeID) []graph.NodeID {
 		}
 	}
 	return append(list, v)
-}
-
-// snapshot file framing: a standalone CRC-framed container for one
-// snapshot payload, used to stage state outside a log (benchmarks,
-// operational exports). Layout: 8-byte magic, 4-byte LE payload length,
-// 4-byte CRC32-C of the payload, payload.
-const snapFileMagic = "NABSNAP1"
-
-// SaveSnapshotFile writes s to path atomically (write temp + rename).
-func SaveSnapshotFile(path string, s Snapshot) error {
-	payload := AppendSnapshot(nil, s)
-	buf := make([]byte, 0, len(snapFileMagic)+8+len(payload))
-	buf = append(buf, snapFileMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
-// LoadSnapshotFile reads a snapshot written by SaveSnapshotFile.
-func LoadSnapshotFile(path string) (Snapshot, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if len(buf) < len(snapFileMagic)+8 || string(buf[:len(snapFileMagic)]) != snapFileMagic {
-		return Snapshot{}, fmt.Errorf("wal: %s: not a snapshot file: %w", path, ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(buf[len(snapFileMagic):])
-	sum := binary.LittleEndian.Uint32(buf[len(snapFileMagic)+4:])
-	payload := buf[len(snapFileMagic)+8:]
-	if uint32(len(payload)) != n || crc32.Checksum(payload, crcTable) != sum {
-		return Snapshot{}, fmt.Errorf("wal: %s: snapshot length or checksum mismatch: %w", path, ErrCorrupt)
-	}
-	return DecodeSnapshot(payload)
 }

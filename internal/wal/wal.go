@@ -4,13 +4,15 @@
 // commit records amortizes durability cost, torn-write recovery on open
 // (a record cut short by a crash is detected and dropped, never
 // mis-replayed), a full-log replay iterator, and segment-level compaction
-// above a caller-chosen checkpoint position.
+// below a caller-chosen snapshot position.
 //
 // The log is content-agnostic: records are (type byte, payload) pairs.
-// The NAB-specific record codecs — session metadata, submissions,
-// committed instances, dispute checkpoints — live in records.go; the
-// session layer (nab.WithDurability / nab.Recover) and the cluster rejoin
-// protocol are built on both.
+// The NAB-specific record codecs — session metadata, submissions and
+// committed instances in records.go, and the engine-state snapshot (the
+// only state record; recovery restores from it plus the commits above
+// it) in snapshot.go — sit on top; the session layer (nab.WithDurability
+// / nab.Recover) and the cluster rejoin and join protocols are built on
+// both.
 //
 // On-disk format, per record:
 //
@@ -517,7 +519,7 @@ func scanSegment(path string, lenientTail bool) (int64, error) {
 }
 
 // Compact removes every segment strictly older than keep.Seg — typically
-// the position of the latest checkpoint record, making startup replay
+// the position of the latest snapshot record, making startup replay
 // proportional to the live suffix instead of the full history. The active
 // segment is never removed.
 func (l *Log) Compact(keep Pos) error {

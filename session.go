@@ -300,7 +300,11 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 			copt.Recovered = rec.foldList
 			copt.RecoveredInputs = rec.inputs
 			copt.Rejoining = rec.resumed
-			copt.RecoveredBase = rec.base
+			if rec.resumed {
+				// A blank log has no floor to hand over (and a joiner
+				// must not claim one).
+				copt.RecoveredBase = &rec.base
+			}
 			copt.RecoveredEpoch = rec.baseEpoch
 			copt.RecoveredDigest = rec.baseDigest
 			sl := s.slog
@@ -339,12 +343,7 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 			return fail(err)
 		}
 		if s.slog != nil {
-			if rec.base != nil {
-				err = runner.RestoreSnapshot(*rec.base, rec.foldList)
-			} else {
-				err = runner.Restore(rec.k, rec.foldList)
-			}
-			if err != nil {
+			if err := runner.RestoreSnapshot(rec.base, rec.foldList); err != nil {
 				return fail(err)
 			}
 		}
@@ -369,12 +368,7 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		}
 		s.closer = rt.Close
 		if s.slog != nil {
-			if rec.base != nil {
-				err = rt.RestoreSnapshot(0, *rec.base, rec.foldList)
-			} else {
-				err = rt.Restore(0, rec.k, rec.foldList)
-			}
-			if err != nil {
+			if err := rt.RestoreSnapshot(0, rec.base, rec.foldList); err != nil {
 				return fail(err)
 			}
 		}

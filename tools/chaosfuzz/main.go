@@ -759,10 +759,9 @@ func runChurn(sc *Scenario, g *nab.Graph, payloads [][]byte, oracle *view) error
 		return fmt.Errorf("churn kill point %d outside (0, %d)", sc.KillAfter, sc.Q)
 	}
 	nodes := g.Nodes()
-	procs := 3
-	if procs > len(nodes) {
-		procs = len(nodes)
-	}
+	// F+2 processes leave F+1 snapshot servers beside one blank joiner —
+	// the quorum a join needs — and never fewer than 3.
+	procs := min(max(3, sc.F+2), len(nodes))
 	rsv, err := nab.ReserveClusterAddrs(procs + 1)
 	if err != nil {
 		return err
