@@ -38,13 +38,12 @@
 //
 // State sync: a process whose WAL is LOST (disk replacement, host
 // rebuild) restarts blank with -join. Instead of replaying history it
-// announces itself, fetches the newest snapshot at an agreed boundary
-// from f+1 peers over the control plane — chunked transfer with digest
-// cross-validation, so up to f Byzantine snapshot servers cannot forge
-// state — folds the peers' WAL tail up to the rewind watermark, and
-// enters the stream there. Rolling restarts (drain, snapshot, restart,
-// join every process in sequence) keep the cluster byte-identical to an
-// uninterrupted run.
+// announces itself, installs the snapshot at an agreed boundary that f+1
+// peers pushed byte-identically over the control plane — so up to f
+// Byzantine snapshot servers cannot forge state — and enters the stream
+// there, re-executing the instances above the boundary live. Rolling
+// restarts (drain, snapshot, restart, join every process in sequence)
+// keep the cluster byte-identical to an uninterrupted run.
 //
 // Observability: -admin ADDR (node mode) serves /metrics (Prometheus
 // text exposition), /healthz (engine liveness + WAL sync lag) and
@@ -237,14 +236,13 @@ func inheritedListeners(cfg *cluster.Config, id graph.NodeID) (*cluster.Reservat
 // print the summary. A non-empty walDir makes the session durable: a
 // restarted process recovers its log (already-committed instances are
 // re-emitted) and rejoins the cluster mid-stream. With join set the
-// process starts blank instead — it announces itself, fetches a
-// digest-validated snapshot (plus WAL-fold tail) from f+1 peers over the
-// control plane, and enters the stream at the snapshot boundary without
-// replaying history; the whole round rewinds there, so the joiner
-// re-executes the short tail live and its re-built commit chain is
-// checked against the quorum's digest. Instances below the boundary are
-// never emitted by this process; peers that committed them carry the
-// record.
+// process starts blank instead — it announces itself, installs the
+// snapshot f+1 peers pushed byte-identically over the control plane, and
+// enters the stream at the snapshot boundary without replaying history;
+// the whole round rewinds there, so the joiner re-executes the instances
+// above the boundary live and its re-built commit chain is checked
+// against the quorum's digest. Instances below the boundary are never
+// emitted by this process; peers that committed them carry the record.
 func runNode(cfg *cluster.Config, id graph.NodeID, stdout io.Writer, rsv *cluster.Reservation, walDir, adminAddr string, join bool, flightCap int) error {
 	ctx := context.Background()
 	opts := []nab.SessionOption{nab.WithCluster(cfg, id, nab.ClusterOptions{Reservation: rsv, Join: join})}

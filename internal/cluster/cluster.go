@@ -60,12 +60,12 @@ type Options struct {
 	RejoinLinger time.Duration
 
 	// Join marks a blank-WAL process entering a live cluster: instead of
-	// replaying history it announces a join round, fetches a snapshot
-	// (cross-validated against F+1 peers) plus the WAL-fold tail over the
-	// control plane, and enters the stream at the cluster's rewind
-	// watermark. Requires Durable (the transferred state is persisted so
-	// the process's own restarts recover) and a genuinely blank WAL —
-	// combining Join with Rejoining is an error.
+	// replaying history it announces a join round, installs the snapshot
+	// that F+1 peers pushed byte-identically over the control plane, and
+	// enters the stream at that snapshot's boundary, re-executing the
+	// instances above it live. Requires Durable (the transferred state is
+	// persisted so the process's own restarts recover) and a genuinely
+	// blank WAL — combining Join with Rejoining is an error.
 	Join bool
 	// RecoveredBase is the snapshot the WAL is anchored on (nil or the
 	// zero state for a full-history log): this process's floor. Rollbacks
@@ -134,9 +134,9 @@ type Node struct {
 	joinBegan time.Time
 
 	// testServeTamper lets in-package tests play a Byzantine snapshot
-	// server: it mutates the serve state after the honest digests are
-	// computed (see buildServe).
-	testServeTamper func(*serveState)
+	// server: it mutates the honest state message before it is sent (see
+	// stateMsg).
+	testServeTamper func(*ctrlMsg)
 
 	stopOnce sync.Once
 	stop     chan struct{} // releases the context watchdog
@@ -207,7 +207,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		if opt.Reservation != nil {
 			cl = opt.Reservation.Take(cfg.CtrlAddr)
 		}
-		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, opt.Durable, cfg.F+1, cfg.SnapshotInterval)
+		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, opt.Durable, cfg.SnapshotInterval)
 	} else {
 		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, opt.Durable)
 	}

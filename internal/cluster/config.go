@@ -66,10 +66,9 @@ type Config struct {
 	CtrlAddr string `json:"ctrlAddr"`
 	// SnapshotInterval is the snapshot boundary granularity for join
 	// rounds: a blank process fetches the newest snapshot at a multiple
-	// of the interval at or below the rewind watermark, plus the WAL-fold
-	// tail above it. Shared config because the boundary must be the same
-	// in every process for digest cross-validation. 0 means
-	// DefaultSnapshotInterval.
+	// of the interval at or below the rewind watermark. Shared config
+	// because the boundary must be the same in every process for the
+	// snapshot copies to match. 0 means DefaultSnapshotInterval.
 	SnapshotInterval int `json:"snapshotInterval,omitempty"`
 	// Chaos optionally scripts hostile network physics for the scenario:
 	// seeded per-link latency/jitter, reorder windows, asymmetric
@@ -220,13 +219,9 @@ func (c *Config) Colocated(id graph.NodeID) []graph.NodeID {
 // the config leaves SnapshotInterval zero.
 const DefaultSnapshotInterval = 64
 
-// defaultJoinBoundary is DefaultSnapshotInterval under its
-// control-plane-internal name.
-const defaultJoinBoundary = DefaultSnapshotInterval
-
 // Lead returns the smallest node id hosted at addr — the stable process
-// identity state-transfer messages route by (order-independent, so every
-// process derives the same lead for every peer).
+// identity a join server votes under (order-independent, so every process
+// derives the same lead for every peer).
 func (c *Config) Lead(addr string) graph.NodeID {
 	lead, found := graph.NodeID(0), false
 	for _, ns := range c.Nodes {

@@ -28,18 +28,25 @@ import (
 //
 // Decisions are replayed to late-connecting followers, making process
 // start order irrelevant.
+//
+// Everything a process tells the coordinator — the shutdown barrier's
+// "done", a rejoin, the rollback round's phase acks, a join server's
+// state — takes one path: up(m). A follower writes it to its control
+// connection, whose reader on the coordinator hands it to handle(m); the
+// coordinator calls handle(m) directly. The reader pins each connection to
+// the lead node id of its first "synced" ack and stamps that id on every
+// "state" it relays, so one process casts one join vote.
 
-// ctrlMsg is one decision or rejoin-protocol message on the wire.
+// ctrlMsg is one control-plane message on the wire.
 //
 // Decision types ("mismatch", "audit") are logged and replayed to
-// late-connecting followers. The crash-recovery rollback types —
-// "rejoin" (a restarted process announcing itself, follower to
-// coordinator), "sync"/"synced", "rewind"/"rewound" and "resume" — are
-// live-only: each belongs to one rollback round (Round), and replaying a
-// stale round to a later subscriber could re-trigger a rollback that
-// already completed.
+// late-connecting followers. The rollback-round types — up: "rejoin",
+// "synced", "joined", "rewound", "state"; down: "sync", "fetch",
+// "rewind", "resume" and the relayed "state" — are live-only: each
+// belongs to one rollback round (Round), and replaying a stale round to a
+// later subscriber could re-trigger a rollback that already completed.
 type ctrlMsg struct {
-	Type     string            `json:"type"` // "mismatch" or "audit"
+	Type     string            `json:"type"`
 	K        int               `json:"k"`
 	Gen      int               `json:"gen"`
 	Mismatch bool              `json:"mismatch,omitempty"`
@@ -49,24 +56,17 @@ type ctrlMsg struct {
 	// Rollback-round coordinates (rejoin protocol).
 	Round int    `json:"round,omitempty"`
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Join-round coordinates (snapshot state transfer). A blank process
-	// announcing itself turns the rollback round into a join round: the
-	// coordinator inserts a "fetch" phase between sync and rewind, during
-	// which the joiner pulls a boundary snapshot plus the WAL-fold tail
-	// from serving peers ("pull"/"chunk", coordinator-relayed broadcasts
-	// addressed by lead node id) and acknowledges with "joined".
-	Blank      bool    `json:"blank,omitempty"`      // synced: the acker is a blank joiner
-	Floor      int     `json:"floor,omitempty"`      // synced: acker's rewind floor
-	Peer       int64   `json:"peer,omitempty"`       // lead node id of the sender/addressee
-	M          int     `json:"m,omitempty"`          // fetch/pull: watermark the tail runs to
-	Kind       string  `json:"kind,omitempty"`       // pull/chunk: "digest", "snap" or "tail"
-	Server     int64   `json:"server,omitempty"`     // pull/chunk: lead node id of the server
-	Off        int     `json:"off,omitempty"`        // chunk byte offset
-	N          int     `json:"n,omitempty"`          // chunk: total transfer bytes
-	Data       []byte  `json:"data,omitempty"`       // chunk payload
-	SnapDigest uint64  `json:"snapDigest,omitempty"` // digest chunk: snapshot payload hash at K
-	TailDigest uint64  `json:"tailDigest,omitempty"` // digest chunk: chain digest at M
-	Servers    []int64 `json:"servers,omitempty"`    // fetch: eligible serving processes
+	// Join-round fields. A blank process announcing itself turns the
+	// rollback round into a join round: the coordinator's "fetch" (boundary
+	// K, pre-join watermark M, Servers) opens a phase in which every server
+	// pushes one "state" and the joiner acks "joined" (see join.go).
+	Blank   bool    `json:"blank,omitempty"`   // synced: the acker is a blank joiner
+	Floor   int     `json:"floor,omitempty"`   // synced: acker's rewind floor
+	Peer    int64   `json:"peer,omitempty"`    // synced/state/joined: lead node id of the sender
+	M       int     `json:"m,omitempty"`       // fetch: the pre-join watermark
+	Data    []byte  `json:"data,omitempty"`    // state: canonical snapshot bytes at K
+	Digest  uint64  `json:"digest,omitempty"`  // state: commit-chain digest at M
+	Servers []int64 `json:"servers,omitempty"` // fetch: eligible serving processes
 }
 
 // decisionKey identifies one execution: barrier replays of instance k run
@@ -191,6 +191,28 @@ func (v *view) NeedAudit() (*core.AuditResult, error) {
 	})
 }
 
+// phase is one step of a rollback round: reconnect (a follower redialing
+// a restarted coordinator), sync, fetch (join rounds only), rewind and
+// resume. The coordinator's round state names the phase whose acks it is
+// counting, phaseIdle between rounds.
+type phase int
+
+const (
+	phaseIdle phase = iota
+	phaseReconnect
+	phaseSync
+	phaseFetch
+	phaseRewind
+	phaseResume
+)
+
+func (ph phase) String() string {
+	return [...]string{"idle", "reconnect", "sync", "fetch", "rewind", "resume"}[ph]
+}
+
+// phaseAck is the ack type the coordinator counts in each phase.
+var phaseAck = map[phase]string{phaseSync: "synced", phaseFetch: "joined", phaseRewind: "rewound"}
+
 // ctrlPlane is the per-process control-plane endpoint; it implements
 // runtime.SchedulePlane. Besides the decision stream it hosts the
 // shutdown barrier: a process that finished its workload must keep its
@@ -218,21 +240,16 @@ type ctrlPlane struct {
 	subs     []chan ctrlMsg
 	writers  sync.WaitGroup // per-follower writers, drained by Close
 
-	// Coordinator rollback-round state.
-	rbMu     sync.Mutex
-	rbRound  int
-	rbPhase  int // 0 idle, 1 awaiting synced, 2 awaiting rewound, 3 awaiting joined
-	rbAcks   int
-	rbMinK   int
-	rbEpoch  uint64 // max epoch reported this round
-	rbTarget ctrlMsg
-	// Join-round state: the per-round sync acks (eligibility of serving
-	// peers is judged on their reported floors), the number of blank
-	// joiners and their "joined" acks, and the snapshot parameters.
+	// Coordinator rollback-round state: one ack counter for the current
+	// phase, the round's sync acks (the rewind target and the join
+	// servers are computed from them) and the rewind the round ends with.
+	rbMu      sync.Mutex
+	rbRound   int
+	rbPhase   phase
+	rbAcks    int
+	rbNeed    int
 	rbSynced  []ctrlMsg
-	rbJoins   int
-	rbJoined  int
-	snapNeed  int // f+1: matching snapshot copies a joiner must see
+	rbTarget  ctrlMsg
 	snapEvery int // snapshot boundary interval for join bases
 
 	// Follower side.
@@ -265,7 +282,7 @@ func (p *ctrlPlane) Execution(k, gen int) runtime.ExecutionView {
 // from a reservation) and starts serving decision streams to followers.
 // expect is the number of processes the shutdown barrier waits for (the
 // coordinator included).
-func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapNeed, snapEvery int) (*ctrlPlane, error) {
+func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapEvery int) (*ctrlPlane, error) {
 	if l == nil {
 		var err error
 		l, err = net.Listen("tcp", addr)
@@ -276,8 +293,8 @@ func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapN
 	p := &ctrlPlane{
 		d: newDecisions(), durable: durable, addr: addr,
 		events: make(chan ctrlMsg, 64), listener: l, expect: expect,
-		snapNeed: snapNeed, snapEvery: snapEvery,
-		allDone: make(chan struct{}), closed: make(chan struct{}),
+		snapEvery: snapEvery,
+		allDone:   make(chan struct{}), closed: make(chan struct{}),
 	}
 	go p.acceptLoop()
 	return p, nil
@@ -291,8 +308,7 @@ func (p *ctrlPlane) acceptLoop() {
 		}
 		// Register the subscriber and replay the decision log so far; the
 		// writer goroutine owns the connection's write half, the reader
-		// counts the follower's barrier announcement and feeds the
-		// rejoin protocol.
+		// feeds the follower's messages to handle.
 		ch := make(chan ctrlMsg, 4096)
 		p.subMu.Lock()
 		select {
@@ -325,35 +341,71 @@ func (p *ctrlPlane) acceptLoop() {
 				}
 			}
 		}()
-		go func() {
-			dec := json.NewDecoder(bufio.NewReader(conn))
-			for {
-				var m ctrlMsg
-				if err := dec.Decode(&m); err != nil {
-					return
-				}
-				switch m.Type {
-				case "done":
-					p.countDone(m.Round)
-				case "rejoin":
-					p.startRollback()
-				case "synced":
-					p.onSynced(m)
-				case "rewound":
-					p.onRewound(m)
-				case "joined":
-					p.onJoined(m)
-				case "pull", "chunk":
-					// State-transfer messages are addressed by lead node
-					// id but routed by rebroadcast: the coordinator fans
-					// them to every process (followers filter), which
-					// keeps the anonymous-follower control plane free of
-					// identity bookkeeping.
-					p.broadcastCtl(m)
-				}
-			}
-		}()
+		go p.readConn(conn)
 	}
+}
+
+// readConn feeds one follower connection's messages to handle. The
+// connection's identity is the lead id of its first "synced": a later
+// "synced" naming another id is dropped, and every "state" is stamped with
+// the pinned id (dropped while unpinned) whatever Peer it claims.
+func (p *ctrlPlane) readConn(conn net.Conn) {
+	dec := json.NewDecoder(bufio.NewReader(conn))
+	var lead int64
+	for {
+		var m ctrlMsg
+		if err := dec.Decode(&m); err != nil {
+			return
+		}
+		switch m.Type {
+		case "synced":
+			if lead != 0 && m.Peer != lead {
+				continue
+			}
+			lead = m.Peer
+		case "state":
+			if lead == 0 {
+				continue
+			}
+			m.Peer = lead
+		}
+		p.handle(m)
+	}
+}
+
+// handle is the coordinator's one inbound path: every message a process
+// sends up lands here, the coordinator's own included (see up).
+func (p *ctrlPlane) handle(m ctrlMsg) {
+	switch m.Type {
+	case "done":
+		p.countDone(m.Round)
+	case "rejoin":
+		p.startRollback()
+	case "synced", "joined", "rewound":
+		p.ack(m)
+	case "state":
+		// Relayed by rebroadcast: the joiners count it, everyone else
+		// ignores it.
+		p.broadcastCtl(m)
+	}
+}
+
+// up sends one message to the coordinator: over the control connection
+// from a follower, straight into handle on the coordinator itself.
+func (p *ctrlPlane) up(m ctrlMsg) error {
+	if p.listener != nil {
+		p.handle(m)
+		return nil
+	}
+	p.connMu.Lock()
+	conn := p.conn
+	p.connMu.Unlock()
+	if conn == nil {
+		return fmt.Errorf("cluster: control connection down")
+	}
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	return json.NewEncoder(conn).Encode(m)
 }
 
 // pushEvent hands a rollback message to the local stream supervisor.
@@ -396,13 +448,7 @@ func (p *ctrlPlane) startRollback() {
 	ctrlLog.Info("rollback-open", "role", "coordinator")
 	p.rbMu.Lock()
 	p.rbRound++
-	p.rbPhase = 1
-	p.rbAcks = 0
-	p.rbMinK = -1
-	p.rbEpoch = 0
-	p.rbSynced = nil
-	p.rbJoins = 0
-	p.rbJoined = 0
+	p.rbPhase, p.rbAcks, p.rbNeed, p.rbSynced = phaseSync, 0, p.expect, nil
 	round := p.rbRound
 	p.rbMu.Unlock()
 	// Every process re-announces "done" after its post-rollback stream,
@@ -413,222 +459,100 @@ func (p *ctrlPlane) startRollback() {
 	p.broadcastCtl(ctrlMsg{Type: "sync", Round: round})
 }
 
-// onSynced tallies one process's watermark for the current round; the
-// last ack fixes the rollback target — the cluster-wide minimum
-// committed instance and a launch epoch above every epoch in use — and
-// broadcasts the rewind.
-func (p *ctrlPlane) onSynced(m ctrlMsg) {
+// ack counts one phase ack of the current round; acks of another round
+// or another phase are stale and dropped. The phase's last ack moves the
+// round on: sync → [fetch] → rewind → resume.
+func (p *ctrlPlane) ack(m ctrlMsg) {
 	p.rbMu.Lock()
-	if m.Round != p.rbRound || p.rbPhase != 1 {
+	if m.Round != p.rbRound || m.Type != phaseAck[p.rbPhase] {
 		p.rbMu.Unlock()
 		return
+	}
+	if m.Type == "synced" {
+		p.rbSynced = append(p.rbSynced, m)
 	}
 	p.rbAcks++
-	p.rbSynced = append(p.rbSynced, m)
-	if m.Blank {
-		// A blank joiner has no history: its zero watermark must not drag
-		// the rewind target down (its peers pruned re-execution inputs
-		// below their past floors), and it cannot serve state.
-		p.rbJoins++
-	} else {
-		if p.rbMinK < 0 || m.K < p.rbMinK {
-			p.rbMinK = m.K
-		}
-	}
-	if m.Epoch > p.rbEpoch {
-		p.rbEpoch = m.Epoch
-	}
-	if p.rbAcks < p.expect {
+	if p.rbAcks < p.rbNeed {
 		p.rbMu.Unlock()
 		return
 	}
-	if p.rbMinK < 0 {
-		p.rbMinK = 0 // every process is blank: a fresh cluster
-	}
-	p.rbTarget = ctrlMsg{Type: "rewind", Round: p.rbRound, K: p.rbMinK, Epoch: p.rbEpoch + 1}
-	if p.rbJoins > 0 && p.rbJoins < p.rbAcks {
-		// Join round: insert the fetch phase, and rewind the whole cluster
-		// to the snapshot boundary rather than the minimum watermark. The
-		// joiner re-executes (boundary, minimum] live — that re-drive is
-		// what re-emits the commits a dead incarnation took to its grave —
-		// while the fold tail it fetched extends the f+1 digest
-		// cross-validation to the minimum watermark, pinning the
-		// re-execution it is about to do.
-		fetch := p.fetchTargetLocked()
-		p.rbTarget.K = fetch.K
-		p.rbPhase = 3
-		p.rbJoined = 0
-		p.rbMu.Unlock()
-		p.broadcastCtl(fetch)
-		return
-	}
-	p.rbPhase = 2
-	p.rbAcks = 0
-	target := p.rbTarget
+	next := p.advanceLocked()
 	p.rbMu.Unlock()
-	// Decisions at or below the target are never consulted again and
-	// later ones are re-made identically by the re-execution; dropping
-	// the log keeps replay to future re-subscribers from growing without
-	// bound across rollbacks.
-	p.subMu.Lock()
-	p.log = nil
-	p.subMu.Unlock()
-	p.broadcastCtl(target)
+	if next.Type == "rewind" {
+		// Decisions at or below the target are never consulted again and
+		// later ones are re-made identically by the re-execution; dropping
+		// the log keeps replay to future re-subscribers from growing without
+		// bound across rollbacks.
+		p.subMu.Lock()
+		p.log = nil
+		p.subMu.Unlock()
+	}
+	p.broadcastCtl(next)
+}
+
+// advanceLocked completes the current phase and returns the broadcast
+// that opens the next one. Completing the sync fixes the rollback target
+// — the minimum committed instance over the non-blank processes and a
+// launch epoch above every epoch in use. Callers hold rbMu.
+func (p *ctrlPlane) advanceLocked() ctrlMsg {
+	p.rbAcks = 0
+	switch p.rbPhase {
+	case phaseSync:
+		minK, epoch, joins := -1, uint64(0), 0
+		for _, s := range p.rbSynced {
+			if s.Blank {
+				// A blank joiner has no history: its zero watermark must not
+				// drag the rewind target down (its peers pruned re-execution
+				// inputs below their past floors), and it cannot serve state.
+				joins++
+			} else if minK < 0 || s.K < minK {
+				minK = s.K
+			}
+			epoch = max(epoch, s.Epoch)
+		}
+		minK = max(minK, 0) // every process is blank: a fresh cluster
+		p.rbTarget = ctrlMsg{Type: "rewind", Round: p.rbRound, K: minK, Epoch: epoch + 1}
+		if joins > 0 && joins < len(p.rbSynced) {
+			// Join round: insert the fetch phase, and rewind the whole
+			// cluster to the snapshot boundary rather than the minimum
+			// watermark. The joiner re-executes (boundary, minimum] live —
+			// that re-drive is what re-emits the commits a dead incarnation
+			// took to its grave — and checks its chain at the minimum
+			// against the digest f+1 servers agreed on.
+			fetch := p.fetchTargetLocked(minK)
+			p.rbTarget.K = fetch.K
+			p.rbPhase, p.rbNeed = phaseFetch, joins
+			return fetch
+		}
+	case phaseRewind:
+		p.rbPhase = phaseIdle
+		return ctrlMsg{Type: "resume", Round: p.rbRound}
+	}
+	p.rbPhase, p.rbNeed = phaseRewind, p.expect
+	return p.rbTarget
 }
 
 // fetchTargetLocked computes the join round's "fetch" broadcast: the
 // snapshot boundary J the whole round rewinds to, the pre-join minimum
-// watermark m the fold tail must reach, and the serving processes. The
-// boundary starts at the newest snapshot granule at or below m and is
-// raised to the highest non-blank floor: no process can rewind below its
-// own floor, and floors never exceed m (each is a previous round's
-// target, and watermarks only grow), so after the clamp every non-blank
-// process is an eligible server. Callers hold rbMu.
-func (p *ctrlPlane) fetchTargetLocked() ctrlMsg {
-	m := p.rbMinK
+// watermark m the servers' digests are taken at, and the serving
+// processes. The boundary starts at the newest snapshot granule at or
+// below m and is raised to the highest non-blank floor: no process can
+// rewind below its own floor, and floors never exceed m (each is a
+// previous round's target, and watermarks only grow), so after the clamp
+// every non-blank process is an eligible server. Callers hold rbMu.
+func (p *ctrlPlane) fetchTargetLocked(m int) ctrlMsg {
 	every := p.snapEvery
 	if every <= 0 {
-		every = defaultJoinBoundary
+		every = DefaultSnapshotInterval
 	}
-	j := m - m%every
-	for _, ack := range p.rbSynced {
-		if !ack.Blank && ack.Floor > j {
-			j = ack.Floor
+	fetch := ctrlMsg{Type: "fetch", Round: p.rbRound, K: m - m%every, M: m}
+	for _, s := range p.rbSynced {
+		if !s.Blank {
+			fetch.K = max(fetch.K, s.Floor)
+			fetch.Servers = append(fetch.Servers, s.Peer)
 		}
 	}
-	return ctrlMsg{Type: "fetch", Round: p.rbRound, K: j, M: m, Servers: p.serversLocked(j)}
-}
-
-// serversLocked lists the non-blank processes whose floor allows serving
-// a snapshot at watermark j. Callers hold rbMu.
-func (p *ctrlPlane) serversLocked(j int) []int64 {
-	var out []int64
-	for _, ack := range p.rbSynced {
-		if !ack.Blank && ack.Floor <= j {
-			out = append(out, ack.Peer)
-		}
-	}
-	return out
-}
-
-// onJoined counts blank joiners that finished their state transfer; the
-// last one lets the round proceed to the rewind phase.
-func (p *ctrlPlane) onJoined(m ctrlMsg) {
-	p.rbMu.Lock()
-	if m.Round != p.rbRound || p.rbPhase != 3 {
-		p.rbMu.Unlock()
-		return
-	}
-	p.rbJoined++
-	if p.rbJoined < p.rbJoins {
-		p.rbMu.Unlock()
-		return
-	}
-	p.rbPhase = 2
-	p.rbAcks = 0
-	target := p.rbTarget
-	p.rbMu.Unlock()
-	p.subMu.Lock()
-	p.log = nil
-	p.subMu.Unlock()
-	p.broadcastCtl(target)
-}
-
-// onRewound counts rewind completions; the last one releases the cluster.
-func (p *ctrlPlane) onRewound(m ctrlMsg) {
-	p.rbMu.Lock()
-	if m.Round != p.rbRound || p.rbPhase != 2 {
-		p.rbMu.Unlock()
-		return
-	}
-	p.rbAcks++
-	if p.rbAcks < p.expect {
-		p.rbMu.Unlock()
-		return
-	}
-	p.rbPhase = 0
-	round := p.rbRound
-	p.rbMu.Unlock()
-	p.broadcastCtl(ctrlMsg{Type: "resume", Round: round})
-}
-
-// announceDone announces this process at the shutdown barrier for the
-// given rollback round (0 outside durable mode).
-func (p *ctrlPlane) announceDone(round int) error {
-	if p.listener != nil {
-		p.countDone(round) // the coordinator counts itself
-		return nil
-	}
-	return p.sendCtl(ctrlMsg{Type: "done", Round: round})
-}
-
-// sendCtl ships one message up to the coordinator (follower side).
-func (p *ctrlPlane) sendCtl(m ctrlMsg) error {
-	p.connMu.Lock()
-	conn := p.conn
-	p.connMu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("cluster: control connection down")
-	}
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	return json.NewEncoder(conn).Encode(m)
-}
-
-// Rejoin announces this process to the rollback protocol: a restarted
-// process calls it at boot, and a follower whose control link died calls
-// it after reconnecting. On the coordinator it opens the round directly.
-func (p *ctrlPlane) Rejoin() error {
-	if p.listener != nil {
-		p.startRollback()
-		return nil
-	}
-	ctrlLog.Info("send-rejoin", "role", "follower")
-	return p.sendCtl(ctrlMsg{Type: "rejoin"})
-}
-
-// AckSync reports this process's committed watermark, launch epoch,
-// rewind floor and blankness for one rollback round. peer is the
-// process's lead node id, the address state-transfer messages route by.
-func (p *ctrlPlane) AckSync(round, watermark int, epoch uint64, floor int, blank bool, peer int64) error {
-	m := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: epoch, Floor: floor, Blank: blank, Peer: peer}
-	if p.listener != nil {
-		p.onSynced(m)
-		return nil
-	}
-	return p.sendCtl(m)
-}
-
-// AckJoined reports a blank joiner's completed state transfer.
-func (p *ctrlPlane) AckJoined(round int, peer int64) error {
-	m := ctrlMsg{Type: "joined", Round: round, Peer: peer}
-	if p.listener != nil {
-		p.onJoined(m)
-		return nil
-	}
-	return p.sendCtl(m)
-}
-
-// sendTransfer ships a pull or chunk: followers send up to the
-// coordinator (which rebroadcasts); the coordinator broadcasts directly.
-// Either way every process — the addressee included — sees the message
-// on its event stream and filters by Server/Peer.
-func (p *ctrlPlane) sendTransfer(m ctrlMsg) error {
-	if p.listener != nil {
-		p.broadcastCtl(m)
-		return nil
-	}
-	return p.sendCtl(m)
-}
-
-// AckRewound reports this process rewound for one rollback round.
-func (p *ctrlPlane) AckRewound(round int) error {
-	m := ctrlMsg{Type: "rewound", Round: round}
-	if p.listener != nil {
-		p.onRewound(m)
-		return nil
-	}
-	return p.sendCtl(m)
+	return fetch
 }
 
 // Reconnect re-establishes a durable follower's control connection after
@@ -770,7 +694,7 @@ func (p *ctrlPlane) readLoop() {
 		switch m.Type {
 		case "alldone":
 			p.doneOnce.Do(func() { close(p.allDone) })
-		case "sync", "rewind", "resume", "fetch", "pull", "chunk":
+		case "sync", "fetch", "state", "rewind", "resume":
 			p.pushEvent(m)
 		default:
 			p.d.put(m)
@@ -793,7 +717,7 @@ func (p *ctrlPlane) released() bool {
 // frames. Best effort: on timeout, context cancellation or a dead control
 // link it returns anyway — the local results are already committed.
 func (p *ctrlPlane) barrier(ctx context.Context, timeout time.Duration) {
-	if err := p.announceDone(0); err != nil {
+	if err := p.up(ctrlMsg{Type: "done"}); err != nil {
 		return
 	}
 	select {

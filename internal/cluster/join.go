@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"nab/internal/core"
 	"nab/internal/wal"
@@ -15,64 +14,38 @@ import (
 //
 // A blank process announces an ordinary rejoin, but its sync ack carries
 // Blank, so the coordinator inserts a "fetch" phase between sync and
-// rewind (see ctrlPlane.onSynced). During that phase every process is
+// rewind (see ctrlPlane.advanceLocked). During that phase every process is
 // parked inside its rollback round — streams canceled, sockets open — so
-// non-blank processes double as snapshot servers. The joiner pulls, over
-// the coordinator-relayed control plane:
+// non-blank processes double as snapshot servers. On the fetch each
+// eligible server pushes one "state" message, relayed by the coordinator
+// like every other control message: its canonical snapshot bytes at the
+// boundary J and its commit-chain digest at the pre-join watermark m. The
+// coordinator stamps every relayed state with the lead id its sender's
+// connection is pinned to, so each server casts one vote.
 //
-//  1. digests: each eligible server's hash of the canonical snapshot at
-//     the boundary J plus the commit-chain digest at the rewind target m.
-//     The joiner needs f+1 matching pairs before trusting any content —
-//     with at most f Byzantine processes, a winning vote always contains
-//     an honest server, so the agreed digests are the honest state's.
-//  2. the snapshot bytes at J, from one winning voter. Content that does
-//     not hash to the agreed digest convicts the server (it voted for
-//     bytes it will not produce) and the joiner moves to the next voter.
-//  3. the fold tail: the cross-process commit projections for (J, m],
-//     chained from the snapshot's digest and checked against the agreed
-//     chain digest at m. The tail is validation, not state: a join round
-//     rewinds the whole cluster to J (not m), so the joiner re-executes
-//     (J, m] live — that re-drive re-emits any commits a dead
-//     incarnation's local outputs took with it. The agreed digest at m is
-//     kept as a tripwire: when the joiner's own re-executed chain reaches
-//     m it must land on exactly that digest, extending the f+1
-//     cross-validation over everything it replays.
+// The joiner counts the votes keyed on the (snapshot bytes, digest) pair
+// itself. At f+1 byte-identical copies it installs the snapshot: with at
+// most f Byzantine processes a winning vote always contains an honest
+// server, so the agreed state is the honest state. Nothing between J and m
+// is transferred. A join round rewinds the whole cluster to J (not m), so
+// the joiner re-executes (J, m] live — that re-drive re-emits any commits
+// a dead incarnation's local outputs took with it — and the agreed digest
+// at m is a tripwire: when the joiner's own re-executed chain reaches m it
+// must land on exactly that digest, extending the f+1 cross-validation
+// over everything it replays.
 //
 // The transferred snapshot is installed at the round's rewind (the
 // joiner's floor becomes J) and persisted into its WAL at resume, when
 // every process has provably fsynced past the target — so no future
 // rollback can strand an instance below any process's log.
 
-// transferChunk bounds one chunk's payload on the control plane.
-const transferChunk = 32 << 10
-
-// maxTransferBytes bounds a whole snapshot or tail transfer — a Byzantine
-// server must not balloon the joiner's memory.
-const maxTransferBytes = 64 << 20
-
 // joinResult is the state a blank process fetched during a join round,
 // held until the rewind installs it as the process's floor.
 type joinResult struct {
 	base       core.SnapshotState // the snapshot at the boundary J, installed as the floor
 	baseDigest uint64             // commit-chain digest at J (the snapshot's Digest)
-	m          int                // the fold tail's end: the round's pre-join minimum watermark
+	m          int                // the round's pre-join minimum watermark
 	mDigest    uint64             // agreed chain digest at m, checked once re-execution reaches it
-}
-
-// serveState is a non-blank process's materialized join transfer: the
-// canonical snapshot bytes at the boundary and the framed fold tail up to
-// the rewind target, built once per fetch phase and chunked out on demand.
-type serveState struct {
-	snapBytes  []byte
-	tailBytes  []byte
-	snapDigest uint64 // fnv64a over snapBytes
-	tailDigest uint64 // commit-chain digest at m
-}
-
-func fnvSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }
 
 // stateAt folds this process's base and committed prefix to the snapshot
@@ -100,249 +73,133 @@ func (n *Node) stateAt(m int) (core.SnapshotState, error) {
 	return b.State(), nil
 }
 
-// buildServe materializes this process's serve state for one fetch phase,
-// or nil when it is not among the round's eligible servers. The snapshot
-// is encoded with Epoch 0: epochs are per-process until the round's
-// rewind agrees on a new one, and the transfer bytes must be identical on
-// every honest server.
-func (n *Node) buildServe(ev ctrlMsg) (*serveState, error) {
-	eligible := false
-	for _, s := range ev.Servers {
-		if s == n.lead {
-			eligible = true
-		}
-	}
-	if !eligible {
+// stateMsg builds this process's vote for a fetch it serves: one "state"
+// message carrying the canonical snapshot at the boundary and the chain
+// digest at the pre-join watermark, or nil when the process is not among
+// the fetch's servers. The snapshot is encoded with Epoch 0: epochs are
+// per-process until the round's rewind agrees on a new one, and the bytes
+// must be identical on every honest server.
+func (n *Node) stateMsg(fetch ctrlMsg) (*ctrlMsg, error) {
+	if !slices.Contains(fetch.Servers, n.lead) {
 		return nil, nil
 	}
-	j, m := ev.K, ev.M
-	if j > m {
-		return nil, fmt.Errorf("cluster: fetch boundary %d above rewind target %d", j, m)
+	j, m := fetch.K, fetch.M
+	if j > m || m > n.floor+len(n.committed) {
+		return nil, fmt.Errorf("cluster: fetch boundary %d and target %d outside [floor %d, watermark %d]", j, m, n.floor, n.floor+len(n.committed))
 	}
 	st, err := n.stateAt(j)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := n.stateAt(m); err != nil { // bounds check the tail end
-		return nil, err
-	}
 	snap := wal.Snapshot{K: st.K, Gen: st.Gen, Disputes: st.Disputes, Faulty: st.Faulty, Digest: n.chain[j-n.floor]}
 	snap.Canonicalize()
-	sv := &serveState{snapBytes: wal.AppendSnapshot(nil, snap), tailDigest: n.chain[m-n.floor]}
-	for _, ir := range n.committed[j-n.floor : m-n.floor] {
-		p := wal.AppendCommitFold(nil, ir)
-		sv.tailBytes = binary.AppendUvarint(sv.tailBytes, uint64(len(p)))
-		sv.tailBytes = append(sv.tailBytes, p...)
-	}
-	sv.snapDigest = fnvSum(sv.snapBytes)
+	msg := &ctrlMsg{Type: "state", Round: fetch.Round, Peer: n.lead, Data: wal.AppendSnapshot(nil, snap), Digest: n.chain[m-n.floor]}
 	if n.testServeTamper != nil {
-		// Test hook: a Byzantine snapshot server. Tampering with the bytes
-		// alone makes content validation convict it; tampering with the
-		// digests makes the quorum outvote it.
-		n.testServeTamper(sv)
+		// Test hook: a Byzantine snapshot server.
+		n.testServeTamper(msg)
 	}
-	n.log.Info("serve-join", "j", j, "m", m, "snapBytes", len(sv.snapBytes), "tailBytes", len(sv.tailBytes))
-	return sv, nil
+	n.log.Info("serve-join", "j", j, "m", m, "snapBytes", len(msg.Data))
+	return msg, nil
 }
 
-// servePull answers one pull addressed to this process with a chunk.
-func (n *Node) servePull(sv *serveState, ev ctrlMsg) error {
-	reply := ctrlMsg{Type: "chunk", Round: ev.Round, Kind: ev.Kind, Server: n.lead, Peer: ev.Peer}
-	switch ev.Kind {
-	case "digest":
-		reply.SnapDigest, reply.TailDigest = sv.snapDigest, sv.tailDigest
-	case "snap", "tail":
-		data := sv.snapBytes
-		if ev.Kind == "tail" {
-			data = sv.tailBytes
-		}
-		off := ev.Off
-		if off < 0 || off > len(data) {
-			off = len(data)
-		}
-		end := off + transferChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		reply.Off, reply.N, reply.Data = off, len(data), data[off:end]
-	default:
-		return nil
-	}
-	return n.ctrl.sendTransfer(reply)
+// stateVote is one server's pushed state, compared byte for byte.
+type stateVote struct {
+	snap   string // canonical snapshot bytes at J
+	digest uint64 // commit-chain digest at m
 }
 
-// pullFn transfers one complete item of kind from server: returns the
-// raw bytes (snap/tail kinds) or the digest pair (digest kind). A non-nil
-// abort event means the round was restarted (or the control link died)
-// mid-transfer; an error convicts the server or reports a fatal wait
-// failure.
-type pullFn func(server int64, kind string) (data []byte, snapDigest, tailDigest uint64, abort *ctrlMsg, err error)
+// votes is a blank joiner's tally for one fetch phase: one vote per
+// eligible server.
+type votes struct {
+	fetch   ctrlMsg
+	need    int
+	unvoted map[int64]bool // eligible servers that have not voted yet
+	count   map[stateVote]int
+	cast    int
+}
 
-// joinFetch runs the blank process's side of one fetch phase: digest
-// quorum, content fetch with Byzantine fallback, fold to the rewind
-// target, and the "joined" ack. The fetched state lands in n.pending for
-// the rewind to install.
+func newVotes(fetch ctrlMsg, need int) *votes {
+	v := &votes{fetch: fetch, need: need, unvoted: map[int64]bool{}, count: map[stateVote]int{}}
+	for _, s := range fetch.Servers {
+		v.unvoted[s] = true
+	}
+	return v
+}
+
+// add counts one relayed state: the first from each eligible server, the
+// rest ignored. It returns the state to install once need votes match,
+// and an error when the matching snapshot does not decode at the boundary
+// or when every server has voted and no pair reached need.
+func (v *votes) add(m ctrlMsg) (*joinResult, error) {
+	if !v.unvoted[m.Peer] {
+		return nil, nil
+	}
+	delete(v.unvoted, m.Peer)
+	v.cast++
+	key := stateVote{string(m.Data), m.Digest}
+	v.count[key]++
+	if v.count[key] < v.need {
+		if len(v.unvoted) == 0 {
+			return nil, fmt.Errorf("cluster: no snapshot reached %d matching copies across %d servers", v.need, v.cast)
+		}
+		return nil, nil
+	}
+	snap, err := wal.DecodeSnapshot(m.Data)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: quorum snapshot: %w", err)
+	}
+	if snap.K != v.fetch.K {
+		return nil, fmt.Errorf("cluster: quorum snapshot at %d, want %d", snap.K, v.fetch.K)
+	}
+	base := core.SnapshotState{K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty}
+	return &joinResult{base: base, baseDigest: snap.Digest, m: v.fetch.M, mDigest: m.Digest}, nil
+}
+
+// joinFetch runs the blank process's side of one fetch phase: count the
+// servers' relayed state votes until f+1 match, leave the agreed state in
+// n.pending for the rewind to install, and ack "joined". A non-nil abort
+// event means the round was restarted (or the control link died) under it.
 func (n *Node) joinFetch(round int, fetch ctrlMsg, next func() (ctrlMsg, error)) (*ctrlMsg, error) {
-	j, m, servers := fetch.K, fetch.M, fetch.Servers
 	need := n.cfg.F + 1
-	if len(servers) < need {
-		// With fewer than f+1 eligible servers, every digest vote could be
+	if len(fetch.Servers) < need {
+		// With fewer than f+1 eligible servers, every vote could be
 		// Byzantine and a "quorum" would prove nothing — refusing the join
 		// is the only safe answer under the fault model. The operator must
 		// bring more non-blank processes up (or lower f) before a blank
 		// node can be trusted with transferred state.
 		mJoinQuorumShort.Inc()
-		return nil, fmt.Errorf("cluster: join needs %d eligible snapshot servers to cross-validate against up to %d Byzantine processes; the round offers %d", need, n.cfg.F, len(servers))
+		return nil, fmt.Errorf("cluster: join needs %d eligible snapshot servers to cross-validate against up to %d Byzantine processes; the round offers %d", need, n.cfg.F, len(fetch.Servers))
 	}
-	n.log.Info("join-fetch", "j", j, "m", m, "servers", fmt.Sprint(servers), "need", need)
-
-	pull := func(server int64, kind string) ([]byte, uint64, uint64, *ctrlMsg, error) {
-		var buf []byte
-		off := 0
-		for {
-			req := ctrlMsg{Type: "pull", Round: round, Kind: kind, Server: server, Peer: n.lead, K: j, M: m, Off: off}
-			if err := n.ctrl.sendTransfer(req); err != nil {
-				ev := n.ctrl.ctrldownNow()
-				return nil, 0, 0, &ev, nil
-			}
-			for {
-				ev, err := next()
-				if err != nil {
-					return nil, 0, 0, nil, err
-				}
-				if ev.Type == "sync" || ev.Type == "ctrldown" {
-					return nil, 0, 0, &ev, nil
-				}
-				if ev.Type != "chunk" || ev.Round != round || ev.Server != server || ev.Peer != n.lead || ev.Kind != kind {
-					continue // someone else's transfer, or decision noise
-				}
-				if kind == "digest" {
-					return nil, ev.SnapDigest, ev.TailDigest, nil, nil
-				}
-				if ev.Off != off || ev.N < 0 || ev.N > maxTransferBytes || (len(ev.Data) == 0 && off < ev.N) {
-					return nil, 0, 0, nil, fmt.Errorf("cluster: server %d: malformed %s chunk (off %d n %d)", server, kind, ev.Off, ev.N)
-				}
-				buf = append(buf, ev.Data...)
-				off += len(ev.Data)
-				if off >= ev.N {
-					return buf, 0, 0, nil, nil
-				}
-				break // pull the next chunk
-			}
-		}
-	}
-
-	// Digest quorum: collect (snapshot hash, chain digest) votes until one
-	// pair reaches need matching copies.
-	type vote struct{ snap, tail uint64 }
-	votes := map[vote][]int64{}
-	var winner *vote
-	for _, sv := range servers {
-		_, sd, td, abort, err := pull(sv, "digest")
-		if abort != nil || err != nil {
-			return abort, err
-		}
-		v := vote{sd, td}
-		votes[v] = append(votes[v], sv)
-		if len(votes[v]) >= need {
-			winner = &v
-			break
-		}
-	}
-	if winner == nil {
-		return nil, fmt.Errorf("cluster: no snapshot digest reached %d matching copies across %d servers", need, len(servers))
-	}
-
-	// Content, from the winning voters in turn: a server whose bytes fail
-	// the agreed digests (or do not parse, chain or fold) is Byzantine —
-	// it voted for state it will not produce — and the next voter is tried.
-	var firstErr error
-	for _, sv := range votes[*winner] {
-		res, abort, err := n.fetchFrom(pull, sv, j, m, winner.snap, winner.tail)
-		if abort != nil {
-			return abort, nil
-		}
+	n.log.Info("join-fetch", "j", fetch.K, "m", fetch.M, "servers", fmt.Sprint(fetch.Servers), "need", need)
+	v := newVotes(fetch, need)
+	for {
+		ev, err := next()
 		if err != nil {
-			n.log.Error("join-server-rejected", "server", sv, "err", err)
-			mJoinServerRejects.Inc()
-			if firstErr == nil {
-				firstErr = err
-			}
+			return nil, err
+		}
+		if ev.Type == "sync" || ev.Type == "ctrldown" {
+			return &ev, nil
+		}
+		if ev.Type != "state" || ev.Round != round {
+			continue
+		}
+		res, err := v.add(ev)
+		if err != nil {
+			return nil, err
+		}
+		if res == nil {
 			continue
 		}
 		n.pending = res
 		mJoinRounds.Inc()
-		n.log.Info("join-fetched", "j", j, "m", m, "gen", res.base.Gen, "digest", fmt.Sprintf("%x", res.mDigest))
-		if err := n.ctrl.AckJoined(round, n.lead); err != nil {
+		mJoinServerRejects.Add(int64(v.cast - need))
+		n.log.Info("join-fetched", "j", fetch.K, "m", fetch.M, "gen", res.base.Gen, "outvoted", v.cast-need, "digest", fmt.Sprintf("%x", res.mDigest))
+		if err := n.ctrl.up(ctrlMsg{Type: "joined", Round: round, Peer: n.lead}); err != nil {
 			ev := n.ctrl.ctrldownNow()
 			return &ev, nil
 		}
 		return nil, nil
 	}
-	return nil, fmt.Errorf("cluster: every digest-matching server failed content validation: %w", firstErr)
-}
-
-// fetchFrom pulls and validates one server's snapshot + fold tail against
-// the quorum-agreed digests. The snapshot becomes the joiner's base at J;
-// the tail is folded only to prove it parses, chains from the snapshot,
-// and lands on the agreed digest at m — the instances it covers are
-// re-executed live after the rewind, not installed.
-func (n *Node) fetchFrom(pull pullFn, server int64, j, m int, wantSnap, wantTail uint64) (*joinResult, *ctrlMsg, error) {
-	snapBytes, _, _, abort, err := pull(server, "snap")
-	if abort != nil || err != nil {
-		return nil, abort, err
-	}
-	if fnvSum(snapBytes) != wantSnap {
-		return nil, nil, fmt.Errorf("cluster: server %d: snapshot bytes do not hash to the agreed digest", server)
-	}
-	snap, err := wal.DecodeSnapshot(snapBytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: server %d: %w", server, err)
-	}
-	if snap.K != j {
-		return nil, nil, fmt.Errorf("cluster: server %d: snapshot at %d, want %d", server, snap.K, j)
-	}
-	tailBytes, _, _, abort, err := pull(server, "tail")
-	if abort != nil || err != nil {
-		return nil, abort, err
-	}
-	g, err := n.cfg.Graph()
-	if err != nil {
-		return nil, nil, err
-	}
-	seed := core.SnapshotState{K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty}
-	b, err := core.NewSnapshotBuilder(g).Seed(seed)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: server %d: %w", server, err)
-	}
-	digest := snap.Digest
-	rest := tailBytes
-	for k := j + 1; k <= m; k++ {
-		ln, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < ln {
-			return nil, nil, fmt.Errorf("cluster: server %d: truncated fold tail at instance %d", server, k)
-		}
-		payload := rest[sz : sz+int(ln)]
-		rest = rest[sz+int(ln):]
-		ir, err := wal.DecodeCommitFold(payload)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: server %d: %w", server, err)
-		}
-		if ir.K != k {
-			return nil, nil, fmt.Errorf("cluster: server %d: fold tail carries instance %d, want %d", server, ir.K, k)
-		}
-		digest = wal.Chain(digest, payload)
-		if err := b.Fold(ir); err != nil {
-			return nil, nil, fmt.Errorf("cluster: server %d: %w", server, err)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("cluster: server %d: %d trailing bytes after the fold tail", server, len(rest))
-	}
-	if digest != wantTail {
-		return nil, nil, fmt.Errorf("cluster: server %d: fold tail chains to %x, agreed digest is %x", server, digest, wantTail)
-	}
-	return &joinResult{base: seed, baseDigest: snap.Digest, m: m, mDigest: digest}, nil, nil
 }
 
 // applyRewind rewinds this process to the round's floor m on the agreed

@@ -3,7 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/json"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,7 +104,7 @@ func (dr *durableRun) stream(cfg *Config, killAt int) {
 // boundary is exactly 8 — and 8 never exceeds the victim's delivered
 // count, so the joiner's re-execution covers every output the dead
 // incarnation left unemitted.
-func runJoinScenario(t *testing.T, q, killAt int, tamper func(*serveState)) {
+func runJoinScenario(t *testing.T, q, killAt int, tamper func(*ctrlMsg)) {
 	t.Helper()
 	cfg, rsv := joinConfig(t, q, 8, map[graph.NodeID]string{3: "alarm"})
 	coreCfg, err := cfg.CoreConfig()
@@ -249,9 +250,9 @@ func runJoinScenario(t *testing.T, q, killAt int, tamper func(*serveState)) {
 }
 
 // TestClusterJoinMidStream crashes one process of a live durable cluster
-// and replaces it with a blank joiner: the joiner fetches a snapshot +
-// fold tail over the control plane, enters at the rewind floor without
-// replaying history, and the cluster-wide commit union stays
+// and replaces it with a blank joiner: the joiner installs the snapshot
+// its servers pushed over the control plane, enters at the rewind floor
+// without replaying history, and the cluster-wide commit union stays
 // byte-identical to the lockstep oracle (dispute evolution included —
 // the workload excludes a false alarmer before the crash).
 func TestClusterJoinMidStream(t *testing.T) {
@@ -259,16 +260,16 @@ func TestClusterJoinMidStream(t *testing.T) {
 }
 
 // TestClusterJoinByzantineDigests makes the coordinator's own node a
-// Byzantine snapshot server: it votes corrupted digests during the
-// fetch phase. With f = 1 the joiner demands 2 matching copies, the two
-// honest survivors outvote the liar, and the join completes
-// byte-identically anyway.
+// Byzantine snapshot server: it pushes a corrupted snapshot and digest
+// during the fetch phase. With f = 1 the joiner demands 2 matching
+// copies, the two honest survivors outvote the liar, and the join
+// completes byte-identically anyway.
 func TestClusterJoinByzantineDigests(t *testing.T) {
 	var fired atomic.Bool
-	runJoinScenario(t, 20, 10, func(sv *serveState) {
+	runJoinScenario(t, 20, 10, func(m *ctrlMsg) {
 		fired.Store(true)
-		sv.snapDigest ^= 0xdead
-		sv.tailDigest ^= 0xbeef
+		m.Data[len(m.Data)-1] ^= 1
+		m.Digest ^= 0xbeef
 	})
 	if !fired.Load() {
 		t.Fatal("the Byzantine server was never asked to serve; the scenario did not exercise the fetch phase")
@@ -290,93 +291,147 @@ func TestJoinFetchRefusesShortQuorum(t *testing.T) {
 	}
 }
 
-// fakeTransfer builds an honest server's transfer for [j, m] out of
-// crafted fold records, returning the serve bytes and agreed digests.
-func fakeTransfer(t *testing.T, j, m int, irs []*core.InstanceResult) (snapBytes, tailBytes []byte, snapDigest, tailDigest uint64) {
-	t.Helper()
-	snap := wal.Snapshot{K: j, Digest: wal.DigestSeed}
-	snap.Canonicalize()
-	snapBytes = wal.AppendSnapshot(nil, snap)
-	digest := snap.Digest
-	for _, ir := range irs {
-		p := wal.AppendCommitFold(nil, ir)
-		tailBytes = binary.AppendUvarint(tailBytes, uint64(len(p)))
-		tailBytes = append(tailBytes, p...)
-		digest = wal.Chain(digest, p)
-	}
-	return snapBytes, tailBytes, fnvSum(snapBytes), digest
+// snapAt is an honest server's canonical snapshot bytes at boundary k of
+// a fresh cluster.
+func snapAt(k int) []byte {
+	s := wal.Snapshot{K: k, Digest: wal.DigestSeed}
+	s.Canonicalize()
+	return wal.AppendSnapshot(nil, s)
 }
 
-// TestJoinFetchValidation unit-tests the joiner's content validation
-// against a scripted server: the honest transfer folds to the target,
-// and every Byzantine variation — corrupted snapshot bytes, wrong
-// anchor, truncated or re-keyed tail, trailing junk, broken chain — is
-// convicted with a descriptive error.
+// TestJoinFetchValidation drives the joiner's vote function with scripted
+// servers (f = 1, so 2 matching copies install): the honest quorum wins
+// over a flipped snapshot byte and over a digest-only liar, a quorum on a
+// snapshot anchored off the boundary is rejected, a split vote fails, and
+// neither a non-server nor a server's second vote counts.
 func TestJoinFetchValidation(t *testing.T) {
-	cfg, _ := joinConfig(t, 4, 0, nil)
-	n := &Node{cfg: cfg}
-	irs := []*core.InstanceResult{{K: 1}, {K: 2}}
-	snapBytes, tailBytes, snapDigest, tailDigest := fakeTransfer(t, 0, 2, irs)
-
-	mkPull := func(snap, tail []byte) pullFn {
-		return func(server int64, kind string) ([]byte, uint64, uint64, *ctrlMsg, error) {
-			switch kind {
-			case "snap":
-				return append([]byte(nil), snap...), 0, 0, nil, nil
-			case "tail":
-				return append([]byte(nil), tail...), 0, 0, nil, nil
-			}
-			t.Fatalf("unexpected pull kind %q", kind)
-			return nil, 0, 0, nil, nil
-		}
+	fetch := ctrlMsg{Type: "fetch", Round: 1, K: 0, M: 2, Servers: []int64{1, 2, 3}}
+	honest, wrongK := snapAt(0), snapAt(1)
+	flipped := append([]byte(nil), honest...)
+	flipped[len(flipped)-1] ^= 1
+	const d = uint64(0xfeed)
+	type vote struct {
+		peer   int64
+		snap   []byte
+		digest uint64
 	}
-
-	res, abort, err := n.fetchFrom(mkPull(snapBytes, tailBytes), 1, 0, 2, snapDigest, tailDigest)
-	if err != nil || abort != nil {
-		t.Fatalf("honest transfer rejected: %v (abort %v)", err, abort)
-	}
-	if res.base.K != 0 || res.baseDigest != wal.DigestSeed || res.mDigest != tailDigest || res.m != 2 {
-		t.Fatalf("honest transfer: base K=%d baseDigest=%x mDigest=%x m=%d", res.base.K, res.baseDigest, res.mDigest, res.m)
-	}
-
-	flippedSnap := append([]byte(nil), snapBytes...)
-	flippedSnap[len(flippedSnap)-1] ^= 1
 	cases := []struct {
-		name string
-		snap []byte
-		tail []byte
-		want string
+		name    string
+		votes   []vote
+		install bool
+		wantErr string
 	}{
-		{"flipped snapshot byte", flippedSnap, tailBytes, "do not hash"},
-		{"truncated tail", snapBytes, tailBytes[:len(tailBytes)-1], "truncated fold tail"},
-		{"trailing junk", snapBytes, append(append([]byte(nil), tailBytes...), 0xff), "trailing bytes"},
+		{"honest f+1 installs", []vote{{1, honest, d}, {2, honest, d}}, true, ""},
+		{"flipped snapshot byte outvoted", []vote{{1, flipped, d}, {2, honest, d}, {3, honest, d}}, true, ""},
+		{"digest-only liar outvoted", []vote{{1, honest, d ^ 1}, {2, honest, d}, {3, honest, d}}, true, ""},
+		{"f+1 at the wrong K rejected", []vote{{1, wrongK, d}, {2, wrongK, d}}, false, "quorum snapshot at 1, want 0"},
+		{"all votes distinct", []vote{{1, honest, d}, {2, honest, d ^ 1}, {3, flipped, d}}, false, "no snapshot reached 2 matching copies"},
+		{"non-server ignored", []vote{{7, honest, d}, {1, honest, d}}, false, ""},
+		{"second vote of one server ignored", []vote{{1, honest, d}, {1, honest, d}}, false, ""},
 	}
 	for _, tc := range cases {
-		_, abort, err := n.fetchFrom(mkPull(tc.snap, tc.tail), 1, 0, 2, snapDigest, tailDigest)
-		if abort != nil {
-			t.Fatalf("%s: unexpected abort", tc.name)
+		t.Run(tc.name, func(t *testing.T) {
+			v := newVotes(fetch, 2)
+			var res *joinResult
+			var err error
+			for i, vt := range tc.votes {
+				if res != nil || err != nil {
+					t.Fatalf("vote %d arrived after the tally finished", i)
+				}
+				res, err = v.add(ctrlMsg{Type: "state", Round: 1, Peer: vt.peer, Data: vt.snap, Digest: vt.digest})
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if !tc.install {
+				if res != nil {
+					t.Fatalf("installed %+v with fewer than 2 counted votes", res)
+				}
+				return
+			}
+			if res == nil {
+				t.Fatal("the honest quorum installed nothing")
+			}
+			if res.base.K != 0 || res.baseDigest != wal.DigestSeed || res.m != 2 || res.mDigest != d {
+				t.Fatalf("installed base K=%d baseDigest=%x m=%d mDigest=%x", res.base.K, res.baseDigest, res.m, res.mDigest)
+			}
+		})
+	}
+}
+
+// TestJoinStatePinnedToConnection pins server identity to the
+// control connection: the coordinator drops a state sent before the
+// connection's first synced and a synced naming another id, and stamps
+// the pinned id on every state it relays — so a follower sending state
+// under two Peer values casts one vote.
+func TestJoinStatePinnedToConnection(t *testing.T) {
+	p, err := newCoordinator("127.0.0.1:0", 4, nil, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	conn, err := net.Dial("tcp", p.listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	snap := snapAt(0)
+	enc := json.NewEncoder(conn)
+	for _, m := range []ctrlMsg{
+		{Type: "state", Round: 1, Peer: 2, Data: snap, Digest: 1}, // unpinned: dropped
+		{Type: "synced", Peer: 2},
+		{Type: "synced", Peer: 3}, // re-pin to another id: dropped
+		{Type: "state", Round: 1, Peer: 2, Data: snap, Digest: 2},
+		{Type: "state", Round: 1, Peer: 3, Data: snap, Digest: 2},
+	} {
+		if err := enc.Encode(m); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+	}
+	v := newVotes(ctrlMsg{Type: "fetch", Round: 1, K: 0, M: 2, Servers: []int64{2, 3, 4}}, 2)
+	for range 2 {
+		select {
+		case ev := <-p.Events():
+			if ev.Type != "state" || ev.Peer != 2 || ev.Digest != 2 {
+				t.Fatalf("relayed %+v; want a state stamped with the pinned peer 2", ev)
+			}
+			if res, err := v.add(ev); res != nil || err != nil {
+				t.Fatalf("one follower reached a quorum alone: %+v, %v", res, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the coordinator relayed no state")
 		}
 	}
-
-	// Wrong anchor: a snapshot encoded at K=1 offered for boundary 0.
-	wrongSnap := wal.Snapshot{K: 1, Digest: wal.DigestSeed}
-	wrongSnap.Canonicalize()
-	wb := wal.AppendSnapshot(nil, wrongSnap)
-	if _, _, err := n.fetchFrom(mkPull(wb, nil), 1, 0, 0, fnvSum(wb), wrongSnap.Digest); err == nil || !strings.Contains(err.Error(), "snapshot at 1, want 0") {
-		t.Errorf("wrong anchor: error %v", err)
+	if v.cast != 1 {
+		t.Fatalf("votes counted = %d, want 1", v.cast)
 	}
+}
 
-	// Re-keyed tail: the second fold claims instance 3.
-	_, badTail, _, _ := fakeTransfer(t, 0, 2, []*core.InstanceResult{{K: 1}, {K: 3}})
-	if _, _, err := n.fetchFrom(mkPull(snapBytes, badTail), 1, 0, 2, snapDigest, tailDigest); err == nil || !strings.Contains(err.Error(), "carries instance 3, want 2") {
-		t.Errorf("re-keyed tail: error %v", err)
+// TestRollbackErrorNamesRoundAndPhase pins the rollback boundary's typed
+// failure: a follower whose coordinator never comes back fails its
+// reconnect with an error naming the round and the phase.
+func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Chain break: honest-looking bytes that chain to a different digest.
-	if _, _, err := n.fetchFrom(mkPull(snapBytes, tailBytes), 1, 0, 2, snapDigest, tailDigest^1); err == nil || !strings.Contains(err.Error(), "chains to") {
-		t.Errorf("chain break: error %v", err)
+	addr := l.Addr().String()
+	l.Close()
+	n := &Node{
+		opt: Options{BootTimeout: 200 * time.Millisecond},
+		ctrl: &ctrlPlane{d: newDecisions(), durable: true, addr: addr, events: make(chan ctrlMsg, 1),
+			allDone: make(chan struct{}), closed: make(chan struct{})},
+		log:       rejoinLog,
+		lastRound: 3,
+	}
+	err = n.rollback(context.Background(), ctrlMsg{Type: "ctrldown"}, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "cluster: rollback round 3 (phase reconnect): ") {
+		t.Fatalf("err = %v, want it to name round 3 and the reconnect phase", err)
 	}
 }

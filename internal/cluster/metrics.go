@@ -18,7 +18,7 @@ var (
 	mJoinRounds = metrics.NewCounter("nab_cluster_join_fetches_total",
 		"Join-round state transfers this process completed as the joiner.")
 	mJoinServerRejects = metrics.NewCounter("nab_cluster_join_server_rejects_total",
-		"Serving peers rejected during a join fetch (content failed digest cross-validation).")
+		"Serving peers rejected during a join fetch (their state disagreed with the f+1 quorum).")
 	mJoinQuorumShort = metrics.NewCounter("nab_cluster_join_quorum_short_total",
 		"Join fetches refused because fewer than f+1 eligible snapshot servers existed.")
 	mFloorSnapshots = metrics.NewCounter("nab_cluster_floor_snapshots_total",

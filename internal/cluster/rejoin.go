@@ -216,7 +216,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 			flight.Record(flight.Event{Type: et, Node: -1,
 				Step: flight.RoundAnnounce, Inst: uint64(n.floor + len(n.committed))})
 		}
-		if err := n.ctrl.Rejoin(); err != nil {
+		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 			n.log.Error("announce-failed", "err", err, "action", "reconnect")
 			if err := n.rollback(ctx, n.ctrl.ctrldownNow(), linger); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
@@ -312,7 +312,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 // or for a rollback round that pulls it back in. A nil event means the
 // process is released.
 func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Duration) (*ctrlMsg, error) {
-	if err := n.ctrl.announceDone(n.lastRound); err != nil {
+	if err := n.ctrl.up(ctrlMsg{Type: "done", Round: n.lastRound}); err != nil {
 		// The control link died while announcing: treat as a pending
 		// coordinator restart.
 		ev := n.ctrl.ctrldownNow()
@@ -341,11 +341,19 @@ func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Dura
 }
 
 // rollback drives this process through one rollback round (possibly
-// restarted by further rejoins): ack the sync with our watermark, serve —
-// or, blank, run — the join round's state transfer if the coordinator
-// inserts one, rewind the runtime to the agreed floor on the agreed
-// launch epoch, ack, and wait for the cluster-wide resume.
-func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) error {
+// restarted by further rejoins): ack the sync with our watermark; in a
+// join round push our state as a server or, blank, count the servers'
+// votes; rewind the runtime to the agreed floor on the agreed launch
+// epoch, ack, and wait for the cluster-wide resume. Every error leaving
+// it names the round (before its sync arrives, the last one this process
+// acked) and the phase it failed in.
+func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (err error) {
+	ph := phaseSync
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("cluster: rollback round %d (phase %s): %w", n.lastRound, ph, err)
+		}
+	}()
 	events := n.ctrl.Events()
 	deadline := time.After(linger)
 	began := time.Now()
@@ -358,7 +366,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 				}
 				return ev, nil
 			case <-deadline:
-				return ctrlMsg{}, fmt.Errorf("cluster: rollback round timed out after %v", linger)
+				return ctrlMsg{}, fmt.Errorf("cluster: timed out after %v", linger)
 			case <-ctx.Done():
 				return ctrlMsg{}, ctx.Err()
 			}
@@ -372,6 +380,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 			// again under the announcement — a dial raced into the dead
 			// listener's backlog — just loops back here, bounded by the
 			// round deadline.
+			ph = phaseReconnect
 			select {
 			case <-deadline:
 				return fmt.Errorf("cluster: control-plane reconnect timed out after %v", linger)
@@ -382,16 +391,16 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 			if err := n.ctrl.Reconnect(ctx, n.opt.BootTimeout); err != nil {
 				return err
 			}
-			if err := n.ctrl.Rejoin(); err != nil {
+			if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 				n.log.Error("rejoin-after-reconnect-failed", "err", err, "action", "retry")
 				ev = n.ctrl.ctrldownNow()
 				continue
 			}
-			var err error
 			if ev, err = next(); err != nil {
 				return err
 			}
 		case "sync":
+			ph = phaseSync
 			round := ev.Round
 			n.lastRound = round
 			mRollbackRounds.Inc()
@@ -401,17 +410,15 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 					Step: flight.RoundSync, Arg: uint64(round), Inst: uint64(watermark)})
 			}
 			n.log.Info("ack-sync", "round", round, "watermark", watermark, "floor", n.floor, "blank", n.blank, "epoch", n.epoch)
-			if err := n.ctrl.AckSync(round, watermark, n.epoch, n.floor, n.blank, n.lead); err != nil {
+			synced := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: n.epoch, Floor: n.floor, Blank: n.blank, Peer: n.lead}
+			if err := n.ctrl.up(synced); err != nil {
 				ev = n.ctrl.ctrldownNow()
 				continue
 			}
-			// The round's event loop: state-transfer traffic (a join round's
-			// fetch phase) flows between the sync ack and the rewind, and
-			// the resume only lands after our rewound ack. A fresh sync or a
-			// control loss at any point restarts the round via the outer
-			// dispatch.
-			var serve *serveState
-			var err error
+			// The round's event loop: a join round's fetch phase runs
+			// between the sync ack and the rewind, and the resume only
+			// lands after our rewound ack. A fresh sync or a control loss
+			// at any point restarts the round via the outer dispatch.
 			m, rewound := 0, false
 		round:
 			for {
@@ -424,6 +431,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 				case ev.Round != round:
 					// A stale round's straggler; ignore.
 				case ev.Type == "fetch" && n.blank:
+					ph = phaseFetch
 					if flight.Enabled() {
 						flight.Record(flight.Event{Type: flight.EvJoinRound, Node: -1,
 							Step: flight.RoundFetch, Arg: uint64(round), Inst: uint64(ev.K)})
@@ -437,15 +445,17 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 						break round
 					}
 				case ev.Type == "fetch":
-					if serve, err = n.buildServe(ev); err != nil {
+					ph = phaseFetch
+					state, err := n.stateMsg(ev)
+					if err != nil {
 						return err
 					}
-				case ev.Type == "pull" && ev.Server == n.lead && serve != nil:
-					if err := n.servePull(serve, ev); err != nil {
+					if state != nil && n.ctrl.up(*state) != nil {
 						ev = n.ctrl.ctrldownNow()
 						break round
 					}
 				case ev.Type == "rewind" && !rewound:
+					ph = phaseRewind
 					m = ev.K
 					if flight.Enabled() {
 						flight.Record(flight.Event{Type: flight.EvRejoinRound, Node: -1,
@@ -455,11 +465,12 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 						return err
 					}
 					rewound = true
-					if err := n.ctrl.AckRewound(round); err != nil {
+					if err := n.ctrl.up(ctrlMsg{Type: "rewound", Round: round}); err != nil {
 						ev = n.ctrl.ctrldownNow()
 						break round
 					}
 				case ev.Type == "resume" && rewound:
+					ph = phaseResume
 					if err := n.persistFloorAt(m); err != nil {
 						return err
 					}
@@ -482,7 +493,6 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) e
 			}
 			// Loop with the event that broke the round.
 		default:
-			var err error
 			if ev, err = next(); err != nil {
 				return err
 			}

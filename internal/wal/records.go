@@ -130,32 +130,6 @@ func AppendCommitFold(buf []byte, ir *core.InstanceResult) []byte {
 	return buf
 }
 
-// DecodeCommitFold decodes an AppendCommitFold payload into a synthetic
-// InstanceResult carrying exactly the fold-relevant fields. It is what a
-// joiner reconstructs from a peer's WAL-tail transfer: enough to fold
-// dispute state forward and to serve future joins, with no per-process
-// residue.
-func DecodeCommitFold(b []byte) (*core.InstanceResult, error) {
-	d := decoder{b: b}
-	ir := &core.InstanceResult{K: int(d.varint())}
-	ir.Mismatch = d.bool()
-	ir.Phase3 = d.bool()
-	nd := d.count(2)
-	for i := uint64(0); i < nd && d.err == nil; i++ {
-		ir.NewDisputes = append(ir.NewDisputes, [2]graph.NodeID{
-			graph.NodeID(d.varint()), graph.NodeID(d.varint()),
-		})
-	}
-	nf := d.count(1)
-	for i := uint64(0); i < nf && d.err == nil; i++ {
-		ir.NewFaulty = append(ir.NewFaulty, graph.NodeID(d.varint()))
-	}
-	if err := d.finish("commit-fold"); err != nil {
-		return nil, err
-	}
-	return ir, nil
-}
-
 // maxInlineOutputs is the stack budget for sorting a commit's output keys
 // without allocating; larger maps (none of the shipped topologies come
 // close) fall back to a heap slice.

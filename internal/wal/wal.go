@@ -210,9 +210,14 @@ func (l *Log) openSegment(idx uint64) error {
 	if !l.opt.NoSync {
 		// Make the directory entry itself durable, so a crash right after
 		// rotation cannot lose the whole new segment.
-		if d, derr := os.Open(l.dir); derr == nil {
-			d.Sync()
+		d, err := os.Open(l.dir)
+		if err == nil {
+			err = d.Sync()
 			d.Close()
+		}
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("wal: sync dir: %w", err)
 		}
 	}
 	l.f, l.seg, l.segBytes = f, idx, 0
