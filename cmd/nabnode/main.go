@@ -54,7 +54,7 @@
 // as a binary dump, tools/nabtrace merges the per-process dumps into a
 // Chrome trace, and anomalies (dispute barriers, digest tripwires,
 // rejoin/join entry) drop black-box dumps next to each WAL. Structured
-// rejoin/recovery traces: NAB_REJOIN_DEBUG=1.
+// rejoin/recovery/transport/chaos traces: NAB_DEBUG=1.
 package main
 
 import (

@@ -12,9 +12,8 @@ import (
 )
 
 // recoveryLog narrates WAL replay at Open — how much of a previous
-// incarnation survived and where the stream resumes. Shares the rejoin
-// switch since a cluster restart is where recovery matters most.
-var recoveryLog = obs.New("recovery", "NAB_RECOVERY_DEBUG", "NAB_REJOIN_DEBUG")
+// incarnation survived and where the stream resumes.
+var recoveryLog = obs.New("recovery")
 
 // durabilityOptions configures the session WAL.
 type durabilityOptions struct {

@@ -5,9 +5,8 @@ import (
 	"nab/internal/obs"
 )
 
-// Control-plane instruments and the rejoin/ctrl structured loggers.
-// NAB_REJOIN_DEBUG remains the enable switch it always was; the ad-hoc
-// stderr prints it used to gate are now logfmt events (see internal/obs).
+// Control-plane instruments and the rejoin/ctrl structured loggers
+// (logfmt events on stderr under NAB_DEBUG, see internal/obs).
 var (
 	mRollbackRounds = metrics.NewCounter("nab_cluster_rollback_rounds_total",
 		"Rollback rounds this process has been pulled through.")
@@ -24,6 +23,6 @@ var (
 	mFloorSnapshots = metrics.NewCounter("nab_cluster_floor_snapshots_total",
 		"Rollback-floor snapshots persisted into this process's WAL.")
 
-	rejoinLog = obs.New("rejoin", "NAB_REJOIN_DEBUG")
-	ctrlLog   = obs.New("ctrl", "NAB_REJOIN_DEBUG")
+	rejoinLog = obs.New("rejoin")
+	ctrlLog   = obs.New("ctrl")
 )

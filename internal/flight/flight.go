@@ -7,11 +7,11 @@
 //
 // Events are keyed the way the system already keys causality: node,
 // instance launch id (epoch<<32|k), dispute generation, and — for
-// frames — the per-(link,instance) frame index that the FIFO transport
-// invariant makes a deterministic cross-process join key (the chaos
-// layer schedules by the same key). tools/nabtrace merges dumps from
-// many processes and stitches sends to receives on exactly that key,
-// with no wire-format changes.
+// frames — the (link, instance, step) of the one step frame the runtime
+// sends per link per step, a cross-process join key both ends record
+// (the chaos layer schedules by the same key). tools/nabtrace merges
+// dumps from many processes and stitches sends to receives on exactly
+// that key.
 //
 // The recorder is process-global, like the metrics registry: engines
 // record into Default() unconditionally, and enabling is a session or
@@ -53,10 +53,10 @@ const (
 	// EvCommit: instance K folded into the dispute state and was
 	// delivered. Arg carries the total wire bits charged.
 	EvCommit
-	// EvFrameSend / EvFrameRecv: one transport frame left / arrived.
-	// Node is the local end, Peer the remote end, Inst the instance,
-	// Step the protocol step, and Arg the per-(link,instance) frame
-	// index — the cross-process stitch key.
+	// EvFrameSend / EvFrameRecv: one step frame left / arrived. Node
+	// is the local end, Peer the remote end, Inst the instance, Step the
+	// delivery step — with the link, the cross-process stitch key — and
+	// Arg the frame's bit charge.
 	EvFrameSend
 	EvFrameRecv
 	// EvWALAppend / EvWALFsync / EvWALSnapshot: durability events.
@@ -202,7 +202,7 @@ type Event struct {
 	Seq uint64
 	// Inst is the instance launch id (epoch<<32|k) where applicable.
 	Inst uint64
-	// Arg is type-specific: frame index, bytes, round id, reason code.
+	// Arg is type-specific: frame bits, bytes, round id, reason code.
 	Arg uint64
 	// K is the protocol sequence number when the event knows it.
 	K int32

@@ -6,10 +6,9 @@
 //	ts=2026-08-07T12:00:01.234Z level=info component=rejoin event=rewind k=5 epoch=2
 //
 // so chaos/kill-restart runs produce greppable machine-readable traces
-// instead of ad-hoc prints. A logger is enabled by environment variable —
-// its component-specific switches (e.g. NAB_REJOIN_DEBUG, kept for
-// compatibility) or the global NAB_DEBUG — and disabled loggers are a
-// single atomic load per call.
+// instead of ad-hoc prints. Every logger is enabled by one environment
+// variable, NAB_DEBUG, and disabled loggers are a single atomic load per
+// call.
 package obs
 
 import (
@@ -56,16 +55,12 @@ type Logger struct {
 
 var stderrMu sync.Mutex
 
-// New returns a logger for component, enabled when any of the given
-// environment variables — or the global NAB_DEBUG — is non-empty. Output
-// goes to stderr, serialized with every other obs logger in the process.
-func New(component string, envVars ...string) *Logger {
+// New returns a logger for component, enabled when NAB_DEBUG is
+// non-empty. Output goes to stderr, serialized with every other obs logger
+// in the process.
+func New(component string) *Logger {
 	l := &Logger{component: component, mu: &stderrMu, w: os.Stderr, now: time.Now}
-	on := os.Getenv("NAB_DEBUG") != ""
-	for _, v := range envVars {
-		on = on || os.Getenv(v) != ""
-	}
-	l.enabled.Store(on)
+	l.enabled.Store(os.Getenv("NAB_DEBUG") != "")
 	return l
 }
 

@@ -15,56 +15,64 @@ import (
 // barrier; the scheduler re-executes the instance on the fresh snapshot.
 var errAborted = errors.New("runtime: instance aborted")
 
-// mailbox buffers one node's frames for one instance, indexed by delivery
-// step. It is unbounded so transport demultiplexing never blocks behind a
-// slow actor (which would couple unrelated instances).
+// mailbox buffers one node's step frames for one instance, indexed by
+// delivery step. It is unbounded so transport demultiplexing never blocks
+// behind a slow actor (which would couple unrelated instances).
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	data    map[uint32][]*transport.Message
-	markers map[uint32]int
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	need   int // in-neighbours: one frame from each makes a step ready
+	frames map[uint32][]*transport.Message
+	next   uint32 // steps below next are consumed (step 0 has no frames)
+	closed bool
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{data: map[uint32][]*transport.Message{}, markers: map[uint32]int{}}
+func newMailbox(need int) *mailbox {
+	mb := &mailbox{need: need, frames: map[uint32][]*transport.Message{}, next: 1}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
+// deliver files one step frame. A frame whose body is not a packet list,
+// a frame for a consumed step, and a repeat frame from the same sender
+// for the same step are dropped, not counted: none can release a step.
 func (mb *mailbox) deliver(m *transport.Message) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
+	if _, ok := m.Body.([]transport.Packet); !ok {
 		return
 	}
-	if m.Marker {
-		mb.markers[m.Step]++
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.closed || m.Step < mb.next {
+		return
+	}
+	for _, f := range mb.frames[m.Step] {
+		if f.From == m.From {
+			return
+		}
+	}
+	mb.frames[m.Step] = append(mb.frames[m.Step], m)
+	if len(mb.frames[m.Step]) == mb.need {
 		mb.cond.Broadcast()
-	} else {
-		mb.data[m.Step] = append(mb.data[m.Step], m)
 	}
 }
 
-// await blocks until every in-neighbour has completed step-1 (sent its
-// step-1 marker), then returns the messages due for delivery at step.
-// This is the actor-model realization of the synchronous round structure:
-// a marker from u promises that all of u's step-1 emissions — delivered at
-// step — are already in flight behind it on the FIFO link.
-func (mb *mailbox) await(step uint32, need int) ([]*transport.Message, error) {
+// await blocks until one frame from every in-neighbour has arrived for
+// step, then returns them. This is the actor-model realization of the
+// synchronous round structure: u's step frame carries everything u
+// emitted toward this node in step-1, so its arrival is u's end-of-step
+// promise.
+func (mb *mailbox) await(step uint32) ([]*transport.Message, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if step > 0 {
-		for mb.markers[step-1] < need && !mb.closed {
-			mb.cond.Wait()
-		}
+	for step > 0 && len(mb.frames[step]) < mb.need && !mb.closed {
+		mb.cond.Wait()
 	}
 	if mb.closed {
 		return nil, errAborted
 	}
-	out := mb.data[step]
-	delete(mb.data, step)
-	delete(mb.markers, step-1)
+	out := mb.frames[step]
+	delete(mb.frames, step)
+	mb.next = step + 1
 	return out, nil
 }
 
@@ -76,8 +84,8 @@ func (mb *mailbox) close() {
 }
 
 // instanceEngine is the message-driven core.PhaseEngine: one actor
-// goroutine per node per phase, synchronized by per-link end-of-step
-// markers rather than a global round loop. Nodes advance as a wavefront —
+// goroutine per node per phase, synchronized by per-link step frames
+// rather than a global round loop. Nodes advance as a wavefront —
 // a node runs its step as soon as its own in-neighbourhood has finished
 // the previous one — and several engines run concurrently over one shared
 // transport, which is what makes instance pipelining real.
@@ -92,7 +100,6 @@ type instanceEngine struct {
 	send   func(*transport.Message) error
 
 	nodes   []graph.NodeID
-	inCount map[graph.NodeID]int
 	outNbrs map[graph.NodeID][]graph.NodeID
 	procs   map[graph.NodeID]sim.Process
 	mail    map[graph.NodeID]*mailbox
@@ -104,16 +111,14 @@ type instanceEngine struct {
 
 // newInstanceEngine builds the engine for one execution. With a non-nil
 // locals set, only those nodes get actors and mailboxes: the remaining
-// nodes' actors run in peer processes, whose frames (including
-// end-of-step markers) arrive over the shared transport exactly like
-// local ones — marker synchronization does not care which process a
-// neighbour lives in.
+// nodes' actors run in peer processes, whose step frames arrive over the
+// shared transport exactly like local ones — step synchronization does
+// not care which process a neighbour lives in.
 func newInstanceEngine(launch uint64, g *graph.Directed, send func(*transport.Message) error, locals map[graph.NodeID]bool) *instanceEngine {
 	e := &instanceEngine{
 		launch:  launch,
 		g:       g,
 		send:    send,
-		inCount: map[graph.NodeID]int{},
 		outNbrs: map[graph.NodeID][]graph.NodeID{},
 		procs:   map[graph.NodeID]sim.Process{},
 		mail:    map[graph.NodeID]*mailbox{},
@@ -123,12 +128,11 @@ func newInstanceEngine(launch uint64, g *graph.Directed, send func(*transport.Me
 			continue
 		}
 		e.nodes = append(e.nodes, v)
-		e.inCount[v] = len(g.InEdges(v))
 		for _, ed := range g.OutEdges(v) {
 			e.outNbrs[v] = append(e.outNbrs[v], ed.To)
 		}
 		e.procs[v] = sim.Silent
-		e.mail[v] = newMailbox()
+		e.mail[v] = newMailbox(len(g.InEdges(v)))
 	}
 	return e
 }
@@ -182,7 +186,7 @@ func (e *instanceEngine) RunPhase(name string, rounds int) (*sim.PhaseStats, err
 			defer wg.Done()
 			errs[i] = e.runNode(v, e.procs[v], rounds, ps)
 			if errs[i] != nil {
-				// A failed actor can never send its markers; abort the
+				// A failed actor can never send its step frames; abort the
 				// whole engine so peers don't wait for them forever.
 				e.abort()
 			}
@@ -208,39 +212,57 @@ func (e *instanceEngine) RunPhase(name string, rounds int) (*sim.PhaseStats, err
 	return ps, nil
 }
 
-// runNode is one node's actor for one phase.
+// runNode is one node's actor for one phase. Each step it sends one frame
+// to every out-neighbour carrying the packets it emitted toward that
+// neighbour, in emission order — possibly none.
 func (e *instanceEngine) runNode(v graph.NodeID, proc sim.Process, rounds int, ps *sim.PhaseStats) error {
 	mb := e.mail[v]
+	outs := e.outNbrs[v]
 	for r := 0; r < rounds; r++ {
 		abs := e.stepBase + uint32(r)
-		frames, err := mb.await(abs, e.inCount[v])
+		frames, err := mb.await(abs)
 		if err != nil {
 			return err
 		}
-		inbox := make([]sim.Message, 0, len(frames))
+		n := 0
 		for _, f := range frames {
-			inbox = append(inbox, sim.Message{From: f.From, To: f.To, Bits: f.Bits, Body: f.Body})
+			n += len(f.Body.([]transport.Packet))
+		}
+		inbox := make([]sim.Message, 0, n)
+		for _, f := range frames {
+			for _, p := range f.Body.([]transport.Packet) {
+				inbox = append(inbox, sim.Message{From: f.From, To: f.To, Bits: p.Bits, Body: p.Body})
+			}
 		}
 		sim.SortInbox(inbox)
-		for _, m := range proc.Step(r, inbox) {
-			if m.From != v || !e.g.HasEdge(m.From, m.To) || m.Bits < 0 {
-				// A node cannot forge senders or invent links; physics
-				// drops it, exactly as the lockstep engine does.
-				e.dropped.Add(1)
-				continue
+		emits := proc.Step(r, inbox)
+		// A node cannot forge senders or invent links; physics drops such
+		// emissions, exactly as the lockstep engine does. Every other
+		// emission lands in exactly one out-neighbour's frame.
+		pkts := make([]transport.Packet, 0, len(emits))
+		out := make([]transport.Message, len(outs))
+		for i, u := range outs {
+			start := len(pkts)
+			var bits int64
+			for _, m := range emits {
+				if m.From == v && m.To == u && m.Bits >= 0 {
+					pkts = append(pkts, transport.Packet{Bits: m.Bits, Body: m.Body})
+					bits += m.Bits
+				}
 			}
-			ps.Charge(r, m.From, m.To, m.Bits)
-			if err := e.send(&transport.Message{
-				Instance: e.launch, Step: abs + 1,
-				From: m.From, To: m.To, Bits: m.Bits, Body: m.Body,
-			}); err != nil {
-				return err
+			if len(pkts) > start {
+				ps.Charge(r, v, u, bits)
+			}
+			out[i] = transport.Message{
+				Instance: e.launch, Step: abs + 1, From: v, To: u,
+				Bits: bits, Body: pkts[start:len(pkts):len(pkts)],
 			}
 		}
-		for _, u := range e.outNbrs[v] {
-			if err := e.send(&transport.Message{
-				Instance: e.launch, Step: abs, From: v, To: u, Marker: true,
-			}); err != nil {
+		if d := len(emits) - len(pkts); d > 0 {
+			e.dropped.Add(int64(d))
+		}
+		for i := range out {
+			if err := e.send(&out[i]); err != nil {
 				return err
 			}
 		}

@@ -100,12 +100,6 @@ type Runtime struct {
 	linkMu sync.RWMutex
 	links  map[[2]graph.NodeID]transport.Link
 
-	// sendTap/recvTap issue the per-(link,instance) frame indices the
-	// flight recorder stamps on EvFrameSend/EvFrameRecv — independent
-	// counters at the two choke points, aligned by the FIFO invariant.
-	sendTap transport.FlightTap
-	recvTap transport.FlightTap
-
 	engMu   sync.RWMutex
 	engines map[uint64]*instanceEngine
 	// pending buffers frames for launches not registered yet: peer
@@ -324,8 +318,7 @@ func (rt *Runtime) recvLoop(v graph.NodeID) {
 		if fr.Enabled() {
 			fr.Record(fr.Event{
 				Type: fr.EvFrameRecv, Node: int32(m.To), Peer: int32(m.From),
-				Inst: m.Instance, Step: m.Step,
-				Arg: rt.recvTap.Next(m.From, m.To, m.Instance),
+				Inst: m.Instance, Step: m.Step, Arg: uint64(m.Bits),
 			})
 		}
 		rt.engMu.RLock()
@@ -373,8 +366,7 @@ func (rt *Runtime) sendFrame(m *transport.Message) error {
 	if fr.Enabled() {
 		fr.Record(fr.Event{
 			Type: fr.EvFrameSend, Node: int32(m.From), Peer: int32(m.To),
-			Inst: m.Instance, Step: m.Step,
-			Arg: rt.sendTap.Next(m.From, m.To, m.Instance),
+			Inst: m.Instance, Step: m.Step, Arg: uint64(m.Bits),
 		})
 	}
 	return l.Send(m)
@@ -387,10 +379,9 @@ func (rt *Runtime) register(eng *instanceEngine) {
 	if eng.launch > rt.maxLaunch {
 		rt.maxLaunch = eng.launch
 	}
-	// Drain the buffer while still holding engMu: a recvLoop delivering
-	// directly (it blocks on the lock until we release) must not slip a
-	// later frame — e.g. an end-of-step marker — in front of buffered
-	// earlier ones, or an actor could consume a step missing a message.
+	// Frames are keyed by step, so buffered and direct deliveries may
+	// interleave in any order; draining under engMu only keeps the
+	// buffer's handoff to the engine atomic.
 	for _, m := range rt.pending[eng.launch] {
 		eng.deliver(m)
 	}

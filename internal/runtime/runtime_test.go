@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -693,5 +694,185 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 	}
 	if err := bad.RestoreSnapshot(0, core.SnapshotState{K: -1}, nil); err == nil {
 		t.Error("RestoreSnapshot accepted a negative watermark")
+	}
+}
+
+// hostileLinks wraps a transport so that node dup sends every step frame
+// twice, after one extra frame whose body is not a packet list, and node
+// slow's frames leave late. Under one lock it records every step frame a
+// receive loop takes in, and flags any step frame sent for step s+1 — a
+// node released step s — before every in-neighbour's step-s frame arrived.
+type hostileLinks struct {
+	transport.Transport
+	g         *graph.Directed
+	dup, slow graph.NodeID
+
+	mu       sync.Mutex
+	arrived  map[frameAt]bool
+	junkSent bool
+	early    []string
+}
+
+type frameAt struct {
+	inst     uint64
+	from, to graph.NodeID
+	step     uint32
+}
+
+func (h *hostileLinks) Dial(from, to graph.NodeID) (transport.Link, error) {
+	l, err := h.Transport.Dial(from, to)
+	if err != nil {
+		return nil, err
+	}
+	return hostileLink{h, l}, nil
+}
+
+func (h *hostileLinks) Recv(self graph.NodeID) (*transport.Message, error) {
+	m, err := h.Transport.Recv(self)
+	if err == nil {
+		if _, ok := m.Body.([]transport.Packet); ok {
+			h.mu.Lock()
+			h.arrived[frameAt{m.Instance, m.From, m.To, m.Step}] = true
+			h.mu.Unlock()
+		}
+	}
+	return m, err
+}
+
+type hostileLink struct {
+	h     *hostileLinks
+	inner transport.Link
+}
+
+func (l hostileLink) Send(m *transport.Message) error {
+	h := l.h
+	h.mu.Lock()
+	if s := m.Step - 1; s > 0 {
+		for _, e := range h.g.InEdges(m.From) {
+			if !h.arrived[frameAt{m.Instance, e.From, m.From, s}] {
+				h.early = append(h.early, fmt.Sprintf("launch %d: node %d released step %d before node %d's frame", m.Instance, m.From, s, e.From))
+			}
+		}
+	}
+	junk := m.From == h.dup && !h.junkSent
+	h.junkSent = h.junkSent || junk
+	h.mu.Unlock()
+	switch m.From {
+	case h.slow:
+		time.Sleep(time.Millisecond)
+	case h.dup:
+		if junk {
+			bad := *m
+			bad.Bits, bad.Body = 0, []byte("not a packet list")
+			if err := l.inner.Send(&bad); err != nil {
+				return err
+			}
+		}
+		if err := l.inner.Send(m); err != nil {
+			return err
+		}
+	}
+	return l.inner.Send(m)
+}
+
+// TestRepeatAndForeignFramesDoNotReleaseSteps: a step is ready when one
+// frame from each in-neighbour has arrived. An in-neighbour that sends
+// every step frame twice, plus a frame whose body is not a packet list,
+// must neither release a receiver's step before a slow third neighbour's
+// frame is in nor change a committed byte. (Counting end-of-step markers
+// instead, a duplicated marker stood in for the slow neighbour's.)
+func TestRepeatAndForeignFramesDoNotReleaseSteps(t *testing.T) {
+	g := topo.CompleteBi(4, 1)
+	mkCfg := func() core.Config {
+		return core.Config{
+			Graph: g, Source: 1, F: 1, LenBytes: 16, Seed: 9,
+			Adversaries: map[graph.NodeID]core.Adversary{3: &adversary.BlockFlipper{}},
+		}
+	}
+	inputs := mkInputs(4, 16)
+	lock, err := core.NewRunner(mkCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lock.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := &hostileLinks{
+		Transport: transport.NewChan(g, transport.ChanOptions{}),
+		g:         g, dup: 2, slow: 4,
+		arrived: map[frameAt]bool{},
+	}
+	rt, err := runtime.New(runtime.Config{Config: mkCfg(), Transport: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	got, err := runBatch(rt, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.junkSent {
+		t.Fatal("the foreign frame was never sent")
+	}
+	for _, e := range h.early {
+		t.Error(e)
+	}
+	for i, w := range want.Instances {
+		gi := got.Instances[i]
+		if gi.Mismatch != w.Mismatch || gi.Phase3 != w.Phase3 || !reflect.DeepEqual(gi.Outputs, w.Outputs) {
+			t.Errorf("instance %d diverged from lockstep", i+1)
+		}
+	}
+	if lock.Disputes().String() != rt.Disputes().String() {
+		t.Errorf("final dispute sets differ: %v vs %v", lock.Disputes(), rt.Disputes())
+	}
+}
+
+// TestReorderChaosMatchesLockstep runs K7, f = 2 over a bus whose every
+// link jitters and reorders half its frames, later steps of one instance
+// overtaking earlier ones included: step frames are keyed by step, so
+// commits and dispute evolution stay byte-identical to lockstep.
+func TestReorderChaosMatchesLockstep(t *testing.T) {
+	mkCfg := func() core.Config {
+		return core.Config{
+			Graph: topo.CompleteBi(7, 2), Source: 1, F: 2, LenBytes: 24, Seed: 4,
+			Adversaries: map[graph.NodeID]core.Adversary{3: &adversary.BlockFlipper{}},
+		}
+	}
+	inputs := mkInputs(4, 24)
+	lock, err := core.NewRunner(mkCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lock.Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := runtime.New(runtime.Config{Config: mkCfg(), ChanOptions: transport.ChanOptions{
+		Chaos: &transport.ChaosConfig{Seed: 17, Default: transport.LinkChaos{
+			Jitter: transport.Duration(2 * time.Millisecond), ReorderProb: 0.5,
+		}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	got, err := runBatch(rt, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.Instances {
+		gi := got.Instances[i]
+		if gi.Mismatch != w.Mismatch || gi.Phase3 != w.Phase3 || !reflect.DeepEqual(gi.Outputs, w.Outputs) ||
+			!reflect.DeepEqual(gi.NewDisputes, w.NewDisputes) {
+			t.Errorf("instance %d diverged from lockstep under reorder chaos", i+1)
+		}
+	}
+	if lock.Disputes().String() != rt.Disputes().String() {
+		t.Errorf("final dispute sets differ: %v vs %v", lock.Disputes(), rt.Disputes())
 	}
 }

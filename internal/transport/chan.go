@@ -27,7 +27,7 @@ type ChanOptions struct {
 }
 
 // Chan is the in-process Transport: the mesh core hosting every node, so
-// each directed link is a goroutine-safe FIFO into its receiver's inbox.
+// each directed link is a goroutine-safe queue into its receiver's inbox.
 type Chan struct{ *mesh }
 
 // NewChan builds the bus over topology g. Nodes and links are fixed at

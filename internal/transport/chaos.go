@@ -22,23 +22,14 @@ import (
 // and reorders; loss is modelled by kill -9 plus the rejoin rollback.
 //
 // Determinism: every per-frame decision (jitter draw, reorder draw) is a
-// pure function of (Seed, link, instance, per-instance frame index).
-// Within one (link, instance) stream the frame index is deterministic —
-// an instance's node actor emits its frames sequentially — so a replayed
-// scenario injects identical physics no matter how the goroutines of
-// different in-flight instances interleave.
+// pure function of (Seed, link, instance, step). The runtime sends one
+// frame per (link, instance, step), so a replayed scenario injects
+// identical physics no matter how the goroutines of different in-flight
+// instances interleave. Any frame may overtake any other, later steps of
+// one instance included: the runtime keys frames by step, not by arrival.
 //
-// Ordering: chaos preserves FIFO within each (link, instance) stream and
-// deliberately breaks it across instances sharing a link. That is
-// exactly the slack the runtime's demux tolerates: frames are buffered
-// per (instance, step), but an end-of-step marker is a FIFO promise that
-// its instance's earlier emissions are already in flight ahead of it
-// (see mailbox.await in internal/runtime), so a marker overtaking its
-// own data frames would lose them silently. The per-instance clamp pins
-// the load-bearing half of the invariant while fuzzing everything else.
-//
-// NAB_CHAOS_DEBUG=1 traces partition stalls and link wrapping.
-var chaosLog = obs.New("chaos", "NAB_CHAOS_DEBUG")
+// NAB_DEBUG=1 traces partition stalls and link wrapping.
+var chaosLog = obs.New("chaos")
 
 // Chaos-layer instruments. Counters are global (not per-link): chaos is
 // scenario tooling and its hot path should stay two atomic increments.
@@ -94,9 +85,7 @@ type LinkChaos struct {
 	// Jitter adds a uniform random extra delay in [0, Jitter).
 	Jitter Duration `json:"jitter,omitempty"`
 	// ReorderProb is the probability a frame is additionally held back by
-	// up to ReorderDelay, letting frames sent after it overtake. Frames of
-	// the same instance never overtake each other (FIFO promise of the
-	// end-of-step markers); everything else is fair game.
+	// up to ReorderDelay, letting frames sent after it overtake.
 	ReorderProb float64 `json:"reorderProb,omitempty"`
 	// ReorderDelay bounds the reorder hold; zero with a positive
 	// ReorderProb defaults to 4x(Latency+Jitter), minimum 1ms.
@@ -104,8 +93,8 @@ type LinkChaos struct {
 	// RateBits throttles the link to RateBits payload bits per second: a
 	// frame of b bits occupies the slow link for b/RateBits seconds and
 	// later frames queue behind it — true serialization on top of (not
-	// instead of) any token-bucket pacing. Zero disables. Markers are
-	// free, exactly as in the paper's accounting.
+	// instead of) any token-bucket pacing. Zero disables. Empty step
+	// frames are free, exactly as in the paper's accounting.
 	RateBits int64 `json:"rateBits,omitempty"`
 }
 
@@ -233,14 +222,13 @@ func newChaosState(cfg *ChaosConfig, stop <-chan struct{}) (*chaosState, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	//nab:ignore determinism -- the epoch anchors partition schedules to transport construction; every chaos decision hashes only (seed, link, instance, frame)
+	//nab:ignore determinism -- the epoch anchors partition schedules to transport construction; every chaos decision hashes only (seed, link, instance, step)
 	return &chaosState{cfg: cfg, epoch: time.Now(), stop: stop}, nil
 }
 
 // wrap interposes chaos physics on the sender half of one directed link.
 // mesh.dial wraps each link once and caches the result: two wrappers on
-// one link would split the seeded per-instance hash stream and race
-// their delivery goroutines.
+// one link would race their delivery goroutines and slow-link clocks.
 func (cs *chaosState) wrap(inner Link, from, to graph.NodeID) Link {
 	if cs == nil {
 		return inner
@@ -262,14 +250,12 @@ func (cs *chaosState) wrap(inner Link, from, to graph.NodeID) Link {
 		queue = 4096
 	}
 	l := &chaosLink{
-		inner:   inner,
-		cs:      cs,
-		key:     [2]graph.NodeID{from, to},
-		par:     par,
-		parts:   parts,
-		ch:      make(chan chaosFrame, queue),
-		instSeq: map[uint64]uint32{},
-		lastRel: map[uint64]time.Time{},
+		inner: inner,
+		cs:    cs,
+		key:   [2]graph.NodeID{from, to},
+		par:   par,
+		parts: parts,
+		ch:    make(chan chaosFrame, queue),
 	}
 	go l.run()
 	chaosLog.Debug("link-wrapped", "link", linkString(l.key),
@@ -298,11 +284,8 @@ type chaosLink struct {
 	ch    chan chaosFrame
 
 	mu       sync.Mutex
-	err      error  // sticky error from the wrapped link
-	seq      uint64 // send-order tiebreak for equal release times
-	instSeq  map[uint64]uint32
-	lastRel  map[uint64]time.Time
-	maxInst  uint64
+	err      error     // sticky error from the wrapped link
+	seq      uint64    // send-order tiebreak for equal release times
 	rateFree time.Time // when the slow link finishes its current frame
 }
 
@@ -329,14 +312,9 @@ func (l *chaosLink) Send(m *Message) error {
 }
 
 // scheduleLocked stamps one frame's release time. All randomness is a
-// pure function of (seed, link, instance, per-instance frame index).
+// pure function of (seed, link, instance, step).
 func (l *chaosLink) scheduleLocked(m *Message) chaosFrame {
-	n := l.instSeq[m.Instance]
-	l.instSeq[m.Instance] = n + 1
-	if m.Instance > l.maxInst {
-		l.maxInst = m.Instance
-	}
-	h := chaosHash(l.cs.cfg.Seed, l.key, m.Instance, n)
+	h := chaosHash(l.cs.cfg.Seed, l.key, m.Instance, m.Step)
 	delay := l.par.Latency.D()
 	if j := l.par.Jitter.D(); j > 0 {
 		delay += time.Duration(unitFromHash(h) * float64(j))
@@ -349,7 +327,7 @@ func (l *chaosLink) scheduleLocked(m *Message) chaosFrame {
 	}
 	now := time.Now() //nab:ignore determinism -- release *times* are wall-clock actuation; the delay and ordering above derive purely from the seeded hash
 	at := now.Add(delay)
-	if r := l.par.RateBits; r > 0 && !m.Marker && m.Bits > 0 {
+	if r := l.par.RateBits; r > 0 && m.Bits > 0 {
 		// Serialization, not just latency: the frame enters the slow link
 		// when the previous frame clears it, and occupies it for
 		// bits/RateBits seconds. Propagation delay rides on top.
@@ -372,35 +350,10 @@ func (l *chaosLink) scheduleLocked(m *Message) chaosFrame {
 			}
 		}
 	}
-	// Per-instance FIFO clamp: release times are monotone within each
-	// (link, instance) stream, so a reordered frame never overtakes an
-	// earlier frame of its own instance — the end-of-step markers' FIFO
-	// promise (the one ordering the runtime's demux genuinely needs).
-	if lr := l.lastRel[m.Instance]; at.Before(lr) {
-		at = lr
-	}
-	l.lastRel[m.Instance] = at
-	l.pruneLocked()
 	l.seq++
 	mChaosFrames.Inc()
 	mChaosDelay.Observe(at.Sub(now).Seconds())
 	return chaosFrame{m: m, at: at, seq: l.seq}
-}
-
-// pruneLocked bounds per-instance bookkeeping on unbounded streams:
-// instances far below the newest are finished (or demux-dead after a
-// rejoin epoch bump) and can never send again.
-func (l *chaosLink) pruneLocked() {
-	if len(l.instSeq) <= 8192 {
-		return
-	}
-	floor := l.maxInst - 4096
-	for k := range l.instSeq {
-		if k < floor {
-			delete(l.instSeq, k)
-			delete(l.lastRel, k)
-		}
-	}
 }
 
 // run is the link's delivery goroutine: frames wait in a release-time
@@ -471,12 +424,12 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// chaosHash folds one frame's stream coordinates into a 64-bit draw.
-func chaosHash(seed int64, key [2]graph.NodeID, inst uint64, n uint32) uint64 {
+// chaosHash folds one frame's coordinates into a 64-bit draw.
+func chaosHash(seed int64, key [2]graph.NodeID, inst uint64, step uint32) uint64 {
 	h := splitmix64(uint64(seed))
 	h = splitmix64(h ^ uint64(int64(key[0]))<<32 ^ uint64(int64(key[1])))
 	h = splitmix64(h ^ inst)
-	return splitmix64(h ^ uint64(n))
+	return splitmix64(h ^ uint64(step))
 }
 
 // unitFromHash maps a 64-bit draw to [0, 1).

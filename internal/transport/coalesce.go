@@ -9,11 +9,10 @@ import (
 
 // frameWriter owns the write half of one connection: Send enqueues frames
 // and a single writer goroutine drains the queue into a bufio.Writer,
-// flushing only when the queue momentarily empties. Bursts — a node's data
-// frames plus the end-of-step markers behind them, across every instance
-// sharing the link — coalesce into one syscall instead of one per frame,
-// and no frame waits on a timer: the flush happens the instant there is
-// nothing left to batch.
+// flushing only when the queue momentarily empties. Bursts — the step
+// frames of every instance sharing the link — coalesce into one syscall
+// instead of one per frame, and no frame waits on a timer: the flush
+// happens the instant there is nothing left to batch.
 //
 // The queue preserves enqueue order onto the wire, which makes the writer
 // the ordering authority of its connection: whatever order the layer
@@ -28,7 +27,7 @@ import (
 // Send, and queued frames are discarded so senders never block behind a
 // dead connection. A failure on a link's very last frame is therefore
 // observable only by the remote side — acceptable here because every
-// engine round ends with markers on every out-link (a broken link
+// engine round sends a step frame on every out-link (a broken link
 // surfaces within one round) and a loss at the true end of a run is
 // indistinguishable from a remote crash, which the protocol tolerates by
 // design. The goroutine exits when stop (the owning transport's close

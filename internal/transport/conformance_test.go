@@ -91,8 +91,9 @@ var conformanceTransports = []struct {
 
 // TestTransportConformance pins the one Link/Transport contract on every
 // shipped transport: physics at Dial and Send, one link state per directed
-// link however often it is dialed, per-link FIFO, send-side accounting
-// with each link counted once, and drain-then-ErrClosed at Close.
+// link however often it is dialed, send-order delivery on a polite link,
+// send-side accounting with each link counted once, and
+// drain-then-ErrClosed at Close.
 func TestTransportConformance(t *testing.T) {
 	for _, tc := range conformanceTransports {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,13 +123,13 @@ func TestTransportConformance(t *testing.T) {
 				t.Error("frame with a negative bit charge accepted")
 			}
 
-			// Both handles feed one FIFO: frames alternate between them.
+			// Both handles feed one link: frames alternate between them.
 			sent := []*Message{
 				{Instance: 1, Step: 1, From: 1, To: 2, Bits: 13, Body: core.Phase1Msg{
 					Tree: 0, Block: core.BitChunk{Bytes: []byte{0xab, 0xcd}, BitLen: 13},
 				}},
 				{Instance: 1, Step: 2, From: 1, To: 2, Bits: 128, Body: core.EqMsg{Symbols: []gf.Elem{9, 10}}},
-				{Instance: 1, Step: 2, From: 1, To: 2, Marker: true},
+				{Instance: 1, Step: 2, From: 1, To: 2, Body: []Packet{}},
 			}
 			for i, m := range sent {
 				if err := []Link{first, again}[i%2].Send(m); err != nil {
@@ -140,13 +141,13 @@ func TestTransportConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Step != want.Step || got.Marker != want.Marker || !bodiesEqual(want.Body, got.Body) {
+				if got.Step != want.Step || !bodiesEqual(want.Body, got.Body) {
 					t.Errorf("frame %d mismatch: got %+v", i, got)
 				}
 			}
-			// 13 + 128: the marker is free, the rejected frames never
-			// entered the link, and two handles (or two metering ends)
-			// still count each frame once.
+			// 13 + 128: the empty step frame is free, the rejected frames
+			// never entered the link, and two handles (or two metering
+			// ends) still count each frame once.
 			if got := h.LinkBits()[[2]graph.NodeID{1, 2}]; got != 141 {
 				t.Errorf("link (1,2) accounted %d bits, want 141", got)
 			}

@@ -70,7 +70,7 @@ func (s *linkState) admit(m *Message) error {
 	if m.Bits < 0 {
 		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
 	}
-	if !m.Marker && m.Bits > 0 {
+	if m.Bits > 0 {
 		s.pace.charge(m.Bits)
 	}
 	return nil
@@ -79,9 +79,8 @@ func (s *linkState) admit(m *Message) error {
 // dial returns the sender half of link (from, to), opening it on first
 // use: an in-memory link when the receiver is hosted here, otherwise
 // whatever remote opens (nil: every receiver is hosted). Repeat dialers
-// get the same Link, so they share FIFO order, the token bucket and — under
-// chaos — one seeded per-instance hash stream. A failed open is retried by
-// the next dial.
+// get the same Link, so they share the token bucket and — under chaos —
+// one delivery queue. A failed open is retried by the next dial.
 func (c *mesh) dial(from, to graph.NodeID, remote func(*linkState) (Link, error)) (Link, error) {
 	if !c.g.HasEdge(from, to) {
 		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)

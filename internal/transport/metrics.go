@@ -8,10 +8,8 @@ import (
 	"nab/internal/obs"
 )
 
-// reconnLog narrates mesh-link healing (down, redialed, reestablished);
-// enabled by NAB_TRANSPORT_DEBUG or the rejoin switch, since reconnects
-// almost always accompany a rollback round.
-var reconnLog = obs.New("transport", "NAB_TRANSPORT_DEBUG", "NAB_REJOIN_DEBUG")
+// reconnLog narrates mesh-link healing (down, redialed, reestablished).
+var reconnLog = obs.New("transport")
 
 // Wire-layer instruments. Per-link counters are resolved once at Dial
 // time (linkMetricsFor) and cached inside the link, so Send performs only
@@ -58,7 +56,7 @@ func linkMetricsFor(from, to graph.NodeID) linkMetrics {
 // count records one accepted frame.
 func (lm linkMetrics) count(m *Message) {
 	lm.frames.Inc()
-	if !m.Marker && m.Bits > 0 {
+	if m.Bits > 0 {
 		lm.bits.Add(m.Bits)
 	}
 }

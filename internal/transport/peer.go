@@ -59,7 +59,7 @@ type PeerOptions struct {
 // on accepted connections, dialer to accepter only.
 const (
 	peerMagic   = "NABp"
-	peerVersion = 1
+	peerVersion = 2 // 2: step frames, no flags byte in the frame header
 
 	peerAccept    = 0x00
 	peerRejectBad = 0x01 // malformed or wrong-version handshake
@@ -212,7 +212,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			mDropped.Inc()
 			continue
 		}
-		if !m.Marker && m.Bits > 0 {
+		if m.Bits > 0 {
 			p.mu.Lock()
 			p.recvd[key] += m.Bits
 			p.mu.Unlock()

@@ -3,11 +3,17 @@
 // channels replacing the lockstep simulator's in-memory delivery.
 //
 // A Transport exposes the paper's network model as an actual substrate:
-// nodes may communicate only over the directed links of the topology, each
-// link is FIFO, and every transmitted bit is charged against the link —
-// optionally enforced in real time by per-link token-bucket pacing that
-// reproduces the paper's capacity charge bits/z_e (a b-bit frame on a link
-// of capacity z_e occupies it for b/z_e time units).
+// nodes may communicate only over the directed links of the topology, and
+// every transmitted bit is charged against the link — optionally enforced
+// in real time by per-link token-bucket pacing that reproduces the paper's
+// capacity charge bits/z_e (a b-bit frame on a link of capacity z_e
+// occupies it for b/z_e time units).
+//
+// The runtime's wire unit is the step frame: one frame per (instance,
+// step, from, to) carrying every packet the sender emitted toward the
+// receiver in that round of the synchronous model, possibly none. Its
+// arrival is the sender's end-of-step promise, so no control frame and
+// no ordering guarantee is needed beyond delivery.
 //
 // One in-memory core (mesh.go) and one socket stack (peer.go) sit behind
 // every Transport:
@@ -51,37 +57,31 @@ type Message struct {
 	Step uint32
 	From graph.NodeID
 	To   graph.NodeID
-	// Marker marks an end-of-step control frame: "From has emitted all of
-	// its step-Step messages on this link". Markers carry no payload and
-	// are never charged against link capacity.
-	Marker bool
 	// Bits is the information-theoretic size charged against the link
-	// capacity (the paper charges protocol content, not framing).
+	// capacity (the paper charges protocol content, not framing). For a
+	// step frame it is the sum of its packets' charges.
 	Bits int64
-	// Body is the protocol payload: core.Phase1Msg, core.EqMsg,
-	// relay.Packet, []byte, or nil for markers. Wire transports encode it
-	// with the codec in wire.go.
+	// Body is the protocol payload: a step frame's []Packet, or one
+	// single body (core.Phase1Msg, core.EqMsg, relay.Packet, []byte or
+	// nil). Wire transports encode it with the codec in wire.go.
 	Body any
 }
 
-// Link is the sender half of one directed link. A Link is FIFO: frames
-// arrive at the remote node in Send order. Send may block while the link's
+// Packet is one protocol message inside a step frame: everything a node
+// emits toward one out-neighbour in one step travels as a single frame
+// whose Body is the []Packet in emission order, possibly empty.
+type Packet struct {
+	Bits int64
+	Body any
+}
+
+// Link is the sender half of one directed link. On a polite network
+// frames arrive in Send order; chaos physics (chaos.go) may reorder them,
+// and nothing above the transport depends on arrival order — the runtime
+// keys every frame by (instance, step). Send may block while the link's
 // token bucket drains (pacing) but is safe for concurrent use. Links are
 // owned by their Transport — dialing a link again returns the same Link —
 // and live until it closes.
-//
-// Ordering invariant: the runtime genuinely depends on FIFO only *within*
-// each (link, instance) stream. An end-of-step marker promises that its
-// instance's earlier emissions on the link are already in flight ahead of
-// it — the receiving mailbox consumes a step the moment its markers are
-// in, so a data frame reordered behind its own marker would be silently
-// lost (see mailbox.await in internal/runtime/engine.go). Cross-instance
-// and cross-link arrival order is free: frames are buffered per
-// (instance, step) and instances demultiplex independently. The chaos
-// layer (chaos.go) exploits exactly this slack — it reorders across
-// instances while clamping per-instance FIFO — and the Peer mesh's
-// 21-byte handshake is pinned the same way: it must precede the data
-// frames of its connection, never reordered behind them.
 type Link interface {
 	Send(m *Message) error
 }
@@ -97,7 +97,7 @@ type Transport interface {
 	// after Close.
 	Recv(self graph.NodeID) (*Message, error)
 	// LinkBits snapshots the cumulative per-link capacity charges in bits
-	// (markers and framing excluded).
+	// (framing excluded).
 	LinkBits() map[[2]graph.NodeID]int64
 	Close() error
 }

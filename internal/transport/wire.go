@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"nab/internal/core"
@@ -13,44 +14,63 @@ import (
 )
 
 // Wire format: every frame is a 4-byte big-endian length followed by a
-// fixed header and a kind-tagged payload, all encoding/binary big-endian.
+// fixed header and a kind-tagged body, all encoding/binary big-endian.
 //
-//	header: u64 instance | u32 step | i64 from | i64 to | u8 flags |
-//	        i64 bits | u8 kind
-//	kindNone:   (no payload; markers and nil bodies)
-//	kindRaw:    raw bytes
-//	kindPhase1: u32 tree | u32 bitlen | u32 nbytes | bytes
-//	kindEq:     u32 count | count x u64 symbols
-//	kindRelay:  i64 origin | i64 dest | i32 pathIdx | i32 hop |
-//	            u32 idlen | msgID | u32 plen | payload
+//	header:      u64 instance | u32 step | i64 from | i64 to | i64 bits |
+//	             u8 kind
+//	kindNone:    (no payload; nil bodies)
+//	kindRaw:     raw bytes
+//	kindPhase1:  u32 tree | u32 bitlen | u32 nbytes | bytes
+//	kindEq:      u32 count | count x u64 symbols
+//	kindRelay:   i64 origin | i64 dest | i32 pathIdx | i32 hop |
+//	             u32 idlen | msgID | u32 plen | payload
+//	kindPackets: u32 count | count x (i64 bits | u32 n | u8 kind |
+//	             n-1 payload bytes of that kind)
 //
 // These cover every body the NAB phases put on a link: Phase-1 tree blocks
 // (core.Phase1Msg), Phase-2 equality-check symbol vectors (core.EqMsg),
 // and relay path copies (relay.Packet) carrying both step-2.2 flag
-// broadcasts and Phase-3 dispute-control transcripts.
+// broadcasts and Phase-3 dispute-control transcripts — each travelling as
+// one packet of a step frame ([]Packet), whose header bits are the sum of
+// its packets' bits. Packet lists do not nest.
 const (
-	kindNone   = 0
-	kindRaw    = 1
-	kindPhase1 = 2
-	kindEq     = 3
-	kindRelay  = 4
-
-	flagMarker = 1 << 0
+	kindNone    = 0
+	kindRaw     = 1
+	kindPhase1  = 2
+	kindEq      = 3
+	kindRelay   = 4
+	kindPackets = 5
 
 	// MaxFrameBytes bounds a decoded frame; larger claims are garbage.
 	MaxFrameBytes = 1 << 26
 )
 
-// headerBytes is the fixed frame header plus the kind tag.
-const headerBytes = 8 + 4 + 8 + 8 + 1 + 8 + 1
+// headerBytes is the fixed frame header plus the kind tag; packetPrefix
+// is a packet's bits, size and kind tag.
+const (
+	headerBytes  = 8 + 4 + 8 + 8 + 8 + 1
+	packetPrefix = 8 + 4 + 1
+)
 
 // encodedSize returns the exact encoded byte count of m (without the
 // length prefix), so encode buffers never reallocate mid-encode. Unknown
 // body types size as a bare header; Encode rejects them before writing.
 func encodedSize(m *Message) int {
-	n := headerBytes
-	switch body := m.Body.(type) {
-	case nil:
+	pkts, ok := m.Body.([]Packet)
+	if !ok {
+		return headerBytes - 1 + bodySize(m.Body)
+	}
+	n := headerBytes + 4
+	for _, p := range pkts {
+		n += packetPrefix - 1 + bodySize(p.Body)
+	}
+	return n
+}
+
+// bodySize is the encoded size of one single body, kind tag included.
+func bodySize(body any) int {
+	n := 1
+	switch body := body.(type) {
 	case []byte:
 		n += len(body)
 	case core.Phase1Msg:
@@ -64,7 +84,7 @@ func encodedSize(m *Message) int {
 }
 
 // Encode serializes m (without the length prefix). The buffer is sized
-// exactly from the payload kind, so even the largest Phase-1 tree blocks
+// exactly from the payload kinds, so even the largest Phase-1 tree blocks
 // encode with a single allocation.
 func Encode(m *Message) ([]byte, error) {
 	return appendMessage(make([]byte, 0, encodedSize(m)), m)
@@ -79,14 +99,39 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, m.Step)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.From)))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.To)))
-	var flags byte
-	if m.Marker {
-		flags |= flagMarker
-	}
-	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Bits))
+	pkts, ok := m.Body.([]Packet)
+	if !ok {
+		return appendBody(buf, m.Body)
+	}
+	buf = append(buf, kindPackets)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pkts)))
+	var sum int64
+	for _, p := range pkts {
+		if p.Bits < 0 || p.Bits > math.MaxInt64-sum {
+			return nil, fmt.Errorf("transport: packet charge %d invalid after %d bits", p.Bits, sum)
+		}
+		sum += p.Bits
+		buf = binary.BigEndian.AppendUint64(buf, uint64(p.Bits))
+		at := len(buf)
+		buf = append(buf, 0, 0, 0, 0) // packet size, patched below
+		var err error
+		if buf, err = appendBody(buf, p.Body); err != nil {
+			return nil, err
+		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	if sum != m.Bits {
+		return nil, fmt.Errorf("transport: packets charge %d bits, frame %d", sum, m.Bits)
+	}
+	return buf, nil
+}
 
-	switch body := m.Body.(type) {
+// appendBody appends one single body — kind tag, then payload.
+//
+//nab:allocfree
+func appendBody(buf []byte, body any) ([]byte, error) {
+	switch body := body.(type) {
 	case nil:
 		buf = append(buf, kindNone)
 	case []byte:
@@ -115,108 +160,147 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(body.Payload)))
 		buf = append(buf, body.Payload...)
 	default:
-		return nil, fmt.Errorf("transport: cannot encode body type %T", m.Body)
+		return nil, fmt.Errorf("transport: cannot encode body type %T", body)
 	}
 	return buf, nil
 }
 
-// Decode parses a frame produced by Encode.
+// Decode parses a frame produced by Encode. It accepts exactly what
+// Encode emits: a body must fill its frame, and a step frame's packets
+// must be single bodies with non-negative charges summing to the header's
+// bits.
 func Decode(raw []byte) (*Message, error) {
 	if len(raw) < headerBytes {
 		return nil, fmt.Errorf("transport: frame too short (%d bytes)", len(raw))
 	}
-	pos := 0
-	get64 := func() uint64 {
-		v := binary.BigEndian.Uint64(raw[pos:])
-		pos += 8
-		return v
+	m := &Message{
+		Instance: binary.BigEndian.Uint64(raw),
+		Step:     binary.BigEndian.Uint32(raw[8:]),
+		From:     graph.NodeID(int64(binary.BigEndian.Uint64(raw[12:]))),
+		To:       graph.NodeID(int64(binary.BigEndian.Uint64(raw[20:]))),
+		Bits:     int64(binary.BigEndian.Uint64(raw[28:])),
 	}
-	get32 := func() uint32 {
-		v := binary.BigEndian.Uint32(raw[pos:])
-		pos += 4
-		return v
+	var err error
+	if kind := raw[headerBytes-1]; kind == kindPackets {
+		m.Body, err = decodePackets(raw[headerBytes:], m.Bits)
+	} else {
+		m.Body, err = decodeBody(kind, raw[headerBytes:])
 	}
-	m := &Message{}
-	m.Instance = get64()
-	m.Step = get32()
-	m.From = graph.NodeID(int64(get64()))
-	m.To = graph.NodeID(int64(get64()))
-	flags := raw[pos]
-	pos++
-	m.Marker = flags&flagMarker != 0
-	m.Bits = int64(get64())
-	kind := raw[pos]
-	pos++
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
-	rest := len(raw) - pos
-	need := func(n int) error {
-		if n < 0 || len(raw)-pos < n {
-			return fmt.Errorf("transport: truncated frame (need %d, have %d)", n, len(raw)-pos)
-		}
-		return nil
+// decodePackets parses a step frame's packet list.
+func decodePackets(b []byte, bits int64) ([]Packet, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("transport: truncated packet count (%d bytes)", len(b))
 	}
+	count := binary.BigEndian.Uint32(b)
+	b = b[4:]
+	// Every packet costs at least its prefix, so a count the remaining
+	// bytes cannot hold is garbage — rejected before allocating for it.
+	if uint64(count) > uint64(len(b))/packetPrefix {
+		return nil, fmt.Errorf("transport: %d packets in %d bytes", count, len(b))
+	}
+	pkts := make([]Packet, count)
+	var sum int64
+	for i := range pkts {
+		if len(b) < packetPrefix {
+			return nil, fmt.Errorf("transport: truncated packet %d", i)
+		}
+		p := int64(binary.BigEndian.Uint64(b))
+		n := binary.BigEndian.Uint32(b[8:])
+		b = b[12:]
+		if p < 0 || p > math.MaxInt64-sum {
+			return nil, fmt.Errorf("transport: packet %d charge %d invalid after %d bits", i, p, sum)
+		}
+		sum += p
+		if n == 0 || uint64(n) > uint64(len(b)) {
+			return nil, fmt.Errorf("transport: packet %d of %d bytes in %d", i, n, len(b))
+		}
+		if b[0] == kindPackets {
+			return nil, fmt.Errorf("transport: nested packet list in packet %d", i)
+		}
+		body, err := decodeBody(b[0], b[1:n])
+		if err != nil {
+			return nil, err
+		}
+		pkts[i] = Packet{Bits: p, Body: body}
+		b = b[n:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("transport: %d bytes after the last packet", len(b))
+	}
+	if sum != bits {
+		return nil, fmt.Errorf("transport: packets charge %d bits, frame %d", sum, bits)
+	}
+	return pkts, nil
+}
+
+// decodeBody parses one single body of the given kind, which must fill b
+// exactly.
+func decodeBody(kind byte, b []byte) (any, error) {
 	switch kind {
 	case kindNone:
-		m.Body = nil
+		if len(b) != 0 {
+			return nil, fmt.Errorf("transport: %d payload bytes on an empty body", len(b))
+		}
+		return nil, nil
 	case kindRaw:
-		m.Body = append([]byte(nil), raw[pos:]...)
+		return append([]byte(nil), b...), nil
 	case kindPhase1:
-		if err := need(12); err != nil {
-			return nil, err
+		if len(b) < 12 {
+			return nil, fmt.Errorf("transport: truncated phase-1 body (%d bytes)", len(b))
 		}
-		tree := int(int32(get32()))
-		bitLen := int(int32(get32()))
-		nb := int(get32())
-		if err := need(nb); err != nil {
-			return nil, err
+		tree := int(int32(binary.BigEndian.Uint32(b)))
+		bitLen := int(int32(binary.BigEndian.Uint32(b[4:])))
+		if nb := binary.BigEndian.Uint32(b[8:]); uint64(nb) != uint64(len(b)-12) {
+			return nil, fmt.Errorf("transport: phase-1 block of %d bytes in %d", nb, len(b)-12)
 		}
-		m.Body = core.Phase1Msg{
+		return core.Phase1Msg{
 			Tree:  tree,
-			Block: core.BitChunk{Bytes: append([]byte(nil), raw[pos:pos+nb]...), BitLen: bitLen},
-		}
+			Block: core.BitChunk{Bytes: append([]byte(nil), b[12:]...), BitLen: bitLen},
+		}, nil
 	case kindEq:
-		if err := need(4); err != nil {
-			return nil, err
+		if len(b) < 4 {
+			return nil, fmt.Errorf("transport: truncated symbol count (%d bytes)", len(b))
 		}
-		count := int(get32())
-		// Divide instead of multiplying: count*8 can overflow int on
-		// 32-bit platforms, bypassing the bound for crafted frames.
-		if count < 0 || count > (len(raw)-pos)/8 {
-			return nil, fmt.Errorf("transport: truncated frame (%d symbols in %d bytes)", count, len(raw)-pos)
+		count := binary.BigEndian.Uint32(b)
+		if uint64(count)*8 != uint64(len(b)-4) {
+			return nil, fmt.Errorf("transport: %d symbols in %d bytes", count, len(b)-4)
 		}
 		syms := make([]gf.Elem, count)
 		for i := range syms {
-			syms[i] = gf.Elem(get64())
+			syms[i] = gf.Elem(binary.BigEndian.Uint64(b[4+8*i:]))
 		}
-		m.Body = core.EqMsg{Symbols: syms}
+		return core.EqMsg{Symbols: syms}, nil
 	case kindRelay:
-		if err := need(8 + 8 + 4 + 4 + 4); err != nil {
-			return nil, err
+		if len(b) < 28 {
+			return nil, fmt.Errorf("transport: truncated relay body (%d bytes)", len(b))
 		}
-		var pkt relay.Packet
-		pkt.Origin = graph.NodeID(int64(get64()))
-		pkt.Dest = graph.NodeID(int64(get64()))
-		pkt.PathIdx = int(int32(get32()))
-		pkt.Hop = int(int32(get32()))
-		idLen := int(get32())
-		if err := need(idLen); err != nil {
-			return nil, err
+		pkt := relay.Packet{
+			Origin:  graph.NodeID(int64(binary.BigEndian.Uint64(b))),
+			Dest:    graph.NodeID(int64(binary.BigEndian.Uint64(b[8:]))),
+			PathIdx: int(int32(binary.BigEndian.Uint32(b[16:]))),
+			Hop:     int(int32(binary.BigEndian.Uint32(b[20:]))),
 		}
-		pkt.MsgID = string(raw[pos : pos+idLen])
-		pos += idLen
-		if err := need(4); err != nil {
-			return nil, err
+		idLen := binary.BigEndian.Uint32(b[24:])
+		rest := b[28:]
+		if uint64(idLen)+4 > uint64(len(rest)) {
+			return nil, fmt.Errorf("transport: relay message id of %d bytes in %d", idLen, len(rest))
 		}
-		plen := int(get32())
-		if err := need(plen); err != nil {
-			return nil, err
+		pkt.MsgID = string(rest[:idLen])
+		plen := binary.BigEndian.Uint32(rest[idLen:])
+		rest = rest[idLen+4:]
+		if uint64(plen) != uint64(len(rest)) {
+			return nil, fmt.Errorf("transport: relay payload of %d bytes in %d", plen, len(rest))
 		}
-		pkt.Payload = append([]byte(nil), raw[pos:pos+plen]...)
-		m.Body = pkt
-	default:
-		return nil, fmt.Errorf("transport: unknown payload kind %d (%d payload bytes)", kind, rest)
+		pkt.Payload = append([]byte(nil), rest...)
+		return pkt, nil
 	}
-	return m, nil
+	return nil, fmt.Errorf("transport: unknown payload kind %d (%d payload bytes)", kind, len(b))
 }
 
 // AppendFrame appends the length-prefixed encoding of m to dst and returns

@@ -11,10 +11,15 @@ import (
 	"nab/internal/relay"
 )
 
-// seedMessages covers every wire frame kind (plus markers) once.
+// seedMessages covers every wire frame kind once, step frames included.
 func seedMessages() []*Message {
 	return []*Message{
-		{Instance: 1, Step: 2, From: 3, To: 4, Marker: true},
+		{Instance: 1, Step: 2, From: 3, To: 4, Body: []Packet{}},
+		{Instance: 5, Step: 6, From: 4, To: 3, Bits: 24 + 64, Body: []Packet{
+			{Bits: 24, Body: core.Phase1Msg{Tree: 2, Block: core.BitChunk{Bytes: []byte{0xff, 0x80}, BitLen: 9}}},
+			{Bits: 64, Body: relay.Packet{Origin: 1, Dest: 9, PathIdx: 2, Hop: 1, MsgID: "eig:3", Payload: []byte("flag")}},
+			{Bits: 0, Body: core.EqMsg{Symbols: []gf.Elem{3}}},
+		}},
 		{Instance: 7, Step: 1, From: 1, To: 2, Bits: 8, Body: []byte{0xde, 0xad}},
 		{Instance: 2, Step: 9, From: 5, To: 6, Bits: 24, Body: core.Phase1Msg{
 			Tree:  1,
@@ -90,21 +95,24 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzWireRoundTrip builds a structured message per frame kind from the
-// fuzzer's primitives and asserts Encode/Decode field fidelity.
+// fuzzer's primitives — alone, or as the one packet of a step frame — and
+// asserts Encode/Decode field fidelity.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint32(2), int64(3), int64(4), false, int64(8), byte(1), []byte{1, 2, 3}, int32(0), int32(9))
 	f.Add(uint64(9), uint32(0), int64(-1), int64(7), true, int64(0), byte(0), []byte{}, int32(3), int32(-2))
 	f.Add(uint64(5), uint32(7), int64(2), int64(3), false, int64(64), byte(2), []byte{0xab}, int32(1), int32(13))
 	f.Add(uint64(8), uint32(3), int64(4), int64(5), false, int64(128), byte(3), []byte{1, 2, 3, 4, 5, 6, 7, 8}, int32(0), int32(0))
 	f.Add(uint64(6), uint32(1), int64(9), int64(1), false, int64(32), byte(4), []byte("payload"), int32(2), int32(4))
-	f.Fuzz(func(t *testing.T, instance uint64, step uint32, from, to int64, marker bool, bits int64, kind byte, payload []byte, a, b int32) {
+	f.Add(uint64(3), uint32(4), int64(1), int64(2), true, int64(13), byte(2), []byte{0xde, 0xad}, int32(13), int32(1))
+	f.Add(uint64(4), uint32(9), int64(5), int64(6), true, int64(96), byte(4), []byte("eig:flag"), int32(1), int32(3))
+	f.Fuzz(func(t *testing.T, instance uint64, step uint32, from, to int64, framed bool, bits int64, kind byte, payload []byte, a, b int32) {
 		if bits < 0 {
 			bits = -bits
 		}
 		m := &Message{
 			Instance: instance, Step: step,
 			From: graph.NodeID(from), To: graph.NodeID(to),
-			Marker: marker, Bits: bits,
+			Bits: bits,
 		}
 		switch kind % 5 {
 		case 0:
@@ -134,6 +142,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 				MsgID: id, Payload: append([]byte(nil), payload...),
 			}
 		}
+		if framed {
+			m.Body = []Packet{{Bits: bits, Body: m.Body}}
+		}
 		raw, err := Encode(m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
@@ -143,39 +154,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("decode of canonical frame: %v", err)
 		}
 		if got.Instance != m.Instance || got.Step != m.Step || got.From != m.From ||
-			got.To != m.To || got.Marker != m.Marker || got.Bits != m.Bits {
+			got.To != m.To || got.Bits != m.Bits {
 			t.Fatalf("header round trip diverged: %+v vs %+v", got, m)
 		}
-		switch want := m.Body.(type) {
-		case nil:
-			if got.Body != nil {
-				t.Fatalf("nil body round-tripped to %T", got.Body)
-			}
-		case []byte:
-			if !bytes.Equal(got.Body.([]byte), want) {
-				t.Fatal("raw body round trip diverged")
-			}
-		case core.Phase1Msg:
-			g := got.Body.(core.Phase1Msg)
-			if g.Tree != want.Tree || g.Block.BitLen != want.Block.BitLen || !bytes.Equal(g.Block.Bytes, want.Block.Bytes) {
-				t.Fatalf("phase1 body diverged: %+v vs %+v", g, want)
-			}
-		case core.EqMsg:
-			g := got.Body.(core.EqMsg)
-			if len(g.Symbols) != len(want.Symbols) {
-				t.Fatal("eq symbol count diverged")
-			}
-			for i := range g.Symbols {
-				if g.Symbols[i] != want.Symbols[i] {
-					t.Fatal("eq symbols diverged")
-				}
-			}
-		case relay.Packet:
-			g := got.Body.(relay.Packet)
-			if g.Origin != want.Origin || g.Dest != want.Dest || g.PathIdx != want.PathIdx ||
-				g.Hop != want.Hop || g.MsgID != want.MsgID || !bytes.Equal(g.Payload, want.Payload) {
-				t.Fatalf("relay body diverged: %+v vs %+v", g, want)
-			}
+		if !bodiesEqual(m.Body, got.Body) {
+			t.Fatalf("body round trip diverged: %#v vs %#v", got.Body, m.Body)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -10,11 +11,18 @@ import (
 	"nab/internal/relay"
 )
 
-// frameCases covers every body type NAB phases put on a link, plus the
-// marker control frame.
+// frameCases covers every body type NAB phases put on a link, alone and
+// as packets of step frames (an empty step frame included).
 func frameCases() []*Message {
 	return []*Message{
-		{Instance: 7, Step: 3, From: 1, To: 2, Marker: true},
+		{Instance: 7, Step: 3, From: 1, To: 2, Body: []Packet{}},
+		{Instance: 8, Step: 5, From: 2, To: 1, Bits: 13 + 192 + 352, Body: []Packet{
+			{Bits: 13, Body: core.Phase1Msg{Tree: 1, Block: core.BitChunk{Bytes: []byte{0xde, 0xad}, BitLen: 13}}},
+			{Bits: 192, Body: core.EqMsg{Symbols: []gf.Elem{7, 8, 9}}},
+			{Bits: 352, Body: relay.Packet{Origin: 2, Dest: 6, PathIdx: 3, Hop: 2, MsgID: "eig:1", Payload: []byte{1, 2, 3, 0}}},
+			{Bits: 0, Body: nil},
+			{Bits: 0, Body: []byte("raw")},
+		}},
 		{Instance: 1, Step: 0, From: 4, To: 5, Bits: 96, Body: []byte("raw payload")},
 		{Instance: 2, Step: 9, From: 2, To: 3, Bits: 13, Body: core.Phase1Msg{
 			Tree:  4,
@@ -41,6 +49,17 @@ func bodiesEqual(a, b any) bool {
 	case []byte:
 		y, ok := b.([]byte)
 		return ok && bytes.Equal(x, y)
+	case []Packet:
+		y, ok := b.([]Packet)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i].Bits != y[i].Bits || !bodiesEqual(x[i].Body, y[i].Body) {
+				return false
+			}
+		}
+		return true
 	case core.EqMsg:
 		y, ok := b.(core.EqMsg)
 		if !ok || len(x.Symbols) != len(y.Symbols) {
@@ -73,7 +92,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		if got.Instance != m.Instance || got.Step != m.Step || got.From != m.From ||
-			got.To != m.To || got.Marker != m.Marker || got.Bits != m.Bits {
+			got.To != m.To || got.Bits != m.Bits {
 			t.Errorf("case %d: header mismatch: got %+v want %+v", i, got, m)
 		}
 		if !bodiesEqual(m.Body, got.Body) {
@@ -119,7 +138,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 	// Unknown payload kind.
 	bad := append([]byte(nil), raw...)
-	bad[8+4+8+8+1+8] = 99
+	bad[headerBytes-1] = 99
 	if _, err := Decode(bad); err == nil {
 		t.Error("unknown kind accepted")
 	}
@@ -131,5 +150,65 @@ func TestWireRejectsGarbage(t *testing.T) {
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Error("oversized frame accepted")
+	}
+}
+
+// TestWireRejectsMalformedStepFrames: a step frame decodes only as Encode
+// writes it — its packets' charges are non-negative and sum to the header
+// bits, the count is whole and honest, and packet lists do not nest.
+func TestWireRejectsMalformedStepFrames(t *testing.T) {
+	frame := func(bits int64, pkts ...Packet) []byte {
+		t.Helper()
+		// Encode refuses every malformed row below, so build the bytes by
+		// hand: header, kind, count, then bits | size | kind | payload.
+		raw, err := Encode(&Message{Instance: 1, Step: 2, From: 3, To: 4, Bits: bits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = raw[:headerBytes-1]
+		raw = append(raw, kindPackets)
+		raw = binary.BigEndian.AppendUint32(raw, uint32(len(pkts)))
+		for _, p := range pkts {
+			raw = binary.BigEndian.AppendUint64(raw, uint64(p.Bits))
+			body, err := appendBody(nil, p.Body)
+			if err != nil {
+				body = []byte{kindPackets} // a nested list: the tag alone
+			}
+			raw = binary.BigEndian.AppendUint32(raw, uint32(len(body)))
+			raw = append(raw, body...)
+		}
+		return raw
+	}
+	raw8 := Packet{Bits: 8, Body: []byte{1}}
+	if _, err := Decode(frame(16, raw8, raw8)); err != nil {
+		t.Fatalf("well-formed hand-built step frame rejected: %v", err)
+	}
+	one := frame(8, raw8)
+	overcount := append([]byte(nil), one...)
+	binary.BigEndian.PutUint32(overcount[headerBytes:], 2)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"bits not summing to the header", frame(17, raw8, raw8)},
+		{"truncated count", frame(0)[:headerBytes+2]},
+		{"count beyond the packets", overcount},
+		{"truncated packet", one[:len(one)-1]},
+		{"negative packet charge", frame(0, Packet{Bits: -8, Body: []byte{1}}, Packet{Bits: 8, Body: []byte{2}})},
+		{"nested packet list", frame(0, Packet{Body: []Packet{}})},
+		{"trailing bytes", append(one, 0)},
+	} {
+		if m, err := Decode(tc.raw); err == nil {
+			t.Errorf("%s: accepted as %+v", tc.name, m)
+		}
+	}
+	for _, m := range []*Message{
+		{Bits: 9, Body: []Packet{raw8}},
+		{Bits: 0, Body: []Packet{{Bits: -8}, {Bits: 8}}},
+		{Body: []Packet{{Body: []Packet{}}}},
+	} {
+		if _, err := Encode(m); err == nil {
+			t.Errorf("malformed step frame %+v encoded", m)
+		}
 	}
 }

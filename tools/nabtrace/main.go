@@ -3,7 +3,8 @@
 // (Session.TraceDump, GET /debug/flight, or the black-box
 // flight-<reason>.dump files an anomaly drops next to a WAL), stitches
 // frame sends to their receives across process boundaries on the
-// deterministic (link, instance, frame-index) key, and emits:
+// (link, instance, step) key — the runtime sends one frame per link per
+// step — and emits:
 //
 //   - a Chrome trace-event JSON file (-o, default trace.json) loadable
 //     in Perfetto / chrome://tracing: one track per process, one lane
@@ -185,20 +186,19 @@ var segColumns = []string{
 	"flags→claims", "→commit", "total",
 }
 
-// frameKey is the deterministic cross-process stitch key: the FIFO
-// transport invariant means the sender's n-th frame on (from,to) for an
-// instance is the receiver's n-th, so independent counters at both ends
-// agree without any wire change.
+// frameKey is the cross-process stitch key: the runtime sends exactly one
+// frame per (link, instance, step), and both ends record those
+// coordinates.
 type frameKey struct {
 	from, to int32
 	inst     uint64
-	idx      uint64
+	step     uint32
 }
 
 type frameRef struct {
 	pid  int
 	ts   int64
-	step uint32
+	bits uint64
 	lane int64
 }
 
@@ -362,16 +362,16 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 			var key frameKey
 			if ev.Type == flight.EvFrameSend {
 				st.sends++
-				key = frameKey{from: ev.Node, to: ev.Peer, inst: ev.Inst, idx: ev.Arg}
+				key = frameKey{from: ev.Node, to: ev.Peer, inst: ev.Inst, step: ev.Step}
 			} else {
 				st.recvs++
-				key = frameKey{from: ev.Peer, to: ev.Node, inst: ev.Inst, idx: ev.Arg}
+				key = frameKey{from: ev.Peer, to: ev.Node, inst: ev.Inst, step: ev.Step}
 			}
 			fl := int64(laneOrphan)
 			if k, ok := launchK[ev.Inst]; ok {
 				fl = lane(k)
 			}
-			ref := frameRef{pid: p.pid, ts: ev.TS, step: ev.Step, lane: fl}
+			ref := frameRef{pid: p.pid, ts: ev.TS, bits: ev.Arg, lane: fl}
 			m := sends
 			if ev.Type == flight.EvFrameRecv {
 				m = recvs
@@ -385,8 +385,7 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 	}
 	// Lane names come last per process so the walk above resolved K.
 	lanes := map[int64]string{laneCtrl: "control", laneOrphan: "frames"}
-	for inst, k := range launchK {
-		_ = inst
+	for _, k := range launchK {
 		lanes[lane(k)] = fmt.Sprintf("inst %d", k)
 	}
 	tids := make([]int64, 0, len(lanes))
@@ -437,7 +436,7 @@ func (tl *timeline) stitchFlows(sends, recvs map[frameKey]frameRef, us func(int6
 		if ka.inst != kb.inst {
 			return ka.inst < kb.inst
 		}
-		return ka.idx < kb.idx
+		return ka.step < kb.step
 	})
 	for i, pr := range pairs {
 		ms := float64(pr.r.ts-pr.s.ts) / 1e6
@@ -450,17 +449,17 @@ func (tl *timeline) stitchFlows(sends, recvs map[frameKey]frameRef, us func(int6
 			continue
 		}
 		tl.flowsEmitted++
-		name := fmt.Sprintf("frame %d→%d #%d", pr.key.from, pr.key.to, pr.key.idx)
+		name := fmt.Sprintf("frame %d→%d step %d", pr.key.from, pr.key.to, pr.key.step)
 		id := i + 1
 		tl.events = append(tl.events,
 			traceEvent{Name: name, Ph: "X", TS: us(pr.s.ts), Dur: 1,
 				PID: pr.s.pid, TID: pr.s.lane, Cat: "frame",
-				Args: map[string]any{"step": pr.s.step}},
+				Args: map[string]any{"bits": pr.s.bits}},
 			traceEvent{Name: name, Ph: "s", TS: us(pr.s.ts),
 				PID: pr.s.pid, TID: pr.s.lane, Cat: "frame", ID: id},
 			traceEvent{Name: name, Ph: "X", TS: us(pr.r.ts), Dur: 1,
 				PID: pr.r.pid, TID: pr.r.lane, Cat: "frame",
-				Args: map[string]any{"step": pr.r.step}},
+				Args: map[string]any{"bits": pr.r.bits}},
 			traceEvent{Name: name, Ph: "f", BP: "e", TS: us(pr.r.ts),
 				PID: pr.r.pid, TID: pr.r.lane, Cat: "frame", ID: id},
 		)

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "regenerate testdata fixtures")
 
 // genDumps builds the checked-in two-process fixture: node-0 hosts the
 // source and opens a dispute barrier after instance 2's commit; node-1
-// receives node-0's frames (stitchable on the (link, inst, index) key)
+// receives node-0's frames (stitchable on the (link, inst, step) key)
 // and goes through a rejoin round. Timestamps are synthetic nanoseconds
 // on a shared clock, so the golden output is stable by construction.
 func genDumps() (node0, node1 flight.Dump) {
@@ -44,10 +44,10 @@ func genDumps() (node0, node1 flight.Dump) {
 		ev1(flight.Event{Type: flight.EvLaunch, TS: t + 1_000_000, Node: -1, Inst: inst, K: k, Gen: 0})
 		ev0(flight.Event{Type: flight.EvPhase, TS: t + 2_000_000, Node: -1, K: k, Step: flight.Phase1})
 		ev1(flight.Event{Type: flight.EvPhase, TS: t + 3_000_000, Node: -1, K: k, Step: flight.Phase1})
-		for idx := uint64(0); idx < 2; idx++ {
-			st := t + 4_000_000 + int64(idx)*2_000_000
-			ev0(flight.Event{Type: flight.EvFrameSend, TS: st, Node: 0, Peer: 1, Inst: inst, Step: 1, Arg: idx})
-			ev1(flight.Event{Type: flight.EvFrameRecv, TS: st + 1_500_000, Node: 1, Peer: 0, Inst: inst, Step: 1, Arg: idx})
+		for step := uint32(1); step <= 2; step++ {
+			st := t + 2_000_000 + int64(step)*2_000_000
+			ev0(flight.Event{Type: flight.EvFrameSend, TS: st, Node: 0, Peer: 1, Inst: inst, Step: step, Arg: 64})
+			ev1(flight.Event{Type: flight.EvFrameRecv, TS: st + 1_500_000, Node: 1, Peer: 0, Inst: inst, Step: step, Arg: 64})
 		}
 		ev0(flight.Event{Type: flight.EvPhase, TS: t + 10_000_000, Node: -1, K: k, Step: flight.PhaseEquality})
 		ev1(flight.Event{Type: flight.EvPhase, TS: t + 11_000_000, Node: -1, K: k, Step: flight.PhaseEquality})
@@ -84,10 +84,10 @@ func genDumps() (node0, node1 flight.Dump) {
 		ev(flight.Event{Type: flight.EvPhase, TS: ms(121 + off), Node: -1, K: 3, Step: flight.PhaseClaims})
 		ev(flight.Event{Type: flight.EvCommit, TS: ms(127 + off), Node: -1, Inst: 4, K: 3, Gen: 1, Arg: 6144})
 	}
-	ev0(flight.Event{Type: flight.EvFrameSend, TS: ms(109), Node: 0, Peer: 1, Inst: 4, Step: 1, Arg: 0})
-	ev1(flight.Event{Type: flight.EvFrameRecv, TS: ms(110), Node: 1, Peer: 0, Inst: 4, Step: 1, Arg: 0})
+	ev0(flight.Event{Type: flight.EvFrameSend, TS: ms(109), Node: 0, Peer: 1, Inst: 4, Step: 1, Arg: 96})
+	ev1(flight.Event{Type: flight.EvFrameRecv, TS: ms(110), Node: 1, Peer: 0, Inst: 4, Step: 1, Arg: 96})
 	// One frame node-0 sent that node-1's ring lost: stays an orphan.
-	ev0(flight.Event{Type: flight.EvFrameSend, TS: ms(111), Node: 0, Peer: 1, Inst: 4, Step: 2, Arg: 1})
+	ev0(flight.Event{Type: flight.EvFrameSend, TS: ms(111), Node: 0, Peer: 1, Inst: 4, Step: 2, Arg: 0})
 
 	node0.Meta = flight.Meta{Label: "node-0", Reason: "manual", WallNS: ms(130), Total: seq0, Capacity: 1024}
 	node1.Meta = flight.Meta{Label: "node-1", Reason: "dispute-barrier", WallNS: ms(131), Total: seq1 + 5, Capacity: 1024}
