@@ -37,7 +37,8 @@ func seedMessages() []*Message {
 
 // FuzzDecode feeds arbitrary bytes to the frame decoder: it must never
 // panic, and whatever it accepts must re-encode and re-decode to the
-// same message (the decoder only accepts canonical frames' content).
+// same message (the decoder only accepts canonical frames' content). The
+// checked-in corpus also holds a marker frame of the previous wire version.
 func FuzzDecode(f *testing.F) {
 	for _, m := range seedMessages() {
 		raw, err := Encode(m)

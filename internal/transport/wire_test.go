@@ -145,6 +145,15 @@ func TestWireRejectsGarbage(t *testing.T) {
 	if _, err := Encode(&Message{Body: 3.14}); err == nil {
 		t.Error("unencodable body accepted")
 	}
+	// A marker frame of the previous wire version (header with a flags
+	// byte, flagMarker set, nil body) — the "marker" fuzz corpus entry.
+	legacyMarker := []byte{
+		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3,
+		0, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	}
+	if m, err := Decode(legacyMarker); err == nil {
+		t.Errorf("previous-version marker frame accepted as %+v", m)
+	}
 	// Oversized length prefix.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
