@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"nab/internal/topo"
+)
 
 func TestRunSingleExperiments(t *testing.T) {
 	// The fast experiments run under test; the heavy ones are covered by
@@ -21,5 +27,71 @@ func TestRunE3SmallDraws(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-only", "e99"}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+func TestSimCleanAndAdversarial(t *testing.T) {
+	if err := run([]string{"sim", "-topo", "k4", "-q", "2", "-len", "8"}); err != nil {
+		t.Errorf("clean: %v", err)
+	}
+	if err := run([]string{"sim", "-topo", "k5", "-q", "2", "-len", "8", "-adversary", "4=flip"}); err != nil {
+		t.Errorf("adversarial: %v", err)
+	}
+	if err := run([]string{"sim", "-topo", "k7", "-f", "2", "-q", "2", "-len", "8",
+		"-adversary", "3=random:7", "-adversary", "5=suppress"}); err != nil {
+		t.Errorf("seeded random + suppress: %v", err)
+	}
+}
+
+func TestSimErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topo", "nope"},
+		{"-topo", "k4", "-f", "2"},
+		{"-file", "/does/not/exist"},
+		{"-adversary", "3=unknown"},
+	} {
+		if err := run(append([]string{"sim"}, args...)); err == nil {
+			t.Errorf("sim %v accepted", args)
+		}
+	}
+}
+
+func TestCapBuiltins(t *testing.T) {
+	// Every name of the shared table, exact where the enumeration is cheap.
+	for _, name := range topo.Names() {
+		args := []string{"cap", "-topo", name}
+		switch name {
+		case "k4", "k5", "fig1":
+		default:
+			args = append(args, "-exact=false")
+		}
+		if name == "k7" || name == "thin7" {
+			args = append(args, "-f", "2")
+		}
+		if err := run(args); err != nil {
+			t.Errorf("topo %s: %v", name, err)
+		}
+	}
+}
+
+func TestCapErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-topo", "nope"},
+		{"-file", "/does/not/exist"},
+		{"-topo", "k4", "-source", "99"},
+	} {
+		if err := run(append([]string{"cap"}, args...)); err == nil {
+			t.Errorf("cap %v accepted", args)
+		}
+	}
+}
+
+func TestCapFromFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "net.txt")
+	if err := os.WriteFile(path, []byte(topo.CompleteBi(4, 1).Marshal()), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"cap", "-file", path}); err != nil {
+		t.Error(err)
 	}
 }

@@ -112,33 +112,13 @@ func main() {
 	}
 }
 
-type adversaryFlags map[graph.NodeID]string
-
-func (af adversaryFlags) String() string { return fmt.Sprint(map[graph.NodeID]string(af)) }
-
-func (af adversaryFlags) Set(s string) error {
-	idStr, spec, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want node=strategy, got %q", s)
-	}
-	var id int
-	if _, err := fmt.Sscanf(idStr, "%d", &id); err != nil {
-		return fmt.Errorf("bad node id %q: %w", idStr, err)
-	}
-	if _, err := cluster.ParseAdversary(spec); err != nil {
-		return err
-	}
-	af[graph.NodeID(id)] = spec
-	return nil
-}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nabnode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cfgPath := fs.String("cluster", "", "cluster.json path (node mode: required)")
 	id := fs.Int("id", 0, "node id this process hosts (node mode)")
 	spawn := fs.Bool("spawn-local", false, "generate a loopback cluster config and spawn one child process per node")
-	topoName := fs.String("topo", "k4", "spawn mode: built-in topology (k4, k5, k7, thin7, circ9)")
+	topoName := fs.String("topo", "k4", "spawn mode: built-in topology: "+strings.Join(topo.Names(), ", "))
 	file := fs.String("file", "", "spawn mode: topology file (overrides -topo)")
 	source := fs.Int("source", 1, "spawn mode: source node id")
 	f := fs.Int("f", 1, "spawn mode: fault bound")
@@ -154,8 +134,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	adminAddr := fs.String("admin", "", "node mode: serve /metrics (Prometheus text), /healthz and /debug/pprof on this address")
 	adminBase := fs.Int("admin-base", 0, "spawn mode: give each child an admin endpoint on 127.0.0.1:<base+id>")
 	flightCap := fs.Int("flight", 0, "arm the flight recorder with a ring of N events per process (spawn mode propagates it to every child); dump via /debug/flight, anomalies drop black-box dumps in the WAL dir")
-	advs := adversaryFlags{}
-	fs.Var(advs, "adversary", "spawn mode, node=strategy (repeatable): crash, flip, coded, alarm, suppress, random:<seed>")
+	advs := cluster.AdversarySpecs{}
+	fs.Var(advs, "adversary", "spawn mode, node=strategy (repeatable): crash, flip, coded, alarm, suppress, random[:<seed>]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -343,8 +323,8 @@ func childExtras(rsv *cluster.Reservation, cfg *cluster.Config, v graph.NodeID) 
 // endpoint as a held listener and hands the sockets to the children as
 // inherited descriptors, so no port can be lost between reservation and
 // boot.
-func spawnLocal(stdout, stderr io.Writer, topoName, file string, source, f, lenBytes, q, window int, seed int64, out, walDir string, adminBase, snapEvery, flightCap int, advs adversaryFlags, chaos *nab.ChaosConfig) error {
-	g, err := loadGraph(file, topoName)
+func spawnLocal(stdout, stderr io.Writer, topoName, file string, source, f, lenBytes, q, window int, seed int64, out, walDir string, adminBase, snapEvery, flightCap int, advs cluster.AdversarySpecs, chaos *nab.ChaosConfig) error {
+	g, err := topo.Load(file, topoName)
 	if err != nil {
 		return err
 	}
@@ -494,27 +474,4 @@ func loadChaos(path string) (*nab.ChaosConfig, error) {
 		return nil, fmt.Errorf("chaos spec %s: %w", path, err)
 	}
 	return cfg, nil
-}
-
-func loadGraph(file, name string) (*graph.Directed, error) {
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return graph.ParseDirected(string(data))
-	}
-	switch name {
-	case "k4":
-		return topo.CompleteBi(4, 1), nil
-	case "k5":
-		return topo.CompleteBi(5, 2), nil
-	case "k7":
-		return topo.CompleteBi(7, 2), nil
-	case "thin7":
-		return topo.OneThinLink(7, 2, 3, 8, 1)
-	case "circ9":
-		return topo.Circulant(9, 1, 1, 2)
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }

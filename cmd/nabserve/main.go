@@ -11,7 +11,8 @@
 //
 // Add -net-transport to run node-to-node traffic over loopback TCP links
 // (wire-framed) instead of the in-process bus, and -adversary n=strategy
-// (repeatable: flip, coded, alarm, crash, random) to host faulty nodes.
+// (repeatable; the cluster.json strategies crash, flip, coded, alarm,
+// suppress, random[:<seed>]) to host faulty nodes.
 // Add -wal DIR to make the daemon durable: accepted requests and commits
 // are write-ahead logged, and a daemon killed mid-stream resumes on
 // restart — dispute state, instance numbering and uncommitted requests
@@ -52,51 +53,15 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"nab"
 	"nab/internal/admin"
-	"nab/internal/adversary"
-	"nab/internal/graph"
+	"nab/internal/cluster"
 	"nab/internal/topo"
 )
-
-type adversaryFlags map[nab.NodeID]nab.Adversary
-
-func (af adversaryFlags) String() string { return fmt.Sprint(map[nab.NodeID]nab.Adversary(af)) }
-
-func (af adversaryFlags) Set(s string) error {
-	parts := strings.SplitN(s, "=", 2)
-	if len(parts) != 2 {
-		return fmt.Errorf("want node=strategy, got %q", s)
-	}
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return fmt.Errorf("bad node id %q: %w", parts[0], err)
-	}
-	var a nab.Adversary
-	switch parts[1] {
-	case "flip":
-		a = &adversary.BlockFlipper{}
-	case "coded":
-		a = &adversary.CodedCorruptor{}
-	case "alarm":
-		a = adversary.FalseAlarm{}
-	case "crash":
-		a = adversary.Crash{}
-	case "random":
-		// The instance-scoped (seeded) form: deterministic under any
-		// pipeline window, unlike the deprecated shared-stream adversary.
-		a = &adversary.Random{Seed: int64(id)}
-	default:
-		return fmt.Errorf("unknown strategy %q", parts[1])
-	}
-	af[nab.NodeID(id)] = a
-	return nil
-}
 
 // reply is the JSON body of one response frame.
 type reply struct {
@@ -133,7 +98,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("nabserve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7012", "serve on this address")
 	connect := fs.String("connect", "", "client mode: stream requests to this server")
-	topoName := fs.String("topo", "k7", "built-in topology: k4, k5, k7, thin5, circ8")
+	topoName := fs.String("topo", "k7", "built-in topology: "+strings.Join(topo.Names(), ", "))
 	file := fs.String("file", "", "topology file (overrides -topo)")
 	source := fs.Int("source", 1, "source node id")
 	f := fs.Int("f", 1, "fault bound")
@@ -146,8 +111,8 @@ func run(args []string, w io.Writer) error {
 	snapEvery := fs.Int("snapshot-interval", 0, "write a full engine-state snapshot every N commits and compact the WAL behind it, bounding disk use and restart replay to the live suffix (0 = default; requires -wal)")
 	adminAddr := fs.String("admin", "", "serve /metrics (Prometheus text), /healthz, /debug/pprof and POST /snapshot (durable daemons) on this address")
 	flightCap := fs.Int("flight", 0, "arm the flight recorder with a ring of N events (rounded up to a power of two); dump it via /debug/flight, black-box dumps land in the WAL dir on anomalies")
-	advs := adversaryFlags{}
-	fs.Var(advs, "adversary", "node=strategy (repeatable): flip, coded, alarm, crash, random")
+	specs := cluster.AdversarySpecs{}
+	fs.Var(specs, "adversary", "node=strategy (repeatable): crash, flip, coded, alarm, suppress, random[:<seed>]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -156,7 +121,11 @@ func run(args []string, w io.Writer) error {
 		return client(w, *connect, *q, *lenBytes, *seed)
 	}
 
-	g, err := loadGraph(*file, *topoName)
+	g, err := topo.Load(*file, *topoName)
+	if err != nil {
+		return err
+	}
+	advs, err := specs.Build()
 	if err != nil {
 		return err
 	}
@@ -544,27 +513,4 @@ func readReply(r io.Reader, lenBytes int) (*reply, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-func loadGraph(file, name string) (*graph.Directed, error) {
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return graph.ParseDirected(string(data))
-	}
-	switch name {
-	case "k4":
-		return topo.CompleteBi(4, 1), nil
-	case "k5":
-		return topo.CompleteBi(5, 2), nil
-	case "k7":
-		return topo.CompleteBi(7, 2), nil
-	case "thin5":
-		return topo.OneThinLink(5, 4, 5, 8, 1)
-	case "circ8":
-		return topo.Circulant(8, 1, 1, 2)
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }

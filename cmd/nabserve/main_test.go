@@ -180,19 +180,8 @@ func TestServeStopsWhileClientsIdle(t *testing.T) {
 }
 
 func TestFlagsAndErrors(t *testing.T) {
-	af := adversaryFlags{}
-	for _, good := range []string{"3=flip", "2=coded", "5=alarm", "4=crash", "6=random"} {
-		if err := af.Set(good); err != nil {
-			t.Errorf("%q: %v", good, err)
-		}
-	}
-	if len(af) != 5 || af.String() == "" {
-		t.Errorf("parsed %d adversaries", len(af))
-	}
-	for _, bad := range []string{"3", "x=flip", "3=unknown"} {
-		if err := af.Set(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
+	if err := run([]string{"-adversary", "3=unknown"}, io.Discard); err == nil {
+		t.Error("unknown adversary strategy accepted")
 	}
 	if err := run([]string{"-topo", "nope"}, io.Discard); err == nil {
 		t.Error("unknown topology accepted")

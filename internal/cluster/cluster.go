@@ -3,13 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
 
 	"nab/internal/core"
 	"nab/internal/graph"
-	"nab/internal/obs"
 	"nab/internal/runtime"
 	"nab/internal/transport"
 	"nab/internal/wal"
@@ -97,7 +97,7 @@ type Node struct {
 	tr     *transport.Peer
 	ctrl   *ctrlPlane
 	rt     *runtime.Runtime
-	log    *obs.Logger // rejoin/rollback event log, bound to the local node set
+	log    *slog.Logger // rejoin/rollback event log, bound to the local node set
 
 	// Crash-recovery supervision state (Durable mode); all touched only
 	// by the single Stream call.

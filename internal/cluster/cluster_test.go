@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"nab/internal/adversary"
 	"nab/internal/cluster"
 	"nab/internal/core"
 	"nab/internal/graph"
@@ -263,6 +264,32 @@ func TestConfigRoundTrip(t *testing.T) {
 		if err := cfg2.Validate(); err == nil {
 			t.Error("Validate accepted a config with no control address")
 		}
+	}
+}
+
+// TestAdversarySpecs pins the -adversary node=strategy flag every command
+// shares: Set validates through ParseAdversary, Build resolves every spec.
+func TestAdversarySpecs(t *testing.T) {
+	specs := cluster.AdversarySpecs{}
+	for _, good := range []string{"3=flip", "2=coded", "5=alarm", "4=crash", "6=random", "7=random:9", "8=suppress"} {
+		if err := specs.Set(good); err != nil {
+			t.Errorf("%q: %v", good, err)
+		}
+	}
+	for _, bad := range []string{"3", "x=flip", "3=unknown", "3=random:x"} {
+		if err := specs.Set(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	advs, err := specs.Build()
+	if err != nil || len(advs) != 7 || specs.String() == "" {
+		t.Errorf("built %d adversaries from %v: %v", len(advs), specs, err)
+	}
+	if a := advs[6].(*adversary.Random); a.Seed != 0 {
+		t.Errorf("bare random has seed %d, want 0", a.Seed)
+	}
+	if a := advs[7].(*adversary.Random); a.Seed != 9 {
+		t.Errorf("random:9 has seed %d", a.Seed)
 	}
 }
 

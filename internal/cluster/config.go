@@ -234,19 +234,15 @@ func (c *Config) Lead(addr string) graph.NodeID {
 
 // Adversaries builds the full scripted-adversary map.
 func (c *Config) Adversaries() (map[graph.NodeID]core.Adversary, error) {
-	out := map[graph.NodeID]core.Adversary{}
+	specs := AdversarySpecs{}
 	for _, ns := range c.Nodes {
-		if ns.Adversary == "" {
-			continue
+		if ns.Adversary != "" {
+			specs[ns.ID] = ns.Adversary
 		}
-		a, err := ParseAdversary(ns.Adversary)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", ns.ID, err)
-		}
-		out[ns.ID] = a
 	}
-	if len(out) == 0 {
-		return nil, nil
+	out, err := specs.Build()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return out, nil
 }
@@ -279,7 +275,9 @@ func (c *Config) CoreConfig() (core.Config, error) {
 	}, nil
 }
 
-// ParseAdversary resolves a NodeSpec.Adversary string.
+// ParseAdversary resolves a strategy spec (NodeSpec.Adversary syntax):
+// crash, flip, coded, alarm, suppress, or random[:<seed>], where a bare
+// random means random:0.
 func ParseAdversary(spec string) (core.Adversary, error) {
 	name, arg, hasArg := strings.Cut(spec, ":")
 	switch name {
@@ -307,4 +305,44 @@ func ParseAdversary(spec string) (core.Adversary, error) {
 		return &adversary.Random{Seed: seed}, nil
 	}
 	return nil, fmt.Errorf("unknown adversary strategy %q", spec)
+}
+
+// AdversarySpecs maps nodes to ParseAdversary strategy specs. As a
+// flag.Value it is the repeatable -adversary node=strategy flag every
+// command takes; Set rejects a spec ParseAdversary does not know.
+type AdversarySpecs map[graph.NodeID]string
+
+func (as AdversarySpecs) String() string { return fmt.Sprint(map[graph.NodeID]string(as)) }
+
+func (as AdversarySpecs) Set(s string) error {
+	idStr, spec, ok := strings.Cut(s, "=")
+	if !ok {
+		return fmt.Errorf("want node=strategy, got %q", s)
+	}
+	id, err := strconv.Atoi(idStr)
+	if err != nil {
+		return fmt.Errorf("bad node id %q: %w", idStr, err)
+	}
+	if _, err := ParseAdversary(spec); err != nil {
+		return err
+	}
+	as[graph.NodeID(id)] = spec
+	return nil
+}
+
+// Build resolves every spec into the core.Config adversary map (nil when
+// there are none).
+func (as AdversarySpecs) Build() (map[graph.NodeID]core.Adversary, error) {
+	if len(as) == 0 {
+		return nil, nil
+	}
+	out := make(map[graph.NodeID]core.Adversary, len(as))
+	for v, spec := range as {
+		a, err := ParseAdversary(spec)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", v, err)
+		}
+		out[v] = a
+	}
+	return out, nil
 }

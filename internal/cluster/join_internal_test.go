@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nab/internal/core"
+	"nab/internal/flight"
 	"nab/internal/graph"
 	"nab/internal/runtime"
 	"nab/internal/topo"
@@ -415,8 +416,12 @@ func TestJoinStatePinnedToConnection(t *testing.T) {
 
 // TestRollbackErrorNamesRoundAndPhase pins the rollback boundary's typed
 // failure: a follower whose coordinator never comes back fails its
-// reconnect with an error naming the round and the phase.
+// reconnect with an error naming the round and the phase, and the armed
+// flight recorder holds the rollback-failed anomaly.
 func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
+	rec := flight.Default()
+	rec.Enable(1024)
+	defer rec.Disable()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -434,4 +439,10 @@ func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "cluster: rollback round 3 (phase reconnect): ") {
 		t.Fatalf("err = %v, want it to name round 3 and the reconnect phase", err)
 	}
+	for _, ev := range rec.Events() {
+		if ev.Type == flight.EvAnomaly && ev.Arg == flight.ReasonRollback {
+			return
+		}
+	}
+	t.Fatal("no rollback-failed anomaly recorded")
 }

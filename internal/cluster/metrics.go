@@ -6,7 +6,7 @@ import (
 )
 
 // Control-plane instruments and the rejoin/ctrl structured loggers
-// (logfmt events on stderr under NAB_DEBUG, see internal/obs).
+// (slog text events on stderr under NAB_DEBUG, see internal/obs).
 var (
 	mRollbackRounds = metrics.NewCounter("nab_cluster_rollback_rounds_total",
 		"Rollback rounds this process has been pulled through.")

@@ -346,12 +346,16 @@ func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Dura
 // votes; rewind the runtime to the agreed floor on the agreed launch
 // epoch, ack, and wait for the cluster-wide resume. Every error leaving
 // it names the round (before its sync arrives, the last one this process
-// acked) and the phase it failed in.
+// acked) and the phase it failed in, and leaves a black-box dump unless
+// the caller's context ended.
 func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (err error) {
 	ph := phaseSync
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("cluster: rollback round %d (phase %s): %w", n.lastRound, ph, err)
+			if ctx.Err() == nil {
+				flight.Trigger(flight.ReasonRollback)
+			}
 		}
 	}()
 	events := n.ctrl.Events()

@@ -10,14 +10,10 @@ import (
 	"nab/internal/obs"
 )
 
-// dumpLog reports black-box dump write failures. It is force-enabled —
-// a misconfigured autodump dir must be visible without NAB_DEBUG, and
-// it only ever speaks on a failure streak's first miss (and recovery).
-var dumpLog = func() *obs.Logger {
-	l := obs.New("flight")
-	l.SetEnabled(true)
-	return l
-}()
+// dumpLog reports black-box dump write failures. It is always on — a
+// misconfigured autodump dir must be visible without NAB_DEBUG, and it
+// only ever speaks on a failure streak's first miss (and recovery).
+var dumpLog = obs.Always("flight")
 
 // Dump file framing mirrors the WAL's standalone snapshot container: an
 // 8-byte magic, a CRC-framed header, then fixed-width event records, so

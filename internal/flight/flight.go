@@ -170,6 +170,7 @@ const (
 	ReasonRejoin
 	ReasonJoin
 	ReasonPredicate
+	ReasonRollback
 )
 
 // ReasonName names a Reason* code; it is embedded in dump filenames, so
@@ -188,6 +189,8 @@ func ReasonName(code uint64) string {
 		return "join"
 	case ReasonPredicate:
 		return "predicate"
+	case ReasonRollback:
+		return "rollback-failed"
 	}
 	return "anomaly"
 }

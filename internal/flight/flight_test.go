@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"nab/internal/obs"
 )
 
 func TestRingWraparoundKeepsNewestInOrder(t *testing.T) {
@@ -240,7 +239,7 @@ func (w chanWriter) Write(p []byte) (int, error) {
 func TestAutodumpWriteFailureIsLogged(t *testing.T) {
 	lines := make(chan string, 8)
 	old := dumpLog
-	dumpLog = obs.NewWriter("flight", chanWriter(lines))
+	dumpLog = slog.New(slog.NewTextHandler(chanWriter(lines), nil))
 	defer func() { dumpLog = old }()
 
 	var r Recorder

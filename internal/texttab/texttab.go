@@ -1,5 +1,5 @@
 // Package texttab renders aligned text tables — the shared formatter
-// behind cmd/nabexp, cmd/nabcap, cmd/nabsim and tools/nabtrace, so
+// behind cmd/nabexp (tables, sim, cap) and tools/nabtrace, so
 // EXPERIMENTS.md rows and tool output are regenerated identically
 // everywhere. (It was historically named internal/trace, which clashed
 // with execution tracing; the flight recorder owns that word now.)

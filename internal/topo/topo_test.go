@@ -1,7 +1,11 @@
 package topo
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"nab/internal/graph"
@@ -191,5 +195,82 @@ func TestGraphsHaveNodeOne(t *testing.T) {
 		if !g.HasNode(1) {
 			t.Errorf("graph %d lacks node 1", i)
 		}
+	}
+}
+
+// TestNamedTable pins the one topology-name table: every name builds,
+// names are unique, each admits the fault bound it is used with, an
+// unknown name's error lists the valid ones, and every topology a
+// checked-in chaosfuzz fixture names resolves.
+func TestNamedTable(t *testing.T) {
+	wantF := map[string]int{"k4": 1, "k5": 1, "k7": 2, "fig1": 0, "thin5": 1, "thin7": 2, "circ8": 1, "circ9": 1}
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("duplicate name %q", name)
+		}
+		seen[name] = true
+		g, err := Named(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !g.HasNode(1) {
+			t.Errorf("%s lacks source node 1", name)
+		}
+		f, err := MaxFaults(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := wantF[name]; !ok || f != want {
+			t.Errorf("MaxFaults(%s) = %d, want %d", name, f, want)
+		}
+	}
+	if len(seen) != len(wantF) {
+		t.Errorf("table has %d names, want %d", len(seen), len(wantF))
+	}
+
+	_, err := Named("nope")
+	if err == nil {
+		t.Fatal("unknown name accepted")
+	}
+	for _, name := range Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
+	}
+
+	fixtures, err := filepath.Glob("../../tools/chaosfuzz/fixtures/*.json")
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no chaosfuzz fixtures found: %v", err)
+	}
+	for _, path := range fixtures {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc struct{ Topology string }
+		if err := json.Unmarshal(raw, &sc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := Named(sc.Topology); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+func TestLoadFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "net.txt")
+	if err := os.WriteFile(path, []byte(CompleteBi(4, 1).Marshal()), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Load(path, "ignored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 12 {
+		t.Errorf("loaded %d edges, want 12", g.NumEdges())
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing"), "k4"); err == nil {
+		t.Error("missing file accepted")
 	}
 }

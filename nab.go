@@ -10,28 +10,15 @@
 // coding, a synchronous network simulator, classic Byzantine broadcast
 // (EIG) over disjoint-path relays, and dispute control.
 //
-// # Quick start
-//
-//	g := nab.CompleteGraph(4, 1)          // K4, unit capacities
-//	runner, err := nab.NewRunner(nab.Config{
-//		Graph: g, Source: 1, F: 1, LenBytes: 32,
-//	})
-//	if err != nil { ... }
-//	res, err := runner.RunInstance(input) // input: 32 bytes
-//	// res.Outputs holds every fault-free node's agreed value.
-//
-// Use AnalyzeCapacity to compute the paper's gamma*, rho*, the Theorem 2
-// capacity upper bound and the Theorem 3 throughput guarantee for a
-// topology.
-//
 // # Streaming sessions
 //
-// Session is the primary execution API: one streaming, context-aware
-// facade over every engine. Clients submit payloads continuously and
-// consume commits as they land; the pipelined engine keeps W instances in
+// Session is the one execution API: a streaming, context-aware facade
+// over every engine. Clients submit payloads continuously and consume
+// commits as they land; the default pipelined engine keeps W instances in
 // flight underneath (Appendix D's pipelining), with backpressure from a
 // slow consumer all the way to Submit:
 //
+//	g := nab.CompleteGraph(4, 1) // K4, unit capacities
 //	sess, err := nab.Open(ctx, nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 64},
 //		nab.WithWindow(4))
 //	if err != nil { ... }
@@ -48,57 +35,25 @@
 //	}
 //	err = sess.Err()
 //
-// WithLockstep selects the synchronous reference simulator, WithCluster
-// the multi-process partial engine; identical payload sequences commit
-// byte-identical outputs on every engine. WithDurability/Recover put a
-// write-ahead log (internal/wal) under any engine: accepted submissions
-// and commits are persisted, a killed process resumes where its log
-// ends, and cluster processes rejoin a running mesh mid-stream.
+// WithLockstep selects the synchronous reference simulator, WithTransport
+// (e.g. NewTCPTransport) runs the pipelined engine's links over loopback
+// TCP, and WithCluster joins a multi-process cluster (internal/cluster,
+// cmd/nabnode) as the host of one node; identical payload sequences
+// commit byte-identical outputs on every engine. WithDurability/Recover
+// put a write-ahead log (internal/wal) under any engine: accepted
+// submissions and commits are persisted, a killed process resumes where
+// its log ends, and cluster processes rejoin a running mesh mid-stream.
 //
-// # Concurrent pipelined runtime
-//
-// Runner executes instances one at a time on the lockstep simulator. The
-// concurrent runtime (internal/runtime over internal/transport) runs every
-// node as an actor exchanging real messages and keeps a window of W
-// instances in flight — Appendix D's pipelining made operational — while
-// committing outputs identical to Runner's:
-//
-//	rt, err := nab.NewPipelinedRunner(nab.PipelineConfig{
-//		Config: nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 64},
-//		Window: 4,
-//	})
-//	if err != nil { ... }
-//	defer rt.Close()
-//	subs := make(chan []byte, len(inputs))
-//	for _, in := range inputs { subs <- in }
-//	close(subs)
-//	res, err := rt.RunStream(ctx, subs, nil) // res.Instances, res.Wall, res.InstancesPerSec()
-//
-// Pass a Transport (e.g. NewTCPTransport) to serve over loopback TCP with
-// binary wire framing; cmd/nabserve wraps that in a request-streaming
-// daemon.
-//
-// # Multi-process cluster
-//
-// The cluster deployment (internal/cluster, cmd/nabnode) runs every node
-// in an OS process of its own: full-mesh TCP links dialed from a shared
-// ClusterConfig carry the protocol frames (with optional per-link
-// capacity pacing on the wire), each process's runtime drives only its
-// local node, and committed outputs remain byte-identical to Runner:
-//
-//	cfg, err := nab.LoadClusterConfig("cluster.json")
-//	node, err := nab.StartClusterNode(cfg, 3, nab.ClusterOptions{})
-//	defer node.Close()
-//	res, err := node.Stream(ctx, subs, nil) // this node's committed outputs
-//
-// One command brings a local cluster up: `nabnode -spawn-local -topo k4`.
+// Runner, the lockstep driver one instance at a time, stays exported as
+// the reproduction harness's oracle. Use AnalyzeCapacity to compute the
+// paper's gamma*, rho*, the Theorem 2 capacity upper bound and the
+// Theorem 3 throughput guarantee for a topology.
 package nab
 
 import (
 	"math/rand"
 
 	"nab/internal/adversary"
-	"nab/internal/baseline"
 	"nab/internal/capacity"
 	"nab/internal/cluster"
 	"nab/internal/core"
@@ -135,8 +90,6 @@ type (
 	// CapacityReport carries gamma*, rho*, the capacity upper bound and
 	// throughput guarantee of a topology.
 	CapacityReport = capacity.Report
-	// BaselineResult reports a capacity-oblivious baseline broadcast.
-	BaselineResult = baseline.Result
 )
 
 // NewGraph returns an empty capacitated directed graph.
@@ -149,17 +102,10 @@ func ParseGraph(text string) (*Graph, error) { return graph.ParseDirected(text) 
 // Re-exported pipelined-runtime types. See internal/runtime and
 // internal/transport for full documentation.
 type (
-	// PipelineConfig parameterizes the concurrent runtime: an embedded
-	// Config plus the in-flight window and transport selection.
-	PipelineConfig = runtime.Config
-	// PipelinedRunner executes NAB instances concurrently with W in
-	// flight, committing outputs identical to Runner's.
-	PipelinedRunner = runtime.Runtime
 	// PipelineResult extends RunResult with wall-clock, replay and
-	// per-link accounting. Its Instances slice is filled only by batch
-	// runs with no commit sink (PipelinedRunner.RunStream(ctx, subs, nil));
-	// a Session's Result carries the aggregates alone — Committed(),
-	// TotalTime(), DisputePhases() — and Instances stays nil.
+	// per-link accounting: a Session's Result. It carries the aggregates
+	// alone — Committed(), TotalTime(), DisputePhases() — and Instances
+	// stays nil; the per-instance reports went out on Commits.
 	PipelineResult = runtime.Result
 	// PipelineReport is the aggregate throughput accounting, comparable
 	// against CapacityReport's Theorem 2/3 bounds.
@@ -192,10 +138,6 @@ type (
 // NewRunner validates cfg and prepares a NAB execution.
 func NewRunner(cfg Config) (*Runner, error) { return core.NewRunner(cfg) }
 
-// NewPipelinedRunner validates cfg and starts the concurrent runtime.
-// Close it when done.
-func NewPipelinedRunner(cfg PipelineConfig) (*PipelinedRunner, error) { return runtime.New(cfg) }
-
 // NewPipelineReport derives the aggregate throughput accounting for a
 // finished run over topology g — use it on a Session's Result to set the
 // measured rates next to the paper's Theorem 2/3 bounds (capRep may be
@@ -206,7 +148,7 @@ func NewPipelineReport(g *Graph, res *PipelineResult, capRep *CapacityReport) *P
 
 // NewTCPTransport builds a loopback-TCP substrate over g (one listener
 // per node, one connection per directed link, encoding/binary framing)
-// for PipelineConfig.Transport.
+// for WithTransport.
 func NewTCPTransport(g *Graph) (Transport, error) { return transport.NewTCP(g) }
 
 // NewTCPTransportOpts is NewTCPTransport with options (chaos physics).
@@ -223,21 +165,13 @@ type (
 	// ClusterNodeSpec places one node (id, hosting address, optional
 	// scripted adversary).
 	ClusterNodeSpec = cluster.NodeSpec
-	// ClusterNode is one process's membership in a cluster.
+	// ClusterNode is one process's membership in a cluster (see
+	// Session.Cluster).
 	ClusterNode = cluster.Node
 	// ClusterOptions tunes a process's endpoints (wire pacing, boot
 	// timeout).
 	ClusterOptions = cluster.Options
 )
-
-// LoadClusterConfig reads and validates a cluster.json.
-func LoadClusterConfig(path string) (*ClusterConfig, error) { return cluster.Load(path) }
-
-// StartClusterNode joins the cluster as the host of node id (and any
-// node sharing its address). Close the node when done.
-func StartClusterNode(cfg *ClusterConfig, id NodeID, opt ClusterOptions) (*ClusterNode, error) {
-	return cluster.Start(cfg, id, opt)
-}
 
 // ClusterReservation holds bound listeners for cluster endpoints until
 // the node bootstrap takes them over (see ReserveClusterAddrs).
@@ -245,8 +179,8 @@ type ClusterReservation = cluster.Reservation
 
 // ReserveClusterAddrs binds n loopback listeners on ephemeral ports and
 // keeps them held for building local cluster configs: hand the
-// reservation to StartClusterNode via ClusterOptions.Reservation so the
-// ports cannot be lost to another process between reservation and boot.
+// reservation to WithCluster via ClusterOptions.Reservation so the ports
+// cannot be lost to another process between reservation and boot.
 func ReserveClusterAddrs(n int) (*ClusterReservation, error) { return cluster.ReserveAddrs(n) }
 
 // AnalyzeCapacity computes the paper's throughput quantities for source in
@@ -322,18 +256,4 @@ func FalseAlarmAdversary() Adversary { return adversary.FalseAlarm{} }
 // replays, and across cluster processes.
 func SeededRandomAdversary(seed int64) Adversary {
 	return &adversary.Random{Seed: seed}
-}
-
-// --- baselines --------------------------------------------------------------
-
-// BaselineEIG broadcasts input with classic capacity-oblivious Byzantine
-// broadcast (EIG over 2f+1 disjoint paths), for throughput comparison.
-func BaselineEIG(g *Graph, source NodeID, f int, input []byte) (*BaselineResult, error) {
-	return baseline.RunEIG(g, source, f, input)
-}
-
-// BaselineFlood broadcasts input along 2f+1 node-disjoint paths per
-// destination with receiver-side majority.
-func BaselineFlood(g *Graph, source NodeID, f int, input []byte) (*BaselineResult, error) {
-	return baseline.RunFlood(g, source, f, input)
 }

@@ -9,20 +9,6 @@ import (
 	"nab"
 )
 
-// runBatch feeds a fixed batch through the pipelined runner's streaming
-// entry point and returns once every instance has committed.
-func runBatch(rt *nab.PipelinedRunner, inputs [][]byte) (*nab.PipelineResult, error) {
-	if err := rt.ValidateInputs(inputs); err != nil {
-		return nil, err
-	}
-	subs := make(chan []byte, len(inputs))
-	for _, in := range inputs {
-		subs <- in
-	}
-	close(subs)
-	return rt.RunStream(context.Background(), subs, nil)
-}
-
 func TestFacadeQuickstart(t *testing.T) {
 	g := nab.CompleteGraph(4, 1)
 	runner, err := nab.NewRunner(nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 8})
@@ -41,53 +27,66 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// streamAll submits inputs to a fresh session, drains it and returns the
+// commits in order.
+func streamAll(t *testing.T, cfg nab.Config, inputs [][]byte, opts ...nab.SessionOption) []*nab.InstanceResult {
+	t.Helper()
+	ctx := context.Background()
+	sess, err := nab.Open(ctx, cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	go func() {
+		for _, in := range inputs {
+			if _, err := sess.Submit(ctx, in); err != nil {
+				return
+			}
+		}
+		sess.Drain(ctx)
+	}()
+	var out []*nab.InstanceResult
+	for c := range sess.Commits() {
+		out = append(out, c.Result)
+	}
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFacadePipelinedRunner drives the pipelined engine, the Session
+// default, through the facade with two instances in flight.
 func TestFacadePipelinedRunner(t *testing.T) {
-	g := nab.CompleteGraph(4, 1)
-	rt, err := nab.NewPipelinedRunner(nab.PipelineConfig{
-		Config: nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 8},
-		Window: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	cfg := nab.Config{Graph: nab.CompleteGraph(4, 1), Source: 1, F: 1, LenBytes: 8}
 	inputs := [][]byte{[]byte("8 bytes!"), []byte("more of!"), []byte("the same")}
-	res, err := runBatch(rt, inputs)
-	if err != nil {
-		t.Fatal(err)
+	got := streamAll(t, cfg, inputs, nab.WithWindow(2))
+	if len(got) != len(inputs) {
+		t.Fatalf("committed %d instances, want %d", len(got), len(inputs))
 	}
-	for i, ir := range res.Instances {
+	for i, ir := range got {
 		for v, out := range ir.Outputs {
 			if !bytes.Equal(out, inputs[i]) {
 				t.Errorf("instance %d: node %d decided %x", i+1, v, out)
 			}
 		}
 	}
-	if rep := rt.Report(res, nil); rep.Instances != 3 {
-		t.Errorf("report instances = %d", rep.Instances)
-	}
 }
 
+// TestFacadeTCPTransport runs the pipelined engine's links over the
+// facade's loopback TCP transport.
 func TestFacadeTCPTransport(t *testing.T) {
 	g := nab.CompleteGraph(4, 1)
 	tr, err := nab.NewTCPTransport(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := nab.NewPipelinedRunner(nab.PipelineConfig{
-		Config:    nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 8},
-		Transport: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
 	input := []byte("via tcp!")
-	res, err := runBatch(rt, [][]byte{input})
-	if err != nil {
-		t.Fatal(err)
+	got := streamAll(t, nab.Config{Graph: g, Source: 1, F: 1, LenBytes: 8}, [][]byte{input}, nab.WithTransport(tr))
+	if len(got) != 1 {
+		t.Fatalf("committed %d instances, want 1", len(got))
 	}
-	for v, out := range res.Instances[0].Outputs {
+	for v, out := range got[0].Outputs {
 		if !bytes.Equal(out, input) {
 			t.Errorf("node %d decided %x", v, out)
 		}
@@ -126,7 +125,7 @@ func TestFacadeTopologies(t *testing.T) {
 	}
 }
 
-func TestFacadeAdversariesAndBaselines(t *testing.T) {
+func TestFacadeAdversaries(t *testing.T) {
 	g := nab.CompleteGraph(4, 2)
 	runner, err := nab.NewRunner(nab.Config{
 		Graph: g, Source: 1, F: 1, LenBytes: 8,
@@ -147,12 +146,6 @@ func TestFacadeAdversariesAndBaselines(t *testing.T) {
 		if !bytes.Equal(out, input) {
 			t.Error("validity violated via facade")
 		}
-	}
-	if _, err := nab.BaselineEIG(g, 1, 1, input); err != nil {
-		t.Error(err)
-	}
-	if _, err := nab.BaselineFlood(g, 1, 1, input); err != nil {
-		t.Error(err)
 	}
 	// Remaining adversary constructors exist and satisfy the interface.
 	for _, a := range []nab.Adversary{

@@ -101,8 +101,8 @@ func WithTransportOptions(opt TransportOptions) SessionOption {
 
 // WithLocalNodes restricts the pipelined engine to hosting the given
 // nodes' actors — the multi-process deployment where the transport
-// carries the rest of the topology's traffic (see PipelineConfig's
-// LocalNodes; prefer WithCluster, which also wires the control plane).
+// carries the rest of the topology's traffic (prefer WithCluster, which
+// also wires the control plane).
 func WithLocalNodes(nodes ...NodeID) SessionOption {
 	return func(o *sessionOptions) { o.localNodes = append(o.localNodes, nodes...) }
 }
@@ -142,12 +142,10 @@ func WithCluster(cfg *ClusterConfig, id NodeID, opt ClusterOptions) SessionOptio
 	}
 }
 
-// Session is the unified streaming interface over every NAB execution
-// engine: clients Submit payloads continuously and consume Commits as
-// they land, with the engine keeping its pipeline full in between — the
-// session-oriented shape of a long-lived coded-broadcast service, in
-// contrast to the one-shot batch calls it replaces (Runner.Run,
-// PipelinedRunner.Run, ClusterNode.Run).
+// Session is the one entry point into every NAB execution engine:
+// clients Submit payloads continuously and consume Commits as they land,
+// with the engine keeping its pipeline full in between — the
+// session-oriented shape of a long-lived coded-broadcast service.
 //
 //	sess, err := nab.Open(ctx, cfg, nab.WithWindow(4))
 //	...

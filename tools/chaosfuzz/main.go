@@ -40,6 +40,7 @@ import (
 
 	"nab"
 	"nab/internal/cluster"
+	"nab/internal/topo"
 )
 
 // Scenario is one fully-specified fuzz case — everything needed to replay
@@ -47,7 +48,7 @@ import (
 type Scenario struct {
 	Name     string `json:"name,omitempty"`
 	FuzzSeed int64  `json:"fuzzSeed"`
-	// Topology is one of k4, k5, k7, thin7, circ9.
+	// Topology names a built-in topology (internal/topo).
 	Topology string     `json:"topology"`
 	Source   nab.NodeID `json:"source"`
 	F        int        `json:"f"`
@@ -210,43 +211,31 @@ func (r *rng) ms(lo, hi int) nab.ChaosDuration {
 	return nab.ChaosDuration(time.Duration(lo+r.intn(hi-lo+1)) * time.Millisecond)
 }
 
-// topoSpec is one generatable topology with its fault budget and the
-// node ids eligible to host a scripted adversary (never the source).
-type topoSpec struct {
-	name  string
-	f     int
-	nodes []nab.NodeID
-	build func() (*nab.Graph, error)
-}
-
-var topoSpecs = []topoSpec{
-	{"k4", 1, []nab.NodeID{2, 3, 4}, func() (*nab.Graph, error) { return nab.CompleteGraph(4, 1), nil }},
-	{"k5", 1, []nab.NodeID{2, 3, 4, 5}, func() (*nab.Graph, error) { return nab.CompleteGraph(5, 2), nil }},
-	{"k7", 2, []nab.NodeID{2, 3, 4, 5, 6, 7}, func() (*nab.Graph, error) { return nab.CompleteGraph(7, 2), nil }},
-	{"thin7", 2, []nab.NodeID{2, 3, 4, 5, 6, 7}, func() (*nab.Graph, error) { return nab.OneThinLinkGraph(7, 2, 3, 8, 1) }},
-	{"circ9", 1, []nab.NodeID{2, 3, 4, 5, 6, 7, 8, 9}, func() (*nab.Graph, error) { return nab.CirculantGraph(9, 1, 1, 2) }},
-}
-
-func buildTopo(name string) (*nab.Graph, error) {
-	for _, ts := range topoSpecs {
-		if ts.name == name {
-			return ts.build()
-		}
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
-}
+// fuzzTopos are the built-in topologies (internal/topo) scenarios draw
+// from. Each runs at the largest fault bound it admits, and every node but
+// the source may host a scripted adversary.
+var fuzzTopos = []string{"k4", "k5", "k7", "thin7", "circ9"}
 
 var adversaryKinds = []string{"crash", "flip", "coded", "alarm", "suppress", "random:%d"}
 
 // Generate deterministically expands one fuzz seed into a scenario.
 func Generate(fuzzSeed int64) *Scenario {
 	r := &rng{s: uint64(fuzzSeed) * 0x9e3779b97f4a7c15}
-	ts := topoSpecs[r.intn(len(topoSpecs))]
+	topoName := fuzzTopos[r.intn(len(fuzzTopos))]
+	g, err := topo.Named(topoName)
+	if err != nil {
+		panic(err) // fuzzTopos names table entries
+	}
+	f, err := topo.MaxFaults(g)
+	if err != nil {
+		panic(err)
+	}
+	nodes := g.Nodes()[1:] // all but the source, node 1
 
 	// Adversary cast: 1..f scripted Byzantine nodes on distinct ids.
 	advs := map[nab.NodeID]string{}
-	for i, n := 0, 1+r.intn(ts.f); i < n; i++ {
-		v := ts.nodes[r.intn(len(ts.nodes))]
+	for i, n := 0, 1+r.intn(f); i < n; i++ {
+		v := nodes[r.intn(len(nodes))]
 		kind := adversaryKinds[r.intn(len(adversaryKinds))]
 		if strings.Contains(kind, "%d") {
 			kind = fmt.Sprintf(kind, 1+r.intn(1000))
@@ -268,8 +257,8 @@ func Generate(fuzzSeed int64) *Scenario {
 		chaos.Default.ReorderProb = 0.1 + 0.5*r.unit()
 	}
 	if r.unit() < 0.5 {
-		from := ts.nodes[r.intn(len(ts.nodes))]
-		to := ts.nodes[r.intn(len(ts.nodes))]
+		from := nodes[r.intn(len(nodes))]
+		to := nodes[r.intn(len(nodes))]
 		if from != to {
 			chaos.Partitions = []nab.ChaosPartition{{
 				From:  []nab.NodeID{from},
@@ -281,7 +270,7 @@ func Generate(fuzzSeed int64) *Scenario {
 	}
 	if r.unit() < 0.3 {
 		chaos.Links = []nab.ChaosLinkRule{{
-			From:      ts.nodes[r.intn(len(ts.nodes))],
+			From:      nodes[r.intn(len(nodes))],
 			LinkChaos: nab.ChaosLink{RateBits: int64(100_000 + r.intn(400_000))},
 		}}
 	}
@@ -290,9 +279,9 @@ func Generate(fuzzSeed int64) *Scenario {
 		"churn-join", "churn-join-kill", "churn-rolling"}
 	sc := &Scenario{
 		FuzzSeed:    fuzzSeed,
-		Topology:    ts.name,
+		Topology:    topoName,
 		Source:      1,
-		F:           ts.f,
+		F:           f,
 		LenBytes:    8 * (1 + r.intn(3)),
 		Seed:        1 + int64(r.intn(1000)),
 		Window:      1 + r.intn(4),
@@ -323,7 +312,7 @@ type view struct {
 // Run executes one scenario and returns nil iff the engine's commits and
 // dispute set are byte-identical to the chaos-free lockstep oracle.
 func Run(sc *Scenario) error {
-	g, err := buildTopo(sc.Topology)
+	g, err := topo.Named(sc.Topology)
 	if err != nil {
 		return err
 	}
@@ -339,23 +328,7 @@ func Run(sc *Scenario) error {
 		}
 	}
 
-	mkCfg := func() (nab.Config, error) {
-		cfg := nab.Config{
-			Graph: g, Source: sc.Source, F: sc.F,
-			LenBytes: sc.LenBytes, Seed: sc.Seed,
-			Adversaries: map[nab.NodeID]nab.Adversary{},
-		}
-		for v, spec := range sc.Adversaries {
-			adv, err := cluster.ParseAdversary(spec)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Adversaries[v] = adv
-		}
-		return cfg, nil
-	}
-
-	oracleCfg, err := mkCfg()
+	oracleCfg, err := sc.config(g)
 	if err != nil {
 		return err
 	}
@@ -367,7 +340,7 @@ func Run(sc *Scenario) error {
 	var got *view
 	switch sc.Engine {
 	case "pipelined":
-		cfg, err := mkCfg()
+		cfg, err := sc.config(g)
 		if err != nil {
 			return err
 		}
@@ -377,7 +350,7 @@ func Run(sc *Scenario) error {
 			return err
 		}
 	case "tcp":
-		cfg, err := mkCfg()
+		cfg, err := sc.config(g)
 		if err != nil {
 			return err
 		}
@@ -395,7 +368,7 @@ func Run(sc *Scenario) error {
 			return err
 		}
 	case "kill-recover":
-		got, err = runKillRecover(sc, payloads)
+		got, err = runKillRecover(sc, g, payloads)
 		if err != nil {
 			return err
 		}
@@ -409,6 +382,16 @@ func Run(sc *Scenario) error {
 		return fmt.Errorf("unknown engine %q", sc.Engine)
 	}
 	return diff(oracle, got)
+}
+
+// config builds the scenario's session configuration over g, with fresh
+// adversary instances on every call.
+func (sc *Scenario) config(g *nab.Graph) (nab.Config, error) {
+	advs, err := cluster.AdversarySpecs(sc.Adversaries).Build()
+	return nab.Config{
+		Graph: g, Source: sc.Source, F: sc.F,
+		LenBytes: sc.LenBytes, Seed: sc.Seed, Adversaries: advs,
+	}, err
 }
 
 // collectSession drives one session over payloads and gathers its view.
@@ -561,36 +544,16 @@ func runCluster(sc *Scenario, g *nab.Graph, payloads [][]byte) (*view, error) {
 // process-crash model, minus the process), then recovered over the same
 // WAL — logged commits replay, logged-but-uncommitted submissions
 // re-enter, and the merged stream must still match the oracle.
-func runKillRecover(sc *Scenario, payloads [][]byte) (*view, error) {
-	g, err := buildTopo(sc.Topology)
-	if err != nil {
-		return nil, err
-	}
+func runKillRecover(sc *Scenario, g *nab.Graph, payloads [][]byte) (*view, error) {
 	dir, err := os.MkdirTemp("", "chaosfuzz-wal-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	mk := func() (nab.Config, error) {
-		cfg := nab.Config{
-			Graph: g, Source: sc.Source, F: sc.F,
-			LenBytes: sc.LenBytes, Seed: sc.Seed,
-			Adversaries: map[nab.NodeID]nab.Adversary{},
-		}
-		for v, spec := range sc.Adversaries {
-			adv, err := cluster.ParseAdversary(spec)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Adversaries[v] = adv
-		}
-		return cfg, nil
-	}
-
 	// First incarnation: submit everything, watch KillAfter commits land,
 	// then kill the session without draining.
-	cfg, err := mk()
+	cfg, err := sc.config(g)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +584,7 @@ func runKillRecover(sc *Scenario, payloads [][]byte) (*view, error) {
 
 	// Second incarnation: recover the WAL, re-feed the workload (the
 	// session skips what it already accepted) and finish the stream.
-	cfg2, err := mk()
+	cfg2, err := sc.config(g)
 	if err != nil {
 		return nil, err
 	}
