@@ -57,20 +57,29 @@ func TestSimErrors(t *testing.T) {
 }
 
 func TestCapBuiltins(t *testing.T) {
-	// Every name of the shared table, exact where the enumeration is cheap.
+	// Every name of the shared table but k7 (TestCapK7F2), exact where the
+	// enumeration is cheap.
 	for _, name := range topo.Names() {
 		args := []string{"cap", "-topo", name}
 		switch name {
+		case "k7":
+			continue
 		case "k4", "k5", "fig1":
 		default:
 			args = append(args, "-exact=false")
 		}
-		if name == "k7" || name == "thin7" {
+		if name == "thin7" {
 			args = append(args, "-f", "2")
 		}
 		if err := run(args); err != nil {
 			t.Errorf("topo %s: %v", name, err)
 		}
+	}
+}
+
+func TestCapK7F2(t *testing.T) {
+	if err := run([]string{"cap", "-topo", "k7", "-f", "2", "-exact=false"}); err != nil {
+		t.Error(err)
 	}
 }
 
