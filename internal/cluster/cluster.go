@@ -17,10 +17,9 @@ import (
 
 // Options tunes one process's cluster endpoint.
 type Options struct {
-	// TimeUnit/Burst enable per-link capacity pacing on the wire (see
+	// TimeUnit enables per-link capacity pacing on the wire (see
 	// transport.PeerOptions).
 	TimeUnit time.Duration
-	Burst    int64
 	// BootTimeout bounds how long link and control dials wait for peer
 	// processes to come up. Default 20s.
 	BootTimeout time.Duration
@@ -175,7 +174,6 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 
 	popt := transport.PeerOptions{
 		TimeUnit:    opt.TimeUnit,
-		Burst:       opt.Burst,
 		DialTimeout: opt.BootTimeout,
 		Reconnect:   opt.Durable,
 		Chaos:       cfg.Chaos,
@@ -278,8 +276,9 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		n.rejoinPending = opt.Rejoining || opt.Join
 	}
 	// The watchdog force-closes the endpoints on cancellation, so actors
-	// blocked in link dials (a peer process that never came up) or paced
-	// sends abort promptly instead of waiting out their timeouts.
+	// blocked in link dials (a peer process that never came up) or in
+	// sends onto a full link queue abort promptly instead of waiting out
+	// their timeouts.
 	go func() {
 		select {
 		case <-ctx.Done():

@@ -52,7 +52,7 @@ type Config struct {
 	Transport transport.Transport
 
 	// ChanOptions tunes the default in-process bus when Transport is nil
-	// (pacing time unit, token-bucket burst, inbox depth).
+	// (pacing time unit, chaos physics).
 	ChanOptions transport.ChanOptions
 
 	// LocalNodes restricts this runtime to hosting the given nodes' actors

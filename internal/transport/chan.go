@@ -9,17 +9,12 @@ import (
 // ChanOptions tunes the in-process bus.
 type ChanOptions struct {
 	// TimeUnit is the real-time duration of one model time unit. When
-	// positive, every link paces sends with a token bucket of rate z_e
-	// bits per TimeUnit, so a b-bit frame occupies the link for
-	// b/z_e time units — the paper's capacity charge made physical.
-	// Zero disables pacing (accounting only), the right setting for
-	// throughput benchmarks.
+	// positive, every link paces its frames with a token bucket of rate
+	// z_e bits per TimeUnit and depth z_e bits, so a b-bit frame occupies
+	// the link for b/z_e time units — the paper's capacity charge made
+	// physical. Zero disables pacing (accounting only), the right setting
+	// for throughput benchmarks.
 	TimeUnit time.Duration
-	// Burst is the token bucket depth in bits; 0 defaults to one
-	// TimeUnit's worth (z_e bits).
-	Burst int64
-	// Buffer is the per-node inbox depth; 0 defaults to 4096 frames.
-	Buffer int
 	// Chaos interposes seeded hostile network physics (latency, jitter,
 	// reorder windows, scheduled partitions, slow links) on every link.
 	// Nil means a polite network. See ChaosConfig.
@@ -27,20 +22,22 @@ type ChanOptions struct {
 }
 
 // Chan is the in-process Transport: the mesh core hosting every node, so
-// each directed link is a goroutine-safe queue into its receiver's inbox.
+// each directed link feeds its receiver's inbox.
 type Chan struct{ *mesh }
 
 // NewChan builds the bus over topology g. Nodes and links are fixed at
 // construction; dialing outside the topology fails.
 func NewChan(g *graph.Directed, opt ChanOptions) *Chan {
-	return &Chan{newMesh(g, g.Nodes(), opt.TimeUnit, opt.Burst, opt.Buffer, opt.Chaos)}
+	return &Chan{newMesh(g, g.Nodes(), opt.TimeUnit, opt.Chaos)}
 }
 
 // Dial implements Transport.
 func (t *Chan) Dial(from, to graph.NodeID) (Link, error) { return t.dial(from, to, nil) }
 
-// Close implements Transport. In-flight Sends return ErrClosed.
+// Close implements Transport: every link's queue is flushed to its
+// receiver's inbox without waiting for release times, and every Send from
+// then on returns ErrClosed.
 func (t *Chan) Close() error {
-	t.closeOnce.Do(func() { close(t.closed) })
+	t.close()
 	return nil
 }

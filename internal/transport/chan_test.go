@@ -43,44 +43,22 @@ func TestChanPacingMatchesSimAccounting(t *testing.T) {
 
 	tr := NewChan(g, ChanOptions{TimeUnit: timeUnit})
 	defer tr.Close()
-	// Drain all inboxes so senders never block on delivery.
-	var drain sync.WaitGroup
-	for _, v := range g.Nodes() {
-		drain.Add(1)
-		go func(v graph.NodeID) {
-			defer drain.Done()
-			for {
-				if _, err := tr.Recv(v); err != nil {
-					return
-				}
-			}
-		}(v)
-	}
-
-	byLink := map[[2]graph.NodeID][]load{}
+	// Every node receives its frames; the replay ends at the last arrival.
+	perNode := map[graph.NodeID]int{}
 	for _, l := range loads {
-		key := [2]graph.NodeID{l.from, l.to}
-		byLink[key] = append(byLink[key], l)
+		perNode[l.to]++
 	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	for key, ll := range byLink {
-		link, err := tr.Dial(key[0], key[1])
-		if err != nil {
+	for _, l := range loads {
+		if err := mustDial(t, tr, l.from, l.to).Send(&Message{From: l.from, To: l.to, Bits: l.bits}); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(link Link, ll []load) {
-			defer wg.Done()
-			for _, l := range ll {
-				link.Send(&Message{From: l.from, To: l.to, Bits: l.bits})
-			}
-		}(link, ll)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	var elapsed time.Duration
+	for v, n := range perNode {
+		elapsed = max(elapsed, recvN(t, tr, v, n, 10*time.Second)[n-1].at.Sub(start))
+	}
 	tr.Close()
-	drain.Wait()
 
 	want := time.Duration(wantUnits * float64(timeUnit))
 	// The token bucket starts full (one time unit of burst per link) and
@@ -106,17 +84,7 @@ func TestChanPacingSerializesLink(t *testing.T) {
 	tr := NewChan(g, ChanOptions{TimeUnit: timeUnit})
 	defer tr.Close()
 
-	go func() {
-		for {
-			if _, err := tr.Recv(2); err != nil {
-				return
-			}
-		}
-	}()
-	link, err := tr.Dial(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	link := mustDial(t, tr, 1, 2)
 	// Two concurrent senders share the one token bucket: 2 x 20 frames x
 	// 10 bits = 400 bits => 40 time units minus the initial burst.
 	start := time.Now()
@@ -131,8 +99,54 @@ func TestChanPacingSerializesLink(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed := recvN(t, tr, 2, 40, 10*time.Second)[39].at.Sub(start)
 	if min := 25 * timeUnit; elapsed < min {
-		t.Errorf("concurrent senders finished in %v; shared token bucket should enforce >= %v", elapsed, min)
+		t.Errorf("concurrent senders' frames arrived in %v; shared token bucket should enforce >= %v", elapsed, min)
+	}
+}
+
+// TestPacedSendDoesNotBlock: a sender's frame that overdraws its slow link
+// waits in that link's queue, not in Send, so the sender's next frame to a
+// fast link goes out at once and overtakes it.
+func TestPacedSendDoesNotBlock(t *testing.T) {
+	const timeUnit = 10 * time.Millisecond
+	tr := NewChan(mustParse(t, "1 2 10\n1 3 1000"), ChanOptions{TimeUnit: timeUnit})
+	defer tr.Close()
+	slow, fast := mustDial(t, tr, 1, 2), mustDial(t, tr, 1, 3)
+	// 110 bits against a 10-bit bucket: 10 time units of drain.
+	const drain = 10 * timeUnit
+	start := time.Now()
+	if err := slow.Send(&Message{From: 1, To: 2, Bits: 110}); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > drain/10 {
+		t.Errorf("Send on an overdrawn link took %v; its drain time is %v", el, drain)
+	}
+	if err := fast.Send(&Message{From: 1, To: 3, Bits: 8}); err != nil {
+		t.Fatal(err)
+	}
+	recvN(t, tr, 3, 1, time.Second)
+	if n := len(tr.inboxes[2]); n != 0 {
+		t.Error("the fast link's frame arrived after the slow link's, which it was sent behind")
+	}
+	recvN(t, tr, 2, 1, time.Second)
+}
+
+// TestPacedSendRecvAllocFree pins the queue path at zero allocations per
+// frame: one reusable timer per link and a typed heap, nothing boxed.
+func TestPacedSendRecvAllocFree(t *testing.T) {
+	tr := NewChan(mustParse(t, "1 2 1000000"), ChanOptions{TimeUnit: time.Millisecond})
+	defer tr.Close()
+	l := mustDial(t, tr, 1, 2)
+	m := &Message{From: 1, To: 2, Bits: 8}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := l.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Recv(2); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("paced Send -> Recv allocates %.1f/frame, want 0", avg)
 	}
 }

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"nab/internal/graph"
@@ -15,11 +14,13 @@ import (
 // Chaos is a seeded hostile-network layer that every transport can
 // interpose on its links: per-link latency/jitter distributions, reorder
 // windows, asymmetric partitions with scheduled heal times, and slow-link
-// throttles. It composes with the token-bucket pacer rather than
-// replacing it — a chaos-delayed frame still pays its capacity charge
-// when it finally enters the wrapped link — and it never loses frames:
-// the paper's network is asynchronous but reliable, so chaos only delays
-// and reorders; loss is modelled by kill -9 plus the rejoin rollback.
+// throttles. Chaos only stamps each frame's release time in its link's
+// queue (mesh.go); the token-bucket pacer still charges the frame when it
+// is released, so chaos composes outside pacing rather than replacing it.
+// It never loses frames: the paper's network is asynchronous but
+// reliable, so chaos only delays and reorders, and at Close a link's queue
+// is flushed to its sink without waiting for release times. Loss is
+// modelled by kill -9 plus the rejoin rollback.
 //
 // Determinism: every per-frame decision (jitter draw, reorder draw) is a
 // pure function of (Seed, link, instance, step). The runtime sends one
@@ -28,7 +29,7 @@ import (
 // instances interleave. Any frame may overtake any other, later steps of
 // one instance included: the runtime keys frames by step, not by arrival.
 //
-// NAB_DEBUG=1 traces partition stalls and link wrapping.
+// NAB_DEBUG=1 traces partition stalls and each link chaos applies to.
 var chaosLog = obs.New("chaos")
 
 // Chaos-layer instruments. Counters are global (not per-link): chaos is
@@ -129,9 +130,6 @@ type ChaosConfig struct {
 	Links []LinkRule `json:"links,omitempty"`
 	// Partitions schedules asymmetric partitions with heal times.
 	Partitions []Partition `json:"partitions,omitempty"`
-	// Queue bounds frames in flight inside the chaos layer per link;
-	// a full queue blocks Send (physics backpressure). 0 defaults to 4096.
-	Queue int `json:"queue,omitempty"`
 }
 
 // Validate checks ranges; a nil config is valid (chaos off).
@@ -164,9 +162,6 @@ func (c *ChaosConfig) Validate() error {
 			return fmt.Errorf("transport: chaos partitions[%d]: need 0 <= start < heal", i)
 		}
 	}
-	if c.Queue < 0 {
-		return fmt.Errorf("transport: chaos queue must be >= 0")
-	}
 	return nil
 }
 
@@ -192,227 +187,82 @@ func (c *ChaosConfig) partitionsFor(from, to graph.NodeID) []Partition {
 }
 
 func nodeSetHas(set []graph.NodeID, v graph.NodeID) bool {
-	if len(set) == 0 {
-		return true
-	}
-	for _, n := range set {
-		if n == v {
-			return true
-		}
-	}
-	return false
+	return len(set) == 0 || slices.Contains(set, v)
 }
 
-// chaosState is the per-transport half of the chaos layer: the validated
-// config, the epoch the partition schedule is anchored to, and the owning
-// transport's close signal.
-type chaosState struct {
-	cfg   *ChaosConfig
-	epoch time.Time
-	stop  <-chan struct{}
-}
-
-// newChaosState validates cfg and anchors its partition schedule at the
-// owning transport's construction. A nil cfg yields a nil state, and a
-// nil state wraps nothing.
-func newChaosState(cfg *ChaosConfig, stop <-chan struct{}) (*chaosState, error) {
-	if cfg == nil {
-		return nil, nil
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	//nab:ignore determinism -- the epoch anchors partition schedules to transport construction; every chaos decision hashes only (seed, link, instance, step)
-	return &chaosState{cfg: cfg, epoch: time.Now(), stop: stop}, nil
-}
-
-// wrap interposes chaos physics on the sender half of one directed link.
-// mesh.dial wraps each link once and caches the result: two wrappers on
-// one link would race their delivery goroutines and slow-link clocks.
-func (cs *chaosState) wrap(inner Link, from, to graph.NodeID) Link {
-	if cs == nil {
-		return inner
-	}
-	par := cs.cfg.linkParams(from, to)
-	parts := cs.cfg.partitionsFor(from, to)
-	if par == (LinkChaos{}) && len(parts) == 0 {
-		return inner
-	}
-	if par.ReorderProb > 0 && par.ReorderDelay <= 0 {
-		d := 4 * (par.Latency.D() + par.Jitter.D())
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		par.ReorderDelay = Duration(d)
-	}
-	queue := cs.cfg.Queue
-	if queue <= 0 {
-		queue = 4096
-	}
-	l := &chaosLink{
-		inner: inner,
-		cs:    cs,
-		key:   [2]graph.NodeID{from, to},
-		par:   par,
-		parts: parts,
-		ch:    make(chan chaosFrame, queue),
-	}
-	go l.run()
-	chaosLog.Debug("link-wrapped", "link", linkString(l.key),
-		"latency", par.Latency.D(), "jitter", par.Jitter.D(),
-		"reorder_prob", par.ReorderProb, "partitions", len(parts))
-	return l
-}
-
-// chaosFrame is one frame waiting in a link's release heap.
-type chaosFrame struct {
-	m   *Message
-	at  time.Time
-	seq uint64
-}
-
-// chaosLink delays, reorders and stalls one directed link's frames, then
-// feeds them to the wrapped link — token bucket included — from a single
-// delivery goroutine, so whatever order chaos releases is exactly the
-// order the wire sees.
-type chaosLink struct {
-	inner Link
-	cs    *chaosState
-	key   [2]graph.NodeID
-	par   LinkChaos
-	parts []Partition
-	ch    chan chaosFrame
-
-	mu       sync.Mutex
-	err      error     // sticky error from the wrapped link
-	seq      uint64    // send-order tiebreak for equal release times
+// linkChaos is the chaos physics of one directed link: its resolved
+// profile, the partitions covering it, and the slow-link clock. The link
+// stamps each frame with release under its queue lock.
+type linkChaos struct {
+	seed     int64
+	epoch    time.Time // partition schedules count from here
+	key      [2]graph.NodeID
+	par      LinkChaos
+	parts    []Partition
 	rateFree time.Time // when the slow link finishes its current frame
 }
 
-// Send implements Link: stamp a deterministic release time and hand the
-// frame to the delivery goroutine. Frames still undelivered when the
-// owning transport closes are lost — like a real network, the air does
-// not drain politely; the protocol's shutdown barriers are what keep
-// needed frames out of that window.
-func (l *chaosLink) Send(m *Message) error {
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	f := l.scheduleLocked(m)
-	l.mu.Unlock()
-	select {
-	case l.ch <- f:
+// forLink resolves the physics of link (from, to) with partition
+// schedules anchored at epoch; nil means the link carries no chaos (no
+// config, or a zero profile and no partition).
+func (c *ChaosConfig) forLink(from, to graph.NodeID, epoch time.Time) *linkChaos {
+	if c == nil {
 		return nil
-	case <-l.cs.stop:
-		return ErrClosed
 	}
+	par := c.linkParams(from, to)
+	parts := c.partitionsFor(from, to)
+	if par == (LinkChaos{}) && len(parts) == 0 {
+		return nil
+	}
+	if par.ReorderProb > 0 && par.ReorderDelay <= 0 {
+		par.ReorderDelay = Duration(max(4*(par.Latency.D()+par.Jitter.D()), time.Millisecond))
+	}
+	key := [2]graph.NodeID{from, to}
+	chaosLog.Debug("link-chaos", "link", linkString(key),
+		"latency", par.Latency.D(), "jitter", par.Jitter.D(),
+		"reorder_prob", par.ReorderProb, "partitions", len(parts))
+	return &linkChaos{seed: c.Seed, epoch: epoch, key: key, par: par, parts: parts}
 }
 
-// scheduleLocked stamps one frame's release time. All randomness is a
-// pure function of (seed, link, instance, step).
-func (l *chaosLink) scheduleLocked(m *Message) chaosFrame {
-	h := chaosHash(l.cs.cfg.Seed, l.key, m.Instance, m.Step)
-	delay := l.par.Latency.D()
-	if j := l.par.Jitter.D(); j > 0 {
+// release stamps the release time of frame m sent at now. All randomness
+// is a pure function of (seed, link, instance, step).
+func (lc *linkChaos) release(m *Message, now time.Time) time.Time {
+	h := chaosHash(lc.seed, lc.key, m.Instance, m.Step)
+	delay := lc.par.Latency.D()
+	if j := lc.par.Jitter.D(); j > 0 {
 		delay += time.Duration(unitFromHash(h) * float64(j))
 	}
 	h = splitmix64(h)
-	if p := l.par.ReorderProb; p > 0 && unitFromHash(h) < p {
+	if p := lc.par.ReorderProb; p > 0 && unitFromHash(h) < p {
 		h = splitmix64(h)
-		delay += time.Duration(unitFromHash(h) * float64(l.par.ReorderDelay.D()))
+		delay += time.Duration(unitFromHash(h) * float64(lc.par.ReorderDelay.D()))
 		mChaosReordered.Inc()
 	}
-	now := time.Now() //nab:ignore determinism -- release *times* are wall-clock actuation; the delay and ordering above derive purely from the seeded hash
 	at := now.Add(delay)
-	if r := l.par.RateBits; r > 0 && m.Bits > 0 {
+	if r := lc.par.RateBits; r > 0 && m.Bits > 0 {
 		// Serialization, not just latency: the frame enters the slow link
 		// when the previous frame clears it, and occupies it for
 		// bits/RateBits seconds. Propagation delay rides on top.
-		start := now
-		if l.rateFree.After(start) {
-			start = l.rateFree
+		if lc.rateFree.Before(now) {
+			lc.rateFree = now
 		}
-		l.rateFree = start.Add(time.Duration(float64(m.Bits) / float64(r) * float64(time.Second)))
-		at = l.rateFree.Add(delay)
+		lc.rateFree = lc.rateFree.Add(time.Duration(float64(m.Bits) / float64(r) * float64(time.Second)))
+		at = lc.rateFree.Add(delay)
 	}
-	since := now.Sub(l.cs.epoch)
-	for _, pt := range l.parts {
+	since := now.Sub(lc.epoch)
+	for _, pt := range lc.parts {
 		if since >= pt.Start.D() && since < pt.Heal.D() {
-			if healAt := l.cs.epoch.Add(pt.Heal.D()); healAt.After(at) {
+			if healAt := lc.epoch.Add(pt.Heal.D()); healAt.After(at) {
 				at = healAt
 				mChaosPartitionStalls.Inc()
-				chaosLog.Debug("partition-stall", "link", linkString(l.key),
-					//nab:ignore determinism -- log decoration only; no decision consumes this value
-					"instance", m.Instance, "heal_in", time.Until(healAt).Round(time.Millisecond))
+				chaosLog.Debug("partition-stall", "link", linkString(lc.key),
+					"instance", m.Instance, "heal_in", healAt.Sub(now).Round(time.Millisecond))
 			}
 		}
 	}
-	l.seq++
 	mChaosFrames.Inc()
 	mChaosDelay.Observe(at.Sub(now).Seconds())
-	return chaosFrame{m: m, at: at, seq: l.seq}
-}
-
-// run is the link's delivery goroutine: frames wait in a release-time
-// heap and enter the wrapped link in chaos order.
-func (l *chaosLink) run() {
-	var h chaosHeap
-	for {
-		var due <-chan time.Time
-		if len(h) > 0 {
-			//nab:ignore determinism -- the delivery goroutine actuates already-stamped release times on the wall clock; order was fixed in scheduleLocked
-			d := time.Until(h[0].at)
-			if d <= 0 {
-				l.deliver(heap.Pop(&h).(chaosFrame))
-				continue
-			}
-			due = time.After(d) //nab:ignore determinism -- wall-clock sleep until the stamped release time; not a decision input
-		}
-		select {
-		case f := <-l.ch:
-			heap.Push(&h, f)
-		case <-due:
-			l.deliver(heap.Pop(&h).(chaosFrame))
-		case <-l.cs.stop:
-			return
-		}
-	}
-}
-
-func (l *chaosLink) deliver(f chaosFrame) {
-	if err := l.inner.Send(f.m); err != nil {
-		l.mu.Lock()
-		if l.err == nil {
-			l.err = err
-		}
-		l.mu.Unlock()
-		if err != ErrClosed {
-			chaosLog.Info("deliver-error", "link", linkString(l.key), "err", err)
-		}
-	}
-}
-
-// chaosHeap orders pending frames by (release time, send order).
-type chaosHeap []chaosFrame
-
-func (h chaosHeap) Len() int { return len(h) }
-func (h chaosHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h chaosHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *chaosHeap) Push(x any)   { *h = append(*h, x.(chaosFrame)) }
-func (h *chaosHeap) Pop() any {
-	old := *h
-	n := len(old) - 1
-	f := old[n]
-	*h = old[:n]
-	return f
+	return at
 }
 
 // splitmix64 is the SplitMix64 finalizer — the same mixing the runtime

@@ -2,67 +2,60 @@ package transport
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 
 	"nab/internal/graph"
 )
 
-// recordLink is a fake inner link capturing delivery order and times.
-type recordLink struct {
-	mu    sync.Mutex
-	msgs  []*Message
-	times []time.Time
+// arrival is one frame received at a node and when it arrived.
+type arrival struct {
+	m  *Message
+	at time.Time
 }
 
-func (r *recordLink) Send(m *Message) error {
-	r.mu.Lock()
-	r.msgs = append(r.msgs, m)
-	r.times = append(r.times, time.Now())
-	r.mu.Unlock()
-	return nil
-}
-
-func (r *recordLink) Close() error { return nil }
-
-func (r *recordLink) snapshot() []*Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*Message(nil), r.msgs...)
-}
-
-func (r *recordLink) waitFor(t *testing.T, n int, timeout time.Duration) []*Message {
+// recvN receives n frames at node v, stamping each arrival, and fails the
+// test if they take longer than timeout.
+func recvN(t *testing.T, tr Transport, v graph.NodeID, n int, timeout time.Duration) []arrival {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		got := r.snapshot()
-		if len(got) >= n {
-			return got
+	got := make(chan arrival, n)
+	go func() {
+		for i := 0; i < n; i++ {
+			m, err := tr.Recv(v)
+			if err != nil {
+				return
+			}
+			got <- arrival{m, time.Now()}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d frames delivered within %v", len(got), n, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func wrapOn(t *testing.T, cfg *ChaosConfig, from, to graph.NodeID) (*recordLink, Link, chan struct{}) {
-	t.Helper()
-	stop := make(chan struct{})
-	t.Cleanup(func() {
+	}()
+	out := make([]arrival, 0, n)
+	deadline := time.After(timeout)
+	for len(out) < n {
 		select {
-		case <-stop:
-		default:
-			close(stop)
+		case a := <-got:
+			out = append(out, a)
+		case <-deadline:
+			t.Fatalf("only %d of %d frames reached node %d within %v", len(out), n, v, timeout)
 		}
-	})
-	cs, err := newChaosState(cfg, stop)
+	}
+	return out
+}
+
+// chaosChan is a two-node bus, links (1,2) and (2,1), under cfg.
+func chaosChan(t *testing.T, cfg *ChaosConfig) *Chan {
+	t.Helper()
+	tr := NewChan(mustParse(t, "1 2 8\n2 1 8"), ChanOptions{Chaos: cfg})
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+func mustDial(t *testing.T, tr Transport, from, to graph.NodeID) Link {
+	t.Helper()
+	l, err := tr.Dial(from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordLink{}
-	return rec, cs.wrap(rec, from, to), stop
+	return l
 }
 
 func TestChaosConfigValidate(t *testing.T) {
@@ -72,7 +65,6 @@ func TestChaosConfigValidate(t *testing.T) {
 		{Default: LinkChaos{RateBits: -8}},
 		{Partitions: []Partition{{Start: Duration(time.Second), Heal: Duration(time.Second)}}},
 		{Partitions: []Partition{{Start: Duration(2 * time.Second), Heal: Duration(time.Second)}}},
-		{Queue: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -145,38 +137,30 @@ func jsonContains(raw []byte, sub string) bool {
 // from one config schedule identical physics, and a different seed
 // schedules different physics.
 func TestChaosScheduleSeeded(t *testing.T) {
+	base := time.Now()
 	mk := func(seed int64) []time.Duration {
 		cfg := &ChaosConfig{
 			Seed:    seed,
 			Default: LinkChaos{Latency: Duration(5 * time.Millisecond), Jitter: Duration(100 * time.Millisecond), ReorderProb: 0.4, ReorderDelay: Duration(200 * time.Millisecond)},
 		}
-		stop := make(chan struct{})
-		defer close(stop)
-		cs, err := newChaosState(cfg, stop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := cs.wrap(&recordLink{}, 1, 2).(*chaosLink)
+		lc := cfg.forLink(1, 2, base)
 		out := make([]time.Duration, 0, 24)
-		base := time.Now()
-		cl.mu.Lock()
 		for i := 0; i < 24; i++ {
-			f := cl.scheduleLocked(&Message{Instance: uint64(i % 3), Step: uint32(i), From: 1, To: 2, Bits: 8})
-			out = append(out, f.at.Sub(base))
+			at := lc.release(&Message{Instance: uint64(i % 3), Step: uint32(i), From: 1, To: 2, Bits: 8}, base)
+			out = append(out, at.Sub(base))
 		}
-		cl.mu.Unlock()
 		return out
 	}
 	a, b := mk(99), mk(99)
 	for i := range a {
-		if diff := a[i] - b[i]; diff < -20*time.Millisecond || diff > 20*time.Millisecond {
+		if a[i] != b[i] {
 			t.Fatalf("frame %d: same seed scheduled %v vs %v", i, a[i], b[i])
 		}
 	}
 	c := mk(100)
 	same := 0
 	for i := range a {
-		if diff := a[i] - c[i]; diff > -time.Millisecond && diff < time.Millisecond {
+		if a[i] == c[i] {
 			same++
 		}
 	}
@@ -191,26 +175,26 @@ func TestChaosScheduleSeeded(t *testing.T) {
 // transport needs per-instance order any more — the runtime keys frames
 // by step — so chaos no longer clamps it.
 func TestChaosLaterStepOvertakes(t *testing.T) {
-	cfg := &ChaosConfig{
+	tr := chaosChan(t, &ChaosConfig{
 		Seed:    1,
 		Default: LinkChaos{Jitter: Duration(3 * time.Millisecond), ReorderProb: 0.5, ReorderDelay: Duration(40 * time.Millisecond)},
-	}
-	rec, l, _ := wrapOn(t, cfg, 1, 2)
+	})
+	l := mustDial(t, tr, 1, 2)
 	const steps = 32
 	for i := 0; i < steps; i++ {
 		if err := l.Send(&Message{Instance: 1, Step: uint32(i), From: 1, To: 2, Bits: 8}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := rec.waitFor(t, steps, 5*time.Second)
+	got := recvN(t, tr, 2, steps, 5*time.Second)
 	seen := map[uint32]bool{}
 	overtakes := 0
-	for i, m := range got {
-		if seen[m.Step] {
-			t.Fatalf("step %d delivered twice", m.Step)
+	for i, a := range got {
+		if seen[a.m.Step] {
+			t.Fatalf("step %d delivered twice", a.m.Step)
 		}
-		seen[m.Step] = true
-		if i > 0 && m.Step < got[i-1].Step {
+		seen[a.m.Step] = true
+		if i > 0 && a.m.Step < got[i-1].m.Step {
 			overtakes++
 		}
 	}
@@ -224,22 +208,13 @@ func TestChaosLaterStepOvertakes(t *testing.T) {
 // stays healthy (asymmetry), and post-heal sends flow normally.
 func TestChaosPartitionStallsAndHeals(t *testing.T) {
 	heal := 400 * time.Millisecond
-	cfg := &ChaosConfig{
+	tr := chaosChan(t, &ChaosConfig{
 		Seed: 3,
 		Partitions: []Partition{
 			{From: []graph.NodeID{1}, To: []graph.NodeID{2}, Start: 0, Heal: Duration(heal)},
 		},
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	cs, err := newChaosState(cfg, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwd := &recordLink{}
-	rev := &recordLink{}
-	lf := cs.wrap(fwd, 1, 2)
-	lr := cs.wrap(rev, 2, 1)
+	})
+	lf, lr := mustDial(t, tr, 1, 2), mustDial(t, tr, 2, 1)
 	start := time.Now()
 	if err := lf.Send(&Message{Instance: 1, From: 1, To: 2, Bits: 8}); err != nil {
 		t.Fatal(err)
@@ -247,15 +222,11 @@ func TestChaosPartitionStallsAndHeals(t *testing.T) {
 	if err := lr.Send(&Message{Instance: 1, From: 2, To: 1, Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
-	rev.waitFor(t, 1, time.Second)
-	if got := fwd.snapshot(); len(got) != 0 && time.Since(start) < heal/2 {
+	recvN(t, tr, 1, 1, time.Second)
+	if n := len(tr.inboxes[2]); n != 0 && time.Since(start) < heal/2 {
 		t.Fatalf("partitioned frame delivered %v after send, before heal", time.Since(start))
 	}
-	fwd.waitFor(t, 1, 5*time.Second)
-	fwd.mu.Lock()
-	delivered := fwd.times[0]
-	fwd.mu.Unlock()
-	if held := delivered.Sub(start); held < heal-20*time.Millisecond {
+	if held := recvN(t, tr, 2, 1, 5*time.Second)[0].at.Sub(start); held < heal-20*time.Millisecond {
 		t.Errorf("partitioned frame released %v after send, want >= %v", held, heal)
 	}
 	// The partition has healed; traffic flows promptly again.
@@ -264,11 +235,7 @@ func TestChaosPartitionStallsAndHeals(t *testing.T) {
 	if err := lf.Send(&Message{Instance: 1, From: 1, To: 2, Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
-	fwd.waitFor(t, 2, time.Second)
-	fwd.mu.Lock()
-	after := fwd.times[1]
-	fwd.mu.Unlock()
-	if lag := after.Sub(t2); lag > 200*time.Millisecond {
+	if lag := recvN(t, tr, 2, 1, time.Second)[0].at.Sub(t2); lag > 200*time.Millisecond {
 		t.Errorf("post-heal frame took %v", lag)
 	}
 }
@@ -276,11 +243,11 @@ func TestChaosPartitionStallsAndHeals(t *testing.T) {
 // TestChaosSlowLinkSerializes pins RateBits as serialization: frames
 // queue behind each other on the slow link instead of overlapping.
 func TestChaosSlowLinkSerializes(t *testing.T) {
-	cfg := &ChaosConfig{
+	tr := chaosChan(t, &ChaosConfig{
 		Seed:  5,
 		Links: []LinkRule{{From: 1, To: 2, LinkChaos: LinkChaos{RateBits: 100_000}}},
-	}
-	rec, l, _ := wrapOn(t, cfg, 1, 2)
+	})
+	l := mustDial(t, tr, 1, 2)
 	start := time.Now()
 	for i := 0; i < 3; i++ {
 		// 10_000 bits at 100_000 bits/s = 100ms on the wire each.
@@ -288,21 +255,15 @@ func TestChaosSlowLinkSerializes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec.waitFor(t, 3, 5*time.Second)
-	if el := time.Since(start); el < 250*time.Millisecond {
+	if el := recvN(t, tr, 2, 3, 5*time.Second)[2].at.Sub(start); el < 250*time.Millisecond {
 		t.Errorf("three 100ms frames cleared the slow link in %v — not serialized", el)
 	}
 	// Empty step frames are free: they ride the propagation path only.
-	m := &Message{Instance: 1, Step: 3, From: 1, To: 2, Body: []Packet{}}
 	t3 := time.Now()
-	if err := l.Send(m); err != nil {
+	if err := l.Send(&Message{Instance: 1, Step: 3, From: 1, To: 2, Body: []Packet{}}); err != nil {
 		t.Fatal(err)
 	}
-	rec.waitFor(t, 4, time.Second)
-	rec.mu.Lock()
-	emptyAt := rec.times[3]
-	rec.mu.Unlock()
-	if lag := emptyAt.Sub(t3); lag > 100*time.Millisecond {
+	if lag := recvN(t, tr, 2, 1, time.Second)[0].at.Sub(t3); lag > 100*time.Millisecond {
 		t.Errorf("free empty frame delayed %v by the throttle", lag)
 	}
 }
@@ -310,32 +271,22 @@ func TestChaosSlowLinkSerializes(t *testing.T) {
 // TestChaosLinkRuleScoping checks per-link overrides: a scoped rule wins
 // over the default, and untouched links bypass chaos entirely.
 func TestChaosLinkRuleScoping(t *testing.T) {
-	cfg := &ChaosConfig{
+	tr := chaosChan(t, &ChaosConfig{
 		Seed:  9,
 		Links: []LinkRule{{From: 1, To: 2, LinkChaos: LinkChaos{Latency: Duration(150 * time.Millisecond)}}},
+	})
+	ls, lf := mustDial(t, tr, 1, 2), mustDial(t, tr, 2, 1)
+	if ls.(*link).chaos == nil {
+		t.Fatal("matched link carries no chaos")
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	cs, err := newChaosState(cfg, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &recordLink{}
-	ls := cs.wrap(slow, 1, 2)
-	if _, ok := ls.(*chaosLink); !ok {
-		t.Fatal("matched link not wrapped")
-	}
-	fast := &recordLink{}
-	lf := cs.wrap(fast, 2, 1)
-	if _, ok := lf.(*recordLink); !ok {
+	if !lf.(*link).direct {
 		t.Fatal("unmatched link should bypass chaos (zero profile, no partitions)")
 	}
 	start := time.Now()
 	if err := ls.Send(&Message{Instance: 1, From: 1, To: 2, Bits: 8}); err != nil {
 		t.Fatal(err)
 	}
-	slow.waitFor(t, 1, time.Second)
-	if el := time.Since(start); el < 120*time.Millisecond {
+	if el := recvN(t, tr, 2, 1, time.Second)[0].at.Sub(start); el < 120*time.Millisecond {
 		t.Errorf("scoped latency not applied: delivered after %v", el)
 	}
 }

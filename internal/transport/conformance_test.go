@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -65,6 +66,22 @@ func openMeshPair(t *testing.T, g *graph.Directed) meshPair {
 	return meshPair{a, b}
 }
 
+// politeChaos delays every frame by the same latency, so chaos links
+// still deliver in send order.
+var politeChaos = &ChaosConfig{Seed: 1, Default: LinkChaos{Latency: Duration(time.Millisecond)}}
+
+func chanHarness(tr *Chan) harness {
+	return harness{tr, func() int64 { return 0 }, func(v graph.NodeID) int { return len(tr.inboxes[v]) }}
+}
+
+func tcpHarness(t *testing.T, g *graph.Directed, opt TCPOptions) harness {
+	tr, err := NewTCPOpts(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return harness{tr, tr.Dropped, func(v graph.NodeID) int { return len(tr.peers[v].inboxes[v]) }}
+}
+
 // conformanceTransports builds each shipped transport over g; sockets is
 // how many connections one directed link costs.
 var conformanceTransports = []struct {
@@ -73,15 +90,19 @@ var conformanceTransports = []struct {
 	open    func(t *testing.T, g *graph.Directed) harness
 }{
 	{"chan", 0, func(t *testing.T, g *graph.Directed) harness {
-		tr := NewChan(g, ChanOptions{})
-		return harness{tr, func() int64 { return 0 }, func(v graph.NodeID) int { return len(tr.inboxes[v]) }}
+		return chanHarness(NewChan(g, ChanOptions{}))
+	}},
+	{"chan-paced", 0, func(t *testing.T, g *graph.Directed) harness {
+		return chanHarness(NewChan(g, ChanOptions{TimeUnit: 100 * time.Microsecond}))
+	}},
+	{"chan-chaos", 0, func(t *testing.T, g *graph.Directed) harness {
+		return chanHarness(NewChan(g, ChanOptions{Chaos: politeChaos}))
 	}},
 	{"tcp", 1, func(t *testing.T, g *graph.Directed) harness {
-		tr, err := NewTCP(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return harness{tr, tr.Dropped, func(v graph.NodeID) int { return len(tr.peers[v].inboxes[v]) }}
+		return tcpHarness(t, g, TCPOptions{})
+	}},
+	{"tcp-chaos", 1, func(t *testing.T, g *graph.Directed) harness {
+		return tcpHarness(t, g, TCPOptions{Chaos: politeChaos})
 	}},
 	{"mesh", 1, func(t *testing.T, g *graph.Directed) harness {
 		mp := openMeshPair(t, g)
@@ -90,10 +111,10 @@ var conformanceTransports = []struct {
 }
 
 // TestTransportConformance pins the one Link/Transport contract on every
-// shipped transport: physics at Dial and Send, one link state per directed
-// link however often it is dialed, send-order delivery on a polite link,
-// send-side accounting with each link counted once, and
-// drain-then-ErrClosed at Close.
+// shipped transport, paced and under chaos too: physics at Dial and Send,
+// one link state per directed link however often it is dialed, send-order
+// delivery on a polite link, send-side accounting with each link counted
+// once, drain-then-ErrClosed at Close, and no Send accepted after it.
 func TestTransportConformance(t *testing.T) {
 	for _, tc := range conformanceTransports {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +195,11 @@ func TestTransportConformance(t *testing.T) {
 			}
 			if _, err := h.Recv(2); err != ErrClosed {
 				t.Errorf("Recv on a drained closed transport: %v, want ErrClosed", err)
+			}
+			for i := 0; i < 20; i++ {
+				if err := first.Send(&Message{From: 1, To: 2, Bits: 8, Body: []byte{1}}); !errors.Is(err, ErrClosed) {
+					t.Fatalf("Send %d after Close: %v, want ErrClosed", i, err)
+				}
 			}
 		})
 	}

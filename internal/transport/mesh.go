@@ -2,86 +2,93 @@ package transport
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nab/internal/graph"
 )
 
+// queueDepth bounds every node's inbox and every link's queue, in frames.
+// A full queue blocks Send: backpressure from a receiver that stopped
+// reading, never the token bucket.
+const queueDepth = 4096
+
 // mesh is the in-memory core every Transport is built on (see the package
-// comment): the inboxes of the nodes hosted here, one cached state per
-// directed link, Recv, send-side LinkBits and the close signal.
+// comment): the inboxes of the nodes hosted here, one link per directed
+// link, Recv, send-side LinkBits and the close signal.
 type mesh struct {
-	g     *graph.Directed
-	tu    time.Duration
-	burst int64
+	g  *graph.Directed
+	tu time.Duration
 
 	inboxes  map[graph.NodeID]chan *Message // fixed at construction
-	chaos    *chaosState
-	chaosErr error
+	chaos    *ChaosConfig
+	chaosErr error     // an invalid chaos config fails every dial
+	epoch    time.Time // chaos partition schedules count from construction
 
-	mu    sync.Mutex // guards links, and the bookkeeping of a Peer built on this core
-	links map[[2]graph.NodeID]*linkState
+	mu    sync.Mutex // guards links, goroutine starts against close, and the bookkeeping of a Peer built on this core
+	links map[[2]graph.NodeID]*link
 
 	closed    chan struct{}
 	closeOnce sync.Once
+	running   sync.WaitGroup // link queue goroutines
 }
 
-// newMesh builds the core over topology g for the nodes hosted here. A bad
-// chaos config is kept in chaosErr: it fails every dial.
-func newMesh(g *graph.Directed, hosted []graph.NodeID, tu time.Duration, burst int64, buffer int, chaos *ChaosConfig) *mesh {
-	if buffer <= 0 {
-		buffer = 4096
-	}
+// newMesh builds the core over topology g for the nodes hosted here.
+func newMesh(g *graph.Directed, hosted []graph.NodeID, tu time.Duration, chaos *ChaosConfig) *mesh {
 	c := &mesh{
-		g:       g.Clone(),
-		tu:      tu,
-		burst:   burst,
-		inboxes: map[graph.NodeID]chan *Message{},
-		links:   map[[2]graph.NodeID]*linkState{},
-		closed:  make(chan struct{}),
+		g:        g.Clone(),
+		tu:       tu,
+		inboxes:  map[graph.NodeID]chan *Message{},
+		chaos:    chaos,
+		chaosErr: chaos.Validate(),
+		epoch:    time.Now(),
+		links:    map[[2]graph.NodeID]*link{},
+		closed:   make(chan struct{}),
 	}
-	c.chaos, c.chaosErr = newChaosState(chaos, c.closed)
 	for _, v := range hosted {
-		c.inboxes[v] = make(chan *Message, buffer)
+		c.inboxes[v] = make(chan *Message, queueDepth)
 	}
 	return c
 }
 
-// linkState is the one state of a directed link, shared by every dialer:
-// the token bucket stays per-link no matter how many senders share it.
-type linkState struct {
-	key  [2]graph.NodeID
-	pace *pacer
-	lm   linkMetrics
+// link is the one state and the one Send of a directed link, shared by
+// every dialer: its sink is the receiver's inbox when the receiver is
+// hosted here, a socket (peer.go) otherwise. Whether Send delivers inline
+// or through the link's queue is fixed when the link opens.
+type link struct {
+	key   [2]graph.NodeID
+	c     *mesh
+	lm    linkMetrics
+	bits  atomic.Int64 // cumulative capacity charge
+	chaos *linkChaos   // nil: no chaos physics on this link
 
 	dialMu sync.Mutex
-	dialed Link // the (chaos-wrapped) view handed to dialers; nil until opened
-}
+	open   bool
+	direct bool          // unpaced, chaos-free in-memory link: Send delivers inline
+	inbox  chan *Message // the receiver's inbox; nil for a socket link
+	sock   *sock         // nil for an in-memory link
 
-// admit is the preamble of every Send: the frame must carry its link's
-// coordinates and a non-negative charge, and pays that charge to the token
-// bucket, which serializes the link — concurrent senders queue behind each
-// other exactly as frames on a wire would.
-func (s *linkState) admit(m *Message) error {
-	if m.From != s.key[0] || m.To != s.key[1] {
-		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, s.key[0], s.key[1])
-	}
-	if m.Bits < 0 {
-		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
-	}
-	if m.Bits > 0 {
-		s.pace.charge(m.Bits)
-	}
-	return nil
+	// The queue of any other link. Its goroutine, started by the first
+	// Send, alone touches pace and the socket writer.
+	slots chan struct{} // one token per queued frame: the queueDepth bound
+	wake  chan struct{}
+	pace  pacer
+
+	mu      sync.Mutex
+	q       frameQueue
+	started bool
+	err     error // sticky: a socket error without Reconnect, or ErrClosed once flushed
 }
 
 // dial returns the sender half of link (from, to), opening it on first
 // use: an in-memory link when the receiver is hosted here, otherwise
 // whatever remote opens (nil: every receiver is hosted). Repeat dialers
-// get the same Link, so they share the token bucket and — under chaos —
-// one delivery queue. A failed open is retried by the next dial.
-func (c *mesh) dial(from, to graph.NodeID, remote func(*linkState) (Link, error)) (Link, error) {
+// get the same Link, so they share one queue and one token bucket. A
+// failed open is retried by the next dial.
+func (c *mesh) dial(from, to graph.NodeID, remote func(*link) error) (Link, error) {
 	if !c.g.HasEdge(from, to) {
 		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)
 	}
@@ -93,32 +100,242 @@ func (c *mesh) dial(from, to graph.NodeID, remote func(*linkState) (Link, error)
 	}
 	key := [2]graph.NodeID{from, to}
 	c.mu.Lock()
-	s := c.links[key]
-	if s == nil {
-		s = &linkState{key: key, pace: newPacer(c.g.Cap(from, to), c.tu, c.burst), lm: linkMetricsFor(from, to)}
-		c.links[key] = s
+	l := c.links[key]
+	if l == nil {
+		capBits := c.g.Cap(from, to)
+		l = &link{
+			key: key, c: c, lm: linkMetricsFor(from, to), chaos: c.chaos.forLink(from, to, c.epoch),
+			slots: make(chan struct{}, queueDepth), wake: make(chan struct{}, 1),
+			pace: pacer{capBits: capBits, tu: c.tu, tokens: float64(capBits), last: time.Now()},
+		}
+		c.links[key] = l
 	}
 	c.mu.Unlock()
 	// Opening a socket link can wait out a booting peer; only this link's
 	// dialers queue behind it.
-	s.dialMu.Lock()
-	defer s.dialMu.Unlock()
-	if s.dialed == nil {
-		var l Link
+	l.dialMu.Lock()
+	defer l.dialMu.Unlock()
+	if !l.open {
 		if inbox, ok := c.inboxes[to]; ok {
-			l = &inboxLink{linkState: s, inbox: inbox, closed: c.closed}
-		} else {
-			var err error
-			if l, err = remote(s); err != nil {
-				return nil, err
-			}
+			l.inbox = inbox
+		} else if err := remote(l); err != nil {
+			return nil, err
 		}
-		// Chaos wraps outside the pacer and the reconnect machinery: a
-		// delayed frame pays its capacity charge, and enters whatever
-		// connection the link then carries, when it is finally released.
-		s.dialed = c.chaos.wrap(l, from, to)
+		l.direct = l.inbox != nil && c.tu <= 0 && l.chaos == nil
+		l.open = true
 	}
-	return s.dialed, nil
+	return l, nil
+}
+
+// Send implements Link. Every frame passes admit; a direct link then
+// hands it to the receiver's inbox, any other link appends it to its queue
+// and returns without waiting for release time or token bucket.
+func (l *link) Send(m *Message) error {
+	if err := l.admit(m); err != nil {
+		return err
+	}
+	if l.direct {
+		select {
+		case l.inbox <- m:
+			return nil
+		case <-l.c.closed:
+			return ErrClosed
+		}
+	}
+	select {
+	case l.slots <- struct{}{}:
+	case <-l.c.closed:
+		return ErrClosed
+	}
+	l.mu.Lock()
+	err := l.enqueueLocked(m)
+	l.mu.Unlock()
+	if err != nil {
+		<-l.slots
+		return err
+	}
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// admit is the preamble of every Send: the transport must be open, and the
+// frame must carry its link's coordinates and a non-negative charge, which
+// is metered.
+func (l *link) admit(m *Message) error {
+	select {
+	case <-l.c.closed:
+		return ErrClosed
+	default:
+	}
+	if m.From != l.key[0] || m.To != l.key[1] {
+		return fmt.Errorf("transport: frame (%d,%d) on link (%d,%d)", m.From, m.To, l.key[0], l.key[1])
+	}
+	if m.Bits < 0 {
+		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
+	}
+	l.bits.Add(m.Bits)
+	l.lm.count(m)
+	return nil
+}
+
+// enqueueLocked stamps m with its chaos release time (none on a polite
+// link, so the queue is FIFO) and queues it, starting the link goroutine
+// on first use.
+func (l *link) enqueueLocked(m *Message) error {
+	if l.err != nil {
+		return l.err
+	}
+	if !l.started {
+		if !l.c.start(l.run) {
+			return ErrClosed
+		}
+		l.started = true
+	}
+	var at time.Time
+	if l.chaos != nil {
+		at = l.chaos.release(m, time.Now())
+	}
+	l.q.push(queued{m: m, at: at})
+	return nil
+}
+
+// start runs a link goroutine unless the transport has closed; Close waits
+// for every goroutine started before it.
+func (c *mesh) start(run func()) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.closed:
+		return false
+	default:
+	}
+	c.running.Add(1)
+	go run()
+	return true
+}
+
+// run is the link goroutine: it releases queued frames in (release time,
+// send order) order, waits out each one's chaos delay and then its
+// token-bucket deficit, and delivers it, flushing the socket whenever no
+// frame is due. Once Close fires it releases the rest without waiting.
+func (l *link) run() {
+	defer l.c.running.Done()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	closing := false
+	for {
+		var m *Message
+		wait := time.Duration(-1) // empty queue: sleep until a Send wakes us
+		l.mu.Lock()
+		if len(l.q) > 0 {
+			if wait = time.Until(l.q[0].at); wait <= 0 || closing {
+				m = l.q.pop()
+			}
+		} else if closing {
+			l.err = ErrClosed // refuse Sends that raced with the close signal
+		}
+		l.mu.Unlock()
+		switch {
+		case m != nil:
+			<-l.slots
+			if d := l.pace.charge(m.Bits); d > 0 && !closing {
+				mPacerStall.Observe(d.Seconds())
+				l.flush()
+				closing = !l.sleep(timer, d, nil)
+			}
+			l.deliver(m)
+		case closing:
+			l.flush()
+			return
+		default:
+			l.flush()
+			closing = !l.sleep(timer, wait, l.wake)
+		}
+	}
+}
+
+// sleep waits d (forever if negative) or until wake fires; false means
+// the transport closed.
+func (l *link) sleep(t *time.Timer, d time.Duration, wake <-chan struct{}) bool {
+	var fire <-chan time.Time
+	if d >= 0 {
+		t.Reset(d)
+		fire = t.C
+	}
+	defer t.Stop()
+	select {
+	case <-fire:
+	case <-wake:
+	case <-l.c.closed:
+		return false
+	}
+	return true
+}
+
+// deliver hands one released frame to the link's sink.
+func (l *link) deliver(m *Message) {
+	if l.sock != nil {
+		l.write(m)
+		return
+	}
+	select {
+	case l.inbox <- m:
+	case <-l.c.closed:
+		// Closing flushes without blocking: a full inbox has no reader
+		// left to wait for.
+		select {
+		case l.inbox <- m:
+		default:
+		}
+	}
+}
+
+type queued struct {
+	m  *Message
+	at time.Time // chaos release time; zero on a polite link
+}
+
+// frameQueue is a link's queue in (release time, send order) order,
+// typed so queueing boxes nothing. A frame goes after every frame released
+// no later, so a polite link's queue (all release times zero) is FIFO.
+type frameQueue []queued
+
+func (q *frameQueue) push(f queued) {
+	i := sort.Search(len(*q), func(i int) bool { return (*q)[i].at.After(f.at) })
+	*q = slices.Insert(*q, i, f)
+}
+
+func (q *frameQueue) pop() *Message {
+	m := (*q)[0].m
+	*q = slices.Delete(*q, 0, 1)
+	return m
+}
+
+// close signals Close to every link and waits — one second at most, shared
+// by every link — for the link goroutines to flush their queues (a socket
+// write wedged on a dead peer is unblocked by the connection close that
+// follows). It reports whether this call was the first.
+func (c *mesh) close() bool {
+	first := false
+	c.closeOnce.Do(func() {
+		first = true
+		c.mu.Lock()
+		close(c.closed)
+		c.mu.Unlock()
+		flushed := make(chan struct{})
+		go func() {
+			c.running.Wait()
+			close(flushed)
+		}()
+		select {
+		case <-flushed:
+		case <-time.After(time.Second):
+		}
+	})
+	return first
 }
 
 // Recv implements Transport for the nodes hosted here.
@@ -147,30 +364,8 @@ func (c *mesh) LinkBits() map[[2]graph.NodeID]int64 {
 	out := map[[2]graph.NodeID]int64{}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, s := range c.links {
-		out[key] = s.pace.Bits()
+	for key, l := range c.links {
+		out[key] = l.bits.Load()
 	}
 	return out
-}
-
-// inboxLink is a directed link whose receiver is hosted here: the link
-// state in front of the recipient's inbox, no socket.
-type inboxLink struct {
-	*linkState
-	inbox  chan *Message
-	closed <-chan struct{}
-}
-
-// Send implements Link.
-func (l *inboxLink) Send(m *Message) error {
-	if err := l.admit(m); err != nil {
-		return err
-	}
-	select {
-	case l.inbox <- m:
-		l.lm.count(m)
-		return nil
-	case <-l.closed:
-		return ErrClosed
-	}
 }

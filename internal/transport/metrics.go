@@ -20,9 +20,9 @@ var (
 	mLinkBits = metrics.NewCounterVec("nab_transport_link_bits_total",
 		"Capacity-charged bits sent per directed link.", "link")
 	mFlushes = metrics.NewCounter("nab_transport_flushes_total",
-		"Coalesced flushes by frame writers (one per syscall burst).")
+		"Socket flushes by link queues, one whenever no frame is due (one syscall per burst).")
 	mWriterFrames = metrics.NewCounter("nab_transport_writer_frames_total",
-		"Frames drained through coalescing frame writers.")
+		"Frames link queues wrote to sockets.")
 	mDials = metrics.NewCounter("nab_transport_dials_total",
 		"Outbound link connections established, including reconnects.")
 	mRedials = metrics.NewCounter("nab_transport_redials_total",
@@ -32,7 +32,7 @@ var (
 	mSendsLost = metrics.NewCounter("nab_transport_sends_lost_total",
 		"Outbound frames dropped on down links while reconnect healed them.")
 	mPacerStall = metrics.NewHistogram("nab_transport_pacer_stall_seconds",
-		"Time senders spent stalled in link token buckets.", metrics.LatencyBuckets)
+		"Time frames waited in link token buckets after release (senders never wait).", metrics.LatencyBuckets)
 )
 
 // linkMetrics is one link's pair of hot-path counters.

@@ -1,72 +1,37 @@
 package transport
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// pacer is one directed link's token bucket and cumulative bit meter:
-// charging b bits on a link of capacity capBits bits per TimeUnit
-// occupies the link for b/capBits time units — the paper's capacity
-// charge made physical. A zero TimeUnit disables timing (accounting
-// only).
+// pacer is one directed link's token bucket: charging b bits on a link of
+// capacity capBits bits per TimeUnit occupies it for b/capBits time units
+// — the paper's capacity charge made physical. The bucket holds at most
+// z_e bits (one TimeUnit's worth). A zero TimeUnit disables timing.
 //
-// One-frame-at-a-time accounting is kept by debt, not by the mutex: a
-// frame that overdraws the bucket takes the tokens negative and sleeps
-// its own drain time *outside* the lock, so a later frame's deficit
-// already includes every earlier frame's debt and serializes behind it —
-// while Bits() and concurrent charges stay responsive during the stall.
-// (The lock used to be held across the sleep; a chaos-stalled slow link
-// then blocked Bits() and every concurrent sender for the full wait.)
+// Only the link's goroutine touches a pacer, so it needs no lock, and a
+// frame waiting out its deficit holds up only the frames queued behind it
+// on the same link, never its sender or another link.
 type pacer struct {
 	capBits int64
 	tu      time.Duration
-	burst   int64
-
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	bits   int64
+	tokens  float64
+	last    time.Time
 }
 
-func newPacer(capBits int64, tu time.Duration, burst int64) *pacer {
-	if burst <= 0 {
-		burst = capBits
-	}
-	return &pacer{capBits: capBits, tu: tu, burst: burst, tokens: float64(burst), last: time.Now()}
-}
-
-// charge accounts bits against the link and sleeps while it drains. The
-// wait is computed under the lock but slept outside it.
-func (p *pacer) charge(bits int64) {
-	p.mu.Lock()
-	p.bits += bits
-	if p.tu <= 0 {
-		p.mu.Unlock()
-		return
+// charge takes bits from the bucket and returns how long the frame must
+// wait before it has cleared the link. A deficit leaves the bucket in
+// debt, which the next frame's wait inherits: frames serialize on the
+// link exactly as on a wire.
+func (p *pacer) charge(bits int64) time.Duration {
+	if p.tu <= 0 || bits <= 0 {
+		return 0
 	}
 	now := time.Now()
-	p.tokens += now.Sub(p.last).Seconds() / p.tu.Seconds() * float64(p.capBits)
-	if b := float64(p.burst); p.tokens > b {
-		p.tokens = b
-	}
+	z := float64(p.capBits)
+	p.tokens = min(p.tokens+now.Sub(p.last).Seconds()/p.tu.Seconds()*z, z)
 	p.last = now
-	deficit := float64(bits) - p.tokens
-	// Charge unconditionally; a deficit leaves the bucket in debt, which
-	// the next frame's deficit inherits — that is what serializes frames
-	// on the wire without holding the lock across the sleep.
 	p.tokens -= float64(bits)
-	p.mu.Unlock()
-	if deficit > 0 {
-		wait := time.Duration(deficit / float64(p.capBits) * float64(p.tu))
-		mPacerStall.Observe(wait.Seconds())
-		time.Sleep(wait)
+	if p.tokens >= 0 {
+		return 0
 	}
-}
-
-// Bits returns the cumulative capacity charge.
-func (p *pacer) Bits() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bits
+	return time.Duration(-p.tokens / z * float64(p.tu))
 }

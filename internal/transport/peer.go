@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,14 +22,10 @@ type PeerOptions struct {
 	// frame occupies its link of capacity z_e for b/z_e time units before
 	// the next frame may enter it. Zero disables pacing (accounting only).
 	TimeUnit time.Duration
-	// Burst is the token bucket depth in bits; 0 defaults to z_e.
-	Burst int64
 	// DialTimeout bounds how long Dial retries a peer that has not come up
 	// yet — cluster processes boot in arbitrary order, so the first dials
 	// of a full mesh must wait for listeners. Default 20s.
 	DialTimeout time.Duration
-	// Buffer is the per-node inbox depth; 0 defaults to 4096 frames.
-	Buffer int
 	// Listener supplies an already-bound listener for the mesh endpoint
 	// instead of listening on the configured address — the held-reservation
 	// handoff (cluster.ReserveAddrs) that closes the release-then-rebind
@@ -89,7 +86,7 @@ type Peer struct {
 	listener net.Listener
 
 	// Guarded by the mesh's mu.
-	socks    []*sockLink                  // outbound socket links, for Reestablish and teardown
+	socks    []*link                      // outbound socket links, for Reestablish and teardown
 	accepted map[net.Conn][2]graph.NodeID // live inbound connections and the link each pinned
 	recvd    map[[2]graph.NodeID]int64    // receive-side charges from remote peers
 
@@ -105,7 +102,7 @@ func NewPeer(g *graph.Directed, localNodes []graph.NodeID, addrs map[graph.NodeI
 		opt.DialTimeout = 20 * time.Second
 	}
 	p := &Peer{
-		mesh:     newMesh(g, localNodes, opt.TimeUnit, opt.Burst, opt.Buffer, opt.Chaos),
+		mesh:     newMesh(g, localNodes, opt.TimeUnit, opt.Chaos),
 		addrs:    map[graph.NodeID]string{},
 		opt:      opt,
 		accepted: map[net.Conn][2]graph.NodeID{},
@@ -262,22 +259,22 @@ func writeHandshake(conn net.Conn, from, to graph.NodeID) error {
 // (retried with backoff while the cluster boots), a local one an in-memory
 // enqueue. Dialing a link again returns the same Link.
 func (p *Peer) Dial(from, to graph.NodeID) (Link, error) {
-	return p.dial(from, to, func(s *linkState) (Link, error) {
-		l := &sockLink{linkState: s, p: p}
+	return p.dial(from, to, func(l *link) error {
+		l.sock = &sock{p: p}
 		if err := l.connect(); err != nil {
-			return nil, err
+			return err
 		}
 		p.mu.Lock()
 		p.socks = append(p.socks, l)
 		p.mu.Unlock()
-		return l, nil
+		return nil
 	})
 }
 
-func (p *Peer) sockLinks() []*sockLink {
+func (p *Peer) sockLinks() []*link {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]*sockLink(nil), p.socks...)
+	return append([]*link(nil), p.socks...)
 }
 
 // Reestablish force-redials every outbound remote link (Reconnect mode):
@@ -292,18 +289,13 @@ func (p *Peer) Reestablish() error {
 	var wg sync.WaitGroup
 	for i, l := range links {
 		wg.Add(1)
-		go func(i int, l *sockLink) {
+		go func() {
 			defer wg.Done()
 			errs[i] = l.reestablish()
-		}(i, l)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // DialRetry connects to addr with jittered exponential backoff (25ms
@@ -389,90 +381,111 @@ func (p *Peer) Dropped() int64 { return p.dropped.Load() }
 // while Reconnect was healing them — work the rejoin rollback re-executes.
 func (p *Peer) LostSends() int64 { return p.lost.Load() }
 
-// Close implements Transport: signals every outbound link's coalescing
-// writer, waits for each one's final drain and flush (bounded — a writer
-// wedged on a dead peer is unblocked by the connection close behind the
-// wait), then closes the listener and every connection. Frames accepted
-// by Send before Close reach the socket.
+// Close implements Transport: every link flushes its queue — sockets
+// included, bounded by one shared second for links wedged on a dead peer
+// — then the listener and every connection close. Frames accepted by Send
+// before Close reach the socket; Sends from then on return ErrClosed.
 func (p *Peer) Close() error {
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		for _, l := range p.sockLinks() {
-			l.mu.Lock()
-			fw := l.fw
-			l.mu.Unlock()
-			if fw != nil {
-				fw.join(time.Second)
-			}
-			l.mu.Lock()
-			l.dropLocked()
-			l.mu.Unlock()
-		}
-		p.listener.Close()
-		p.mu.Lock()
-		for c := range p.accepted {
-			c.Close()
-		}
-		p.mu.Unlock()
-	})
+	if !p.close() {
+		return nil
+	}
+	for _, l := range p.sockLinks() {
+		l.sock.mu.Lock()
+		l.sock.dropLocked()
+		l.sock.mu.Unlock()
+	}
+	p.listener.Close()
+	p.mu.Lock()
+	for c := range p.accepted {
+		c.Close()
+	}
+	p.mu.Unlock()
 	return nil
 }
 
-// sockLink is a directed link whose receiver is hosted by a remote peer:
-// the link state in front of a handshake-pinned TCP connection and its
-// coalescing writer. What a write failure means is PeerOptions.Reconnect:
-// off, the error is sticky and surfaces from Send, so a dead peer fails
-// the run loudly; on, the link marks itself down, drops the frame, and
-// redials in the background until the peer's listener answers again —
-// senders never observe a peer crash as an error, and frames emitted into
-// the outage are counted (LostSends) and recovered by the cluster
-// rollback, which re-executes every uncommitted instance once the peer
-// rejoins.
-type sockLink struct {
-	*linkState
+// sock is the socket half of a link whose receiver is hosted by a remote
+// peer: a handshake-pinned TCP connection and the buffered writer the
+// link goroutine writes released frames into. PeerOptions.Reconnect
+// decides what a write failure means (fail).
+type sock struct {
 	p *Peer
 
 	mu      sync.Mutex
 	conn    net.Conn
-	fw      *frameWriter // nil while down
+	bw      *bufio.Writer // nil while down
 	dialing bool
+
+	dirty *bufio.Writer // written since its last flush; link goroutine only
 }
 
-// Send implements Link: pace, then queue onto the link's coalescing
-// writer, which batches bursts into single syscalls.
-func (l *sockLink) Send(m *Message) error {
-	if err := l.admit(m); err != nil {
-		return err
-	}
-	select {
-	case <-l.p.closed:
-		return ErrClosed
-	default:
-	}
-	l.mu.Lock()
-	fw := l.fw
-	l.mu.Unlock()
-	if fw != nil {
-		err := fw.enqueue(m)
+// write puts one released frame into the current connection's buffer.
+func (l *link) write(m *Message) {
+	s := l.sock
+	s.mu.Lock()
+	bw := s.bw
+	s.mu.Unlock()
+	if bw != nil {
+		err := WriteFrame(bw, m)
 		if err == nil {
-			l.lm.count(m)
-			return nil
+			mWriterFrames.Inc()
+			s.dirty = bw
+			return
 		}
-		if err == ErrClosed || !l.p.opt.Reconnect {
-			return err
-		}
-		l.markDown(fw)
+		l.fail(bw, err)
 	}
-	l.p.lost.Add(1)
-	mSendsLost.Inc()
-	return nil
+	if s.p.opt.Reconnect { // released into an outage
+		s.p.lost.Add(1)
+		mSendsLost.Inc()
+	}
+}
+
+// flush pushes buffered frames onto the wire; the link goroutine calls it
+// whenever no frame is due.
+func (l *link) flush() {
+	if l.sock == nil || l.sock.dirty == nil {
+		return
+	}
+	bw := l.sock.dirty
+	l.sock.dirty = nil
+	if err := bw.Flush(); err != nil {
+		l.fail(bw, err)
+		return
+	}
+	mFlushes.Inc()
+}
+
+// fail handles a write error on bw. Without Reconnect the error is sticky
+// for every later Send, so a dead peer fails the run loudly. With it, the
+// link drops the connection and starts (at most one) background redial,
+// and frames released meanwhile are dropped and counted.
+func (l *link) fail(bw *bufio.Writer, err error) {
+	if !l.sock.p.opt.Reconnect {
+		l.mu.Lock()
+		if l.err == nil {
+			l.err = err
+		}
+		l.mu.Unlock()
+		return
+	}
+	s := l.sock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bw != bw {
+		return // a writer a reconnect already replaced
+	}
+	s.dropLocked()
+	reconnLog.Info("link-down", "link", linkString(l.key))
+	if !s.dialing {
+		s.dialing = true
+		go l.redial()
+	}
 }
 
 // connect dials (retrying while the remote boots), handshakes and
-// installs a fresh connection and coalescing writer on the link.
-func (l *sockLink) connect() error {
-	from, to := l.key[0], l.key[1]
-	conn, err := DialRetry(l.p.addrs[to], l.p.opt.DialTimeout, l.p.closed)
+// installs a fresh connection on the link.
+func (l *link) connect() error {
+	s, from, to := l.sock, l.key[0], l.key[1]
+	conn, err := DialRetry(s.p.addrs[to], s.p.opt.DialTimeout, s.p.closed)
 	if err != nil {
 		return fmt.Errorf("transport: dial link (%d,%d): %w", from, to, err)
 	}
@@ -480,51 +493,32 @@ func (l *sockLink) connect() error {
 		conn.Close()
 		return fmt.Errorf("transport: handshake link (%d,%d): %w", from, to, err)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
-	case <-l.p.closed: // Close may already have swept past this link
+	case <-s.p.closed: // Close may already have swept past this link
 		conn.Close()
 		return ErrClosed
 	default:
 	}
 	mDials.Inc()
-	l.conn, l.fw, l.dialing = conn, newFrameWriter(bufio.NewWriter(conn), l.p.closed), false
+	s.conn, s.bw, s.dialing = conn, bufio.NewWriter(conn), false
 	return nil
 }
 
-// dropLocked retires the link's writer and closes its connection.
-func (l *sockLink) dropLocked() {
-	if l.fw != nil {
-		l.fw.retire()
+// dropLocked closes the link's connection.
+func (s *sock) dropLocked() {
+	if s.conn != nil {
+		s.conn.Close()
 	}
-	if l.conn != nil {
-		l.conn.Close()
-	}
-	l.conn, l.fw = nil, nil
-}
-
-// markDown retires a failed writer and starts (at most one) background
-// redial.
-func (l *sockLink) markDown(failed *frameWriter) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.fw != failed {
-		return // another Send already retired it
-	}
-	l.dropLocked()
-	reconnLog.Info("link-down", "link", linkString(l.key))
-	if !l.dialing {
-		l.dialing = true
-		go l.redial()
-	}
+	s.conn, s.bw = nil, nil
 }
 
 // redial re-establishes the link, retrying until the transport closes.
 // The retry beat is jittered like DialRetry's: every outbound link of
 // every survivor redials a crashed peer, and identical 100ms beats would
 // hammer the restarted listener in synchronized waves.
-func (l *sockLink) redial() {
+func (l *link) redial() {
 	for attempt := 0; ; attempt++ {
 		if l.connect() == nil {
 			mRedials.Inc()
@@ -533,7 +527,7 @@ func (l *sockLink) redial() {
 		}
 		pause := 100*time.Millisecond + retryJitter(linkString(l.key), attempt, 100*time.Millisecond)
 		select {
-		case <-l.p.closed:
+		case <-l.c.closed:
 			return
 		case <-time.After(pause):
 		}
@@ -545,34 +539,35 @@ func (l *sockLink) redial() {
 // background redial is in flight (or completes while we wait), its
 // result IS adopted: that dial succeeded against a live listener, so a
 // second handshake would be redundant.
-func (l *sockLink) reestablish() error {
-	l.mu.Lock()
-	entryFw := l.fw
-	l.mu.Unlock()
+func (l *link) reestablish() error {
+	s := l.sock
+	s.mu.Lock()
+	entry := s.bw
+	s.mu.Unlock()
 	for {
-		l.mu.Lock()
-		if l.dialing {
-			l.mu.Unlock()
+		s.mu.Lock()
+		if s.dialing {
+			s.mu.Unlock()
 			select {
-			case <-l.p.closed:
+			case <-l.c.closed:
 				return ErrClosed
 			case <-time.After(20 * time.Millisecond):
 			}
 			continue
 		}
-		if l.fw != nil && l.fw != entryFw {
+		if s.bw != nil && s.bw != entry {
 			// A redial installed a fresh connection after we entered:
 			// adopt it.
-			l.mu.Unlock()
+			s.mu.Unlock()
 			return nil
 		}
-		l.dropLocked()
-		l.dialing = true
-		l.mu.Unlock()
+		s.dropLocked()
+		s.dialing = true
+		s.mu.Unlock()
 		if err := l.connect(); err != nil {
-			l.mu.Lock()
-			l.dialing = false
-			l.mu.Unlock()
+			s.mu.Lock()
+			s.dialing = false
+			s.mu.Unlock()
 			return err
 		}
 		mRedials.Inc()

@@ -197,9 +197,8 @@ func TestPeerDialRetryWhileBooting(t *testing.T) {
 }
 
 func TestPeerPacingOnTheWire(t *testing.T) {
-	// Capacity 2 bits per 25ms time unit: a 50-bit frame occupies the
-	// link for 25 time units. Sending two after the free burst must take
-	// at least ~one full drain.
+	// Capacity 2 bits per 10ms time unit across a real socket: paced
+	// frames must arrive no faster than the link carries them.
 	g := topo.CompleteBi(2, 2)
 	addrs := freeAddrs(t, 2)
 	addrMap := map[graph.NodeID]string{1: addrs[0], 2: addrs[1]}
@@ -225,16 +224,16 @@ func TestPeerPacingOnTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	// Burst covers the first 2 bits... capacity is 2 bits/unit with a
-	// 2-bit default burst: 30 bits sent => ~(30-2)/2 = 14 units = 140ms.
-	// Accept half to stay robust under CI scheduling noise.
-	if elapsed < 70*time.Millisecond {
-		t.Errorf("three paced sends finished in %v; pacing is not biting", elapsed)
-	}
 	for i := 0; i < 3; i++ {
 		if _, err := b.Recv(2); err != nil {
 			t.Fatal(err)
 		}
+	}
+	elapsed := time.Since(start)
+	// The 2-bit bucket covers 2 of the 30 bits: ~(30-2)/2 = 14 units =
+	// 140ms until the third frame arrives. Accept half to stay robust
+	// under CI scheduling noise.
+	if elapsed < 70*time.Millisecond {
+		t.Errorf("three paced frames arrived in %v; pacing is not biting", elapsed)
 	}
 }

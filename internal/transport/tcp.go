@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"sync"
 
 	"nab/internal/graph"
 )
@@ -18,10 +19,10 @@ type TCPOptions struct {
 // TCP is the loopback TCP Transport: the cluster mesh inside one process.
 // Every node is its own single-node Peer on a 127.0.0.1 listener, so every
 // directed link is a real handshake-pinned connection carrying wire frames
-// (see wire.go) through a coalescing writer — no link short-circuits in
-// memory, and forged or mis-pinned frames are dropped on receipt exactly
-// as a cluster process would drop them. TCP itself only routes: Dial to
-// the sender's peer, Recv to the receiver's.
+// (see wire.go) from the link's queue — no link short-circuits in memory,
+// and forged or mis-pinned frames are dropped on receipt exactly as a
+// cluster process would drop them. TCP itself only routes: Dial to the
+// sender's peer, Recv to the receiver's.
 type TCP struct {
 	peers map[graph.NodeID]*Peer
 }
@@ -112,11 +113,18 @@ func (t *TCP) Dropped() int64 {
 	return n
 }
 
-// Close implements Transport: closes every peer. Frames accepted by Send
-// before Close reach the socket.
+// Close implements Transport: closes every peer at once, so all links
+// share one flush grace. Frames accepted by Send before Close reach the
+// socket.
 func (t *TCP) Close() error {
+	var wg sync.WaitGroup
 	for _, p := range t.peers {
-		p.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Close()
+		}()
 	}
+	wg.Wait()
 	return nil
 }

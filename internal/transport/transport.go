@@ -18,15 +18,18 @@
 // One in-memory core (mesh.go) and one socket stack (peer.go) sit behind
 // every Transport:
 //
-//   - mesh: the core — inboxes of the nodes hosted here, one cached state
-//     per directed link (token bucket, bit meter, metric counters) whose
-//     admit preamble validates and charges every Send, Recv, LinkBits;
+//   - mesh: the core — inboxes of the nodes hosted here and one link per
+//     directed link, whose one Send admits and meters every frame and
+//     queues it for the link's goroutine (chaos release time, token
+//     bucket, then inbox or socket) unless the link is an unpaced,
+//     chaos-free in-memory one; Recv, LinkBits;
 //   - Chan: the mesh hosting every node, no sockets — the default
 //     substrate for the pipelined runtime and for tests;
-//   - Peer: the mesh plus a listener and one handshake-pinned socket link
-//     (coalescing writer, encoding/binary framing, see wire.go) per
-//     directed link to a receiver hosted elsewhere — the multi-process
-//     full-mesh of cluster deployments, optionally crash-healing;
+//   - Peer: the mesh plus a listener and one handshake-pinned socket per
+//     directed link to a receiver hosted elsewhere (buffered writes
+//     flushed whenever no frame is due, encoding/binary framing, see
+//     wire.go) — the multi-process full-mesh of cluster deployments,
+//     optionally crash-healing;
 //   - TCP: one single-node Peer per node on loopback listeners behind a
 //     routing composite, so every link is a real socket — the
 //     realistic-serving substrate used by cmd/nabserve.
@@ -78,8 +81,10 @@ type Packet struct {
 // Link is the sender half of one directed link. On a polite network
 // frames arrive in Send order; chaos physics (chaos.go) may reorder them,
 // and nothing above the transport depends on arrival order — the runtime
-// keys every frame by (instance, step). Send may block while the link's
-// token bucket drains (pacing) but is safe for concurrent use. Links are
+// keys every frame by (instance, step). Send never waits for the token
+// bucket: a paced frame waits in its link's queue, so a sender's frames to
+// fast links never queue behind its slow one. Send blocks only when the
+// receiver stops draining, and is safe for concurrent use. Links are
 // owned by their Transport — dialing a link again returns the same Link —
 // and live until it closes.
 type Link interface {

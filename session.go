@@ -94,7 +94,7 @@ func WithTransport(tr Transport) SessionOption {
 }
 
 // WithTransportOptions tunes the default in-process bus (token-bucket
-// pacing, inbox depth) when no WithTransport is given.
+// pacing, chaos physics) when no WithTransport is given.
 func WithTransportOptions(opt TransportOptions) SessionOption {
 	return func(o *sessionOptions) { o.chanOpts = opt }
 }
