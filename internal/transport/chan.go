@@ -35,8 +35,9 @@ func NewChan(g *graph.Directed, opt ChanOptions) *Chan {
 func (t *Chan) Dial(from, to graph.NodeID) (Link, error) { return t.dial(from, to, nil) }
 
 // Close implements Transport: every link's queue is flushed to its
-// receiver's inbox without waiting for release times, and every Send from
-// then on returns ErrClosed.
+// receiver's inbox without waiting for release times, best effort within
+// one second (a frame meeting a full inbox is discarded), and every Send
+// from then on returns ErrClosed.
 func (t *Chan) Close() error {
 	t.close()
 	return nil

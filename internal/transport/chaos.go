@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"time"
 
 	"nab/internal/graph"
@@ -17,10 +16,12 @@ import (
 // throttles. Chaos only stamps each frame's release time in its link's
 // queue (mesh.go); the token-bucket pacer still charges the frame when it
 // is released, so chaos composes outside pacing rather than replacing it.
-// It never loses frames: the paper's network is asynchronous but
-// reliable, so chaos only delays and reorders, and at Close a link's queue
-// is flushed to its sink without waiting for release times. Loss is
-// modelled by kill -9 plus the rejoin rollback.
+// Chaos never drops a frame: the paper's network is asynchronous but
+// reliable, so chaos only delays and reorders. Loss is modelled by kill -9
+// plus the rejoin rollback. At Close a link's queue is flushed without
+// waiting for release times, best effort within one second shared by every
+// link: a frame that then meets a full inbox or a dropped socket is
+// discarded.
 //
 // Determinism: every per-frame decision (jitter draw, reorder draw) is a
 // pure function of (Seed, link, instance, step). The runtime sends one
@@ -187,7 +188,15 @@ func (c *ChaosConfig) partitionsFor(from, to graph.NodeID) []Partition {
 }
 
 func nodeSetHas(set []graph.NodeID, v graph.NodeID) bool {
-	return len(set) == 0 || slices.Contains(set, v)
+	if len(set) == 0 {
+		return true
+	}
+	for _, n := range set {
+		if n == v {
+			return true
+		}
+	}
+	return false
 }
 
 // linkChaos is the chaos physics of one directed link: its resolved
@@ -215,7 +224,11 @@ func (c *ChaosConfig) forLink(from, to graph.NodeID, epoch time.Time) *linkChaos
 		return nil
 	}
 	if par.ReorderProb > 0 && par.ReorderDelay <= 0 {
-		par.ReorderDelay = Duration(max(4*(par.Latency.D()+par.Jitter.D()), time.Millisecond))
+		d := 4 * (par.Latency.D() + par.Jitter.D())
+		if d < time.Millisecond {
+			d = time.Millisecond
+		}
+		par.ReorderDelay = Duration(d)
 	}
 	key := [2]graph.NodeID{from, to}
 	chaosLog.Debug("link-chaos", "link", linkString(key),
@@ -243,10 +256,11 @@ func (lc *linkChaos) release(m *Message, now time.Time) time.Time {
 		// Serialization, not just latency: the frame enters the slow link
 		// when the previous frame clears it, and occupies it for
 		// bits/RateBits seconds. Propagation delay rides on top.
-		if lc.rateFree.Before(now) {
-			lc.rateFree = now
+		start := now
+		if lc.rateFree.After(start) {
+			start = lc.rateFree
 		}
-		lc.rateFree = lc.rateFree.Add(time.Duration(float64(m.Bits) / float64(r) * float64(time.Second)))
+		lc.rateFree = start.Add(time.Duration(float64(m.Bits) / float64(r) * float64(time.Second)))
 		at = lc.rateFree.Add(delay)
 	}
 	since := now.Sub(lc.epoch)

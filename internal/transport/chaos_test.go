@@ -203,6 +203,44 @@ func TestChaosLaterStepOvertakes(t *testing.T) {
 	}
 }
 
+// TestFrameQueueOrder pins the link queue's heap: frames pop in (release
+// time, send order) order with pushes and pops interleaved, and frames
+// with equal release times, as on a polite link, pop in send order.
+func TestFrameQueueOrder(t *testing.T) {
+	for _, polite := range []bool{false, true} {
+		var q frameQueue
+		seen := map[uint64]bool{}
+		pop := func() {
+			f := q[0]
+			if q.pop() != f.m {
+				t.Fatal("pop did not return the queue's head")
+			}
+			for _, r := range q {
+				if r.at.Before(f.at) || (r.at.Equal(f.at) && r.seq < f.seq) {
+					t.Fatalf("polite=%v: popped seq %d before seq %d", polite, f.seq, r.seq)
+				}
+			}
+			seen[f.seq] = true
+		}
+		for i := 0; i < 200; i++ {
+			var at time.Time
+			if !polite {
+				at = time.Unix(0, 0).Add(time.Duration(i*7%5) * time.Millisecond)
+			}
+			q.push(queued{m: &Message{}, at: at, seq: uint64(i)})
+			if i%3 == 2 {
+				pop()
+			}
+		}
+		for len(q) > 0 {
+			pop()
+		}
+		if len(seen) != 200 {
+			t.Fatalf("polite=%v: popped %d distinct frames, want 200", polite, len(seen))
+		}
+	}
+}
+
 // TestChaosPartitionStallsAndHeals pins partition semantics: frames sent
 // into the window wait for the heal (never lost), the reverse direction
 // stays healthy (asymmetry), and post-heal sends flow normally.

@@ -8,9 +8,10 @@ import (
 )
 
 // TestPeerCloseFlushesQueuedFrames pins the close contract of a socket
-// link's queue: every frame Send accepted before Close reaches the remote
-// socket — Close flushes the queue without waiting for release times, so
-// a paced link's backlog arrives at once — and Send refuses afterwards.
+// link's queue: with a live receiver, every frame Send accepted before
+// Close reaches the remote socket — Close flushes the queue without
+// waiting for release times, so a paced link's backlog arrives at once —
+// and Send refuses afterwards.
 func TestPeerCloseFlushesQueuedFrames(t *testing.T) {
 	for _, tc := range []struct {
 		name string

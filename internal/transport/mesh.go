@@ -2,8 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +77,7 @@ type link struct {
 
 	mu      sync.Mutex
 	q       frameQueue
+	seq     uint64 // frames queued so far: the send-order tiebreak
 	started bool
 	err     error // sticky: a socket error without Reconnect, or ErrClosed once flushed
 }
@@ -137,6 +136,7 @@ func (l *link) Send(m *Message) error {
 	if l.direct {
 		select {
 		case l.inbox <- m:
+			l.lm.count(m)
 			return nil
 		case <-l.c.closed:
 			return ErrClosed
@@ -154,6 +154,7 @@ func (l *link) Send(m *Message) error {
 		<-l.slots
 		return err
 	}
+	l.lm.count(m)
 	select {
 	case l.wake <- struct{}{}:
 	default:
@@ -163,7 +164,7 @@ func (l *link) Send(m *Message) error {
 
 // admit is the preamble of every Send: the transport must be open, and the
 // frame must carry its link's coordinates and a non-negative charge, which
-// is metered.
+// is metered. The frame counters move only once the frame is accepted.
 func (l *link) admit(m *Message) error {
 	select {
 	case <-l.c.closed:
@@ -177,7 +178,6 @@ func (l *link) admit(m *Message) error {
 		return fmt.Errorf("transport: negative bit charge %d", m.Bits)
 	}
 	l.bits.Add(m.Bits)
-	l.lm.count(m)
 	return nil
 }
 
@@ -198,7 +198,8 @@ func (l *link) enqueueLocked(m *Message) error {
 	if l.chaos != nil {
 		at = l.chaos.release(m, time.Now())
 	}
-	l.q.push(queued{m: m, at: at})
+	l.seq++
+	l.q.push(queued{m: m, at: at, seq: l.seq})
 	return nil
 }
 
@@ -294,30 +295,56 @@ func (l *link) deliver(m *Message) {
 }
 
 type queued struct {
-	m  *Message
-	at time.Time // chaos release time; zero on a polite link
+	m   *Message
+	at  time.Time // chaos release time; zero on a polite link
+	seq uint64    // send order
 }
 
-// frameQueue is a link's queue in (release time, send order) order,
-// typed so queueing boxes nothing. A frame goes after every frame released
-// no later, so a polite link's queue (all release times zero) is FIFO.
+// frameQueue is a link's queue: a binary min-heap on (release time, send
+// order), typed so queueing boxes nothing. A polite link's release times
+// are all zero, so it pops in send order and each push is an append.
 type frameQueue []queued
 
+func (q frameQueue) less(i, j int) bool {
+	if !q[i].at.Equal(q[j].at) {
+		return q[i].at.Before(q[j].at)
+	}
+	return q[i].seq < q[j].seq
+}
+
 func (q *frameQueue) push(f queued) {
-	i := sort.Search(len(*q), func(i int) bool { return (*q)[i].at.After(f.at) })
-	*q = slices.Insert(*q, i, f)
+	*q = append(*q, f)
+	h := *q
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
 }
 
 func (q *frameQueue) pop() *Message {
-	m := (*q)[0].m
-	*q = slices.Delete(*q, 0, 1)
+	h := *q
+	m, n := h[0].m, len(h)-1
+	h[0], h[n] = h[n], queued{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if c >= n || !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
 	return m
 }
 
 // close signals Close to every link and waits — one second at most, shared
 // by every link — for the link goroutines to flush their queues (a socket
 // write wedged on a dead peer is unblocked by the connection close that
-// follows). It reports whether this call was the first.
+// follows, and frames still queued then are discarded). It reports
+// whether this call was the first.
 func (c *mesh) close() bool {
 	first := false
 	c.closeOnce.Do(func() {

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -295,7 +294,12 @@ func (p *Peer) Reestablish() error {
 		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DialRetry connects to addr with jittered exponential backoff (25ms
@@ -381,10 +385,10 @@ func (p *Peer) Dropped() int64 { return p.dropped.Load() }
 // while Reconnect was healing them — work the rejoin rollback re-executes.
 func (p *Peer) LostSends() int64 { return p.lost.Load() }
 
-// Close implements Transport: every link flushes its queue — sockets
-// included, bounded by one shared second for links wedged on a dead peer
-// — then the listener and every connection close. Frames accepted by Send
-// before Close reach the socket; Sends from then on return ErrClosed.
+// Close implements Transport: every link flushes its queue, best effort
+// within one second shared by every link, then the listener and every
+// connection close. A frame still queued when the second runs out meets a
+// dropped socket and is discarded. Sends from then on return ErrClosed.
 func (p *Peer) Close() error {
 	if !p.close() {
 		return nil

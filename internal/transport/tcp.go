@@ -114,8 +114,7 @@ func (t *TCP) Dropped() int64 {
 }
 
 // Close implements Transport: closes every peer at once, so all links
-// share one flush grace. Frames accepted by Send before Close reach the
-// socket.
+// share one best-effort flush grace (see Peer.Close).
 func (t *TCP) Close() error {
 	var wg sync.WaitGroup
 	for _, p := range t.peers {
