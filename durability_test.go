@@ -1,11 +1,11 @@
 package nab_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,26 +118,17 @@ func recoverAndFinish(t *testing.T, dir string, cfg nab.Config, payloads [][]byt
 	return all
 }
 
-// assertSameCommits checks the committed sequence byte for byte against
-// the oracle.
+// assertSameCommits checks that every committed instance, replayed from
+// the log or executed live, equals the oracle's as a whole InstanceResult:
+// outputs, schedule, findings and model quantities alike.
 func assertSameCommits(t *testing.T, got, want []*nab.InstanceResult) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("committed %d instances, oracle %d", len(got), len(want))
 	}
 	for i, w := range want {
-		g := got[i]
-		if g.K != w.K || g.Mismatch != w.Mismatch || g.Phase3 != w.Phase3 {
-			t.Errorf("instance %d: k/mismatch/phase3 = %d/%v/%v, want %d/%v/%v",
-				i+1, g.K, g.Mismatch, g.Phase3, w.K, w.Mismatch, w.Phase3)
-		}
-		if len(g.Outputs) != len(w.Outputs) {
-			t.Errorf("instance %d: %d outputs, want %d", i+1, len(g.Outputs), len(w.Outputs))
-		}
-		for v, out := range w.Outputs {
-			if !bytes.Equal(g.Outputs[v], out) {
-				t.Errorf("instance %d: node %d output %x, want %x", i+1, v, g.Outputs[v], out)
-			}
+		if g := got[i]; !reflect.DeepEqual(g, w) {
+			t.Errorf("instance %d: %+v, oracle %+v", i+1, g, w)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -161,9 +162,14 @@ func lockstepRun(t *testing.T, cfg *cluster.Config) (*core.RunResult, string) {
 	return want, lock.Disputes().String()
 }
 
-// checkAgainstLockstep asserts that the union of the processes' committed
-// outputs byte-matches the lockstep run, and that every process saw the
-// same mismatch/phase3 schedule and dispute evolution.
+// checkAgainstLockstep asserts that the processes together committed the
+// lockstep run. Per instance, their outputs merge into the lockstep
+// outputs, their TotalBits sum to the lockstep value and the maximum over
+// processes of each cut-through phase time is the lockstep time; every
+// other field of each process's result equals the lockstep one. A partial
+// engine charges only its local nodes' sends, so Phase1SFTime (a sum of
+// per-round maxima) is not comparable this way. Every process must also
+// end on the lockstep dispute set.
 func checkAgainstLockstep(t *testing.T, cfg *cluster.Config, results []clusterResult, want *core.RunResult, wantDisputes string) {
 	t.Helper()
 	for pi, r := range results {
@@ -178,26 +184,27 @@ func checkAgainstLockstep(t *testing.T, cfg *cluster.Config, results []clusterRe
 		}
 	}
 	for i, w := range want.Instances {
-		merged := map[graph.NodeID][]byte{}
-		for pi, r := range results {
+		all := core.InstanceResult{Outputs: map[graph.NodeID][]byte{}}
+		for _, r := range results {
 			g := r.res.Instances[i]
-			if g.K != w.K || g.Mismatch != w.Mismatch || g.Phase3 != w.Phase3 {
-				t.Errorf("process %d instance %d: K/mismatch/phase3 = %d/%v/%v, want %d/%v/%v",
-					pi, i+1, g.K, g.Mismatch, g.Phase3, w.K, w.Mismatch, w.Phase3)
-			}
 			for v, out := range g.Outputs {
-				if prev, dup := merged[v]; dup && string(prev) != string(out) {
+				if prev, dup := all.Outputs[v]; dup && string(prev) != string(out) {
 					t.Errorf("instance %d: node %d output reported twice with different values", i+1, v)
 				}
-				merged[v] = out
+				all.Outputs[v] = out
 			}
+			all.TotalBits += g.TotalBits
+			all.Phase1Time = max(all.Phase1Time, g.Phase1Time)
+			all.EqualityTime = max(all.EqualityTime, g.EqualityTime)
+			all.FlagTime = max(all.FlagTime, g.FlagTime)
+			all.DisputeTime = max(all.DisputeTime, g.DisputeTime)
 		}
-		if len(merged) != len(w.Outputs) {
-			t.Errorf("instance %d: cluster committed %d outputs, lockstep %d", i+1, len(merged), len(w.Outputs))
-		}
-		for v, out := range w.Outputs {
-			if string(merged[v]) != string(out) {
-				t.Errorf("instance %d: node %d output %x, want %x", i+1, v, merged[v], out)
+		for pi, r := range results {
+			g := *r.res.Instances[i]
+			g.Outputs, g.TotalBits, g.Phase1SFTime = all.Outputs, all.TotalBits, w.Phase1SFTime
+			g.Phase1Time, g.EqualityTime, g.FlagTime, g.DisputeTime = all.Phase1Time, all.EqualityTime, all.FlagTime, all.DisputeTime
+			if !reflect.DeepEqual(&g, w) {
+				t.Errorf("process %d instance %d with the cluster's merged outputs, summed bits and maxed phase times: %+v, lockstep %+v", pi, i+1, g, w)
 			}
 		}
 	}

@@ -24,7 +24,9 @@ import (
 // semantics of sim.Engine.RunPhase: messages emitted in round r are
 // delivered in round r+1, inboxes are ordered by sender, messages emitted
 // in a phase's final round carry over into the next phase's first round,
-// and every transmitted bit is charged to its link.
+// and every transmitted bit is charged to its link through
+// sim.PhaseStats.Charge. Run on a plan from Protocol.Plan, every engine
+// therefore reports the same InstanceResult, model quantities included.
 type PhaseEngine interface {
 	SetProcess(v graph.NodeID, p sim.Process) error
 	RunPhase(name string, rounds int) (*sim.PhaseStats, error)
@@ -188,6 +190,25 @@ type InstancePlan struct {
 	trees       []*spantree.Arborescence
 	schemeTries int
 	maxDepth    int
+}
+
+// Plan derives the plan for instance k on the dispute-state snapshot ds,
+// drawing coding matrices from an RNG seeded by ds's generation. It is the
+// one seeding rule of every engine: the lockstep Runner plans each
+// instance with it and the pipelined runtime each generation, so both run
+// the same verified scheme and charge the same bits.
+func (p *Protocol) Plan(ds *DisputeState, k int) (*InstancePlan, error) {
+	return p.PlanInstance(ds, k, rand.New(rand.NewSource(planSeed(p.cfg.Seed, ds.gen))))
+}
+
+// planSeed derives a per-generation RNG seed (splitmix64 finalizer), so a
+// re-executed instance draws the same verified scheme regardless of which
+// launch planned it first.
+func planSeed(seed int64, gen int) int64 {
+	z := uint64(seed) + uint64(gen+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }
 
 // PlanInstance derives the plan for instance k on the given dispute-state

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nab/internal/dispute"
 	"nab/internal/flight"
@@ -137,7 +136,6 @@ func (rr *RunResult) DisputePhases() int { return rr.disputes }
 type Runner struct {
 	proto *Protocol
 	ds    *DisputeState
-	rng   *rand.Rand
 	k     int
 }
 
@@ -150,7 +148,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return &Runner{
 		proto: proto,
 		ds:    NewDisputeState(cfg.Graph),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -169,12 +166,9 @@ func (r *Runner) Disputes() *dispute.Set { return r.ds.Disputes() }
 // folded in order, and the runner resumes at the tail's end + 1. A nil
 // tail resumes exactly at snap.K + 1. It is the lockstep half of WAL
 // crash-recovery: a log with no snapshot record restores from the zero
-// SnapshotState with its whole committed history as the tail.
-//
-// The coding-matrix RNG restarts from Seed rather than from its
-// pre-crash position; scheme draws are verified before use, so committed
-// outputs and dispute evolution are unaffected (the same tolerance the
-// pipelined engine's per-generation seeding already relies on).
+// SnapshotState with its whole committed history as the tail. Plans are
+// seeded by generation (Protocol.Plan), so the restored runner draws the
+// schemes an uninterrupted one would.
 func (r *Runner) RestoreSnapshot(snap SnapshotState, tail []*InstanceResult) error {
 	if r.k != 0 {
 		return fmt.Errorf("core: RestoreSnapshot on a runner that already executed %d instances", r.k)
@@ -222,7 +216,7 @@ func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
 		flight.Record(flight.Event{Type: flight.EvLaunch, Node: -1,
 			Inst: uint64(r.k), K: int32(r.k), Gen: int32(r.ds.Gen())})
 	}
-	plan, err := r.proto.PlanInstance(r.ds, r.k, r.rng)
+	plan, err := r.proto.Plan(r.ds, r.k)
 	if err != nil {
 		return nil, err
 	}

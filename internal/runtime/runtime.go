@@ -22,7 +22,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -398,7 +397,6 @@ func (rt *Runtime) unregister(eng *instanceEngine) {
 // coding scheme and packed arborescences are computed once per generation
 // and shared by every instance (and re-execution) running on it.
 type planEntry struct {
-	gen  int
 	snap *core.DisputeState
 	once sync.Once
 	plan *core.InstancePlan
@@ -407,20 +405,9 @@ type planEntry struct {
 
 func (rt *Runtime) resolve(e *planEntry, k int) (*core.InstancePlan, error) {
 	e.once.Do(func() {
-		rng := rand.New(rand.NewSource(planSeed(rt.cfg.Seed, e.gen)))
-		e.plan, e.err = rt.proto.PlanInstance(e.snap, k, rng)
+		e.plan, e.err = rt.proto.Plan(e.snap, k)
 	})
 	return e.plan, e.err
-}
-
-// planSeed derives a per-generation RNG seed (splitmix64 finalizer), so a
-// re-executed instance draws the same verified scheme regardless of which
-// launch planned it first.
-func planSeed(seed int64, gen int) int64 {
-	z := uint64(seed) + uint64(gen+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // flight is one speculative instance execution.
@@ -519,7 +506,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 	entryFor := func(gen int) *planEntry {
 		e, ok := rt.entries[gen]
 		if !ok {
-			e = &planEntry{gen: gen, snap: rt.ds.Clone()}
+			e = &planEntry{snap: rt.ds.Clone()}
 			rt.entries[gen] = e
 		}
 		return e

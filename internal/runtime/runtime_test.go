@@ -106,8 +106,10 @@ func topologies(t *testing.T) []topology {
 }
 
 // TestOutputsMatchLockstep is the runtime's core acceptance: for every
-// adversary scenario on every topology, the pipelined runtime's committed
-// outputs (and dispute evolution) byte-match the lockstep core.Runner.
+// adversary scenario on every topology, every instance the pipelined
+// runtime commits equals the lockstep core.Runner's as a whole
+// InstanceResult — outputs, schedule, dispute findings and the model
+// quantities (bits, phase times) alike — and dispute evolution matches.
 func TestOutputsMatchLockstep(t *testing.T) {
 	const q, lenBytes = 5, 24
 	for _, tp := range topologies(t) {
@@ -142,30 +144,8 @@ func TestOutputsMatchLockstep(t *testing.T) {
 					t.Fatalf("committed %d instances, want %d", len(got.Instances), len(want.Instances))
 				}
 				for i, w := range want.Instances {
-					g := got.Instances[i]
-					if g.K != w.K {
-						t.Errorf("instance %d: K = %d, want %d", i+1, g.K, w.K)
-					}
-					if len(g.Outputs) != len(w.Outputs) {
-						t.Errorf("instance %d: %d outputs, want %d", i+1, len(g.Outputs), len(w.Outputs))
-					}
-					for v, out := range w.Outputs {
-						if !bytes.Equal(g.Outputs[v], out) {
-							t.Errorf("instance %d: node %d output %x, want %x", i+1, v, g.Outputs[v], out)
-						}
-					}
-					if g.Mismatch != w.Mismatch || g.Phase3 != w.Phase3 {
-						t.Errorf("instance %d: mismatch/phase3 = %v/%v, want %v/%v", i+1, g.Mismatch, g.Phase3, w.Mismatch, w.Phase3)
-					}
-					if !reflect.DeepEqual(g.NewDisputes, w.NewDisputes) {
-						t.Errorf("instance %d: disputes %v, want %v", i+1, g.NewDisputes, w.NewDisputes)
-					}
-					if !reflect.DeepEqual(g.NewFaulty, w.NewFaulty) {
-						t.Errorf("instance %d: faulty %v, want %v", i+1, g.NewFaulty, w.NewFaulty)
-					}
-					if g.Phase1Time != w.Phase1Time || g.EqualityTime != w.EqualityTime || g.FlagTime != w.FlagTime {
-						t.Errorf("instance %d: phase times (%v,%v,%v), want (%v,%v,%v)",
-							i+1, g.Phase1Time, g.EqualityTime, g.FlagTime, w.Phase1Time, w.EqualityTime, w.FlagTime)
+					if g := got.Instances[i]; !reflect.DeepEqual(g, w) {
+						t.Errorf("instance %d: runtime %+v, lockstep %+v", i+1, g, w)
 					}
 				}
 				// Dispute state must have evolved identically.
@@ -661,15 +641,8 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 				t.Fatalf("resumed run committed %d instances, want %d", len(res.Instances), len(inputs)-cut)
 			}
 			for i, ir := range res.Instances {
-				w := want.Instances[cut+i]
-				if ir.K != w.K || ir.Mismatch != w.Mismatch || ir.Phase3 != w.Phase3 || ir.TotalBits != w.TotalBits {
-					t.Errorf("instance %d: k/mismatch/phase3/bits diverged after restore", w.K)
-				}
-				if !reflect.DeepEqual(ir.Outputs, w.Outputs) {
-					t.Errorf("instance %d: outputs diverged after restore", w.K)
-				}
-				if !reflect.DeepEqual(ir.NewDisputes, w.NewDisputes) || !reflect.DeepEqual(ir.NewFaulty, w.NewFaulty) {
-					t.Errorf("instance %d: dispute findings diverged after restore", w.K)
+				if w := want.Instances[cut+i]; !reflect.DeepEqual(ir, w) {
+					t.Errorf("instance %d diverged after restore: %+v, want %+v", w.K, ir, w)
 				}
 			}
 			if got, want := rt.Disputes().String(), full.Disputes().String(); got != want {
@@ -822,9 +795,8 @@ func TestRepeatAndForeignFramesDoNotReleaseSteps(t *testing.T) {
 		t.Error(e)
 	}
 	for i, w := range want.Instances {
-		gi := got.Instances[i]
-		if gi.Mismatch != w.Mismatch || gi.Phase3 != w.Phase3 || !reflect.DeepEqual(gi.Outputs, w.Outputs) {
-			t.Errorf("instance %d diverged from lockstep", i+1)
+		if gi := got.Instances[i]; !reflect.DeepEqual(gi, w) {
+			t.Errorf("instance %d diverged from lockstep: %+v, want %+v", i+1, gi, w)
 		}
 	}
 	if lock.Disputes().String() != rt.Disputes().String() {
@@ -866,10 +838,8 @@ func TestReorderChaosMatchesLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range want.Instances {
-		gi := got.Instances[i]
-		if gi.Mismatch != w.Mismatch || gi.Phase3 != w.Phase3 || !reflect.DeepEqual(gi.Outputs, w.Outputs) ||
-			!reflect.DeepEqual(gi.NewDisputes, w.NewDisputes) {
-			t.Errorf("instance %d diverged from lockstep under reorder chaos", i+1)
+		if gi := got.Instances[i]; !reflect.DeepEqual(gi, w) {
+			t.Errorf("instance %d diverged from lockstep under reorder chaos: %+v, want %+v", i+1, gi, w)
 		}
 	}
 	if lock.Disputes().String() != rt.Disputes().String() {

@@ -58,51 +58,6 @@ func (f StepFunc) Step(round int, inbox []Message) []Message { return f(round, i
 // that ignores a phase).
 var Silent Process = StepFunc(func(int, []Message) []Message { return nil })
 
-// PhaseStats aggregates the capacity charges of one phase. The lockstep
-// engine fills one in during RunPhase; message-driven engines build one via
-// NewPhaseStats/Charge.
-type PhaseStats struct {
-	Name        string
-	Rounds      int
-	BitsPerLink map[[2]graph.NodeID]int64
-	caps        map[[2]graph.NodeID]int64
-	roundMax    []float64 // per-round max bits/capacity
-	totalBits   int64
-
-	// Accumulator state (NewPhaseStats path only).
-	mu        sync.Mutex
-	roundBits []map[[2]graph.NodeID]int64
-}
-
-// CutThroughTime returns the phase duration in the zero-propagation-delay
-// model: max over links of total bits / capacity.
-func (ps *PhaseStats) CutThroughTime() float64 {
-	return ps.maxOverLinks(ps.BitsPerLink)
-}
-
-// StoreForwardTime returns the phase duration when rounds are sequential:
-// the sum over rounds of each round's max bits/capacity.
-func (ps *PhaseStats) StoreForwardTime() float64 {
-	var sum float64
-	for _, m := range ps.roundMax {
-		sum += m
-	}
-	return sum
-}
-
-// TotalBits returns the number of bits transmitted during the phase.
-func (ps *PhaseStats) TotalBits() int64 { return ps.totalBits }
-
-func (ps *PhaseStats) maxOverLinks(bits map[[2]graph.NodeID]int64) float64 {
-	var out float64
-	for key, b := range bits {
-		if t := float64(b) / float64(ps.caps[key]); t > out {
-			out = t
-		}
-	}
-	return out
-}
-
 // SentRecord is one transcript entry (for tests and metrics; protocol code
 // must never read the global transcript — honest nodes only see their own
 // links).
@@ -157,13 +112,6 @@ func (e *Engine) Records() []SentRecord { return e.records }
 // indicate protocol bugs; tests assert on this.
 func (e *Engine) Dropped() int { return e.dropped }
 
-// Seed injects messages for delivery in the first round of the next phase;
-// used to hand a phase its inputs without charging any link (e.g. the
-// source's own value "received from itself").
-func (e *Engine) Seed(msgs []Message) {
-	e.pending = append(e.pending, msgs...)
-}
-
 // RunPhase executes rounds lockstep rounds under the given phase label and
 // returns the phase's capacity charges. Messages emitted in the final round
 // remain pending and are delivered in the next phase's first round.
@@ -171,16 +119,7 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("sim: rounds = %d must be positive", rounds)
 	}
-	ps := &PhaseStats{
-		Name:        name,
-		Rounds:      rounds,
-		BitsPerLink: map[[2]graph.NodeID]int64{},
-		caps:        map[[2]graph.NodeID]int64{},
-	}
-	for _, ed := range e.g.Edges() {
-		ps.caps[[2]graph.NodeID{ed.From, ed.To}] = ed.Cap
-	}
-
+	ps := NewPhaseStats(name, e.g, rounds)
 	nodes := e.g.Nodes()
 	for round := 0; round < rounds; round++ {
 		inboxes := e.routePending()
@@ -196,7 +135,6 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 		}
 		wg.Wait()
 
-		var roundBits = map[[2]graph.NodeID]int64{}
 		e.pending = e.pending[:0]
 		for i, v := range nodes {
 			for _, m := range outs[i] {
@@ -213,23 +151,13 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 					e.dropped++
 					continue
 				}
-				key := [2]graph.NodeID{m.From, m.To}
-				ps.BitsPerLink[key] += m.Bits
-				roundBits[key] += m.Bits
-				ps.totalBits += m.Bits
+				ps.Charge(round, m.From, m.To, m.Bits)
 				e.pending = append(e.pending, m)
 				if e.record {
 					e.records = append(e.records, SentRecord{Phase: name, Round: round, Msg: m})
 				}
 			}
 		}
-		var rm float64
-		for key, b := range roundBits {
-			if t := float64(b) / float64(ps.caps[key]); t > rm {
-				rm = t
-			}
-		}
-		ps.roundMax = append(ps.roundMax, rm)
 	}
 	return ps, nil
 }

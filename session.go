@@ -27,8 +27,8 @@ type Commit struct {
 	// Seq echoes the sequence number Submit returned for this payload.
 	Seq Seq
 	// Result is the full instance report: per-node outputs (local nodes
-	// only under WithLocalNodes or WithCluster), the mismatch/phase3
-	// schedule and dispute-control findings.
+	// only under WithCluster), the mismatch/phase3 schedule and
+	// dispute-control findings.
 	Result *InstanceResult
 	// Replayed marks a commit re-delivered from the write-ahead log by a
 	// Recover session: it was committed (and delivered) by a previous
@@ -54,8 +54,7 @@ type sessionOptions struct {
 	lockstep     bool
 	window       int
 	transport    Transport
-	chanOpts     TransportOptions
-	localNodes   []NodeID
+	chanOpts     *TransportOptions
 	adversaries  map[NodeID]Adversary
 	commitBuffer int
 
@@ -93,18 +92,11 @@ func WithTransport(tr Transport) SessionOption {
 	return func(o *sessionOptions) { o.transport = tr }
 }
 
-// WithTransportOptions tunes the default in-process bus (token-bucket
-// pacing, chaos physics) when no WithTransport is given.
+// WithTransportOptions tunes the pipelined engine's default in-process
+// bus (token-bucket pacing, chaos physics). Open rejects it alongside
+// WithTransport, WithLockstep or WithCluster, which run no such bus.
 func WithTransportOptions(opt TransportOptions) SessionOption {
-	return func(o *sessionOptions) { o.chanOpts = opt }
-}
-
-// WithLocalNodes restricts the pipelined engine to hosting the given
-// nodes' actors — the multi-process deployment where the transport
-// carries the rest of the topology's traffic (prefer WithCluster, which
-// also wires the control plane).
-func WithLocalNodes(nodes ...NodeID) SessionOption {
-	return func(o *sessionOptions) { o.localNodes = append(o.localNodes, nodes...) }
+	return func(o *sessionOptions) { o.chanOpts = &opt }
 }
 
 // WithAdversary scripts node v's Byzantine behaviour, merging over the
@@ -280,7 +272,7 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 
 	switch {
 	case o.cluster != nil:
-		if o.lockstep || o.transport != nil || o.localNodes != nil || o.adversaries != nil || o.window != 0 {
+		if o.lockstep || o.transport != nil || o.chanOpts != nil || o.adversaries != nil || o.window != 0 {
 			return fail(errors.New("nab: WithCluster derives engine, window, transport and adversaries from the cluster config; drop the conflicting options"))
 		}
 		if cfg.Graph != nil {
@@ -329,8 +321,8 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		}()
 
 	case o.lockstep:
-		if o.transport != nil || o.localNodes != nil {
-			return fail(errors.New("nab: the lockstep engine runs on the synchronous simulator; WithTransport/WithLocalNodes need the pipelined engine"))
+		if o.transport != nil || o.chanOpts != nil {
+			return fail(errors.New("nab: the lockstep engine runs on the synchronous simulator, not a transport; drop the conflicting options"))
 		}
 		if o.window > 1 {
 			return fail(fmt.Errorf("nab: the lockstep engine is sequential; window %d needs the pipelined engine", o.window))
@@ -353,14 +345,15 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		go s.runLockstep(sctx, runner)
 
 	default:
+		if o.transport != nil && o.chanOpts != nil {
+			return fail(errors.New("nab: WithTransportOptions tunes the in-process bus that WithTransport replaces; drop the conflicting options"))
+		}
 		mergeAdversaries(&cfg, o.adversaries)
-		rt, err := runtime.New(runtime.Config{
-			Config:      cfg,
-			Window:      o.window,
-			Transport:   o.transport,
-			ChanOptions: o.chanOpts,
-			LocalNodes:  o.localNodes,
-		})
+		rc := runtime.Config{Config: cfg, Window: o.window, Transport: o.transport}
+		if o.chanOpts != nil {
+			rc.ChanOptions = *o.chanOpts
+		}
+		rt, err := runtime.New(rc)
 		if err != nil {
 			return fail(err)
 		}

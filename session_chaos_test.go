@@ -1,9 +1,8 @@
 package nab_test
 
 import (
-	"bytes"
 	"context"
-	"sync"
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,15 +65,8 @@ func TestSessionChaosDifferential(t *testing.T) {
 			t.Fatalf("committed %d instances, want %d", len(got), len(want))
 		}
 		for i, w := range want {
-			gr := got[i]
-			if gr.Mismatch != w.Mismatch || gr.Phase3 != w.Phase3 {
-				t.Errorf("instance %d: mismatch/phase3 = %v/%v, want %v/%v",
-					i+1, gr.Mismatch, gr.Phase3, w.Mismatch, w.Phase3)
-			}
-			for v, out := range w.Outputs {
-				if !bytes.Equal(gr.Outputs[v], out) {
-					t.Errorf("instance %d: node %d output %x, want %x", i+1, v, gr.Outputs[v], out)
-				}
+			if gr := got[i]; !reflect.DeepEqual(gr, w) {
+				t.Errorf("instance %d: %+v, want %+v", i+1, gr, w)
 			}
 		}
 	}
@@ -145,64 +137,5 @@ func TestSessionChaosCluster(t *testing.T) {
 	defer lockSess.Close()
 	want, wantDisputes := feedAndCollect(t, lockSess, payloads)
 
-	leads := map[string]nab.NodeID{}
-	var order []string
-	for _, ns := range ccfg.Nodes {
-		if _, ok := leads[ns.Addr]; !ok {
-			leads[ns.Addr] = ns.ID
-			order = append(order, ns.Addr)
-		}
-	}
-	type procView struct {
-		results  []*nab.InstanceResult
-		disputes string
-	}
-	views := make([]procView, len(order))
-	var wg sync.WaitGroup
-	for i, addr := range order {
-		wg.Add(1)
-		go func(i int, lead nab.NodeID) {
-			defer wg.Done()
-			sess, err := nab.Open(ctx, nab.Config{}, nab.WithCluster(ccfg, lead, nab.ClusterOptions{
-				BootTimeout: 30 * time.Second, Reservation: rsv,
-			}))
-			if err != nil {
-				t.Errorf("process %d: %v", i, err)
-				return
-			}
-			defer sess.Close()
-			rs, ds := feedAndCollect(t, sess, payloads)
-			views[i] = procView{results: rs, disputes: ds}
-		}(i, leads[addr])
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for pi, view := range views {
-		if len(view.results) != len(want) {
-			t.Fatalf("process %d committed %d instances, want %d", pi, len(view.results), len(want))
-		}
-		if view.disputes != wantDisputes {
-			t.Errorf("process %d dispute set %q, want %q", pi, view.disputes, wantDisputes)
-		}
-	}
-	for i, w := range want {
-		merged := map[nab.NodeID][]byte{}
-		for pi, view := range views {
-			gr := view.results[i]
-			if gr.Mismatch != w.Mismatch || gr.Phase3 != w.Phase3 {
-				t.Errorf("process %d instance %d: mismatch/phase3 = %v/%v, want %v/%v",
-					pi, i+1, gr.Mismatch, gr.Phase3, w.Mismatch, w.Phase3)
-			}
-			for v, out := range gr.Outputs {
-				merged[v] = out
-			}
-		}
-		for v, out := range w.Outputs {
-			if !bytes.Equal(merged[v], out) {
-				t.Errorf("instance %d: node %d output %x, want %x", i+1, v, merged[v], out)
-			}
-		}
-	}
+	checkClusterSessions(t, runClusterSessions(t, ccfg, rsv, payloads), want, wantDisputes)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -93,8 +94,9 @@ func sessionDiffConfig(t *testing.T, g *nab.Graph, source nab.NodeID, f, procs i
 // TestSessionDifferentialEngines is the redesign's acceptance invariant:
 // one Session API, three engines, identical payload sequences — the
 // lockstep adapter, the pipelined runtime at W=4 and a 3-process TCP
-// cluster must commit byte-identical outputs with identical mismatch
-// schedules and identical final dispute sets.
+// cluster. Every pipelined commit equals the lockstep one as a whole
+// InstanceResult, the cluster processes' commits together equal it (see
+// checkClusterSessions), and all end on the same dispute set.
 func TestSessionDifferentialEngines(t *testing.T) {
 	circ, err := nab.CirculantGraph(9, 1, 1, 2)
 	if err != nil {
@@ -147,87 +149,101 @@ func TestSessionDifferentialEngines(t *testing.T) {
 				t.Errorf("pipelined dispute set %q, want %q", pipeDisputes, wantDisputes)
 			}
 			for i, w := range want {
-				g := pipe[i]
-				if g.Mismatch != w.Mismatch || g.Phase3 != w.Phase3 {
-					t.Errorf("pipelined instance %d: mismatch/phase3 = %v/%v, want %v/%v",
-						i+1, g.Mismatch, g.Phase3, w.Mismatch, w.Phase3)
-				}
-				for v, out := range w.Outputs {
-					if !bytes.Equal(g.Outputs[v], out) {
-						t.Errorf("pipelined instance %d: node %d output %x, want %x", i+1, v, g.Outputs[v], out)
-					}
+				if g := pipe[i]; !reflect.DeepEqual(g, w) {
+					t.Errorf("pipelined instance %d: %+v, want %+v", i+1, g, w)
 				}
 			}
 
-			// One cluster session per hosting process, all fed the same
-			// payload stream; local views merge into the full output map.
-			leads := map[string]nab.NodeID{}
-			var order []string
-			for _, ns := range ccfg.Nodes {
-				if _, ok := leads[ns.Addr]; !ok {
-					leads[ns.Addr] = ns.ID
-					order = append(order, ns.Addr)
-				}
-			}
-			type procView struct {
-				results  []*nab.InstanceResult
-				disputes string
-			}
-			views := make([]procView, len(order))
-			var wg sync.WaitGroup
-			for i, addr := range order {
-				wg.Add(1)
-				go func(i int, lead nab.NodeID) {
-					defer wg.Done()
-					sess, err := nab.Open(ctx, nab.Config{}, nab.WithCluster(ccfg, lead, nab.ClusterOptions{
-						BootTimeout: 30 * time.Second, Reservation: rsv,
-					}))
-					if err != nil {
-						t.Errorf("process %d: %v", i, err)
-						return
-					}
-					defer sess.Close()
-					rs, ds := feedAndCollect(t, sess, payloads)
-					views[i] = procView{results: rs, disputes: ds}
-				}(i, leads[addr])
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
-			for pi, view := range views {
-				if len(view.results) != len(want) {
-					t.Fatalf("process %d committed %d instances, want %d", pi, len(view.results), len(want))
-				}
-				if view.disputes != wantDisputes {
-					t.Errorf("process %d dispute set %q, want %q", pi, view.disputes, wantDisputes)
-				}
-			}
-			for i, w := range want {
-				merged := map[nab.NodeID][]byte{}
-				for pi, view := range views {
-					g := view.results[i]
-					if g.Mismatch != w.Mismatch || g.Phase3 != w.Phase3 {
-						t.Errorf("process %d instance %d: mismatch/phase3 = %v/%v, want %v/%v",
-							pi, i+1, g.Mismatch, g.Phase3, w.Mismatch, w.Phase3)
-					}
-					for v, out := range g.Outputs {
-						if prev, dup := merged[v]; dup && !bytes.Equal(prev, out) {
-							t.Errorf("instance %d: node %d output reported twice with different values", i+1, v)
-						}
-						merged[v] = out
-					}
-				}
-				if len(merged) != len(w.Outputs) {
-					t.Errorf("instance %d: cluster committed %d outputs, lockstep %d", i+1, len(merged), len(w.Outputs))
-				}
-				for v, out := range w.Outputs {
-					if !bytes.Equal(merged[v], out) {
-						t.Errorf("instance %d: node %d output %x, want %x", i+1, v, merged[v], out)
-					}
-				}
-			}
+			checkClusterSessions(t, runClusterSessions(t, ccfg, rsv, payloads), want, wantDisputes)
 		})
+	}
+}
+
+// clusterView is what one cluster process's session committed.
+type clusterView struct {
+	results  []*nab.InstanceResult
+	disputes string
+}
+
+// runClusterSessions opens one cluster session per hosting process and
+// feeds every one the same payload stream.
+func runClusterSessions(t *testing.T, ccfg *nab.ClusterConfig, rsv *nab.ClusterReservation, payloads [][]byte) []clusterView {
+	t.Helper()
+	leads := map[string]nab.NodeID{}
+	var order []string
+	for _, ns := range ccfg.Nodes {
+		if _, ok := leads[ns.Addr]; !ok {
+			leads[ns.Addr] = ns.ID
+			order = append(order, ns.Addr)
+		}
+	}
+	views := make([]clusterView, len(order))
+	var wg sync.WaitGroup
+	for i, addr := range order {
+		wg.Add(1)
+		go func(i int, lead nab.NodeID) {
+			defer wg.Done()
+			sess, err := nab.Open(context.Background(), nab.Config{}, nab.WithCluster(ccfg, lead, nab.ClusterOptions{
+				BootTimeout: 30 * time.Second, Reservation: rsv,
+			}))
+			if err != nil {
+				t.Errorf("process %d: %v", i, err)
+				return
+			}
+			defer sess.Close()
+			rs, ds := feedAndCollect(t, sess, payloads)
+			views[i] = clusterView{results: rs, disputes: ds}
+		}(i, leads[addr])
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return views
+}
+
+// checkClusterSessions asserts that the cluster processes together
+// committed the lockstep run want. Per instance, their outputs merge into
+// the lockstep outputs, their TotalBits sum to the lockstep value and the
+// maximum over processes of each cut-through phase time is the lockstep
+// time; every other field of each process's result equals the lockstep
+// one. A partial engine charges only its local nodes' sends, so
+// Phase1SFTime (a sum of per-round maxima) is not comparable this way.
+// Every process must also end on the lockstep dispute set.
+func checkClusterSessions(t *testing.T, views []clusterView, want []*nab.InstanceResult, wantDisputes string) {
+	t.Helper()
+	for pi, view := range views {
+		if len(view.results) != len(want) {
+			t.Fatalf("process %d committed %d instances, want %d", pi, len(view.results), len(want))
+		}
+		if view.disputes != wantDisputes {
+			t.Errorf("process %d dispute set %q, want %q", pi, view.disputes, wantDisputes)
+		}
+	}
+	for i, w := range want {
+		all := nab.InstanceResult{Outputs: map[nab.NodeID][]byte{}}
+		for _, view := range views {
+			g := view.results[i]
+			for v, out := range g.Outputs {
+				if prev, dup := all.Outputs[v]; dup && !bytes.Equal(prev, out) {
+					t.Errorf("instance %d: node %d output reported twice with different values", i+1, v)
+				}
+				all.Outputs[v] = out
+			}
+			all.TotalBits += g.TotalBits
+			all.Phase1Time = max(all.Phase1Time, g.Phase1Time)
+			all.EqualityTime = max(all.EqualityTime, g.EqualityTime)
+			all.FlagTime = max(all.FlagTime, g.FlagTime)
+			all.DisputeTime = max(all.DisputeTime, g.DisputeTime)
+		}
+		for pi, view := range views {
+			g := *view.results[i]
+			g.Outputs, g.TotalBits, g.Phase1SFTime = all.Outputs, all.TotalBits, w.Phase1SFTime
+			g.Phase1Time, g.EqualityTime, g.FlagTime, g.DisputeTime = all.Phase1Time, all.EqualityTime, all.FlagTime, all.DisputeTime
+			if !reflect.DeepEqual(&g, w) {
+				t.Errorf("process %d instance %d with the cluster's merged outputs, summed bits and maxed phase times: %+v, lockstep %+v", pi, i+1, g, w)
+			}
+		}
 	}
 }
 
@@ -436,6 +452,45 @@ func TestSessionLifecycleErrors(t *testing.T) {
 		if s, err := open(); err == nil {
 			s.Close()
 			t.Errorf("%s: conflicting options accepted", name)
+		}
+	}
+}
+
+// TestOpenRejectsStrayTransportOptions: WithTransportOptions tunes only
+// the pipelined engine's in-process bus. Next to an engine or transport
+// that runs no such bus, Open must refuse it rather than silently drop
+// the pacing or chaos it carries.
+func TestOpenRejectsStrayTransportOptions(t *testing.T) {
+	ctx := context.Background()
+	cfg := nab.Config{Graph: nab.CompleteGraph(4, 2), Source: 1, F: 1, LenBytes: 8, Seed: 1}
+	chaos := nab.WithTransportOptions(nab.TransportOptions{Chaos: &nab.ChaosConfig{Seed: 1}})
+	for name, open := range map[string]func() (*nab.Session, error){
+		"lockstep": func() (*nab.Session, error) {
+			return nab.Open(ctx, cfg, nab.WithLockstep(), chaos)
+		},
+		"transport": func() (*nab.Session, error) {
+			tr, err := nab.NewTCPTransport(cfg.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := nab.Open(ctx, cfg, nab.WithTransport(tr), chaos)
+			if err != nil {
+				tr.Close() // a failed Open does not take ownership
+			}
+			return s, err
+		},
+		"cluster": func() (*nab.Session, error) {
+			return nab.Open(ctx, nab.Config{}, nab.WithCluster(&nab.ClusterConfig{}, 1, nab.ClusterOptions{}), chaos)
+		},
+	} {
+		s, err := open()
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: WithTransportOptions accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "drop the conflicting options") {
+			t.Errorf("%s: error %q does not name the option conflict", name, err)
 		}
 	}
 }

@@ -381,7 +381,7 @@ func Run(sc *Scenario) error {
 	default:
 		return fmt.Errorf("unknown engine %q", sc.Engine)
 	}
-	return diff(oracle, got)
+	return churnDiff(oracle, got, nil)
 }
 
 // config builds the scenario's session configuration over g, with fresh
@@ -956,9 +956,11 @@ func runChurn(sc *Scenario, g *nab.Graph, payloads [][]byte, oracle *view) error
 	return churnDiff(oracle, got, exempt)
 }
 
-// churnDiff is diff plus the blank-join gap: an output the oracle holds
-// may be absent iff it is exempt — any present value must still match
-// byte for byte.
+// churnDiff asserts the engine view matches the oracle byte for byte.
+// Cluster views carry only locally-hosted outputs per process pre-merge;
+// by the time they reach churnDiff they are full maps. The one gap is a
+// blank join's: an output the oracle holds may be absent iff it is exempt
+// — any present value must still match.
 func churnDiff(oracle, got *view, exempt map[exKey]bool) error {
 	if got.disputes != oracle.disputes {
 		return fmt.Errorf("dispute set %q, oracle %q", got.disputes, oracle.disputes)
@@ -987,7 +989,9 @@ func churnDiff(oracle, got *view, exempt map[exKey]bool) error {
 	return nil
 }
 
-// sameResult compares the fields the differential cares about.
+// sameResult checks that a replayed or re-executed commit matches its
+// original: schedule, outputs and the model quantities (bits, phase times)
+// it was committed with.
 func sameResult(a, b *nab.InstanceResult) error {
 	if a.K != b.K || a.Mismatch != b.Mismatch || a.Phase3 != b.Phase3 {
 		return fmt.Errorf("schedule %d/%v/%v vs %d/%v/%v", a.K, a.Mismatch, a.Phase3, b.K, b.Mismatch, b.Phase3)
@@ -1000,29 +1004,15 @@ func sameResult(a, b *nab.InstanceResult) error {
 			return fmt.Errorf("node %d output %x vs %x", v, out, b.Outputs[v])
 		}
 	}
+	if a.TotalBits != b.TotalBits {
+		return fmt.Errorf("%d vs %d bits", a.TotalBits, b.TotalBits)
+	}
+	if at, bt := phaseTimes(a), phaseTimes(b); at != bt {
+		return fmt.Errorf("phase times %v vs %v", at, bt)
+	}
 	return nil
 }
 
-// diff asserts the engine view matches the oracle byte for byte. Cluster
-// views carry only locally-hosted outputs per process pre-merge; by the
-// time they reach diff they are full maps.
-func diff(oracle, got *view) error {
-	if got.disputes != oracle.disputes {
-		return fmt.Errorf("dispute set %q, oracle %q", got.disputes, oracle.disputes)
-	}
-	if len(got.results) != len(oracle.results) {
-		return fmt.Errorf("committed %d instances, oracle %d", len(got.results), len(oracle.results))
-	}
-	for i, w := range oracle.results {
-		gr := got.results[i]
-		if gr.Mismatch != w.Mismatch || gr.Phase3 != w.Phase3 {
-			return fmt.Errorf("instance %d: mismatch/phase3 %v/%v, oracle %v/%v", i+1, gr.Mismatch, gr.Phase3, w.Mismatch, w.Phase3)
-		}
-		for v, out := range w.Outputs {
-			if !bytes.Equal(gr.Outputs[v], out) {
-				return fmt.Errorf("instance %d: node %d output %x, oracle %x", i+1, v, gr.Outputs[v], out)
-			}
-		}
-	}
-	return nil
+func phaseTimes(ir *nab.InstanceResult) [5]float64 {
+	return [5]float64{ir.Phase1Time, ir.Phase1SFTime, ir.EqualityTime, ir.FlagTime, ir.DisputeTime}
 }

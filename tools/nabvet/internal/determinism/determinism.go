@@ -5,8 +5,10 @@
 // repo proves, it proves differentially — one nondeterministic branch
 // in a deterministic package and every engine drifts from the oracle.
 //
-// Scope: nab/internal/core, nab/internal/coding, nab/internal/gf,
-// nab/internal/linalg, nab/internal/adversary in full, plus the chaos
+// Scope: nab/internal/core, nab/internal/sim (the lockstep oracle's
+// engine and every engine's one charge path), nab/internal/coding,
+// nab/internal/gf, nab/internal/linalg, nab/internal/adversary in full,
+// plus the chaos
 // decision path (internal/transport's chaos.go, where every physics
 // decision must be a pure function of the seed). Seeded *rand.Rand
 // streams are the sanctioned randomness — rand.New(rand.NewSource(seed))
@@ -36,6 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // scopePkgs are the packages deterministic in full.
 var scopePkgs = map[string]bool{
 	"nab/internal/core":      true,
+	"nab/internal/sim":       true,
 	"nab/internal/coding":    true,
 	"nab/internal/gf":        true,
 	"nab/internal/linalg":    true,
