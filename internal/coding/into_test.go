@@ -89,8 +89,8 @@ func TestCheckIntoMatchesCheck(t *testing.T) {
 }
 
 // TestEncodeCheckZeroAlloc pins the steady-state coding hot path — the
-// per-edge EncodeInto and the receiver-side Check of every instance — at
-// zero allocations per operation.
+// per-edge encode and the receiver-side check of every instance, one
+// stripe and striped — at zero allocations per operation.
 func TestEncodeCheckZeroAlloc(t *testing.T) {
 	for _, deg := range []uint{16, 64} {
 		s, g := schemeForInto(t, deg)
@@ -127,6 +127,138 @@ func TestEncodeCheckZeroAlloc(t *testing.T) {
 			t.Errorf("GF(2^%d): pooled Check allocates %.1f times per op, want 0", deg, avg)
 		}
 	}
+
+	// The striped pair at bulk_chan's shape — GF(2^64), rho = 2, 4 096
+	// stripes (64 KiB values): the split tables live on the stack and the
+	// check's stripes x z_e scratch comes from the scheme's pool.
+	s, g := schemeForInto(t, 64)
+	rng := rand.New(rand.NewSource(10))
+	x := make([]gf.Elem, 4096*s.Rho())
+	for i := range x {
+		x[i] = s.Field().Rand(rng)
+	}
+	e := g.Edges()[0]
+	y := make([]gf.Elem, 4096*int(e.Cap))
+	if err := s.EncodeStripes(e.From, e.To, x, y); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]gf.Elem, len(y))
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := s.EncodeStripes(e.From, e.To, x, dst); err != nil {
+			t.Fatal(err)
+		}
+		mm, err := s.CheckStripes(e.From, e.To, x, y)
+		if err != nil || mm {
+			t.Fatalf("CheckStripes: mismatch=%v err=%v", mm, err)
+		}
+	}); avg != 0 {
+		t.Errorf("EncodeStripes+CheckStripes at 4096 stripes allocate %.1f times per op, want 0", avg)
+	}
+}
+
+// encodeStripesRef is the per-stripe loop EncodeStripes replaced: one
+// single-stripe Encode per stripe, concatenated.
+func encodeStripesRef(t testing.TB, s *Scheme, from, to graph.NodeID, x []gf.Elem) []gf.Elem {
+	t.Helper()
+	var out []gf.Elem
+	for r := 0; r < len(x)/s.Rho(); r++ {
+		y, err := s.Encode(from, to, x[r*s.Rho():(r+1)*s.Rho()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, y...)
+	}
+	return out
+}
+
+// TestStripesMatchPerStripe holds EncodeStripes and CheckStripes to the
+// per-stripe loop on every edge, on both sides of the split-table cutover
+// and on both field regimes, and checks their error cases.
+func TestStripesMatchPerStripe(t *testing.T) {
+	for _, deg := range []uint{16, 64} {
+		s, g := schemeForInto(t, deg)
+		rng := rand.New(rand.NewSource(7))
+		for _, stripes := range []int{1, 3, 40, 300} {
+			x := make([]gf.Elem, stripes*s.Rho())
+			for i := range x {
+				x[i] = s.Field().Rand(rng)
+			}
+			for _, e := range g.Edges() {
+				want := encodeStripesRef(t, s, e.From, e.To, x)
+				got := make([]gf.Elem, len(want))
+				if err := s.EncodeStripes(e.From, e.To, x, got); err != nil {
+					t.Fatal(err)
+				}
+				if !ValuesEqual(got, want) {
+					t.Fatalf("GF(2^%d) %d stripes, edge (%d,%d): EncodeStripes differs from the per-stripe loop", deg, stripes, e.From, e.To)
+				}
+				for _, tc := range []struct {
+					name     string
+					y        []gf.Elem
+					mismatch bool
+				}{
+					{"equal", want, false},
+					{"last symbol flipped", flipLast(want), true},
+					{"truncated", want[:len(want)-1], true},
+					{"missing", nil, true},
+				} {
+					mm, err := s.CheckStripes(e.From, e.To, x, tc.y)
+					if err != nil || mm != tc.mismatch {
+						t.Fatalf("GF(2^%d) %d stripes, edge (%d,%d), %s: mismatch=%v err=%v", deg, stripes, e.From, e.To, tc.name, mm, err)
+					}
+				}
+			}
+		}
+		x := []gf.Elem{1, 2, 3}
+		if err := s.EncodeStripes(1, 2, x, make([]gf.Elem, 3)); err == nil {
+			t.Error("EncodeStripes with a partial stripe: expected error")
+		}
+		if _, err := s.CheckStripes(1, 2, nil, nil); err == nil {
+			t.Error("CheckStripes with no stripes: expected error")
+		}
+		if err := s.EncodeStripes(1, 2, x[:2], make([]gf.Elem, 5)); err == nil {
+			t.Error("EncodeStripes with a wrong-size destination: expected error")
+		}
+		if _, err := s.CheckStripes(1, 99, x[:2], nil); err == nil {
+			t.Error("CheckStripes on a missing edge: expected error")
+		}
+	}
+}
+
+func flipLast(y []gf.Elem) []gf.Elem {
+	out := append([]gf.Elem(nil), y...)
+	out[len(out)-1] ^= 1
+	return out
+}
+
+// BenchmarkSchemeStripes times the striped pair on one edge at
+// bulk_chan's shape (GF(2^64), rho = 2, 4 096 stripes: a 64 KiB value);
+// SetBytes makes the MB/s column payload bytes per second.
+func BenchmarkSchemeStripes(b *testing.B) {
+	s, g := schemeForInto(b, 64)
+	rng := rand.New(rand.NewSource(2012))
+	x := make([]gf.Elem, 4096*s.Rho())
+	for i := range x {
+		x[i] = s.Field().Rand(rng)
+	}
+	e := g.Edges()[0]
+	y := make([]gf.Elem, 4096*int(e.Cap))
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(8 * len(x)))
+		for b.Loop() {
+			if err := s.EncodeStripes(e.From, e.To, x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("check", func(b *testing.B) {
+		b.SetBytes(int64(8 * len(x)))
+		for b.Loop() {
+			if mm, err := s.CheckStripes(e.From, e.To, x, y); err != nil || mm {
+				b.Fatalf("mismatch=%v err=%v", mm, err)
+			}
+		}
+	})
 }
 
 // BenchmarkSchemeEncode measures the per-edge coded-symbol computation on

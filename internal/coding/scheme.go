@@ -32,11 +32,12 @@ type Scheme struct {
 	field  *gf.Field
 	rho    int
 	mats   map[EdgeKey]*linalg.Matrix
-	maxCap int // widest edge matrix, sizes pooled Check scratch
+	maxCap int // widest edge matrix
 
-	// scratch pools maxCap-symbol buffers so the steady-state equality
-	// check (Check on every incoming edge, every instance) allocates
-	// nothing. Buffers never escape a call.
+	// scratch pools the expected-symbol buffers of CheckStripes (stripes x
+	// z_e symbols) so the steady-state equality check, on every incoming
+	// edge of every instance, allocates nothing. A buffer grows to the
+	// largest check it has served and never escapes a call.
 	scratch sync.Pool
 }
 
@@ -61,11 +62,7 @@ func NewScheme(g *graph.Directed, rho int, field *gf.Field, src interface{ Uint6
 			s.maxCap = int(e.Cap)
 		}
 	}
-	maxCap := s.maxCap
-	s.scratch.New = func() any {
-		buf := make([]gf.Elem, maxCap)
-		return &buf
-	}
+	s.scratch.New = func() any { return new([]gf.Elem) }
 	return s, nil
 }
 
@@ -82,49 +79,88 @@ func (s *Scheme) EdgeMatrix(from, to graph.NodeID) *linalg.Matrix {
 }
 
 // MaxCap returns the widest edge capacity z_e of the scheme — the largest
-// symbol count Encode can produce, which sizes reusable Check/Encode
-// scratch buffers.
+// symbol count a one-stripe Encode can produce, which sizes reusable
+// CheckInto scratch buffers.
 func (s *Scheme) MaxCap() int { return s.maxCap }
 
-// Encode computes the coded symbols Y_e = X * C_e a node sends on edge
-// (from, to). X must have exactly rho symbols.
-func (s *Scheme) Encode(from, to graph.NodeID, x []gf.Elem) ([]gf.Elem, error) {
-	m := s.EdgeMatrix(from, to)
-	if m == nil {
-		return nil, fmt.Errorf("coding: no matrix for edge (%d,%d)", from, to)
+// EncodeStripes computes the coded symbols a node sends on edge (from, to)
+// for a striped value. x holds one or more stripes of rho symbols (stripe
+// r is x[r*rho:(r+1)*rho]), and dst, which must hold stripes*z_e symbols,
+// is overwritten with Y_r = X_r * C_e at dst[r*z_e:(r+1)*z_e]. C_e is
+// looked up once, and each matrix entry (i, j) is one kernel pass over
+// every stripe.
+//
+// Stripes realize the paper's single vector of rho symbols over
+// GF(2^(L/rho)) as several words over a machine-sized field: any stripe
+// that differs between two values fails the check, so soundness holds
+// while the cost per bit stays that of L/rho-bit symbols.
+//
+//nab:allocfree
+func (s *Scheme) EncodeStripes(from, to graph.NodeID, x, dst []gf.Elem) error {
+	c, stripes, err := s.stripes(from, to, x)
+	if err != nil {
+		return err
 	}
-	if len(x) != s.rho {
-		return nil, fmt.Errorf("coding: value has %d symbols, want rho = %d", len(x), s.rho)
+	if len(dst) != stripes*c.Cols() {
+		return fmt.Errorf("coding: destination of %d symbols, edge (%d,%d) needs %d", len(dst), from, to, stripes*c.Cols())
 	}
-	return m.MulVec(x)
+	s.encode(c, x, dst, stripes)
+	return nil
 }
 
-// EncodeInto is Encode writing into dst, which must hold exactly the
-// edge's z_e symbols; dst is overwritten. The allocation-free form for hot
-// paths that place coded symbols directly into a larger frame buffer.
+// CheckStripes performs the receiver-side comparison of Algorithm 1 step 2
+// for a striped value: node i holding x checks the symbols y received on
+// incoming edge (from, to=i) against EncodeStripes' output. It reports
+// mismatch = true when any stripe differs or y has the wrong length (a
+// missing or truncated message reads as the model's default value, which
+// fails the check). The expected symbols go to a pooled buffer, so
+// steady-state calls allocate nothing.
+//
+//nab:allocfree
+func (s *Scheme) CheckStripes(from, to graph.NodeID, x, y []gf.Elem) (bool, error) {
+	c, stripes, err := s.stripes(from, to, x)
+	if err != nil {
+		return false, err
+	}
+	bp := s.scratchFor(stripes * c.Cols())
+	mismatch := s.check(c, x, y, *bp, stripes)
+	s.scratch.Put(bp)
+	return mismatch, nil
+}
+
+// Encode computes the coded symbols Y_e = X * C_e a node sends on edge
+// (from, to): EncodeStripes on a fresh slice, for a value of exactly one
+// stripe (rho symbols).
+func (s *Scheme) Encode(from, to graph.NodeID, x []gf.Elem) ([]gf.Elem, error) {
+	if err := s.oneStripe(x); err != nil {
+		return nil, err
+	}
+	c, _, err := s.stripes(from, to, x)
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]gf.Elem, c.Cols())
+	s.encode(c, x, dst, 1)
+	return dst, nil
+}
+
+// EncodeInto is EncodeStripes for a value of exactly one stripe: dst must
+// hold the edge's z_e symbols and is overwritten.
 //
 //nab:allocfree
 func (s *Scheme) EncodeInto(from, to graph.NodeID, x, dst []gf.Elem) error {
-	m := s.EdgeMatrix(from, to)
-	if m == nil {
-		return fmt.Errorf("coding: no matrix for edge (%d,%d)", from, to)
+	if err := s.oneStripe(x); err != nil {
+		return err
 	}
-	if len(x) != s.rho {
-		return fmt.Errorf("coding: value has %d symbols, want rho = %d", len(x), s.rho)
-	}
-	return m.MulVecInto(x, dst)
+	return s.EncodeStripes(from, to, x, dst)
 }
 
-// Check performs the receiver-side comparison of Algorithm 1 step 2: node i
-// holding value x checks the symbols y received on incoming edge
-// (from, to=i) against x * C_d. It reports mismatch = true when the check
-// fails (the node would set its flag to MISMATCH). Steady-state calls are
-// allocation-free: the expected symbols are computed into a pooled buffer.
+// Check is CheckStripes for a value of exactly one stripe.
 func (s *Scheme) Check(from, to graph.NodeID, x []gf.Elem, y []gf.Elem) (bool, error) {
-	bp := s.scratch.Get().(*[]gf.Elem)
-	mm, err := s.CheckInto(from, to, x, y, *bp)
-	s.scratch.Put(bp)
-	return mm, err
+	if err := s.oneStripe(x); err != nil {
+		return false, err
+	}
+	return s.CheckStripes(from, to, x, y)
 }
 
 // CheckInto is Check computing the expected symbols into the caller's
@@ -133,28 +169,78 @@ func (s *Scheme) Check(from, to graph.NodeID, x []gf.Elem, y []gf.Elem) (bool, e
 //
 //nab:allocfree
 func (s *Scheme) CheckInto(from, to graph.NodeID, x, y, scratch []gf.Elem) (bool, error) {
-	m := s.EdgeMatrix(from, to)
-	if m == nil {
-		return false, fmt.Errorf("coding: no matrix for edge (%d,%d)", from, to)
-	}
-	if len(scratch) < m.Cols() {
-		return false, fmt.Errorf("coding: scratch of %d symbols, edge (%d,%d) needs %d", len(scratch), from, to, m.Cols())
-	}
-	want := scratch[:m.Cols()]
-	if err := s.EncodeInto(from, to, x, want); err != nil {
+	if err := s.oneStripe(x); err != nil {
 		return false, err
 	}
-	if len(y) != len(want) {
-		// Missing or truncated symbols are treated as a mismatch, matching
-		// the model's "missing message becomes a default value".
-		return true, nil
+	c, _, err := s.stripes(from, to, x)
+	if err != nil {
+		return false, err
 	}
-	for i := range want {
-		if y[i] != want[i] {
-			return true, nil
+	if len(scratch) < c.Cols() {
+		return false, fmt.Errorf("coding: scratch of %d symbols, edge (%d,%d) needs %d", len(scratch), from, to, c.Cols())
+	}
+	return s.check(c, x, y, scratch, 1), nil
+}
+
+// stripes returns C_e for edge (from, to) and the number of rho-symbol
+// stripes in x, which must be a positive whole number.
+func (s *Scheme) stripes(from, to graph.NodeID, x []gf.Elem) (*linalg.Matrix, int, error) {
+	c := s.mats[EdgeKey{from, to}]
+	if c == nil {
+		return nil, 0, fmt.Errorf("coding: no matrix for edge (%d,%d)", from, to)
+	}
+	if len(x) == 0 || len(x)%s.rho != 0 {
+		return nil, 0, fmt.Errorf("coding: value has %d symbols, want a positive multiple of rho = %d", len(x), s.rho)
+	}
+	return c, len(x) / s.rho, nil
+}
+
+// oneStripe checks that x is exactly one stripe, for the one-stripe entry
+// points.
+func (s *Scheme) oneStripe(x []gf.Elem) error {
+	if len(x) != s.rho {
+		return fmt.Errorf("coding: value has %d symbols, want rho = %d", len(x), s.rho)
+	}
+	return nil
+}
+
+// check reports whether y differs from x * C, computing the expected
+// symbols into scratch, which must hold at least stripes*z_e symbols.
+//
+//nab:allocfree
+func (s *Scheme) check(c *linalg.Matrix, x, y, scratch []gf.Elem, stripes int) bool {
+	n := stripes * c.Cols()
+	if len(y) != n {
+		return true
+	}
+	want := scratch[:n]
+	s.encode(c, x, want, stripes)
+	return !ValuesEqual(want, y)
+}
+
+// encode overwrites dst with x * C stripe by stripe: column j of the
+// stripes x z_e output accumulates C[i][j] times column i of the stripes x
+// rho input, one strided kernel pass per entry.
+//
+//nab:allocfree
+func (s *Scheme) encode(c *linalg.Matrix, x, dst []gf.Elem, stripes int) {
+	clear(dst)
+	z := c.Cols()
+	for i := 0; i < s.rho; i++ {
+		for j := 0; j < z; j++ {
+			s.field.AXPYStride(c.At(i, j), dst[j:], z, x[i:], s.rho, stripes)
 		}
 	}
-	return false, nil
+}
+
+// scratchFor returns a pooled buffer with room for n symbols; the caller
+// puts it back.
+func (s *Scheme) scratchFor(n int) *[]gf.Elem {
+	bp := s.scratch.Get().(*[]gf.Elem)
+	if cap(*bp) < n {
+		*bp = make([]gf.Elem, n)
+	}
+	return bp
 }
 
 // blockIndex maps the nodes of subgraph H to row-block positions for the

@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nab/internal/gf"
@@ -11,6 +12,10 @@ import (
 // rho*symbolBits; missing trailing bits are zero-padded. This realizes the
 // paper's view of an L-bit value x as a vector X of rho symbols over
 // GF(2^(L/rho)).
+//
+// Each symbol is cut from one 64-bit big-endian window of data at the
+// symbol's bit offset (plus one byte when the symbol straddles the
+// window), so a width that is a multiple of 8 is one word load per symbol.
 func PackValue(data []byte, rho int, symbolBits uint) ([]gf.Elem, error) {
 	if rho <= 0 {
 		return nil, fmt.Errorf("coding: rho = %d must be positive", rho)
@@ -23,40 +28,37 @@ func PackValue(data []byte, rho int, symbolBits uint) ([]gf.Elem, error) {
 		return nil, fmt.Errorf("coding: %d bytes exceed capacity %d bits (rho=%d, m=%d)", len(data), capacity, rho, symbolBits)
 	}
 	out := make([]gf.Elem, rho)
-	bitPos := uint64(0)
-	for _, b := range data {
-		for k := 7; k >= 0; k-- {
-			bit := uint64(b>>uint(k)) & 1
-			sym := bitPos / uint64(symbolBits)
-			off := bitPos % uint64(symbolBits)
-			if bit != 0 {
-				out[sym] |= 1 << (uint64(symbolBits) - 1 - off)
-			}
-			bitPos++
-		}
+	m := int(symbolBits)
+	for k, off := 0, 0; off < len(data)*8; k, off = k+1, off+m {
+		out[k] = LoadBits(data, off) >> (64 - symbolBits)
 	}
 	return out, nil
 }
 
-// UnpackValue is the inverse of PackValue, returning byteLen bytes.
-func UnpackValue(symbols []gf.Elem, symbolBits uint, byteLen int) ([]byte, error) {
-	if symbolBits < 1 || symbolBits > 64 {
-		return nil, fmt.Errorf("coding: symbolBits = %d out of range [1,64]", symbolBits)
-	}
-	capacity := uint64(len(symbols)) * uint64(symbolBits)
-	if uint64(byteLen)*8 > capacity {
-		return nil, fmt.Errorf("coding: %d bytes exceed %d available bits", byteLen, capacity)
-	}
-	out := make([]byte, byteLen)
-	for bitPos := uint64(0); bitPos < uint64(byteLen)*8; bitPos++ {
-		sym := bitPos / uint64(symbolBits)
-		off := bitPos % uint64(symbolBits)
-		bit := (symbols[sym] >> (uint64(symbolBits) - 1 - off)) & 1
-		if bit != 0 {
-			out[bitPos/8] |= 1 << (7 - bitPos%8)
+// LoadBits returns the 64 bits of data starting at bit offset off, first
+// bit in the most significant position; bits past the end of data read as
+// zero. It is the one reader of the most-significant-bit-first order in
+// which values are cut into symbols here and into Phase-1 blocks in core.
+func LoadBits(data []byte, off int) uint64 {
+	i, sh := off>>3, uint(off&7)
+	var w uint64
+	if i+8 <= len(data) {
+		w = binary.BigEndian.Uint64(data[i:])
+	} else {
+		for j := i; j < i+8; j++ {
+			w <<= 8
+			if j < len(data) {
+				w |= uint64(data[j])
+			}
 		}
 	}
-	return out, nil
+	if sh != 0 {
+		w <<= sh
+		if i+8 < len(data) {
+			w |= uint64(data[i+8]) >> (8 - sh)
+		}
+	}
+	return w
 }
 
 // ValuesEqual reports whether two symbol vectors are identical.

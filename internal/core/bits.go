@@ -1,20 +1,17 @@
 package core
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"nab/internal/coding"
+)
 
 // BitChunk is a bit string: Bytes holds BitLen bits, most significant bit
 // of Bytes[0] first; trailing pad bits are zero.
 type BitChunk struct {
 	Bytes  []byte `json:"b"`
 	BitLen int    `json:"l"`
-}
-
-func bitOf(data []byte, i int) byte {
-	return (data[i/8] >> (7 - i%8)) & 1
-}
-
-func setBit(data []byte, i int) {
-	data[i/8] |= 1 << (7 - i%8)
 }
 
 // splitBits divides the first totalBits bits of data into parts nearly-equal
@@ -33,11 +30,7 @@ func splitBits(data []byte, totalBits, parts int) ([]BitChunk, error) {
 		lo := p * totalBits / parts
 		hi := (p + 1) * totalBits / parts
 		chunk := BitChunk{Bytes: make([]byte, (hi-lo+7)/8), BitLen: hi - lo}
-		for i := lo; i < hi; i++ {
-			if bitOf(data, i) != 0 {
-				setBit(chunk.Bytes, i-lo)
-			}
-		}
+		copyBits(chunk.Bytes, 0, data, lo, hi-lo)
 		out[p] = chunk
 	}
 	return out, nil
@@ -45,7 +38,7 @@ func splitBits(data []byte, totalBits, parts int) ([]BitChunk, error) {
 
 // joinBits reassembles chunks produced by splitBits back into a byte slice
 // carrying totalBits bits. Chunks with wrong lengths are an error (callers
-// normalize adversarial chunks before joining).
+// normalize adversarial chunks before joining); pad bits are ignored.
 func joinBits(chunks []BitChunk, totalBits int) ([]byte, error) {
 	sum := 0
 	for _, c := range chunks {
@@ -60,12 +53,8 @@ func joinBits(chunks []BitChunk, totalBits int) ([]byte, error) {
 	out := make([]byte, (totalBits+7)/8)
 	pos := 0
 	for _, c := range chunks {
-		for i := 0; i < c.BitLen; i++ {
-			if bitOf(c.Bytes, i) != 0 {
-				setBit(out, pos)
-			}
-			pos++
-		}
+		copyBits(out, pos, c.Bytes, 0, c.BitLen)
+		pos += c.BitLen
 	}
 	return out, nil
 }
@@ -73,33 +62,62 @@ func joinBits(chunks []BitChunk, totalBits int) ([]byte, error) {
 // normalizeChunk coerces an arbitrary (possibly adversarial) chunk to
 // exactly wantBits bits: truncating or zero-padding as needed, matching the
 // model's rule that a missing or malformed message is read as a default
-// value.
+// value. Pad bits of the result are zero.
 func normalizeChunk(c BitChunk, wantBits int) BitChunk {
 	out := BitChunk{Bytes: make([]byte, (wantBits+7)/8), BitLen: wantBits}
-	limit := c.BitLen
-	if limit > wantBits {
-		limit = wantBits
-	}
-	if limit > len(c.Bytes)*8 {
-		limit = len(c.Bytes) * 8
-	}
-	for i := 0; i < limit; i++ {
-		if bitOf(c.Bytes, i) != 0 {
-			setBit(out.Bytes, i)
-		}
-	}
+	copyBits(out.Bytes, 0, c.Bytes, 0, min(c.BitLen, wantBits, len(c.Bytes)*8))
 	return out
 }
 
-// chunkEqual compares two chunks bit-for-bit.
+// chunkEqual compares two chunks bit-for-bit over their BitLen bits; pad
+// bits are ignored, and bits a chunk's Bytes do not cover read as zero.
 func chunkEqual(a, b BitChunk) bool {
 	if a.BitLen != b.BitLen {
 		return false
 	}
-	for i := 0; i < a.BitLen; i++ {
-		if bitOf(a.Bytes, i) != bitOf(b.Bytes, i) {
+	for off := 0; off < a.BitLen; off += 64 {
+		d := coding.LoadBits(a.Bytes, off) ^ coding.LoadBits(b.Bytes, off)
+		if rest := a.BitLen - off; rest < 64 {
+			d >>= 64 - rest
+		}
+		if d != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// copyBits sets bits [dstOff, dstOff+n) of dst to bits [srcOff, srcOff+n)
+// of src, most significant bit of byte 0 first, and leaves every other
+// bit of dst as it was; bits past the end of src read as zero. dst must
+// cover the written range; n <= 0 copies nothing. After at most seven bits
+// align the destination to a byte, it moves 64 bits per step: one
+// shift-and-merge word read from src, one big-endian word store.
+//
+//nab:allocfree
+func copyBits(dst []byte, dstOff int, src []byte, srcOff, n int) {
+	if n <= 0 {
+		return
+	}
+	if r := dstOff & 7; r != 0 {
+		k := min(8-r, n)
+		mergeBits(&dst[dstOff>>3], r, k, coding.LoadBits(src, srcOff))
+		dstOff, srcOff, n = dstOff+k, srcOff+k, n-k
+	}
+	d := dstOff >> 3
+	for ; n >= 64; n -= 64 {
+		binary.BigEndian.PutUint64(dst[d:], coding.LoadBits(src, srcOff))
+		d, srcOff = d+8, srcOff+64
+	}
+	for ; n > 0; n -= 8 {
+		mergeBits(&dst[d], 0, min(n, 8), coding.LoadBits(src, srcOff))
+		d, srcOff = d+1, srcOff+8
+	}
+}
+
+// mergeBits writes the top k bits of w into *b at bit positions
+// [r, r+k), counted from the most significant bit, keeping b's other bits.
+func mergeBits(b *byte, r, k int, w uint64) {
+	mask := byte(0xff<<(8-k)) >> r
+	*b = *b&^mask | byte(w>>(56+r))&mask
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -138,4 +139,178 @@ func TestNormalizeIdempotent(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The bit-at-a-time originals of the plumbing in bits.go: the oracles the
+// word-level versions are held to.
+
+func bitOf(data []byte, i int) byte {
+	return (data[i/8] >> (7 - i%8)) & 1
+}
+
+func setBit(data []byte, i int) {
+	data[i/8] |= 1 << (7 - i%8)
+}
+
+func splitBitsRef(data []byte, totalBits, parts int) []BitChunk {
+	out := make([]BitChunk, parts)
+	for p := 0; p < parts; p++ {
+		lo := p * totalBits / parts
+		hi := (p + 1) * totalBits / parts
+		chunk := BitChunk{Bytes: make([]byte, (hi-lo+7)/8), BitLen: hi - lo}
+		for i := lo; i < hi; i++ {
+			if bitOf(data, i) != 0 {
+				setBit(chunk.Bytes, i-lo)
+			}
+		}
+		out[p] = chunk
+	}
+	return out
+}
+
+func joinBitsRef(chunks []BitChunk, totalBits int) []byte {
+	out := make([]byte, (totalBits+7)/8)
+	pos := 0
+	for _, c := range chunks {
+		for i := 0; i < c.BitLen; i++ {
+			if bitOf(c.Bytes, i) != 0 {
+				setBit(out, pos)
+			}
+			pos++
+		}
+	}
+	return out
+}
+
+func normalizeChunkRef(c BitChunk, wantBits int) BitChunk {
+	out := BitChunk{Bytes: make([]byte, (wantBits+7)/8), BitLen: wantBits}
+	limit := c.BitLen
+	if limit > wantBits {
+		limit = wantBits
+	}
+	if limit > len(c.Bytes)*8 {
+		limit = len(c.Bytes) * 8
+	}
+	for i := 0; i < limit; i++ {
+		if bitOf(c.Bytes, i) != 0 {
+			setBit(out.Bytes, i)
+		}
+	}
+	return out
+}
+
+// chunkEqualRef needs well-formed chunks (BitLen <= 8*len(Bytes)).
+func chunkEqualRef(a, b BitChunk) bool {
+	if a.BitLen != b.BitLen {
+		return false
+	}
+	for i := 0; i < a.BitLen; i++ {
+		if bitOf(a.Bytes, i) != bitOf(b.Bytes, i) {
+			return false
+		}
+	}
+	return true
+}
+
+func copyBitsRef(dst []byte, dstOff int, src []byte, srcOff, n int) {
+	for i := 0; i < n; i++ {
+		j, k := srcOff+i, dstOff+i
+		dst[k/8] &^= 1 << (7 - k%8)
+		if j < len(src)*8 && bitOf(src, j) != 0 {
+			setBit(dst, k)
+		}
+	}
+}
+
+// TestCopyBitsEveryOffset runs copyBits against the bit loop for every
+// source and destination offset mod 64, with lengths around the word and
+// byte boundaries, onto a destination full of ones (bits outside the range
+// must survive) from a source that ends inside some copies.
+func TestCopyBitsEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	src := make([]byte, 24)
+	rng.Read(src)
+	for srcOff := 0; srcOff < 64; srcOff++ {
+		for dstOff := 0; dstOff < 64; dstOff++ {
+			for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 140} {
+				got, want := bytes.Repeat([]byte{0xff}, 40), bytes.Repeat([]byte{0xff}, 40)
+				copyBits(got, dstOff, src, srcOff, n)
+				copyBitsRef(want, dstOff, src, srcOff, n)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("copyBits(dstOff=%d, srcOff=%d, n=%d) = %x, oracle %x", dstOff, srcOff, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBitPlumbing holds splitBits, joinBits, normalizeChunk, chunkEqual
+// and copyBits to the bit-at-a-time oracles: split points at every offset
+// (parts up to 200 over up to a few hundred bits), chunks with garbage pad
+// bits, chunks claiming more bits than their bytes hold, and zero-length
+// chunks.
+func FuzzBitPlumbing(f *testing.F) {
+	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF}, uint16(3), uint16(5), uint16(70))
+	f.Add(bytes.Repeat([]byte{0xA5}, 40), uint16(63), uint16(199), uint16(1))
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(9))
+	f.Fuzz(func(t *testing.T, data []byte, a, b, c uint16) {
+		// copyBits at fuzzer-chosen offsets, onto ones.
+		dstOff, srcOff, n := int(a)%64, int(b)%(len(data)*8+8), int(c)%(len(data)*8+80)
+		got, want := bytes.Repeat([]byte{0xff}, (dstOff+n+7)/8+1), bytes.Repeat([]byte{0xff}, (dstOff+n+7)/8+1)
+		copyBits(got, dstOff, data, srcOff, n)
+		copyBitsRef(want, dstOff, data, srcOff, n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("copyBits(dstOff=%d, srcOff=%d, n=%d) = %x, oracle %x", dstOff, srcOff, n, got, want)
+		}
+
+		// split against the oracle, then join with garbage pad bits.
+		totalBits := max(0, len(data)*8-int(a)%8)
+		parts := 1 + int(b)%200
+		chunks, err := splitBits(data, totalBits, parts)
+		if err != nil {
+			t.Fatalf("splitBits(%d bits, %d parts): %v", totalBits, parts, err)
+		}
+		for i, ref := range splitBitsRef(data, totalBits, parts) {
+			if chunks[i].BitLen != ref.BitLen || !bytes.Equal(chunks[i].Bytes, ref.Bytes) {
+				t.Fatalf("splitBits chunk %d = %+v, oracle %+v", i, chunks[i], ref)
+			}
+		}
+		for i := range chunks {
+			if pad := chunks[i].BitLen % 8; pad != 0 {
+				chunks[i].Bytes[len(chunks[i].Bytes)-1] |= 0xff >> pad
+			}
+		}
+		joined, err := joinBits(chunks, totalBits)
+		if err != nil {
+			t.Fatalf("joinBits: %v", err)
+		}
+		if ref := joinBitsRef(chunks, totalBits); !bytes.Equal(joined, ref) {
+			t.Fatalf("joinBits = %x, oracle %x", joined, ref)
+		}
+
+		// normalize a chunk whose BitLen may exceed its bytes, to any width.
+		raw := BitChunk{Bytes: data, BitLen: int(c) % (len(data)*8 + 80)}
+		wantBits := int(a) % (len(data)*8 + 70)
+		norm, ref := normalizeChunk(raw, wantBits), normalizeChunkRef(raw, wantBits)
+		if norm.BitLen != ref.BitLen || !bytes.Equal(norm.Bytes, ref.Bytes) {
+			t.Fatalf("normalizeChunk(%+v, %d) = %+v, oracle %+v", raw, wantBits, norm, ref)
+		}
+
+		// chunkEqual: on well-formed chunks it is the oracle; on any chunk,
+		// missing bits read as zero, i.e. the oracle on the normalized form.
+		other := normalizeChunk(BitChunk{Bytes: joined, BitLen: len(joined) * 8}, wantBits)
+		if got, want := chunkEqual(norm, other), chunkEqualRef(norm, other); got != want {
+			t.Fatalf("chunkEqual(%+v, %+v) = %v, oracle %v", norm, other, got, want)
+		}
+		if got, want := chunkEqual(norm, ref), true; got != want {
+			t.Fatalf("chunkEqual of a chunk and its oracle copy = %v", got)
+		}
+		whole := normalizeChunk(raw, raw.BitLen)
+		if got, want := chunkEqual(raw, whole), true; got != want {
+			t.Fatalf("chunkEqual(%+v, its normalization) = %v", raw, got)
+		}
+		if got, want := chunkEqual(raw, other), chunkEqualRef(whole, normalizeChunk(other, other.BitLen)); got != want {
+			t.Fatalf("chunkEqual(%+v, %+v) = %v, oracle on normalized %v", raw, other, got, want)
+		}
+	})
 }

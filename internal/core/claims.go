@@ -273,22 +273,21 @@ func (ac *auditContext) selfConsistent(
 	if err != nil {
 		return false
 	}
-	x, err := packStriped(data, ac.rho, ac.symBits, ac.stripes)
+	x, err := coding.PackValue(data, ac.rho*ac.stripes, ac.symBits)
 	if err != nil {
 		return false
 	}
 	for _, e := range ac.gk.OutEdges(v) {
-		want, err := encodeStriped(ac.scheme, v, e.To, x)
-		if err != nil {
-			return false
-		}
-		if !symbolsEqual(sentC[[2]graph.NodeID{v, e.To}], want) {
+		// v's coded sends must be exactly its encoding: the check a
+		// receiver holding v's value would run on them.
+		mm, err := ac.scheme.CheckStripes(v, e.To, x, sentC[[2]graph.NodeID{v, e.To}])
+		if err != nil || mm {
 			return false
 		}
 	}
 	flag := false
 	for _, e := range ac.gk.InEdges(v) {
-		mm, err := checkStriped(ac.scheme, e.From, v, x, recvC[[2]graph.NodeID{e.From, v}], e.Cap)
+		mm, err := ac.scheme.CheckStripes(e.From, v, x, recvC[[2]graph.NodeID{e.From, v}])
 		if err != nil {
 			return false
 		}

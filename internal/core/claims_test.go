@@ -95,7 +95,7 @@ func buildAuditFixture(t *testing.T) (*auditContext, map[graph.NodeID]*Claims, [
 	// Phase 2: encode on every edge, record and check.
 	sent := map[[2]graph.NodeID][]gf.Elem{}
 	for _, e := range g.Edges() {
-		syms, err := encodeStriped(scheme, e.From, e.To, states[e.From].x)
+		syms, err := scheme.Encode(e.From, e.To, states[e.From].x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func buildAuditFixture(t *testing.T) (*auditContext, map[graph.NodeID]*Claims, [
 	for _, e := range g.Edges() {
 		syms := sent[[2]graph.NodeID{e.From, e.To}]
 		states[e.To].recvCoded = append(states[e.To].recvCoded, CodedClaim{From: e.From, To: e.To, Symbols: syms})
-		mm, err := checkStriped(scheme, e.From, e.To, states[e.To].x, syms, e.Cap)
+		mm, err := scheme.Check(e.From, e.To, states[e.To].x, syms)
 		if err != nil {
 			t.Fatal(err)
 		}

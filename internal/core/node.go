@@ -48,7 +48,7 @@ type nodeState struct {
 	sentClaims []TreeEdgeClaim
 
 	value     []byte
-	x         [][]gf.Elem // stripes x rho symbols
+	x         []gf.Elem // stripes x rho symbols, stripe-major
 	sentCoded []CodedClaim
 	recvCoded []CodedClaim
 	flag      bool
@@ -157,68 +157,12 @@ func (st *nodeState) finishPhase1() error {
 			}
 		}
 	}
-	x, err := packStriped(st.value, st.rho, st.symBits, st.stripes)
+	x, err := coding.PackValue(st.value, st.rho*st.stripes, st.symBits)
 	if err != nil {
 		return fmt.Errorf("core: node %d pack: %w", st.id, err)
 	}
 	st.x = x
 	return nil
-}
-
-// packStriped views data as stripes x rho symbols of symBits bits: the
-// paper's single GF(2^(L/rho)) symbol vector, realized as multiple words
-// over a machine-sized field. Any stripe differing between two values is
-// caught by the per-stripe equality check, so soundness is preserved while
-// the per-bit time cost stays L/rho.
-func packStriped(data []byte, rho int, symBits uint, stripes int) ([][]gf.Elem, error) {
-	flat, err := coding.PackValue(data, rho*stripes, symBits)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]gf.Elem, stripes)
-	for s := 0; s < stripes; s++ {
-		out[s] = flat[s*rho : (s+1)*rho]
-	}
-	return out, nil
-}
-
-// encodeStriped computes the concatenated coded symbols for one edge:
-// stripe s contributes X_s * C_e (z_e symbols each). The result is one
-// exactly-sized allocation (it escapes into the outgoing message and the
-// node's sent-claims record) filled in place by EncodeInto.
-func encodeStriped(scheme *coding.Scheme, from, to graph.NodeID, x [][]gf.Elem) ([]gf.Elem, error) {
-	m := scheme.EdgeMatrix(from, to)
-	if m == nil {
-		return nil, fmt.Errorf("core: no coding matrix for edge (%d,%d)", from, to)
-	}
-	cols := m.Cols()
-	flat := make([]gf.Elem, len(x)*cols)
-	for s, stripe := range x {
-		if err := scheme.EncodeInto(from, to, stripe, flat[s*cols:(s+1)*cols]); err != nil {
-			return nil, err
-		}
-	}
-	return flat, nil
-}
-
-// checkStriped runs the receiver-side comparison for all stripes; any
-// stripe mismatch (or a malformed symbol count) is a MISMATCH.
-func checkStriped(scheme *coding.Scheme, from, to graph.NodeID, x [][]gf.Elem, flat []gf.Elem, edgeCap int64) (bool, error) {
-	want := int(edgeCap) * len(x)
-	if len(flat) != want {
-		return true, nil
-	}
-	for s, stripe := range x {
-		seg := flat[s*int(edgeCap) : (s+1)*int(edgeCap)]
-		mm, err := scheme.Check(from, to, stripe, seg)
-		if err != nil {
-			return false, err
-		}
-		if mm {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // equalityProcess returns the two-round equality-check behaviour:
@@ -233,8 +177,8 @@ func (st *nodeState) equalityProcess() sim.Process {
 			}
 			var out []sim.Message
 			for _, e := range st.gk.OutEdges(st.id) {
-				syms, err := encodeStriped(st.scheme, st.id, e.To, st.x)
-				if err != nil {
+				syms := make([]gf.Elem, st.stripes*int(e.Cap))
+				if err := st.scheme.EncodeStripes(st.id, e.To, st.x, syms); err != nil {
 					panic("core: encode: " + err.Error())
 				}
 				syms = st.adv.CorruptCoded(e.To, syms)
@@ -264,7 +208,7 @@ func (st *nodeState) equalityProcess() sim.Process {
 			for _, e := range st.gk.InEdges(st.id) {
 				syms := got[e.From] // nil if missing: counts as mismatch
 				st.recvCoded = append(st.recvCoded, CodedClaim{From: e.From, To: st.id, Symbols: syms})
-				mm, err := checkStriped(st.scheme, e.From, st.id, st.x, syms, e.Cap)
+				mm, err := st.scheme.CheckStripes(e.From, st.id, st.x, syms)
 				if err != nil {
 					panic("core: check: " + err.Error())
 				}

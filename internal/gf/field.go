@@ -4,13 +4,24 @@
 // Field elements are represented as uint64 bit vectors: bit i holds the
 // coefficient of x^i of the residue polynomial. Multiplication is carry-less
 // (polynomial) multiplication followed by reduction modulo a fixed
-// irreducible polynomial of degree m: degrees up to 16 resolve products
-// through shared log/antilog tables, larger degrees through a 4-bit-window
-// carry-less multiply with sparse reduction, and the bulk kernels MulSlice
-// and AXPY amortize the per-scalar setup over whole rows. Irreducible
-// polynomials are found by deterministic search using Rabin's
-// irreducibility test, so no hard-coded table is required; the search
-// result is cached per m.
+// irreducible polynomial of degree m. Irreducible polynomials are found by
+// deterministic search using Rabin's irreducibility test, so no hard-coded
+// table is required; the search result is cached per m.
+//
+// Products take one of three routes, all equal to the bit-serial reference
+// mulRef:
+//
+//   - m <= 16: shared log/antilog tables, one lookup pair per product, for
+//     scalar Mul and the bulk kernels alike.
+//   - m > 16, scalar Mul and short rows: a 4-bit-window carry-less multiply
+//     followed by sparse reduction.
+//   - m > 16, rows of at least splitMinLen elements in the bulk kernels
+//     MulSlice, AXPY and AXPYStride: a split table for the row's scalar a,
+//     ceil(m/8) fully reduced 256-entry tables T_k[b] = a*(b*x^(8k)), so
+//     each product is eight lookups XORed together.
+//
+// The bulk kernels multiply the low m bits of each source element, as Mul
+// does with its operands.
 //
 // The package is the symbol substrate for the local linear coding equality
 // check of NAB: values received in Phase 1 are interpreted as vectors of
@@ -91,10 +102,12 @@ func (f *Field) Add(a, b Elem) Elem { return (a ^ b) & f.max }
 // Sub returns a - b (identical to Add in characteristic 2).
 func (f *Field) Sub(a, b Elem) Elem { return (a ^ b) & f.max }
 
-// Mul returns the product a*b in the field. Tabled degrees resolve it as
-// exp[log a + log b]; larger degrees take a carry-less window multiply
-// followed by sparse modular reduction. Both agree with the bit-serial
-// reference loop mulRef (asserted exhaustively in tests).
+// Mul returns the product a*b in the field; bits of a or b above m are
+// ignored. Tabled degrees (m <= 16) resolve it as exp[log a + log b];
+// larger degrees take a 4-bit-window carry-less multiply followed by
+// sparse modular reduction, since one product cannot pay for a split
+// table (see AXPY). Both agree with the bit-serial reference loop mulRef
+// (asserted exhaustively in tests).
 func (f *Field) Mul(a, b Elem) Elem {
 	a &= f.max
 	b &= f.max
@@ -104,7 +117,7 @@ func (f *Field) Mul(a, b Elem) Elem {
 	if t := f.tab; t != nil {
 		return Elem(t.exp[uint32(t.log[a])+uint32(t.log[b])])
 	}
-	hi, lo := clMul64(a, b)
+	hi, lo := clMul64(a, b, f.m)
 	return f.reduceWide(hi, lo)
 }
 

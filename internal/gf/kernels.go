@@ -4,73 +4,152 @@ import "math/bits"
 
 // Bulk kernels for the coding hot path. Matrix products, encodes and
 // Gaussian elimination all reduce to rows scaled by one scalar, so the
-// kernels amortize the per-scalar setup (a table lookup for m <= 16, a
-// carry-less window for larger m) over a whole row.
+// kernels amortize the per-scalar setup over a whole row: a log lookup for
+// m <= 16; for larger m a 4-bit carry-less window on short rows and a
+// split table (splitTable) on rows of at least splitMinLen elements.
+//
+// Every kernel reads src through Mask, so a non-canonical source element
+// (bits set above m) is multiplied as its low m bits, exactly as Mul does.
+
+// splitMinLen is the row length from which the table-less kernels build a
+// split table instead of a 4-bit window. At m = 64 the window path costs
+// ~60-100 ns per element and the split path ~4-5 ns per element plus
+// ~2-3 µs to build the table (BenchmarkSplitCutover on a 2-vCPU x86-64 Xeon
+// VM), so the two cross between 24 and 32 elements. Smaller degrees build
+// fewer table rows and multiply in fewer window steps alike, which leaves
+// the crossover about where it is.
+const splitMinLen = 32
 
 // MulSlice sets dst[i] = a * src[i] for every i. dst and src must have the
 // same length; dst may alias src (in-place row normalization).
+//
+//nab:allocfree
 func (f *Field) MulSlice(a Elem, dst, src []Elem) {
-	a &= f.max
-	switch {
-	case a == 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case a == 1:
-		copy(dst, src)
-	case f.tab != nil:
-		t := f.tab
-		la := uint32(t.log[a])
-		for i, s := range src {
-			if s == 0 {
-				dst[i] = 0
-				continue
-			}
-			dst[i] = Elem(t.exp[la+uint32(t.log[s])])
-		}
-	default:
-		var w window
-		w.init(a)
-		for i, s := range src {
-			hi, lo := w.mul(s)
-			dst[i] = f.reduceWide(hi, lo)
-		}
-	}
+	f.bulk(a, dst, 1, src, 1, len(src), false)
 }
 
 // AXPY accumulates dst[i] ^= a * src[i] for every i — the row update of
 // Gaussian elimination and the inner step of matrix products (XOR is
 // addition in characteristic 2). dst and src must have the same length and
-// must not overlap unless identical.
+// must not overlap unless identical. On a table-less field a row of
+// splitMinLen or more elements runs through a split table built for a
+// on the stack; a shorter row runs through the 4-bit window.
+//
+//nab:allocfree
 func (f *Field) AXPY(a Elem, dst, src []Elem) {
+	f.bulk(a, dst, 1, src, 1, len(src), true)
+}
+
+// AXPYStride is AXPY over strided views: dst[i*dstStride] ^= a *
+// src[i*srcStride] for i in [0, n). It walks one column of a row-major
+// matrix, such as symbol j of every stripe of a striped value, in one
+// pass with one scalar setup.
+//
+//nab:allocfree
+func (f *Field) AXPYStride(a Elem, dst []Elem, dstStride int, src []Elem, srcStride, n int) {
+	f.bulk(a, dst, dstStride, src, srcStride, n, true)
+}
+
+// bulk is the one row kernel behind MulSlice, AXPY and AXPYStride: for
+// i < n it computes p = a * src[i*ss] and stores dst[i*ds] ^= p when acc
+// is set, dst[i*ds] = p otherwise.
+//
+//nab:allocfree
+func (f *Field) bulk(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool) {
 	a &= f.max
 	switch {
 	case a == 0:
-		return
+		if !acc {
+			for i := 0; i < n; i++ {
+				dst[i*ds] = 0
+			}
+		}
 	case a == 1:
-		for i, s := range src {
-			dst[i] ^= s
+		for i := 0; i < n; i++ {
+			p := src[i*ss] & f.max
+			if acc {
+				p ^= dst[i*ds]
+			}
+			dst[i*ds] = p
 		}
 	case f.tab != nil:
 		t := f.tab
 		la := uint32(t.log[a])
-		for i, s := range src {
-			if s == 0 {
-				continue
+		for i := 0; i < n; i++ {
+			var p Elem
+			if s := src[i*ss] & f.max; s != 0 {
+				p = Elem(t.exp[la+uint32(t.log[s])])
 			}
-			dst[i] ^= Elem(t.exp[la+uint32(t.log[s])])
+			if acc {
+				p ^= dst[i*ds]
+			}
+			dst[i*ds] = p
 		}
+	case n >= splitMinLen:
+		f.bulkSplit(a, dst, ds, src, ss, n, acc)
 	default:
 		var w window
 		w.init(a)
-		for i, s := range src {
-			if s == 0 {
-				continue
+		for i := 0; i < n; i++ {
+			hi, lo := w.mul(src[i*ss]&f.max, f.m)
+			p := f.reduceWide(hi, lo)
+			if acc {
+				p ^= dst[i*ds]
 			}
-			hi, lo := w.mul(s)
-			dst[i] ^= f.reduceWide(hi, lo)
+			dst[i*ds] = p
 		}
 	}
+}
+
+// bulkSplit is bulk's long-row path for table-less fields. It is its own
+// function so that the 16 KiB table sits only in this frame, not in every
+// short-row caller's.
+//
+//nab:allocfree
+func (f *Field) bulkSplit(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool) {
+	var t splitTable
+	t.init(f, a)
+	for i := 0; i < n; i++ {
+		p := t.mul(src[i*ss] & f.max)
+		if acc {
+			p ^= dst[i*ds]
+		}
+		dst[i*ds] = p
+	}
+}
+
+// splitTable is GF-Complete's "SPLIT w 8" table for one fixed scalar a:
+// t[k][b] = a * (b * x^(8k)) mod p, fully reduced. Any canonical element s
+// is the XOR of its bytes b_k * x^(8k), so a*s is the XOR of eight
+// lookups, with no carry-less product and no reduction. Tables at or above
+// ceil(m/8), and entries of the top table past the field's width, stay
+// zero; a masked s never selects them with a nonzero byte.
+type splitTable [8][256]Elem
+
+// init fills the table for a by m doublings a*x^j, j < m, plus one XOR per
+// entry: within table k, entry b with top bit 2^j is a*x^(8k+j) XOR the
+// entry for b without that bit.
+func (t *splitTable) init(f *Field, a Elem) {
+	top := uint64(1) << (f.m - 1) // the x^(m-1) coefficient
+	v := a
+	for j := uint(0); j < f.m; j++ {
+		row, bit := &t[j/8], 1<<(j%8)
+		row[bit] = v
+		for b := 1; b < bit; b++ {
+			row[bit|b] = v ^ row[b]
+		}
+		carry := v & top
+		v = (v << 1) & f.max
+		if carry != 0 {
+			v ^= f.mod
+		}
+	}
+}
+
+// mul returns a*s for a canonical s.
+func (t *splitTable) mul(s Elem) Elem {
+	return t[0][byte(s)] ^ t[1][byte(s>>8)] ^ t[2][byte(s>>16)] ^ t[3][byte(s>>24)] ^
+		t[4][byte(s>>32)] ^ t[5][byte(s>>40)] ^ t[6][byte(s>>48)] ^ t[7][byte(s>>56)]
 }
 
 // window is the 4-bit carry-less multiplication table of one fixed scalar:
@@ -97,27 +176,27 @@ func (w *window) init(a Elem) {
 	}
 }
 
-// mul returns the unreduced 128-bit carry-less product a*b, processing b
-// one nibble at a time.
-func (w *window) mul(b Elem) (hi, lo uint64) {
-	for k := uint(0); b != 0; k += 4 {
-		nib := b & 15
-		b >>= 4
-		if nib == 0 {
-			continue
-		}
+// mul returns the unreduced 128-bit carry-less product a*b for b < 2^m,
+// one nibble of b per step. The step count depends on m alone: skipping
+// zero nibbles or stopping at b's top nibble branches on the data, which
+// mispredicts once b varies from call to call (a stripe column) and costs
+// more than the lookups it saves.
+func (w *window) mul(b Elem, m uint) (hi, lo uint64) {
+	lo, hi = w.lo[b&15], w.hi[b&15]
+	for k := uint(4); k < m; k += 4 {
+		nib := b >> k & 15
 		lo ^= w.lo[nib] << k
 		hi ^= w.hi[nib]<<k | w.lo[nib]>>(64-k)
 	}
 	return hi, lo
 }
 
-// clMul64 is the one-shot carry-less 64x64 -> 128 multiply used by scalar
-// Mul on table-less fields.
-func clMul64(a, b uint64) (hi, lo uint64) {
+// clMul64 is the one-shot carry-less product of a and b < 2^m, used by
+// scalar Mul on table-less fields.
+func clMul64(a, b uint64, m uint) (hi, lo uint64) {
 	var w window
 	w.init(a)
-	return w.mul(b)
+	return w.mul(b, m)
 }
 
 // reduceWide reduces a 128-bit polynomial value modulo x^m + mod. Each

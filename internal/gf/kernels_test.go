@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -123,6 +124,139 @@ func TestMulSliceInPlace(t *testing.T) {
 	}
 }
 
+// kernelOracle is the reference for every bulk kernel: for i < n,
+// dst[i*ds] becomes mulRef(a, src[i*ss]) (or is XORed with it when acc),
+// computed into a copy of dst.
+func kernelOracle(f *Field, a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool) []Elem {
+	out := append([]Elem(nil), dst...)
+	for i := 0; i < n; i++ {
+		p := f.mulRef(a, src[i*ss])
+		if acc {
+			p ^= out[i*ds]
+		}
+		out[i*ds] = p
+	}
+	return out
+}
+
+// TestSplitKernelMatchesReference drives AXPY, MulSlice (in place and not)
+// and AXPYStride over every table-less degree and every row length from 0
+// to twice the split cutover, so both the window and the split-table path
+// run on each degree, against the bit-serial reference.
+func TestSplitKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for m := uint(tableMaxDegree + 1); m <= 64; m++ {
+		f := MustNew(m)
+		for n := 0; n <= 2*splitMinLen; n++ {
+			for _, a := range []Elem{0, 1, f.Rand(rng), f.Rand(rng) | 1<<(m-1)} {
+				ds, ss := 1+rng.Intn(3), 1+rng.Intn(3)
+				src := randRow(f, rng, max(1, n*ss))
+				dst := randRow(f, rng, max(1, n*ds))
+				for _, tc := range []struct {
+					name string
+					acc  bool
+					run  func(dst []Elem)
+				}{
+					{"AXPY", true, func(d []Elem) { f.AXPY(a, d[:n], src[:n]) }},
+					{"MulSlice", false, func(d []Elem) { f.MulSlice(a, d[:n], src[:n]) }},
+					{"AXPYStride", true, func(d []Elem) { f.AXPYStride(a, d, ds, src, ss, n) }},
+				} {
+					dStride, sStride := 1, 1
+					if tc.name == "AXPYStride" {
+						dStride, sStride = ds, ss
+					}
+					want := kernelOracle(f, a, dst, dStride, src, sStride, n, tc.acc)
+					got := append([]Elem(nil), dst...)
+					tc.run(got)
+					if !equalElems(got, want) {
+						t.Fatalf("GF(2^%d) %s a=%#x n=%d strides=(%d,%d): got %x want %x", m, tc.name, a, n, dStride, sStride, got, want)
+					}
+				}
+				// MulSlice writing in place over its own source.
+				row := append([]Elem(nil), src[:n]...)
+				want := kernelOracle(f, a, row, 1, row, 1, n, false)
+				f.MulSlice(a, row, row)
+				if !equalElems(row, want) {
+					t.Fatalf("GF(2^%d) in-place MulSlice a=%#x n=%d: got %x want %x", m, a, n, row, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsMaskSource pins the rule for a non-canonical source element:
+// every kernel multiplies its low m bits, as Mul does, on every degree and
+// on both sides of the split cutover.
+func TestKernelsMaskSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for m := uint(1); m < 64; m++ {
+		f := MustNew(m)
+		for _, n := range []int{1, splitMinLen} {
+			a := f.Rand(rng) | 1
+			src := make([]Elem, n)
+			for i := range src {
+				src[i] = rng.Uint64() | ^f.max // garbage above bit m-1
+			}
+			got := make([]Elem, n)
+			f.MulSlice(a, got, src)
+			acc := make([]Elem, n)
+			f.AXPY(a, acc, src)
+			one := make([]Elem, n)
+			f.MulSlice(1, one, src)
+			for i, s := range src {
+				if want := f.Mul(a, s); got[i] != want || acc[i] != want {
+					t.Fatalf("GF(2^%d) n=%d: a*%#x = MulSlice %#x, AXPY %#x, Mul %#x", m, n, s, got[i], acc[i], want)
+				}
+				if one[i] != s&f.max {
+					t.Fatalf("GF(2^%d): 1*%#x = %#x, want %#x", m, s, one[i], s&f.max)
+				}
+			}
+		}
+	}
+}
+
+// FuzzKernel cross-checks the strided kernel against the reference on
+// fuzzer-chosen degree, scalar, length, strides and data.
+func FuzzKernel(f *testing.F) {
+	f.Add(uint8(64), uint64(0x1b), uint8(40), uint8(1), uint8(2), int64(1))
+	f.Add(uint8(17), uint64(1), uint8(3), uint8(3), uint8(1), int64(2))
+	f.Fuzz(func(t *testing.T, deg uint8, a uint64, n, ds, ss uint8, seed int64) {
+		fld := MustNew(1 + uint(deg)%64)
+		rows, dStride, sStride := int(n)%(4*splitMinLen), 1+int(ds)%4, 1+int(ss)%4
+		rng := rand.New(rand.NewSource(seed))
+		src := make([]Elem, max(1, rows*sStride))
+		for i := range src {
+			src[i] = rng.Uint64() & fld.max
+		}
+		dst := randRow(fld, rng, max(1, rows*dStride))
+		want := kernelOracle(fld, a, dst, dStride, src, sStride, rows, true)
+		fld.AXPYStride(a, dst, dStride, src, sStride, rows)
+		if !equalElems(dst, want) {
+			t.Fatalf("GF(2^%d) a=%#x n=%d strides=(%d,%d): got %x want %x", fld.m, a, rows, dStride, sStride, dst, want)
+		}
+	})
+}
+
+func randRow(f *Field, rng *rand.Rand, n int) []Elem {
+	out := make([]Elem, n)
+	for i := range out {
+		out[i] = f.Rand(rng)
+	}
+	return out
+}
+
+func equalElems(a, b []Elem) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestOrderExact pins Order to the exact power of two for every degree.
 func TestOrderExact(t *testing.T) {
 	for m := uint(1); m <= 53; m++ {
@@ -191,6 +325,33 @@ func BenchmarkGFAXPY(b *testing.B) {
 				f.AXPY(a, dst, src)
 			}
 			sinkElem = dst[0]
+		})
+	}
+}
+
+// BenchmarkSplitCutover times one AXPY row at m = 64 through each
+// table-less path at lengths around splitMinLen; the crossover of the two
+// sets the constant.
+func BenchmarkSplitCutover(b *testing.B) {
+	f := MustNew(64)
+	rng := rand.New(rand.NewSource(benchSeedGF))
+	a := f.Rand(rng) | 2
+	for _, n := range []int{1, 8, 16, 24, 32, 48, 64, 256} {
+		src, dst := randRow(f, rng, n), make([]Elem, n)
+		b.Run(fmt.Sprintf("window/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				var w window
+				w.init(a)
+				for i, s := range src {
+					hi, lo := w.mul(s, f.m)
+					dst[i] ^= f.reduceWide(hi, lo)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("split/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				f.bulkSplit(a, dst, 1, src, 1, n, true)
+			}
 		})
 	}
 }

@@ -191,7 +191,7 @@ func (m *Matrix) MulVec(x []gf.Elem) ([]gf.Elem, error) {
 
 // MulVecInto computes the row-vector product x*m into dst, which must have
 // length m.Cols(); dst is overwritten. The allocation-free form of MulVec
-// for hot paths that reuse a destination buffer (coding.Scheme.EncodeInto).
+// for callers that reuse a destination buffer.
 func (m *Matrix) MulVecInto(x, dst []gf.Elem) error {
 	if len(x) != m.rows {
 		return fmt.Errorf("linalg: vector length %d, want %d", len(x), m.rows)
