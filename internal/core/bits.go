@@ -10,8 +10,8 @@ import (
 // BitChunk is a bit string: Bytes holds BitLen bits, most significant bit
 // of Bytes[0] first; trailing pad bits are zero.
 type BitChunk struct {
-	Bytes  []byte `json:"b"`
-	BitLen int    `json:"l"`
+	Bytes  []byte
+	BitLen int
 }
 
 // splitBits divides the first totalBits bits of data into parts nearly-equal

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"sort"
 
 	"nab/internal/coding"
@@ -12,17 +12,17 @@ import (
 
 // TreeEdgeClaim is a node's statement about one Phase-1 tree-edge transfer.
 type TreeEdgeClaim struct {
-	Tree  int          `json:"t"`
-	From  graph.NodeID `json:"f"`
-	To    graph.NodeID `json:"o"`
-	Block BitChunk     `json:"b"`
+	Tree  int
+	From  graph.NodeID
+	To    graph.NodeID
+	Block BitChunk
 }
 
 // CodedClaim is a node's statement about one equality-check transfer.
 type CodedClaim struct {
-	From    graph.NodeID `json:"f"`
-	To      graph.NodeID `json:"o"`
-	Symbols []gf.Elem    `json:"s"`
+	From    graph.NodeID
+	To      graph.NodeID
+	Symbols []gf.Elem
 }
 
 // Claims is the full transcript a node broadcasts during dispute control
@@ -30,36 +30,201 @@ type CodedClaim struct {
 // and 2 of the instance, its announced flag, and — for the source — its
 // input.
 type Claims struct {
-	Node        graph.NodeID    `json:"n"`
-	SentBlocks  []TreeEdgeClaim `json:"sb"`
-	RecvBlocks  []TreeEdgeClaim `json:"rb"`
-	SentCoded   []CodedClaim    `json:"sc"`
-	RecvCoded   []CodedClaim    `json:"rc"`
-	Flag        bool            `json:"fl"`
-	SourceInput []byte          `json:"si,omitempty"`
+	Node        graph.NodeID
+	SentBlocks  []TreeEdgeClaim
+	RecvBlocks  []TreeEdgeClaim
+	SentCoded   []CodedClaim
+	RecvCoded   []CodedClaim
+	Flag        bool
+	SourceInput []byte
 }
+
+// claimsVersion is the first byte of every encoded transcript.
+const claimsVersion = 1
+
+// Minimum encoded sizes of one list element, the bound a decoded count is
+// checked against: five one-byte varints for a tree-edge claim (tree,
+// from, to, bit length, byte count), three for a coded claim (from, to,
+// symbol count).
+const (
+	minTreeEdgeClaim = 5
+	minCodedClaim    = 3
+)
 
 // Marshal encodes claims for the EIG broadcast.
-func (c *Claims) Marshal() []byte {
-	raw, err := json.Marshal(c)
-	if err != nil {
-		// All fields are JSON-safe; a failure is a programming error.
-		panic("core: marshal claims: " + err.Error())
+func (c *Claims) Marshal() []byte { return AppendClaims(nil, c) }
+
+// AppendClaims appends the binary encoding of c to buf: the version byte,
+// the node id, the four claim lists, the flag byte and the source input.
+// Ids, tree indices and bit lengths are varints, counts uvarints, blocks
+// and the input length-prefixed bytes, and each gf.Elem a little-endian
+// 64-bit word.
+//
+//nab:allocfree
+func AppendClaims(buf []byte, c *Claims) []byte {
+	buf = append(buf, claimsVersion)
+	buf = binary.AppendVarint(buf, int64(c.Node))
+	buf = appendTreeEdgeClaims(buf, c.SentBlocks)
+	buf = appendTreeEdgeClaims(buf, c.RecvBlocks)
+	buf = appendCodedClaims(buf, c.SentCoded)
+	buf = appendCodedClaims(buf, c.RecvCoded)
+	flag := byte(0)
+	if c.Flag {
+		flag = 1
 	}
-	return raw
+	buf = append(buf, flag)
+	buf = binary.AppendUvarint(buf, uint64(len(c.SourceInput)))
+	return append(buf, c.SourceInput...)
 }
 
-// UnmarshalClaims decodes a broadcast transcript; nil or undecodable input
-// yields nil (the auditor treats that node as faulty).
-func UnmarshalClaims(raw []byte) *Claims {
-	if len(raw) == 0 {
+//nab:allocfree
+func appendTreeEdgeClaims(buf []byte, cs []TreeEdgeClaim) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(cs)))
+	for _, tc := range cs {
+		buf = binary.AppendVarint(buf, int64(tc.Tree))
+		buf = binary.AppendVarint(buf, int64(tc.From))
+		buf = binary.AppendVarint(buf, int64(tc.To))
+		buf = binary.AppendVarint(buf, int64(tc.Block.BitLen))
+		buf = binary.AppendUvarint(buf, uint64(len(tc.Block.Bytes)))
+		buf = append(buf, tc.Block.Bytes...)
+	}
+	return buf
+}
+
+//nab:allocfree
+func appendCodedClaims(buf []byte, cs []CodedClaim) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(cs)))
+	for _, cc := range cs {
+		buf = binary.AppendVarint(buf, int64(cc.From))
+		buf = binary.AppendVarint(buf, int64(cc.To))
+		buf = binary.AppendUvarint(buf, uint64(len(cc.Symbols)))
+		for _, s := range cc.Symbols {
+			buf = binary.LittleEndian.AppendUint64(buf, s)
+		}
+	}
+	return buf
+}
+
+// DecodeClaims decodes a broadcast transcript. It is strict: nil input, a
+// wrong version, a flag byte other than 0 or 1, a non-minimal varint, a
+// truncation or trailing bytes all yield nil (the auditor treats that node
+// as faulty), so every transcript it accepts re-encodes to its input.
+// Counts are checked against the bytes left before anything is allocated.
+// Empty blocks, symbol lists and inputs decode as nil.
+func DecodeClaims(raw []byte) *Claims {
+	if len(raw) == 0 || raw[0] != claimsVersion {
 		return nil
 	}
-	var c Claims
-	if err := json.Unmarshal(raw, &c); err != nil {
+	d := decoder{b: raw[1:], ok: true}
+	c := &Claims{Node: graph.NodeID(d.varint())}
+	c.SentBlocks = d.treeEdgeClaims()
+	c.RecvBlocks = d.treeEdgeClaims()
+	c.SentCoded = d.codedClaims()
+	c.RecvCoded = d.codedClaims()
+	c.Flag = d.flag()
+	c.SourceInput = d.bytes()
+	if !d.ok || len(d.b) != 0 {
 		return nil
 	}
-	return &c
+	return c
+}
+
+// decoder is a bounds-checked cursor over an encoded transcript. The
+// first malformed field clears ok; every later read returns a zero value.
+// The type name puts its methods in nabvet wirebounds' scope.
+type decoder struct {
+	b  []byte
+	ok bool
+}
+
+// varint reads a minimally encoded varint.
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if !d.ok || n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.ok = false
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads a minimally encoded uvarint list length and rejects one
+// that cannot fit in the bytes left at minBytes per element, so a hostile
+// count cannot allocate more than O(len(raw)).
+func (d *decoder) count(minBytes int) int {
+	v, n := binary.Uvarint(d.b)
+	if !d.ok || n <= 0 || (n > 1 && d.b[n-1] == 0) || v > uint64((len(d.b)-n)/minBytes) {
+		d.ok = false
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *decoder) flag() bool {
+	if !d.ok || len(d.b) < 1 || d.b[0] > 1 {
+		d.ok = false
+		return false
+	}
+	v := d.b[0] == 1
+	d.b = d.b[1:]
+	return v
+}
+
+// bytes reads a length-prefixed byte string into a fresh slice.
+func (d *decoder) bytes() []byte {
+	n := d.count(1)
+	if n == 0 || len(d.b) < n {
+		return nil
+	}
+	out := append([]byte(nil), d.b[:n]...)
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *decoder) elems() []gf.Elem {
+	n := d.count(8)
+	if n == 0 || len(d.b) < 8*n {
+		return nil
+	}
+	out := make([]gf.Elem, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(d.b[8*i:])
+	}
+	d.b = d.b[8*n:]
+	return out
+}
+
+func (d *decoder) treeEdgeClaims() []TreeEdgeClaim {
+	n := d.count(minTreeEdgeClaim)
+	if n == 0 {
+		return nil
+	}
+	out := make([]TreeEdgeClaim, n)
+	for i := range out {
+		tc := &out[i]
+		tc.Tree = int(d.varint())
+		tc.From = graph.NodeID(d.varint())
+		tc.To = graph.NodeID(d.varint())
+		tc.Block.BitLen = int(d.varint())
+		tc.Block.Bytes = d.bytes()
+	}
+	return out
+}
+
+func (d *decoder) codedClaims() []CodedClaim {
+	n := d.count(minCodedClaim)
+	if n == 0 {
+		return nil
+	}
+	out := make([]CodedClaim, n)
+	for i := range out {
+		cc := &out[i]
+		cc.From = graph.NodeID(d.varint())
+		cc.To = graph.NodeID(d.varint())
+		cc.Symbols = d.elems()
+	}
+	return out
 }
 
 // AuditResult is the deterministic outcome of dispute control, identical at
@@ -85,6 +250,14 @@ type auditContext struct {
 	rho     int
 	symBits uint
 	stripes int
+}
+
+// auditContext returns the audit parameters of instances run on pl.
+func (pl *InstancePlan) auditContext() *auditContext {
+	return &auditContext{
+		gk: pl.gk, source: pl.p.cfg.Source, trees: pl.trees, scheme: pl.scheme,
+		lenBits: pl.p.lenBits, rho: pl.rho, symBits: pl.symBits, stripes: pl.stripes,
+	}
 }
 
 // Audit performs steps DC2 and DC3 of dispute control: cross-check all

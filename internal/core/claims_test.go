@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nab/internal/coding"
@@ -20,7 +22,7 @@ func cloneChunk(c BitChunk) BitChunk {
 // buildAuditFixture assembles a full honest execution's claims on K4 by
 // running the node-state machinery directly (no simulator), so audit
 // behaviour can be probed with surgical corruptions.
-func buildAuditFixture(t *testing.T) (*auditContext, map[graph.NodeID]*Claims, []byte) {
+func buildAuditFixture(t testing.TB) (*auditContext, map[graph.NodeID]*Claims, []byte) {
 	t.Helper()
 	g := topo.CompleteBi(4, 1)
 	const (
@@ -290,14 +292,120 @@ func TestAuditCodedClaimMismatchIsDispute(t *testing.T) {
 
 func TestUnmarshalClaims(t *testing.T) {
 	c := &Claims{Node: 5, Flag: true}
-	back := UnmarshalClaims(c.Marshal())
+	back := DecodeClaims(c.Marshal())
 	if back == nil || back.Node != 5 || !back.Flag {
 		t.Errorf("round trip: %+v", back)
 	}
-	if UnmarshalClaims(nil) != nil {
+	if DecodeClaims(nil) != nil {
 		t.Error("nil input should yield nil")
 	}
-	if UnmarshalClaims([]byte("not json")) != nil {
-		t.Error("garbage should yield nil")
+
+	_, claims, _ := buildAuditFixture(t)
+	raw := claims[1].Marshal() // the source: every field populated
+	if !reflect.DeepEqual(DecodeClaims(raw), claims[1]) {
+		t.Fatalf("round trip of the source's claims: %+v", DecodeClaims(raw))
 	}
+	flagAt := len(raw) - 1 - len(claims[1].SourceInput) - 1 // flag, uvarint(4), input
+	for name, bad := range map[string][]byte{
+		"truncated":     raw[:len(raw)-1],
+		"trailing byte": append(append([]byte(nil), raw...), 0),
+		"bad version":   append([]byte{claimsVersion + 1}, raw[1:]...),
+		"flag byte 2":   append(append(append([]byte(nil), raw[:flagAt]...), 2), raw[flagAt+1:]...),
+		"overlong node": {claimsVersion, 0x82, 0x00, 0, 0, 0, 0, 0, 0},
+		"hostile count": {claimsVersion, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0, 0},
+		"version only":  {claimsVersion},
+		"not a version": []byte("not json"),
+		"symbols cut":   {claimsVersion, 0x02, 0, 0, 1, 0x02, 0x04, 1, 0xaa, 0, 0, 0},
+	} {
+		if c := DecodeClaims(bad); c != nil {
+			t.Errorf("%s: decoded to %+v, want nil", name, c)
+		}
+	}
+	// The minimal transcript decodes; dropping its last byte does not.
+	minimal := []byte{claimsVersion, 0x02, 0, 0, 0, 0, 0, 0}
+	if c := DecodeClaims(minimal); c == nil || c.Node != 1 {
+		t.Errorf("minimal transcript: %+v", c)
+	}
+	if c := DecodeClaims(minimal[:len(minimal)-1]); c != nil {
+		t.Errorf("minimal transcript without its input length: %+v", c)
+	}
+}
+
+// k7Transcript returns the encoded claims of one K7 node (f = 2, L = 1 KiB)
+// from a real Phase-3 run, triggered by a false alarm at node 5.
+func k7Transcript(t testing.TB) []byte {
+	t.Helper()
+	input := make([]byte, 1024)
+	for i := range input {
+		input[i] = byte(i * 7)
+	}
+	runs, err := Phase3Runs(Config{
+		Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: len(input), Seed: 42,
+		Adversaries: map[graph.NodeID]Adversary{5: falseAlarm{}},
+	}, [][]byte{input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 {
+		t.Fatalf("%d Phase-3 instances, want 1", len(runs))
+	}
+	return runs[0].Raw[1]
+}
+
+type falseAlarm struct{ Honest }
+
+func (falseAlarm) OverrideFlag(bool) bool { return true }
+
+// TestClaimsAppendZeroAlloc pins the transcript encoder: appending a K7
+// source transcript into a buffer of the right size allocates nothing.
+func TestClaimsAppendZeroAlloc(t *testing.T) {
+	raw := k7Transcript(t)
+	c := DecodeClaims(raw)
+	if c == nil || len(c.SourceInput) != 1024 || len(c.SentCoded) == 0 {
+		t.Fatalf("K7 source transcript did not decode: %+v", c)
+	}
+	buf := make([]byte, 0, len(raw))
+	if avg := testing.AllocsPerRun(200, func() {
+		buf = AppendClaims(buf[:0], c)
+	}); avg != 0 {
+		t.Errorf("AppendClaims allocates %.1f times per op, want 0", avg)
+	}
+	if !bytes.Equal(buf, raw) {
+		t.Error("AppendClaims did not reproduce the broadcast transcript")
+	}
+}
+
+// FuzzClaimsDecode feeds arbitrary bytes to the transcript decoder, which
+// every Byzantine general reaches: it must not panic, everything it
+// accepts must re-encode to the identical bytes and audit without
+// panicking, and no strict prefix of an accepted transcript may decode.
+func FuzzClaimsDecode(f *testing.F) {
+	ac, claims, _ := buildAuditFixture(f)
+	for _, v := range []graph.NodeID{1, 2} {
+		f.Add(claims[v].Marshal())
+	}
+	f.Add((&Claims{Node: -3, Flag: true, SourceInput: []byte{1}}).Marshal())
+	f.Add([]byte{claimsVersion, 0x02, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c := DecodeClaims(raw)
+		if c == nil {
+			return
+		}
+		if again := c.Marshal(); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted %x re-encodes to %x", raw, again)
+		}
+		for n := range raw {
+			if DecodeClaims(raw[:n]) != nil {
+				t.Fatalf("strict prefix of %d of %d bytes decoded", n, len(raw))
+			}
+		}
+		// Byzantine claims reach the audit: as the source's and as a
+		// relay's transcript, they may convict or not but never panic.
+		for _, v := range []graph.NodeID{1, 2} {
+			hostile := maps.Clone(claims)
+			hostile[v] = c
+			ac.Audit(hostile)
+		}
+	})
 }

@@ -560,14 +560,11 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	dc := claimNodes.stats
 	ir.DisputeTime = dc.CutThroughTime()
 
-	ac := &auditContext{
-		gk: pl.gk, source: p.cfg.Source, trees: pl.trees, scheme: pl.scheme,
-		lenBits: p.lenBits, rho: pl.rho, symBits: pl.symBits, stripes: pl.stripes,
-	}
+	ac := pl.auditContext()
 	decodeAudit := func(nd *bb.Node) *AuditResult {
 		claims := map[graph.NodeID]*Claims{}
 		for _, q := range participants {
-			c := UnmarshalClaims(nd.Decide(q))
+			c := DecodeClaims(nd.Decide(q))
 			if c != nil && c.Node != q {
 				c = nil // claiming to be someone else: discard
 			}
