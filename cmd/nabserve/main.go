@@ -108,7 +108,7 @@ func run(args []string, w io.Writer) error {
 	q := fs.Int("q", 8, "client mode: number of requests to stream")
 	netTransport := fs.Bool("net-transport", false, "run node links over loopback TCP instead of the in-process bus")
 	walDir := fs.String("wal", "", "durable WAL directory: accepted requests and commits are logged there, and a restarted daemon resumes the stream (dispute state included) instead of starting over")
-	snapEvery := fs.Int("snapshot-interval", 0, "write a full engine-state snapshot every N commits and compact the WAL behind it, bounding disk use and restart replay to the live suffix (0 = default; requires -wal)")
+	snapEvery := fs.Int("snapshot-interval", 0, "write a full engine-state snapshot every N commits and compact the WAL behind it, bounding disk use and restart replay to the live suffix (0 = default, 256; must not be negative; requires -wal)")
 	adminAddr := fs.String("admin", "", "serve /metrics (Prometheus text), /healthz, /debug/pprof and POST /snapshot (durable daemons) on this address")
 	flightCap := fs.Int("flight", 0, "arm the flight recorder with a ring of N events (rounded up to a power of two); dump it via /debug/flight, black-box dumps land in the WAL dir on anomalies")
 	specs := cluster.AdversarySpecs{}

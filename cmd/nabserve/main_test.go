@@ -192,6 +192,10 @@ func TestFlagsAndErrors(t *testing.T) {
 	if err := run([]string{"-connect", "127.0.0.1:1", "-q", "1"}, io.Discard); err == nil {
 		t.Error("client connected to a dead address")
 	}
+	if err := run([]string{"-topo", "k4", "-wal", t.TempDir(), "-snapshot-interval", "-1"}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "interval") {
+		t.Errorf("negative -snapshot-interval: err = %v", err)
+	}
 }
 
 // TestServeHalfCloseFlushesReplies pins the wire contract for clients

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nab/internal/core"
-	"nab/internal/graph"
 	"nab/internal/obs"
 	"nab/internal/wal"
 )
@@ -65,11 +64,11 @@ func Recover(dir string) SessionOption {
 // WithSnapshotInterval makes a durable single-process session write a
 // full engine-state snapshot every n commits and compact the log's
 // segments behind it, bounding both the on-disk log size and recovery
-// work to the live suffix. Default 256. Cluster sessions ignore the
-// interval for their own logs — a rejoin rollback may need any instance
-// above the cluster-wide floor, so they snapshot (and compact) only at
-// rollback floors, where the whole cluster is provably past the
-// watermark.
+// work to the live suffix. n = 0 keeps the default, 256; Open rejects a
+// negative n. Open also rejects the option on a WithCluster session: a
+// rejoin rollback may need any instance above the cluster-wide floor, so
+// cluster logs snapshot (and compact) only at rollback floors, where the
+// whole cluster is provably past the watermark.
 func WithSnapshotInterval(n int) SessionOption {
 	return func(o *sessionOptions) {
 		if o.durability == nil {
@@ -87,7 +86,8 @@ type SnapshotInfo struct {
 	K int
 	// Gen is the dispute-state generation at K.
 	Gen int
-	// Digest is the committed-sequence chain digest at K.
+	// Digest is the committed-sequence chain digest at K (wal.Chain),
+	// the value a cluster log holds at the same watermark.
 	Digest uint64
 }
 
@@ -95,8 +95,7 @@ type SnapshotInfo struct {
 // encoding scratch, the submit/commit ordering handshake, and the
 // dispute-state mirror snapshots serialize.
 type sessionLog struct {
-	log     *wal.Log
-	cluster bool
+	log *wal.Log
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -109,12 +108,14 @@ type sessionLog struct {
 	// snapshot so compaction can never drop the log's last copy.
 	meta wal.Meta
 
-	// Snapshot mirror of the engine's dispute folds (single-process;
+	// Snapshot mirror of the engine's dispute state (single-process;
 	// cluster processes mirror in the cluster node, where rollbacks are
-	// visible). The digest chains full commit-record payloads — a
-	// process-lineage digest, reset to the anchor's value on recovery.
+	// visible): folded by the engine's own Protocol, with the commit-chain
+	// digest at its watermark. Nil on cluster sessions, and until follow
+	// seeds it.
 	snapEvery int
-	builder   *core.SnapshotBuilder
+	proto     *core.Protocol
+	mirror    *core.DisputeState
 	digest    uint64
 	sinceSnap int
 	snapCount int64
@@ -130,23 +131,41 @@ type sessionLog struct {
 	commitSeg map[int]uint64
 }
 
-func newSessionLog(log *wal.Log, g *graph.Directed, cluster bool, snapEvery int) *sessionLog {
+func newSessionLog(log *wal.Log, meta wal.Meta, snapEvery int) *sessionLog {
 	sl := &sessionLog{
-		log: log, cluster: cluster, snapEvery: snapEvery,
-		digest:    wal.DigestSeed,
+		log: log, meta: meta, snapEvery: snapEvery,
 		subSeg:    map[int]uint64{},
 		commitSeg: map[int]uint64{},
 	}
-	if cluster {
-		sl.snapEvery = 0 // floor snapshots only; see WithSnapshotInterval
-	} else {
-		sl.builder = core.NewSnapshotBuilder(g)
-		if sl.snapEvery == 0 {
-			sl.snapEvery = defaultSnapshotEvery
-		}
+	if sl.snapEvery == 0 {
+		sl.snapEvery = defaultSnapshotEvery
 	}
 	sl.cond = sync.NewCond(&sl.mu)
 	return sl
+}
+
+// follow seeds the snapshot mirror of a single-process session at the
+// recovered state: restored by proto, the engine's own protocol, which
+// folds every later commit into it too.
+func (sl *sessionLog) follow(proto *core.Protocol, rec *recovery) error {
+	ds, err := proto.RestoreState(rec.base.SnapshotState, rec.foldList)
+	if err != nil {
+		return err
+	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	sl.proto, sl.mirror, sl.digest = proto, ds, rec.base.Digest
+	for _, ir := range rec.foldList {
+		sl.chain(ir)
+	}
+	return nil
+}
+
+// chain advances the mirror's digest over ir's fold projection. Callers
+// hold sl.mu.
+func (sl *sessionLog) chain(ir *core.InstanceResult) {
+	sl.buf = wal.AppendCommitFold(sl.buf[:0], ir)
+	sl.digest = wal.Chain(sl.digest, sl.buf)
 }
 
 // appendSubmit frames one accepted submission into the log buffer —
@@ -214,17 +233,17 @@ func (sl *sessionLog) logCommit(ir *core.InstanceResult) error {
 	}
 	delete(sl.subSeg, ir.K)
 	sl.commitSeg[ir.K] = pos.Seg
-	if sl.builder == nil {
+	if sl.mirror == nil {
 		return nil
 	}
 	// Mirror the engine's fold so a snapshot can serialize the dispute
 	// state without reaching into the (busy) engine.
-	sl.digest = wal.Chain(sl.digest, sl.buf)
-	if err := sl.builder.Fold(ir); err != nil {
+	if err := sl.proto.Fold(sl.mirror, ir); err != nil {
 		return err
 	}
+	sl.chain(ir)
 	sl.sinceSnap++
-	if sl.snapEvery <= 0 || sl.sinceSnap < sl.snapEvery {
+	if sl.sinceSnap < sl.snapEvery {
 		return nil
 	}
 	sl.sinceSnap = 0
@@ -233,13 +252,9 @@ func (sl *sessionLog) logCommit(ir *core.InstanceResult) error {
 }
 
 // mirrorSnapshot captures the mirror's state as a snapshot record.
-// Callers hold sl.mu and own a non-nil builder.
+// Callers hold sl.mu and own a non-nil mirror.
 func (sl *sessionLog) mirrorSnapshot() wal.Snapshot {
-	st := sl.builder.State()
-	return wal.Snapshot{
-		K: st.K, Gen: st.Gen, Disputes: st.Disputes, Faulty: st.Faulty,
-		Digest: sl.digest,
-	}
+	return wal.Snapshot{SnapshotState: sl.mirror.State(), Digest: sl.digest}
 }
 
 // writeSnapshotLocked appends a meta + snapshot pair, makes both durable
@@ -254,7 +269,6 @@ func (sl *sessionLog) writeSnapshotLocked(s wal.Snapshot) (SnapshotInfo, error) 
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	s.Canonicalize()
 	sl.buf = wal.AppendSnapshot(sl.buf[:0], s)
 	if _, err := sl.log.Append(wal.TypeSnapshot, sl.buf); err != nil {
 		return SnapshotInfo{}, err
@@ -295,7 +309,7 @@ func (sl *sessionLog) snapshotNow() (SnapshotInfo, error) {
 	if sl.failed != nil {
 		return SnapshotInfo{}, sl.failed
 	}
-	if sl.builder == nil {
+	if sl.mirror == nil {
 		return SnapshotInfo{}, fmt.Errorf("nab: Snapshot: cluster sessions snapshot at rollback floors, not on demand")
 	}
 	sl.sinceSnap = 0
@@ -363,12 +377,9 @@ type recovery struct {
 	inputs   map[int][]byte         // logged submissions by instance
 	// base is the state the engine restores from before folding
 	// foldList: the anchoring snapshot when one survives in the log, else
-	// the zero SnapshotState (fresh pre-instance-1 state, foldList then
-	// starting at instance 1). baseEpoch/baseDigest carry its launch epoch
-	// and chain digest for the cluster layer.
-	base       core.SnapshotState
-	baseEpoch  uint64
-	baseDigest uint64
+	// the fresh pre-instance-1 state (digest DigestSeed, foldList then
+	// starting at instance 1).
+	base wal.Snapshot
 	// resumed reports a non-empty log: a previous incarnation existed,
 	// even if nothing it did survived the crash window. A cluster session
 	// must announce a rejoin in that case — its peers may be stalled.
@@ -389,7 +400,7 @@ func (rec *recovery) uncommitted() ([][]byte, error) {
 }
 
 // openSessionLog opens (or resumes) the session WAL and replays it.
-func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Directed, cluster bool) (*sessionLog, *recovery, error) {
+func openSessionLog(o *durabilityOptions, fp uint64, node int64, cluster bool) (*sessionLog, *recovery, error) {
 	// Submissions sync on the accept path; commit records ride the
 	// background group-committed syncer (a commit lost in the batching
 	// window re-executes identically on recovery).
@@ -401,10 +412,9 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 		log.Close()
 		return nil, nil, err
 	}
-	rec := &recovery{inputs: map[int][]byte{}}
+	rec := &recovery{inputs: map[int][]byte{}, base: wal.Snapshot{Digest: wal.DigestSeed}}
 	subSegs := map[int]uint64{}    // submission K -> segment, for the compaction floor
 	commitSegs := map[int]uint64{} // commit K -> segment, ditto (floor snapshots trail)
-	var commitBufs [][]byte        // raw commit payloads, parallel to rec.foldList
 	sawMeta := false
 	var snap *wal.Snapshot
 	firstCommit := 0
@@ -462,7 +472,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 			rec.k = ir.K
 			rec.foldList = append(rec.foldList, ir)
 			rec.replayed = append(rec.replayed, ir)
-			commitBufs = append(commitBufs, append([]byte(nil), payload...))
 			commitSegs[ir.K] = pos.Seg
 		case wal.TypeSnapshot:
 			s, err := wal.DecodeSnapshot(payload)
@@ -494,41 +503,28 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	if !empty && !o.resume {
 		return fail(fmt.Errorf("nab: WithDurability(%q): log is not empty; use Recover to resume it", o.dir))
 	}
+	sl := newSessionLog(log, wal.Meta{Fingerprint: fp, Node: node}, o.snapEvery)
 	if empty {
-		sl := newSessionLog(log, g, cluster, o.snapEvery)
-		sl.meta = wal.Meta{Fingerprint: fp, Node: node}
 		sl.buf = wal.AppendMeta(sl.buf[:0], sl.meta)
 		if _, err := log.AppendSync(wal.TypeMeta, sl.buf); err != nil {
 			return fail(err)
 		}
 		recoveryLog.Debug("wal-created", "dir", o.dir, "cluster", cluster)
-		return sl, &recovery{inputs: map[int][]byte{}}, nil
+		return sl, rec, nil
 	}
 	rec.resumed = true
 	if !sawMeta {
 		return fail(fmt.Errorf("nab: recover: log carries no meta record"))
 	}
 	anchored := snap != nil
-	if !anchored {
-		if firstCommit > 1 {
-			return fail(fmt.Errorf("nab: recover: commits start at %d with no snapshot carrying the prefix", firstCommit))
-		}
-		snap = &wal.Snapshot{Digest: wal.DigestSeed} // the fresh pre-instance-1 state
+	if anchored {
+		// Anchor the restore at the snapshot: only commits above it fold.
+		rec.base = *snap
+	} else if firstCommit > 1 {
+		return fail(fmt.Errorf("nab: recover: commits start at %d with no snapshot carrying the prefix", firstCommit))
 	}
-	// Anchor the restore at the snapshot: only commits above it fold.
-	rec.base = core.SnapshotState{K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty}
-	rec.baseEpoch, rec.baseDigest = snap.Epoch, snap.Digest
-	start := 0
 	if firstCommit > 0 {
-		start = snap.K - (firstCommit - 1)
-	}
-	rec.foldList = rec.foldList[start:]
-	// Chain the anchor's digest over the replayed payload bytes of the
-	// commits above it — the same bytes the write path chained — so the
-	// lineage digest never depends on decode->re-encode being canonical.
-	digest := snap.Digest
-	for _, buf := range commitBufs[start:] {
-		digest = wal.Chain(digest, buf)
+		rec.foldList = rec.foldList[rec.base.K-(firstCommit-1):]
 	}
 	recoveryLog.Info("wal-recovered",
 		"dir", o.dir, "k", rec.k, "tail", rec.tail,
@@ -540,10 +536,7 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	if rec.tail < rec.k {
 		rec.tail = rec.k
 	}
-	sl := newSessionLog(log, g, cluster, o.snapEvery)
-	sl.meta = wal.Meta{Fingerprint: fp, Node: node}
 	sl.maxSubmit = rec.tail
-	sl.digest = digest
 	// Seed the compaction floor with the recovered-but-uncommitted
 	// backlog: a snapshot fired before those instances commit must not
 	// compact away the segments holding their submissions.
@@ -557,18 +550,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, g *graph.Direct
 	for _, ir := range rec.foldList {
 		if seg, ok := commitSegs[ir.K]; ok {
 			sl.commitSeg[ir.K] = seg
-		}
-	}
-	// Seed the snapshot mirror exactly the way the engine restores, so
-	// mirror and engine stay generation-identical.
-	if sl.builder != nil {
-		if _, err := sl.builder.Seed(rec.base); err != nil {
-			return fail(err)
-		}
-		for _, ir := range rec.foldList {
-			if err := sl.builder.Fold(ir); err != nil {
-				return fail(err)
-			}
 		}
 	}
 	return sl, rec, nil

@@ -124,7 +124,6 @@ func TestRecoveryAcrossSegmentCompaction(t *testing.T) {
 // range. A contiguous tail must recover; a gapped one must be a recover
 // error, never a slice-bound panic.
 func TestRecoverAnchorGapErrors(t *testing.T) {
-	g := topo.CompleteBi(4, 1)
 	const fp, node = uint64(42), int64(3)
 
 	build := func(firstK int) string {
@@ -136,8 +135,7 @@ func TestRecoverAnchorGapErrors(t *testing.T) {
 		if _, err := log.Append(wal.TypeMeta, wal.AppendMeta(nil, wal.Meta{Fingerprint: fp, Node: node})); err != nil {
 			t.Fatal(err)
 		}
-		snap := wal.Snapshot{K: 4, Digest: wal.DigestSeed}
-		snap.Canonicalize()
+		snap := wal.Snapshot{SnapshotState: core.SnapshotState{K: 4}, Digest: wal.DigestSeed}
 		if _, err := log.Append(wal.TypeSnapshot, wal.AppendSnapshot(nil, snap)); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +148,7 @@ func TestRecoverAnchorGapErrors(t *testing.T) {
 		return dir
 	}
 
-	sl, rec, err := openSessionLog(&durabilityOptions{dir: build(5), resume: true}, fp, node, g, true)
+	sl, rec, err := openSessionLog(&durabilityOptions{dir: build(5), resume: true}, fp, node, true)
 	if err != nil {
 		t.Fatalf("contiguous anchored tail failed to recover: %v", err)
 	}
@@ -159,7 +157,7 @@ func TestRecoverAnchorGapErrors(t *testing.T) {
 	}
 	sl.close()
 
-	if _, _, err := openSessionLog(&durabilityOptions{dir: build(6), resume: true}, fp, node, g, true); err == nil || !strings.Contains(err.Error(), "does not extend the anchor") {
+	if _, _, err := openSessionLog(&durabilityOptions{dir: build(6), resume: true}, fp, node, true); err == nil || !strings.Contains(err.Error(), "does not extend the anchor") {
 		t.Fatalf("orphaned (anchor, commit) range recovered: err = %v", err)
 	}
 }
@@ -168,16 +166,15 @@ func TestRecoverAnchorGapErrors(t *testing.T) {
 // way a rollback floor does — a snapshot persisted well behind the
 // committed watermark — over tiny rotating segments. Compaction must keep
 // every segment holding a commit above the floor (dropping the prefix
-// below it), and recovery must restore the full (floor, watermark] fold
-// with the lineage digest chained from the floor over the replayed
-// payload bytes.
+// below it), and recovery must hand the cluster node the full (floor,
+// watermark] fold: the floor's digest and the commits whose fold
+// projections chain on from it.
 func TestFloorSnapshotKeepsCommitTail(t *testing.T) {
-	g := topo.CompleteBi(4, 1)
 	const fp, node = uint64(7), int64(2)
 	const floorK, w = 4, 12
 	dir := t.TempDir()
 	o := &durabilityOptions{dir: dir, resume: true, segmentBytes: 256}
-	sl, _, err := openSessionLog(o, fp, node, g, true)
+	sl, _, err := openSessionLog(o, fp, node, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,7 @@ func TestFloorSnapshotKeepsCommitTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sl.persistFloor(wal.Snapshot{K: floorK, Digest: 0xfee1}); err != nil {
+	if err := sl.persistFloor(wal.Snapshot{SnapshotState: core.SnapshotState{K: floorK}, Digest: 0xfee1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.close(); err != nil {
@@ -206,7 +203,7 @@ func TestFloorSnapshotKeepsCommitTail(t *testing.T) {
 		t.Errorf("floor snapshot never compacted the pre-floor prefix (%d segments)", len(segs))
 	}
 
-	sl2, rec, err := openSessionLog(o, fp, node, g, true)
+	sl2, rec, err := openSessionLog(o, fp, node, true)
 	if err != nil {
 		t.Fatalf("recovery after a trailing floor snapshot: %v", err)
 	}
@@ -222,12 +219,13 @@ func TestFloorSnapshotKeepsCommitTail(t *testing.T) {
 	if len(rec.foldList) != w-floorK {
 		t.Fatalf("recovered %d folds, want %d", len(rec.foldList), w-floorK)
 	}
-	want := uint64(0xfee1)
-	for k := floorK + 1; k <= w; k++ {
-		want = wal.Chain(want, wal.AppendCommit(nil, &core.InstanceResult{K: k}))
+	want, got := uint64(0xfee1), rec.base.Digest
+	for i, ir := range rec.foldList {
+		want = wal.Chain(want, wal.AppendCommitFold(nil, &core.InstanceResult{K: floorK + 1 + i}))
+		got = wal.Chain(got, wal.AppendCommitFold(nil, ir))
 	}
-	if sl2.digest != want {
-		t.Errorf("recovered lineage digest %x, want %x (floor digest chained over the replayed tail)", sl2.digest, want)
+	if got != want {
+		t.Errorf("recovered chain digest %x, want %x (floor digest chained over the replayed tail's fold projections)", got, want)
 	}
 }
 
@@ -279,5 +277,137 @@ func TestSnapshotCompactionBoundsLog(t *testing.T) {
 	t.Logf("32 instances leave %d segments, 96 leave %d", short, long)
 	if long > short+1 {
 		t.Errorf("log grew with history (%d segments at q=32, %d at q=96); compaction is not bounding the on-disk size", short, long)
+	}
+}
+
+// TestLineageDigestAgreesAcrossEngines pins the one commit-chain digest
+// rule of the single-process log to the lockstep oracle: every snapshot a
+// durable single-process session takes — on demand, on its interval, and
+// after a mid-stream crash and recovery on either engine — carries
+// wal.Chain over the fold projections of the oracle's commits up to its
+// watermark, and every snapshot record is byte for byte the canonical
+// snapshot of the oracle's dispute state there. The cluster package's
+// TestServedStateMatchesOracle pins the snapshot a durable cluster serves
+// a join round to the same oracle bytes, so the two logs agree.
+func TestLineageDigestAgreesAcrossEngines(t *testing.T) {
+	g := topo.CompleteBi(4, 1)
+	const q, lenBytes, seed = 8, 24, 7
+	cfg := Config{Graph: g, Source: 1, F: 1, LenBytes: lenBytes, Seed: seed,
+		Adversaries: map[graph.NodeID]Adversary{3: adversary.FalseAlarm{}}}
+	payloads := make([][]byte, q)
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, lenBytes)
+	}
+	oracle, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Run(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DisputePhases() == 0 {
+		t.Fatal("the oracle ran no Phase 3; the digest would cover no dispute findings")
+	}
+	ds := core.NewDisputeState(g)
+	chain := []uint64{wal.DigestSeed}
+	snaps := [][]byte{wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: ds.State(), Digest: wal.DigestSeed})}
+	for _, ir := range want.Instances {
+		if err := oracle.Protocol().Fold(ds, ir); err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, wal.Chain(chain[len(chain)-1], wal.AppendCommitFold(nil, ir)))
+		snaps = append(snaps, wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: ds.State(), Digest: chain[len(chain)-1]}))
+	}
+
+	// run opens a durable session on dir with a snapshot every two
+	// commits and feeds it the payloads its log has not accepted yet.
+	// With stopAfter > 0 it crashes the session after that many commits;
+	// otherwise it runs to the end and takes a snapshot on demand after
+	// every delivered commit, replayed ones included.
+	run := func(name, dir string, stopAfter int, opts ...SessionOption) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sess, err := Open(ctx, cfg, append([]SessionOption{Recover(dir), WithSnapshotInterval(2)}, opts...)...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		defer sess.Close()
+		skip := int(sess.RecoveredSeq())
+		go func() {
+			for _, p := range payloads[skip:] {
+				if _, err := sess.Submit(ctx, p); err != nil {
+					if ctx.Err() == nil {
+						t.Errorf("%s: submit: %v", name, err)
+					}
+					return
+				}
+			}
+			sess.Drain(ctx)
+		}()
+		seen := 0
+		for range sess.Commits() {
+			if seen++; seen == stopAfter {
+				cancel() // the in-process stand-in for kill -9
+				return
+			}
+			if stopAfter > 0 {
+				continue
+			}
+			info, err := sess.Snapshot()
+			if err != nil {
+				t.Errorf("%s: snapshot: %v", name, err)
+			} else if info.Digest != chain[info.K] {
+				t.Errorf("%s: snapshot at %d: digest %016x, oracle chain %016x", name, info.K, info.Digest, chain[info.K])
+			}
+		}
+		if err := sess.Err(); err != nil {
+			t.Errorf("%s: session: %v", name, err)
+		}
+	}
+	// checkLog compares every snapshot record left in dir's log with the
+	// oracle's snapshot at its watermark.
+	checkLog := func(name, dir string) {
+		t.Helper()
+		log, err := wal.Open(dir, wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		records := 0
+		err = log.Replay(func(typ byte, payload []byte, _ wal.Pos) error {
+			if typ != wal.TypeSnapshot {
+				return nil
+			}
+			records++
+			s, err := wal.DecodeSnapshot(payload)
+			if err != nil {
+				return err
+			}
+			if s.K > q || !bytes.Equal(payload, snaps[s.K]) {
+				t.Errorf("%s: snapshot record at %d (digest %016x) differs from the oracle's (chain %016x)", name, s.K, s.Digest, chain[min(s.K, q)])
+			}
+			return nil
+		})
+		if err != nil || records == 0 {
+			t.Fatalf("%s: replaying the log: %d snapshot records, err %v", name, records, err)
+		}
+	}
+
+	dir := t.TempDir()
+	run("uninterrupted", dir, 0)
+	checkLog("uninterrupted", dir)
+	// A crash after three commits leaves the interval snapshot at 2 and at
+	// least instance 3 in the tail: recovery chains the tail onto the
+	// stored digest before the session snapshots again.
+	for name, opts := range map[string][]SessionOption{
+		"recovered pipelined": nil,
+		"recovered lockstep":  {WithLockstep()},
+	} {
+		dir := t.TempDir()
+		run(name+" (crash)", dir, 3)
+		run(name, dir, 0, opts...)
+		checkLog(name, dir)
 	}
 }

@@ -66,16 +66,13 @@ type Options struct {
 	// persisted so the process's own restarts recover) and a genuinely
 	// blank WAL — combining Join with Rejoining is an error.
 	Join bool
-	// RecoveredBase is the snapshot the WAL is anchored on (nil or the
-	// zero state for a full-history log): this process's floor. Rollbacks
-	// below the floor are impossible by the floor-safety rule — every
-	// process fsyncs its WAL before acknowledging a rewind, so no later
-	// round can target a watermark below any persisted floor.
-	RecoveredBase *core.SnapshotState
-	// RecoveredEpoch is the launch epoch stored with RecoveredBase.
-	RecoveredEpoch uint64
-	// RecoveredDigest is the commit-chain digest at the floor.
-	RecoveredDigest uint64
+	// RecoveredBase is the snapshot the WAL is anchored on (nil for a
+	// blank WAL; the zero state with DigestSeed for a full-history log):
+	// this process's floor, with its launch epoch and commit-chain digest.
+	// Rollbacks below the floor are impossible by the floor-safety rule —
+	// every process fsyncs its WAL before acknowledging a rewind, so no
+	// later round can target a watermark below any persisted floor.
+	RecoveredBase *wal.Snapshot
 	// PersistFloor (set by the session layer) writes a snapshot record
 	// into this process's WAL and compacts behind it — called with a join
 	// base and after rollback rounds establish a new floor.
@@ -106,16 +103,14 @@ type Node struct {
 	committed     []*core.InstanceResult // committed results above the floor, recovery + live
 	inputs        *inputBuffer           // retained submissions for re-execution
 
-	// Snapshot state-sync bookkeeping (Durable mode). The floor is the
-	// watermark of the base snapshot everything below is folded into;
-	// committed[i] holds instance floor+1+i. chain[i] is the commit-chain
-	// digest (over AppendCommitFold payloads) at instance floor+i, with
-	// chain[0] the base digest — identical across honest processes, the
-	// substance of join-round cross-validation.
+	// Snapshot state-sync bookkeeping (Durable mode). base is the floor
+	// snapshot everything below is folded into; committed[i] holds
+	// instance base.K+1+i and chain[i] the commit-chain digest at it —
+	// identical across honest processes, the substance of join-round
+	// cross-validation.
 	blank   bool // a joiner that has not completed its join round yet
 	lead    int64
-	floor   int
-	base    core.SnapshotState
+	base    wal.Snapshot
 	chain   []uint64
 	encBuf  []byte      // AppendCommitFold scratch
 	pending *joinResult // transferred state awaiting the rewind
@@ -242,26 +237,21 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 	}
 	if opt.Durable {
 		n.lead = int64(cfg.Lead(spec.Addr))
-		n.base = core.SnapshotState{}
-		n.chain = append(n.chain, wal.DigestSeed)
+		n.base.Digest = wal.DigestSeed
 		if opt.RecoveredBase != nil {
 			n.base = *opt.RecoveredBase
-			n.floor = n.base.K
-			n.epoch = opt.RecoveredEpoch
-			n.chain[0] = opt.RecoveredDigest
+			n.epoch = n.base.Epoch
 		}
-		n.committed = append(n.committed, opt.Recovered...)
-		for i, ir := range n.committed {
-			if ir.K != n.floor+1+i {
+		for _, ir := range opt.Recovered {
+			if ir.K != n.watermark()+1 {
 				ctrl.Close()
 				rt.Close()
-				return nil, fmt.Errorf("cluster: recovered commit %d does not continue floor %d", ir.K, n.floor)
+				return nil, fmt.Errorf("cluster: recovered commit %d does not continue floor %d", ir.K, n.base.K)
 			}
-			n.encBuf = wal.AppendCommitFold(n.encBuf[:0], ir)
-			n.chain = append(n.chain, wal.Chain(n.chain[len(n.chain)-1], n.encBuf))
+			n.extend(ir)
 		}
 		n.inputs = newInputBuffer(opt.RecoveredInputs)
-		if err := rt.RestoreSnapshot(0, n.base, n.committed); err != nil {
+		if err := rt.RestoreSnapshot(0, n.base.SnapshotState, n.committed); err != nil {
 			ctrl.Close()
 			rt.Close()
 			return nil, err

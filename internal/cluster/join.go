@@ -42,35 +42,46 @@ import (
 // joinResult is the state a blank process fetched during a join round,
 // held until the rewind installs it as the process's floor.
 type joinResult struct {
-	base       core.SnapshotState // the snapshot at the boundary J, installed as the floor
-	baseDigest uint64             // commit-chain digest at J (the snapshot's Digest)
-	m          int                // the round's pre-join minimum watermark
-	mDigest    uint64             // agreed chain digest at m, checked once re-execution reaches it
+	base    wal.Snapshot // the snapshot at the boundary J, installed as the floor
+	m       int          // the round's pre-join minimum watermark
+	mDigest uint64       // agreed chain digest at m, checked once re-execution reaches it
 }
 
-// stateAt folds this process's base and committed prefix to the snapshot
-// state at watermark m.
-func (n *Node) stateAt(m int) (core.SnapshotState, error) {
-	if m < n.floor || m > n.floor+len(n.committed) {
-		return core.SnapshotState{}, fmt.Errorf("cluster: snapshot watermark %d outside [floor %d, watermark %d]", m, n.floor, n.floor+len(n.committed))
+// watermark is the highest instance this process committed.
+func (n *Node) watermark() int { return n.base.K + len(n.committed) }
+
+// digestAt returns the commit-chain digest at watermark m in
+// [floor, watermark].
+func (n *Node) digestAt(m int) uint64 {
+	if m == n.base.K {
+		return n.base.Digest
 	}
-	if m == n.floor {
-		return n.base, nil
+	return n.chain[m-n.base.K-1]
+}
+
+// extend appends the next committed instance and chains its fold
+// projection — the cheap per-commit work that makes this process a valid
+// snapshot server for any future join round.
+func (n *Node) extend(ir *core.InstanceResult) {
+	n.encBuf = wal.AppendCommitFold(n.encBuf[:0], ir)
+	n.chain = append(n.chain, wal.Chain(n.digestAt(n.watermark()), n.encBuf))
+	n.committed = append(n.committed, ir)
+}
+
+// snapshot returns the snapshot this process serves for watermark m in
+// [floor, watermark]: its floor and committed prefix folded to m, with
+// the commit-chain digest at m and Epoch zero — the bytes a join round's
+// state message carries, identical on every honest process. Durable mode
+// only; call it between streams, never while Stream runs.
+func (n *Node) snapshot(m int) (wal.Snapshot, error) {
+	if m < n.base.K || m > n.watermark() {
+		return wal.Snapshot{}, fmt.Errorf("cluster: snapshot watermark %d outside [floor %d, watermark %d]", m, n.base.K, n.watermark())
 	}
-	g, err := n.cfg.Graph()
+	ds, err := n.rt.Protocol().RestoreState(n.base.SnapshotState, n.committed[:m-n.base.K])
 	if err != nil {
-		return core.SnapshotState{}, err
+		return wal.Snapshot{}, err
 	}
-	b, err := core.NewSnapshotBuilder(g).Seed(n.base)
-	if err != nil {
-		return core.SnapshotState{}, err
-	}
-	for _, ir := range n.committed[:m-n.floor] {
-		if err := b.Fold(ir); err != nil {
-			return core.SnapshotState{}, err
-		}
-	}
-	return b.State(), nil
+	return wal.Snapshot{SnapshotState: ds.State(), Digest: n.digestAt(m)}, nil
 }
 
 // stateMsg builds this process's vote for a fetch it serves: one "state"
@@ -84,16 +95,14 @@ func (n *Node) stateMsg(fetch ctrlMsg) (*ctrlMsg, error) {
 		return nil, nil
 	}
 	j, m := fetch.K, fetch.M
-	if j > m || m > n.floor+len(n.committed) {
-		return nil, fmt.Errorf("cluster: fetch boundary %d and target %d outside [floor %d, watermark %d]", j, m, n.floor, n.floor+len(n.committed))
+	if j > m || m > n.watermark() {
+		return nil, fmt.Errorf("cluster: fetch boundary %d and target %d outside [floor %d, watermark %d]", j, m, n.base.K, n.watermark())
 	}
-	st, err := n.stateAt(j)
+	snap, err := n.snapshot(j)
 	if err != nil {
 		return nil, err
 	}
-	snap := wal.Snapshot{K: st.K, Gen: st.Gen, Disputes: st.Disputes, Faulty: st.Faulty, Digest: n.chain[j-n.floor]}
-	snap.Canonicalize()
-	msg := &ctrlMsg{Type: "state", Round: fetch.Round, Peer: n.lead, Data: wal.AppendSnapshot(nil, snap), Digest: n.chain[m-n.floor]}
+	msg := &ctrlMsg{Type: "state", Round: fetch.Round, Peer: n.lead, Data: wal.AppendSnapshot(nil, snap), Digest: n.digestAt(m)}
 	if n.testServeTamper != nil {
 		// Test hook: a Byzantine snapshot server.
 		n.testServeTamper(msg)
@@ -151,8 +160,7 @@ func (v *votes) add(m ctrlMsg) (*joinResult, error) {
 	if snap.K != v.fetch.K {
 		return nil, fmt.Errorf("cluster: quorum snapshot at %d, want %d", snap.K, v.fetch.K)
 	}
-	base := core.SnapshotState{K: snap.K, Gen: snap.Gen, Disputes: snap.Disputes, Faulty: snap.Faulty}
-	return &joinResult{base: base, baseDigest: snap.Digest, m: v.fetch.M, mDigest: m.Digest}, nil
+	return &joinResult{base: snap, m: v.fetch.M, mDigest: m.Digest}, nil
 }
 
 // joinFetch runs the blank process's side of one fetch phase: count the
@@ -216,11 +224,9 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 			if n.pending.base.K != m {
 				return fmt.Errorf("cluster: rewind to %d but the join fetch anchored at %d", m, n.pending.base.K)
 			}
-			n.floor = n.pending.base.K
 			n.base = n.pending.base
-			n.chain = append(n.chain[:0], n.pending.baseDigest)
-			n.committed = nil
-			if n.pending.m > n.floor {
+			n.chain, n.committed = n.chain[:0], nil
+			if n.pending.m > n.base.K {
 				// Arm the re-execution tripwire: when this process's own
 				// chain reaches the pre-join watermark, it must land on the
 				// quorum-agreed digest.
@@ -232,11 +238,11 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 		n.blank = false
 		n.pending = nil
 	}
-	if m < n.floor || m > n.floor+len(n.committed) {
-		return fmt.Errorf("cluster: rewind to %d outside [floor %d, watermark %d]", m, n.floor, n.floor+len(n.committed))
+	if m < n.base.K || m > n.watermark() {
+		return fmt.Errorf("cluster: rewind to %d outside [floor %d, watermark %d]", m, n.base.K, n.watermark())
 	}
-	n.log.Info("rewind", "k", m, "epoch", epoch, "floor", n.floor)
-	if err := n.rt.RestoreSnapshot(n.epoch<<32, n.base, n.committed[:m-n.floor]); err != nil {
+	n.log.Info("rewind", "k", m, "epoch", epoch, "floor", n.base.K)
+	if err := n.rt.RestoreSnapshot(n.epoch<<32, n.base.SnapshotState, n.committed[:m-n.base.K]); err != nil {
 		return err
 	}
 	n.inputs.prune(m)
@@ -261,15 +267,15 @@ func (n *Node) persistFloorAt(m int) error {
 	if n.opt.PersistFloor == nil {
 		return nil
 	}
-	st, err := n.stateAt(m)
+	s, err := n.snapshot(m)
 	if err != nil {
 		return err
 	}
-	s := wal.Snapshot{K: st.K, Epoch: n.epoch, Gen: st.Gen, Disputes: st.Disputes, Faulty: st.Faulty, Digest: n.chain[m-n.floor]}
+	s.Epoch = n.epoch
 	if err := n.opt.PersistFloor(s); err != nil {
 		return fmt.Errorf("cluster: persist floor snapshot: %w", err)
 	}
 	mFloorSnapshots.Inc()
-	n.log.Info("floor-persisted", "k", m, "gen", st.Gen)
+	n.log.Info("floor-persisted", "k", m, "gen", s.Gen)
 	return nil
 }

@@ -184,7 +184,7 @@ func runJoinScenario(t *testing.T, q, killAt int, tamper func(*ctrlMsg)) {
 	}
 
 	// The joiner entered at the snapshot boundary, never replaying history.
-	floor := joiner.n.floor
+	floor := joiner.n.base.K
 	if floor != 8 {
 		t.Fatalf("joiner floor = %d; want the deterministic boundary 8", floor)
 	}
@@ -277,6 +277,81 @@ func TestClusterJoinByzantineDigests(t *testing.T) {
 	}
 }
 
+// TestServedStateMatchesOracle pins what a durable process serves a join
+// round to the lockstep oracle: at every boundary j the state message
+// carries the canonical snapshot of the oracle's dispute state folded to
+// j with wal.Chain over the fold projections of its first j commits, and
+// the digest at the pre-join watermark. The single-process log's snapshot
+// records are pinned to the same oracle bytes by the root package's
+// TestLineageDigestAgreesAcrossEngines, so the two logs agree.
+func TestServedStateMatchesOracle(t *testing.T) {
+	const q = 8
+	cfg, rsv := joinConfig(t, q, 0, map[graph.NodeID]string{3: "alarm"})
+	coreCfg, err := cfg.CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := core.NewRunner(coreCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lock.Run(cfg.Inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DisputePhases() == 0 {
+		t.Fatal("the oracle ran no Phase 3; the snapshots would carry no dispute findings")
+	}
+	ds := core.NewDisputeState(coreCfg.Graph)
+	chain := []uint64{wal.DigestSeed}
+	snaps := [][]byte{wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: ds.State(), Digest: wal.DigestSeed})}
+	for _, ir := range want.Instances {
+		if err := lock.Protocol().Fold(ds, ir); err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, wal.Chain(chain[len(chain)-1], wal.AppendCommitFold(nil, ir)))
+		snaps = append(snaps, wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: ds.State(), Digest: chain[len(chain)-1]}))
+	}
+
+	opts := Options{BootTimeout: 30 * time.Second, Reservation: rsv, Durable: true}
+	var runs []*durableRun
+	for _, spec := range cfg.Nodes { // the coordinator first
+		n, err := Start(cfg, spec.ID, opts)
+		if err != nil {
+			t.Fatalf("start node %d: %v", spec.ID, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		runs = append(runs, &durableRun{n: n})
+	}
+	for _, dr := range runs {
+		dr.stream(cfg, 0)
+	}
+	for _, dr := range runs {
+		select {
+		case <-dr.done:
+		case <-time.After(time.Minute):
+			t.Fatal("a node did not finish the workload")
+		}
+		if dr.err != nil {
+			t.Fatalf("stream: %v", dr.err)
+		}
+	}
+	for i, dr := range runs {
+		for j := 0; j <= q; j++ {
+			msg, err := dr.n.stateMsg(ctrlMsg{Type: "fetch", K: j, M: q, Servers: []int64{dr.n.lead}})
+			if err != nil {
+				t.Fatalf("process %d: serve boundary %d: %v", i, j, err)
+			}
+			if !bytes.Equal(msg.Data, snaps[j]) {
+				t.Errorf("process %d serves other snapshot bytes at %d than the oracle's", i, j)
+			}
+			if msg.Digest != chain[q] {
+				t.Errorf("process %d serves digest %016x at watermark %d, oracle chain %016x", i, msg.Digest, q, chain[q])
+			}
+		}
+	}
+}
+
 // TestJoinFetchRefusesShortQuorum pins the fault-model floor of the join
 // round: with fewer than f+1 eligible snapshot servers, every digest vote
 // could be Byzantine, so the joiner must refuse the transfer outright
@@ -295,9 +370,7 @@ func TestJoinFetchRefusesShortQuorum(t *testing.T) {
 // snapAt is an honest server's canonical snapshot bytes at boundary k of
 // a fresh cluster.
 func snapAt(k int) []byte {
-	s := wal.Snapshot{K: k, Digest: wal.DigestSeed}
-	s.Canonicalize()
-	return wal.AppendSnapshot(nil, s)
+	return wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: core.SnapshotState{K: k}, Digest: wal.DigestSeed})
 }
 
 // TestJoinFetchValidation drives the joiner's vote function with scripted
@@ -359,8 +432,8 @@ func TestJoinFetchValidation(t *testing.T) {
 			if res == nil {
 				t.Fatal("the honest quorum installed nothing")
 			}
-			if res.base.K != 0 || res.baseDigest != wal.DigestSeed || res.m != 2 || res.mDigest != d {
-				t.Fatalf("installed base K=%d baseDigest=%x m=%d mDigest=%x", res.base.K, res.baseDigest, res.m, res.mDigest)
+			if res.base.K != 0 || res.base.Digest != wal.DigestSeed || res.m != 2 || res.mDigest != d {
+				t.Fatalf("installed base K=%d digest=%x m=%d mDigest=%x", res.base.K, res.base.Digest, res.m, res.mDigest)
 			}
 		})
 	}

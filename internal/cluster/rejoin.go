@@ -9,7 +9,6 @@ import (
 	"nab/internal/core"
 	"nab/internal/flight"
 	"nab/internal/runtime"
-	"nab/internal/wal"
 )
 
 // This file is the process-side half of the cluster's crash-recovery: a
@@ -166,23 +165,18 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 
 	events := n.ctrl.Events()
 	commitFn := func(ir *core.InstanceResult) error {
-		if ir.K <= n.floor+len(n.committed) {
+		if ir.K <= n.watermark() {
 			// Re-execution below the delivered watermark: the wire
 			// traffic is the point; the commit was delivered (and
 			// persisted) before the rollback.
 			return nil
 		}
-		n.committed = append(n.committed, ir)
-		// Extend the commit-chain digest over the cross-process fold
-		// projection — the cheap per-commit work that makes this process a
-		// valid snapshot server for any future join round.
-		n.encBuf = wal.AppendCommitFold(n.encBuf[:0], ir)
-		n.chain = append(n.chain, wal.Chain(n.chain[len(n.chain)-1], n.encBuf))
+		n.extend(ir)
 		if n.checkK == ir.K {
 			// The join-round tripwire: this process's own re-execution of
 			// the fetched tail just reached the pre-join watermark, and its
 			// chain must land on the digest f+1 servers agreed on.
-			if got := n.chain[len(n.chain)-1]; got != n.checkDigest {
+			if got := n.digestAt(ir.K); got != n.checkDigest {
 				flight.Trigger(flight.ReasonTripwire)
 				return fmt.Errorf("cluster: re-executed chain digest %016x at instance %d diverges from the join quorum's %016x", got, ir.K, n.checkDigest)
 			}
@@ -201,7 +195,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 	// re-enters through the ctrldown path instead of failing the boot.
 	if n.rejoinPending {
 		n.rejoinPending = false
-		n.log.Info("announce-rejoin", "watermark", n.floor+len(n.committed), "blank", n.blank)
+		n.log.Info("announce-rejoin", "watermark", n.watermark(), "blank", n.blank)
 		if n.blank {
 			n.joinBegan = time.Now()
 			flight.Trigger(flight.ReasonJoin)
@@ -214,7 +208,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 				et = flight.EvJoinRound
 			}
 			flight.Record(flight.Event{Type: et, Node: -1,
-				Step: flight.RoundAnnounce, Inst: uint64(n.floor + len(n.committed))})
+				Step: flight.RoundAnnounce, Inst: uint64(n.watermark())})
 		}
 		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 			n.log.Error("announce-failed", "err", err, "action", "reconnect")
@@ -408,13 +402,13 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (
 			round := ev.Round
 			n.lastRound = round
 			mRollbackRounds.Inc()
-			watermark := n.floor + len(n.committed)
+			watermark := n.watermark()
 			if flight.Enabled() {
 				flight.Record(flight.Event{Type: flight.EvRejoinRound, Node: -1,
 					Step: flight.RoundSync, Arg: uint64(round), Inst: uint64(watermark)})
 			}
-			n.log.Info("ack-sync", "round", round, "watermark", watermark, "floor", n.floor, "blank", n.blank, "epoch", n.epoch)
-			synced := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: n.epoch, Floor: n.floor, Blank: n.blank, Peer: n.lead}
+			n.log.Info("ack-sync", "round", round, "watermark", watermark, "floor", n.base.K, "blank", n.blank, "epoch", n.epoch)
+			synced := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: n.epoch, Floor: n.base.K, Blank: n.blank, Peer: n.lead}
 			if err := n.ctrl.up(synced); err != nil {
 				ev = n.ctrl.ctrldownNow()
 				continue

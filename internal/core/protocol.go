@@ -124,13 +124,15 @@ func (p *Protocol) adversaryFor(v graph.NodeID) Adversary {
 
 // DisputeState is the cross-instance protocol state NAB carries between
 // instances: the accumulated dispute set, the diminished instance graph
-// G_k, and the nodes proven faulty so far. Gen increments on every change,
-// so speculative executors can detect stale snapshots.
+// G_k, the nodes proven faulty so far, and the watermark k of the last
+// instance folded in. Gen increments on every change, so speculative
+// executors can detect stale snapshots.
 type DisputeState struct {
 	disputes    *dispute.Set
 	gk          *graph.Directed
 	faultySoFar map[graph.NodeID]bool
 	gen         int
+	k           int
 }
 
 // NewDisputeState returns the instance-1 state: no disputes, G_1 = G.
@@ -154,6 +156,7 @@ func (ds *DisputeState) Clone() *DisputeState {
 		gk:          ds.gk.Clone(),
 		faultySoFar: faulty,
 		gen:         ds.gen,
+		k:           ds.k,
 	}
 }
 
@@ -166,6 +169,9 @@ func (ds *DisputeState) Disputes() *dispute.Set { return ds.disputes.Clone() }
 // Gen returns the state generation, bumped by every Fold that changed the
 // dispute state.
 func (ds *DisputeState) Gen() int { return ds.gen }
+
+// K returns the watermark: the last instance folded into the state.
+func (ds *DisputeState) K() int { return ds.k }
 
 // InstancePlan is the instance-independent part of preparing a NAB
 // instance on one dispute-state snapshot: instance parameters (gamma, rho,
@@ -627,42 +633,56 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	return ir, nil
 }
 
-// Fold applies an instance's dispute-control findings to the
-// cross-instance state, diminishing G_k. A no-op unless Phase 3 ran. The
-// caller must fold instances in order; the pipelined runtime serializes
-// folds and re-executes instances planned on stale snapshots.
+// Fold applies instance ir to the cross-instance state: ir.K must be the
+// next instance after the watermark, and a Phase 3 result diminishes G_k
+// and bumps the generation. It is the one fold rule — every engine, the
+// session log's snapshot mirror and a cluster's snapshot server fold
+// through it — so states folded anywhere from any restore base agree.
 func (p *Protocol) Fold(ds *DisputeState, ir *InstanceResult) error {
+	if ir.K != ds.k+1 {
+		return fmt.Errorf("core: fold of instance %d at watermark %d", ir.K, ds.k)
+	}
+	ds.k = ir.K
 	if !ir.Phase3 {
 		return nil
 	}
-	progress := false
-	for _, pair := range ir.NewDisputes {
-		if !ds.disputes.Has(pair[0], pair[1]) {
-			progress = true
-		}
-		if err := ds.disputes.Add(pair[0], pair[1]); err != nil {
-			return err
-		}
-	}
-	for _, v := range ir.NewFaulty {
-		if !ds.faultySoFar[v] {
-			progress = true
-			ds.faultySoFar[v] = true
-		}
-		if err := ds.disputes.MarkFaulty(p.cfg.Graph, v); err != nil {
-			return err
-		}
+	progress, err := p.merge(ds, ir.NewDisputes, ir.NewFaulty)
+	if err != nil {
+		return fmt.Errorf("core: instance %d: %w", ir.K, err)
 	}
 	if !progress {
 		return fmt.Errorf("core: instance %d: dispute control made no progress (bug: paper guarantees a new dispute or faulty node)", ir.K)
 	}
-	next, _, err := ds.disputes.Apply(p.cfg.Graph, p.cfg.F)
-	if err != nil {
-		return fmt.Errorf("core: instance %d: diminishing graph: %w", ir.K, err)
-	}
-	ds.gk = next
 	ds.gen++
 	return nil
+}
+
+// merge adds dispute pairs and proven-faulty nodes to ds and reports
+// progress: whether the ledger grew — a new pair or a newly proven-faulty
+// node (re-marking a faulty node adds no pair). On progress it diminishes
+// G_k to match.
+func (p *Protocol) merge(ds *DisputeState, disputes [][2]graph.NodeID, faulty []graph.NodeID) (progress bool, err error) {
+	before := ds.disputes.Len() + len(ds.faultySoFar)
+	for _, pair := range disputes {
+		if err := ds.disputes.Add(pair[0], pair[1]); err != nil {
+			return false, err
+		}
+	}
+	for _, v := range faulty {
+		ds.faultySoFar[v] = true
+		if err := ds.disputes.MarkFaulty(p.cfg.Graph, v); err != nil {
+			return false, err
+		}
+	}
+	if ds.disputes.Len()+len(ds.faultySoFar) == before {
+		return false, nil
+	}
+	next, _, err := ds.disputes.Apply(p.cfg.Graph, p.cfg.F)
+	if err != nil {
+		return false, fmt.Errorf("diminishing graph: %w", err)
+	}
+	ds.gk = next
+	return true, nil
 }
 
 // broadcastResult couples the per-node EIG states with the phase stats.

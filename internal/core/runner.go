@@ -136,7 +136,6 @@ func (rr *RunResult) DisputePhases() int { return rr.disputes }
 type Runner struct {
 	proto *Protocol
 	ds    *DisputeState
-	k     int
 }
 
 // NewRunner validates the configuration and prepares instance 1.
@@ -162,34 +161,20 @@ func (r *Runner) Disputes() *dispute.Set { return r.ds.Disputes() }
 
 // RestoreSnapshot boots a fresh runner directly at snap.K with no
 // per-instance replay: the dispute state (generation included) is
-// rebuilt from the snapshot, then any post-snapshot tail results are
-// folded in order, and the runner resumes at the tail's end + 1. A nil
-// tail resumes exactly at snap.K + 1. It is the lockstep half of WAL
-// crash-recovery: a log with no snapshot record restores from the zero
-// SnapshotState with its whole committed history as the tail. Plans are
-// seeded by generation (Protocol.Plan), so the restored runner draws the
-// schemes an uninterrupted one would.
+// restored from the snapshot plus the post-snapshot tail results
+// (Protocol.RestoreState), and the runner resumes at the tail's end + 1.
+// A nil tail resumes exactly at snap.K + 1. It is the lockstep half of
+// WAL crash-recovery. Plans are seeded by generation (Protocol.Plan), so
+// the restored runner draws the schemes an uninterrupted one would.
 func (r *Runner) RestoreSnapshot(snap SnapshotState, tail []*InstanceResult) error {
-	if r.k != 0 {
-		return fmt.Errorf("core: RestoreSnapshot on a runner that already executed %d instances", r.k)
+	if k := r.ds.K(); k != 0 {
+		return fmt.Errorf("core: RestoreSnapshot on a runner that already executed %d instances", k)
 	}
-	if snap.K < 0 {
-		return fmt.Errorf("core: RestoreSnapshot to negative instance %d", snap.K)
-	}
-	ds, err := r.proto.RestoreState(snap)
+	ds, err := r.proto.RestoreState(snap, tail)
 	if err != nil {
 		return err
 	}
-	r.ds, r.k = ds, snap.K
-	for _, ir := range tail {
-		if ir.K != r.k+1 {
-			return fmt.Errorf("core: RestoreSnapshot: tail instance %d after watermark %d", ir.K, r.k)
-		}
-		if err := r.proto.Fold(r.ds, ir); err != nil {
-			return fmt.Errorf("core: RestoreSnapshot: %w", err)
-		}
-		r.k = ir.K
-	}
+	r.ds = ds
 	return nil
 }
 
@@ -208,21 +193,21 @@ func (r *Runner) Run(inputs [][]byte) (*RunResult, error) {
 
 // RunInstance executes the k-th NAB instance broadcasting input.
 func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
-	r.k++
+	k := r.ds.K() + 1
 	if len(input) != r.proto.cfg.LenBytes {
-		return nil, fmt.Errorf("core: instance %d: input is %d bytes, want %d", r.k, len(input), r.proto.cfg.LenBytes)
+		return nil, fmt.Errorf("core: instance %d: input is %d bytes, want %d", k, len(input), r.proto.cfg.LenBytes)
 	}
 	if flight.Enabled() {
 		flight.Record(flight.Event{Type: flight.EvLaunch, Node: -1,
-			Inst: uint64(r.k), K: int32(r.k), Gen: int32(r.ds.Gen())})
+			Inst: uint64(k), K: int32(k), Gen: int32(r.ds.Gen())})
 	}
-	plan, err := r.proto.Plan(r.ds, r.k)
+	plan, err := r.proto.Plan(r.ds, k)
 	if err != nil {
 		return nil, err
 	}
 	engine := sim.New(r.proto.cfg.Graph)
 	engine.SetRecording(false)
-	ir, err := plan.Execute(engine, r.k, input)
+	ir, err := plan.Execute(engine, k, input)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +217,7 @@ func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
 	}
 	if flight.Enabled() {
 		flight.Record(flight.Event{Type: flight.EvCommit, Node: -1,
-			Inst: uint64(r.k), K: int32(r.k), Gen: int32(gen), Arg: uint64(ir.TotalBits)})
+			Inst: uint64(k), K: int32(k), Gen: int32(gen), Arg: uint64(ir.TotalBits)})
 	}
 	return ir, nil
 }

@@ -115,7 +115,6 @@ type Runtime struct {
 	// serialized); runMu admits one Run at a time.
 	runMu      sync.Mutex
 	ds         *core.DisputeState
-	k          int
 	entries    map[int]*planEntry // per-generation plan cache
 	nextLaunch uint64
 
@@ -228,18 +227,16 @@ func (rt *Runtime) Close() error {
 func (rt *Runtime) Committed() int {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
-	return rt.k
+	return rt.ds.K()
 }
 
 // RestoreSnapshot rewrites the scheduler state between streams: the
 // dispute state — generation included, which keys the plan cache and the
-// per-generation scheme RNG — is rebuilt directly from snap, then the
-// tail results (snap.K+1 onward, in order) are folded, the next instance
-// becomes the tail's end + 1, the per-generation plan cache is dropped,
-// and launch numbering restarts at launchBase+1. A WAL with no snapshot
-// record restores from the zero SnapshotState with its whole committed
-// history as the tail; a cluster rollback restores from its floor plus
-// the in-memory commits above it.
+// per-generation scheme RNG — is restored from snap plus the tail results
+// (Protocol.RestoreState), the next instance becomes the tail's end + 1,
+// the per-generation plan cache is dropped, and launch numbering restarts
+// at launchBase+1. A cluster rollback restores from its floor plus the
+// in-memory commits above it.
 //
 // launchBase exists for the cluster rejoin protocol: after a crash
 // + restart every process restores onto an agreed fresh launch epoch
@@ -254,22 +251,9 @@ func (rt *Runtime) Committed() int {
 func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, tail []*core.InstanceResult) error {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
-	if snap.K < 0 {
-		return fmt.Errorf("runtime: RestoreSnapshot to negative instance %d", snap.K)
-	}
-	ds, err := rt.proto.RestoreState(snap)
+	ds, err := rt.proto.RestoreState(snap, tail)
 	if err != nil {
 		return fmt.Errorf("runtime: RestoreSnapshot: %w", err)
-	}
-	k := snap.K
-	for _, ir := range tail {
-		if ir.K != k+1 {
-			return fmt.Errorf("runtime: RestoreSnapshot: tail instance %d after watermark %d", ir.K, k)
-		}
-		if err := rt.proto.Fold(ds, ir); err != nil {
-			return fmt.Errorf("runtime: RestoreSnapshot: %w", err)
-		}
-		k = ir.K
 	}
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()
@@ -277,7 +261,6 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 		return fmt.Errorf("runtime: RestoreSnapshot with %d executions in flight", len(rt.engines))
 	}
 	rt.ds = ds
-	rt.k = k
 	rt.entries = map[int]*planEntry{}
 	rt.nextLaunch = launchBase
 	rt.maxLaunch = launchBase
@@ -453,7 +436,7 @@ func (res *Result) InstancesPerSec() float64 {
 // numbering errors by the instances the batch would run next.
 func (rt *Runtime) ValidateInputs(inputs [][]byte) error {
 	rt.runMu.Lock()
-	base := rt.k
+	base := rt.ds.K()
 	rt.runMu.Unlock()
 	for i, in := range inputs {
 		if len(in) != rt.cfg.LenBytes {
@@ -580,26 +563,26 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 
 	// tail is the newest instance number assigned a submission; open means
 	// subs may still yield more.
-	tail, open := rt.k, true
-	for next := rt.k + 1; ; {
+	tail, open := rt.ds.K(), true
+	for next := rt.ds.K() + 1; ; {
 		// Fill the window with speculative launches on the live snapshot.
-		for next <= tail && next-rt.k <= rt.cfg.Window {
+		for next <= tail && next-rt.ds.K() <= rt.cfg.Window {
 			if _, ok := inflight[next]; !ok {
 				launch(next)
 			}
 			next++
 		}
-		if !open && tail == rt.k {
+		if !open && tail == rt.ds.K() {
 			break // stream closed and every pulled submission committed
 		}
 		// Wait for the oldest in-flight instance (commits are strictly in
 		// order) while pulling submissions whenever a window slot is free.
 		var doneCh chan struct{}
-		if f := inflight[rt.k+1]; f != nil {
+		if f := inflight[rt.ds.K()+1]; f != nil {
 			doneCh = f.done
 		}
 		var subCh <-chan []byte
-		if open && tail-rt.k < rt.cfg.Window {
+		if open && tail-rt.ds.K() < rt.cfg.Window {
 			subCh = subs
 		}
 		//nab:ignore lockedblock -- runMu serializes entire runs; a second RunStream is meant to wait out the first, and no other path takes runMu
@@ -619,7 +602,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			continue
 		case <-doneCh:
 		}
-		f := inflight[rt.k+1]
+		f := inflight[rt.ds.K()+1]
 		finish(f)
 		if f.gen != rt.ds.Gen() {
 			// Cannot happen: every gen bump is followed by the barrier
@@ -633,7 +616,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			return fail(err)
 		}
 		res.Add(f.ir, commit == nil)
-		rt.k++
 		delete(inputs, f.k)
 		mCommitLatency.Observe(time.Since(f.started).Seconds())
 		if fr.Enabled() {
@@ -675,10 +657,10 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			if fr.Enabled() {
 				fr.Record(fr.Event{
 					Type: fr.EvBarrierClose, Node: -1,
-					K: int32(rt.k), Gen: int32(rt.ds.Gen()),
+					K: int32(rt.ds.K()), Gen: int32(rt.ds.Gen()),
 				})
 			}
-			next = rt.k + 1
+			next = rt.ds.K() + 1
 		}
 	}
 	res.Wall = time.Since(start)

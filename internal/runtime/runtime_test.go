@@ -603,13 +603,13 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 	}
 
 	const cut = 3
-	b := core.NewSnapshotBuilder(cfg.Graph)
+	ds := core.NewDisputeState(cfg.Graph)
 	for _, ir := range want.Instances[:cut] {
-		if err := b.Fold(ir); err != nil {
+		if err := full.Protocol().Fold(ds, ir); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.Gen() == 0 {
+	if ds.Gen() == 0 {
 		t.Fatal("the prefix made no dispute progress; the snapshot would carry nothing")
 	}
 
@@ -619,7 +619,7 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 		tail []*core.InstanceResult
 	}{
 		{"ZeroBaseFullPrefix", core.SnapshotState{}, want.Instances[:cut]},
-		{"SnapshotAtCut", b.State(), nil},
+		{"SnapshotAtCut", ds.State(), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, err := runtime.New(runtime.Config{Config: cfg, Window: 3})

@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"testing"
 
+	"nab/internal/core"
 	"nab/internal/graph"
+	"nab/internal/topo"
 )
 
 // FuzzWALRecord hammers the typed record decoders with raw payloads: they
@@ -20,12 +22,12 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(byte(TypeMeta), AppendMeta(nil, Meta{Fingerprint: 0xfeed, Node: 2}))
 	f.Add(byte(TypeSubmit), AppendSubmit(nil, 3, []byte("payload")))
 	f.Add(byte(TypeCommit), AppendCommit(nil, sampleIR(5)))
-	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{K: 9}))
-	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{K: -1, Gen: 2})) // rejected: negative watermark
+	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{SnapshotState: core.SnapshotState{K: 9}}))
+	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{SnapshotState: core.SnapshotState{K: -1, Gen: 2}})) // rejected: negative watermark
 	f.Add(byte(TypeSnapshot), AppendSnapshot(nil, Snapshot{
-		K: 12, Epoch: 2, Gen: 3,
-		Disputes: [][2]graph.NodeID{{1, 2}}, Faulty: []graph.NodeID{2, 2},
-		Digest: DigestSeed,
+		SnapshotState: core.SnapshotState{K: 12, Gen: 3,
+			Disputes: [][2]graph.NodeID{{1, 2}}, Faulty: []graph.NodeID{2, 2}},
+		Epoch: 2, Digest: DigestSeed,
 	}))
 	f.Add(byte(TypeCommit), []byte{})
 	f.Add(byte(0xFF), bytes.Repeat([]byte{0x80}, 64)) // unterminated varints
@@ -148,6 +150,56 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 		if n != len(replayed)+1 {
 			t.Fatalf("post-recovery append lost records: %d vs %d+1", n, len(replayed))
+		}
+	})
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes down a joiner's install path:
+// DecodeSnapshot, then the engine's restore on K4 with f = 1. Nothing may
+// panic, and a state the restore accepts must re-encode to bytes that
+// decode and restore to an equal state (watermark, generation, disputes,
+// faulty set and instance graph).
+func FuzzSnapshotRestore(f *testing.F) {
+	p, err := core.NewProtocol(core.Config{Graph: topo.CompleteBi(4, 1), Source: 1, F: 1, LenBytes: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range []core.SnapshotState{
+		{},
+		{K: 3, Gen: 1, Disputes: [][2]graph.NodeID{{1, 3}}},
+		{K: 9, Gen: 2, Disputes: [][2]graph.NodeID{{1, 3}, {2, 3}, {3, 4}}, Faulty: []graph.NodeID{3}},
+		{K: 2, Gen: 1, Disputes: [][2]graph.NodeID{{1, 2}, {3, 4}}}, // no cover of size f
+		{K: 2, Gen: 1, Disputes: [][2]graph.NodeID{{2, 2}}},         // self-dispute
+		{K: 2, Gen: 1, Faulty: []graph.NodeID{9}},                   // not a node of K4
+	} {
+		f.Add(AppendSnapshot(nil, Snapshot{SnapshotState: st, Epoch: 1, Digest: DigestSeed}))
+	}
+	restore := func(raw []byte) (Snapshot, *core.DisputeState, error) {
+		s, err := DecodeSnapshot(raw)
+		if err != nil {
+			return s, nil, err
+		}
+		ds, err := p.RestoreState(s.SnapshotState, nil)
+		return s, ds, err
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, ds, err := restore(raw)
+		if err != nil {
+			return
+		}
+		again := AppendSnapshot(nil, Snapshot{SnapshotState: ds.State(), Epoch: s.Epoch, Digest: s.Digest})
+		s2, ds2, err := restore(again)
+		if err != nil {
+			t.Fatalf("re-encoded state %+v does not restore: %v", ds.State(), err)
+		}
+		if s2.Epoch != s.Epoch || s2.Digest != s.Digest {
+			t.Fatalf("re-encode lost epoch/digest: %+v vs %+v", s2, s)
+		}
+		if g, w := ds2.State(), ds.State(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("re-restored state %+v, want %+v", g, w)
+		}
+		if g, w := ds2.Graph().Marshal(), ds.Graph().Marshal(); g != w {
+			t.Fatalf("re-restored G_k %q, want %q", g, w)
 		}
 	})
 }

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
+	"nab/internal/core"
 	"nab/internal/graph"
 )
 
@@ -13,47 +13,25 @@ import (
 // watermark 0, before any instance committed.
 const DigestSeed uint64 = 0x6e61622d64696701 // "nab-dig"
 
-// Snapshot is a decoded TypeSnapshot payload. It restores an engine
-// exactly — generation included — so recovery needs no per-instance
-// replay below it, and a blank node can adopt one fetched from peers.
+// Snapshot is a decoded TypeSnapshot payload: the engine's dispute state
+// at watermark K (core.SnapshotState, generation included) plus the two
+// values a log anchors on it. It restores an engine exactly, so recovery
+// needs no per-instance replay below it, and a blank node can adopt one
+// fetched from peers.
 type Snapshot struct {
-	// K is the commit watermark the state was captured at.
-	K int
+	core.SnapshotState
 	// Epoch is the launch epoch agreed by the last rollback round (0 for
 	// single-process sessions, which never roll back).
 	Epoch uint64
-	// Gen is the dispute-graph generation at K — the number of
-	// Phase 3 folds that made progress. Plan-cache seeds derive from it,
-	// so restoring it exactly keeps coding schemes byte-identical across
-	// processes that restored from different bases.
-	Gen int
-	// Disputes/Faulty are the accumulated dispute pairs (MarkFaulty
-	// expansions included) and proven-faulty nodes, in canonical sorted
-	// order.
-	Disputes [][2]graph.NodeID
-	Faulty   []graph.NodeID
 	// Digest is the committed-sequence chain digest at K (see Chain):
-	// identical on every honest process, which is what lets a joiner
-	// cross-validate a fetched snapshot against f+1 peers.
+	// identical on every honest process and in every log, which is what
+	// lets a joiner cross-validate a fetched snapshot against f+1 peers.
 	Digest uint64
 }
 
-// Canonicalize sorts Disputes and Faulty into the canonical encoding
-// order, so AppendSnapshot yields byte-identical payloads for equal
-// states regardless of how they were accumulated.
-func (s *Snapshot) Canonicalize() {
-	sort.Slice(s.Disputes, func(i, j int) bool {
-		if s.Disputes[i][0] != s.Disputes[j][0] {
-			return s.Disputes[i][0] < s.Disputes[j][0]
-		}
-		return s.Disputes[i][1] < s.Disputes[j][1]
-	})
-	sort.Slice(s.Faulty, func(i, j int) bool { return s.Faulty[i] < s.Faulty[j] })
-}
-
-// AppendSnapshot appends a TypeSnapshot payload to buf. Call
-// Canonicalize first when the payload bytes must be comparable across
-// processes (digest cross-validation does).
+// AppendSnapshot appends a TypeSnapshot payload to buf. A state taken
+// with core.DisputeState.State is in canonical order, so equal states
+// encode to equal bytes on every process (join cross-validation needs it).
 //
 //nab:allocfree
 func AppendSnapshot(buf []byte, s Snapshot) []byte {
@@ -78,7 +56,8 @@ func AppendSnapshot(buf []byte, s Snapshot) []byte {
 // hostile encoder must not inflate the set).
 func DecodeSnapshot(b []byte) (Snapshot, error) {
 	d := decoder{b: b}
-	s := Snapshot{K: int(d.varint()), Epoch: d.uvarint(), Gen: int(d.varint())}
+	var s Snapshot
+	s.K, s.Epoch, s.Gen = int(d.varint()), d.uvarint(), int(d.varint())
 	nd := d.count(2)
 	for i := uint64(0); i < nd && d.err == nil; i++ {
 		s.Disputes = append(s.Disputes, [2]graph.NodeID{
@@ -96,12 +75,13 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	return s, d.finish("snapshot")
 }
 
-// Chain advances the committed-sequence chain digest by one record
-// payload: D_k = fnv64a(D_{k-1} || payload), with D_0 = DigestSeed. The
-// session log chains full TypeCommit payloads; cluster processes chain
-// the cross-process fold projection (AppendCommitFold) instead, since
-// full commit records carry per-process fields (local outputs, transfer
-// accounting) that legitimately differ between hosts.
+// Chain advances the committed-sequence chain digest by one commit, given
+// its fold projection as payload: D_k = fnv64a(D_{k-1} || AppendCommitFold(ir_k)), with D_0 = DigestSeed.
+// Every log chains the cross-process fold projection, never the full
+// commit record, whose per-process fields (local outputs, transfer
+// accounting) legitimately differ between hosts: so single-process and
+// cluster logs, every honest cluster process and every restore base
+// agree on the digest at each watermark.
 func Chain(prev uint64, payload []byte) uint64 {
 	h := fnv.New64a()
 	var p [8]byte

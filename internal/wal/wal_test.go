@@ -453,35 +453,19 @@ func TestMetaSubmitCodecs(t *testing.T) {
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	s := Snapshot{
-		K: 40, Epoch: 3, Gen: 5,
-		Disputes: [][2]graph.NodeID{{3, 1}, {1, 2}},
-		Faulty:   []graph.NodeID{4, 3},
-		Digest:   0xfeedbeefcafe,
-	}
-	s.Canonicalize()
-	if s.Disputes[0] != [2]graph.NodeID{1, 2} || s.Faulty[0] != 3 {
-		t.Fatalf("canonicalize did not sort: %+v", s)
+		SnapshotState: core.SnapshotState{K: 40, Gen: 5,
+			Disputes: [][2]graph.NodeID{{1, 2}, {1, 3}},
+			Faulty:   []graph.NodeID{3, 4}},
+		Epoch: 3, Digest: 0xfeedbeefcafe,
 	}
 	got, err := DecodeSnapshot(AppendSnapshot(nil, s))
 	if err != nil || !reflect.DeepEqual(got, s) {
 		t.Fatalf("snapshot round trip: %+v vs %+v (%v)", got, s, err)
 	}
-	// Canonical bytes are order-independent: the payload a joiner hashes
-	// must not depend on accumulation order.
-	shuffled := Snapshot{
-		K: 40, Epoch: 3, Gen: 5,
-		Disputes: [][2]graph.NodeID{{1, 2}, {3, 1}},
-		Faulty:   []graph.NodeID{3, 4},
-		Digest:   0xfeedbeefcafe,
-	}
-	shuffled.Canonicalize()
-	if !bytes.Equal(AppendSnapshot(nil, shuffled), AppendSnapshot(nil, s)) {
-		t.Fatal("canonical snapshot bytes depend on accumulation order")
-	}
 
 	// Duplicate-Faulty entries (hostile or corrupt encoder) are dropped on
 	// decode, never inflating the restored set.
-	dup := AppendSnapshot(nil, Snapshot{K: 2, Faulty: []graph.NodeID{4, 4, 2, 4}})
+	dup := AppendSnapshot(nil, Snapshot{SnapshotState: core.SnapshotState{K: 2, Faulty: []graph.NodeID{4, 4, 2, 4}}})
 	ds, err := DecodeSnapshot(dup)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +475,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 
 	// Negative watermark/generation are rejected outright.
-	if _, err := DecodeSnapshot(AppendSnapshot(nil, Snapshot{K: -1})); err == nil {
+	if _, err := DecodeSnapshot(AppendSnapshot(nil, Snapshot{SnapshotState: core.SnapshotState{K: -1}})); err == nil {
 		t.Fatal("negative watermark decoded")
 	}
 

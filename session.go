@@ -237,17 +237,23 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		if o.durability.dir == "" {
 			return fail(errors.New("nab: WithSnapshotInterval needs WithDurability or Recover to name the log directory"))
 		}
+		if n := o.durability.snapEvery; n < 0 {
+			return fail(fmt.Errorf("nab: WithSnapshotInterval(%d): the interval must be positive, or 0 for the default", n))
+		}
+		if o.cluster != nil && o.durability.snapEvery != 0 {
+			return fail(errors.New("nab: WithCluster logs snapshot at rollback floors, not at WithSnapshotInterval; drop the conflicting options"))
+		}
 		var fp uint64
 		node := int64(-1)
 		if o.cluster != nil {
 			fp = wal.Fingerprint(o.cluster.Topology, o.cluster.Source, o.cluster.F,
 				o.cluster.LenBytes, o.cluster.Seed, clusterAdversaryString(o.cluster))
 			node = int64(o.clusterID)
-			g, err := o.cluster.Graph()
+			_, err := o.cluster.Graph()
 			if err != nil {
 				return fail(err)
 			}
-			s.slog, rec, err = openSessionLog(o.durability, fp, node, g, true)
+			s.slog, rec, err = openSessionLog(o.durability, fp, node, true)
 			if err != nil {
 				return fail(err)
 			}
@@ -260,7 +266,7 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 			fp = wal.Fingerprint(cfg.Graph.Marshal(), cfg.Source, cfg.F,
 				cfg.LenBytes, cfg.Seed, adversaryString(merged.Adversaries))
 			var err error
-			s.slog, rec, err = openSessionLog(o.durability, fp, node, cfg.Graph, false)
+			s.slog, rec, err = openSessionLog(o.durability, fp, node, false)
 			if err != nil {
 				return fail(err)
 			}
@@ -295,8 +301,6 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 				// must not claim one).
 				copt.RecoveredBase = &rec.base
 			}
-			copt.RecoveredEpoch = rec.baseEpoch
-			copt.RecoveredDigest = rec.baseDigest
 			sl := s.slog
 			copt.PersistFloor = sl.persistFloor
 			copt.SyncWAL = sl.log.Sync
@@ -333,7 +337,10 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 			return fail(err)
 		}
 		if s.slog != nil {
-			if err := runner.RestoreSnapshot(rec.base, rec.foldList); err != nil {
+			if err := runner.RestoreSnapshot(rec.base.SnapshotState, rec.foldList); err != nil {
+				return fail(err)
+			}
+			if err := s.slog.follow(runner.Protocol(), rec); err != nil {
 				return fail(err)
 			}
 		}
@@ -359,7 +366,10 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		}
 		s.closer = rt.Close
 		if s.slog != nil {
-			if err := rt.RestoreSnapshot(0, rec.base, rec.foldList); err != nil {
+			if err := rt.RestoreSnapshot(0, rec.base.SnapshotState, rec.foldList); err != nil {
+				return fail(err)
+			}
+			if err := s.slog.follow(rt.Protocol(), rec); err != nil {
 				return fail(err)
 			}
 		}

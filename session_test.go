@@ -495,6 +495,37 @@ func TestOpenRejectsStrayTransportOptions(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadSnapshotInterval pins the snapshot interval's domain:
+// a negative interval (which would never snapshot nor compact) and any
+// interval on a cluster session (whose logs snapshot at rollback floors)
+// are refused instead of being silently ignored.
+func TestOpenRejectsBadSnapshotInterval(t *testing.T) {
+	ctx := context.Background()
+	cfg := nab.Config{Graph: nab.CompleteGraph(4, 2), Source: 1, F: 1, LenBytes: 8, Seed: 1}
+	for name, tc := range map[string]struct {
+		open func() (*nab.Session, error)
+		want string
+	}{
+		"negative": {func() (*nab.Session, error) {
+			return nab.Open(ctx, cfg, nab.WithDurability(t.TempDir()), nab.WithSnapshotInterval(-1))
+		}, "WithSnapshotInterval(-1)"},
+		"cluster": {func() (*nab.Session, error) {
+			return nab.Open(ctx, nab.Config{}, nab.WithCluster(&nab.ClusterConfig{}, 1, nab.ClusterOptions{}),
+				nab.WithDurability(t.TempDir()), nab.WithSnapshotInterval(4))
+		}, "drop the conflicting options"},
+	} {
+		s, err := tc.open()
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: snapshot interval accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestSessionLockstepMatchesRunner pins the lockstep adapter to the
 // original Runner: same seeds, same payloads, same outputs.
 func TestSessionLockstepMatchesRunner(t *testing.T) {
