@@ -1,10 +1,61 @@
 package core
 
 import (
+	"fmt"
+
 	"nab/internal/bb"
 	"nab/internal/graph"
 	"nab/internal/sim"
 )
+
+// PlanSeed is the plan cache's seeding rule.
+func PlanSeed(seed int64, gen int) int64 { return planSeed(seed, gen) }
+
+// PlanFields is a built plan's content, one comparable field per plan
+// quantity: G_k, the instance parameters, every edge matrix and every
+// arborescence.
+type PlanFields struct {
+	Graph      string
+	SourceGone bool
+	Excluded   int
+	Tolerance  int
+	Phase1Only bool
+	Gamma      int64
+	Rho        int
+	SymBits    uint
+	Stripes    int
+	Tries      int
+	MaxDepth   int
+	Matrices   map[graph.Edge]string
+	Trees      [][]graph.Edge
+}
+
+// Fields builds pl, as instance k's first execution would, and returns
+// its content.
+func (pl *InstancePlan) Fields(k int) (PlanFields, error) {
+	if err := pl.build(k); err != nil {
+		return PlanFields{}, err
+	}
+	f := PlanFields{
+		Graph: pl.gk.Marshal(), SourceGone: pl.sourceGone, Excluded: pl.excluded,
+		Tolerance: pl.tolerance, Phase1Only: pl.phase1Only, Gamma: pl.gamma, Rho: pl.rho,
+		SymBits: pl.symBits, Stripes: pl.stripes, Tries: pl.schemeTries, MaxDepth: pl.maxDepth,
+	}
+	if pl.scheme != nil {
+		f.Matrices = map[graph.Edge]string{}
+		for _, e := range pl.gk.Edges() {
+			m := pl.scheme.EdgeMatrix(e.From, e.To)
+			if m == nil {
+				return f, fmt.Errorf("no coding matrix on edge %v", e)
+			}
+			f.Matrices[e] = m.String()
+		}
+	}
+	for _, tr := range pl.trees {
+		f.Trees = append(f.Trees, tr.Edges())
+	}
+	return f, nil
+}
 
 // Audit runs the dispute-control audit of instances planned by pl on
 // claims, as ExecuteLocal does once the transcripts are agreed.
@@ -32,10 +83,7 @@ func Phase3Runs(cfg Config, inputs [][]byte) ([]Phase3Run, error) {
 	var runs []Phase3Run
 	for i, in := range inputs {
 		k := i + 1
-		pl, err := p.Plan(ds, k)
-		if err != nil {
-			return nil, err
-		}
+		pl := p.Plan(ds)
 		tap := &claimsTap{Engine: sim.New(cfg.Graph)}
 		tap.SetRecording(false)
 		ir, err := pl.Execute(tap, k, in)

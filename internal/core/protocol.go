@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"nab/internal/bb"
 	"nab/internal/capacity"
@@ -35,8 +36,11 @@ type PhaseEngine interface {
 var _ PhaseEngine = (*sim.Engine)(nil)
 
 // Protocol is a validated NAB configuration plus the instance-independent
-// precomputation (relay table). It is immutable after construction and safe
-// for concurrent use, so one Protocol can drive many concurrent instances.
+// precomputation (relay table). The Protocol itself is immutable after
+// construction and safe for concurrent use, so one Protocol can drive many
+// concurrent instances. The per-generation precomputation is not part of
+// it: Plan caches that on the DisputeState it is planned from, and a plan
+// builds once however many executions share it.
 type Protocol struct {
 	cfg      Config
 	n        int
@@ -126,13 +130,19 @@ func (p *Protocol) adversaryFor(v graph.NodeID) Adversary {
 // instances: the accumulated dispute set, the diminished instance graph
 // G_k, the nodes proven faulty so far, and the watermark k of the last
 // instance folded in. Gen increments on every change, so speculative
-// executors can detect stale snapshots.
+// executors can detect stale snapshots. A DisputeState belongs to one
+// goroutine at a time: Fold and Plan both write it.
 type DisputeState struct {
 	disputes    *dispute.Set
 	gk          *graph.Directed
 	faultySoFar map[graph.NodeID]bool
 	gen         int
 	k           int
+	// plan is the plan cache: the plan of this state's generation, made by
+	// Protocol.Plan and dropped by the fold that moves G_k. It belongs to
+	// this state alone, so a restored state, even one at the same
+	// generation number, never reuses a plan made for another G_k.
+	plan *InstancePlan
 }
 
 // NewDisputeState returns the instance-1 state: no disputes, G_1 = G.
@@ -144,9 +154,9 @@ func NewDisputeState(g *graph.Directed) *DisputeState {
 	}
 }
 
-// Clone snapshots the state; speculative executors plan instances on a
+// clone snapshots the state without its plan: a plan builds from the
 // snapshot while the live state keeps folding.
-func (ds *DisputeState) Clone() *DisputeState {
+func (ds *DisputeState) clone() *DisputeState {
 	faulty := make(map[graph.NodeID]bool, len(ds.faultySoFar))
 	for v, b := range ds.faultySoFar {
 		faulty[v] = b
@@ -176,11 +186,20 @@ func (ds *DisputeState) K() int { return ds.k }
 // InstancePlan is the instance-independent part of preparing a NAB
 // instance on one dispute-state snapshot: instance parameters (gamma, rho,
 // symbol layout), the verified coding scheme, and the packed arborescences.
-// A plan is immutable and may be reused (and executed concurrently) for
-// every instance that runs on the same snapshot — this is the
-// coding-scheme/arborescence cache the pipelined runtime keys by Gen.
+// A plan is immutable once built and may be executed concurrently by every
+// instance that runs on the same snapshot.
 type InstancePlan struct {
-	p  *Protocol
+	p *Protocol
+	// from is the snapshot a cached plan builds from on its first
+	// execution, under once; nil for a plan PlanInstance built eagerly.
+	from *DisputeState
+	once sync.Once
+	err  error
+	planBody
+}
+
+// planBody is what building a plan computes.
+type planBody struct {
 	gk *graph.Directed
 
 	sourceGone bool
@@ -198,13 +217,44 @@ type InstancePlan struct {
 	maxDepth    int
 }
 
-// Plan derives the plan for instance k on the dispute-state snapshot ds,
-// drawing coding matrices from an RNG seeded by ds's generation. It is the
-// one seeding rule of every engine: the lockstep Runner plans each
-// instance with it and the pipelined runtime each generation, so both run
-// the same verified scheme and charge the same bits.
-func (p *Protocol) Plan(ds *DisputeState, k int) (*InstancePlan, error) {
-	return p.PlanInstance(ds, k, rand.New(rand.NewSource(planSeed(p.cfg.Seed, ds.gen))))
+// Plan returns the plan for ds's generation: the one every instance of the
+// generation runs on, in every engine. The lockstep Runner and the
+// pipelined runtime both take it once per launch, so the coding scheme and
+// the arborescences are built once per generation — at most f(f+1)+1
+// times in a run — and both engines run the same verified scheme and
+// charge the same bits.
+//
+// A miss only records the state the plan is for, which is cheap; the
+// build runs on the plan's first Execute or ExecuteLocal, off the caller's
+// goroutine in the runtime, and that call returns any build error. The
+// build draws coding matrices from an RNG seeded by the generation
+// (planSeed), so a restored or replayed state plans the scheme an
+// uninterrupted run would. ds must not be folded concurrently with Plan.
+func (p *Protocol) Plan(ds *DisputeState) *InstancePlan {
+	if pl := ds.plan; pl != nil && pl.p == p {
+		return pl
+	}
+	ds.plan = &InstancePlan{p: p, from: ds.clone()}
+	return ds.plan
+}
+
+// build builds a cached plan on its first use, recording the build as
+// instance k's plan phase; later calls wait for it and share its outcome.
+func (pl *InstancePlan) build(k int) error {
+	pl.once.Do(func() {
+		ds := pl.from
+		if ds == nil {
+			return // built eagerly by PlanInstance
+		}
+		recordPhase(k, flight.PhasePlan)
+		built, err := pl.p.PlanInstance(ds, k, rand.New(rand.NewSource(planSeed(pl.p.cfg.Seed, ds.gen))))
+		if err != nil {
+			pl.err = err
+			return
+		}
+		pl.planBody = built.planBody
+	})
+	return pl.err
 }
 
 // planSeed derives a per-generation RNG seed (splitmix64 finalizer), so a
@@ -217,11 +267,11 @@ func planSeed(seed int64, gen int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// PlanInstance derives the plan for instance k on the given dispute-state
-// snapshot, drawing coding matrices from rng. k is used in error messages
-// only.
+// PlanInstance builds the plan for instance k on the given dispute-state
+// snapshot now, drawing coding matrices from rng, and caches nothing; Plan
+// is the cached form every engine uses. k is used in error messages only.
 func (p *Protocol) PlanInstance(ds *DisputeState, k int, rng *rand.Rand) (*InstancePlan, error) {
-	pl := &InstancePlan{p: p, gk: ds.gk.Clone()}
+	pl := &InstancePlan{p: p, planBody: planBody{gk: ds.gk.Clone()}}
 
 	// Source already proven faulty: agree on the default value, no traffic.
 	if !pl.gk.HasNode(p.cfg.Source) {
@@ -352,6 +402,9 @@ func (pl *InstancePlan) Execute(engine PhaseEngine, k int, input []byte) (*Insta
 // dispute findings, so every process can Fold identically. A nil view
 // executes every node (identical to Execute).
 func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, view *LocalView) (*InstanceResult, error) {
+	if err := pl.build(k); err != nil {
+		return nil, err
+	}
 	p := pl.p
 	ir := &InstanceResult{K: k, Outputs: map[graph.NodeID][]byte{}}
 	if len(input) != p.cfg.LenBytes {
@@ -682,6 +735,7 @@ func (p *Protocol) merge(ds *DisputeState, disputes [][2]graph.NodeID, faulty []
 		return false, fmt.Errorf("diminishing graph: %w", err)
 	}
 	ds.gk = next
+	ds.plan = nil
 	return true, nil
 }
 

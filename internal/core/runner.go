@@ -27,8 +27,9 @@ type Config struct {
 	F        int             // global fault bound, n >= 3F+1, connectivity >= 2F+1
 	LenBytes int             // input size L = 8*LenBytes bits per instance
 	Seed     int64           // randomness for coding matrices
-	// MaxSchemeTries bounds coding-matrix redraws per instance (Theorem 1
-	// makes one draw succeed w.h.p.; tiny fields may need more). Default 64.
+	// MaxSchemeTries bounds coding-matrix redraws per generation's plan
+	// (Theorem 1 makes one draw succeed w.h.p.; tiny fields may need
+	// more). Default 64.
 	MaxSchemeTries int
 	// Adversaries maps faulty nodes to their behaviours. Nodes absent from
 	// the map are fault-free. len(Adversaries) must be <= F.
@@ -65,7 +66,9 @@ type InstanceResult struct {
 	// NewDisputes / NewFaulty are Phase 3 findings.
 	NewDisputes [][2]graph.NodeID
 	NewFaulty   []graph.NodeID
-	// SchemeTries counts coding-matrix draws used this instance.
+	// SchemeTries counts the coding-matrix draws of the plan this instance
+	// ran on: one plan per generation, so every instance of a generation
+	// reports the same count.
 	SchemeTries int
 	// Times per phase in the cut-through model (time units); the
 	// store-and-forward variant for Phase 1 enables pipelining analysis.
@@ -201,10 +204,7 @@ func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
 		flight.Record(flight.Event{Type: flight.EvLaunch, Node: -1,
 			Inst: uint64(k), K: int32(k), Gen: int32(r.ds.Gen())})
 	}
-	plan, err := r.proto.Plan(r.ds, k)
-	if err != nil {
-		return nil, err
-	}
+	plan := r.proto.Plan(r.ds)
 	engine := sim.New(r.proto.cfg.Graph)
 	engine.SetRecording(false)
 	ir, err := plan.Execute(engine, k, input)

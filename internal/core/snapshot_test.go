@@ -43,24 +43,24 @@ func TestRestoreMatchesFold(t *testing.T) {
 			}
 			p := runner.Protocol()
 			ds := core.NewDisputeState(cfg.Graph)
-			folded := []*core.DisputeState{ds.Clone()}
+			folded := []foldedState{foldedAt(ds)}
 			for _, ir := range res.Instances {
 				if err := p.Fold(ds, ir); err != nil {
 					t.Fatal(err)
 				}
-				folded = append(folded, ds.Clone())
+				folded = append(folded, foldedAt(ds))
 			}
 			if ds.Gen() == 0 {
 				t.Fatal("the run made no dispute progress; nothing to restore")
 			}
 			for k, want := range folded {
-				got, err := p.RestoreState(want.State(), nil)
+				got, err := p.RestoreState(want.state, nil)
 				if err != nil {
 					t.Fatalf("restore at %d: %v", k, err)
 				}
 				sameState(t, got, want)
 				for b := 0; b < k; b++ {
-					got, err := p.RestoreState(folded[b].State(), res.Instances[b:k])
+					got, err := p.RestoreState(folded[b].state, res.Instances[b:k])
 					if err != nil {
 						t.Fatalf("restore at %d from base %d: %v", k, b, err)
 					}
@@ -71,14 +71,25 @@ func TestRestoreMatchesFold(t *testing.T) {
 	}
 }
 
+// foldedState is a folded DisputeState as of one watermark: its snapshot
+// and its instance graph G_k.
+type foldedState struct {
+	state core.SnapshotState
+	gk    string
+}
+
+func foldedAt(ds *core.DisputeState) foldedState {
+	return foldedState{state: ds.State(), gk: ds.Graph().Marshal()}
+}
+
 // sameState fails unless got and want agree on the watermark, generation,
 // disputes, faulty set and instance graph G_k.
-func sameState(t *testing.T, got, want *core.DisputeState) {
+func sameState(t *testing.T, got *core.DisputeState, want foldedState) {
 	t.Helper()
-	if g, w := got.State(), want.State(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("restored state %+v, want %+v", g, w)
+	if g := got.State(); !reflect.DeepEqual(g, want.state) {
+		t.Fatalf("restored state %+v, want %+v", g, want.state)
 	}
-	if g, w := got.Graph().Marshal(), want.Graph().Marshal(); g != w {
-		t.Fatalf("restored G_%d:\n%s\nwant:\n%s", want.K(), g, w)
+	if g := got.Graph().Marshal(); g != want.gk {
+		t.Fatalf("restored G_%d:\n%s\nwant:\n%s", want.state.K, g, want.gk)
 	}
 }

@@ -109,13 +109,17 @@ func (t EventType) String() string {
 	return "none"
 }
 
-// Phase codes carried in Event.Step by EvPhase events, in causal order.
+// Phase codes carried in Event.Step by EvPhase events. Codes never move,
+// so dumps stay readable; the protocol phases are in causal order, and
+// PhasePlan, appended later, comes first when it occurs at all: only the
+// instance that triggers its generation's plan build records it.
 const (
 	PhaseLaunch   uint32 = iota + 1 // window admission (EvLaunch itself)
 	Phase1                          // coded sends down the arborescences
 	PhaseEquality                   // pairwise equality checks
 	PhaseFlags                      // flag broadcast
 	PhaseClaims                     // Phase 3 dispute control / audit
+	PhasePlan                       // the generation's plan build, before phase 1
 )
 
 // PhaseName names a Phase* code.
@@ -131,6 +135,8 @@ func PhaseName(code uint32) string {
 		return "flags"
 	case PhaseClaims:
 		return "claims"
+	case PhasePlan:
+		return "plan"
 	}
 	return "phase?"
 }

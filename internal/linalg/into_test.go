@@ -7,37 +7,8 @@ import (
 	"nab/internal/gf"
 )
 
-// TestMulIntoMatchesMul checks the scratch-reusing product against Mul and
-// that reuse of a dirty destination still yields the clean product.
-func TestMulIntoMatchesMul(t *testing.T) {
-	for _, deg := range []uint{8, 16, 64} {
-		f := gf.MustNew(deg)
-		rng := rand.New(rand.NewSource(int64(deg)))
-		a, _ := Random(f, 5, 7, rng)
-		b, _ := Random(f, 7, 4, rng)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := MustNew(f, 5, 4)
-		for round := 0; round < 2; round++ { // second round overwrites a dirty out
-			if err := a.MulInto(b, out); err != nil {
-				t.Fatalf("GF(2^%d): MulInto: %v", deg, err)
-			}
-			if !out.Equal(want) {
-				t.Fatalf("GF(2^%d) round %d: MulInto != Mul", deg, round)
-			}
-		}
-		if err := a.MulInto(b, MustNew(f, 4, 4)); err == nil {
-			t.Error("MulInto with wrong destination shape: expected error")
-		}
-		if _, err := a.Mul(a); err == nil {
-			t.Error("Mul with mismatched dimensions: expected error")
-		}
-	}
-}
-
-// TestMulVecIntoMatchesMulVec checks the allocation-free vector product.
+// TestMulVecIntoMatchesMulVec checks the allocation-free vector product
+// against the reference product, over a dirty destination.
 func TestMulVecIntoMatchesMulVec(t *testing.T) {
 	for _, deg := range []uint{8, 16, 64} {
 		f := gf.MustNew(deg)
@@ -47,10 +18,7 @@ func TestMulVecIntoMatchesMulVec(t *testing.T) {
 		for i := range x {
 			x[i] = f.Rand(rng)
 		}
-		want, err := m.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := mulRef(fromRows(t, f, [][]gf.Elem{x}), m).data
 		dst := make([]gf.Elem, 9)
 		for i := range dst {
 			dst[i] = ^gf.Elem(0) // dirty: MulVecInto must overwrite
@@ -62,12 +30,6 @@ func TestMulVecIntoMatchesMulVec(t *testing.T) {
 			if dst[j] != want[j] {
 				t.Fatalf("GF(2^%d): MulVecInto[%d] = %#x, want %#x", deg, j, dst[j], want[j])
 			}
-		}
-		if err := m.MulVecInto(x[:3], dst); err == nil {
-			t.Error("MulVecInto with short vector: expected error")
-		}
-		if err := m.MulVecInto(x, dst[:3]); err == nil {
-			t.Error("MulVecInto with short destination: expected error")
 		}
 	}
 }

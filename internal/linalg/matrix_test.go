@@ -19,6 +19,48 @@ func randomMatrix(t *testing.T, f *gf.Field, rows, cols int, seed int64) *Matrix
 	return m
 }
 
+// fromRows builds a matrix from literal rows.
+func fromRows(t *testing.T, f *gf.Field, rows [][]gf.Elem) *Matrix {
+	t.Helper()
+	m, err := New(f, len(rows), len(rows[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// mulRef is the schoolbook product a*b, one Field.Mul per term: the
+// reference the AXPY row kernels are checked against.
+func mulRef(a, b *Matrix) *Matrix {
+	f := a.field
+	out := &Matrix{field: f, rows: a.rows, cols: b.cols, data: make([]gf.Elem, a.rows*b.cols)}
+	for i := 0; i < a.rows; i++ {
+		for j := 0; j < b.cols; j++ {
+			var s gf.Elem
+			for k := 0; k < a.cols; k++ {
+				s = f.Add(s, f.Mul(a.At(i, k), b.At(k, j)))
+			}
+			out.data[i*out.cols+j] = s
+		}
+	}
+	return out
+}
+
+func transposeRef(m *Matrix) *Matrix {
+	t := &Matrix{field: m.field, rows: m.cols, cols: m.rows, data: make([]gf.Elem, len(m.data))}
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.At(i, j)
+		}
+	}
+	return t
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 2, 2); err == nil {
 		t.Error("New(nil field): expected error")
@@ -28,85 +70,13 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewFromRows(t *testing.T) {
-	m, err := NewFromRows(testField, [][]gf.Elem{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %d, want 3", m.At(1, 0))
-	}
-	if _, err := NewFromRows(testField, [][]gf.Elem{{1}, {2, 3}}); err == nil {
-		t.Error("ragged rows: expected error")
-	}
-	if _, err := NewFromRows(testField, [][]gf.Elem{{1 << 60}}); err == nil {
-		t.Error("out-of-field element: expected error")
-	}
-}
-
-func TestIdentityMul(t *testing.T) {
-	for _, n := range []int{1, 3, 7} {
-		id, err := Identity(testField, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := randomMatrix(t, testField, n, n, int64(n))
-		left, err := id.Mul(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		right, err := m.Mul(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !left.Equal(m) || !right.Equal(m) {
-			t.Errorf("n=%d: identity multiplication changed matrix", n)
-		}
-	}
-}
-
 func TestMulDimensionMismatch(t *testing.T) {
-	a := randomMatrix(t, testField, 2, 3, 1)
-	b := randomMatrix(t, testField, 2, 3, 2)
-	if _, err := a.Mul(b); err == nil {
-		t.Error("2x3 * 2x3: expected dimension error")
+	m := randomMatrix(t, testField, 2, 3, 1)
+	if err := m.MulVecInto(make([]gf.Elem, 3), make([]gf.Elem, 3)); err == nil {
+		t.Error("length-3 vector * 2x3: expected dimension error")
 	}
-}
-
-func TestMulAssociativeQuick(t *testing.T) {
-	f := gf.MustNew(16)
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, _ := Random(f, 3, 4, rng)
-		b, _ := Random(f, 4, 2, rng)
-		c, _ := Random(f, 2, 5, rng)
-		ab, _ := a.Mul(b)
-		abc1, _ := ab.Mul(c)
-		bc, _ := b.Mul(c)
-		abc2, _ := a.Mul(bc)
-		return abc1.Equal(abc2)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulDistributesOverAddQuick(t *testing.T) {
-	f := gf.MustNew(12)
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, _ := Random(f, 3, 3, rng)
-		b, _ := Random(f, 3, 3, rng)
-		c, _ := Random(f, 3, 3, rng)
-		bc, _ := b.Add(c)
-		lhs, _ := a.Mul(bc)
-		ab, _ := a.Mul(b)
-		ac, _ := a.Mul(c)
-		rhs, _ := ab.Add(ac)
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	if err := m.MulVecInto(make([]gf.Elem, 2), make([]gf.Elem, 2)); err == nil {
+		t.Error("2x3 product into length-2 destination: expected dimension error")
 	}
 }
 
@@ -118,37 +88,36 @@ func TestMulVecMatchesMul(t *testing.T) {
 	for i := range x {
 		x[i] = f.Rand(rng)
 	}
-	got, err := m.MulVec(x)
-	if err != nil {
+	got := make([]gf.Elem, 6)
+	if err := m.MulVecInto(x, got); err != nil {
 		t.Fatal(err)
 	}
-	// compare with 1x4 matrix multiply
-	xm, _ := NewFromRows(f, [][]gf.Elem{x})
-	want, _ := xm.Mul(m)
+	// compare with the 1x4 matrix product
+	want := mulRef(fromRows(t, f, [][]gf.Elem{x}), m)
 	for j := 0; j < 6; j++ {
 		if got[j] != want.At(0, j) {
-			t.Fatalf("MulVec mismatch at col %d: %d vs %d", j, got[j], want.At(0, j))
+			t.Fatalf("MulVecInto mismatch at col %d: %d vs %d", j, got[j], want.At(0, j))
 		}
-	}
-	if _, err := m.MulVec(x[:2]); err == nil {
-		t.Error("short vector: expected error")
 	}
 }
 
 func TestRankProperties(t *testing.T) {
 	f := gf.MustNew(8)
 	// zero matrix has rank 0
-	z := MustNew(f, 3, 5)
+	z, _ := New(f, 3, 5)
 	if z.Rank() != 0 {
 		t.Errorf("zero matrix rank = %d", z.Rank())
 	}
 	// identity has full rank
-	id, _ := Identity(f, 4)
+	id, _ := New(f, 4, 4)
+	for i := 0; i < 4; i++ {
+		id.Set(i, i, 1)
+	}
 	if id.Rank() != 4 {
 		t.Errorf("identity rank = %d", id.Rank())
 	}
 	// duplicated row drops rank
-	m, _ := NewFromRows(f, [][]gf.Elem{{1, 2, 3}, {1, 2, 3}, {0, 1, 0}})
+	m := fromRows(t, f, [][]gf.Elem{{1, 2, 3}, {1, 2, 3}, {0, 1, 0}})
 	if m.Rank() != 2 {
 		t.Errorf("duplicated-row matrix rank = %d, want 2", m.Rank())
 	}
@@ -157,6 +126,106 @@ func TestRankProperties(t *testing.T) {
 	if r.Rank() > 3 {
 		t.Errorf("rank %d > rows 3", r.Rank())
 	}
+	// Over random degrees and shapes, a row that is a combination of two
+	// others adds nothing.
+	rng := rand.New(rand.NewSource(7))
+	degrees := []uint{2, 8, 16, 64}
+	for i := 0; i < 60; i++ {
+		f := gf.MustNew(degrees[rng.Intn(len(degrees))])
+		rows, cols := 2+rng.Intn(5), 1+rng.Intn(6)
+		a, _ := Random(f, rows, cols, rng)
+		c := f.Rand(rng)
+		for j := 0; j < cols; j++ {
+			a.Set(rows-1, j, f.Add(f.Mul(c, a.At(0, j)), a.At(1%(rows-1), j)))
+		}
+		sub, _ := a.SubMatrix(seq(rows-1), seq(cols))
+		if got, want := a.Rank(), sub.Rank(); got != want {
+			t.Fatalf("GF(2^%d) %dx%d: dependent row raised rank %d -> %d", f.Degree(), rows, cols, want, got)
+		}
+	}
+}
+
+// TestInverseSingular checks the invertibility test the coding layer
+// uses, Rank() == Rows(), on square matrices that have no inverse: a
+// repeated row, a zero column, and a random draw with one row replaced
+// by a combination of the others.
+func TestInverseSingular(t *testing.T) {
+	f := gf.MustNew(8)
+	if s := fromRows(t, f, [][]gf.Elem{{1, 2}, {1, 2}}); s.Rank() == s.Rows() {
+		t.Error("singular 2x2 reported full rank")
+	}
+	if s := fromRows(t, f, [][]gf.Elem{{1, 0, 3}, {4, 0, 6}, {7, 0, 9}}); s.Rank() == s.Rows() {
+		t.Error("3x3 with a zero column reported full rank")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 3; n <= 6; n++ {
+		m, _ := Random(f, n, n, rng)
+		c := f.Rand(rng)
+		for j := 0; j < n; j++ {
+			m.Set(n-1, j, f.Add(m.At(0, j), f.Mul(c, m.At(1, j))))
+		}
+		if m.Rank() == m.Rows() {
+			t.Fatalf("%dx%d with a dependent row reported full rank", n, n)
+		}
+	}
+}
+
+// TestMatrixRingIdentitiesProperty checks, over random degrees and
+// shapes, the identities the coded-symbol product rests on: the vector
+// product is linear, (x+y)A == xA + yA and (cx)A == c(xA); it agrees
+// with the transposed product, xA == A^T x; and rank is invariant under
+// transpose and bounded by the smaller dimension.
+func TestMatrixRingIdentitiesProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	degrees := []uint{2, 8, 16, 64}
+	for i := 0; i < 60; i++ {
+		f := gf.MustNew(degrees[rng.Intn(len(degrees))])
+		rows, cols := 1+rng.Intn(6), 1+rng.Intn(6)
+		a, _ := Random(f, rows, cols, rng)
+		x, y, sum := make([]gf.Elem, rows), make([]gf.Elem, rows), make([]gf.Elem, rows)
+		c := f.Rand(rng)
+		for k := range x {
+			x[k], y[k] = f.Rand(rng), f.Rand(rng)
+			sum[k] = f.Add(x[k], y[k])
+		}
+		scaled := make([]gf.Elem, rows)
+		for k := range x {
+			scaled[k] = f.Mul(c, x[k])
+		}
+		xa, ya, sa, ca := make([]gf.Elem, cols), make([]gf.Elem, cols), make([]gf.Elem, cols), make([]gf.Elem, cols)
+		for _, p := range []struct{ in, out []gf.Elem }{{x, xa}, {y, ya}, {sum, sa}, {scaled, ca}} {
+			if err := a.MulVecInto(p.in, p.out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := transposeRef(a)
+		for j := 0; j < cols; j++ {
+			if sa[j] != f.Add(xa[j], ya[j]) {
+				t.Fatalf("GF(2^%d) %dx%d: (x+y)A != xA + yA at %d", f.Degree(), rows, cols, j)
+			}
+			if ca[j] != f.Mul(c, xa[j]) {
+				t.Fatalf("GF(2^%d) %dx%d: (cx)A != c(xA) at %d", f.Degree(), rows, cols, j)
+			}
+			var dot gf.Elem
+			for k := 0; k < rows; k++ {
+				dot = f.Add(dot, f.Mul(at.At(j, k), x[k]))
+			}
+			if xa[j] != dot {
+				t.Fatalf("GF(2^%d) %dx%d: xA != A^T x at %d", f.Degree(), rows, cols, j)
+			}
+		}
+		if rank, tr := a.Rank(), at.Rank(); rank != tr || rank > min(rows, cols) {
+			t.Fatalf("GF(2^%d) %dx%d: rank=%d, rank^T=%d", f.Degree(), rows, cols, rank, tr)
+		}
+	}
+}
+
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func TestRankMulUpperBoundQuick(t *testing.T) {
@@ -165,8 +234,7 @@ func TestRankMulUpperBoundQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, _ := Random(f, 4, 3, rng)
 		b, _ := Random(f, 3, 5, rng)
-		ab, _ := a.Mul(b)
-		r := ab.Rank()
+		r := mulRef(a, b).Rank()
 		return r <= a.Rank() && r <= b.Rank()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
@@ -174,138 +242,8 @@ func TestRankMulUpperBoundQuick(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	f := gf.MustNew(16)
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(6)
-		m, _ := Random(f, n, n, rng)
-		if !m.Invertible() {
-			continue
-		}
-		inv, err := m.Inverse()
-		if err != nil {
-			t.Fatalf("Inverse: %v", err)
-		}
-		prod, _ := m.Mul(inv)
-		id, _ := Identity(f, n)
-		if !prod.Equal(id) {
-			t.Fatalf("m * m^-1 != I for n=%d", n)
-		}
-		prod2, _ := inv.Mul(m)
-		if !prod2.Equal(id) {
-			t.Fatalf("m^-1 * m != I for n=%d", n)
-		}
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	f := gf.MustNew(8)
-	m, _ := NewFromRows(f, [][]gf.Elem{{1, 2}, {1, 2}})
-	if _, err := m.Inverse(); err == nil {
-		t.Error("singular matrix: expected error")
-	}
-	r := randomMatrix(t, f, 2, 3, 1)
-	if _, err := r.Inverse(); err == nil {
-		t.Error("non-square: expected error")
-	}
-}
-
-func TestDet(t *testing.T) {
-	f := gf.MustNew(8)
-	// det of identity is 1
-	id, _ := Identity(f, 5)
-	d, err := id.Det()
-	if err != nil || d != 1 {
-		t.Errorf("det(I) = %d, %v", d, err)
-	}
-	// det of singular is 0
-	m, _ := NewFromRows(f, [][]gf.Elem{{1, 1}, {1, 1}})
-	d, err = m.Det()
-	if err != nil || d != 0 {
-		t.Errorf("det(singular) = %d, %v", d, err)
-	}
-	// det nonzero iff invertible
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 25; i++ {
-		r, _ := Random(f, 4, 4, rng)
-		d, err := r.Det()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (d != 0) != r.Invertible() {
-			t.Fatalf("det=%d but Invertible=%v", d, r.Invertible())
-		}
-	}
-	if _, err := randomMatrix(t, f, 2, 3, 4).Det(); err == nil {
-		t.Error("non-square det: expected error")
-	}
-}
-
-func TestDetMultiplicativeQuick(t *testing.T) {
-	f := gf.MustNew(12)
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, _ := Random(f, 3, 3, rng)
-		b, _ := Random(f, 3, 3, rng)
-		ab, _ := a.Mul(b)
-		da, _ := a.Det()
-		db, _ := b.Det()
-		dab, _ := ab.Det()
-		return dab == f.Mul(da, db)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSolve(t *testing.T) {
-	f := gf.MustNew(16)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(4)
-		m, _ := Random(f, n, n, rng)
-		if !m.Invertible() {
-			continue
-		}
-		x := make([]gf.Elem, n)
-		for i := range x {
-			x[i] = f.Rand(rng)
-		}
-		b, _ := m.MulVec(x) // b = x*m  (x is a row vector)
-		got, err := m.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if got[i] != x[i] {
-				t.Fatalf("Solve mismatch at %d: got %d want %d", i, got[i], x[i])
-			}
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m, _ := NewFromRows(testField, [][]gf.Elem{{1, 2, 3}, {4, 5, 6}})
-	tr := m.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 || tr.At(2, 1) != 6 {
-		t.Errorf("transpose wrong: %v", tr)
-	}
-	if !tr.Transpose().Equal(m) {
-		t.Error("double transpose != original")
-	}
-}
-
-func TestHConcatAndSubMatrix(t *testing.T) {
-	a, _ := NewFromRows(testField, [][]gf.Elem{{1, 2}, {3, 4}})
-	b, _ := NewFromRows(testField, [][]gf.Elem{{5}, {6}})
-	c, err := a.HConcat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Cols() != 3 || c.At(1, 2) != 6 {
-		t.Errorf("HConcat result wrong: %v", c)
-	}
+func TestSubMatrix(t *testing.T) {
+	c := fromRows(t, testField, [][]gf.Elem{{1, 2, 5}, {3, 4, 6}})
 	sub, err := c.SubMatrix([]int{1}, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -319,10 +257,6 @@ func TestHConcatAndSubMatrix(t *testing.T) {
 	if _, err := c.SubMatrix(nil, []int{9}); err == nil {
 		t.Error("out-of-range col: expected error")
 	}
-	mismatch, _ := New(testField, 3, 1)
-	if _, err := a.HConcat(mismatch); err == nil {
-		t.Error("HConcat row mismatch: expected error")
-	}
 }
 
 func TestRandomFullRankProbability(t *testing.T) {
@@ -335,7 +269,7 @@ func TestRandomFullRankProbability(t *testing.T) {
 	const trials = 200
 	for i := 0; i < trials; i++ {
 		m, _ := Random(f, 4, 4, rng)
-		if !m.Invertible() {
+		if m.Rank() != 4 {
 			singular++
 		}
 	}
@@ -356,19 +290,6 @@ func TestCloneIndependence(t *testing.T) {
 func TestStringNonEmpty(t *testing.T) {
 	if randomMatrix(t, testField, 2, 2, 1).String() == "" {
 		t.Error("String() empty")
-	}
-}
-
-func BenchmarkMul8x8(b *testing.B) {
-	f := gf.MustNew(16)
-	rng := rand.New(rand.NewSource(1))
-	m1, _ := Random(f, 8, 8, rng)
-	m2, _ := Random(f, 8, 8, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m1.Mul(m2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

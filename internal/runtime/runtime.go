@@ -14,9 +14,10 @@
 // snapshot. Clean instances — the common case the paper's throughput
 // analysis amortizes toward — never wait.
 //
-// Across instances of one dispute generation the expensive per-instance
-// precomputation (verified coding scheme, packed arborescences) is planned
-// once and cached, which the lockstep Runner recomputes every instance.
+// Every launch takes its generation's plan from core.Protocol.Plan, the
+// cache the lockstep Runner shares: the verified coding scheme and the
+// packed arborescences are built once per dispute generation, by the first
+// execution that needs them, off the scheduler goroutine.
 package runtime
 
 import (
@@ -115,7 +116,6 @@ type Runtime struct {
 	// serialized); runMu admits one Run at a time.
 	runMu      sync.Mutex
 	ds         *core.DisputeState
-	entries    map[int]*planEntry // per-generation plan cache
 	nextLaunch uint64
 
 	closeOnce sync.Once
@@ -187,7 +187,6 @@ func New(cfg Config) (*Runtime, error) {
 		engines: map[uint64]*instanceEngine{},
 		pending: map[uint64][]*transport.Message{},
 		ds:      core.NewDisputeState(cfg.Graph),
-		entries: map[int]*planEntry{},
 	}
 	for _, v := range cfg.Graph.Nodes() {
 		if locals == nil || locals[v] {
@@ -231,12 +230,11 @@ func (rt *Runtime) Committed() int {
 }
 
 // RestoreSnapshot rewrites the scheduler state between streams: the
-// dispute state — generation included, which keys the plan cache and the
-// per-generation scheme RNG — is restored from snap plus the tail results
-// (Protocol.RestoreState), the next instance becomes the tail's end + 1,
-// the per-generation plan cache is dropped, and launch numbering restarts
-// at launchBase+1. A cluster rollback restores from its floor plus the
-// in-memory commits above it.
+// dispute state — generation included, which seeds the scheme RNG — is
+// restored from snap plus the tail results (Protocol.RestoreState), the
+// next instance becomes the tail's end + 1, the restored state plans
+// afresh, and launch numbering restarts at launchBase+1. A cluster
+// rollback restores from its floor plus the in-memory commits above it.
 //
 // launchBase exists for the cluster rejoin protocol: after a crash
 // + restart every process restores onto an agreed fresh launch epoch
@@ -261,7 +259,6 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 		return fmt.Errorf("runtime: RestoreSnapshot with %d executions in flight", len(rt.engines))
 	}
 	rt.ds = ds
-	rt.entries = map[int]*planEntry{}
 	rt.nextLaunch = launchBase
 	rt.maxLaunch = launchBase
 	// The receive loops run from New on, so a booting cluster process can
@@ -376,23 +373,6 @@ func (rt *Runtime) unregister(eng *instanceEngine) {
 	rt.engMu.Unlock()
 }
 
-// planEntry caches one dispute generation's InstancePlan — the verified
-// coding scheme and packed arborescences are computed once per generation
-// and shared by every instance (and re-execution) running on it.
-type planEntry struct {
-	snap *core.DisputeState
-	once sync.Once
-	plan *core.InstancePlan
-	err  error
-}
-
-func (rt *Runtime) resolve(e *planEntry, k int) (*core.InstancePlan, error) {
-	e.once.Do(func() {
-		e.plan, e.err = rt.proto.Plan(e.snap, k)
-	})
-	return e.plan, e.err
-}
-
 // flight is one speculative instance execution.
 type flight struct {
 	k       int
@@ -402,7 +382,6 @@ type flight struct {
 	done    chan struct{}
 	ir      *core.InstanceResult
 	err     error
-	plans   *planEntry
 	started time.Time
 }
 
@@ -486,15 +465,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		Window:    rt.cfg.Window,
 	}
 
-	entryFor := func(gen int) *planEntry {
-		e, ok := rt.entries[gen]
-		if !ok {
-			e = &planEntry{snap: rt.ds.Clone()}
-			rt.entries[gen] = e
-		}
-		return e
-	}
-
 	// inputs retains every pulled-but-uncommitted submission keyed by its
 	// instance number: a dispute barrier aborts speculative executions,
 	// which relaunch later from this map on the fresh snapshot.
@@ -507,7 +477,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			gen:     rt.ds.Gen(),
 			eng:     newInstanceEngine(rt.nextLaunch, rt.cfg.Graph, rt.sendFrame, rt.locals),
 			done:    make(chan struct{}),
-			plans:   entryFor(rt.ds.Gen()),
 			started: time.Now(),
 		}
 		mInflight.Inc()
@@ -527,13 +496,9 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		inflight[k] = f
 		rt.register(f.eng)
 		in := inputs[k] // read under the scheduler, not in the goroutine
+		plan := rt.proto.Plan(rt.ds)
 		go func() {
 			defer close(f.done)
-			plan, err := rt.resolve(f.plans, f.k)
-			if err != nil {
-				f.err = err
-				return
-			}
 			f.ir, f.err = plan.ExecuteLocal(f.eng, f.k, in, lv)
 		}()
 	}

@@ -13,6 +13,7 @@ import (
 
 	"nab/internal/adversary"
 	"nab/internal/core"
+	"nab/internal/flight"
 	"nab/internal/graph"
 	"nab/internal/runtime"
 	"nab/internal/topo"
@@ -251,6 +252,41 @@ func TestDisputeBarrierReplays(t *testing.T) {
 		if ir.Phase3 {
 			t.Errorf("instance %d ran dispute control after the alarmer was excluded", i+2)
 		}
+	}
+}
+
+// TestPlanBuildsOncePerGenerationPipelined counts plan builds with the
+// flight recorder on: at W = 4 on the dispute_churn shape (K7, f = 2,
+// L = 1 KiB, alarm at 3, flip at 5) the runtime builds one plan per
+// generation, three in all, however many concurrent flights and replays
+// share each — the count the lockstep runner records on the same run.
+func TestPlanBuildsOncePerGenerationPipelined(t *testing.T) {
+	flight.Default().Enable(1 << 16)
+	defer flight.Default().Disable() // the recorder is process-global
+	cfg := core.Config{
+		Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1024, Seed: 5,
+		Adversaries: map[graph.NodeID]core.Adversary{3: adversary.FalseAlarm{}, 5: &adversary.BlockFlipper{}},
+	}
+	rt, err := runtime.New(runtime.Config{Config: cfg, Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	res, err := runBatch(rt, mkInputs(16, cfg.LenBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replays == 0 {
+		t.Error("expected speculative replays at the dispute barriers")
+	}
+	builds := 0
+	for _, ev := range flight.Default().Events() {
+		if ev.Type == flight.EvPhase && ev.Step == flight.PhasePlan {
+			builds++
+		}
+	}
+	if builds != 3 {
+		t.Fatalf("%d plan builds, want 3 (one per generation)", builds)
 	}
 }
 

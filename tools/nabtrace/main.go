@@ -8,8 +8,9 @@
 //
 //   - a Chrome trace-event JSON file (-o, default trace.json) loadable
 //     in Perfetto / chrome://tracing: one track per process, one lane
-//     per instance with nested phase spans (launch -> phase1 ->
-//     equality -> flags -> claims -> commit), dispute barriers and
+//     per instance with nested phase spans (launch -> [plan ->] phase1
+//     -> equality -> flags -> claims -> commit; plan only on the instance
+//     that built its generation's plan), dispute barriers and
 //     rejoin/join rounds as spans on a control lane, anomalies and WAL
 //     syncs as instants, and stitched frames as flow arrows between
 //     processes;
@@ -180,9 +181,11 @@ func (s *procStat) addSeg(label string, ns int64) {
 }
 
 // segColumns is the fixed order of the latency-breakdown table; the
-// phase chain is linear, so segments are simply consecutive pairs.
+// phase chain is linear, so segments are simply consecutive pairs. The
+// plan build, recorded only by the instance that triggers it, is not a
+// link of the chain: launch→phase1 includes it and "plan" times it.
 var segColumns = []string{
-	"launch→phase1", "phase1→equality", "equality→flags",
+	"launch→phase1", "plan", "phase1→equality", "equality→flags",
 	"flags→claims", "→commit", "total",
 }
 
@@ -280,20 +283,21 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 		span(fmt.Sprintf("inst %d", k), o.launchTS, commitTS, lane(k),
 			map[string]any{"gen": o.gen, "launch": o.inst})
 		prevName, prevTS := "launch", o.launchTS
-		for _, ph := range o.phases {
-			name := flight.PhaseName(ph.Step)
+		for i, ph := range o.phases {
+			name, end := flight.PhaseName(ph.Step), commitTS
+			if i+1 < len(o.phases) {
+				end = o.phases[i+1].TS
+			}
+			span(name, ph.TS, end, lane(k), nil)
+			if ph.Step == flight.PhasePlan {
+				st.addSeg(name, end-ph.TS) // inside launch→phase1, timed on its own
+				continue
+			}
 			st.addSeg(prevName+"→"+name, ph.TS-prevTS)
 			prevName, prevTS = name, ph.TS
 		}
 		st.addSeg("→commit", commitTS-prevTS)
 		st.addSeg("total", commitTS-o.launchTS)
-		for i, ph := range o.phases {
-			end := commitTS
-			if i+1 < len(o.phases) {
-				end = o.phases[i+1].TS
-			}
-			span(flight.PhaseName(ph.Step), ph.TS, end, lane(k), nil)
-		}
 	}
 
 	for _, ev := range p.dump.Events {

@@ -42,6 +42,9 @@ func genDumps() (node0, node1 flight.Dump) {
 		inst := uint64(k)
 		ev0(flight.Event{Type: flight.EvLaunch, TS: t, Node: -1, Inst: inst, K: k, Gen: 0})
 		ev1(flight.Event{Type: flight.EvLaunch, TS: t + 1_000_000, Node: -1, Inst: inst, K: k, Gen: 0})
+		if k == 1 { // instance 1 builds generation 0's plan on node-0
+			ev0(flight.Event{Type: flight.EvPhase, TS: t + 1_500_000, Node: -1, K: k, Step: flight.PhasePlan})
+		}
 		ev0(flight.Event{Type: flight.EvPhase, TS: t + 2_000_000, Node: -1, K: k, Step: flight.Phase1})
 		ev1(flight.Event{Type: flight.EvPhase, TS: t + 3_000_000, Node: -1, K: k, Step: flight.Phase1})
 		for step := uint32(1); step <= 2; step++ {
