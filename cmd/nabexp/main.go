@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -38,25 +39,26 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nabexp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one nabexp command line, writing its tables to w.
+func run(w io.Writer, args []string) error {
 	if len(args) > 0 {
 		switch args[0] {
 		case "sim":
-			return runSim(args[1:])
+			return runSim(w, args[1:])
 		case "cap":
-			return runCap(args[1:])
+			return runCap(w, args[1:])
 		}
 	}
-	return runTables(args)
+	return runTables(w, args)
 }
 
-func runTables(args []string) error {
+func runTables(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nabexp", flag.ContinueOnError)
 	only := fs.String("only", "", "run a single experiment: e1..e8, ablations")
 	seed := fs.Int64("seed", 2012, "base seed")
@@ -67,7 +69,6 @@ func runTables(args []string) error {
 		return err
 	}
 
-	w := os.Stdout
 	want := func(name string) bool {
 		return *only == "" || strings.EqualFold(*only, name)
 	}
@@ -121,7 +122,7 @@ func topoFlags(fs *flag.FlagSet) (topoName, file *string, source, f *int) {
 
 // runSim runs -q NAB instances on the lockstep runner and prints one row
 // per instance.
-func runSim(args []string) error {
+func runSim(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nabexp sim", flag.ContinueOnError)
 	topoName, file, source, f := topoFlags(fs)
 	q := fs.Int("q", 4, "number of instances")
@@ -163,14 +164,14 @@ func runSim(args []string) error {
 		t.Addf(ir.K, ir.Gamma, ir.Rho, ir.Phase1Time, ir.EqualityTime, ir.FlagTime,
 			ir.DisputeTime, ir.TotalTime(), ir.Phase3, fmt.Sprint(ir.NewDisputes), fmt.Sprint(ir.NewFaulty))
 	}
-	fmt.Print(t)
-	fmt.Printf("\nthroughput: %s bits/time unit over %d instances (%d dispute phases)\n",
+	fmt.Fprint(w, t)
+	fmt.Fprintf(w, "\nthroughput: %s bits/time unit over %d instances (%d dispute phases)\n",
 		texttab.F(rr.Throughput()), *q, rr.DisputePhases())
 	return nil
 }
 
 // runCap prints the topology's Theorem 2/3 capacity quantities.
-func runCap(args []string) error {
+func runCap(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nabexp cap", flag.ContinueOnError)
 	topoName, file, source, f := topoFlags(fs)
 	exact := fs.Bool("exact", true, "exact gamma* enumeration (small networks)")
@@ -196,6 +197,6 @@ func runCap(args []string) error {
 	t.Addf("capacity upper bound min(gamma*, 2 rho*)", rep.CapacityUB)
 	t.Addf("T_NAB lower bound gamma* rho*/(gamma*+rho*)", rep.TNABBound)
 	t.Addf("guaranteed fraction of capacity", rep.Guarantee)
-	fmt.Print(t)
+	fmt.Fprint(w, t)
 	return nil
 }
