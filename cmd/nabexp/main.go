@@ -2,11 +2,11 @@
 // regenerates every experiment table recorded in EXPERIMENTS.md: the
 // paper's worked examples (E1, E2), the Theorem 1 soundness sweep (E3),
 // throughput vs capacity bounds (E4), pipelining (E5), dispute-control
-// amortization (E6), the capacity-oblivious baseline comparison (E7), the
-// correctness fuzz sweep (E8), and the design ablations. Two subcommands
-// cover one topology at a time: sim runs NAB instances and prints
-// per-phase timing, dispute-control activity and throughput; cap prints
-// the capacity analysis (gamma_1, U_1, gamma*, rho*, the Theorem 2
+// amortization (E6), the capacity-oblivious baseline comparison (E7) and
+// the correctness fuzz sweep (E8). Two subcommands cover one topology at
+// a time: sim runs NAB instances and prints per-phase timing,
+// dispute-control activity and throughput; cap prints the capacity
+// analysis (gamma_1, U_1, gamma*, rho*, the Theorem 2
 // capacity upper bound and the Theorem 3 NAB throughput guarantee).
 //
 // Usage:
@@ -60,7 +60,7 @@ func run(w io.Writer, args []string) error {
 
 func runTables(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nabexp", flag.ContinueOnError)
-	only := fs.String("only", "", "run a single experiment: e1..e8, ablations")
+	only := fs.String("only", "", "run a single experiment: e1..e8")
 	seed := fs.Int64("seed", 2012, "base seed")
 	draws := fs.Int("draws", 200, "E3 scheme draws per symbol width")
 	q := fs.Int("q", 10, "E4 instances per network")
@@ -85,15 +85,6 @@ func runTables(w io.Writer, args []string) error {
 		{"e6", func() error { _, err := exp.E6Amortization(w, 0, nil, *seed); return err }},
 		{"e7", func() error { _, err := exp.E7Baselines(w, 0, *seed); return err }},
 		{"e8", func() error { return exp.E8Correctness(w, *trials, 8, *seed) }},
-		{"ablations", func() error {
-			if err := exp.AblationRho(w, 0, *seed); err != nil {
-				return err
-			}
-			if err := exp.AblationPacking(w, 64, *seed); err != nil {
-				return err
-			}
-			return exp.AblationRelayPaths(w, 16, *seed)
-		}},
 	}
 	ran := false
 	for _, s := range steps {

@@ -24,9 +24,10 @@ func main() {
 		Source:   1,                       // node 1 broadcasts
 		F:        1,                       // tolerate one Byzantine node
 		LenBytes: lenBytes,
+		// node 3 raises false alarms, forcing one dispute phase
+		Adversaries: map[nab.NodeID]nab.Adversary{3: nab.FalseAlarmAdversary()},
 	},
 		nab.WithWindow(4), // instances in flight
-		nab.WithAdversary(3, nab.FalseAlarmAdversary()),
 	)
 	if err != nil {
 		log.Fatal(err)

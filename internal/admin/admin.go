@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"nab/internal/flight"
@@ -57,8 +56,7 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 
-	mu     sync.Mutex
-	checks []Check
+	checks []Check // fixed at Serve
 }
 
 // Serve binds addr (e.g. "127.0.0.1:9090"; port 0 picks a free port) and
@@ -117,25 +115,14 @@ func Serve(addr string, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// AddCheck registers an additional health probe on a running server.
-func (s *Server) AddCheck(c Check) {
-	s.mu.Lock()
-	s.checks = append(s.checks, c)
-	s.mu.Unlock()
-}
-
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	checks := append([]Check(nil), s.checks...)
-	s.mu.Unlock()
-
 	type result struct {
 		name string
 		err  error
 	}
-	results := make([]result, len(checks))
+	results := make([]result, len(s.checks))
 	healthy := true
-	for i, c := range checks {
+	for i, c := range s.checks {
 		results[i] = result{c.Name, c.Probe()}
 		if results[i].err != nil {
 			healthy = false

@@ -88,19 +88,6 @@ func TestNoChecksHealthz(t *testing.T) {
 	}
 }
 
-func TestAddCheck(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", Options{Registry: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.AddCheck(Check{Name: "late", Probe: func() error { return errors.New("nope") }})
-	code, body := get(t, "http://"+s.Addr()+"/healthz")
-	if code != 503 || !strings.Contains(body, "late: nope") {
-		t.Fatalf("code=%d body=%q", code, body)
-	}
-}
-
 func TestBadAddr(t *testing.T) {
 	if _, err := Serve("256.0.0.1:bad", Options{}); err == nil {
 		t.Fatal("no error for bad addr")

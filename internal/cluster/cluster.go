@@ -17,9 +17,6 @@ import (
 
 // Options tunes one process's cluster endpoint.
 type Options struct {
-	// TimeUnit enables per-link capacity pacing on the wire (see
-	// transport.PeerOptions).
-	TimeUnit time.Duration
 	// BootTimeout bounds how long link and control dials wait for peer
 	// processes to come up. Default 20s.
 	BootTimeout time.Duration
@@ -28,60 +25,61 @@ type Options struct {
 	// control-plane endpoint) from it instead of re-binding the configured
 	// addresses, closing the release-then-rebind race.
 	Reservation *Reservation
-
-	// Durable switches the process to crash-recovery mode: mesh links
-	// heal (transport.PeerOptions.Reconnect), the control plane carries
-	// the rejoin protocol, and Stream supervises rollback rounds — a peer
-	// process killed and restarted re-enters the cluster mid-stream with
-	// the committed sequence staying byte-identical to the uninterrupted
-	// run. Every process of the cluster must agree on Durable.
-	Durable bool
-	// Recovered is the committed-instance prefix replayed from this
-	// process's WAL when it restarts (nil on first boot). The runtime is
-	// restored to it before streaming and a rejoin round is announced.
-	Recovered []*core.InstanceResult
-	// RecoveredInputs maps instance numbers to submitted payloads
-	// recovered from the WAL — needed when a rollback round rewinds below
-	// this process's own watermark, so it can re-execute instances it
-	// committed before the crash.
-	RecoveredInputs map[int][]byte
-	// Rejoining marks a process restarting over an existing WAL: Start
-	// announces a rejoin round so the (possibly stalled) cluster rolls
-	// back and re-drives the frames this process missed. It must be set
-	// whenever the WAL shows a previous incarnation — even one that
-	// crashed before its first commit became durable, since its peers may
-	// already be stalled waiting for its frames.
-	Rejoining bool
-	// RejoinLinger bounds how long a process that finished its workload
-	// stays parked at the shutdown barrier, mesh intact, ready to serve a
-	// rollback for a peer that crashed near the end. Default 2 minutes
-	// (durable mode only).
-	RejoinLinger time.Duration
-
 	// Join marks a blank-WAL process entering a live cluster: instead of
 	// replaying history it announces a join round, installs the snapshot
 	// that F+1 peers pushed byte-identically over the control plane, and
 	// enters the stream at that snapshot's boundary, re-executing the
-	// instances above it live. Requires Durable (the transferred state is
-	// persisted so the process's own restarts recover) and a genuinely
-	// blank WAL — combining Join with Rejoining is an error.
+	// instances above it live. Requires a Recovery (the transferred state
+	// is persisted so the process's own restarts recover) over a genuinely
+	// blank WAL: one with a Base or commits rejoins instead.
 	Join bool
-	// RecoveredBase is the snapshot the WAL is anchored on (nil for a
-	// blank WAL; the zero state with DigestSeed for a full-history log):
-	// this process's floor, with its launch epoch and commit-chain digest.
-	// Rollbacks below the floor are impossible by the floor-safety rule —
-	// every process fsyncs its WAL before acknowledging a rewind, so no
-	// later round can target a watermark below any persisted floor.
-	RecoveredBase *wal.Snapshot
-	// PersistFloor (set by the session layer) writes a snapshot record
-	// into this process's WAL and compacts behind it — called with a join
-	// base and after rollback rounds establish a new floor.
+}
+
+// Recovery is a durable process's write-ahead-log plumbing, built by the
+// session layer from its WAL. Passing one to StartContext (an empty one
+// for a blank log) switches the process to crash-recovery mode: mesh
+// links heal (transport.PeerOptions.Reconnect), the control plane carries
+// the rejoin protocol, and Stream supervises rollback rounds — a peer
+// process killed and restarted re-enters the cluster mid-stream with the
+// committed sequence staying byte-identical to the uninterrupted run. A
+// nil Recovery runs without a log. Every process of the cluster must
+// agree on which of the two it runs.
+type Recovery struct {
+	// Committed is the committed-instance prefix above Base replayed from
+	// the WAL. The runtime is restored to it before streaming.
+	Committed []*core.InstanceResult
+	// Inputs maps instance numbers to submitted payloads recovered from
+	// the WAL — needed when a rollback round rewinds below this process's
+	// own watermark, so it can re-execute instances it committed before
+	// the crash.
+	Inputs map[int][]byte
+	// Base is the snapshot the WAL is anchored on (the zero state with
+	// DigestSeed for a full-history log): this process's floor, with its
+	// launch epoch and commit-chain digest. Rollbacks below the floor are
+	// impossible by the floor-safety rule — every process fsyncs its WAL
+	// before acknowledging a rewind, so no later round can target a
+	// watermark below any persisted floor.
+	//
+	// A non-nil Base marks a process restarting over an existing WAL: it
+	// announces a rejoin round so the (possibly stalled) cluster rolls
+	// back and re-drives the frames it missed — even if the previous
+	// incarnation crashed before its first commit became durable, since
+	// its peers may already be stalled waiting for its frames. Nil means
+	// a blank WAL.
+	Base *wal.Snapshot
+	// PersistFloor writes a snapshot record into this process's WAL and
+	// compacts behind it — called with a join base and after rollback
+	// rounds establish a new floor.
 	PersistFloor func(wal.Snapshot) error
-	// SyncWAL (set by the session layer) fsyncs the WAL; called before a
-	// rewind ack so every process's durable watermark provably reaches
-	// the round's floor.
+	// SyncWAL fsyncs the WAL; called before a rewind ack so every
+	// process's durable watermark provably reaches the round's floor.
 	SyncWAL func() error
 }
+
+// rejoinLinger bounds how long a durable process that finished its
+// workload stays parked at the shutdown barrier, mesh intact, ready to
+// serve a rollback for a peer that crashed near the end.
+const rejoinLinger = 2 * time.Minute
 
 // Node is one process's membership in a cluster: the transport endpoint,
 // the control-plane endpoint and the (partial) pipelined runtime driving
@@ -89,13 +87,14 @@ type Options struct {
 type Node struct {
 	cfg    *Config
 	opt    Options
+	rec    *Recovery // nil without a WAL; see Recovery
 	locals []graph.NodeID
 	tr     *transport.Peer
 	ctrl   *ctrlPlane
 	rt     *runtime.Runtime
 	log    *slog.Logger // rejoin/rollback event log, bound to the local node set
 
-	// Crash-recovery supervision state (Durable mode); all touched only
+	// Crash-recovery supervision state (rec != nil); all touched only
 	// by the single Stream call.
 	epoch         uint64                 // launch epoch agreed by the last rollback
 	lastRound     int                    // last rollback round this process acked
@@ -103,7 +102,7 @@ type Node struct {
 	committed     []*core.InstanceResult // committed results above the floor, recovery + live
 	inputs        *inputBuffer           // retained submissions for re-execution
 
-	// Snapshot state-sync bookkeeping (Durable mode). base is the floor
+	// Snapshot state-sync bookkeeping (rec != nil). base is the floor
 	// snapshot everything below is folded into; committed[i] holds
 	// instance base.K+1+i and chain[i] the commit-chain digest at it —
 	// identical across honest processes, the substance of join-round
@@ -142,21 +141,30 @@ type Node struct {
 // and starts the partial runtime. Peers may be started in any order;
 // link dials retry until the mesh is up. Start is StartContext with a
 // background context.
-func Start(cfg *Config, id graph.NodeID, opt Options) (*Node, error) {
-	return StartContext(context.Background(), cfg, id, opt)
+func Start(cfg *Config, id graph.NodeID, opt Options, rec *Recovery) (*Node, error) {
+	return StartContext(context.Background(), cfg, id, opt, rec)
 }
 
 // StartContext is Start bounded by ctx: canceling it aborts the boot-time
 // dial retries (a follower waiting for the coordinator to come up) and
 // makes the control plane's pending schedule waits fail, so a canceled
-// session tears down instead of waiting out BootTimeout.
-func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options) (*Node, error) {
+// session tears down instead of waiting out BootTimeout. rec carries the
+// WAL of a durable process (nil without one). Invalid options fail before
+// any endpoint opens, so a reserved listener stays with the Reservation.
+func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options, rec *Recovery) (*Node, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if opt.Join && rec == nil {
+		return nil, fmt.Errorf("cluster: Join requires a Recovery")
+	}
+	if opt.Join && (rec.Base != nil || len(rec.Committed) > 0) {
+		return nil, fmt.Errorf("cluster: Join requires a blank WAL; a process with history rejoins with Recover")
+	}
+	durable := rec != nil
 	spec, ok := cfg.Spec(id)
 	if !ok {
 		return nil, fmt.Errorf("cluster: node %d has no spec", id)
@@ -168,9 +176,8 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 	}
 
 	popt := transport.PeerOptions{
-		TimeUnit:    opt.TimeUnit,
 		DialTimeout: opt.BootTimeout,
-		Reconnect:   opt.Durable,
+		Reconnect:   durable,
 		Chaos:       cfg.Chaos,
 	}
 	if opt.Reservation != nil {
@@ -200,9 +207,9 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		if opt.Reservation != nil {
 			cl = opt.Reservation.Take(cfg.CtrlAddr)
 		}
-		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, opt.Durable, cfg.SnapshotInterval)
+		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, durable, cfg.SnapshotInterval)
 	} else {
-		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, opt.Durable)
+		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable)
 	}
 	if err != nil {
 		tr.Close()
@@ -221,28 +228,18 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		return nil, err // runtime owns (and closed) the transport
 	}
 	n := &Node{
-		cfg: cfg, opt: opt, locals: locals, tr: tr, ctrl: ctrl, rt: rt,
+		cfg: cfg, opt: opt, rec: rec, locals: locals, tr: tr, ctrl: ctrl, rt: rt,
 		log:  rejoinLog.With("node", fmt.Sprint(locals)),
 		stop: make(chan struct{}),
 	}
-	if opt.Join && !opt.Durable {
-		ctrl.Close()
-		rt.Close()
-		return nil, fmt.Errorf("cluster: Join requires Durable")
-	}
-	if opt.Join && (opt.Rejoining || opt.RecoveredBase != nil || len(opt.Recovered) > 0) {
-		ctrl.Close()
-		rt.Close()
-		return nil, fmt.Errorf("cluster: Join requires a blank WAL; a process with history rejoins with Recover")
-	}
-	if opt.Durable {
+	if durable {
 		n.lead = int64(cfg.Lead(spec.Addr))
 		n.base.Digest = wal.DigestSeed
-		if opt.RecoveredBase != nil {
-			n.base = *opt.RecoveredBase
+		if rec.Base != nil {
+			n.base = *rec.Base
 			n.epoch = n.base.Epoch
 		}
-		for _, ir := range opt.Recovered {
+		for _, ir := range rec.Committed {
 			if ir.K != n.watermark()+1 {
 				ctrl.Close()
 				rt.Close()
@@ -250,7 +247,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 			}
 			n.extend(ir)
 		}
-		n.inputs = newInputBuffer(opt.RecoveredInputs)
+		n.inputs = newInputBuffer(rec.Inputs)
 		if err := rt.RestoreSnapshot(0, n.base.SnapshotState, n.committed); err != nil {
 			ctrl.Close()
 			rt.Close()
@@ -263,7 +260,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		// write — is retried like any other control-plane loss. A blank
 		// joiner announces the same way; blankness rides its sync ack.
 		n.blank = opt.Join
-		n.rejoinPending = opt.Rejoining || opt.Join
+		n.rejoinPending = rec.Base != nil || opt.Join
 	}
 	// The watchdog force-closes the endpoints on cancellation, so actors
 	// blocked in link dials (a peer process that never came up) or in
@@ -294,7 +291,7 @@ func (n *Node) Runtime() *runtime.Runtime { return n.rt }
 // aborts in-flight executions — mid-dispute included — and skips the
 // lingering barrier wait.
 func (n *Node) Stream(ctx context.Context, subs <-chan []byte, commit func(*core.InstanceResult) error) (*runtime.Result, error) {
-	if n.opt.Durable {
+	if n.rec != nil {
 		return n.streamDurable(ctx, subs, commit)
 	}
 	res, err := n.rt.RunStream(ctx, subs, commit)

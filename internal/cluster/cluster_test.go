@@ -30,18 +30,12 @@ func batchChan(inputs [][]byte) chan []byte {
 // runBatch feeds a fixed batch through the runtime's streaming entry
 // point and returns once every instance has committed.
 func runBatch(rt *runtime.Runtime, inputs [][]byte) (*runtime.Result, error) {
-	if err := rt.ValidateInputs(inputs); err != nil {
-		return nil, err
-	}
 	return rt.RunStream(context.Background(), batchChan(inputs), nil)
 }
 
 // streamNode drives a cluster node through Stream over the whole
 // workload, as every process of a cluster must.
 func streamNode(n *cluster.Node, inputs [][]byte) (*runtime.Result, error) {
-	if err := n.Runtime().ValidateInputs(inputs); err != nil {
-		return nil, err
-	}
 	return n.Stream(context.Background(), batchChan(inputs), nil)
 }
 
@@ -113,7 +107,7 @@ func runCluster(t *testing.T, cfg *cluster.Config, rsv *cluster.Reservation) []c
 		wg.Add(1)
 		go func(i int, lead graph.NodeID) {
 			defer wg.Done()
-			n, err := cluster.Start(cfg, lead, cluster.Options{BootTimeout: 30 * time.Second, Reservation: rsv})
+			n, err := cluster.Start(cfg, lead, cluster.Options{BootTimeout: 30 * time.Second, Reservation: rsv}, nil)
 			if err != nil {
 				results[i] = clusterResult{err: err}
 				return

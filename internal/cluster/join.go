@@ -252,8 +252,8 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 	if err := n.tr.Reestablish(); err != nil {
 		return fmt.Errorf("cluster: re-pin mesh links: %w", err)
 	}
-	if n.opt.SyncWAL != nil {
-		if err := n.opt.SyncWAL(); err != nil {
+	if n.rec.SyncWAL != nil {
+		if err := n.rec.SyncWAL(); err != nil {
 			return fmt.Errorf("cluster: wal sync before rewound ack: %w", err)
 		}
 	}
@@ -264,7 +264,7 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 // WAL (compacting the log behind it) once the round has resumed — only
 // then has every process provably fsynced past m.
 func (n *Node) persistFloorAt(m int) error {
-	if n.opt.PersistFloor == nil {
+	if n.rec.PersistFloor == nil {
 		return nil
 	}
 	s, err := n.snapshot(m)
@@ -272,7 +272,7 @@ func (n *Node) persistFloorAt(m int) error {
 		return err
 	}
 	s.Epoch = n.epoch
-	if err := n.opt.PersistFloor(s); err != nil {
+	if err := n.rec.PersistFloor(s); err != nil {
 		return fmt.Errorf("cluster: persist floor snapshot: %w", err)
 	}
 	mFloorSnapshots.Inc()

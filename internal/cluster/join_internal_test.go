@@ -122,13 +122,12 @@ func runJoinScenario(t *testing.T, q, killAt int, tamper func(*ctrlMsg)) {
 	}
 
 	const victim = graph.NodeID(2)
-	opts := Options{BootTimeout: 30 * time.Second, Reservation: rsv, Durable: true,
-		RejoinLinger: 2 * time.Minute}
+	opts := Options{BootTimeout: 30 * time.Second, Reservation: rsv}
 	runs := map[graph.NodeID]*durableRun{}
 	// The coordinator first, so follower control dials land immediately.
 	order := []graph.NodeID{1, 2, 3, 4}
 	for _, v := range order {
-		n, err := Start(cfg, v, opts)
+		n, err := Start(cfg, v, opts, &Recovery{})
 		if err != nil {
 			t.Fatalf("start node %d: %v", v, err)
 		}
@@ -161,9 +160,7 @@ func runJoinScenario(t *testing.T, q, killAt int, tamper func(*ctrlMsg)) {
 
 	// The blank replacement: no reservation (the victim's listener died
 	// with it; the joiner rebinds the configured address itself).
-	jopt := Options{BootTimeout: 30 * time.Second, Durable: true, Join: true,
-		RejoinLinger: 2 * time.Minute}
-	jn, err := Start(cfg, victim, jopt)
+	jn, err := Start(cfg, victim, Options{BootTimeout: 30 * time.Second, Join: true}, &Recovery{})
 	if err != nil {
 		t.Fatalf("start joiner: %v", err)
 	}
@@ -277,6 +274,40 @@ func TestClusterJoinByzantineDigests(t *testing.T) {
 	}
 }
 
+// TestJoinRejectedBeforeEndpoints checks that StartContext refuses an
+// invalid Join before it opens anything: the reserved mesh and
+// control-plane listeners of the source's host stay with the Reservation.
+func TestJoinRejectedBeforeEndpoints(t *testing.T) {
+	cfg, rsv := joinConfig(t, 4, 0, nil)
+	spec, _ := cfg.Spec(cfg.Source)
+	opt := Options{BootTimeout: time.Second, Reservation: rsv, Join: true}
+	for _, tc := range []struct {
+		name string
+		rec  *Recovery
+		want string
+	}{
+		{"no recovery", nil, "requires a Recovery"},
+		{"with a base", &Recovery{Base: &wal.Snapshot{}}, "blank WAL"},
+		{"with commits", &Recovery{Committed: []*core.InstanceResult{{K: 1}}}, "blank WAL"},
+	} {
+		n, err := StartContext(context.Background(), cfg, cfg.Source, opt, tc.rec)
+		if err == nil {
+			n.Close()
+			t.Fatalf("%s: Join accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		for _, addr := range []string{spec.Addr, cfg.CtrlAddr} {
+			l := rsv.Take(addr)
+			if l == nil {
+				t.Fatalf("%s: the rejected start took the reserved listener for %s", tc.name, addr)
+			}
+			rsv.Add(addr, l)
+		}
+	}
+}
+
 // TestServedStateMatchesOracle pins what a durable process serves a join
 // round to the lockstep oracle: at every boundary j the state message
 // carries the canonical snapshot of the oracle's dispute state folded to
@@ -313,10 +344,10 @@ func TestServedStateMatchesOracle(t *testing.T) {
 		snaps = append(snaps, wal.AppendSnapshot(nil, wal.Snapshot{SnapshotState: ds.State(), Digest: chain[len(chain)-1]}))
 	}
 
-	opts := Options{BootTimeout: 30 * time.Second, Reservation: rsv, Durable: true}
+	opts := Options{BootTimeout: 30 * time.Second, Reservation: rsv}
 	var runs []*durableRun
 	for _, spec := range cfg.Nodes { // the coordinator first
-		n, err := Start(cfg, spec.ID, opts)
+		n, err := Start(cfg, spec.ID, opts, &Recovery{})
 		if err != nil {
 			t.Fatalf("start node %d: %v", spec.ID, err)
 		}

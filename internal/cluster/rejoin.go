@@ -142,10 +142,6 @@ func (b *inputBuffer) feed(stop <-chan struct{}, out chan<- []byte, from int) {
 // watermark, the whole committed history (recovered + live) aggregated
 // into the result.
 func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit func(*core.InstanceResult) error) (*runtime.Result, error) {
-	linger := n.opt.RejoinLinger
-	if linger <= 0 {
-		linger = 2 * time.Minute
-	}
 	// Pump the session's submissions into the retained buffer.
 	go func() {
 		for {
@@ -212,7 +208,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 			n.log.Error("announce-failed", "err", err, "action", "reconnect")
-			if err := n.rollback(ctx, n.ctrl.ctrldownNow(), linger); err != nil {
+			if err := n.rollback(ctx, n.ctrl.ctrldownNow(), rejoinLinger); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
 				return nil, err
 			}
@@ -262,7 +258,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		cancel()
 
 		if rollEv != nil {
-			if err := n.rollback(ctx, *rollEv, linger); err != nil {
+			if err := n.rollback(ctx, *rollEv, rejoinLinger); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
 				return nil, err
 			}
@@ -280,7 +276,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		// Workload complete: park at the shutdown barrier, mesh intact,
 		// still answering rollbacks for peers that crashed near the end.
 		n.log.Debug("parking", "round", n.lastRound, "committed", len(n.committed))
-		ev, err := n.park(ctx, events, linger)
+		ev, err := n.park(ctx, events, rejoinLinger)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +291,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 			}
 			return res, nil
 		}
-		if err := n.rollback(ctx, *ev, linger); err != nil {
+		if err := n.rollback(ctx, *ev, rejoinLinger); err != nil {
 			n.ctrl.barrier(ctx, time.Second)
 			return nil, err
 		}

@@ -35,6 +35,10 @@ type PhaseEngine interface {
 
 var _ PhaseEngine = (*sim.Engine)(nil)
 
+// maxSchemeTries bounds coding-matrix redraws per generation's plan:
+// Theorem 1 makes one draw succeed w.h.p., tiny fields may need more.
+const maxSchemeTries = 64
+
 // Protocol is a validated NAB configuration plus the instance-independent
 // precomputation (relay table). The Protocol itself is immutable after
 // construction and safe for concurrent use, so one Protocol can drive many
@@ -66,24 +70,14 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 	if len(cfg.Adversaries) > cfg.F {
 		return nil, fmt.Errorf("core: %d adversaries exceed fault bound f = %d", len(cfg.Adversaries), cfg.F)
 	}
-	if cfg.MaxSchemeTries <= 0 {
-		cfg.MaxSchemeTries = 64
-	}
-	relayPaths := 2*cfg.F + 1
-	if cfg.RelayPaths > 0 {
-		if cfg.RelayPaths < relayPaths {
-			return nil, fmt.Errorf("core: RelayPaths = %d below 2f+1 = %d breaks reliable relaying", cfg.RelayPaths, relayPaths)
-		}
-		relayPaths = cfg.RelayPaths
-	}
-	// A relay table with relayPaths >= 2f+1 node-disjoint paths for every
-	// ordered pair is itself the proof that the vertex connectivity is at
-	// least 2f+1, so the paper's precondition costs no second round of
-	// max-flows on a graph that meets it. Only when the table cannot be
-	// built (or there is no pair to build it for) is the connectivity
-	// computed, to name the failure as what it is.
-	tab, err := relay.NewTable(cfg.Graph, relayPaths)
-	if !cfg.SkipConnectivityCheck && (err != nil || n < 2) {
+	// A relay table with 2f+1 node-disjoint paths for every ordered pair
+	// is itself the proof that the vertex connectivity is at least 2f+1,
+	// so the paper's precondition costs no second round of max-flows on a
+	// graph that meets it. Only when the table cannot be built (or there
+	// is no pair to build it for) is the connectivity computed, to name
+	// the failure as what it is.
+	tab, err := relay.NewTable(cfg.Graph, 2*cfg.F+1)
+	if err != nil || n < 2 {
 		conn, cerr := cfg.Graph.VertexConnectivity()
 		if cerr != nil {
 			return nil, fmt.Errorf("core: connectivity: %w", cerr)
@@ -290,17 +284,11 @@ func (p *Protocol) PlanInstance(ds *DisputeState, k int, rng *rand.Rand) (*Insta
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %d: gamma: %w", k, err)
 	}
-	if p.cfg.GammaOverride > 0 && int64(p.cfg.GammaOverride) < gamma {
-		gamma = int64(p.cfg.GammaOverride)
-	}
 	pl.gamma = gamma
 	omega := dispute.Omega(pl.gk, ds.disputes, p.n-p.cfg.F)
 	rho, err := capacity.Rho(omega)
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %d: rho: %w", k, err)
-	}
-	if p.cfg.RhoOverride > 0 && p.cfg.RhoOverride < rho {
-		rho = p.cfg.RhoOverride
 	}
 	pl.rho = rho
 	// The paper's symbols have L/rho bits. We realize wide symbols as
@@ -321,7 +309,7 @@ func (p *Protocol) PlanInstance(ds *DisputeState, k int, rng *rand.Rand) (*Insta
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %d: field: %w", k, err)
 	}
-	pl.scheme, pl.schemeTries, err = coding.GenerateVerified(pl.gk, rho, field, omega, rng, p.cfg.MaxSchemeTries)
+	pl.scheme, pl.schemeTries, err = coding.GenerateVerified(pl.gk, rho, field, omega, rng, maxSchemeTries)
 	if err != nil {
 		return nil, fmt.Errorf("core: instance %d: scheme: %w", k, err)
 	}

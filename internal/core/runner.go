@@ -27,27 +27,9 @@ type Config struct {
 	F        int             // global fault bound, n >= 3F+1, connectivity >= 2F+1
 	LenBytes int             // input size L = 8*LenBytes bits per instance
 	Seed     int64           // randomness for coding matrices
-	// MaxSchemeTries bounds coding-matrix redraws per generation's plan
-	// (Theorem 1 makes one draw succeed w.h.p.; tiny fields may need
-	// more). Default 64.
-	MaxSchemeTries int
 	// Adversaries maps faulty nodes to their behaviours. Nodes absent from
 	// the map are fault-free. len(Adversaries) must be <= F.
 	Adversaries map[graph.NodeID]Adversary
-	// SkipConnectivityCheck disables the vertex-connectivity precondition
-	// check (useful when the caller already verified it).
-	SkipConnectivityCheck bool
-
-	// Ablation overrides (0 = use the paper's parameter choice):
-	// RhoOverride forces the equality-check parameter below the optimal
-	// floor(U_k/2); GammaOverride caps the number of Phase-1 spanning
-	// trees below gamma_k; RelayPaths overrides the 2f+1 disjoint-path
-	// count of the complete-graph emulation (must be >= 2f+1 to stay
-	// correct; larger values trade bandwidth for nothing, which is the
-	// point of the ablation).
-	RhoOverride   int
-	GammaOverride int
-	RelayPaths    int
 }
 
 // InstanceResult reports one NAB instance.

@@ -75,28 +75,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Merge adds all disputes from o.
-func (s *Set) Merge(o *Set) {
-	for p := range o.pairs {
-		s.pairs[p] = struct{}{}
-	}
-}
-
-// DisputantsOf returns the nodes in dispute with v, sorted.
-func (s *Set) DisputantsOf(v graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for p := range s.pairs {
-		switch v {
-		case p[0]:
-			out = append(out, p[1])
-		case p[1]:
-			out = append(out, p[0])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Support returns all nodes appearing in at least one dispute, sorted.
 func (s *Set) Support() []graph.NodeID {
 	seen := map[graph.NodeID]struct{}{}

@@ -334,7 +334,7 @@ func E5Pipelining(w io.Writer, lenBytes int, seed int64) ([]E5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{Graph: g, Source: 1, F: 1, LenBytes: lenBytes, Seed: seed, SkipConnectivityCheck: true}
+		cfg := core.Config{Graph: g, Source: 1, F: 1, LenBytes: lenBytes, Seed: seed}
 		runner, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err
@@ -541,7 +541,7 @@ func E8Correctness(w io.Writer, trials, lenBytes int, seed int64) error {
 		}
 		cfg := core.Config{
 			Graph: g, Source: 1, F: f, LenBytes: lenBytes,
-			Seed: rng.Int63(), Adversaries: advs, SkipConnectivityCheck: true,
+			Seed: rng.Int63(), Adversaries: advs,
 		}
 		runner, err := core.NewRunner(cfg)
 		if err != nil {

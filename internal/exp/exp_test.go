@@ -155,19 +155,3 @@ func TestE8Small(t *testing.T) {
 		t.Errorf("E8 output malformed:\n%s", buf.String())
 	}
 }
-
-func TestAblations(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AblationRho(&buf, 32, 2); err != nil {
-		t.Fatalf("rho: %v", err)
-	}
-	if err := AblationPacking(&buf, 32, 2); err != nil {
-		t.Fatalf("packing: %v", err)
-	}
-	if err := AblationRelayPaths(&buf, 8, 2); err != nil {
-		t.Fatalf("relay: %v", err)
-	}
-	if !strings.Contains(buf.String(), "Ablation") {
-		t.Error("ablation output missing")
-	}
-}

@@ -255,17 +255,6 @@ func (r *Recorder) dumpLoop(ch chan uint64) {
 	}
 }
 
-// WriteDumpFile captures the current ring and writes it to path
-// atomically (temp + rename + directory sync) — the synchronous
-// counterpart of the anomaly autodump, used by daemons on demand.
-func (r *Recorder) WriteDumpFile(path, reason string) error {
-	buf := r.DumpBytes(reason, nowNS())
-	if buf == nil {
-		return fmt.Errorf("flight: recorder disabled")
-	}
-	return writeFileAtomic(path, buf)
-}
-
 func writeFileAtomic(path string, buf []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {

@@ -438,33 +438,6 @@ func (u *Undirected) Induced(keep []NodeID) *Undirected {
 	return c
 }
 
-// Connected reports whether the graph is connected (true for graphs with
-// fewer than two vertices).
-func (u *Undirected) Connected() bool {
-	nodes := u.Nodes()
-	if len(nodes) < 2 {
-		return true
-	}
-	adj := map[NodeID][]NodeID{}
-	for key := range u.caps {
-		adj[key[0]] = append(adj[key[0]], key[1])
-		adj[key[1]] = append(adj[key[1]], key[0])
-	}
-	seen := map[NodeID]struct{}{nodes[0]: {}}
-	stack := []NodeID{nodes[0]}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if _, ok := seen[w]; !ok {
-				seen[w] = struct{}{}
-				stack = append(stack, w)
-			}
-		}
-	}
-	return len(seen) == len(nodes)
-}
-
 // String renders a deterministic form.
 func (u *Undirected) String() string {
 	var sb strings.Builder

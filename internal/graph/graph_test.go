@@ -211,42 +211,6 @@ func TestMaxFlowKnownValues(t *testing.T) {
 	}
 }
 
-func TestMaxFlowAssignmentConservation(t *testing.T) {
-	g := fig1a()
-	val, flows, err := g.MaxFlowAssignment(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if val != 2 {
-		t.Fatalf("flow value %d, want 2", val)
-	}
-	// conservation: for every node except 1 and 4, inflow == outflow
-	net := map[NodeID]int64{}
-	for key, fl := range flows {
-		if fl < 0 || fl > g.Cap(key[0], key[1]) {
-			t.Fatalf("flow %d on edge %v out of bounds", fl, key)
-		}
-		net[key[0]] -= fl
-		net[key[1]] += fl
-	}
-	for v, b := range net {
-		switch v {
-		case 1:
-			if b != -val {
-				t.Errorf("source balance %d, want %d", b, -val)
-			}
-		case 4:
-			if b != val {
-				t.Errorf("sink balance %d, want %d", b, val)
-			}
-		default:
-			if b != 0 {
-				t.Errorf("node %d balance %d, want 0", v, b)
-			}
-		}
-	}
-}
-
 func TestMaxFlowRandomDualityQuick(t *testing.T) {
 	// Property: maxflow value is at most total capacity out of s and at
 	// most total capacity into t, and removing the source kills all flow.
@@ -335,27 +299,6 @@ func TestUndirectedBasics(t *testing.T) {
 	c := u.Clone()
 	if !c.HasEdge(1, 2) || c.NumNodes() != 2 {
 		t.Error("clone wrong")
-	}
-}
-
-func TestUndirectedConnected(t *testing.T) {
-	u := NewUndirected()
-	if !u.Connected() {
-		t.Error("empty graph should be connected")
-	}
-	u.AddNode(1)
-	if !u.Connected() {
-		t.Error("singleton should be connected")
-	}
-	u.AddNode(2)
-	if u.Connected() {
-		t.Error("two isolated nodes connected?")
-	}
-	if err := u.AddEdge(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !u.Connected() {
-		t.Error("edge should connect")
 	}
 }
 
@@ -530,23 +473,6 @@ func TestVertexConnectivityPairDirect(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	g := NewDirected()
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
-	g.MustAddEdge(4, 1, 1)
-	r := g.ReachableFrom(1)
-	if len(r) != 3 {
-		t.Errorf("reachable from 1 = %v, want {1,2,3}", SortedNodeSet(r))
-	}
-	if _, ok := r[4]; ok {
-		t.Error("4 should not be reachable from 1")
-	}
-	if len(g.ReachableFrom(99)) != 0 {
-		t.Error("missing node should have empty reach")
-	}
-}
-
 func TestParseMarshalRoundTrip(t *testing.T) {
 	g := fig1a()
 	g.AddNode(9) // isolated node survives round trip
@@ -585,13 +511,6 @@ func TestParseComments(t *testing.T) {
 	}
 	if g.NumEdges() != 1 || !g.HasNode(7) {
 		t.Errorf("parsed graph wrong: %v", g)
-	}
-}
-
-func TestDOTOutput(t *testing.T) {
-	dot := fig1a().DOT("g")
-	if dot == "" || dot[:7] != "digraph" {
-		t.Errorf("DOT output malformed: %q", dot)
 	}
 }
 

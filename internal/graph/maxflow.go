@@ -213,60 +213,6 @@ func (u *Undirected) MinPairwiseMincut() (int64, error) {
 	return best, nil
 }
 
-// MaxFlowAssignment returns the max s-t flow value together with the per-edge
-// flow amounts, for flow decomposition (spanning-tree packing, disjoint
-// paths). Flows are keyed by [2]NodeID{from,to}.
-func (g *Directed) MaxFlowAssignment(s, t NodeID) (int64, map[[2]NodeID]int64, error) {
-	if !g.HasNode(s) || !g.HasNode(t) {
-		return 0, nil, fmt.Errorf("graph: maxflow endpoints %d,%d not both present", s, t)
-	}
-	if s == t {
-		return 0, nil, fmt.Errorf("graph: maxflow source equals sink (%d)", s)
-	}
-	ix := newIndexer(g.Nodes())
-	fn := newFlowNet(len(ix.ids))
-	edges := g.Edges()
-	arcIDs := make([]int, len(edges))
-	for i, e := range edges {
-		arcIDs[i] = fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
-	}
-	val := fn.maxflow(ix.idx[s], ix.idx[t])
-	flows := map[[2]NodeID]int64{}
-	for i, e := range edges {
-		used := e.Cap - fn.cap[arcIDs[i]]
-		if used > 0 {
-			flows[[2]NodeID{e.From, e.To}] = used
-		}
-	}
-	return val, flows, nil
-}
-
-// ReachableFrom returns the set of nodes reachable from src (including src)
-// following directed edges.
-func (g *Directed) ReachableFrom(src NodeID) map[NodeID]struct{} {
-	seen := map[NodeID]struct{}{}
-	if !g.HasNode(src) {
-		return seen
-	}
-	adj := map[NodeID][]NodeID{}
-	for key := range g.caps {
-		adj[key[0]] = append(adj[key[0]], key[1])
-	}
-	stack := []NodeID{src}
-	seen[src] = struct{}{}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if _, ok := seen[w]; !ok {
-				seen[w] = struct{}{}
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
 // SortedNodeSet converts a node set to a sorted slice, for deterministic
 // iteration in algorithms and tests.
 func SortedNodeSet(set map[NodeID]struct{}) []NodeID {

@@ -77,18 +77,3 @@ func (g *Directed) Marshal() string {
 	}
 	return sb.String()
 }
-
-// DOT renders g in Graphviz format with capacities as edge labels, for
-// documentation and debugging.
-func (g *Directed) DOT(name string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %s {\n", name)
-	for _, v := range g.Nodes() {
-		fmt.Fprintf(&sb, "  %d;\n", v)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&sb, "  %d -> %d [label=%d];\n", e.From, e.To, e.Cap)
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}

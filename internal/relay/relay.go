@@ -114,9 +114,6 @@ func NewRouter(self graph.NodeID, table *Table) *Router {
 // Table returns the routing table backing this router.
 func (r *Router) Table() *Table { return r.table }
 
-// Self returns the node this router belongs to.
-func (r *Router) Self() graph.NodeID { return r.self }
-
 // Send builds the first-hop messages that launch payload toward dest along
 // all k paths. The caller includes them in its Step output.
 func (r *Router) Send(dest graph.NodeID, msgID string, payload []byte) []sim.Message {

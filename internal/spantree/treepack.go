@@ -17,9 +17,6 @@ type UnitEdge struct {
 	Slot int          // 0-based unit index within the directed edge
 }
 
-// A endpoints in undirected terms.
-func (e UnitEdge) endpoints() (graph.NodeID, graph.NodeID) { return e.From, e.To }
-
 // PackUndirectedTrees packs k edge-disjoint spanning trees in the
 // undirected version of g, where each directed edge of capacity z
 // contributes z undirected unit edges. Trees are edge-disjoint at unit

@@ -72,8 +72,10 @@ type (
 	NodeID = graph.NodeID
 	// Edge is a directed capacitated link.
 	Edge = graph.Edge
-	// Config parameterizes a NAB run (topology, source, fault bound f,
-	// input size, adversaries, ablation overrides).
+	// Config parameterizes a NAB run with the paper's parameters:
+	// topology, source, fault bound f, input size, coding seed and the
+	// scripted adversaries. Everything else — gamma_k, rho_k, the 2f+1
+	// relay paths — derives from the instance graph.
 	Config = core.Config
 	// Runner drives repeated NAB instances, carrying dispute state.
 	Runner = core.Runner
@@ -168,8 +170,9 @@ type (
 	// ClusterNode is one process's membership in a cluster (see
 	// Session.Cluster).
 	ClusterNode = cluster.Node
-	// ClusterOptions tunes a process's endpoints (wire pacing, boot
-	// timeout).
+	// ClusterOptions tunes a process's endpoints: the boot timeout, held
+	// listeners from ReserveClusterAddrs, and Join for a blank process
+	// entering a live cluster (needs WithDurability).
 	ClusterOptions = cluster.Options
 )
 

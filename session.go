@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -55,7 +56,6 @@ type sessionOptions struct {
 	window       int
 	transport    Transport
 	chanOpts     *TransportOptions
-	adversaries  map[NodeID]Adversary
 	commitBuffer int
 
 	cluster     *ClusterConfig
@@ -97,18 +97,6 @@ func WithTransport(tr Transport) SessionOption {
 // WithTransport, WithLockstep or WithCluster, which run no such bus.
 func WithTransportOptions(opt TransportOptions) SessionOption {
 	return func(o *sessionOptions) { o.chanOpts = &opt }
-}
-
-// WithAdversary scripts node v's Byzantine behaviour, merging over the
-// Config's Adversaries map. Prefer SeededRandomAdversary for randomized
-// strategies — it stays deterministic under any window.
-func WithAdversary(v NodeID, a Adversary) SessionOption {
-	return func(o *sessionOptions) {
-		if o.adversaries == nil {
-			o.adversaries = map[NodeID]Adversary{}
-		}
-		o.adversaries[v] = a
-	}
 }
 
 // WithCommitBuffer sets the capacity of the Commits channel (default 16).
@@ -261,10 +249,8 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 			if cfg.Graph == nil {
 				return fail(errors.New("nab: durability needs a configured topology"))
 			}
-			merged := cfg
-			mergeAdversaries(&merged, o.adversaries)
 			fp = wal.Fingerprint(cfg.Graph.Marshal(), cfg.Source, cfg.F,
-				cfg.LenBytes, cfg.Seed, adversaryString(merged.Adversaries))
+				cfg.LenBytes, cfg.Seed, adversaryString(cfg.Adversaries))
 			var err error
 			s.slog, rec, err = openSessionLog(o.durability, fp, node, false)
 			if err != nil {
@@ -278,34 +264,33 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 
 	switch {
 	case o.cluster != nil:
-		if o.lockstep || o.transport != nil || o.chanOpts != nil || o.adversaries != nil || o.window != 0 {
-			return fail(errors.New("nab: WithCluster derives engine, window, transport and adversaries from the cluster config; drop the conflicting options"))
+		if o.lockstep || o.transport != nil || o.chanOpts != nil || o.window != 0 {
+			return fail(errors.New("nab: WithCluster derives engine, window and transport from the cluster config; drop the conflicting options"))
 		}
-		if cfg.Graph != nil {
+		if !reflect.ValueOf(cfg).IsZero() {
 			return fail(errors.New("nab: WithCluster derives the configuration from the cluster config; pass a zero Config"))
 		}
-		copt := o.clusterOpts
-		if copt.Join && s.slog == nil {
+		if o.clusterOpts.Join && s.slog == nil {
 			return fail(errors.New("nab: ClusterOptions.Join needs WithDurability: the transferred state must be persisted"))
 		}
+		var crec *cluster.Recovery
 		if s.slog != nil {
-			copt.Durable = true
 			// The cluster node's history starts above the snapshot floor:
 			// foldList, not replayed (the surviving log tail may also carry
 			// commits below a floor snapshot persisted after them).
-			copt.Recovered = rec.foldList
-			copt.RecoveredInputs = rec.inputs
-			copt.Rejoining = rec.resumed
+			crec = &cluster.Recovery{
+				Committed:    rec.foldList,
+				Inputs:       rec.inputs,
+				PersistFloor: s.slog.persistFloor,
+				SyncWAL:      s.slog.log.Sync,
+			}
 			if rec.resumed {
 				// A blank log has no floor to hand over (and a joiner
 				// must not claim one).
-				copt.RecoveredBase = &rec.base
+				crec.Base = &rec.base
 			}
-			sl := s.slog
-			copt.PersistFloor = sl.persistFloor
-			copt.SyncWAL = sl.log.Sync
 		}
-		node, err := cluster.StartContext(sctx, o.cluster, o.clusterID, copt)
+		node, err := cluster.StartContext(sctx, o.cluster, o.clusterID, o.clusterOpts, crec)
 		if err != nil {
 			return fail(err)
 		}
@@ -331,7 +316,6 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		if o.window > 1 {
 			return fail(fmt.Errorf("nab: the lockstep engine is sequential; window %d needs the pipelined engine", o.window))
 		}
-		mergeAdversaries(&cfg, o.adversaries)
 		runner, err := core.NewRunner(cfg)
 		if err != nil {
 			return fail(err)
@@ -355,7 +339,6 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 		if o.transport != nil && o.chanOpts != nil {
 			return fail(errors.New("nab: WithTransportOptions tunes the in-process bus that WithTransport replaces; drop the conflicting options"))
 		}
-		mergeAdversaries(&cfg, o.adversaries)
 		rc := runtime.Config{Config: cfg, Window: o.window, Transport: o.transport}
 		if o.chanOpts != nil {
 			rc.ChanOptions = *o.chanOpts
@@ -458,22 +441,6 @@ func clusterAdversaryString(cfg *ClusterConfig) string {
 		}
 	}
 	return sb.String()
-}
-
-// mergeAdversaries overlays opts adversaries onto the config's map
-// without mutating the caller's.
-func mergeAdversaries(cfg *Config, extra map[NodeID]Adversary) {
-	if len(extra) == 0 {
-		return
-	}
-	merged := make(map[NodeID]Adversary, len(cfg.Adversaries)+len(extra))
-	for v, a := range cfg.Adversaries {
-		merged[v] = a
-	}
-	for v, a := range extra {
-		merged[v] = a
-	}
-	cfg.Adversaries = merged
 }
 
 // emitFunc is the engine's per-commit hook: append to the write-ahead

@@ -441,10 +441,6 @@ func TestSessionLifecycleErrors(t *testing.T) {
 		"lockstep+window": func() (*nab.Session, error) {
 			return nab.Open(ctx, cfg, nab.WithLockstep(), nab.WithWindow(4))
 		},
-		"cluster+adversary": func() (*nab.Session, error) {
-			return nab.Open(ctx, nab.Config{}, nab.WithCluster(&nab.ClusterConfig{}, 1, nab.ClusterOptions{}),
-				nab.WithAdversary(3, nab.CrashAdversary()))
-		},
 		"bad commit buffer": func() (*nab.Session, error) {
 			return nab.Open(ctx, cfg, nab.WithCommitBuffer(-1))
 		},
@@ -452,6 +448,35 @@ func TestSessionLifecycleErrors(t *testing.T) {
 		if s, err := open(); err == nil {
 			s.Close()
 			t.Errorf("%s: conflicting options accepted", name)
+		}
+	}
+}
+
+// TestWithClusterRejectsNonZeroConfig: a cluster session takes its whole
+// engine configuration from the cluster config, so Open must refuse any
+// Config field rather than boot and silently ignore it — checked on a
+// valid reserved K4 cluster, opening the source's host.
+func TestWithClusterRejectsNonZeroConfig(t *testing.T) {
+	ctx := context.Background()
+	ccfg, rsv := sessionDiffConfig(t, nab.CompleteGraph(4, 2), 1, 1, 2, nil)
+	for name, cfg := range map[string]nab.Config{
+		"graph":       {Graph: nab.CompleteGraph(4, 2)},
+		"source":      {Source: 1},
+		"f":           {F: 2},
+		"len":         {LenBytes: 24},
+		"seed":        {Seed: 7},
+		"adversaries": {Adversaries: map[nab.NodeID]nab.Adversary{3: nab.CrashAdversary()}},
+	} {
+		s, err := nab.Open(ctx, cfg, nab.WithCluster(ccfg, ccfg.Source, nab.ClusterOptions{
+			BootTimeout: time.Second, Reservation: rsv,
+		}))
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: non-zero Config accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "pass a zero Config") {
+			t.Errorf("%s: error %q does not ask for a zero Config", name, err)
 		}
 	}
 }
