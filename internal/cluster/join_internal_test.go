@@ -539,7 +539,7 @@ func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
 		log:       rejoinLog,
 		lastRound: 3,
 	}
-	err = n.rollback(context.Background(), ctrlMsg{Type: "ctrldown"}, time.Minute)
+	err = n.rollback(context.Background(), ctrlMsg{Type: "ctrldown"})
 	if err == nil || !strings.Contains(err.Error(), "cluster: rollback round 3 (phase reconnect): ") {
 		t.Fatalf("err = %v, want it to name round 3 and the reconnect phase", err)
 	}

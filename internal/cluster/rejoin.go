@@ -208,7 +208,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 			n.log.Error("announce-failed", "err", err, "action", "reconnect")
-			if err := n.rollback(ctx, n.ctrl.ctrldownNow(), rejoinLinger); err != nil {
+			if err := n.rollback(ctx, n.ctrl.ctrldownNow()); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
 				return nil, err
 			}
@@ -258,7 +258,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		cancel()
 
 		if rollEv != nil {
-			if err := n.rollback(ctx, *rollEv, rejoinLinger); err != nil {
+			if err := n.rollback(ctx, *rollEv); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
 				return nil, err
 			}
@@ -276,7 +276,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		// Workload complete: park at the shutdown barrier, mesh intact,
 		// still answering rollbacks for peers that crashed near the end.
 		n.log.Debug("parking", "round", n.lastRound, "committed", len(n.committed))
-		ev, err := n.park(ctx, events, rejoinLinger)
+		ev, err := n.park(ctx, events)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +291,7 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 			}
 			return res, nil
 		}
-		if err := n.rollback(ctx, *ev, rejoinLinger); err != nil {
+		if err := n.rollback(ctx, *ev); err != nil {
 			n.ctrl.barrier(ctx, time.Second)
 			return nil, err
 		}
@@ -301,14 +301,14 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 // park announces this process done and waits for the cluster to finish —
 // or for a rollback round that pulls it back in. A nil event means the
 // process is released.
-func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Duration) (*ctrlMsg, error) {
+func (n *Node) park(ctx context.Context, events <-chan ctrlMsg) (*ctrlMsg, error) {
 	if err := n.ctrl.up(ctrlMsg{Type: "done", Round: n.lastRound}); err != nil {
 		// The control link died while announcing: treat as a pending
 		// coordinator restart.
 		ev := n.ctrl.ctrldownNow()
 		return &ev, nil
 	}
-	timeout := time.After(linger)
+	timeout := time.After(rejoinLinger)
 	for {
 		select {
 		case <-n.ctrl.allDone:
@@ -338,7 +338,7 @@ func (n *Node) park(ctx context.Context, events <-chan ctrlMsg, linger time.Dura
 // it names the round (before its sync arrives, the last one this process
 // acked) and the phase it failed in, and leaves a black-box dump unless
 // the caller's context ended.
-func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (err error) {
+func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 	ph := phaseSync
 	defer func() {
 		if err != nil {
@@ -349,7 +349,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (
 		}
 	}()
 	events := n.ctrl.Events()
-	deadline := time.After(linger)
+	deadline := time.After(rejoinLinger)
 	began := time.Now()
 	next := func() (ctrlMsg, error) {
 		for {
@@ -360,7 +360,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (
 				}
 				return ev, nil
 			case <-deadline:
-				return ctrlMsg{}, fmt.Errorf("cluster: timed out after %v", linger)
+				return ctrlMsg{}, fmt.Errorf("cluster: timed out after %v", rejoinLinger)
 			case <-ctx.Done():
 				return ctrlMsg{}, ctx.Err()
 			}
@@ -377,7 +377,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg, linger time.Duration) (
 			ph = phaseReconnect
 			select {
 			case <-deadline:
-				return fmt.Errorf("cluster: control-plane reconnect timed out after %v", linger)
+				return fmt.Errorf("cluster: control-plane reconnect timed out after %v", rejoinLinger)
 			case <-ctx.Done():
 				return ctx.Err()
 			default:
