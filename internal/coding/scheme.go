@@ -315,7 +315,7 @@ func ColumnOffsets(h *graph.Directed) map[EdgeKey]int {
 	return out
 }
 
-// Verifysubgraph reports whether the equality check is sound on subgraph H
+// VerifySubgraph reports whether the equality check is sound on subgraph H
 // under this scheme: C_H must have full row rank (|H|-1)*rho, which is
 // exactly the condition "D_H C_H = 0 implies D_H = 0" of the Theorem 1
 // proof.

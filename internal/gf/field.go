@@ -8,20 +8,27 @@
 // deterministic search using Rabin's irreducibility test, so no hard-coded
 // table is required; the search result is cached per m.
 //
-// Products take one of three routes, all equal to the bit-serial reference
-// mulRef:
+// Products take one of four routes, all equal to the bit-serial reference
+// mulRef. Costs are at m = 64 on a 2-vCPU x86-64 Xeon VM
+// (BenchmarkSplitCutover):
 //
 //   - m <= 16: shared log/antilog tables, one lookup pair per product, for
 //     scalar Mul and the bulk kernels alike.
-//   - m > 16, scalar Mul and short rows: a 4-bit-window carry-less multiply
-//     followed by sparse reduction.
-//   - m > 16, rows of at least splitMinLen elements in the bulk kernels
-//     MulSlice, AXPY and AXPYStride: a split table for the row's scalar a,
-//     ceil(m/8) fully reduced 256-entry tables T_k[b] = a*(b*x^(8k)), so
-//     each product is eight lookups XORed together.
+//   - m > 16, scalar Mul and rows shorter than nibbleMinLen (5) elements:
+//     a 4-bit-window carry-less multiply followed by sparse reduction,
+//     75-100 ns per product and no setup.
+//   - m > 16, rows from nibbleMinLen up to splitMinLen (384) elements in
+//     the bulk kernels MulSlice, AXPY and AXPYStride: a nibble table for
+//     the row's scalar a, ceil(m/4) fully reduced 16-entry tables
+//     T_k[b] = a*(b*x^(4k)) (2 KiB, ~0.33 µs to build), so each product is
+//     sixteen lookups XORed together, ~5 ns.
+//   - m > 16, rows of at least splitMinLen elements: the same with bytes,
+//     ceil(m/8) 256-entry tables (16 KiB, ~1.2 µs to build), eight
+//     lookups per product, ~2.7 ns.
 //
 // The bulk kernels multiply the low m bits of each source element, as Mul
-// does with its operands.
+// does with its operands. Inverses come from the log tables for m <= 16
+// and from the extended Euclidean algorithm over GF(2)[x] beyond.
 //
 // The package is the symbol substrate for the local linear coding equality
 // check of NAB: values received in Phase 1 are interpreted as vectors of
@@ -30,7 +37,6 @@ package gf
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -54,7 +60,7 @@ const maxDegree = 64
 // irreducible polynomial of degree m. It returns an error if m is outside
 // [1, 64]. Degrees up to 16 get precomputed log/antilog tables (built once
 // per degree and shared), so their Mul/Inv are single lookups; larger
-// degrees use carry-less window multiplication.
+// degrees use carry-less window multiplication and a Euclidean inverse.
 func New(m uint) (*Field, error) {
 	if m < 1 || m > maxDegree {
 		return nil, fmt.Errorf("gf: degree %d out of range [1,%d]", m, maxDegree)
@@ -76,24 +82,8 @@ func MustNew(m uint) *Field {
 	return f
 }
 
-// Degree returns m, the extension degree.
-func (f *Field) Degree() uint { return f.m }
-
-// Order returns the number of elements 2^m as a float64. The count itself
-// is a power of two and therefore exactly representable for every supported
-// m, but note that for m > 53 neighbouring integers are not — use Mask for
-// exact bit math.
-func (f *Field) Order() float64 { return math.Ldexp(1, int(f.m)) }
-
 // Mask returns the bit mask covering valid element bits (2^m - 1).
 func (f *Field) Mask() uint64 { return f.max }
-
-// Modulus returns the reduction polynomial's low coefficients: the returned
-// value r encodes x^m + r where bit i of r is the coefficient of x^i.
-func (f *Field) Modulus() uint64 { return f.mod }
-
-// Valid reports whether a is a canonical element of the field.
-func (f *Field) Valid(a Elem) bool { return a&^f.max == 0 }
 
 // Add returns a + b. In characteristic 2 addition is XOR and is its own
 // inverse, so Add also implements subtraction.
@@ -148,27 +138,10 @@ func (f *Field) mulRef(a, b Elem) Elem {
 	return acc & f.max
 }
 
-// Square returns a*a.
-func (f *Field) Square(a Elem) Elem { return f.Mul(a, a) }
-
-// Pow returns a^e using binary exponentiation. Pow(0, 0) == 1 by the usual
-// empty-product convention.
-func (f *Field) Pow(a Elem, e uint64) Elem {
-	result := Elem(1)
-	base := a & f.max
-	for e > 0 {
-		if e&1 != 0 {
-			result = f.Mul(result, base)
-		}
-		base = f.Mul(base, base)
-		e >>= 1
-	}
-	return result
-}
-
 // Inv returns the multiplicative inverse of a, or an error if a == 0.
-// It uses Fermat's little theorem: a^(2^m - 2) = a^-1. The exponent
-// 2^m - 2 equals Mask() - 1 and fits in a uint64 for every supported m.
+// Tabled degrees read it as exp[order - log a]; larger degrees run the
+// extended Euclidean algorithm (invEuclid). Both agree with Fermat's
+// a^(2^m-2) on the reference multiply (asserted in tests).
 func (f *Field) Inv(a Elem) (Elem, error) {
 	a &= f.max
 	if a == 0 {
@@ -178,16 +151,36 @@ func (f *Field) Inv(a Elem) (Elem, error) {
 		order := uint32(f.max) // 2^m - 1, the multiplicative group order
 		return Elem(t.exp[order-uint32(t.log[a])]), nil
 	}
-	return f.Pow(a, f.max-1), nil
+	return f.invEuclid(a), nil
 }
 
-// Div returns a/b, or an error if b == 0.
-func (f *Field) Div(a, b Elem) (Elem, error) {
-	bi, err := f.Inv(b)
-	if err != nil {
-		return 0, fmt.Errorf("gf: division by zero: %w", err)
+// invEuclid returns a^-1 for a nonzero canonical a by the extended
+// Euclidean algorithm over GF(2)[x] on p = x^m + mod and a, in the
+// shift-and-subtract form (Hankerson, Menezes and Vanstone, Algorithm
+// 2.48): u = g1*a and v = g2*a (mod p) hold throughout, each step cancels
+// the leading term of u by a shift of v, swapping the two first when v has
+// the higher degree, and u reaches 1 because p is irreducible. v only ever
+// takes a former u, so it is never 1 itself, and the Bezout coefficients
+// stay below degree m. Every value therefore fits the word except p: the
+// first step, u = p - x^s*a with s = m - deg(a), cancels the x^m term
+// before it is ever stored.
+func (f *Field) invEuclid(a Elem) Elem {
+	da := bits.Len64(a) - 1
+	if da == 0 {
+		return 1
 	}
-	return f.Mul(a, bi), nil
+	s := f.m - uint(da)
+	u, v := f.mod^(a<<s)&f.max, a
+	g1, g2 := Elem(1)<<s, Elem(1)
+	for u != 1 {
+		j := bits.Len64(u) - bits.Len64(v)
+		if j < 0 {
+			u, v, g1, g2, j = v, u, g2, g1, -j
+		}
+		u ^= v << j
+		g1 ^= g2 << j
+	}
+	return g1
 }
 
 // Rand returns a uniformly random field element drawn from src. src must

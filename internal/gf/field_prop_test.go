@@ -17,8 +17,8 @@ func randElems(t *testing.T, f *Field, rng *rand.Rand, n int) []Elem {
 	out := make([]Elem, n)
 	for i := range out {
 		out[i] = f.Rand(rng)
-		if !f.Valid(out[i]) {
-			t.Fatalf("GF(2^%d): Rand produced invalid element %#x", f.Degree(), out[i])
+		if out[i]&^f.max != 0 {
+			t.Fatalf("GF(2^%d): Rand produced invalid element %#x", f.m, out[i])
 		}
 	}
 	return out
@@ -68,30 +68,30 @@ func TestFieldAxiomsProperty(t *testing.T) {
 					t.Fatalf("GF(2^%d): a * a^-1 = %#x != 1 for %#x", m, f.Mul(a, inv), a)
 				}
 			}
-			// Sub is Add in characteristic 2, and Div inverts Mul.
+			// Sub is Add in characteristic 2, and b^-1 undoes b.
 			if f.Sub(f.Add(a, b), b) != a {
 				t.Fatalf("GF(2^%d): (a+b)-b != a for %#x, %#x", m, a, b)
 			}
 			if b != 0 {
-				q, err := f.Div(f.Mul(a, b), b)
-				if err != nil || q != a {
-					t.Fatalf("GF(2^%d): (a*b)/b = %#x (err %v), want %#x", m, q, err, a)
+				bi, err := f.Inv(b)
+				if q := f.Mul(f.Mul(a, b), bi); err != nil || q != a {
+					t.Fatalf("GF(2^%d): (a*b)*b^-1 = %#x (err %v), want %#x", m, q, err, a)
 				}
 			}
 		}
-		// Pow agrees with iterated Mul, and Fermat holds on a sample
+		// powRef agrees with iterated Mul, and Fermat holds on a sample
 		// (a^(2^m) == a via square-chain).
 		a := f.Rand(rng)
 		want := Elem(1)
 		for i := 0; i < 13; i++ {
-			if got := f.Pow(a, uint64(i)); got != want {
-				t.Fatalf("GF(2^%d): Pow(a,%d) = %#x, want %#x", m, i, got, want)
+			if got := f.powRef(a, uint64(i)); got != want {
+				t.Fatalf("GF(2^%d): powRef(a,%d) = %#x, want %#x", m, i, got, want)
 			}
 			want = f.Mul(want, a)
 		}
 		frob := a
 		for i := uint(0); i < m; i++ {
-			frob = f.Square(frob)
+			frob = f.Mul(frob, frob)
 		}
 		if frob != a {
 			t.Fatalf("GF(2^%d): Frobenius a^(2^m) = %#x != a = %#x", m, frob, a)
@@ -104,9 +104,6 @@ func TestInvZeroRejectedProperty(t *testing.T) {
 		f := MustNew(m)
 		if _, err := f.Inv(0); err == nil {
 			t.Errorf("GF(2^%d): Inv(0) did not fail", m)
-		}
-		if _, err := f.Div(1, 0); err == nil {
-			t.Errorf("GF(2^%d): Div by zero did not fail", m)
 		}
 	}
 }

@@ -5,20 +5,27 @@ import "math/bits"
 // Bulk kernels for the coding hot path. Matrix products, encodes and
 // Gaussian elimination all reduce to rows scaled by one scalar, so the
 // kernels amortize the per-scalar setup over a whole row: a log lookup for
-// m <= 16; for larger m a 4-bit carry-less window on short rows and a
-// split table (splitTable) on rows of at least splitMinLen elements.
+// m <= 16; for larger m a 4-bit carry-less window on the shortest rows, a
+// nibble table (nibbleTable) on mid-length rows and a split table
+// (splitTable) on long ones.
 //
 // Every kernel reads src through Mask, so a non-canonical source element
 // (bits set above m) is multiplied as its low m bits, exactly as Mul does.
 
-// splitMinLen is the row length from which the table-less kernels build a
-// split table instead of a 4-bit window. At m = 64 the window path costs
-// ~60-100 ns per element and the split path ~4-5 ns per element plus
-// ~2-3 µs to build the table (BenchmarkSplitCutover on a 2-vCPU x86-64 Xeon
-// VM), so the two cross between 24 and 32 elements. Smaller degrees build
-// fewer table rows and multiply in fewer window steps alike, which leaves
-// the crossover about where it is.
-const splitMinLen = 32
+// nibbleMinLen and splitMinLen are the row lengths from which the
+// table-less kernels build a nibble table instead of running the 4-bit
+// window, and a split table instead of a nibble table. At m = 64 the
+// window costs 75-100 ns per element and no setup; the nibble table
+// ~0.33 µs to build and ~5 ns per element; the split table ~1.2 µs to
+// build and ~2.7 ns per element (BenchmarkSplitCutover on a 2-vCPU x86-64
+// Xeon VM, fastest of 12 runs). Window and nibble cross between 4 and 5
+// elements, nibble and split between about 290 and 470. Smaller degrees
+// fill fewer table entries and multiply in fewer window steps alike,
+// which leaves the crossovers about where they are.
+const (
+	nibbleMinLen = 5
+	splitMinLen  = 384
+)
 
 // MulSlice sets dst[i] = a * src[i] for every i. dst and src must have the
 // same length; dst may alias src (in-place row normalization).
@@ -32,8 +39,9 @@ func (f *Field) MulSlice(a Elem, dst, src []Elem) {
 // Gaussian elimination and the inner step of matrix products (XOR is
 // addition in characteristic 2). dst and src must have the same length and
 // must not overlap unless identical. On a table-less field a row of
-// splitMinLen or more elements runs through a split table built for a
-// on the stack; a shorter row runs through the 4-bit window.
+// nibbleMinLen or more elements runs through a table built for a on the
+// stack (a split table from splitMinLen); a shorter row runs through the
+// 4-bit window.
 //
 //nab:allocfree
 func (f *Field) AXPY(a Elem, dst, src []Elem) {
@@ -87,6 +95,8 @@ func (f *Field) bulk(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool
 		}
 	case n >= splitMinLen:
 		f.bulkSplit(a, dst, ds, src, ss, n, acc)
+	case n >= nibbleMinLen:
+		f.bulkNibble(a, dst, ds, src, ss, n, acc)
 	default:
 		var w window
 		w.init(a)
@@ -108,9 +118,31 @@ func (f *Field) bulk(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool
 //nab:allocfree
 func (f *Field) bulkSplit(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool) {
 	var t splitTable
-	t.init(f, a)
+	fillSplit(f, a, t[:])
 	for i := 0; i < n; i++ {
 		p := t.mul(src[i*ss] & f.max)
+		if acc {
+			p ^= dst[i*ds]
+		}
+		dst[i*ds] = p
+	}
+}
+
+// bulkNibble is bulk's mid-length-row path for table-less fields, in its
+// own frame for the same reason as bulkSplit. The sixteen lookups of a
+// product are written out in the loop: as a method they exceed the
+// inliner's budget, which would put a call in every product.
+//
+//nab:allocfree
+func (f *Field) bulkNibble(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc bool) {
+	var t nibbleTable
+	fillSplit(f, a, t[:])
+	for i := 0; i < n; i++ {
+		s := src[i*ss] & f.max
+		p := t[0][s&15] ^ t[1][s>>4&15] ^ t[2][s>>8&15] ^ t[3][s>>12&15] ^
+			t[4][s>>16&15] ^ t[5][s>>20&15] ^ t[6][s>>24&15] ^ t[7][s>>28&15] ^
+			t[8][s>>32&15] ^ t[9][s>>36&15] ^ t[10][s>>40&15] ^ t[11][s>>44&15] ^
+			t[12][s>>48&15] ^ t[13][s>>52&15] ^ t[14][s>>56&15] ^ t[15][s>>60]
 		if acc {
 			p ^= dst[i*ds]
 		}
@@ -121,35 +153,45 @@ func (f *Field) bulkSplit(a Elem, dst []Elem, ds int, src []Elem, ss, n int, acc
 // splitTable is GF-Complete's "SPLIT w 8" table for one fixed scalar a:
 // t[k][b] = a * (b * x^(8k)) mod p, fully reduced. Any canonical element s
 // is the XOR of its bytes b_k * x^(8k), so a*s is the XOR of eight
-// lookups, with no carry-less product and no reduction. Tables at or above
-// ceil(m/8), and entries of the top table past the field's width, stay
-// zero; a masked s never selects them with a nonzero byte.
+// lookups, with no carry-less product and no reduction.
 type splitTable [8][256]Elem
-
-// init fills the table for a by m doublings a*x^j, j < m, plus one XOR per
-// entry: within table k, entry b with top bit 2^j is a*x^(8k+j) XOR the
-// entry for b without that bit.
-func (t *splitTable) init(f *Field, a Elem) {
-	top := uint64(1) << (f.m - 1) // the x^(m-1) coefficient
-	v := a
-	for j := uint(0); j < f.m; j++ {
-		row, bit := &t[j/8], 1<<(j%8)
-		row[bit] = v
-		for b := 1; b < bit; b++ {
-			row[bit|b] = v ^ row[b]
-		}
-		carry := v & top
-		v = (v << 1) & f.max
-		if carry != 0 {
-			v ^= f.mod
-		}
-	}
-}
 
 // mul returns a*s for a canonical s.
 func (t *splitTable) mul(s Elem) Elem {
 	return t[0][byte(s)] ^ t[1][byte(s>>8)] ^ t[2][byte(s>>16)] ^ t[3][byte(s>>24)] ^
 		t[4][byte(s>>32)] ^ t[5][byte(s>>40)] ^ t[6][byte(s>>48)] ^ t[7][byte(s>>56)]
+}
+
+// nibbleTable is splitTable with 4-bit pieces ("SPLIT w 4"): sixteen
+// 16-entry tables, 2 KiB instead of 16 KiB, so it is cheap enough to build
+// for a row of a few elements at the price of sixteen lookups per product
+// instead of eight.
+type nibbleTable [16][16]Elem
+
+// fillSplit fills the split tables t of a, w-bit pieces for 2^w-entry
+// tables: t[k][b] = a * (b * x^(w*k)) mod p. It takes m doublings a*x^j,
+// j < m, plus one XOR per entry: within table k, entry b with top bit 2^i
+// is a*x^(w*k+i) XOR the entry for b without that bit. Tables at or above
+// ceil(m/w), and entries of the top table past the field's width, stay
+// zero; a masked s never selects them with a nonzero piece. The doubling
+// folds the carry in with a mask rather than a branch, which a random a
+// mispredicts half the time.
+func fillSplit[T [16]Elem | [256]Elem](f *Field, a Elem, t []T) {
+	v, j := a, uint(0)
+	for k := range t {
+		row := &t[k]
+		for bit := 1; bit < len(*row); bit <<= 1 {
+			if j == f.m {
+				return
+			}
+			(*row)[bit] = v
+			for b := 1; b < bit; b++ {
+				(*row)[bit|b] = v ^ (*row)[b]
+			}
+			v = v<<1&f.max ^ f.mod&-(v>>(f.m-1))
+			j++
+		}
+	}
 }
 
 // window is the 4-bit carry-less multiplication table of one fixed scalar:

@@ -38,23 +38,38 @@ func TestMulMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestInvMatchesReference checks the table-driven inverse against the
-// Fermat exponentiation it replaced.
+// TestInvMatchesReference checks Inv (tables up to m = 16, Euclid beyond)
+// and the Euclidean inverse itself against Fermat's a^(2^m-2) on the
+// reference multiply, on every degree: every element up to m = 10, and 1,
+// x, the all-ones element Mask() and random elements beyond.
 func TestInvMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for m := uint(1); m <= tableMaxDegree; m++ {
+	for m := uint(1); m <= 64; m++ {
 		f := MustNew(m)
-		for trial := 0; trial < 500; trial++ {
-			a := f.Rand(rng)
+		as := []Elem{1, 2 & f.max, f.max}
+		if m <= 10 {
+			for a := Elem(1); a <= f.max; a++ {
+				as = append(as, a)
+			}
+		} else {
+			for range 300 {
+				as = append(as, f.Rand(rng))
+			}
+		}
+		for _, a := range as {
 			if a == 0 {
 				continue
 			}
+			want := f.powRef(a, f.max-1)
 			inv, err := f.Inv(a)
 			if err != nil {
 				t.Fatalf("GF(2^%d): Inv(%#x): %v", m, a, err)
 			}
-			if want := f.powRef(a, f.max-1); inv != want {
+			if inv != want {
 				t.Fatalf("GF(2^%d): Inv(%#x) = %#x, reference %#x", m, a, inv, want)
+			}
+			if got := f.invEuclid(a); got != want {
+				t.Fatalf("GF(2^%d): invEuclid(%#x) = %#x, reference %#x", m, a, got, want)
 			}
 		}
 	}
@@ -139,15 +154,30 @@ func kernelOracle(f *Field, a Elem, dst []Elem, ds int, src []Elem, ss, n int, a
 	return out
 }
 
+// routeLengths are row lengths on both sides of each table-less route
+// cutover: every length up to twice nibbleMinLen, three either side of
+// splitMinLen, and twice splitMinLen.
+func routeLengths() []int {
+	var ns []int
+	for n := 0; n <= 2*nibbleMinLen; n++ {
+		ns = append(ns, n)
+	}
+	for n := splitMinLen - 3; n <= splitMinLen+3; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 2*splitMinLen)
+}
+
 // TestSplitKernelMatchesReference drives AXPY, MulSlice (in place and not)
-// and AXPYStride over every table-less degree and every row length from 0
-// to twice the split cutover, so both the window and the split-table path
-// run on each degree, against the bit-serial reference.
+// and AXPYStride over every table-less degree and row lengths on both
+// sides of each cutover (routeLengths), so the window, nibble-table and
+// split-table paths all run on each degree, against the bit-serial
+// reference.
 func TestSplitKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for m := uint(tableMaxDegree + 1); m <= 64; m++ {
 		f := MustNew(m)
-		for n := 0; n <= 2*splitMinLen; n++ {
+		for _, n := range routeLengths() {
 			for _, a := range []Elem{0, 1, f.Rand(rng), f.Rand(rng) | 1<<(m-1)} {
 				ds, ss := 1+rng.Intn(3), 1+rng.Intn(3)
 				src := randRow(f, rng, max(1, n*ss))
@@ -186,12 +216,12 @@ func TestSplitKernelMatchesReference(t *testing.T) {
 
 // TestKernelsMaskSource pins the rule for a non-canonical source element:
 // every kernel multiplies its low m bits, as Mul does, on every degree and
-// on both sides of the split cutover.
+// on both sides of each route cutover.
 func TestKernelsMaskSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for m := uint(1); m < 64; m++ {
 		f := MustNew(m)
-		for _, n := range []int{1, splitMinLen} {
+		for _, n := range []int{nibbleMinLen - 1, nibbleMinLen, splitMinLen - 1, splitMinLen} {
 			a := f.Rand(rng) | 1
 			src := make([]Elem, n)
 			for i := range src {
@@ -216,13 +246,15 @@ func TestKernelsMaskSource(t *testing.T) {
 }
 
 // FuzzKernel cross-checks the strided kernel against the reference on
-// fuzzer-chosen degree, scalar, length, strides and data.
+// fuzzer-chosen degree, scalar, length, strides and data. Lengths reach
+// twice splitMinLen, so every route and both cutovers are in range.
 func FuzzKernel(f *testing.F) {
-	f.Add(uint8(64), uint64(0x1b), uint8(40), uint8(1), uint8(2), int64(1))
-	f.Add(uint8(17), uint64(1), uint8(3), uint8(3), uint8(1), int64(2))
-	f.Fuzz(func(t *testing.T, deg uint8, a uint64, n, ds, ss uint8, seed int64) {
+	f.Add(uint8(64), uint64(0x1b), uint16(40), uint8(1), uint8(2), int64(1))
+	f.Add(uint8(17), uint64(1), uint16(3), uint8(3), uint8(1), int64(2))
+	f.Add(uint8(63), uint64(0xfeed), uint16(splitMinLen), uint8(2), uint8(1), int64(3))
+	f.Fuzz(func(t *testing.T, deg uint8, a uint64, n uint16, ds, ss uint8, seed int64) {
 		fld := MustNew(1 + uint(deg)%64)
-		rows, dStride, sStride := int(n)%(4*splitMinLen), 1+int(ds)%4, 1+int(ss)%4
+		rows, dStride, sStride := int(n)%(2*splitMinLen+1), 1+int(ds)%4, 1+int(ss)%4
 		rng := rand.New(rand.NewSource(seed))
 		src := make([]Elem, max(1, rows*sStride))
 		for i := range src {
@@ -255,19 +287,6 @@ func equalElems(a, b []Elem) bool {
 		}
 	}
 	return true
-}
-
-// TestOrderExact pins Order to the exact power of two for every degree.
-func TestOrderExact(t *testing.T) {
-	for m := uint(1); m <= 53; m++ {
-		if got, want := MustNew(m).Order(), float64(uint64(1)<<m); got != want {
-			t.Fatalf("GF(2^%d): Order = %v, want %v", m, got, want)
-		}
-	}
-	// 2^64 is itself exactly representable even though 2^64-1 is not.
-	if got := MustNew(64).Order(); got != 18446744073709551616.0 {
-		t.Fatalf("GF(2^64): Order = %v, want 2^64", got)
-	}
 }
 
 // BenchmarkGFMul measures the scalar product on a tabled field, a windowed
@@ -330,13 +349,14 @@ func BenchmarkGFAXPY(b *testing.B) {
 }
 
 // BenchmarkSplitCutover times one AXPY row at m = 64 through each
-// table-less path at lengths around splitMinLen; the crossover of the two
-// sets the constant.
+// table-less path at lengths around nibbleMinLen and splitMinLen; the
+// crossovers of window and nibble, and of nibble and split, set the two
+// constants.
 func BenchmarkSplitCutover(b *testing.B) {
 	f := MustNew(64)
 	rng := rand.New(rand.NewSource(benchSeedGF))
 	a := f.Rand(rng) | 2
-	for _, n := range []int{1, 8, 16, 24, 32, 48, 64, 256} {
+	for _, n := range []int{1, 2, 4, 5, 6, 8, 16, 32, 64, 128, 224, 256, 288, 320, 384, 512, 1024} {
 		src, dst := randRow(f, rng, n), make([]Elem, n)
 		b.Run(fmt.Sprintf("window/n=%d", n), func(b *testing.B) {
 			for b.Loop() {
@@ -348,9 +368,33 @@ func BenchmarkSplitCutover(b *testing.B) {
 				}
 			}
 		})
+		b.Run(fmt.Sprintf("nibble/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				f.bulkNibble(a, dst, 1, src, 1, n, true)
+			}
+		})
 		b.Run(fmt.Sprintf("split/n=%d", n), func(b *testing.B) {
 			for b.Loop() {
 				f.bulkSplit(a, dst, 1, src, 1, n, true)
+			}
+		})
+	}
+}
+
+// BenchmarkAXPYStride times one column update at m = 64 as Scheme.encode
+// runs it (stride rho = 4 on both sides) at a 2-stripe, a 32-stripe and a
+// 2 048-stripe value: the shapes of a 64 B, a 1 KiB and a 64 KiB payload
+// on K7 with f = 2.
+func BenchmarkAXPYStride(b *testing.B) {
+	f := MustNew(64)
+	rng := rand.New(rand.NewSource(benchSeedGF))
+	a := f.Rand(rng) | 2
+	const stride = 4
+	for _, n := range []int{2, 32, 2048} {
+		src, dst := randRow(f, rng, n*stride), make([]Elem, n*stride)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				f.AXPYStride(a, dst, stride, src, stride, n)
 			}
 		})
 	}

@@ -84,28 +84,3 @@ func BenchmarkMulVec(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEliminate measures Gaussian elimination at scheme-verification
-// scale (the C_H rank checks of Theorem 1).
-func BenchmarkEliminate(b *testing.B) {
-	for _, bc := range []struct {
-		name       string
-		deg        uint
-		rows, cols int
-	}{
-		{"GF16_165x176", 16, 165, 176}, // OneThinLink C_H scale
-		{"GF64_20x30", 64, 20, 30},
-	} {
-		f := gf.MustNew(bc.deg)
-		rng := rand.New(rand.NewSource(7))
-		m, _ := Random(f, bc.rows, bc.cols, rng)
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if m.Rank() < 1 {
-					b.Fatal("degenerate random matrix")
-				}
-			}
-		})
-	}
-}

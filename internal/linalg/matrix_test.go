@@ -140,7 +140,7 @@ func TestRankProperties(t *testing.T) {
 		}
 		sub, _ := a.SubMatrix(seq(rows-1), seq(cols))
 		if got, want := a.Rank(), sub.Rank(); got != want {
-			t.Fatalf("GF(2^%d) %dx%d: dependent row raised rank %d -> %d", f.Degree(), rows, cols, want, got)
+			t.Fatalf("%v %dx%d: dependent row raised rank %d -> %d", f, rows, cols, want, got)
 		}
 	}
 }
@@ -201,21 +201,21 @@ func TestMatrixRingIdentitiesProperty(t *testing.T) {
 		at := transposeRef(a)
 		for j := 0; j < cols; j++ {
 			if sa[j] != f.Add(xa[j], ya[j]) {
-				t.Fatalf("GF(2^%d) %dx%d: (x+y)A != xA + yA at %d", f.Degree(), rows, cols, j)
+				t.Fatalf("%v %dx%d: (x+y)A != xA + yA at %d", f, rows, cols, j)
 			}
 			if ca[j] != f.Mul(c, xa[j]) {
-				t.Fatalf("GF(2^%d) %dx%d: (cx)A != c(xA) at %d", f.Degree(), rows, cols, j)
+				t.Fatalf("%v %dx%d: (cx)A != c(xA) at %d", f, rows, cols, j)
 			}
 			var dot gf.Elem
 			for k := 0; k < rows; k++ {
 				dot = f.Add(dot, f.Mul(at.At(j, k), x[k]))
 			}
 			if xa[j] != dot {
-				t.Fatalf("GF(2^%d) %dx%d: xA != A^T x at %d", f.Degree(), rows, cols, j)
+				t.Fatalf("%v %dx%d: xA != A^T x at %d", f, rows, cols, j)
 			}
 		}
 		if rank, tr := a.Rank(), at.Rank(); rank != tr || rank > min(rows, cols) {
-			t.Fatalf("GF(2^%d) %dx%d: rank=%d, rank^T=%d", f.Degree(), rows, cols, rank, tr)
+			t.Fatalf("%v %dx%d: rank=%d, rank^T=%d", f, rows, cols, rank, tr)
 		}
 	}
 }
@@ -293,12 +293,105 @@ func TestStringNonEmpty(t *testing.T) {
 	}
 }
 
-func BenchmarkRank16x16(b *testing.B) {
-	f := gf.MustNew(16)
-	rng := rand.New(rand.NewSource(1))
-	m, _ := Random(f, 16, 16, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Rank()
+// BenchmarkRank times one Rank at the C_H shapes the plans verify, all
+// over GF(2^64): K7 with f = 2 before any dispute (rho = 8) and after one
+// node is excluded (rho = 4), and thin7 with f = 1 (rho = 33; four of its
+// seven H have 226 columns, the others 240).
+func BenchmarkRank(b *testing.B) {
+	f := gf.MustNew(64)
+	for _, bc := range []struct {
+		name       string
+		rows, cols int
+	}{
+		{"K7_f2/32x40", 32, 40},
+		{"K7_f2_excluded/16x20", 16, 20},
+		{"thin7_f1/165x226", 165, 226},
+	} {
+		m, _ := Random(f, bc.rows, bc.cols, rand.New(rand.NewSource(1)))
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if m.Rank() != bc.rows {
+					b.Fatal("rank-deficient random matrix")
+				}
+			}
+		})
 	}
+}
+
+// powRef is a^e by square-and-multiply on scalar Mul.
+func powRef(f *gf.Field, a gf.Elem, e uint64) gf.Elem {
+	r := gf.Elem(1)
+	for ; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			r = f.Mul(r, a)
+		}
+		a = f.Mul(a, a)
+	}
+	return r
+}
+
+// rankRef is the elimination oracle for FuzzRank: Gaussian elimination on
+// a copy with one scalar Mul per entry and pivot inverses by Fermat,
+// a^(2^m-2) = a^-1, instead of Inv and the row kernels.
+func rankRef(m *Matrix) int {
+	f, a := m.field, m.Clone()
+	rank := 0
+	for col := 0; col < a.cols && rank < a.rows; col++ {
+		pivot := -1
+		for r := rank; r < a.rows && pivot < 0; r++ {
+			if a.At(r, col) != 0 {
+				pivot = r
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		a.swapRows(pivot, rank)
+		pinv := powRef(f, a.At(rank, col), f.Mask()-1)
+		for r := rank + 1; r < a.rows; r++ {
+			factor := f.Mul(a.At(r, col), pinv)
+			for j := col; j < a.cols; j++ {
+				a.Set(r, j, f.Add(a.At(r, j), f.Mul(factor, a.At(rank, j))))
+			}
+		}
+		rank++
+	}
+	return rank
+}
+
+// FuzzRank cross-checks Rank against rankRef on a fuzzer-chosen degree,
+// shape and seed, with the last dep rows replaced by random combinations
+// of the others so that the rank is at most rows - dep. Columns reach 600,
+// past every row-kernel route cutover in gf.
+func FuzzRank(f *testing.F) {
+	f.Add(uint8(64), uint8(16), uint16(20), int64(1), uint8(0))
+	f.Add(uint8(64), uint8(12), uint16(40), int64(2), uint8(3))
+	f.Add(uint8(2), uint8(9), uint16(7), int64(3), uint8(2))
+	f.Add(uint8(33), uint8(3), uint16(600), int64(4), uint8(1))
+	f.Fuzz(func(t *testing.T, deg, rows uint8, cols uint16, seed int64, dep uint8) {
+		fld := gf.MustNew(1 + uint(deg)%64)
+		r, c := 1+int(rows)%24, 1+int(cols)%600
+		d := int(dep) % r
+		rng := rand.New(rand.NewSource(seed))
+		m, err := Random(fld, r, c, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := r - d; i < r; i++ {
+			for j := 0; j < c; j++ {
+				m.Set(i, j, 0)
+			}
+			for k := 0; k < r-d; k++ {
+				coef := fld.Rand(rng)
+				for j := 0; j < c; j++ {
+					m.Set(i, j, fld.Add(m.At(i, j), fld.Mul(coef, m.At(k, j))))
+				}
+			}
+		}
+		got, want := m.Rank(), rankRef(m)
+		if got != want || got > r-d {
+			t.Fatalf("%v %dx%d with %d dependent rows: Rank = %d, reference %d", fld, r, c, d, got, want)
+		}
+	})
 }
