@@ -120,10 +120,11 @@ func equivocatingGeneral(self graph.NodeID, participants []graph.NodeID, tol int
 				// Rewrite the round-0 payload per destination: half get "X",
 				// half get "Y".
 				for i := range out {
-					pkt, ok := out[i].Body.(relay.Packet)
-					if !ok || pkt.MsgID != msgID(0) {
+					sent, ok := out[i].Body.(*relay.Packet)
+					if !ok || sent.MsgID != msgID(0) {
 						continue
 					}
+					pkt := *sent // a sent copy is immutable: rewrite a new one
 					if pkt.Dest%2 == 0 {
 						msg, err := unmarshalRound(pkt.Payload)
 						if err != nil {
@@ -134,7 +135,7 @@ func equivocatingGeneral(self graph.NodeID, participants []graph.NodeID, tol int
 						}
 						raw := marshalRound(msg)
 						pkt.Payload = raw
-						out[i].Body = pkt
+						out[i].Body = &pkt
 						out[i].Bits = int64(len(raw)) * 8
 					}
 				}
@@ -185,10 +186,11 @@ func lyingRelayer(self graph.NodeID, participants []graph.NodeID, tol int) func(
 		return sim.StepFunc(func(round int, inbox []sim.Message) []sim.Message {
 			out := nd.Step(round, inbox)
 			for i := range out {
-				pkt, ok := out[i].Body.(relay.Packet)
-				if !ok || pkt.MsgID == msgID(0) {
+				sent, ok := out[i].Body.(*relay.Packet)
+				if !ok || sent.MsgID == msgID(0) {
 					continue
 				}
+				pkt := *sent // a sent copy is immutable: rewrite a new one
 				msg, err := unmarshalRound(pkt.Payload)
 				if err != nil {
 					continue
@@ -198,7 +200,7 @@ func lyingRelayer(self graph.NodeID, participants []graph.NodeID, tol int) func(
 				}
 				raw := marshalRound(msg)
 				pkt.Payload = raw
-				out[i].Body = pkt
+				out[i].Body = &pkt
 				out[i].Bits = int64(len(raw)) * 8
 			}
 			return out

@@ -120,10 +120,11 @@ func byzantine(inner sim.Process, rng *rand.Rand) sim.Process {
 		own := map[stream][]byte{}
 		var extra []sim.Message
 		for i := range out {
-			pkt, ok := out[i].Body.(relay.Packet)
+			sent, ok := out[i].Body.(*relay.Packet)
 			if !ok {
 				continue
 			}
+			pkt := *sent // a sent copy is immutable: tamper with a new one
 			if pkt.Origin == out[i].From {
 				key := stream{pkt.Dest, pkt.MsgID}
 				raw, seen := own[key]
@@ -141,11 +142,11 @@ func byzantine(inner sim.Process, rng *rand.Rand) sim.Process {
 					second := out[i]
 					alt := pkt
 					alt.Payload = append(append([]byte(nil), pkt.Payload...), 0)
-					second.Body, second.Bits = alt, int64(len(alt.Payload))*8
+					second.Body, second.Bits = &alt, int64(len(alt.Payload))*8
 					extra = append(extra, second)
 				}
 			}
-			out[i].Body, out[i].Bits = pkt, int64(len(pkt.Payload))*8
+			out[i].Body, out[i].Bits = &pkt, int64(len(pkt.Payload))*8
 		}
 		return append(out, extra...)
 	})
@@ -245,8 +246,11 @@ func TestTreeMatchesReference(t *testing.T) {
 				}
 				for i, w := range want.records {
 					g := got.records[i]
-					gp, _ := g.Msg.Body.(relay.Packet)
-					wp, _ := w.Msg.Body.(relay.Packet)
+					gp, _ := g.Msg.Body.(*relay.Packet)
+					wp, _ := w.Msg.Body.(*relay.Packet)
+					if gp == nil || wp == nil {
+						t.Fatalf("seed %d: message %d is not a relay packet:\n got %+v\nwant %+v", seed, i, g, w)
+					}
 					if g.Round != w.Round || g.Msg.From != w.Msg.From || g.Msg.To != w.Msg.To || g.Msg.Bits != w.Msg.Bits ||
 						gp.Origin != wp.Origin || gp.Dest != wp.Dest || gp.PathIdx != wp.PathIdx || gp.Hop != wp.Hop ||
 						gp.MsgID != wp.MsgID || !bytes.Equal(gp.Payload, wp.Payload) {
@@ -268,7 +272,8 @@ func TestTreeMatchesReference(t *testing.T) {
 
 // TestEIGBroadcastAllocs pins the garbage of one step-2.2 flag agreement:
 // K7, t = 2, engine and nodes built fresh, every general decided at every
-// node (the map-keyed tree took about 28 000 objects for this).
+// node (the map-keyed tree took about 28 000 objects for this, boxed
+// relay copies and map-keyed phase charges about 2 070).
 func TestEIGBroadcastAllocs(t *testing.T) {
 	g := completeBi(7, 2)
 	tab, err := relay.NewTable(g, 5)
@@ -303,8 +308,9 @@ func TestEIGBroadcastAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f objects per broadcast", allocs)
-	if allocs > 3000 {
-		t.Errorf("one K7 t=2 broadcast allocates %.0f objects, want <= 3000", allocs)
+	// 893 measured with shared relay copies and dense phase charges, + 10 %.
+	if allocs > 982 {
+		t.Errorf("one K7 t=2 broadcast allocates %.0f objects, want <= 982", allocs)
 	}
 }
 

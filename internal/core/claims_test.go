@@ -59,8 +59,9 @@ func buildAuditFixture(t testing.TB) (*auditContext, map[graph.NodeID]*Claims, [
 		t.Fatal(err)
 	}
 	states := map[graph.NodeID]*nodeState{}
+	adj := planAdjacency(g, trees)
 	for _, v := range g.Nodes() {
-		states[v] = newNodeState(v, Honest{}, 1, input, lenBits, rho, symBits, 1, trees, scheme, g)
+		states[v] = newNodeState(v, Honest{}, 1, input, lenBits, rho, symBits, 1, trees, scheme, adj[v])
 	}
 	// Phase 1 (no corruption): propagate down each tree in depth order.
 	for ti, tree := range trees {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"nab/internal/coding"
 	"nab/internal/gf"
@@ -38,7 +40,7 @@ type nodeState struct {
 
 	trees  []*spantree.Arborescence
 	scheme *coding.Scheme
-	gk     *graph.Directed
+	adj    *nodeAdj // the node's links in G_k and children in the trees
 
 	input []byte // source only
 
@@ -54,12 +56,37 @@ type nodeState struct {
 	flag      bool
 }
 
+// nodeAdj is one node's neighbourhood in a plan: its out- and in-edges in
+// G_k and its children in each tree, so the phases read them instead of
+// rebuilding them from the graph for every instance.
+type nodeAdj struct {
+	out      []graph.Edge     // G_k out-edges, by destination
+	in       []graph.Edge     // G_k in-edges, by origin
+	children [][]graph.NodeID // children[t]: the node's children in tree t, ascending
+}
+
+// planAdjacency returns every G_k node's neighbourhood.
+func planAdjacency(gk *graph.Directed, trees []*spantree.Arborescence) map[graph.NodeID]*nodeAdj {
+	adj := make(map[graph.NodeID]*nodeAdj, gk.NumNodes())
+	for _, v := range gk.Nodes() {
+		adj[v] = &nodeAdj{out: gk.OutEdges(v), in: gk.InEdges(v), children: make([][]graph.NodeID, len(trees))}
+	}
+	for ti, tr := range trees {
+		for _, e := range tr.Edges() {
+			if a := adj[e.From]; a != nil {
+				a.children[ti] = append(a.children[ti], e.To)
+			}
+		}
+	}
+	return adj
+}
+
 // newNodeState prepares instance state for one node.
-func newNodeState(id graph.NodeID, adv Adversary, source graph.NodeID, input []byte, lenBits, rho int, symBits uint, stripes int, trees []*spantree.Arborescence, scheme *coding.Scheme, gk *graph.Directed) *nodeState {
+func newNodeState(id graph.NodeID, adv Adversary, source graph.NodeID, input []byte, lenBits, rho int, symBits uint, stripes int, trees []*spantree.Arborescence, scheme *coding.Scheme, adj *nodeAdj) *nodeState {
 	st := &nodeState{
 		id: id, adv: adv, source: source, input: input,
 		lenBits: lenBits, gamma: len(trees), rho: rho, symBits: symBits, stripes: stripes,
-		trees: trees, scheme: scheme, gk: gk,
+		trees: trees, scheme: scheme, adj: adj,
 		myBlocks:  make([]BitChunk, len(trees)),
 		haveBlock: make([]bool, len(trees)),
 	}
@@ -90,7 +117,7 @@ func (st *nodeState) phase1Process() sim.Process {
 			for ti := range st.trees {
 				st.myBlocks[ti] = blocks[ti]
 				st.haveBlock[ti] = true
-				out = append(out, st.forwardBlock(ti)...)
+				out = st.forwardBlock(out, ti)
 			}
 			return out
 		}
@@ -108,28 +135,25 @@ func (st *nodeState) phase1Process() sim.Process {
 			st.myBlocks[pm.Tree] = block
 			st.haveBlock[pm.Tree] = true
 			st.recvClaims = append(st.recvClaims, TreeEdgeClaim{Tree: pm.Tree, From: parent, To: st.id, Block: block})
-			out = append(out, st.forwardBlock(pm.Tree)...)
+			out = st.forwardBlock(out, pm.Tree)
 		}
 		return out
 	})
 }
 
-// forwardBlock emits the block of the given tree to the node's children,
-// applying the adversary's corruption hook per child.
-func (st *nodeState) forwardBlock(tree int) []sim.Message {
+// forwardBlock appends the block of the given tree, sent to each of the
+// node's children, to out, applying the adversary's corruption hook per
+// child.
+func (st *nodeState) forwardBlock(out []sim.Message, tree int) []sim.Message {
 	if st.adv.SilentIn("phase1") {
-		return nil
+		return out
 	}
-	var out []sim.Message
-	for _, e := range st.trees[tree].Edges() {
-		if e.From != st.id {
-			continue
-		}
-		block := st.adv.CorruptBlock(tree, e.To, st.myBlocks[tree])
-		st.sentClaims = append(st.sentClaims, TreeEdgeClaim{Tree: tree, From: st.id, To: e.To, Block: block})
+	for _, child := range st.adj.children[tree] {
+		block := st.adv.CorruptBlock(tree, child, st.myBlocks[tree])
+		st.sentClaims = append(st.sentClaims, TreeEdgeClaim{Tree: tree, From: st.id, To: child, Block: block})
 		out = append(out, sim.Message{
 			From: st.id,
-			To:   e.To,
+			To:   child,
 			Bits: int64(block.BitLen),
 			Body: Phase1Msg{Tree: tree, Block: block},
 		})
@@ -175,9 +199,18 @@ func (st *nodeState) equalityProcess() sim.Process {
 			if st.adv.SilentIn("equality") {
 				return nil
 			}
-			var out []sim.Message
-			for _, e := range st.gk.OutEdges(st.id) {
-				syms := make([]gf.Elem, st.stripes*int(e.Cap))
+			// One symbol array for every out-edge, one window each.
+			n := 0
+			for _, e := range st.adj.out {
+				n += st.stripes * int(e.Cap)
+			}
+			all := make([]gf.Elem, n)
+			out := make([]sim.Message, 0, len(st.adj.out))
+			st.sentCoded = slices.Grow(st.sentCoded, len(st.adj.out))
+			for _, e := range st.adj.out {
+				size := st.stripes * int(e.Cap)
+				syms := all[:size:size]
+				all = all[size:]
 				if err := st.scheme.EncodeStripes(st.id, e.To, st.x, syms); err != nil {
 					panic("core: encode: " + err.Error())
 				}
@@ -192,21 +225,25 @@ func (st *nodeState) equalityProcess() sim.Process {
 			}
 			return out
 		case 1:
-			got := map[graph.NodeID][]gf.Elem{}
+			in := st.adj.in
+			got := make([][]gf.Elem, len(in)) // by in-edge; nil if missing
+			seen := make([]bool, len(in))
 			for _, m := range inbox {
 				em, ok := m.Body.(EqMsg)
 				if !ok {
 					continue
 				}
-				if !st.gk.HasEdge(m.From, st.id) {
+				i, ok := slices.BinarySearchFunc(in, m.From, func(e graph.Edge, from graph.NodeID) int { return cmp.Compare(e.From, from) })
+				if !ok {
 					continue // not an instance-graph link; protocol ignores it
 				}
-				if _, dup := got[m.From]; !dup {
-					got[m.From] = em.Symbols
+				if !seen[i] {
+					got[i], seen[i] = em.Symbols, true
 				}
 			}
-			for _, e := range st.gk.InEdges(st.id) {
-				syms := got[e.From] // nil if missing: counts as mismatch
+			st.recvCoded = slices.Grow(st.recvCoded, len(in))
+			for i, e := range in {
+				syms := got[i] // nil if missing: counts as mismatch
 				st.recvCoded = append(st.recvCoded, CodedClaim{From: e.From, To: st.id, Symbols: syms})
 				mm, err := st.scheme.CheckStripes(e.From, st.id, st.x, syms)
 				if err != nil {

@@ -207,6 +207,7 @@ type planBody struct {
 	stripes     int
 	scheme      *coding.Scheme
 	trees       []*spantree.Arborescence
+	adj         map[graph.NodeID]*nodeAdj
 	schemeTries int
 	maxDepth    int
 }
@@ -322,6 +323,7 @@ func (p *Protocol) PlanInstance(ds *DisputeState, k int, rng *rand.Rand) (*Insta
 			pl.maxDepth = d
 		}
 	}
+	pl.adj = planAdjacency(pl.gk, pl.trees)
 	return pl, nil
 }
 
@@ -429,7 +431,7 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 		if sc, ok := adv.(InstanceScoped); ok {
 			adv = sc.ForInstance(k)
 		}
-		states[v] = newNodeState(v, adv, p.cfg.Source, input, p.lenBits, pl.rho, pl.symBits, pl.stripes, pl.trees, pl.scheme, pl.gk)
+		states[v] = newNodeState(v, adv, p.cfg.Source, input, p.lenBits, pl.rho, pl.symBits, pl.stripes, pl.trees, pl.scheme, pl.adj[v])
 	}
 
 	// ---- Phase 1: unreliable broadcast over the packed arborescences.

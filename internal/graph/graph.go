@@ -10,8 +10,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -144,7 +145,7 @@ func (g *Directed) Nodes() []NodeID {
 	for v := range g.nodes {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -154,13 +155,13 @@ func (g *Directed) Edges() []Edge {
 	for key, c := range g.caps {
 		out = append(out, Edge{From: key[0], To: key[1], Cap: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, compareEdges)
 	return out
+}
+
+// compareEdges orders edges by (From, To).
+func compareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 }
 
 // OutEdges returns edges leaving v, sorted by destination.
@@ -171,7 +172,7 @@ func (g *Directed) OutEdges(v NodeID) []Edge {
 			out = append(out, Edge{From: v, To: key[1], Cap: c})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 	return out
 }
 
@@ -183,7 +184,7 @@ func (g *Directed) InEdges(v NodeID) []Edge {
 			out = append(out, Edge{From: key[0], To: v, Cap: c})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
 	return out
 }
 
@@ -202,7 +203,7 @@ func (g *Directed) Neighbors(v NodeID) []NodeID {
 	for u := range seen {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -367,7 +368,7 @@ func (u *Undirected) Nodes() []NodeID {
 	for v := range u.nodes {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -378,12 +379,7 @@ func (u *Undirected) Edges() []Edge {
 	for key, c := range u.caps {
 		out = append(out, Edge{From: key[0], To: key[1], Cap: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
+	slices.SortFunc(out, compareEdges)
 	return out
 }
 
@@ -398,7 +394,7 @@ func (u *Undirected) Neighbors(v NodeID) []NodeID {
 			out = append(out, key[0])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // flowNet is a Dinic max-flow solver over an arbitrary arc list. It is built
@@ -17,8 +17,12 @@ type flowNet struct {
 	iter  []int
 }
 
-func newFlowNet(n int) *flowNet {
-	return &flowNet{n: n, head: make([][]int, n), level: make([]int, n), iter: make([]int, n)}
+// newFlowNet returns an empty net of n nodes with room for the given
+// number of arcs (each stored with its reverse), so building it does not
+// regrow the arc arrays: relay.NewTable builds one per ordered node pair
+// on every Open.
+func newFlowNet(n, arcs int) *flowNet {
+	return &flowNet{n: n, to: make([]int, 0, 2*arcs), cap: make([]int64, 0, 2*arcs), head: make([][]int, n), level: make([]int, n), iter: make([]int, n)}
 }
 
 func (fn *flowNet) addArc(from, to int, c int64) int {
@@ -119,7 +123,7 @@ func (g *Directed) MaxFlow(s, t NodeID) (int64, error) {
 		return 0, fmt.Errorf("graph: maxflow source equals sink (%d)", s)
 	}
 	ix := newIndexer(g.Nodes())
-	fn := newFlowNet(len(ix.ids))
+	fn := newFlowNet(len(ix.ids), g.NumEdges())
 	for _, e := range g.Edges() {
 		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
 	}
@@ -170,7 +174,7 @@ func (u *Undirected) MaxFlow(a, b NodeID) (int64, error) {
 		return 0, fmt.Errorf("graph: maxflow source equals sink (%d)", a)
 	}
 	ix := newIndexer(u.Nodes())
-	fn := newFlowNet(len(ix.ids))
+	fn := newFlowNet(len(ix.ids), 2*u.NumEdges())
 	for _, e := range u.Edges() {
 		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
 		fn.addArc(ix.idx[e.To], ix.idx[e.From], e.Cap)
@@ -220,6 +224,6 @@ func SortedNodeSet(set map[NodeID]struct{}) []NodeID {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -35,7 +35,7 @@ func (g *Directed) NodeDisjointPaths(s, t NodeID, want int) ([][]NodeID, error) 
 	n := len(nodes)
 	inOf := func(i int) int { return 2 * i }
 	outOf := func(i int) int { return 2*i + 1 }
-	fn := newFlowNet(2 * n)
+	fn := newFlowNet(2*n, n+g.NumEdges())
 	const inf = int64(math.MaxInt32)
 	for i, v := range nodes {
 		c := int64(1)
@@ -49,7 +49,7 @@ func (g *Directed) NodeDisjointPaths(s, t NodeID, want int) ([][]NodeID, error) 
 		from NodeID
 		to   NodeID
 	}
-	var arcs []arcEdge
+	arcs := make([]arcEdge, 0, g.NumEdges())
 	for _, e := range g.Edges() {
 		id := fn.addArc(outOf(ix.idx[e.From]), inOf(ix.idx[e.To]), 1)
 		arcs = append(arcs, arcEdge{arc: id, from: e.From, to: e.To})

@@ -72,8 +72,12 @@ func (t *Table) Paths(s, d graph.NodeID) [][]graph.NodeID {
 	return t.paths[[2]graph.NodeID{s, d}]
 }
 
-// Packet is the wire format of one path copy. Engines treat it as an opaque
-// body; routers inspect it.
+// Packet is the wire format of one path copy. Copies travel as *Packet,
+// so an engine moves a pointer, not a boxed copy; engines treat it as an
+// opaque body and routers inspect it. A sent packet is immutable: every
+// holder (the sender, the transport, each receiver) may keep the pointer,
+// so a router forwards a new copy with Hop + 1 instead of advancing the
+// one it received.
 type Packet struct {
 	Origin  graph.NodeID // claimed original sender
 	Dest    graph.NodeID // final destination
@@ -84,7 +88,7 @@ type Packet struct {
 }
 
 // Router performs the per-node forwarding and majority-assembly duties.
-// A Router is owned by a single node's Process; Handle may be called from
+// A Router is owned by a single node's Process; HandleAll may be called from
 // that node's goroutine only.
 type Router struct {
 	self  graph.NodeID
@@ -121,38 +125,69 @@ func (r *Router) Send(dest graph.NodeID, msgID string, payload []byte) []sim.Mes
 }
 
 // AppendSend is Send appending to out, for callers that address many
-// destinations in one step.
+// destinations in one step. The k copies share one allocation.
 func (r *Router) AppendSend(out []sim.Message, dest graph.NodeID, msgID string, payload []byte) []sim.Message {
-	for idx, p := range r.table.Paths(r.self, dest) {
-		pkt := Packet{Origin: r.self, Dest: dest, PathIdx: idx, Hop: 1, MsgID: msgID, Payload: payload}
+	paths := r.table.Paths(r.self, dest)
+	pkts := make([]Packet, len(paths))
+	for idx, p := range paths {
+		pkts[idx] = Packet{Origin: r.self, Dest: dest, PathIdx: idx, Hop: 1, MsgID: msgID, Payload: payload}
 		out = append(out, sim.Message{
 			From: r.self,
 			To:   p[1],
 			Bits: int64(len(payload)) * 8,
-			Body: pkt,
+			Body: &pkts[idx],
 		})
 	}
 	return out
 }
 
-// Handle processes one inbound simulator message. If it carries a relay
-// packet addressed onward, Handle returns the forwarding message; if this
-// node is the destination, the copy is recorded for Majority. Non-packet
-// messages and malformed packets yield nil (a Byzantine neighbour can
-// always send garbage; honest nodes ignore it).
-func (r *Router) Handle(m sim.Message) []sim.Message {
-	return r.handle(nil, m)
+// HandleAll processes one inbox. Every relay packet addressed onward
+// yields a forwarding message, in inbox order; a copy for which this node
+// is the destination is recorded for Majority. Non-packet messages and
+// malformed packets are ignored (a Byzantine neighbour can always send
+// garbage; honest nodes ignore it). The forwarded copies share one
+// allocation.
+func (r *Router) HandleAll(inbox []sim.Message) []sim.Message {
+	// Every packet not addressed here may forward: an exact count for
+	// honest traffic, an upper bound for garbage.
+	n := 0
+	for _, m := range inbox {
+		if pkt, ok := m.Body.(*Packet); ok && pkt != nil && pkt.Dest != r.self {
+			n++
+		}
+	}
+	var out []sim.Message
+	var fwds []Packet
+	if n > 0 {
+		out = make([]sim.Message, 0, n)
+		fwds = make([]Packet, 0, n)
+	}
+	for _, m := range inbox {
+		fwd, to, ok := r.handle(m)
+		if !ok {
+			continue
+		}
+		fwds = append(fwds, fwd)
+		out = append(out, sim.Message{
+			From: r.self,
+			To:   to,
+			Bits: int64(len(fwd.Payload)) * 8,
+			Body: &fwds[len(fwds)-1],
+		})
+	}
+	return out
 }
 
-// handle is Handle appending the forward, if any, to out.
-func (r *Router) handle(out []sim.Message, m sim.Message) []sim.Message {
-	pkt, ok := m.Body.(Packet)
-	if !ok {
-		return out
+// handle processes one inbound message: it records a final-hop copy and
+// returns the forward of a copy addressed onward, with its next hop.
+func (r *Router) handle(m sim.Message) (fwd Packet, to graph.NodeID, ok bool) {
+	pkt, isPkt := m.Body.(*Packet)
+	if !isPkt || pkt == nil {
+		return Packet{}, 0, false
 	}
 	paths := r.table.Paths(pkt.Origin, pkt.Dest)
 	if pkt.PathIdx < 0 || pkt.PathIdx >= len(paths) {
-		return out
+		return Packet{}, 0, false
 	}
 	path := paths[pkt.PathIdx]
 	// The packet claims to be at hop pkt.Hop; we must be that node and the
@@ -160,15 +195,15 @@ func (r *Router) handle(out []sim.Message, m sim.Message) []sim.Message {
 	// is forged and is dropped. A faulty node can therefore only tamper
 	// with copies on paths it belongs to.
 	if pkt.Hop < 1 || pkt.Hop >= len(path) {
-		return out
+		return Packet{}, 0, false
 	}
 	if path[pkt.Hop] != r.self || path[pkt.Hop-1] != m.From {
-		return out
+		return Packet{}, 0, false
 	}
 	if pkt.Dest == r.self {
 		// Final hop: record the copy (first copy per path wins).
 		if pkt.Hop != len(path)-1 {
-			return out
+			return Packet{}, 0, false
 		}
 		r.mu.Lock()
 		key := recvKey{origin: pkt.Origin, msgID: pkt.MsgID}
@@ -181,28 +216,15 @@ func (r *Router) handle(out []sim.Message, m sim.Message) []sim.Message {
 			copies[pkt.PathIdx] = pathCopy{payload: pkt.Payload, ok: true}
 		}
 		r.mu.Unlock()
-		return out
+		return Packet{}, 0, false
 	}
 	next := pkt.Hop + 1
 	if next >= len(path) {
-		return out
+		return Packet{}, 0, false
 	}
-	pkt.Hop = next
-	return append(out, sim.Message{
-		From: r.self,
-		To:   path[next],
-		Bits: int64(len(pkt.Payload)) * 8,
-		Body: pkt,
-	})
-}
-
-// HandleAll is Handle applied to a whole inbox, concatenating forwards.
-func (r *Router) HandleAll(inbox []sim.Message) []sim.Message {
-	var out []sim.Message
-	for _, m := range inbox {
-		out = r.handle(out, m)
-	}
-	return out
+	fwd = *pkt
+	fwd.Hop = next
+	return fwd, path[next], true
 }
 
 // Majority returns the payload received from origin for msgID, decided by
@@ -243,11 +265,4 @@ func (r *Router) Majority(origin graph.NodeID, msgID string) ([]byte, bool) {
 		return nil, false
 	}
 	return cand, true
-}
-
-// Reset clears received state (between protocol stages reusing a router).
-func (r *Router) Reset() {
-	r.mu.Lock()
-	r.received = map[recvKey][]pathCopy{}
-	r.mu.Unlock()
 }

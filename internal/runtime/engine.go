@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,29 +16,87 @@ import (
 // barrier; the scheduler re-executes the instance on the fresh snapshot.
 var errAborted = errors.New("runtime: instance aborted")
 
-// mailbox buffers one node's step frames for one instance, indexed by
-// delivery step. It is unbounded so transport demultiplexing never blocks
-// behind a slow actor (which would couple unrelated instances).
+// topology is the step topology of one Runtime: every node's sorted in-
+// and out-neighbours and the link index of each out-link, built once in
+// New and shared read-only by every instance engine.
+type topology struct {
+	nodes    []graph.NodeID   // ascending
+	in       [][]graph.NodeID // in[i]: nodes[i]'s in-neighbours, ascending
+	out      [][]graph.NodeID // out[i]: nodes[i]'s out-neighbours, ascending
+	outLinks [][]int          // outLinks[i][j]: index of link (nodes[i], out[i][j])
+	links    *sim.Links
+}
+
+func newTopology(g *graph.Directed) *topology {
+	t := &topology{nodes: g.Nodes(), links: sim.NewLinks(g)}
+	t.in = make([][]graph.NodeID, len(t.nodes))
+	t.out = make([][]graph.NodeID, len(t.nodes))
+	t.outLinks = make([][]int, len(t.nodes))
+	for i, v := range t.nodes {
+		for _, e := range g.InEdges(v) {
+			t.in[i] = append(t.in[i], e.From)
+		}
+		for _, e := range g.OutEdges(v) {
+			l, _ := t.links.Index(v, e.To)
+			t.out[i] = append(t.out[i], e.To)
+			t.outLinks[i] = append(t.outLinks[i], l)
+		}
+	}
+	return t
+}
+
+// pos returns v's index in nodes.
+func (t *topology) pos(v graph.NodeID) (int, bool) { return rank(t.nodes, v) }
+
+// rank returns v's index in the ascending ids. It is not generic, so the
+// //nab:allocfree deliver calls it without the analyzer reading the
+// generic call's type arguments as boxed values.
+func rank(ids []graph.NodeID, v graph.NodeID) (int, bool) {
+	return slices.BinarySearch(ids, v)
+}
+
+// mailbox buffers one node's step frames for one instance. Each step's
+// frames sit in a slot array indexed by the sender's rank among the
+// node's sorted in-neighbours, so a step is ready when every slot is
+// filled and its inbox comes out in sender order without sorting. It is
+// unbounded in steps so transport demultiplexing never blocks behind a
+// slow actor (which would couple unrelated instances).
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	need   int // in-neighbours: one frame from each makes a step ready
-	frames map[uint32][]*transport.Message
-	next   uint32 // steps below next are consumed (step 0 has no frames)
+	cond   sync.Cond
+	in     []graph.NodeID // in-neighbours, ascending: one slot each
+	steps  map[uint32]*stepSlots
+	free   []*stepSlots  // consumed steps' slot arrays, for reuse
+	inbox  []sim.Message // the actor's inbox, reused by every await
+	next   uint32        // steps below next are consumed (step 0 has no frames)
 	closed bool
 }
 
-func newMailbox(need int) *mailbox {
-	mb := &mailbox{need: need, frames: map[uint32][]*transport.Message{}, next: 1}
-	mb.cond = sync.NewCond(&mb.mu)
+// stepSlots holds one step's frames by sender rank.
+type stepSlots struct {
+	frames []*transport.Message
+	filled int
+}
+
+func newMailbox(in []graph.NodeID) *mailbox {
+	mb := &mailbox{in: in, steps: map[uint32]*stepSlots{}, next: 1}
+	mb.cond.L = &mb.mu
 	return mb
 }
 
-// deliver files one step frame. A frame whose body is not a packet list,
-// a frame for a consumed step, and a repeat frame from the same sender
-// for the same step are dropped, not counted: none can release a step.
+// deliver files one step frame into its sender's slot. A frame that is
+// not a step frame, a frame from a node that is not an in-neighbour, a
+// frame for a consumed step, and a repeat frame from the same sender for
+// the same step are dropped: none fills a slot, so none can release a
+// step.
+//
+//nab:allocfree
 func (mb *mailbox) deliver(m *transport.Message) {
-	if _, ok := m.Body.([]transport.Packet); !ok {
+	if m.Packets == nil {
+		return
+	}
+	r, ok := rank(mb.in, m.From)
+	if !ok {
 		return
 	}
 	mb.mu.Lock()
@@ -45,35 +104,71 @@ func (mb *mailbox) deliver(m *transport.Message) {
 	if mb.closed || m.Step < mb.next {
 		return
 	}
-	for _, f := range mb.frames[m.Step] {
-		if f.From == m.From {
-			return
-		}
+	s := mb.steps[m.Step]
+	if s == nil {
+		s = mb.slots()
+		mb.steps[m.Step] = s
 	}
-	mb.frames[m.Step] = append(mb.frames[m.Step], m)
-	if len(mb.frames[m.Step]) == mb.need {
+	if s.frames[r] != nil {
+		return
+	}
+	s.frames[r] = m
+	s.filled++
+	if s.filled == len(mb.in) {
 		mb.cond.Broadcast()
 	}
 }
 
+// slots returns an empty slot array, recycled when one is free.
+func (mb *mailbox) slots() *stepSlots {
+	if n := len(mb.free); n > 0 {
+		s := mb.free[n-1]
+		mb.free = mb.free[:n-1]
+		return s
+	}
+	return &stepSlots{frames: make([]*transport.Message, len(mb.in))}
+}
+
+// ready reports whether every in-neighbour's frame for step is in.
+func (mb *mailbox) ready(step uint32) bool {
+	if len(mb.in) == 0 {
+		return true
+	}
+	s := mb.steps[step]
+	return s != nil && s.filled == len(mb.in)
+}
+
 // await blocks until one frame from every in-neighbour has arrived for
-// step, then returns them. This is the actor-model realization of the
-// synchronous round structure: u's step frame carries everything u
-// emitted toward this node in step-1, so its arrival is u's end-of-step
-// promise.
-func (mb *mailbox) await(step uint32) ([]*transport.Message, error) {
+// step, then returns their packets as the step's inbox: by sender, each
+// sender's packets in emission order — the lockstep engine's delivery
+// order. This is the actor-model realization of the synchronous round
+// structure: u's step frame carries everything u emitted toward this node
+// in step-1, so its arrival is u's end-of-step promise. The inbox is
+// valid until the next await.
+func (mb *mailbox) await(step uint32) ([]sim.Message, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for step > 0 && len(mb.frames[step]) < mb.need && !mb.closed {
+	for step > 0 && !mb.ready(step) && !mb.closed {
 		mb.cond.Wait()
 	}
 	if mb.closed {
 		return nil, errAborted
 	}
-	out := mb.frames[step]
-	delete(mb.frames, step)
 	mb.next = step + 1
-	return out, nil
+	inbox := mb.inbox[:0]
+	if s := mb.steps[step]; s != nil {
+		for i, f := range s.frames {
+			for _, p := range f.Packets {
+				inbox = append(inbox, sim.Message{From: f.From, To: f.To, Bits: p.Bits, Body: p.Body})
+			}
+			s.frames[i] = nil
+		}
+		s.filled = 0
+		delete(mb.steps, step)
+		mb.free = append(mb.free, s)
+	}
+	mb.inbox = inbox
+	return inbox, nil
 }
 
 func (mb *mailbox) close() {
@@ -96,13 +191,12 @@ func (mb *mailbox) close() {
 // its own outgoing links, and every bit is charged to its link.
 type instanceEngine struct {
 	launch uint64
-	g      *graph.Directed
+	topo   *topology
 	send   func(*transport.Message) error
 
-	nodes   []graph.NodeID
-	outNbrs map[graph.NodeID][]graph.NodeID
-	procs   map[graph.NodeID]sim.Process
-	mail    map[graph.NodeID]*mailbox
+	locals []int         // positions in topo.nodes of the hosted nodes
+	procs  []sim.Process // by position; hosted nodes only
+	mail   []*mailbox    // by position; nil for a node hosted elsewhere
 
 	stepBase uint32
 	dropped  atomic.Int64
@@ -114,25 +208,21 @@ type instanceEngine struct {
 // nodes' actors run in peer processes, whose step frames arrive over the
 // shared transport exactly like local ones — step synchronization does
 // not care which process a neighbour lives in.
-func newInstanceEngine(launch uint64, g *graph.Directed, send func(*transport.Message) error, locals map[graph.NodeID]bool) *instanceEngine {
+func newInstanceEngine(launch uint64, topo *topology, send func(*transport.Message) error, locals map[graph.NodeID]bool) *instanceEngine {
 	e := &instanceEngine{
-		launch:  launch,
-		g:       g,
-		send:    send,
-		outNbrs: map[graph.NodeID][]graph.NodeID{},
-		procs:   map[graph.NodeID]sim.Process{},
-		mail:    map[graph.NodeID]*mailbox{},
+		launch: launch,
+		topo:   topo,
+		send:   send,
+		procs:  make([]sim.Process, len(topo.nodes)),
+		mail:   make([]*mailbox, len(topo.nodes)),
 	}
-	for _, v := range g.Nodes() {
+	for i, v := range topo.nodes {
 		if locals != nil && !locals[v] {
 			continue
 		}
-		e.nodes = append(e.nodes, v)
-		for _, ed := range g.OutEdges(v) {
-			e.outNbrs[v] = append(e.outNbrs[v], ed.To)
-		}
-		e.procs[v] = sim.Silent
-		e.mail[v] = newMailbox(len(g.InEdges(v)))
+		e.locals = append(e.locals, i)
+		e.procs[i] = sim.Silent
+		e.mail[i] = newMailbox(topo.in[i])
 	}
 	return e
 }
@@ -140,20 +230,21 @@ func newInstanceEngine(launch uint64, g *graph.Directed, send func(*transport.Me
 // SetProcess implements core.PhaseEngine. Only locally hosted nodes
 // accept a process.
 func (e *instanceEngine) SetProcess(v graph.NodeID, p sim.Process) error {
-	if _, ok := e.mail[v]; !ok {
+	i, ok := e.topo.pos(v)
+	if !ok || e.mail[i] == nil {
 		return fmt.Errorf("runtime: node %d not hosted by this engine", v)
 	}
 	if p == nil {
 		return fmt.Errorf("runtime: nil process for node %d", v)
 	}
-	e.procs[v] = p
+	e.procs[i] = p
 	return nil
 }
 
 // deliver routes one frame into the owning node's mailbox.
 func (e *instanceEngine) deliver(m *transport.Message) {
-	if mb, ok := e.mail[m.To]; ok {
-		mb.deliver(m)
+	if i, ok := e.topo.pos(m.To); ok && e.mail[i] != nil {
+		e.mail[i].deliver(m)
 	}
 }
 
@@ -163,8 +254,8 @@ func (e *instanceEngine) abort() {
 	if e.aborted.Swap(true) {
 		return
 	}
-	for _, mb := range e.mail {
-		mb.close()
+	for _, i := range e.locals {
+		e.mail[i].close()
 	}
 }
 
@@ -177,20 +268,20 @@ func (e *instanceEngine) RunPhase(name string, rounds int) (*sim.PhaseStats, err
 	if rounds <= 0 {
 		return nil, fmt.Errorf("runtime: rounds = %d must be positive", rounds)
 	}
-	ps := sim.NewPhaseStats(name, e.g, rounds)
-	errs := make([]error, len(e.nodes))
+	ps := sim.NewPhaseStats(name, e.topo.links, rounds)
+	errs := make([]error, len(e.locals))
 	var wg sync.WaitGroup
-	for i, v := range e.nodes {
+	for j, i := range e.locals {
 		wg.Add(1)
-		go func(i int, v graph.NodeID) {
+		go func(j, i int) {
 			defer wg.Done()
-			errs[i] = e.runNode(v, e.procs[v], rounds, ps)
-			if errs[i] != nil {
+			errs[j] = e.runNode(i, rounds, ps)
+			if errs[j] != nil {
 				// A failed actor can never send its step frames; abort the
 				// whole engine so peers don't wait for them forever.
 				e.abort()
 			}
-		}(i, v)
+		}(j, i)
 	}
 	wg.Wait()
 	// Prefer the root cause over the cascade of errAborted it provoked.
@@ -212,36 +303,28 @@ func (e *instanceEngine) RunPhase(name string, rounds int) (*sim.PhaseStats, err
 	return ps, nil
 }
 
-// runNode is one node's actor for one phase. Each step it sends one frame
-// to every out-neighbour carrying the packets it emitted toward that
-// neighbour, in emission order — possibly none.
-func (e *instanceEngine) runNode(v graph.NodeID, proc sim.Process, rounds int, ps *sim.PhaseStats) error {
-	mb := e.mail[v]
-	outs := e.outNbrs[v]
+// runNode is the actor of the node at position i for one phase. Each step
+// it sends one frame to every out-neighbour carrying the packets it
+// emitted toward that neighbour, in emission order — possibly none. A
+// step allocates one packet array and one frame array, whatever the
+// out-degree: the frames' packet lists are windows of the one array.
+func (e *instanceEngine) runNode(i, rounds int, ps *sim.PhaseStats) error {
+	v, proc, mb := e.topo.nodes[i], e.procs[i], e.mail[i]
+	outs, links := e.topo.out[i], e.topo.outLinks[i]
 	for r := 0; r < rounds; r++ {
 		abs := e.stepBase + uint32(r)
-		frames, err := mb.await(abs)
+		inbox, err := mb.await(abs)
 		if err != nil {
 			return err
 		}
-		n := 0
-		for _, f := range frames {
-			n += len(f.Body.([]transport.Packet))
-		}
-		inbox := make([]sim.Message, 0, n)
-		for _, f := range frames {
-			for _, p := range f.Body.([]transport.Packet) {
-				inbox = append(inbox, sim.Message{From: f.From, To: f.To, Bits: p.Bits, Body: p.Body})
-			}
-		}
-		sim.SortInbox(inbox)
 		emits := proc.Step(r, inbox)
 		// A node cannot forge senders or invent links; physics drops such
 		// emissions, exactly as the lockstep engine does. Every other
-		// emission lands in exactly one out-neighbour's frame.
+		// emission lands in exactly one out-neighbour's frame. The packet
+		// array is non-nil even when empty: a step frame's Packets always is.
 		pkts := make([]transport.Packet, 0, len(emits))
 		out := make([]transport.Message, len(outs))
-		for i, u := range outs {
+		for j, u := range outs {
 			start := len(pkts)
 			var bits int64
 			for _, m := range emits {
@@ -250,19 +333,17 @@ func (e *instanceEngine) runNode(v graph.NodeID, proc sim.Process, rounds int, p
 					bits += m.Bits
 				}
 			}
-			if len(pkts) > start {
-				ps.Charge(r, v, u, bits)
-			}
-			out[i] = transport.Message{
+			ps.Charge(r, links[j], bits)
+			out[j] = transport.Message{
 				Instance: e.launch, Step: abs + 1, From: v, To: u,
-				Bits: bits, Body: pkts[start:len(pkts):len(pkts)],
+				Bits: bits, Packets: pkts[start:len(pkts):len(pkts)],
 			}
 		}
 		if d := len(emits) - len(pkts); d > 0 {
 			e.dropped.Add(int64(d))
 		}
-		for i := range out {
-			if err := e.send(&out[i]); err != nil {
+		for j := range out {
+			if err := e.send(&out[j]); err != nil {
 				return err
 			}
 		}

@@ -96,6 +96,7 @@ type Runtime struct {
 	proto  *core.Protocol
 	tr     transport.Transport
 	locals map[graph.NodeID]bool // nil = all nodes local
+	topo   *topology             // the step topology every launch shares
 
 	linkMu sync.RWMutex
 	links  map[[2]graph.NodeID]transport.Link
@@ -183,12 +184,13 @@ func New(cfg Config) (*Runtime, error) {
 		proto:   proto,
 		tr:      tr,
 		locals:  locals,
+		topo:    newTopology(cfg.Graph),
 		links:   map[[2]graph.NodeID]transport.Link{},
 		engines: map[uint64]*instanceEngine{},
 		pending: map[uint64][]*transport.Message{},
 		ds:      core.NewDisputeState(cfg.Graph),
 	}
-	for _, v := range cfg.Graph.Nodes() {
+	for _, v := range rt.topo.nodes {
 		if locals == nil || locals[v] {
 			go rt.recvLoop(v)
 		}
@@ -461,7 +463,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		f := &flight{
 			k:       k,
 			gen:     rt.ds.Gen(),
-			eng:     newInstanceEngine(rt.nextLaunch, rt.cfg.Graph, rt.sendFrame, rt.locals),
+			eng:     newInstanceEngine(rt.nextLaunch, rt.topo, rt.sendFrame, rt.locals),
 			done:    make(chan struct{}),
 			started: time.Now(),
 		}

@@ -70,6 +70,7 @@ type SentRecord struct {
 // Engine drives one topology. It is not safe for concurrent use.
 type Engine struct {
 	g       *graph.Directed
+	links   *Links
 	procs   map[graph.NodeID]Process
 	pending []Message // queued for delivery at the next round
 	record  bool
@@ -79,7 +80,7 @@ type Engine struct {
 
 // New returns an engine over topology g. All nodes default to Silent.
 func New(g *graph.Directed) *Engine {
-	e := &Engine{g: g.Clone(), procs: map[graph.NodeID]Process{}, record: true}
+	e := &Engine{g: g.Clone(), links: NewLinks(g), procs: map[graph.NodeID]Process{}, record: true}
 	for _, v := range g.Nodes() {
 		e.procs[v] = Silent
 	}
@@ -119,7 +120,7 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("sim: rounds = %d must be positive", rounds)
 	}
-	ps := NewPhaseStats(name, e.g, rounds)
+	ps := NewPhaseStats(name, e.links, rounds)
 	nodes := e.g.Nodes()
 	for round := 0; round < rounds; round++ {
 		inboxes := e.routePending()
@@ -143,7 +144,8 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 					e.dropped++
 					continue
 				}
-				if !e.g.HasEdge(m.From, m.To) {
+				link, ok := e.links.Index(m.From, m.To)
+				if !ok {
 					e.dropped++
 					continue
 				}
@@ -151,7 +153,7 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 					e.dropped++
 					continue
 				}
-				ps.Charge(round, m.From, m.To, m.Bits)
+				ps.Charge(round, link, m.Bits)
 				e.pending = append(e.pending, m)
 				if e.record {
 					e.records = append(e.records, SentRecord{Phase: name, Round: round, Msg: m})

@@ -1,78 +1,77 @@
 package sim
 
 import (
-	"cmp"
-	"slices"
-	"sync"
-
 	"nab/internal/graph"
 )
+
+// Links numbers the directed links of one topology in (From, To) order, so
+// per-link counters live in flat arrays instead of maps. Engines build it
+// once per topology; it is immutable and safe for concurrent use.
+type Links struct {
+	edges []graph.Edge
+	index map[[2]graph.NodeID]int
+}
+
+// NewLinks indexes the links of g.
+func NewLinks(g *graph.Directed) *Links {
+	edges := g.Edges()
+	l := &Links{edges: edges, index: make(map[[2]graph.NodeID]int, len(edges))}
+	for i, e := range edges {
+		l.index[[2]graph.NodeID{e.From, e.To}] = i
+	}
+	return l
+}
+
+// Len returns the number of links.
+func (l *Links) Len() int { return len(l.edges) }
+
+// Index returns the index of link (from, to); ok is false when the
+// topology has no such link.
+func (l *Links) Index(from, to graph.NodeID) (i int, ok bool) {
+	i, ok = l.index[[2]graph.NodeID{from, to}]
+	return i, ok
+}
 
 // PhaseStats aggregates the capacity charges of one phase. Every engine —
 // the lockstep Engine here and internal/runtime's actor engine — builds one
 // with NewPhaseStats and charges each admitted message through Charge, so
 // both produce the same model quantities by construction.
+//
+// The charges are one rounds × links array. Charge takes no lock: calls
+// may run concurrently as long as each link has one writer (in both
+// engines a link's only writer is its sender), and the read methods run
+// after the phase's last Charge.
 type PhaseStats struct {
-	Name        string
-	Rounds      int
-	BitsPerLink map[[2]graph.NodeID]int64
-	caps        map[[2]graph.NodeID]int64
-
-	mu        sync.Mutex
-	roundBits []map[[2]graph.NodeID]int64
-	roundMax  []float64 // per-round max bits/capacity
-	totalBits int64
+	Name   string
+	Rounds int
+	links  *Links
+	bits   []int64 // round-major: bits[round*links.Len()+link]
 }
 
-// NewPhaseStats returns an empty phase accumulator over topology g for an
-// execution of the given number of rounds.
-func NewPhaseStats(name string, g *graph.Directed, rounds int) *PhaseStats {
-	ps := &PhaseStats{
-		Name:        name,
-		Rounds:      rounds,
-		BitsPerLink: map[[2]graph.NodeID]int64{},
-		caps:        map[[2]graph.NodeID]int64{},
-		roundMax:    make([]float64, rounds),
-		roundBits:   make([]map[[2]graph.NodeID]int64, rounds),
-	}
-	for _, ed := range g.Edges() {
-		ps.caps[[2]graph.NodeID{ed.From, ed.To}] = ed.Cap
-	}
-	for r := range ps.roundBits {
-		ps.roundBits[r] = map[[2]graph.NodeID]int64{}
-	}
-	return ps
+// NewPhaseStats returns an empty phase accumulator over the given links
+// for an execution of the given number of rounds.
+func NewPhaseStats(name string, links *Links, rounds int) *PhaseStats {
+	return &PhaseStats{Name: name, Rounds: rounds, links: links, bits: make([]int64, rounds*links.Len())}
 }
 
-// Charge records bits transmitted on link (from, to) during the 0-based
-// emission round, updating both the cut-through and store-and-forward
-// accountings. Rounds beyond the constructor's count are grown on demand.
-// Charge is safe for concurrent use.
-func (ps *PhaseStats) Charge(round int, from, to graph.NodeID, bits int64) {
-	key := [2]graph.NodeID{from, to}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for len(ps.roundBits) <= round {
-		ps.roundBits = append(ps.roundBits, map[[2]graph.NodeID]int64{})
-		ps.roundMax = append(ps.roundMax, 0)
-	}
-	ps.BitsPerLink[key] += bits
-	ps.totalBits += bits
-	rb := ps.roundBits[round]
-	rb[key] += bits
-	if c := ps.caps[key]; c > 0 {
-		if t := float64(rb[key]) / float64(c); t > ps.roundMax[round] {
-			ps.roundMax[round] = t
-		}
-	}
+// Charge records bits transmitted on link (an index of the phase's Links)
+// during the 0-based emission round, which must be below Rounds.
+//
+//nab:allocfree
+func (ps *PhaseStats) Charge(round, link int, bits int64) {
+	ps.bits[round*len(ps.links.edges)+link] += bits
 }
 
 // CutThroughTime returns the phase duration in the zero-propagation-delay
 // model: max over links of total bits / capacity.
 func (ps *PhaseStats) CutThroughTime() float64 {
 	var out float64
-	for key, b := range ps.BitsPerLink {
-		if t := float64(b) / float64(ps.caps[key]); t > out {
+	for i, e := range ps.links.edges {
+		var b int64
+		for r := i; r < len(ps.bits); r += len(ps.links.edges) {
+			b += ps.bits[r]
+		}
+		if t := float64(b) / float64(e.Cap); t > out {
 			out = t
 		}
 	}
@@ -83,19 +82,26 @@ func (ps *PhaseStats) CutThroughTime() float64 {
 // the sum over rounds of each round's max bits/capacity.
 func (ps *PhaseStats) StoreForwardTime() float64 {
 	var sum float64
-	for _, m := range ps.roundMax {
-		sum += m
+	n := len(ps.links.edges)
+	for r := 0; r < ps.Rounds; r++ {
+		var most float64
+		for i, b := range ps.bits[r*n : (r+1)*n] {
+			if c := ps.links.edges[i].Cap; c > 0 {
+				if t := float64(b) / float64(c); t > most {
+					most = t
+				}
+			}
+		}
+		sum += most
 	}
 	return sum
 }
 
 // TotalBits returns the number of bits transmitted during the phase.
-func (ps *PhaseStats) TotalBits() int64 { return ps.totalBits }
-
-// SortInbox orders one recipient's inbox exactly as the lockstep engine
-// delivers it: stable by sender, so messages from one sender keep their
-// per-link emission order. Message-driven engines apply it before invoking
-// a Process so protocol state evolves identically under both substrates.
-func SortInbox(msgs []Message) {
-	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
+func (ps *PhaseStats) TotalBits() int64 {
+	var sum int64
+	for _, b := range ps.bits {
+		sum += b
+	}
+	return sum
 }

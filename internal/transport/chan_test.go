@@ -21,7 +21,9 @@ func TestChanPacingMatchesSimAccounting(t *testing.T) {
 	const frames = 8
 
 	// The model accounting for the load we are about to replay.
-	ps := sim.NewPhaseStats("pacing", g, 1)
+	links := sim.NewLinks(g)
+	ps := sim.NewPhaseStats("pacing", links, 1)
+	perLink := map[[2]graph.NodeID]int64{}
 	type load struct {
 		from, to graph.NodeID
 		bits     int64
@@ -32,8 +34,10 @@ func TestChanPacingMatchesSimAccounting(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			loads = append(loads, load{e.From, e.To, per})
 		}
+		link, _ := links.Index(e.From, e.To)
 		for i := 0; i < frames; i++ {
-			ps.Charge(0, e.From, e.To, per)
+			ps.Charge(0, link, per)
+			perLink[[2]graph.NodeID{e.From, e.To}] += per
 		}
 	}
 	wantUnits := ps.CutThroughTime()
@@ -70,7 +74,7 @@ func TestChanPacingMatchesSimAccounting(t *testing.T) {
 
 	// The transport's capacity accounting must agree with the model's.
 	got := tr.LinkBits()
-	for key, bits := range ps.BitsPerLink {
+	for key, bits := range perLink {
 		if got[key] != bits {
 			t.Errorf("link %v: transport accounted %d bits, sim accounted %d", key, got[key], bits)
 		}

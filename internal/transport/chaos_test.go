@@ -298,7 +298,7 @@ func TestChaosSlowLinkSerializes(t *testing.T) {
 	}
 	// Empty step frames are free: they ride the propagation path only.
 	t3 := time.Now()
-	if err := l.Send(&Message{Instance: 1, Step: 3, From: 1, To: 2, Body: []Packet{}}); err != nil {
+	if err := l.Send(&Message{Instance: 1, Step: 3, From: 1, To: 2, Packets: []Packet{}}); err != nil {
 		t.Fatal(err)
 	}
 	if lag := recvN(t, tr, 2, 1, time.Second)[0].at.Sub(t3); lag > 100*time.Millisecond {

@@ -150,7 +150,7 @@ func TestTransportConformance(t *testing.T) {
 					Tree: 0, Block: core.BitChunk{Bytes: []byte{0xab, 0xcd}, BitLen: 13},
 				}},
 				{Instance: 1, Step: 2, From: 1, To: 2, Bits: 128, Body: core.EqMsg{Symbols: []gf.Elem{9, 10}}},
-				{Instance: 1, Step: 2, From: 1, To: 2, Body: []Packet{}},
+				{Instance: 1, Step: 2, From: 1, To: 2, Packets: []Packet{}},
 			}
 			for i, m := range sent {
 				if err := []Link{first, again}[i%2].Send(m); err != nil {
@@ -162,7 +162,7 @@ func TestTransportConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Step != want.Step || !bodiesEqual(want.Body, got.Body) {
+				if got.Step != want.Step || !payloadEqual(want, got) {
 					t.Errorf("frame %d mismatch: got %+v", i, got)
 				}
 			}

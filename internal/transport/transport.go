@@ -13,7 +13,10 @@
 // step, from, to) carrying every packet the sender emitted toward the
 // receiver in that round of the synchronous model, possibly none. Its
 // arrival is the sender's end-of-step promise, so no control frame and
-// no ordering guarantee is needed beyond delivery.
+// no ordering guarantee is needed beyond delivery. A step frame carries
+// its packets in the typed Message.Packets list; Message.Body is for
+// frames that carry one single body instead, and such a frame is never
+// a step frame.
 //
 // One in-memory core (mesh.go) and one socket stack (peer.go) sit behind
 // every Transport:
@@ -52,6 +55,11 @@ import (
 // Message is one frame on a directed link. Frames are tagged with the
 // runtime's pipelining coordinates (Instance, Step) so multiple NAB
 // instances can share the links concurrently.
+//
+// A frame is a step frame exactly when Packets is non-nil: Packets holds
+// the step's packet list (empty, but non-nil, when the sender emitted
+// nothing toward the receiver) and Body is nil. Every other frame has nil
+// Packets and carries at most one single Body.
 type Message struct {
 	// Instance identifies the runtime launch this frame belongs to.
 	Instance uint64
@@ -64,15 +72,19 @@ type Message struct {
 	// capacity (the paper charges protocol content, not framing). For a
 	// step frame it is the sum of its packets' charges.
 	Bits int64
-	// Body is the protocol payload: a step frame's []Packet, or one
-	// single body (core.Phase1Msg, core.EqMsg, relay.Packet, []byte or
-	// nil). Wire transports encode it with the codec in wire.go.
+	// Packets is a step frame's packet list, in emission order. It is a
+	// typed field, not a Body, so sending a step frame boxes nothing.
+	Packets []Packet
+	// Body is a non-step frame's payload: one single body (core.Phase1Msg,
+	// core.EqMsg, *relay.Packet, []byte or nil). Wire transports encode
+	// it, like Packets, with the codec in wire.go.
 	Body any
 }
 
 // Packet is one protocol message inside a step frame: everything a node
 // emits toward one out-neighbour in one step travels as a single frame
-// whose Body is the []Packet in emission order, possibly empty.
+// whose Packets list them in emission order, possibly none. A packet's
+// Body is a single body, never a packet list.
 type Packet struct {
 	Bits int64
 	Body any

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,10 +30,13 @@ import (
 //
 // These cover every body the NAB phases put on a link: Phase-1 tree blocks
 // (core.Phase1Msg), Phase-2 equality-check symbol vectors (core.EqMsg),
-// and relay path copies (relay.Packet) carrying both step-2.2 flag
-// broadcasts and Phase-3 dispute-control transcripts — each travelling as
-// one packet of a step frame ([]Packet), whose header bits are the sum of
-// its packets' bits. Packet lists do not nest.
+// and relay path copies (*relay.Packet, each decoded as a new packet)
+// carrying both step-2.2 flag broadcasts and Phase-3 dispute-control
+// transcripts — each travelling as one packet of a step frame
+// (Message.Packets), whose header bits are the sum of its packets' bits.
+// A frame with non-nil Packets encodes as kindPackets and decodes back to
+// a non-nil list, an empty one included; any other frame encodes its one
+// Body. Packet lists do not nest.
 const (
 	kindNone    = 0
 	kindRaw     = 1
@@ -56,12 +60,11 @@ const (
 // length prefix), so encode buffers never reallocate mid-encode. Unknown
 // body types size as a bare header; Encode rejects them before writing.
 func encodedSize(m *Message) int {
-	pkts, ok := m.Body.([]Packet)
-	if !ok {
+	if m.Packets == nil {
 		return headerBytes - 1 + bodySize(m.Body)
 	}
 	n := headerBytes + 4
-	for _, p := range pkts {
+	for _, p := range m.Packets {
 		n += packetPrefix - 1 + bodySize(p.Body)
 	}
 	return n
@@ -77,8 +80,10 @@ func bodySize(body any) int {
 		n += 12 + len(body.Block.Bytes)
 	case core.EqMsg:
 		n += 4 + 8*len(body.Symbols)
-	case relay.Packet:
-		n += 8 + 8 + 4 + 4 + 4 + len(body.MsgID) + 4 + len(body.Payload)
+	case *relay.Packet:
+		if body != nil {
+			n += 8 + 8 + 4 + 4 + 4 + len(body.MsgID) + 4 + len(body.Payload)
+		}
 	}
 	return n
 }
@@ -100,14 +105,16 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.From)))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(m.To)))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Bits))
-	pkts, ok := m.Body.([]Packet)
-	if !ok {
+	if m.Packets == nil {
 		return appendBody(buf, m.Body)
 	}
+	if m.Body != nil {
+		return nil, fmt.Errorf("transport: step frame also carries a %T body", m.Body)
+	}
 	buf = append(buf, kindPackets)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pkts)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Packets)))
 	var sum int64
-	for _, p := range pkts {
+	for _, p := range m.Packets {
 		if p.Bits < 0 || p.Bits > math.MaxInt64-sum {
 			return nil, fmt.Errorf("transport: packet charge %d invalid after %d bits", p.Bits, sum)
 		}
@@ -149,7 +156,10 @@ func appendBody(buf []byte, body any) ([]byte, error) {
 		for _, s := range body.Symbols {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(s))
 		}
-	case relay.Packet:
+	case *relay.Packet:
+		if body == nil {
+			return nil, fmt.Errorf("transport: nil relay packet")
+		}
 		buf = append(buf, kindRelay)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(body.Origin)))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(body.Dest)))
@@ -182,9 +192,9 @@ func Decode(raw []byte) (*Message, error) {
 	}
 	var err error
 	if kind := raw[headerBytes-1]; kind == kindPackets {
-		m.Body, err = decodePackets(raw[headerBytes:], m.Bits)
+		m.Packets, err = decodePackets(raw[headerBytes:], m.Bits)
 	} else {
-		m.Body, err = decodeBody(kind, raw[headerBytes:])
+		m.Body, err = decodeBody(kind, raw[headerBytes:], nil)
 	}
 	if err != nil {
 		return nil, err
@@ -192,7 +202,10 @@ func Decode(raw []byte) (*Message, error) {
 	return m, nil
 }
 
-// decodePackets parses a step frame's packet list.
+// decodePackets parses a step frame's packet list. A relay packet whose
+// payload equals the previous relay packet's shares its decoded copy: a
+// node sends one report to many destinations, and the path copies whose
+// first hop is the same neighbour travel side by side in one frame.
 func decodePackets(b []byte, bits int64) ([]Packet, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("transport: truncated packet count (%d bytes)", len(b))
@@ -206,6 +219,7 @@ func decodePackets(b []byte, bits int64) ([]Packet, error) {
 	}
 	pkts := make([]Packet, count)
 	var sum int64
+	var payload []byte // the last relay payload decoded
 	for i := range pkts {
 		if len(b) < packetPrefix {
 			return nil, fmt.Errorf("transport: truncated packet %d", i)
@@ -223,9 +237,12 @@ func decodePackets(b []byte, bits int64) ([]Packet, error) {
 		if b[0] == kindPackets {
 			return nil, fmt.Errorf("transport: nested packet list in packet %d", i)
 		}
-		body, err := decodeBody(b[0], b[1:n])
+		body, err := decodeBody(b[0], b[1:n], payload)
 		if err != nil {
 			return nil, err
+		}
+		if pkt, ok := body.(*relay.Packet); ok {
+			payload = pkt.Payload
 		}
 		pkts[i] = Packet{Bits: p, Body: body}
 		b = b[n:]
@@ -240,8 +257,9 @@ func decodePackets(b []byte, bits int64) ([]Packet, error) {
 }
 
 // decodeBody parses one single body of the given kind, which must fill b
-// exactly.
-func decodeBody(kind byte, b []byte) (any, error) {
+// exactly. A relay payload equal to shared is decoded as shared itself;
+// a sent relay packet is immutable, so equal payloads may share bytes.
+func decodeBody(kind byte, b []byte, shared []byte) (any, error) {
 	switch kind {
 	case kindNone:
 		if len(b) != 0 {
@@ -280,7 +298,7 @@ func decodeBody(kind byte, b []byte) (any, error) {
 		if len(b) < 28 {
 			return nil, fmt.Errorf("transport: truncated relay body (%d bytes)", len(b))
 		}
-		pkt := relay.Packet{
+		pkt := &relay.Packet{
 			Origin:  graph.NodeID(int64(binary.BigEndian.Uint64(b))),
 			Dest:    graph.NodeID(int64(binary.BigEndian.Uint64(b[8:]))),
 			PathIdx: int(int32(binary.BigEndian.Uint32(b[16:]))),
@@ -297,7 +315,11 @@ func decodeBody(kind byte, b []byte) (any, error) {
 		if uint64(plen) != uint64(len(rest)) {
 			return nil, fmt.Errorf("transport: relay payload of %d bytes in %d", plen, len(rest))
 		}
-		pkt.Payload = append([]byte(nil), rest...)
+		if shared != nil && bytes.Equal(shared, rest) {
+			pkt.Payload = shared
+		} else {
+			pkt.Payload = append([]byte(nil), rest...)
+		}
 		return pkt, nil
 	}
 	return nil, fmt.Errorf("transport: unknown payload kind %d (%d payload bytes)", kind, len(b))

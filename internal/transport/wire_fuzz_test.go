@@ -14,10 +14,10 @@ import (
 // seedMessages covers every wire frame kind once, step frames included.
 func seedMessages() []*Message {
 	return []*Message{
-		{Instance: 1, Step: 2, From: 3, To: 4, Body: []Packet{}},
-		{Instance: 5, Step: 6, From: 4, To: 3, Bits: 24 + 64, Body: []Packet{
+		{Instance: 1, Step: 2, From: 3, To: 4, Packets: []Packet{}},
+		{Instance: 5, Step: 6, From: 4, To: 3, Bits: 24 + 64, Packets: []Packet{
 			{Bits: 24, Body: core.Phase1Msg{Tree: 2, Block: core.BitChunk{Bytes: []byte{0xff, 0x80}, BitLen: 9}}},
-			{Bits: 64, Body: relay.Packet{Origin: 1, Dest: 9, PathIdx: 2, Hop: 1, MsgID: "eig:3", Payload: []byte("flag")}},
+			{Bits: 64, Body: &relay.Packet{Origin: 1, Dest: 9, PathIdx: 2, Hop: 1, MsgID: "eig:3", Payload: []byte("flag")}},
 			{Bits: 0, Body: core.EqMsg{Symbols: []gf.Elem{3}}},
 		}},
 		{Instance: 7, Step: 1, From: 1, To: 2, Bits: 8, Body: []byte{0xde, 0xad}},
@@ -28,7 +28,7 @@ func seedMessages() []*Message {
 		{Instance: 3, Step: 0, From: 2, To: 1, Bits: 128, Body: core.EqMsg{
 			Symbols: []gf.Elem{0, 1, 0xfffffffffffffffe},
 		}},
-		{Instance: 4, Step: 5, From: 9, To: 8, Bits: 64, Body: relay.Packet{
+		{Instance: 4, Step: 5, From: 9, To: 8, Bits: 64, Body: &relay.Packet{
 			Origin: 1, Dest: 9, PathIdx: 2, Hop: 1, MsgID: "eig:3", Payload: []byte("claims"),
 		}},
 		{Instance: 0, Step: 0, From: 0, To: 0, Body: nil},
@@ -137,14 +137,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if len(payload) > 0 {
 				id = string(payload[:len(payload)/2])
 			}
-			m.Body = relay.Packet{
+			m.Body = &relay.Packet{
 				Origin: graph.NodeID(a), Dest: graph.NodeID(b),
 				PathIdx: int(a % 16), Hop: int(b % 16),
 				MsgID: id, Payload: append([]byte(nil), payload...),
 			}
 		}
 		if framed {
-			m.Body = []Packet{{Bits: bits, Body: m.Body}}
+			m.Packets, m.Body = []Packet{{Bits: bits, Body: m.Body}}, nil
 		}
 		raw, err := Encode(m)
 		if err != nil {
@@ -158,8 +158,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			got.To != m.To || got.Bits != m.Bits {
 			t.Fatalf("header round trip diverged: %+v vs %+v", got, m)
 		}
-		if !bodiesEqual(m.Body, got.Body) {
-			t.Fatalf("body round trip diverged: %#v vs %#v", got.Body, m.Body)
+		if !payloadEqual(m, got) {
+			t.Fatalf("payload round trip diverged: %#v vs %#v", got, m)
 		}
 	})
 }

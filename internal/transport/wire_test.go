@@ -8,6 +8,7 @@ import (
 
 	"nab/internal/core"
 	"nab/internal/gf"
+	"nab/internal/graph"
 	"nab/internal/relay"
 )
 
@@ -15,11 +16,11 @@ import (
 // as packets of step frames (an empty step frame included).
 func frameCases() []*Message {
 	return []*Message{
-		{Instance: 7, Step: 3, From: 1, To: 2, Body: []Packet{}},
-		{Instance: 8, Step: 5, From: 2, To: 1, Bits: 13 + 192 + 352, Body: []Packet{
+		{Instance: 7, Step: 3, From: 1, To: 2, Packets: []Packet{}},
+		{Instance: 8, Step: 5, From: 2, To: 1, Bits: 13 + 192 + 352, Packets: []Packet{
 			{Bits: 13, Body: core.Phase1Msg{Tree: 1, Block: core.BitChunk{Bytes: []byte{0xde, 0xad}, BitLen: 13}}},
 			{Bits: 192, Body: core.EqMsg{Symbols: []gf.Elem{7, 8, 9}}},
-			{Bits: 352, Body: relay.Packet{Origin: 2, Dest: 6, PathIdx: 3, Hop: 2, MsgID: "eig:1", Payload: []byte{1, 2, 3, 0}}},
+			{Bits: 352, Body: &relay.Packet{Origin: 2, Dest: 6, PathIdx: 3, Hop: 2, MsgID: "eig:1", Payload: []byte{1, 2, 3, 0}}},
 			{Bits: 0, Body: nil},
 			{Bits: 0, Body: []byte("raw")},
 		}},
@@ -31,35 +32,39 @@ func frameCases() []*Message {
 		{Instance: 3, Step: 1, From: 6, To: 1, Bits: 192, Body: core.EqMsg{
 			Symbols: []gf.Elem{0, 1, 0xffffffffffffffff, 42},
 		}},
-		{Instance: 4, Step: 12, From: 3, To: 4, Bits: 352, Body: relay.Packet{
+		{Instance: 4, Step: 12, From: 3, To: 4, Bits: 352, Body: &relay.Packet{
 			Origin: 2, Dest: 6, PathIdx: 3, Hop: 2, MsgID: "eig:1", Payload: []byte{1, 2, 3, 0},
 		}},
 		// Empty-payload edge cases.
 		{Instance: 5, Step: 2, From: 1, To: 3, Bits: 0, Body: core.EqMsg{Symbols: []gf.Elem{}}},
-		{Instance: 6, Step: 4, From: 2, To: 1, Bits: 0, Body: relay.Packet{
+		{Instance: 6, Step: 4, From: 2, To: 1, Bits: 0, Body: &relay.Packet{
 			Origin: 2, Dest: 1, PathIdx: 0, Hop: 1, MsgID: "", Payload: nil,
 		}},
 	}
 }
 
-// bodiesEqual compares decoded bodies, tolerating nil-vs-empty slices
-// (wire format cannot distinguish them).
+// payloadEqual compares a decoded frame's payload with the sent one: a
+// step frame stays a step frame with the same packets, and any other
+// frame keeps its body.
+func payloadEqual(want, got *Message) bool {
+	if (want.Packets == nil) != (got.Packets == nil) || len(want.Packets) != len(got.Packets) {
+		return false
+	}
+	for i, p := range want.Packets {
+		if p.Bits != got.Packets[i].Bits || !bodiesEqual(p.Body, got.Packets[i].Body) {
+			return false
+		}
+	}
+	return bodiesEqual(want.Body, got.Body)
+}
+
+// bodiesEqual compares decoded single bodies, tolerating nil-vs-empty
+// slices (wire format cannot distinguish them).
 func bodiesEqual(a, b any) bool {
 	switch x := a.(type) {
 	case []byte:
 		y, ok := b.([]byte)
 		return ok && bytes.Equal(x, y)
-	case []Packet:
-		y, ok := b.([]Packet)
-		if !ok || len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i].Bits != y[i].Bits || !bodiesEqual(x[i].Body, y[i].Body) {
-				return false
-			}
-		}
-		return true
 	case core.EqMsg:
 		y, ok := b.(core.EqMsg)
 		if !ok || len(x.Symbols) != len(y.Symbols) {
@@ -71,8 +76,8 @@ func bodiesEqual(a, b any) bool {
 			}
 		}
 		return true
-	case relay.Packet:
-		y, ok := b.(relay.Packet)
+	case *relay.Packet:
+		y, ok := b.(*relay.Packet)
 		return ok && x.Origin == y.Origin && x.Dest == y.Dest &&
 			x.PathIdx == y.PathIdx && x.Hop == y.Hop && x.MsgID == y.MsgID &&
 			bytes.Equal(x.Payload, y.Payload)
@@ -95,8 +100,8 @@ func TestWireRoundTrip(t *testing.T) {
 			got.To != m.To || got.Bits != m.Bits {
 			t.Errorf("case %d: header mismatch: got %+v want %+v", i, got, m)
 		}
-		if !bodiesEqual(m.Body, got.Body) {
-			t.Errorf("case %d: body mismatch: got %#v want %#v", i, got.Body, m.Body)
+		if !payloadEqual(m, got) {
+			t.Errorf("case %d: payload mismatch: got %#v want %#v", i, got, m)
 		}
 	}
 }
@@ -114,7 +119,7 @@ func TestWireFrameStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
 		}
-		if got.Step != m.Step || !bodiesEqual(m.Body, got.Body) {
+		if got.Step != m.Step || !payloadEqual(m, got) {
 			t.Errorf("case %d: stream round-trip mismatch", i)
 		}
 	}
@@ -212,12 +217,50 @@ func TestWireRejectsMalformedStepFrames(t *testing.T) {
 		}
 	}
 	for _, m := range []*Message{
-		{Bits: 9, Body: []Packet{raw8}},
-		{Bits: 0, Body: []Packet{{Bits: -8}, {Bits: 8}}},
-		{Body: []Packet{{Body: []Packet{}}}},
+		{Bits: 9, Packets: []Packet{raw8}},
+		{Bits: 0, Packets: []Packet{{Bits: -8}, {Bits: 8}}},
+		{Packets: []Packet{{Body: []Packet{}}}},
+		{Bits: 8, Packets: []Packet{raw8}, Body: []byte{1}}, // a step frame with a body
+		{Body: []Packet{}},                                  // a packet list is not a body: never a step frame
+		{Body: (*relay.Packet)(nil)},
 	} {
 		if _, err := Encode(m); err == nil {
 			t.Errorf("malformed step frame %+v encoded", m)
 		}
+	}
+}
+
+// TestWireSharesEqualRelayPayloads: a step frame's relay packets with the
+// payload of the relay packet before them decode onto one copy of it;
+// any other payload gets its own.
+func TestWireSharesEqualRelayPayloads(t *testing.T) {
+	rp := func(dest int, payload string) Packet {
+		return Packet{Bits: int64(8 * len(payload)), Body: &relay.Packet{Origin: 1, Dest: graph.NodeID(dest), Hop: 1, MsgID: "eig:0", Payload: []byte(payload)}}
+	}
+	m := &Message{Step: 1, From: 1, To: 2, Packets: []Packet{
+		rp(3, "report"), rp(4, "report"), {Bits: 0, Body: []byte("report")}, rp(5, "report"), rp(6, "other"),
+	}}
+	for _, p := range m.Packets {
+		m.Bits += p.Bits
+	}
+	raw, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !payloadEqual(m, got) {
+		t.Fatalf("payload mismatch: got %#v", got)
+	}
+	payload := func(i int) []byte { return got.Packets[i].Body.(*relay.Packet).Payload }
+	for _, i := range []int{1, 3} {
+		if &payload(i)[0] != &payload(0)[0] {
+			t.Errorf("packet %d: an equal payload was decoded into a copy of its own", i)
+		}
+	}
+	if &payload(4)[0] == &payload(0)[0] {
+		t.Error("a different payload shares bytes with the report")
 	}
 }
