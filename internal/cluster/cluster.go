@@ -262,7 +262,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		n.blank = opt.Join
 		n.rejoinPending = rec.Base != nil || opt.Join
 	}
-	// The watchdog force-closes the endpoints on cancellation, so actors
+	// The watchdog force-closes the endpoints on cancellation, so executions
 	// blocked in link dials (a peer process that never came up) or in
 	// sends onto a full link queue abort promptly instead of waiting out
 	// their timeouts.

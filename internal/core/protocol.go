@@ -20,8 +20,10 @@ import (
 
 // PhaseEngine abstracts the substrate a NAB instance executes on. The
 // lockstep sim.Engine satisfies it directly; internal/runtime provides a
-// message-driven implementation whose per-node actors advance by arrival
-// instead of global rounds. Both must preserve the synchronous-model
+// message-driven implementation that steps each node when its step
+// frames have arrived instead of in global rounds. The two differ only in
+// who calls a node's sim.Process.Step, and when: both call it from the
+// goroutine running RunPhase. Both must preserve the synchronous-model
 // semantics of sim.Engine.RunPhase: messages emitted in round r are
 // delivered in round r+1, inboxes are ordered by sender, messages emitted
 // in a phase's final round carry over into the next phase's first round,
@@ -351,10 +353,9 @@ type ScheduleView interface {
 // hosts. The nil view (or a nil Locals set) is the classic single-process
 // execution: every node is local and no ScheduleView is consulted.
 type LocalView struct {
-	// Locals are the nodes whose actors this process runs. Remote nodes'
-	// processes are never constructed and never given to the engine —
-	// their traffic arrives over the transport from the peers hosting
-	// them.
+	// Locals are the nodes this process steps. Remote nodes' processes
+	// are never constructed and never given to the engine — their
+	// traffic arrives over the transport from the peers hosting them.
 	Locals map[graph.NodeID]bool
 	// Sched resolves mid-instance schedule decisions no local node can
 	// decode. Required only for partial executions that may host
@@ -420,7 +421,7 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	ir.SchemeTries = pl.schemeTries
 
 	// Node states over the physical graph G; nodes outside V_k participate
-	// only as relays. Only local nodes get state: remote actors run in the
+	// only as relays. Only local nodes get state: remote nodes run in the
 	// processes hosting them.
 	states := map[graph.NodeID]*nodeState{}
 	for _, v := range pl.gk.Nodes() {

@@ -8,7 +8,7 @@
 // The per-instance logic lives in Protocol / InstancePlan / DisputeState
 // and runs on any PhaseEngine. Runner drives it on the lockstep
 // synchronous simulator (internal/sim); internal/runtime drives the same
-// logic concurrently on per-node actors over internal/transport.
+// logic on pipelined instance executions over internal/transport.
 package core
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nab/internal/graph"
 	"nab/internal/sim"
@@ -55,21 +54,19 @@ func rank(ids []graph.NodeID, v graph.NodeID) (int, bool) {
 	return slices.BinarySearch(ids, v)
 }
 
-// mailbox buffers one node's step frames for one instance. Each step's
-// frames sit in a slot array indexed by the sender's rank among the
+// mailbox buffers one hosted node's step frames for one instance. Each
+// step's frames sit in a slot array indexed by the sender's rank among the
 // node's sorted in-neighbours, so a step is ready when every slot is
 // filled and its inbox comes out in sender order without sorting. It is
 // unbounded in steps so transport demultiplexing never blocks behind a
-// slow actor (which would couple unrelated instances).
+// node that has not caught up (which would couple unrelated instances).
+// The owning engine's mutex guards it.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	in     []graph.NodeID // in-neighbours, ascending: one slot each
-	steps  map[uint32]*stepSlots
-	free   []*stepSlots  // consumed steps' slot arrays, for reuse
-	inbox  []sim.Message // the actor's inbox, reused by every await
-	next   uint32        // steps below next are consumed (step 0 has no frames)
-	closed bool
+	in    []graph.NodeID // in-neighbours, ascending: one slot each
+	steps map[uint32]*stepSlots
+	free  []*stepSlots  // consumed steps' slot arrays, for reuse
+	inbox []sim.Message // the node's inbox, reused by every take
+	next  uint32        // the node's next step; earlier steps are consumed
 }
 
 // stepSlots holds one step's frames by sender rank.
@@ -79,30 +76,24 @@ type stepSlots struct {
 }
 
 func newMailbox(in []graph.NodeID) *mailbox {
-	mb := &mailbox{in: in, steps: map[uint32]*stepSlots{}, next: 1}
-	mb.cond.L = &mb.mu
-	return mb
+	return &mailbox{in: in, steps: map[uint32]*stepSlots{}}
 }
 
-// deliver files one step frame into its sender's slot. A frame that is
-// not a step frame, a frame from a node that is not an in-neighbour, a
-// frame for a consumed step, and a repeat frame from the same sender for
-// the same step are dropped: none fills a slot, so none can release a
+// deliver files one step frame into its sender's slot and reports whether
+// it made the node's next step ready. A frame that is not a step frame, a
+// frame from a node that is not an in-neighbour, a frame for step 0 (which
+// has none) or a consumed step, and a repeat frame from the same sender
+// for the same step are dropped: none fills a slot, so none can release a
 // step.
 //
 //nab:allocfree
-func (mb *mailbox) deliver(m *transport.Message) {
-	if m.Packets == nil {
-		return
+func (mb *mailbox) deliver(m *transport.Message) bool {
+	if m.Packets == nil || m.Step == 0 || m.Step < mb.next {
+		return false
 	}
 	r, ok := rank(mb.in, m.From)
 	if !ok {
-		return
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed || m.Step < mb.next {
-		return
+		return false
 	}
 	s := mb.steps[m.Step]
 	if s == nil {
@@ -110,13 +101,11 @@ func (mb *mailbox) deliver(m *transport.Message) {
 		mb.steps[m.Step] = s
 	}
 	if s.frames[r] != nil {
-		return
+		return false
 	}
 	s.frames[r] = m
 	s.filled++
-	if s.filled == len(mb.in) {
-		mb.cond.Broadcast()
-	}
+	return m.Step == mb.next && s.filled == len(mb.in)
 }
 
 // slots returns an empty slot array, recycled when one is free.
@@ -129,34 +118,25 @@ func (mb *mailbox) slots() *stepSlots {
 	return &stepSlots{frames: make([]*transport.Message, len(mb.in))}
 }
 
-// ready reports whether every in-neighbour's frame for step is in.
-func (mb *mailbox) ready(step uint32) bool {
-	if len(mb.in) == 0 {
+// ready reports whether one frame from every in-neighbour has arrived for
+// the node's next step. Step 0 waits for nothing.
+func (mb *mailbox) ready() bool {
+	if mb.next == 0 || len(mb.in) == 0 {
 		return true
 	}
-	s := mb.steps[step]
+	s := mb.steps[mb.next]
 	return s != nil && s.filled == len(mb.in)
 }
 
-// await blocks until one frame from every in-neighbour has arrived for
-// step, then returns their packets as the step's inbox: by sender, each
-// sender's packets in emission order — the lockstep engine's delivery
-// order. This is the actor-model realization of the synchronous round
-// structure: u's step frame carries everything u emitted toward this node
-// in step-1, so its arrival is u's end-of-step promise. The inbox is
-// valid until the next await.
-func (mb *mailbox) await(step uint32) ([]sim.Message, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for step > 0 && !mb.ready(step) && !mb.closed {
-		mb.cond.Wait()
-	}
-	if mb.closed {
-		return nil, errAborted
-	}
-	mb.next = step + 1
+// take consumes the node's next step, which must be ready, and returns its
+// inbox: the frames' packets by sender, each sender's packets in emission
+// order — the lockstep engine's delivery order. u's step frame carries
+// everything u emitted toward this node in the step before, so its
+// arrival is u's end-of-step promise. The inbox is valid until the next
+// take.
+func (mb *mailbox) take() []sim.Message {
 	inbox := mb.inbox[:0]
-	if s := mb.steps[step]; s != nil {
+	if s := mb.steps[mb.next]; s != nil {
 		for i, f := range s.frames {
 			for _, p := range f.Packets {
 				inbox = append(inbox, sim.Message{From: f.From, To: f.To, Bits: p.Bits, Body: p.Body})
@@ -164,26 +144,20 @@ func (mb *mailbox) await(step uint32) ([]sim.Message, error) {
 			s.frames[i] = nil
 		}
 		s.filled = 0
-		delete(mb.steps, step)
+		delete(mb.steps, mb.next)
 		mb.free = append(mb.free, s)
 	}
 	mb.inbox = inbox
-	return inbox, nil
+	mb.next++
+	return inbox
 }
 
-func (mb *mailbox) close() {
-	mb.mu.Lock()
-	mb.closed = true
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-}
-
-// instanceEngine is the message-driven core.PhaseEngine: one actor
-// goroutine per node per phase, synchronized by per-link step frames
-// rather than a global round loop. Nodes advance as a wavefront —
-// a node runs its step as soon as its own in-neighbourhood has finished
-// the previous one — and several engines run concurrently over one shared
-// transport, which is what makes instance pipelining real.
+// instanceEngine is the message-driven core.PhaseEngine. It runs on the
+// execution's own goroutine and steps each hosted node as soon as that
+// node's in-neighbourhood has finished the previous step, synchronized by
+// per-link step frames rather than a global round loop. Nodes therefore
+// advance as a wavefront, and several engines run concurrently over one
+// shared transport, which is what makes instance pipelining real.
 //
 // The engine preserves sim.Engine's semantics exactly: messages emitted in
 // round r are delivered in round r+1, inboxes are ordered by sender,
@@ -198,16 +172,21 @@ type instanceEngine struct {
 	procs  []sim.Process // by position; hosted nodes only
 	mail   []*mailbox    // by position; nil for a node hosted elsewhere
 
+	// mu guards the mailboxes and aborted. cond wakes RunPhase when a
+	// hosted node's next step becomes ready or the execution aborts.
+	mu      sync.Mutex
+	cond    sync.Cond
+	aborted bool
+
 	stepBase uint32
-	dropped  atomic.Int64
-	aborted  atomic.Bool
+	dropped  int64 // written by RunPhase; read once the execution is done
 }
 
 // newInstanceEngine builds the engine for one execution. With a non-nil
-// locals set, only those nodes get actors and mailboxes: the remaining
-// nodes' actors run in peer processes, whose step frames arrive over the
-// shared transport exactly like local ones — step synchronization does
-// not care which process a neighbour lives in.
+// locals set, only those nodes get mailboxes and run here: the remaining
+// nodes run in peer processes, whose step frames arrive over the shared
+// transport exactly like local ones — step synchronization does not care
+// which process a neighbour lives in.
 func newInstanceEngine(launch uint64, topo *topology, send func(*transport.Message) error, locals map[graph.NodeID]bool) *instanceEngine {
 	e := &instanceEngine{
 		launch: launch,
@@ -216,6 +195,7 @@ func newInstanceEngine(launch uint64, topo *topology, send func(*transport.Messa
 		procs:  make([]sim.Process, len(topo.nodes)),
 		mail:   make([]*mailbox, len(topo.nodes)),
 	}
+	e.cond.L = &e.mu
 	for i, v := range topo.nodes {
 		if locals != nil && !locals[v] {
 			continue
@@ -241,111 +221,107 @@ func (e *instanceEngine) SetProcess(v graph.NodeID, p sim.Process) error {
 	return nil
 }
 
-// deliver routes one frame into the owning node's mailbox.
+// deliver routes one frame into the owning node's mailbox and wakes
+// RunPhase when the frame makes that node's next step ready.
 func (e *instanceEngine) deliver(m *transport.Message) {
-	if i, ok := e.topo.pos(m.To); ok && e.mail[i] != nil {
-		e.mail[i].deliver(m)
-	}
-}
-
-// abort cancels the execution: every blocked actor unblocks with
-// errAborted. Idempotent.
-func (e *instanceEngine) abort() {
-	if e.aborted.Swap(true) {
+	i, ok := e.topo.pos(m.To)
+	if !ok || e.mail[i] == nil {
 		return
 	}
-	for _, i := range e.locals {
-		e.mail[i].close()
+	e.mu.Lock()
+	if !e.aborted && e.mail[i].deliver(m) {
+		e.cond.Signal()
 	}
+	e.mu.Unlock()
+}
+
+// abort cancels the execution: RunPhase returns errAborted instead of
+// waiting for another step. Idempotent.
+func (e *instanceEngine) abort() {
+	e.mu.Lock()
+	e.aborted = true
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // Dropped returns how many emissions violated physics.
-func (e *instanceEngine) Dropped() int64 { return e.dropped.Load() }
+func (e *instanceEngine) Dropped() int64 { return e.dropped }
 
-// RunPhase implements core.PhaseEngine: it runs every node's actor for
-// `rounds` steps and returns the phase's capacity charges.
+// RunPhase implements core.PhaseEngine on the caller's goroutine: it runs
+// whichever hosted node's next step is ready until every hosted node has
+// run `rounds` steps, and returns the phase's capacity charges.
 func (e *instanceEngine) RunPhase(name string, rounds int) (*sim.PhaseStats, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("runtime: rounds = %d must be positive", rounds)
 	}
 	ps := sim.NewPhaseStats(name, e.topo.links, rounds)
-	errs := make([]error, len(e.locals))
-	var wg sync.WaitGroup
-	for j, i := range e.locals {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			errs[j] = e.runNode(i, rounds, ps)
-			if errs[j] != nil {
-				// A failed actor can never send its step frames; abort the
-				// whole engine so peers don't wait for them forever.
-				e.abort()
-			}
-		}(j, i)
-	}
-	wg.Wait()
-	// Prefer the root cause over the cascade of errAborted it provoked.
-	var aborted error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	end := e.stepBase + uint32(rounds)
+	for left := len(e.locals) * rounds; left > 0; left-- {
+		i, abs, inbox, err := e.take(end)
+		if err != nil {
+			return nil, err
 		}
-		if errors.Is(err, errAborted) {
-			aborted = err
-			continue
+		if err := e.step(i, abs, inbox, ps); err != nil {
+			return nil, err
 		}
-		return nil, err
 	}
-	if aborted != nil {
-		return nil, aborted
-	}
-	e.stepBase += uint32(rounds)
+	e.stepBase = end
 	return ps, nil
 }
 
-// runNode is the actor of the node at position i for one phase. Each step
-// it sends one frame to every out-neighbour carrying the packets it
-// emitted toward that neighbour, in emission order — possibly none. A
-// step allocates one packet array and one frame array, whatever the
+// take blocks until some hosted node's next step below end is ready,
+// consumes it, and returns the node's position, the step and its inbox.
+func (e *instanceEngine) take(end uint32) (int, uint32, []sim.Message, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !e.aborted {
+		for _, i := range e.locals {
+			if mb := e.mail[i]; mb.next < end && mb.ready() {
+				abs := mb.next
+				return i, abs, mb.take(), nil
+			}
+		}
+		e.cond.Wait()
+	}
+	return 0, 0, nil, errAborted
+}
+
+// step runs the node at position i for absolute step abs. It sends one
+// frame to every out-neighbour carrying the packets the node emitted
+// toward that neighbour, in emission order — possibly none. A step
+// allocates one packet array and one frame array, whatever the
 // out-degree: the frames' packet lists are windows of the one array.
-func (e *instanceEngine) runNode(i, rounds int, ps *sim.PhaseStats) error {
-	v, proc, mb := e.topo.nodes[i], e.procs[i], e.mail[i]
-	outs, links := e.topo.out[i], e.topo.outLinks[i]
-	for r := 0; r < rounds; r++ {
-		abs := e.stepBase + uint32(r)
-		inbox, err := mb.await(abs)
-		if err != nil {
+func (e *instanceEngine) step(i int, abs uint32, inbox []sim.Message, ps *sim.PhaseStats) error {
+	v, outs, links := e.topo.nodes[i], e.topo.out[i], e.topo.outLinks[i]
+	r := int(abs - e.stepBase)
+	emits := e.procs[i].Step(r, inbox)
+	// A node cannot forge senders or invent links; physics drops such
+	// emissions, exactly as the lockstep engine does. Every other
+	// emission lands in exactly one out-neighbour's frame. The packet
+	// array is non-nil even when empty: a step frame's Packets always is.
+	pkts := make([]transport.Packet, 0, len(emits))
+	out := make([]transport.Message, len(outs))
+	for j, u := range outs {
+		start := len(pkts)
+		var bits int64
+		for _, m := range emits {
+			if m.From == v && m.To == u && m.Bits >= 0 {
+				pkts = append(pkts, transport.Packet{Bits: m.Bits, Body: m.Body})
+				bits += m.Bits
+			}
+		}
+		ps.Charge(r, links[j], bits)
+		out[j] = transport.Message{
+			Instance: e.launch, Step: abs + 1, From: v, To: u,
+			Bits: bits, Packets: pkts[start:len(pkts):len(pkts)],
+		}
+	}
+	if d := len(emits) - len(pkts); d > 0 {
+		e.dropped += int64(d)
+	}
+	for j := range out {
+		if err := e.send(&out[j]); err != nil {
 			return err
-		}
-		emits := proc.Step(r, inbox)
-		// A node cannot forge senders or invent links; physics drops such
-		// emissions, exactly as the lockstep engine does. Every other
-		// emission lands in exactly one out-neighbour's frame. The packet
-		// array is non-nil even when empty: a step frame's Packets always is.
-		pkts := make([]transport.Packet, 0, len(emits))
-		out := make([]transport.Message, len(outs))
-		for j, u := range outs {
-			start := len(pkts)
-			var bits int64
-			for _, m := range emits {
-				if m.From == v && m.To == u && m.Bits >= 0 {
-					pkts = append(pkts, transport.Packet{Bits: m.Bits, Body: m.Body})
-					bits += m.Bits
-				}
-			}
-			ps.Charge(r, links[j], bits)
-			out[j] = transport.Message{
-				Instance: e.launch, Step: abs + 1, From: v, To: u,
-				Bits: bits, Packets: pkts[start:len(pkts):len(pkts)],
-			}
-		}
-		if d := len(emits) - len(pkts); d > 0 {
-			e.dropped.Add(int64(d))
-		}
-		for j := range out {
-			if err := e.send(&out[j]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -15,11 +15,13 @@ import (
 // TestMailboxMatchesLockstepOrder feeds one mailbox its step frames in
 // random arrival orders, mixed with frames that must never fill a slot: a
 // repeat from the same sender (after its first frame), a frame from a node
-// that is not an in-neighbour, a single-body frame, and a frame for a step
-// already consumed. After every arrival the next step must be ready
-// exactly when each in-neighbour's first frame for it is in, and await
-// must yield the lockstep inbox: the first frames' packets, stable-sorted
-// by sender, so each sender's packets stay in emission order.
+// that is not an in-neighbour, a single-body frame, a frame for step 0
+// (which has none) and a frame for a step already consumed. After every
+// arrival the next step must be ready exactly when each in-neighbour's
+// first frame for it is in, deliver must report exactly the arrivals that
+// made it ready, and take must yield the lockstep inbox: the first frames'
+// packets, stable-sorted by sender, so each sender's packets stay in
+// emission order.
 func TestMailboxMatchesLockstepOrder(t *testing.T) {
 	const self, steps = graph.NodeID(5), 4
 	for seed := int64(1); seed <= 300; seed++ {
@@ -67,8 +69,16 @@ func TestMailboxMatchesLockstepOrder(t *testing.T) {
 		}
 
 		mb := newMailbox(in)
-		if inbox, err := mb.await(0); err != nil || len(inbox) != 0 {
-			t.Fatalf("seed %d: step 0 inbox %v, %v; want empty", seed, inbox, err)
+		// Step 0 has no frames: one claiming it must not reach its inbox.
+		zero := &transport.Message{Instance: 1, From: in[0], To: self, Bits: 8, Packets: []transport.Packet{{Bits: 8, Body: []byte{0}}}}
+		if mb.deliver(zero) {
+			t.Fatalf("seed %d: a step 0 frame released a step", seed)
+		}
+		if !mb.ready() {
+			t.Fatalf("seed %d: step 0 not ready", seed)
+		}
+		if inbox := mb.take(); len(inbox) != 0 {
+			t.Fatalf("seed %d: step 0 inbox %v; want empty", seed, inbox)
 		}
 		next := uint32(1)
 		arrived := map[uint32][]*transport.Message{}
@@ -77,15 +87,15 @@ func TestMailboxMatchesLockstepOrder(t *testing.T) {
 			if genuine[m] {
 				arrived[m.Step] = append(arrived[m.Step], m)
 			}
-			mb.deliver(m)
+			before := mb.ready()
+			if woke := mb.deliver(m); woke != (!before && mb.ready()) {
+				t.Fatalf("seed %d: deliver of a step %d frame from %d reported %v; ready went %v -> %v", seed, m.Step, m.From, woke, before, mb.ready())
+			}
 			for ; next <= steps && len(arrived[next]) == len(in); next++ {
-				if !readyLocked(mb, next) {
+				if !mb.ready() {
 					t.Fatalf("seed %d: step %d not ready with every in-neighbour's frame in", seed, next)
 				}
-				inbox, err := mb.await(next)
-				if err != nil {
-					t.Fatal(err)
-				}
+				inbox := mb.take()
 				var want []sim.Message
 				for _, f := range arrived[next] {
 					for _, p := range f.Packets {
@@ -100,7 +110,7 @@ func TestMailboxMatchesLockstepOrder(t *testing.T) {
 				late := frame(in[rng.Intn(len(in))], next, 'l')
 				queue = slices.Insert(queue, i+1+rng.Intn(len(queue)-i), late)
 			}
-			if next <= steps && readyLocked(mb, next) {
+			if next <= steps && mb.ready() {
 				t.Fatalf("seed %d: step %d ready with %d of %d in-neighbours' frames in", seed, next, len(arrived[next]), len(in))
 			}
 		}
@@ -111,10 +121,4 @@ func TestMailboxMatchesLockstepOrder(t *testing.T) {
 			t.Errorf("seed %d: %d steps still buffered after every step was consumed", seed, len(mb.steps))
 		}
 	}
-}
-
-func readyLocked(mb *mailbox, step uint32) bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.ready(step)
 }

@@ -1,8 +1,12 @@
-// Package runtime executes NAB concurrently: per-node actors exchange
-// real messages over an internal/transport substrate, and a pipeline
-// scheduler keeps a window of W instances in flight — instance t+1's
-// Phase 1 overlaps instance t's Phase 2/3, the Appendix D construction
-// made operational.
+// Package runtime executes NAB concurrently: nodes exchange real step
+// frames over an internal/transport substrate, and a pipeline scheduler
+// keeps a window of W instances in flight — instance t+1's Phase 1
+// overlaps instance t's Phase 2/3, the Appendix D construction made
+// operational. Pipelining overlaps instances, not the nodes of one
+// instance: each execution runs on one goroutine that steps whichever of
+// its hosted nodes has a frame from every in-neighbour, so a runtime holds
+// one receive loop per hosted node plus one goroutine per execution in
+// flight.
 //
 // The runtime reuses the exact phase logic of internal/core (Protocol /
 // InstancePlan / DisputeState) on a message-driven PhaseEngine, so every
@@ -55,10 +59,12 @@ type Config struct {
 	// (pacing time unit, chaos physics).
 	ChanOptions transport.ChanOptions
 
-	// LocalNodes restricts this runtime to hosting the given nodes' actors
-	// — the multi-process deployment, where each process runs one (or a
-	// few) nodes and the Transport carries the rest of the topology's
-	// traffic to peer processes. Nil hosts every node (single-process).
+	// LocalNodes restricts this runtime to hosting the given nodes — the
+	// multi-process deployment, where each process steps one (or a few)
+	// nodes and the Transport carries the rest of the topology's traffic
+	// to peer processes. Colocated nodes share their execution's
+	// goroutine like single-process ones. Nil hosts every node
+	// (single-process).
 	//
 	// Every process of a cluster must drive its runtime with the same
 	// configuration and the same Run input sequence: the schedulers make
@@ -90,7 +96,9 @@ type SchedulePlane interface {
 	Execution(k, gen int) ExecutionView
 }
 
-// Runtime hosts the actors, links and scheduler for one topology.
+// Runtime hosts the nodes' receive loops, the links and the scheduler
+// for one topology; each instance execution steps its hosted nodes on a
+// goroutine of its own.
 type Runtime struct {
 	cfg    Config
 	proto  *core.Protocol
@@ -322,7 +330,7 @@ func (rt *Runtime) recvLoop(v graph.NodeID) {
 }
 
 // sendFrame routes one frame onto its (lazily dialed, shared) link. The
-// steady state is a read-locked map hit, so concurrent actors across every
+// steady state is a read-locked map hit, so the executions of every
 // in-flight instance do not serialize on the link cache; the write lock is
 // taken only to dial a link the first time it carries traffic.
 func (rt *Runtime) sendFrame(m *transport.Message) error {

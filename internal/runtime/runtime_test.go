@@ -349,7 +349,7 @@ func TestStreamingRuns(t *testing.T) {
 }
 
 // TestCloseUnblocksRun checks that closing the runtime mid-run fails the
-// run instead of deadlocking the actors on never-arriving markers.
+// run instead of deadlocking the executions on never-arriving markers.
 func TestCloseUnblocksRun(t *testing.T) {
 	g := topo.CompleteBi(7, 2)
 	cfg := core.Config{Graph: g, Source: 1, F: 2, LenBytes: 64, Seed: 1}
@@ -370,7 +370,7 @@ func TestCloseUnblocksRun(t *testing.T) {
 			t.Error("Run succeeded despite mid-run Close")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return after Close (actor deadlock)")
+		t.Fatal("Run did not return after Close (execution deadlock)")
 	}
 }
 
@@ -921,7 +921,51 @@ func TestSmallSessionAllocsPerCommit(t *testing.T) {
 	}
 }
 
-// maxAllocsPerCommit is TestSmallSessionAllocsPerCommit's bound: 1 147
-// objects measured (3 716 before step frames carried a typed packet list),
-// plus 10 %.
-const maxAllocsPerCommit = 1262
+// maxAllocsPerCommit is TestSmallSessionAllocsPerCommit's bound: 1 096
+// objects measured, plus 10 %.
+const maxAllocsPerCommit = 1206
+
+// TestGoroutinesPerExecution pins the runtime's goroutine budget: one
+// receive loop per hosted node and one goroutine per instance execution,
+// whatever the phase or step, so a K7 session with W = 4 never holds more
+// than baseline + 7 + 4 + a few (the sampler among them). Per-node
+// goroutines per phase would hold 7 per execution on top.
+func TestGoroutinesPerExecution(t *testing.T) {
+	const nodes, window, lenBytes, commits, slack = 7, 4, 64, 400, 4
+	base := goruntime.NumGoroutine()
+	rt, err := runtime.New(runtime.Config{
+		Config: core.Config{Graph: topo.CompleteBi(nodes, 1), Source: 1, F: 2, LenBytes: lenBytes, Seed: 1},
+		Window: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	stop, peakc := make(chan struct{}), make(chan int)
+	go func() {
+		peak := 0
+		for {
+			peak = max(peak, goruntime.NumGoroutine())
+			select {
+			case <-stop:
+				peakc <- peak
+				return
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	res, err := runBatch(rt, mkInputs(commits, lenBytes))
+	close(stop)
+	peak := <-peakc
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed() != commits {
+		t.Fatalf("committed %d instances, want %d", res.Committed(), commits)
+	}
+	t.Logf("peak %d goroutines, baseline %d", peak, base)
+	if limit := base + nodes + window + slack; peak > limit {
+		t.Errorf("peak %d goroutines, want <= %d (baseline %d + %d nodes + W = %d + %d)", peak, limit, base, nodes, window, slack)
+	}
+}

@@ -4,11 +4,12 @@
 // charged b/z_e time units.
 //
 // Node behaviour is supplied as Process implementations; each round every
-// process runs in its own goroutine, consumes the messages delivered to it
-// and emits messages for the next round. Byzantine nodes are ordinary
-// Process implementations that happen to lie — the engine enforces only
-// physics: a node can send solely on its own outgoing links in the current
-// topology, and every transmitted bit is charged to the link.
+// process, in node order on the caller's goroutine, consumes the messages
+// delivered to it and emits messages for the next round. Byzantine nodes
+// are ordinary Process implementations that happen to lie — the engine
+// enforces only physics: a node can send solely on its own outgoing links
+// in the current topology, and every transmitted bit is charged to the
+// link.
 //
 // Two time accountings are exposed per phase, matching the paper's two
 // regimes:
@@ -24,7 +25,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"nab/internal/graph"
 )
@@ -41,9 +41,10 @@ type Message struct {
 
 // Process is per-node behaviour. Step is called once per round with the
 // messages delivered this round (sorted by sender) and returns the messages
-// to be delivered next round. Step must be safe to run concurrently with
-// other nodes' Step calls (it is invoked from its own goroutine) but is
-// never invoked concurrently with itself.
+// to be delivered next round. The steps of one execution never overlap,
+// but different executions may run at once (the pipelined runtime keeps
+// several instances in flight), so state a Process shares across
+// executions must synchronise itself.
 type Process interface {
 	Step(round int, inbox []Message) []Message
 }
@@ -124,21 +125,8 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 	nodes := e.g.Nodes()
 	for round := 0; round < rounds; round++ {
 		inboxes := e.routePending()
-
-		outs := make([][]Message, len(nodes))
-		var wg sync.WaitGroup
-		for i, v := range nodes {
-			wg.Add(1)
-			go func(i int, v graph.NodeID) {
-				defer wg.Done()
-				outs[i] = e.procs[v].Step(round, inboxes[v])
-			}(i, v)
-		}
-		wg.Wait()
-
-		e.pending = e.pending[:0]
-		for i, v := range nodes {
-			for _, m := range outs[i] {
+		for _, v := range nodes {
+			for _, m := range e.procs[v].Step(round, inboxes[v]) {
 				if m.From != v {
 					// A node cannot forge another sender; physics drops it.
 					e.dropped++

@@ -33,14 +33,13 @@ func (l *Links) Index(from, to graph.NodeID) (i int, ok bool) {
 }
 
 // PhaseStats aggregates the capacity charges of one phase. Every engine —
-// the lockstep Engine here and internal/runtime's actor engine — builds one
-// with NewPhaseStats and charges each admitted message through Charge, so
-// both produce the same model quantities by construction.
+// the lockstep Engine here and internal/runtime's message-driven engine —
+// builds one with NewPhaseStats and charges each admitted message through
+// Charge, so both produce the same model quantities by construction.
 //
-// The charges are one rounds × links array. Charge takes no lock: calls
-// may run concurrently as long as each link has one writer (in both
-// engines a link's only writer is its sender), and the read methods run
-// after the phase's last Charge.
+// The charges are one rounds × links array. Charge takes no lock: both
+// engines charge a phase from the one goroutine that runs its steps, and
+// the read methods run after the phase's last Charge.
 type PhaseStats struct {
 	Name   string
 	Rounds int

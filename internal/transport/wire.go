@@ -56,45 +56,6 @@ const (
 	packetPrefix = 8 + 4 + 1
 )
 
-// encodedSize returns the exact encoded byte count of m (without the
-// length prefix), so encode buffers never reallocate mid-encode. Unknown
-// body types size as a bare header; Encode rejects them before writing.
-func encodedSize(m *Message) int {
-	if m.Packets == nil {
-		return headerBytes - 1 + bodySize(m.Body)
-	}
-	n := headerBytes + 4
-	for _, p := range m.Packets {
-		n += packetPrefix - 1 + bodySize(p.Body)
-	}
-	return n
-}
-
-// bodySize is the encoded size of one single body, kind tag included.
-func bodySize(body any) int {
-	n := 1
-	switch body := body.(type) {
-	case []byte:
-		n += len(body)
-	case core.Phase1Msg:
-		n += 12 + len(body.Block.Bytes)
-	case core.EqMsg:
-		n += 4 + 8*len(body.Symbols)
-	case *relay.Packet:
-		if body != nil {
-			n += 8 + 8 + 4 + 4 + 4 + len(body.MsgID) + 4 + len(body.Payload)
-		}
-	}
-	return n
-}
-
-// Encode serializes m (without the length prefix). The buffer is sized
-// exactly from the payload kinds, so even the largest Phase-1 tree blocks
-// encode with a single allocation.
-func Encode(m *Message) ([]byte, error) {
-	return appendMessage(make([]byte, 0, encodedSize(m)), m)
-}
-
 // appendMessage appends m's encoding to buf and returns the extended
 // slice.
 //
@@ -175,10 +136,10 @@ func appendBody(buf []byte, body any) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a frame produced by Encode. It accepts exactly what
-// Encode emits: a body must fill its frame, and a step frame's packets
-// must be single bodies with non-negative charges summing to the header's
-// bits.
+// Decode parses a frame produced by AppendFrame, without its length
+// prefix. It accepts exactly what AppendFrame emits: a body must fill its
+// frame, and a step frame's packets must be single bodies with
+// non-negative charges summing to the header's bits.
 func Decode(raw []byte) (*Message, error) {
 	if len(raw) < headerBytes {
 		return nil, fmt.Errorf("transport: frame too short (%d bytes)", len(raw))

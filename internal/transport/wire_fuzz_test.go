@@ -41,7 +41,7 @@ func seedMessages() []*Message {
 // checked-in corpus also holds a marker frame of the previous wire version.
 func FuzzDecode(f *testing.F) {
 	for _, m := range seedMessages() {
-		raw, err := Encode(m)
+		raw, err := encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		raw2, err := Encode(m)
+		raw2, err := encode(m)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v (%+v)", err, m)
 		}
@@ -97,7 +97,7 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzWireRoundTrip builds a structured message per frame kind from the
 // fuzzer's primitives — alone, or as the one packet of a step frame — and
-// asserts Encode/Decode field fidelity.
+// asserts encode/Decode field fidelity.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint32(2), int64(3), int64(4), false, int64(8), byte(1), []byte{1, 2, 3}, int32(0), int32(9))
 	f.Add(uint64(9), uint32(0), int64(-1), int64(7), true, int64(0), byte(0), []byte{}, int32(3), int32(-2))
@@ -146,7 +146,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if framed {
 			m.Packets, m.Body = []Packet{{Bits: bits, Body: m.Body}}, nil
 		}
-		raw, err := Encode(m)
+		raw, err := encode(m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

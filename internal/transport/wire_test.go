@@ -12,6 +12,16 @@ import (
 	"nab/internal/relay"
 )
 
+// encode is m's frame as Decode reads it: AppendFrame's encoding without
+// the length prefix.
+func encode(m *Message) ([]byte, error) {
+	raw, err := AppendFrame(nil, m)
+	if err != nil {
+		return nil, err
+	}
+	return raw[4:], nil
+}
+
 // frameCases covers every body type NAB phases put on a link, alone and
 // as packets of step frames (an empty step frame included).
 func frameCases() []*Message {
@@ -88,7 +98,7 @@ func bodiesEqual(a, b any) bool {
 
 func TestWireRoundTrip(t *testing.T) {
 	for i, m := range frameCases() {
-		raw, err := Encode(m)
+		raw, err := encode(m)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
@@ -133,7 +143,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 		t.Error("short frame accepted")
 	}
 	m := &Message{From: 1, To: 2, Body: core.EqMsg{Symbols: []gf.Elem{1, 2, 3}}}
-	raw, err := Encode(m)
+	raw, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := Encode(&Message{Body: 3.14}); err == nil {
+	if _, err := encode(&Message{Body: 3.14}); err == nil {
 		t.Error("unencodable body accepted")
 	}
 	// A marker frame of the previous wire version (header with a flags
@@ -167,15 +177,17 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestWireRejectsMalformedStepFrames: a step frame decodes only as Encode
-// writes it — its packets' charges are non-negative and sum to the header
-// bits, the count is whole and honest, and packet lists do not nest.
+// TestWireRejectsMalformedStepFrames: a step frame decodes only as
+// AppendFrame writes it — its packets' charges are non-negative and sum to
+// the header bits, the count is whole and honest, and packet lists do not
+// nest.
 func TestWireRejectsMalformedStepFrames(t *testing.T) {
 	frame := func(bits int64, pkts ...Packet) []byte {
 		t.Helper()
-		// Encode refuses every malformed row below, so build the bytes by
-		// hand: header, kind, count, then bits | size | kind | payload.
-		raw, err := Encode(&Message{Instance: 1, Step: 2, From: 3, To: 4, Bits: bits})
+		// AppendFrame refuses every malformed row below, so build the
+		// bytes by hand: header, kind, count, then bits | size | kind |
+		// payload.
+		raw, err := encode(&Message{Instance: 1, Step: 2, From: 3, To: 4, Bits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +236,7 @@ func TestWireRejectsMalformedStepFrames(t *testing.T) {
 		{Body: []Packet{}},                                  // a packet list is not a body: never a step frame
 		{Body: (*relay.Packet)(nil)},
 	} {
-		if _, err := Encode(m); err == nil {
+		if _, err := encode(m); err == nil {
 			t.Errorf("malformed step frame %+v encoded", m)
 		}
 	}
@@ -243,7 +255,7 @@ func TestWireSharesEqualRelayPayloads(t *testing.T) {
 	for _, p := range m.Packets {
 		m.Bits += p.Bits
 	}
-	raw, err := Encode(m)
+	raw, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,10 @@ type DisputeSet = dispute.Set
 
 // sessionOptions collects the functional options of Open.
 type sessionOptions struct {
-	lockstep     bool
-	window       int
-	transport    Transport
-	chanOpts     *TransportOptions
-	commitBuffer int
+	lockstep  bool
+	window    int
+	transport Transport
+	chanOpts  *TransportOptions
 
 	cluster     *ClusterConfig
 	clusterID   NodeID
@@ -97,14 +96,6 @@ func WithTransport(tr Transport) SessionOption {
 // WithTransport, WithLockstep or WithCluster, which run no such bus.
 func WithTransportOptions(opt TransportOptions) SessionOption {
 	return func(o *sessionOptions) { o.chanOpts = &opt }
-}
-
-// WithCommitBuffer sets the capacity of the Commits channel (default 16).
-// A consumer that falls more than this many commits behind exerts
-// backpressure: the pipeline stalls, and once the submission queue fills,
-// Submit blocks — end-to-end flow control from consumer to producer.
-func WithCommitBuffer(n int) SessionOption {
-	return func(o *sessionOptions) { o.commitBuffer = n }
 }
 
 // WithCluster joins a multi-process cluster as the host of node id and
@@ -192,17 +183,14 @@ func Open(ctx context.Context, cfg Config, opts ...SessionOption) (*Session, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := sessionOptions{commitBuffer: 16}
+	var o sessionOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.commitBuffer < 1 {
-		return nil, fmt.Errorf("nab: commit buffer %d must be >= 1", o.commitBuffer)
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cancel:       cancel,
-		commits:      make(chan Commit, o.commitBuffer),
+		commits:      make(chan Commit, commitBuffer),
 		done:         make(chan struct{}),
 		subTimes:     map[Seq]time.Time{},
 		flightDisarm: armFlight(&o),
@@ -609,10 +597,16 @@ func (s *Session) endedErr() error {
 	}
 }
 
+// commitBuffer is the capacity of the Commits channel. A consumer that
+// falls more than this many commits behind exerts backpressure: the
+// pipeline stalls, and once the submission queue fills, Submit blocks —
+// end-to-end flow control from consumer to producer.
+const commitBuffer = 16
+
 // Commits returns the stream of committed instances, strictly in Seq
-// order. The channel closes when the session ends — after Drain completes
-// the stream cleanly, or early on failure or cancellation; check Err once
-// it closes.
+// order, buffered by commitBuffer (16) commits. The channel closes when
+// the session ends — after Drain completes the stream cleanly, or early
+// on failure or cancellation; check Err once it closes.
 func (s *Session) Commits() <-chan Commit { return s.commits }
 
 // Drain closes the submission stream (subsequent Submits fail:

@@ -329,7 +329,7 @@ func TestSessionCancelMidDispute(t *testing.T) {
 func TestSessionBackpressure(t *testing.T) {
 	ctx := context.Background()
 	cfg := nab.Config{Graph: nab.CompleteGraph(4, 1), Source: 1, F: 1, LenBytes: 8, Seed: 7}
-	sess, err := nab.Open(ctx, cfg, nab.WithWindow(1), nab.WithCommitBuffer(1))
+	sess, err := nab.Open(ctx, cfg, nab.WithWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +337,9 @@ func TestSessionBackpressure(t *testing.T) {
 	payload := mkPayloads(1, cfg.LenBytes)[0]
 
 	// Nobody consumes: submission must stall within a few accepted
-	// payloads (commit buffer + window + submission queue).
+	// payloads (the 16-commit buffer + window + submission queue).
 	accepted, blocked := 0, false
-	for i := 0; i < 16 && !blocked; i++ {
+	for i := 0; i < 64 && !blocked; i++ {
 		sctx, scancel := context.WithTimeout(ctx, 200*time.Millisecond)
 		_, err := sess.Submit(sctx, payload)
 		scancel()
@@ -440,9 +440,6 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	for name, open := range map[string]func() (*nab.Session, error){
 		"lockstep+window": func() (*nab.Session, error) {
 			return nab.Open(ctx, cfg, nab.WithLockstep(), nab.WithWindow(4))
-		},
-		"bad commit buffer": func() (*nab.Session, error) {
-			return nab.Open(ctx, cfg, nab.WithCommitBuffer(-1))
 		},
 	} {
 		if s, err := open(); err == nil {
@@ -616,7 +613,7 @@ func ExampleOpen() {
 func TestSessionCloseReleasesBlockedSubmit(t *testing.T) {
 	ctx := context.Background()
 	cfg := nab.Config{Graph: nab.CompleteGraph(4, 1), Source: 1, F: 1, LenBytes: 8, Seed: 7}
-	sess, err := nab.Open(ctx, cfg, nab.WithWindow(1), nab.WithCommitBuffer(1))
+	sess, err := nab.Open(ctx, cfg, nab.WithWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
