@@ -53,8 +53,9 @@
 // propagates it to every child): GET /debug/flight downloads the ring
 // as a binary dump, tools/nabtrace merges the per-process dumps into a
 // Chrome trace, and anomalies (dispute barriers, digest tripwires,
-// rejoin/join entry) drop black-box dumps next to each WAL. Structured
-// rejoin/recovery/transport/chaos traces: NAB_DEBUG=1.
+// rejoin/join entry) drop black-box dumps next to each WAL. Rejoin, join
+// and reconnect rounds, WAL recovery and mesh link drops and redials are
+// flight events on each process's control lane.
 package main
 
 import (

@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"nab/internal/core"
-	"nab/internal/obs"
+	"nab/internal/flight"
 	"nab/internal/wal"
 )
-
-// recoveryLog narrates WAL replay at Open — how much of a previous
-// incarnation survived and where the stream resumes.
-var recoveryLog = obs.New("recovery")
 
 // durabilityOptions configures the session WAL.
 type durabilityOptions struct {
@@ -509,7 +505,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, cluster bool) (
 		if _, err := log.AppendSync(wal.TypeMeta, sl.buf); err != nil {
 			return fail(err)
 		}
-		recoveryLog.Debug("wal-created", "dir", o.dir, "cluster", cluster)
 		return sl, rec, nil
 	}
 	rec.resumed = true
@@ -526,9 +521,6 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, cluster bool) (
 	if firstCommit > 0 {
 		rec.foldList = rec.foldList[rec.base.K-(firstCommit-1):]
 	}
-	recoveryLog.Info("wal-recovered",
-		"dir", o.dir, "k", rec.k, "tail", rec.tail,
-		"replayed", len(rec.replayed), "snapshot", anchored, "cluster", cluster)
 	// Submissions of committed instances may have been compacted away
 	// with their segments; only the uncommitted range must survive
 	// (validated by uncommitted()), and sequence numbering continues from
@@ -537,6 +529,8 @@ func openSessionLog(o *durabilityOptions, fp uint64, node int64, cluster bool) (
 		rec.tail = rec.k
 	}
 	sl.maxSubmit = rec.tail
+	flight.Record(flight.Event{Type: flight.EvWALRecover, Node: -1,
+		K: int32(rec.k), Inst: uint64(rec.tail), Arg: uint64(len(rec.replayed))})
 	// Seed the compaction floor with the recovered-but-uncommitted
 	// backlog: a snapshot fired before those instances commit must not
 	// compact away the segments holding their submissions.

@@ -129,3 +129,49 @@ func TestCloseDisarmsFlightPredicate(t *testing.T) {
 		t.Fatal("Close disabled the ring; it must stay armed for post-mortem dumps")
 	}
 }
+
+// TestRecoverRecordsWALRecover checks that reopening a WAL records one
+// EvWALRecover event: the recovered watermark, the submission tail the
+// session resumes from, and the count of commits it replays.
+func TestRecoverRecordsWALRecover(t *testing.T) {
+	defer flight.Default().Disable() // the recorder is process-global
+	dir := t.TempDir()
+	payloads := mkPayloads(8, 24)
+	crashSession(t, dir, durableCfg(), payloads, 3)
+
+	ctx := context.Background()
+	sess, err := nab.Open(ctx, durableCfg(), nab.Recover(dir), nab.WithFlightRecorder(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var recs []nab.FlightEvent
+	for _, ev := range sess.FlightEvents() {
+		if ev.Type == flight.EvWALRecover {
+			recs = append(recs, ev)
+		}
+	}
+	go func() {
+		for _, p := range payloads[sess.RecoveredSeq():] {
+			if _, err := sess.Submit(ctx, p); err != nil {
+				return
+			}
+		}
+		sess.Drain(ctx)
+	}()
+	replayed, watermark := 0, 0
+	for c := range sess.Commits() {
+		if c.Replayed {
+			replayed++
+			watermark = c.Result.K
+		}
+	}
+	if len(recs) != 1 {
+		t.Fatalf("recorded %d EvWALRecover events, want 1", len(recs))
+	}
+	ev := recs[0]
+	if int(ev.K) != watermark || ev.Inst != uint64(sess.RecoveredSeq()) || int(ev.Arg) != replayed || watermark < 3 {
+		t.Fatalf("EvWALRecover K=%d Inst=%d Arg=%d; want watermark %d (at least 3), tail %d, %d replayed",
+			ev.K, ev.Inst, ev.Arg, watermark, sess.RecoveredSeq(), replayed)
+	}
+}

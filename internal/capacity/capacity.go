@@ -41,7 +41,7 @@ func U(omega []*graph.Directed) (int64, error) {
 	}
 	best := int64(1) << 62
 	for i, h := range omega {
-		u, err := h.Undirected().MinPairwiseMincut()
+		u, err := h.MinPairwiseMincut()
 		if err != nil {
 			return 0, fmt.Errorf("capacity: Omega subgraph %d: %w", i, err)
 		}

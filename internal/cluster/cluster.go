@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -92,7 +91,6 @@ type Node struct {
 	tr     *transport.Peer
 	ctrl   *ctrlPlane
 	rt     *runtime.Runtime
-	log    *slog.Logger // rejoin/rollback event log, bound to the local node set
 
 	// Crash-recovery supervision state (rec != nil); all touched only
 	// by the single Stream call.
@@ -229,7 +227,6 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 	}
 	n := &Node{
 		cfg: cfg, opt: opt, rec: rec, locals: locals, tr: tr, ctrl: ctrl, rt: rt,
-		log:  rejoinLog.With("node", fmt.Sprint(locals)),
 		stop: make(chan struct{}),
 	}
 	if durable {

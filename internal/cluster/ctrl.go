@@ -104,6 +104,22 @@ func (d *decisions) put(m ctrlMsg) {
 	d.cond.Broadcast()
 }
 
+// prune drops the decisions of instances at or below k.
+func (d *decisions) prune(k int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for key := range d.mismatch {
+		if key.k <= k {
+			delete(d.mismatch, key)
+		}
+	}
+	for key := range d.audits {
+		if key.k <= k {
+			delete(d.audits, key)
+		}
+	}
+}
+
 func (d *decisions) fail(err error) {
 	d.mu.Lock()
 	if d.failed == nil {
@@ -278,6 +294,10 @@ func (p *ctrlPlane) Execution(k, gen int) runtime.ExecutionView {
 	return v
 }
 
+// Committed implements runtime.SchedulePlane: a committed instance's
+// decisions, and any that arrive for it later, are never read again.
+func (p *ctrlPlane) Committed(k int) { p.d.prune(k) }
+
 // newCoordinator opens the control-plane listener (or adopts a held one
 // from a reservation) and starts serving decision streams to followers.
 // expect is the number of processes the shutdown barrier waits for (the
@@ -445,7 +465,6 @@ func (p *ctrlPlane) startRollback() {
 	if !p.durable {
 		return
 	}
-	ctrlLog.Info("rollback-open", "role", "coordinator")
 	p.rbMu.Lock()
 	p.rbRound++
 	p.rbPhase, p.rbAcks, p.rbNeed, p.rbSynced = phaseSync, 0, p.expect, nil

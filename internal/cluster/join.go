@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"nab/internal/core"
+	"nab/internal/flight"
 	"nab/internal/wal"
 )
 
@@ -107,7 +108,7 @@ func (n *Node) stateMsg(fetch ctrlMsg) (*ctrlMsg, error) {
 		// Test hook: a Byzantine snapshot server.
 		n.testServeTamper(msg)
 	}
-	n.log.Info("serve-join", "j", j, "m", m, "snapBytes", len(msg.Data))
+	recordRound(flight.EvRejoinRound, flight.RoundFetch, fetch.Round, j)
 	return msg, nil
 }
 
@@ -178,7 +179,6 @@ func (n *Node) joinFetch(round int, fetch ctrlMsg, next func() (ctrlMsg, error))
 		mJoinQuorumShort.Inc()
 		return nil, fmt.Errorf("cluster: join needs %d eligible snapshot servers to cross-validate against up to %d Byzantine processes; the round offers %d", need, n.cfg.F, len(fetch.Servers))
 	}
-	n.log.Info("join-fetch", "j", fetch.K, "m", fetch.M, "servers", fmt.Sprint(fetch.Servers), "need", need)
 	v := newVotes(fetch, need)
 	for {
 		ev, err := next()
@@ -201,7 +201,6 @@ func (n *Node) joinFetch(round int, fetch ctrlMsg, next func() (ctrlMsg, error))
 		n.pending = res
 		mJoinRounds.Inc()
 		mJoinServerRejects.Add(int64(v.cast - need))
-		n.log.Info("join-fetched", "j", fetch.K, "m", fetch.M, "gen", res.base.Gen, "outvoted", v.cast-need, "digest", fmt.Sprintf("%x", res.mDigest))
 		if err := n.ctrl.up(ctrlMsg{Type: "joined", Round: round, Peer: n.lead}); err != nil {
 			ev := n.ctrl.ctrldownNow()
 			return &ev, nil
@@ -241,7 +240,6 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 	if m < n.base.K || m > n.watermark() {
 		return fmt.Errorf("cluster: rewind to %d outside [floor %d, watermark %d]", m, n.base.K, n.watermark())
 	}
-	n.log.Info("rewind", "k", m, "epoch", epoch, "floor", n.base.K)
 	if err := n.rt.RestoreSnapshot(n.epoch<<32, n.base.SnapshotState, n.committed[:m-n.base.K]); err != nil {
 		return err
 	}
@@ -276,6 +274,5 @@ func (n *Node) persistFloorAt(m int) error {
 		return fmt.Errorf("cluster: persist floor snapshot: %w", err)
 	}
 	mFloorSnapshots.Inc()
-	n.log.Info("floor-persisted", "k", m, "gen", s.Gen)
 	return nil
 }

@@ -536,7 +536,6 @@ func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
 		opt: Options{BootTimeout: 200 * time.Millisecond},
 		ctrl: &ctrlPlane{d: newDecisions(), durable: true, addr: addr, events: make(chan ctrlMsg, 1),
 			allDone: make(chan struct{}), closed: make(chan struct{})},
-		log:       rejoinLog,
 		lastRound: 3,
 	}
 	err = n.rollback(context.Background(), ctrlMsg{Type: "ctrldown"})

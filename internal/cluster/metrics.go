@@ -1,12 +1,9 @@
 package cluster
 
-import (
-	"nab/internal/metrics"
-	"nab/internal/obs"
-)
+import "nab/internal/metrics"
 
-// Control-plane instruments and the rejoin/ctrl structured loggers
-// (slog text events on stderr under NAB_DEBUG, see internal/obs).
+// Control-plane instruments. The transitions themselves are flight
+// events (EvRejoinRound, EvJoinRound).
 var (
 	mRollbackRounds = metrics.NewCounter("nab_cluster_rollback_rounds_total",
 		"Rollback rounds this process has been pulled through.")
@@ -22,7 +19,4 @@ var (
 		"Join fetches refused because fewer than f+1 eligible snapshot servers existed.")
 	mFloorSnapshots = metrics.NewCounter("nab_cluster_floor_snapshots_total",
 		"Rollback-floor snapshots persisted into this process's WAL.")
-
-	rejoinLog = obs.New("rejoin")
-	ctrlLog   = obs.New("ctrl")
 )

@@ -177,7 +177,6 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 				return fmt.Errorf("cluster: re-executed chain digest %016x at instance %d diverges from the join quorum's %016x", got, ir.K, n.checkDigest)
 			}
 			n.checkK = 0
-			n.log.Info("join-reexec-verified", "k", ir.K)
 		}
 		if commit != nil {
 			return commit(ir)
@@ -191,23 +190,15 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 	// re-enters through the ctrldown path instead of failing the boot.
 	if n.rejoinPending {
 		n.rejoinPending = false
-		n.log.Info("announce-rejoin", "watermark", n.watermark(), "blank", n.blank)
 		if n.blank {
 			n.joinBegan = time.Now()
 			flight.Trigger(flight.ReasonJoin)
+			recordRound(flight.EvJoinRound, flight.RoundAnnounce, 0, n.watermark())
 		} else {
 			flight.Trigger(flight.ReasonRejoin)
-		}
-		if flight.Enabled() {
-			et := flight.EvRejoinRound
-			if n.blank {
-				et = flight.EvJoinRound
-			}
-			flight.Record(flight.Event{Type: et, Node: -1,
-				Step: flight.RoundAnnounce, Inst: uint64(n.watermark())})
+			recordRound(flight.EvRejoinRound, flight.RoundAnnounce, 0, n.watermark())
 		}
 		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
-			n.log.Error("announce-failed", "err", err, "action", "reconnect")
 			if err := n.rollback(ctx, n.ctrl.ctrldownNow()); err != nil {
 				n.ctrl.barrier(ctx, time.Second)
 				return nil, err
@@ -236,11 +227,9 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		for {
 			select {
 			case sr = <-done:
-				n.log.Debug("stream-returned", "err", sr.err, "committed", len(n.committed))
 				break wait
 			case ev := <-events:
 				if (ev.Type == "sync" || ev.Type == "ctrldown") && !n.ctrl.staleCtrldown(ev) {
-					n.log.Info("stream-interrupted", "by", ev.Type, "round", ev.Round)
 					cancel()
 					sr = <-done
 					rollEv = &ev
@@ -275,13 +264,11 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 
 		// Workload complete: park at the shutdown barrier, mesh intact,
 		// still answering rollbacks for peers that crashed near the end.
-		n.log.Debug("parking", "round", n.lastRound, "committed", len(n.committed))
 		ev, err := n.park(ctx, events)
 		if err != nil {
 			return nil, err
 		}
 		if ev == nil {
-			n.log.Debug("released")
 			// The result spans the whole committed history, not just the
 			// last supervised RunStream.
 			res := lastRes
@@ -375,6 +362,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 			// listener's backlog — just loops back here, bounded by the
 			// round deadline.
 			ph = phaseReconnect
+			recordRound(flight.EvRejoinRound, flight.RoundReconnect, n.lastRound, n.watermark())
 			select {
 			case <-deadline:
 				return fmt.Errorf("cluster: control-plane reconnect timed out after %v", rejoinLinger)
@@ -386,7 +374,6 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 				return err
 			}
 			if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
-				n.log.Error("rejoin-after-reconnect-failed", "err", err, "action", "retry")
 				ev = n.ctrl.ctrldownNow()
 				continue
 			}
@@ -399,11 +386,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 			n.lastRound = round
 			mRollbackRounds.Inc()
 			watermark := n.watermark()
-			if flight.Enabled() {
-				flight.Record(flight.Event{Type: flight.EvRejoinRound, Node: -1,
-					Step: flight.RoundSync, Arg: uint64(round), Inst: uint64(watermark)})
-			}
-			n.log.Info("ack-sync", "round", round, "watermark", watermark, "floor", n.base.K, "blank", n.blank, "epoch", n.epoch)
+			recordRound(flight.EvRejoinRound, flight.RoundSync, round, watermark)
 			synced := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: n.epoch, Floor: n.base.K, Blank: n.blank, Peer: n.lead}
 			if err := n.ctrl.up(synced); err != nil {
 				ev = n.ctrl.ctrldownNow()
@@ -426,10 +409,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 					// A stale round's straggler; ignore.
 				case ev.Type == "fetch" && n.blank:
 					ph = phaseFetch
-					if flight.Enabled() {
-						flight.Record(flight.Event{Type: flight.EvJoinRound, Node: -1,
-							Step: flight.RoundFetch, Arg: uint64(round), Inst: uint64(ev.K)})
-					}
+					recordRound(flight.EvJoinRound, flight.RoundFetch, round, ev.K)
 					abort, err := n.joinFetch(round, ev, next)
 					if err != nil {
 						return err
@@ -451,10 +431,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 				case ev.Type == "rewind" && !rewound:
 					ph = phaseRewind
 					m = ev.K
-					if flight.Enabled() {
-						flight.Record(flight.Event{Type: flight.EvRejoinRound, Node: -1,
-							Step: flight.RoundRewind, Arg: uint64(round), Inst: uint64(m)})
-					}
+					recordRound(flight.EvRejoinRound, flight.RoundRewind, round, m)
 					if err := n.applyRewind(m, ev.Epoch); err != nil {
 						return err
 					}
@@ -468,8 +445,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 					if err := n.persistFloorAt(m); err != nil {
 						return err
 					}
-					dur := time.Since(began)
-					mRejoinDuration.Observe(dur.Seconds())
+					mRejoinDuration.Observe(time.Since(began).Seconds())
 					if !n.joinBegan.IsZero() {
 						// First resume after a blank join: the satellite
 						// instrument measures the joiner's whole
@@ -477,11 +453,7 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 						mJoinDuration.Observe(time.Since(n.joinBegan).Seconds())
 						n.joinBegan = time.Time{}
 					}
-					if flight.Enabled() {
-						flight.Record(flight.Event{Type: flight.EvRejoinRound, Node: -1,
-							Step: flight.RoundResume, Arg: uint64(round), Inst: uint64(m)})
-					}
-					n.log.Info("resume", "round", round, "dur", dur)
+					recordRound(flight.EvRejoinRound, flight.RoundResume, round, m)
 					return nil
 				}
 			}
@@ -492,4 +464,10 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 			}
 		}
 	}
+}
+
+// recordRound notes one step of a rollback or join round in the flight
+// recorder: step is a Round* code, k the watermark or boundary it names.
+func recordRound(t flight.EventType, step uint32, round, k int) {
+	flight.Record(flight.Event{Type: t, Node: -1, Step: step, Arg: uint64(round), Inst: uint64(k)})
 }

@@ -261,8 +261,7 @@ func blockIndex(h *graph.Directed) ([]graph.NodeID, map[graph.NodeID]int, graph.
 // every edge of H, where B_e places C_e in the tail node's block and -C_e
 // (= C_e in characteristic 2) in the head node's block, the reference node
 // contributing no block. Column order follows h.Edges() with slot order
-// inside each edge, which is the canonical column indexing used by
-// ColumnOffsets and SpanningSubmatrix.
+// inside each edge.
 func (s *Scheme) AssembleCH(h *graph.Directed) (*linalg.Matrix, error) {
 	_, blocks, ref := blockIndex(h)
 	nBlocks := len(blocks)
@@ -301,18 +300,6 @@ func (s *Scheme) AssembleCH(h *graph.Directed) (*linalg.Matrix, error) {
 		}
 	}
 	return ch, nil
-}
-
-// ColumnOffsets returns, for each edge of h (in h.Edges() order), the first
-// C_H column carrying that edge's coded symbols.
-func ColumnOffsets(h *graph.Directed) map[EdgeKey]int {
-	out := map[EdgeKey]int{}
-	col := 0
-	for _, e := range h.Edges() {
-		out[EdgeKey{e.From, e.To}] = col
-		col += int(e.Cap)
-	}
-	return out
 }
 
 // VerifySubgraph reports whether the equality check is sound on subgraph H

@@ -320,69 +320,6 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
-func TestSpanningSubmatrixInvertible(t *testing.T) {
-	// On the full K4-minus-one-edge graph with rho = 2 (its own undirected
-	// mincut is 4): M_H for H = G itself should be square and, with a
-	// 16-bit field, invertible with overwhelming probability.
-	g := fig1a()
-	field := gf.MustNew(16)
-	rng := rand.New(rand.NewSource(13))
-	s, err := NewScheme(g, 2, field, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, trees, err := s.BuildSpanningSubmatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 2 {
-		t.Fatalf("got %d trees", len(trees))
-	}
-	want := (g.NumNodes() - 1) * 2
-	if m.Rows() != want || m.Cols() != want {
-		t.Fatalf("M_H is %dx%d, want %dx%d", m.Rows(), m.Cols(), want, want)
-	}
-	if m.Rank() != m.Rows() {
-		t.Error("M_H singular (probability ~2^-13; treat as failure)")
-	}
-}
-
-func TestSpanningSubmatrixValidation(t *testing.T) {
-	g := fig1a()
-	s, err := NewScheme(g, 2, gf.MustNew(16), rand.New(rand.NewSource(14)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SpanningSubmatrix(g, nil); err == nil {
-		t.Error("wrong tree count: expected error")
-	}
-}
-
-func TestMHInvertibleImpliesFullRank(t *testing.T) {
-	// Whenever M_H is invertible, C_H must have full row rank — the logical
-	// step of the Theorem 1 proof, checked empirically.
-	g := fig1a()
-	field := gf.MustNew(8)
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 20; trial++ {
-		s, err := NewScheme(g, 2, field, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, _, err := s.BuildSpanningSubmatrix(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, err := s.AssembleCH(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Rank() == m.Rows() && ch.Rank() != ch.Rows() {
-			t.Fatal("M_H invertible but C_H rank-deficient")
-		}
-	}
-}
-
 func TestPackUnpackValueRoundTrip(t *testing.T) {
 	data := []byte("byzantine broadcast")
 	symbols, err := PackValue(data, 20, 8)

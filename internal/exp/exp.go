@@ -103,9 +103,8 @@ func E2Fig2(w io.Writer) error {
 		return fmt.Errorf("edge (1,2) over capacity")
 	}
 
-	u := g.Undirected()
-	t.Addf("undirected cap(1,2) (sum of directions)", int64(2), u.Cap(1, 2))
-	minCut, err := u.MinPairwiseMincut()
+	t.Addf("undirected cap(1,2) (sum of directions)", int64(2), g.Cap(1, 2)+g.Cap(2, 1))
+	minCut, err := g.MinPairwiseMincut()
 	if err != nil {
 		return err
 	}

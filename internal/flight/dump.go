@@ -4,16 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-
-	"nab/internal/obs"
 )
 
-// dumpLog reports black-box dump write failures. It is always on — a
-// misconfigured autodump dir must be visible without NAB_DEBUG, and it
-// only ever speaks on a failure streak's first miss (and recovery).
-var dumpLog = obs.Always("flight")
+// dumpErrs receives black-box dump write failures. It is always on — a
+// misconfigured autodump dir must be visible in every run — and speaks
+// only on a failure streak's first miss and on its recovery.
+var dumpErrs io.Writer = os.Stderr
 
 // Dump file framing mirrors the WAL's standalone snapshot container: an
 // 8-byte magic, a CRC-framed header, then fixed-width event records, so
@@ -229,7 +228,7 @@ func (r *Recorder) Trigger(reason uint64) {
 }
 
 func (r *Recorder) dumpLoop(ch chan uint64) {
-	failing := map[uint64]bool{} // reasons mid failure-streak, logged once each
+	failing := map[uint64]bool{} // reasons mid failure-streak, reported once each
 	for reason := range ch {
 		r.mu.Lock()
 		dir := r.dumpDir
@@ -246,11 +245,11 @@ func (r *Recorder) dumpLoop(ch chan uint64) {
 		if err := writeFileAtomic(path, buf); err != nil {
 			if !failing[reason] {
 				failing[reason] = true
-				dumpLog.Error("autodump-failed", "path", path, "err", err)
+				fmt.Fprintf(dumpErrs, "flight: autodump to %s failed: %v\n", path, err)
 			}
 		} else if failing[reason] {
 			delete(failing, reason)
-			dumpLog.Info("autodump-recovered", "path", path)
+			fmt.Fprintf(dumpErrs, "flight: autodump to %s recovered\n", path)
 		}
 	}
 }

@@ -72,6 +72,13 @@ const (
 	EvJoinRound
 	// EvAnomaly: an anomaly trigger fired. Arg is a Reason* code.
 	EvAnomaly
+	// EvLinkDown / EvLinkUp: a mesh link lost its connection / dialed a
+	// fresh one. Node is the link's sending end, Peer its receiving end.
+	EvLinkDown
+	EvLinkUp
+	// EvWALRecover: Open replayed a WAL. K is the recovered watermark,
+	// Inst the submission tail, Arg the replayed commit count.
+	EvWALRecover
 )
 
 // String names the event type for tools and tests.
@@ -105,6 +112,12 @@ func (t EventType) String() string {
 		return "join-round"
 	case EvAnomaly:
 		return "anomaly"
+	case EvLinkDown:
+		return "link-down"
+	case EvLinkUp:
+		return "link-up"
+	case EvWALRecover:
+		return "wal-recover"
 	}
 	return "none"
 }
@@ -142,12 +155,15 @@ func PhaseName(code uint32) string {
 }
 
 // Round codes carried in Event.Step by EvRejoinRound / EvJoinRound.
+// RoundReconnect, appended later, marks a rollback redialing a lost
+// coordinator; a snapshot server records RoundFetch when it votes.
 const (
 	RoundAnnounce uint32 = iota + 1
 	RoundSync
 	RoundFetch
 	RoundRewind
 	RoundResume
+	RoundReconnect
 )
 
 // RoundName names a Round* code.
@@ -163,6 +179,8 @@ func RoundName(code uint32) string {
 		return "rewind"
 	case RoundResume:
 		return "resume"
+	case RoundReconnect:
+		return "reconnect"
 	}
 	return "round?"
 }

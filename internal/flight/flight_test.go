@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -224,7 +223,7 @@ func TestRingCapacityClampTerminates(t *testing.T) {
 	}
 }
 
-// chanWriter delivers each log line to a channel, so the test can wait
+// chanWriter delivers each report line to a channel, so the test can wait
 // for the asynchronous dump loop without racing a shared buffer.
 type chanWriter chan string
 
@@ -238,9 +237,9 @@ func (w chanWriter) Write(p []byte) (int, error) {
 
 func TestAutodumpWriteFailureIsLogged(t *testing.T) {
 	lines := make(chan string, 8)
-	old := dumpLog
-	dumpLog = slog.New(slog.NewTextHandler(chanWriter(lines), nil))
-	defer func() { dumpLog = old }()
+	old := dumpErrs
+	dumpErrs = chanWriter(lines)
+	defer func() { dumpErrs = old }()
 
 	var r Recorder
 	r.Enable(1024)
@@ -252,8 +251,8 @@ func TestAutodumpWriteFailureIsLogged(t *testing.T) {
 	r.Trigger(ReasonManual)
 	select {
 	case line := <-lines:
-		if !strings.Contains(line, "autodump-failed") {
-			t.Fatalf("logged %q, want an autodump-failed event", line)
+		if !strings.Contains(line, "autodump to "+filepath.Join(file, "sub")) || !strings.Contains(line, "failed") {
+			t.Fatalf("reported %q, want the failed autodump's path", line)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("failing black-box dump was never logged")

@@ -1,8 +1,8 @@
-// Package graph implements capacitated directed and undirected graphs and
-// the flow algorithms NAB's analysis is built on: Dinic max-flow/min-cut,
-// per-source broadcast mincut (gamma), all-pairs undirected mincut (U),
-// vertex connectivity and node-disjoint path extraction (for the 2f+1
-// disjoint-path relay substrate).
+// Package graph implements capacitated directed graphs and the flow
+// algorithms NAB's analysis is built on: Dinic max-flow/min-cut,
+// per-source broadcast mincut (gamma), the minimum pairwise mincut of the
+// undirected version (U), vertex connectivity and node-disjoint path
+// extraction (for the 2f+1 disjoint-path relay substrate).
 //
 // Graphs follow the paper's model: simple directed graphs with positive
 // integer link capacities; the undirected version of a directed graph merges
@@ -272,174 +272,12 @@ func (g *Directed) TotalCapacity() int64 {
 	return sum
 }
 
-// Undirected converts g per the paper's definition: undirected edge (i,j)
-// exists iff either directed edge exists, with capacity equal to the sum of
-// the two directed capacities.
-func (g *Directed) Undirected() *Undirected {
-	u := NewUndirected()
-	for v := range g.nodes {
-		u.AddNode(v)
-	}
-	for key, c := range g.caps {
-		u.addCap(key[0], key[1], c)
-	}
-	return u
-}
-
 // String renders a deterministic edge-list form "a->b:cap, ...".
 func (g *Directed) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Directed{n=%d:", g.NumNodes())
 	for _, e := range g.Edges() {
 		fmt.Fprintf(&sb, " %d->%d:%d", e.From, e.To, e.Cap)
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
-
-// Undirected is a simple undirected graph with integer edge capacities.
-type Undirected struct {
-	nodes map[NodeID]struct{}
-	caps  map[[2]NodeID]int64 // key normalized: smaller id first
-}
-
-// NewUndirected returns an empty undirected graph.
-func NewUndirected() *Undirected {
-	return &Undirected{nodes: map[NodeID]struct{}{}, caps: map[[2]NodeID]int64{}}
-}
-
-func ukey(a, b NodeID) [2]NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]NodeID{a, b}
-}
-
-// AddNode inserts a vertex.
-func (u *Undirected) AddNode(v NodeID) {
-	u.nodes[v] = struct{}{}
-}
-
-// AddEdge inserts an undirected edge with the given capacity.
-func (u *Undirected) AddEdge(a, b NodeID, capacity int64) error {
-	if capacity <= 0 {
-		return fmt.Errorf("graph: undirected edge (%d,%d) capacity %d must be positive", a, b, capacity)
-	}
-	if a == b {
-		return fmt.Errorf("graph: self-loop at node %d", a)
-	}
-	if _, dup := u.caps[ukey(a, b)]; dup {
-		return fmt.Errorf("graph: duplicate undirected edge (%d,%d)", a, b)
-	}
-	u.addCap(a, b, capacity)
-	return nil
-}
-
-func (u *Undirected) addCap(a, b NodeID, capacity int64) {
-	u.nodes[a] = struct{}{}
-	u.nodes[b] = struct{}{}
-	u.caps[ukey(a, b)] += capacity
-}
-
-// Cap returns the capacity between a and b (0 if no edge).
-func (u *Undirected) Cap(a, b NodeID) int64 { return u.caps[ukey(a, b)] }
-
-// HasEdge reports whether an edge joins a and b.
-func (u *Undirected) HasEdge(a, b NodeID) bool {
-	_, ok := u.caps[ukey(a, b)]
-	return ok
-}
-
-// HasNode reports whether v is a vertex.
-func (u *Undirected) HasNode(v NodeID) bool {
-	_, ok := u.nodes[v]
-	return ok
-}
-
-// NumNodes returns the vertex count.
-func (u *Undirected) NumNodes() int { return len(u.nodes) }
-
-// NumEdges returns the edge count.
-func (u *Undirected) NumEdges() int { return len(u.caps) }
-
-// Nodes returns vertices in ascending order.
-func (u *Undirected) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(u.nodes))
-	for v := range u.nodes {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Edges returns edges as (smaller, larger, cap) triples sorted
-// lexicographically.
-func (u *Undirected) Edges() []Edge {
-	out := make([]Edge, 0, len(u.caps))
-	for key, c := range u.caps {
-		out = append(out, Edge{From: key[0], To: key[1], Cap: c})
-	}
-	slices.SortFunc(out, compareEdges)
-	return out
-}
-
-// Neighbors returns the adjacent vertices of v in ascending order.
-func (u *Undirected) Neighbors(v NodeID) []NodeID {
-	var out []NodeID
-	for key := range u.caps {
-		switch v {
-		case key[0]:
-			out = append(out, key[1])
-		case key[1]:
-			out = append(out, key[0])
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Clone returns a deep copy.
-func (u *Undirected) Clone() *Undirected {
-	c := NewUndirected()
-	for v := range u.nodes {
-		c.nodes[v] = struct{}{}
-	}
-	for k, v := range u.caps {
-		c.caps[k] = v
-	}
-	return c
-}
-
-// Induced returns the subgraph induced by keep.
-func (u *Undirected) Induced(keep []NodeID) *Undirected {
-	in := map[NodeID]struct{}{}
-	for _, v := range keep {
-		if u.HasNode(v) {
-			in[v] = struct{}{}
-		}
-	}
-	c := NewUndirected()
-	for v := range in {
-		c.nodes[v] = struct{}{}
-	}
-	for key, cp := range u.caps {
-		if _, a := in[key[0]]; !a {
-			continue
-		}
-		if _, b := in[key[1]]; !b {
-			continue
-		}
-		c.caps[key] = cp
-	}
-	return c
-}
-
-// String renders a deterministic form.
-func (u *Undirected) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Undirected{n=%d:", u.NumNodes())
-	for _, e := range u.Edges() {
-		fmt.Fprintf(&sb, " %d-%d:%d", e.From, e.To, e.Cap)
 	}
 	sb.WriteString("}")
 	return sb.String()

@@ -258,116 +258,32 @@ func randomConnectedDigraph(rng *rand.Rand, n int, maxCap int64) *Directed {
 	return g
 }
 
-func TestUndirectedConversion(t *testing.T) {
-	// Paper: undirected capacity = sum of the two directed capacities.
+func TestMinPairwiseMincutSumsAntiparallel(t *testing.T) {
+	// Undirected version: 1-2 carries 2+1 = 3, 2-3 and 1-3 carry 1 each.
+	// Isolating 3 cuts 1+1 = 2, isolating 2 cuts 3+1 = 4, isolating 1
+	// cuts 3+1 = 4, so U = 2.
 	g := NewDirected()
 	g.MustAddEdge(1, 2, 2)
-	g.MustAddEdge(2, 1, 3)
+	g.MustAddEdge(2, 1, 1)
 	g.MustAddEdge(2, 3, 1)
-	u := g.Undirected()
-	if u.Cap(1, 2) != 5 || u.Cap(2, 1) != 5 {
-		t.Errorf("undirected cap(1,2) = %d, want 5", u.Cap(1, 2))
-	}
-	if u.Cap(2, 3) != 1 {
-		t.Errorf("undirected cap(2,3) = %d, want 1", u.Cap(2, 3))
-	}
-	if u.NumEdges() != 2 {
-		t.Errorf("undirected edges = %d, want 2", u.NumEdges())
-	}
-}
-
-func TestUndirectedBasics(t *testing.T) {
-	u := NewUndirected()
-	if err := u.AddEdge(1, 1, 1); err == nil {
-		t.Error("self-loop: expected error")
-	}
-	if err := u.AddEdge(1, 2, 0); err == nil {
-		t.Error("zero cap: expected error")
-	}
-	if err := u.AddEdge(1, 2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.AddEdge(2, 1, 4); err == nil {
-		t.Error("duplicate (reversed) edge: expected error")
-	}
-	if !u.HasEdge(2, 1) {
-		t.Error("HasEdge should be symmetric")
-	}
-	if got := u.Neighbors(2); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Neighbors(2) = %v", got)
-	}
-	c := u.Clone()
-	if !c.HasEdge(1, 2) || c.NumNodes() != 2 {
-		t.Error("clone wrong")
-	}
-}
-
-func TestUndirectedMaxFlowAndPairwiseMincut(t *testing.T) {
-	// Triangle with capacities 1-2:3, 2-3:1, 1-3:1. MINCUT(2,3) = 1+... :
-	// cut isolating 3 has weight 1+1=2; cut isolating 2 has 3+1=4; so
-	// mincut(2,3)=2. Global min pairwise mincut = 2 (isolating 3).
-	u := NewUndirected()
-	if err := u.AddEdge(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.AddEdge(2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.AddEdge(1, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	mc, err := u.MaxFlow(2, 3)
+	g.MustAddEdge(3, 1, 1)
+	got, err := g.MinPairwiseMincut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc != 2 {
-		t.Errorf("mincut(2,3) = %d, want 2", mc)
-	}
-	min, err := u.MinPairwiseMincut()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != 2 {
-		t.Errorf("min pairwise mincut = %d, want 2", min)
-	}
-}
-
-func TestMinPairwiseMincutMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		g := randomConnectedDigraph(rng, 5, 4)
-		u := g.Undirected()
-		got, err := u.MinPairwiseMincut()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(1 << 60)
-		nodes := u.Nodes()
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				mc, err := u.MaxFlow(nodes[i], nodes[j])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mc < want {
-					want = mc
-				}
-			}
-		}
-		if got != want {
-			t.Fatalf("trial %d: MinPairwiseMincut = %d, brute force = %d", trial, got, want)
-		}
+	if got != 2 {
+		t.Errorf("min pairwise mincut = %d, want 2", got)
 	}
 }
 
 func TestMinPairwiseMincutErrors(t *testing.T) {
-	u := NewUndirected()
-	u.AddNode(1)
-	if _, err := u.MinPairwiseMincut(); err == nil {
+	g := NewDirected()
+	g.AddNode(1)
+	if _, err := g.MinPairwiseMincut(); err == nil {
 		t.Error("single node: expected error")
 	}
-	u.AddNode(2)
-	if _, err := u.MinPairwiseMincut(); err == nil {
+	g.AddNode(2)
+	if _, err := g.MinPairwiseMincut(); err == nil {
 		t.Error("disconnected: expected error")
 	}
 }

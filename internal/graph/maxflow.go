@@ -6,8 +6,10 @@ import (
 	"slices"
 )
 
-// flowNet is a Dinic max-flow solver over an arbitrary arc list. It is built
-// fresh per query; graphs at NAB scale are small so clarity wins.
+// flowNet is a Dinic max-flow solver over an arbitrary arc list. It is
+// built fresh per query, except that MinPairwiseMincut restores the
+// residual capacities between its flows; graphs at NAB scale are small so
+// clarity wins.
 type flowNet struct {
 	n     int
 	to    []int   // arc head
@@ -164,52 +166,40 @@ func (g *Directed) BroadcastMincut(src NodeID) (int64, error) {
 	return best, nil
 }
 
-// MaxFlow returns the maximum flow between a and b treating each undirected
-// edge as a pair of antiparallel arcs of the same capacity.
-func (u *Undirected) MaxFlow(a, b NodeID) (int64, error) {
-	if !u.HasNode(a) || !u.HasNode(b) {
-		return 0, fmt.Errorf("graph: maxflow endpoints %d,%d not both present", a, b)
-	}
-	if a == b {
-		return 0, fmt.Errorf("graph: maxflow source equals sink (%d)", a)
-	}
-	ix := newIndexer(u.Nodes())
-	fn := newFlowNet(len(ix.ids), 2*u.NumEdges())
-	for _, e := range u.Edges() {
-		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
-		fn.addArc(ix.idx[e.To], ix.idx[e.From], e.Cap)
-	}
-	return fn.maxflow(ix.idx[a], ix.idx[b]), nil
-}
-
-// MinCut is an alias for MaxFlow on undirected graphs.
-func (u *Undirected) MinCut(a, b NodeID) (int64, error) { return u.MaxFlow(a, b) }
-
-// MinPairwiseMincut returns min over all vertex pairs {i,j} of
-// MINCUT(u, i, j); this is U_H in the paper (via the undirected version of
-// each candidate subgraph H). Returns 0 with an error when u is
-// disconnected or has fewer than two nodes.
-func (u *Undirected) MinPairwiseMincut() (int64, error) {
-	nodes := u.Nodes()
+// MinPairwiseMincut returns U_H of the paper for H = g: the minimum over
+// vertex pairs {i,j} of MINCUT(i,j) in g's undirected version, whose edge
+// (i,j) has capacity z(i,j)+z(j,i). The flow net carries each undirected
+// edge as two antiparallel arcs of the summed capacity, in sorted edge
+// order. Returns an error when g is disconnected or has fewer than two
+// nodes.
+func (g *Directed) MinPairwiseMincut() (int64, error) {
+	nodes := g.Nodes()
 	if len(nodes) < 2 {
 		return 0, fmt.Errorf("graph: pairwise mincut needs at least 2 nodes")
 	}
+	var und []Edge
+	for _, e := range g.Edges() {
+		switch {
+		case e.From < e.To:
+			und = append(und, Edge{From: e.From, To: e.To, Cap: e.Cap + g.Cap(e.To, e.From)})
+		case !g.HasEdge(e.To, e.From):
+			und = append(und, Edge{From: e.To, To: e.From, Cap: e.Cap})
+		}
+	}
+	slices.SortFunc(und, compareEdges)
+	ix := newIndexer(nodes)
+	fn := newFlowNet(len(nodes), 2*len(und))
+	for _, e := range und {
+		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
+		fn.addArc(ix.idx[e.To], ix.idx[e.From], e.Cap)
+	}
+	full := slices.Clone(fn.cap)
+	// The global minimum cut separates nodes[0] from some vertex, so the
+	// n-1 flows from nodes[0] find it.
 	best := int64(math.MaxInt64)
-	// Global minimum pairwise mincut can be found with n-1 flows against a
-	// fixed node: for any i, min_j MINCUT(i,j) over j != i realizes the
-	// global min for some pair containing the overall argmin side... To stay
-	// exact and simple at NAB scales we check pairs (nodes[0], v) for all v
-	// plus all pairs — but the former is enough: the global minimum cut
-	// separates nodes[0] from some vertex, so min over v of
-	// MINCUT(nodes[0], v) equals the global minimum.
-	for _, v := range nodes[1:] {
-		mc, err := u.MaxFlow(nodes[0], v)
-		if err != nil {
-			return 0, err
-		}
-		if mc < best {
-			best = mc
-		}
+	for v := 1; v < len(nodes); v++ {
+		copy(fn.cap, full)
+		best = min(best, fn.maxflow(0, v))
 	}
 	if best == 0 {
 		return 0, fmt.Errorf("graph: graph is disconnected")

@@ -91,9 +91,13 @@ type ExecutionView interface {
 
 // SchedulePlane hands out per-execution schedule views, keyed by the
 // instance number and the dispute-state generation it executes on (a
-// barrier replay of instance k runs on a later generation).
+// barrier replay of instance k runs on a later generation). Committed is
+// called as instance k commits, before the commit callback: no execution
+// of an instance at or below k runs until a restore rewinds the runtime,
+// so the plane may drop what it holds for them.
 type SchedulePlane interface {
 	Execution(k, gen int) ExecutionView
+	Committed(k int)
 }
 
 // Runtime hosts the nodes' receive loops, the links and the scheduler
@@ -578,6 +582,9 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		res.Add(f.ir, commit == nil)
 		delete(inputs, f.k)
+		if rt.cfg.Plane != nil {
+			rt.cfg.Plane.Committed(f.k)
+		}
 		mCommitLatency.Observe(time.Since(f.started).Seconds())
 		if fr.Enabled() {
 			fr.Record(fr.Event{

@@ -214,8 +214,7 @@ func TestPackUndirectedTreesFig1a(t *testing.T) {
 	g := fig1a()
 	// Undirected version: all five pairs at capacity 2; U = min pairwise
 	// mincut = 4 (each node has undirected degree >= 4)... compute it.
-	u := g.Undirected()
-	minCut, err := u.MinPairwiseMincut()
+	minCut, err := g.MinPairwiseMincut()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +275,7 @@ func TestPackUndirectedTreesNashWilliamsGuarantee(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 4 + rng.Intn(4)
 		g := randomStrongDigraph(rng, n, 2)
-		u := g.Undirected()
-		minCut, err := u.MinPairwiseMincut()
+		minCut, err := g.MinPairwiseMincut()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,8 +336,7 @@ func BenchmarkPackArborescences6(b *testing.B) {
 func BenchmarkPackUndirectedTrees6(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomStrongDigraph(rng, 6, 3)
-	u := g.Undirected()
-	minCut, err := u.MinPairwiseMincut()
+	minCut, err := g.MinPairwiseMincut()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"nab/internal/graph"
 	"nab/internal/metrics"
-	"nab/internal/obs"
 )
 
 // Chaos is a seeded hostile-network layer that every transport can
@@ -29,9 +28,6 @@ import (
 // identical physics no matter how the goroutines of different in-flight
 // instances interleave. Any frame may overtake any other, later steps of
 // one instance included: the runtime keys frames by step, not by arrival.
-//
-// NAB_DEBUG=1 traces partition stalls and each link chaos applies to.
-var chaosLog = obs.New("chaos")
 
 // Chaos-layer instruments. Counters are global (not per-link): chaos is
 // scenario tooling and its hot path should stay two atomic increments.
@@ -231,9 +227,6 @@ func (c *ChaosConfig) forLink(from, to graph.NodeID, epoch time.Time) *linkChaos
 		par.ReorderDelay = Duration(d)
 	}
 	key := [2]graph.NodeID{from, to}
-	chaosLog.Debug("link-chaos", "link", linkString(key),
-		"latency", par.Latency.D(), "jitter", par.Jitter.D(),
-		"reorder_prob", par.ReorderProb, "partitions", len(parts))
 	return &linkChaos{seed: c.Seed, epoch: epoch, key: key, par: par, parts: parts}
 }
 
@@ -269,8 +262,6 @@ func (lc *linkChaos) release(m *Message, now time.Time) time.Time {
 			if healAt := lc.epoch.Add(pt.Heal.D()); healAt.After(at) {
 				at = healAt
 				mChaosPartitionStalls.Inc()
-				chaosLog.Debug("partition-stall", "link", linkString(lc.key),
-					"instance", m.Instance, "heal_in", healAt.Sub(now).Round(time.Millisecond))
 			}
 		}
 	}

@@ -5,11 +5,7 @@ import (
 
 	"nab/internal/graph"
 	"nab/internal/metrics"
-	"nab/internal/obs"
 )
-
-// reconnLog narrates mesh-link healing (down, redialed, reestablished).
-var reconnLog = obs.New("transport")
 
 // Wire-layer instruments. Per-link counters are resolved once at Dial
 // time (linkMetricsFor) and cached inside the link, so Send performs only

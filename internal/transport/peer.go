@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nab/internal/flight"
 	"nab/internal/graph"
 )
 
@@ -478,7 +479,7 @@ func (l *link) fail(bw *bufio.Writer, err error) {
 		return // a writer a reconnect already replaced
 	}
 	s.dropLocked()
-	reconnLog.Info("link-down", "link", linkString(l.key))
+	l.record(flight.EvLinkDown)
 	if !s.dialing {
 		s.dialing = true
 		go l.redial()
@@ -526,7 +527,7 @@ func (l *link) redial() {
 	for attempt := 0; ; attempt++ {
 		if l.connect() == nil {
 			mRedials.Inc()
-			reconnLog.Info("link-redialed", "link", linkString(l.key))
+			l.record(flight.EvLinkUp)
 			return
 		}
 		pause := 100*time.Millisecond + retryJitter(linkString(l.key), attempt, 100*time.Millisecond)
@@ -575,7 +576,12 @@ func (l *link) reestablish() error {
 			return err
 		}
 		mRedials.Inc()
-		reconnLog.Debug("link-reestablished", "link", linkString(l.key))
+		l.record(flight.EvLinkUp)
 		return nil
 	}
+}
+
+// record notes a change of the link's connection in the flight recorder.
+func (l *link) record(t flight.EventType) {
+	flight.Record(flight.Event{Type: t, Node: int32(l.key[0]), Peer: int32(l.key[1])})
 }

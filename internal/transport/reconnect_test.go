@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nab/internal/flight"
 	"nab/internal/graph"
 	"nab/internal/topo"
 	"nab/internal/transport"
@@ -12,8 +13,12 @@ import (
 // TestPeerReconnectHealsLink is the transport half of crash-recovery: a
 // peer process dies, sends onto its links drop without failing the
 // sender, and once a replacement process binds the same address the link
-// heals and carries frames again.
+// heals and carries frames again. The flight recorder sees the link go
+// down and come back up.
 func TestPeerReconnectHealsLink(t *testing.T) {
+	rec := flight.Default()
+	rec.Enable(1024)
+	defer rec.Disable()
 	g := topo.CompleteBi(2, 1)
 	addrs := freeAddrs(t, 2)
 	addrMap := map[graph.NodeID]string{1: addrs[0], 2: addrs[1]}
@@ -75,6 +80,7 @@ func TestPeerReconnectHealsLink(t *testing.T) {
 		}
 	}()
 	deadline = time.Now().Add(15 * time.Second)
+heal:
 	for {
 		if err := l.Send(&transport.Message{Instance: 3, From: 1, To: 2, Bits: 8, Body: []byte{3}}); err != nil {
 			t.Fatalf("send after restart errored: %v", err)
@@ -84,12 +90,25 @@ func TestPeerReconnectHealsLink(t *testing.T) {
 			if m.Body.([]byte)[0] != 3 {
 				t.Fatalf("healed link delivered corrupted frame: %+v", m)
 			}
-			return
+			break heal
 		case <-time.After(50 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("link did not heal after peer restart")
 		}
+	}
+
+	var seen []flight.EventType
+	for _, ev := range rec.Events() {
+		if ev.Type == flight.EvLinkDown || ev.Type == flight.EvLinkUp {
+			if ev.Node != 1 || ev.Peer != 2 {
+				t.Fatalf("%v event names link (%d,%d), want (1,2)", ev.Type, ev.Node, ev.Peer)
+			}
+			seen = append(seen, ev.Type)
+		}
+	}
+	if len(seen) != 2 || seen[0] != flight.EvLinkDown || seen[1] != flight.EvLinkUp {
+		t.Fatalf("link events %v, want [link-down link-up]", seen)
 	}
 }
 

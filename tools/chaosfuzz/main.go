@@ -22,6 +22,13 @@
 // A failing seed is written to -record DIR (default fixtures live in
 // tools/chaosfuzz/fixtures and replay in CI), so every bug the fuzzer
 // flushes out becomes a deterministic regression test.
+//
+// A single-scenario run (-seed or -replay) arms the flight recorder. When
+// the scenario fails, its dump goes to -record DIR (or the system temp
+// directory) as chaosfuzz-<label>.dump, and the path is printed for
+// tools/nabtrace:
+//
+//	go run ./tools/nabtrace /tmp/chaosfuzz-seed-9.dump
 package main
 
 import (
@@ -40,8 +47,13 @@ import (
 
 	"nab"
 	"nab/internal/cluster"
+	"nab/internal/flight"
 	"nab/internal/topo"
 )
+
+// traceEvents is the flight ring a single-scenario run records into:
+// enough for the longest churn scenario's frames on every process.
+const traceEvents = 1 << 18
 
 // Scenario is one fully-specified fuzz case — everything needed to replay
 // it deterministically from a fixture file.
@@ -132,6 +144,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("one of -seeds, -seed, -replay or -fixtures is required")
 	}
 
+	trace := *seed != 0 || *replay != ""
+	if trace {
+		flight.Default().Enable(traceEvents)
+		flight.Default().SetLabel("chaosfuzz")
+		defer flight.Default().Disable()
+	}
 	failed := 0
 	for _, sc := range scs {
 		t0 := time.Now()
@@ -150,6 +168,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("record failing scenario: %w", werr)
 			}
 			fmt.Fprintf(stdout, "     recorded %s — replay with: go run ./tools/chaosfuzz -replay %s\n", path, path)
+		}
+		if trace {
+			path, werr := sc.dump(*record)
+			if werr != nil {
+				return fmt.Errorf("write flight dump: %w", werr)
+			}
+			fmt.Fprintf(stdout, "     flight dump %s — trace it with: go run ./tools/nabtrace %s\n", path, path)
 		}
 	}
 	if failed > 0 {
@@ -175,6 +200,19 @@ func (sc *Scenario) record(dir string) (string, error) {
 		return "", err
 	}
 	return path, os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// dump writes the flight recorder's contents to dir (the system temp
+// directory when empty) as chaosfuzz-<label>.dump.
+func (sc *Scenario) dump(dir string) (string, error) {
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, "chaosfuzz-"+sc.label()+".dump")
+	return path, os.WriteFile(path, flight.Default().DumpBytes("diverged", time.Now().UnixNano()), 0o644)
 }
 
 func loadScenario(path string) (*Scenario, error) {

@@ -3,8 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"nab"
+	"nab/internal/flight"
 )
 
 // TestGenerateDeterministic pins the generator: the same fuzz seed must
@@ -75,4 +81,72 @@ func TestReplayCheckedInFixtures(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	t.Logf("\n%s", out.String())
+}
+
+// TestFailingReplayWritesFlightDump replays a scenario that fails after
+// its lockstep oracle ran (a churn kill point past the stream's end) and
+// checks the run leaves a flight dump, beside the recorded fixture, that
+// decodes the way tools/nabtrace loads it and holds the oracle's phases.
+func TestFailingReplayWritesFlightDump(t *testing.T) {
+	dir := t.TempDir()
+	sc := &Scenario{Name: "forced", Topology: "k4", Source: 1, F: 1, LenBytes: 8,
+		Seed: 3, Window: 2, Q: 4, Chaos: &nab.ChaosConfig{Seed: 1},
+		Engine: "churn-join", KillAfter: 4, SnapEvery: 2}
+	fixture, err := sc.record(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-replay", fixture, "-record", dir}, &out, &out); err == nil {
+		t.Fatalf("the forced failure passed:\n%s", out.String())
+	}
+	path := filepath.Join(dir, "chaosfuzz-forced.dump")
+	if !strings.Contains(out.String(), "flight dump "+path) {
+		t.Fatalf("output does not name the dump %s:\n%s", path, out.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := flight.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := 0
+	for _, ev := range d.Events {
+		if ev.Type == flight.EvPhase {
+			phases++
+		}
+	}
+	if d.Meta.Label != "chaosfuzz" || d.Meta.Reason != "diverged" || phases == 0 {
+		t.Fatalf("dump %q/%q holds %d events, %d phases; want the oracle's phases", d.Meta.Label, d.Meta.Reason, len(d.Events), phases)
+	}
+	if flight.Enabled() {
+		t.Fatal("the recorder stayed armed after the run")
+	}
+}
+
+// TestCoordinatorRestartRecordsReconnect replays the rolling-restart
+// fixture, whose first restart is the coordinator's, with the flight
+// recorder armed: the followers that redial it record RoundReconnect.
+func TestCoordinatorRestartRecordsReconnect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full engine replays skipped in -short mode")
+	}
+	sc, err := loadScenario("fixtures/rolling-restart.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.Default()
+	rec.Enable(traceEvents)
+	defer rec.Disable()
+	if err := Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Type == flight.EvRejoinRound && ev.Step == flight.RoundReconnect {
+			return
+		}
+	}
+	t.Fatal("no follower recorded a reconnect round across the coordinator's restart")
 }

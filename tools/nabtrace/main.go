@@ -11,9 +11,9 @@
 //     per instance with nested phase spans (launch -> [plan ->] phase1
 //     -> equality -> flags -> claims -> commit; plan only on the instance
 //     that built its generation's plan), dispute barriers and
-//     rejoin/join rounds as spans on a control lane, anomalies and WAL
-//     syncs as instants, and stitched frames as flow arrows between
-//     processes;
+//     rejoin/join rounds as spans on a control lane, anomalies, WAL
+//     syncs and recoveries and mesh link drops and redials as instants
+//     there, and stitched frames as flow arrows between processes;
 //   - an aligned-text report on stdout: per-process event counts, the
 //     per-phase latency breakdown over committed instances, and frame
 //     stitching statistics (cross-process frame flight times).
@@ -123,7 +123,7 @@ func loadDumps(paths []string) ([]*process, error) {
 }
 
 // Lane (Chrome tid) assignment inside one process track: a control lane
-// for barriers/rounds/anomalies/WAL, a lane for frames whose launch
+// for barriers/rounds/anomalies/WAL/links, a lane for frames whose launch
 // event the ring already overwrote, and one lane per instance.
 const (
 	laneCtrl     = 0
@@ -343,7 +343,7 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 			instant(kind+":"+step, ev.TS, laneCtrl,
 				map[string]any{"round": ev.Arg, "watermark": ev.Inst})
 			switch ev.Step {
-			case flight.RoundAnnounce, flight.RoundSync:
+			case flight.RoundAnnounce, flight.RoundReconnect, flight.RoundSync:
 				if roundStart == 0 {
 					roundStart, roundName = ev.TS, kind
 				}
@@ -359,6 +359,11 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 			instant("wal-fsync", ev.TS, laneCtrl, map[string]any{"records": ev.Arg})
 		case flight.EvWALSnapshot:
 			instant("wal-snapshot", ev.TS, laneCtrl, nil)
+		case flight.EvWALRecover:
+			instant("wal-recover", ev.TS, laneCtrl,
+				map[string]any{"watermark": ev.K, "tail": ev.Inst, "replayed": ev.Arg})
+		case flight.EvLinkDown, flight.EvLinkUp:
+			instant(fmt.Sprintf("%s %d->%d", ev.Type, ev.Node, ev.Peer), ev.TS, laneCtrl, nil)
 		case flight.EvAnomaly:
 			st.anomalies++
 			instant("anomaly: "+flight.ReasonName(ev.Arg), ev.TS, laneCtrl, nil)

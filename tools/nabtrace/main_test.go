@@ -240,3 +240,65 @@ func TestRejectsForeignFile(t *testing.T) {
 		t.Fatal("expected an error for a non-dump file")
 	}
 }
+
+// TestControlLaneEvents renders a process that recovered its WAL, lost
+// and redialed a mesh link and redialed a restarted coordinator: each is
+// an instant on the control lane, and the rejoin round's span opens at
+// the reconnect.
+func TestControlLaneEvents(t *testing.T) {
+	const ms = int64(1_000_000)
+	d := flight.Dump{Meta: flight.Meta{Label: "node-2", Reason: "manual", Capacity: 1024, Total: 6}}
+	for i, ev := range []flight.Event{
+		{Type: flight.EvWALRecover, TS: 1 * ms, Node: -1, K: 5, Inst: 7, Arg: 5},
+		{Type: flight.EvLinkDown, TS: 2 * ms, Node: 2, Peer: 1},
+		{Type: flight.EvRejoinRound, TS: 3 * ms, Node: -1, Step: flight.RoundReconnect, Arg: 1, Inst: 5},
+		{Type: flight.EvRejoinRound, TS: 4 * ms, Node: -1, Step: flight.RoundSync, Arg: 2, Inst: 5},
+		{Type: flight.EvLinkUp, TS: 5 * ms, Node: 2, Peer: 1},
+		{Type: flight.EvRejoinRound, TS: 6 * ms, Node: -1, Step: flight.RoundResume, Arg: 2, Inst: 5},
+	} {
+		ev.Seq = uint64(i)
+		d.Events = append(d.Events, ev)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "node-2.dump")
+	if err := os.WriteFile(path, flight.Encode(d), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "trace.json")
+	var report bytes.Buffer
+	if err := run([]string{"-o", out, path}, &report); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"wal-recover": false, "link-down 2->1": false, "link-up 2->1": false, "rejoin:reconnect": false}
+	var round *traceEvent
+	for i, ev := range tf.TraceEvents {
+		if _, ok := want[ev.Name]; ok && ev.Ph == "i" && ev.TID == laneCtrl {
+			want[ev.Name] = true
+		}
+		if ev.Name == "wal-recover" && (ev.Args["watermark"] != 5.0 || ev.Args["tail"] != 7.0 || ev.Args["replayed"] != 5.0) {
+			t.Errorf("wal-recover args %v, want watermark 5, tail 7, replayed 5", ev.Args)
+		}
+		if ev.Name == "rejoin round 2" {
+			round = &tf.TraceEvents[i]
+		}
+	}
+	for name, seen := range want {
+		if !seen {
+			t.Errorf("no %q instant on the control lane", name)
+		}
+	}
+	// Timestamps are relative to the earliest event, the recovery at 1 ms.
+	if round == nil || round.TS != 2000 || round.Dur != 3000 {
+		t.Errorf("rejoin round span %+v, want it to open at the reconnect (2 ms in) and last 3 ms", round)
+	}
+}
