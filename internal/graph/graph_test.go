@@ -258,21 +258,52 @@ func randomConnectedDigraph(rng *rand.Rand, n int, maxCap int64) *Directed {
 	return g
 }
 
-func TestMinPairwiseMincutSumsAntiparallel(t *testing.T) {
-	// Undirected version: 1-2 carries 2+1 = 3, 2-3 and 1-3 carry 1 each.
-	// Isolating 3 cuts 1+1 = 2, isolating 2 cuts 3+1 = 4, isolating 1
-	// cuts 3+1 = 4, so U = 2.
+// TestUndirectedConversion checks the paper's undirected capacity: an
+// edge's capacity is the sum of its two directed capacities, and the
+// directed graph itself is left as it was.
+func TestUndirectedConversion(t *testing.T) {
 	g := NewDirected()
 	g.MustAddEdge(1, 2, 2)
-	g.MustAddEdge(2, 1, 1)
-	g.MustAddEdge(2, 3, 1)
-	g.MustAddEdge(3, 1, 1)
+	g.MustAddEdge(2, 1, 3)
 	got, err := g.MinPairwiseMincut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 2 {
-		t.Errorf("min pairwise mincut = %d, want 2", got)
+	if got != 5 {
+		t.Errorf("undirected cap(1,2) = %d, want 5", got)
+	}
+	g.MustAddEdge(2, 3, 1)
+	if got, err = g.MinPairwiseMincut(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Errorf("undirected cap(2,3) = %d, want 1", got)
+	}
+	if g.NumEdges() != 3 || g.Cap(1, 2) != 2 || g.Cap(2, 1) != 3 {
+		t.Errorf("MinPairwiseMincut changed g: %v", g)
+	}
+}
+
+// TestUndirectedMaxFlowAndPairwiseMincut checks U on a triangle whose
+// undirected capacities are 1-2:3, 2-3:1, 1-3:1. Isolating 3 cuts 1+1 = 2,
+// isolating 2 cuts 3+1 = 4, isolating 1 cuts 3+1 = 4, so U = 2 however
+// the capacities split between the two directions.
+func TestUndirectedMaxFlowAndPairwiseMincut(t *testing.T) {
+	for _, edges := range [][]Edge{
+		{{1, 2, 3}, {2, 3, 1}, {1, 3, 1}},
+		{{1, 2, 2}, {2, 1, 1}, {2, 3, 1}, {3, 1, 1}},
+	} {
+		g := NewDirected()
+		for _, e := range edges {
+			g.MustAddEdge(e.From, e.To, e.Cap)
+		}
+		got, err := g.MinPairwiseMincut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 2 {
+			t.Errorf("%v: min pairwise mincut = %d, want 2", edges, got)
+		}
 	}
 }
 

@@ -68,9 +68,11 @@ type Config struct {
 	//
 	// Every process of a cluster must drive its runtime with the same
 	// configuration and the same Run input sequence: the schedulers make
-	// identical launch/commit/barrier decisions (folds are deterministic
-	// and agreed), which keeps launch numbering — and therefore frame
-	// routing — aligned across processes without any coordination traffic.
+	// identical commit/barrier decisions (folds are deterministic and
+	// agreed), and an execution's launch number depends only on its
+	// instance, the barriers before it and the window, not on when its
+	// submission arrived. That keeps frame routing aligned across
+	// processes without any coordination traffic.
 	LocalNodes []graph.NodeID
 
 	// Plane resolves mid-instance schedule decisions for partial runtimes
@@ -627,6 +629,14 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 					Type: fr.EvBarrierClose, Node: -1,
 					K: int32(rt.ds.K()), Gen: int32(rt.ds.Gen()),
 				})
+			}
+			// Within a generation instance k always takes the same launch
+			// number, but how many instances a process had launched when
+			// the barrier fell depends on when its submissions arrived.
+			// Skip the numbers of a full window's launches it had no input
+			// for yet, so every process relaunches on the same numbers.
+			if full := f.k - 1 + rt.cfg.Window; next-1 < full {
+				rt.nextLaunch += uint64(full - (next - 1))
 			}
 			next = rt.ds.K() + 1
 		}

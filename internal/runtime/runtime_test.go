@@ -288,6 +288,68 @@ func TestPlanBuildsOncePerGenerationPipelined(t *testing.T) {
 	}
 }
 
+// TestLaunchNumbersIgnoreArrivalTiming pins what keeps cluster processes'
+// frame routing aligned: each execution's launch number is the same
+// whether the submissions were all queued up front or each arrived only
+// after the previous commit, across dispute barriers (alarm at 3, flip
+// at 5) that fall on a window the late feed had not filled.
+func TestLaunchNumbersIgnoreArrivalTiming(t *testing.T) {
+	cfg := core.Config{
+		Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 16, Seed: 5,
+		Adversaries: map[graph.NodeID]core.Adversary{3: adversary.FalseAlarm{}, 5: &adversary.BlockFlipper{}},
+	}
+	const q = 10
+	inputs := mkInputs(q, cfg.LenBytes)
+	launches := func(late bool) map[[2]int32]uint64 {
+		t.Helper()
+		flight.Default().Enable(1 << 16)
+		defer flight.Default().Disable() // the recorder is process-global
+		rt, err := runtime.New(runtime.Config{Config: cfg, Window: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		subs := make(chan []byte, q)
+		var commit func(*core.InstanceResult) error
+		if late {
+			subs <- inputs[0]
+			commit = func(ir *core.InstanceResult) error {
+				if ir.K < q {
+					subs <- inputs[ir.K]
+				} else {
+					close(subs)
+				}
+				return nil
+			}
+		} else {
+			for _, in := range inputs {
+				subs <- in
+			}
+			close(subs)
+		}
+		res, err := rt.RunStream(context.Background(), subs, commit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Replays == 0 && !late {
+			t.Fatal("expected speculative replays at the dispute barriers")
+		}
+		got := map[[2]int32]uint64{} // (instance, generation) -> launch
+		for _, ev := range flight.Default().Events() {
+			if ev.Type == flight.EvLaunch {
+				got[[2]int32{ev.K, ev.Gen}] = ev.Inst
+			}
+		}
+		return got
+	}
+	early, late := launches(false), launches(true)
+	for key, n := range late {
+		if want, ok := early[key]; !ok || n != want {
+			t.Errorf("instance %d gen %d: launch %d with late submissions, %d with all queued", key[0], key[1], n, want)
+		}
+	}
+}
+
 // TestStreamingRuns checks that consecutive Run calls continue the
 // instance sequence and dispute state — the daemon's streaming mode.
 func TestStreamingRuns(t *testing.T) {
