@@ -243,6 +243,7 @@ type AuditResult struct {
 // behaviour from.
 type auditContext struct {
 	gk      *graph.Directed
+	adj     map[graph.NodeID]*nodeAdj // gk's adjacency, as the plan holds it
 	source  graph.NodeID
 	trees   []*spantree.Arborescence
 	scheme  *coding.Scheme
@@ -255,7 +256,7 @@ type auditContext struct {
 // auditContext returns the audit parameters of instances run on pl.
 func (pl *InstancePlan) auditContext() *auditContext {
 	return &auditContext{
-		gk: pl.gk, source: pl.p.cfg.Source, trees: pl.trees, scheme: pl.scheme,
+		gk: pl.gk, adj: pl.adj, source: pl.p.cfg.Source, trees: pl.trees, scheme: pl.scheme,
 		lenBits: pl.p.lenBits, rho: pl.rho, symBits: pl.symBits, stripes: pl.stripes,
 	}
 }
@@ -350,14 +351,16 @@ func (ac *auditContext) Audit(claims map[graph.NodeID]*Claims) *AuditResult {
 			}
 		}
 	}
-	for _, e := range ac.gk.Edges() {
-		if claims[e.From] == nil || claims[e.To] == nil {
-			continue
-		}
-		s := sentC[[2]graph.NodeID{e.From, e.To}]
-		r := recvC[[2]graph.NodeID{e.From, e.To}]
-		if !symbolsEqual(s, r) {
-			addDispute(e.From, e.To)
+	for _, v := range nodes {
+		for _, e := range ac.adj[v].out {
+			if claims[e.From] == nil || claims[e.To] == nil {
+				continue
+			}
+			s := sentC[[2]graph.NodeID{e.From, e.To}]
+			r := recvC[[2]graph.NodeID{e.From, e.To}]
+			if !symbolsEqual(s, r) {
+				addDispute(e.From, e.To)
+			}
 		}
 	}
 
@@ -450,7 +453,7 @@ func (ac *auditContext) selfConsistent(
 	if err != nil {
 		return false
 	}
-	for _, e := range ac.gk.OutEdges(v) {
+	for _, e := range ac.adj[v].out {
 		// v's coded sends must be exactly its encoding: the check a
 		// receiver holding v's value would run on them.
 		mm, err := ac.scheme.CheckStripes(v, e.To, x, sentC[[2]graph.NodeID{v, e.To}])
@@ -459,7 +462,7 @@ func (ac *auditContext) selfConsistent(
 		}
 	}
 	flag := false
-	for _, e := range ac.gk.InEdges(v) {
+	for _, e := range ac.adj[v].in {
 		mm, err := ac.scheme.CheckStripes(e.From, v, x, recvC[[2]graph.NodeID{e.From, v}])
 		if err != nil {
 			return false

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nab/internal/coding"
@@ -121,7 +122,7 @@ func buildAuditFixture(t testing.TB) (*auditContext, map[graph.NodeID]*Claims, [
 		claims[v] = st.buildClaims()
 	}
 	ac := &auditContext{
-		gk: g, source: 1, trees: trees, scheme: scheme,
+		gk: g, adj: adj, source: 1, trees: trees, scheme: scheme,
 		lenBits: lenBits, rho: rho, symBits: symBits, stripes: 1,
 	}
 	return ac, claims, input
@@ -288,6 +289,79 @@ func TestAuditCodedClaimMismatchIsDispute(t *testing.T) {
 	}
 	if !okDispute && len(res.Faulty) == 0 {
 		t.Errorf("coded lie made no progress: %+v", res)
+	}
+}
+
+// TestAgreeAudit drives the Phase 3 agreement step with four local nodes'
+// decided transcripts: identical decisions are audited once and share the
+// result, and a node that decided other bytes is audited again, failing
+// the instance only if its findings differ.
+func TestAgreeAudit(t *testing.T) {
+	ac, claims, input := buildAuditFixture(t)
+	participants := ac.gk.Nodes()
+	runs := 0
+	audit := func(raw [][]byte) *AuditResult {
+		runs++
+		decoded := map[graph.NodeID]*Claims{}
+		for i, q := range participants {
+			c := DecodeClaims(raw[i])
+			if c != nil {
+				c.Flag = claims[q].Flag // the agreed flag, as ExecuteLocal sets it
+			}
+			decoded[q] = c
+		}
+		return ac.Audit(decoded)
+	}
+	// decisions encodes every participant's claims, after edit changes a
+	// fresh copy of node 2's.
+	decisions := func(edit func(c *Claims)) [][]byte {
+		raw := make([][]byte, len(participants))
+		for i, q := range participants {
+			c := DecodeClaims(claims[q].Marshal())
+			if q == 2 && edit != nil {
+				edit(c)
+			}
+			raw[i] = c.Marshal()
+		}
+		return raw
+	}
+	nodes := []graph.NodeID{1, 2, 3, 4}
+	decided := [][][]byte{decisions(nil), decisions(nil), decisions(nil), decisions(nil)}
+
+	results, err := agreeAudit(7, nodes, decided, audit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 {
+		t.Errorf("identical decisions audited %d times, want once", runs)
+	}
+	for i, res := range results {
+		if res != results[0] || !bytes.Equal(res.Output, input) {
+			t.Errorf("node %d: result %+v, want the shared clean audit", nodes[i], res)
+		}
+	}
+
+	// Node 3 decided node 2 sent other coded symbols: a different audit.
+	runs = 0
+	decided[2] = decisions(func(c *Claims) { c.SentCoded[0].Symbols[0] ^= 1 })
+	_, err = agreeAudit(7, nodes, decided, audit)
+	if err == nil || !strings.Contains(err.Error(), "audit divergence at node 3 (bug)") {
+		t.Fatalf("diverging audit: err = %v", err)
+	}
+	if runs != 2 {
+		t.Errorf("audited %d times, want 2", runs)
+	}
+
+	// Node 3 decided node 2 announced the other flag: other bytes, but the
+	// audit reads the agreed flag, so the findings agree.
+	runs = 0
+	decided[2] = decisions(func(c *Claims) { c.Flag = !c.Flag })
+	results, err = agreeAudit(7, nodes, decided, audit)
+	if err != nil {
+		t.Fatalf("equal audits of different bytes: %v", err)
+	}
+	if runs != 2 || results[2] == results[0] || !auditEqual(results[2], results[0]) {
+		t.Errorf("audited %d times (want 2); node 3 result %+v, node 1 %+v", runs, results[2], results[0])
 	}
 }
 

@@ -2,8 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"maps"
 	"math/rand"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"nab/internal/adversary"
@@ -234,5 +242,71 @@ func TestPlanBuildsOncePerGeneration(t *testing.T) {
 				t.Fatalf("plans built by instances %v, want one per generation, by %v", got, tc.build)
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/plans.golden")
+
+// TestPlansGolden pins the generation-0 plans of dispute_churn's K7 and
+// paced_thin's thin7 to testdata/plans.golden: the scheme draw count, a
+// digest of every edge matrix, and every arborescence. The file was
+// written by the map-mutating arborescence packer the flow-net packer
+// replaced, so a plan that moves shows here.
+func TestPlansGolden(t *testing.T) {
+	thin7, err := topo.OneThinLink(7, 2, 3, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"K7 f=2 1KiB", core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1 << 10, Seed: 1}},
+		{"thin7 f=1 4KiB", core.Config{Graph: thin7, Source: 1, F: 1, LenBytes: 4 << 10, Seed: 1}},
+	} {
+		p, err := core.NewProtocol(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := core.NewDisputeState(tc.cfg.Graph)
+		pl, err := p.PlanInstance(ds, 1, rand.New(rand.NewSource(core.PlanSeed(tc.cfg.Seed, ds.Gen()))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := pl.Fields(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s: tries=%d gamma=%d rho=%d symbits=%d stripes=%d depth=%d\n",
+			tc.name, f.Tries, f.Gamma, f.Rho, f.SymBits, f.Stripes, f.MaxDepth)
+		edges := slices.SortedFunc(maps.Keys(f.Matrices), func(a, b graph.Edge) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+		})
+		h := sha256.New()
+		for _, e := range edges {
+			fmt.Fprintf(h, "%d->%d\n%s", e.From, e.To, f.Matrices[e])
+		}
+		fmt.Fprintf(&sb, "  matrices sha256 %x\n", h.Sum(nil))
+		for i, tr := range f.Trees {
+			fmt.Fprintf(&sb, "  tree %d:", i)
+			for _, e := range tr {
+				fmt.Fprintf(&sb, " %d->%d", e.From, e.To)
+			}
+			sb.WriteString("\n")
+		}
+	}
+	const golden = "testdata/plans.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("plans differ from %s:\n%s", golden, sb.String())
 	}
 }

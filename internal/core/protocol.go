@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"nab/internal/bb"
@@ -611,10 +612,17 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	ir.DisputeTime = dc.CutThroughTime()
 
 	ac := pl.auditContext()
-	decodeAudit := func(nd *bb.Node) *AuditResult {
-		claims := map[graph.NodeID]*Claims{}
-		for _, q := range participants {
-			c := DecodeClaims(nd.Decide(q))
+	decide := func(nd *bb.Node) [][]byte {
+		raw := make([][]byte, len(participants))
+		for i, q := range participants {
+			raw[i] = nd.Decide(q)
+		}
+		return raw
+	}
+	audit := func(raw [][]byte) *AuditResult {
+		claims := make(map[graph.NodeID]*Claims, len(participants))
+		for i, q := range participants {
+			c := DecodeClaims(raw[i])
 			if c != nil && c.Node != q {
 				c = nil // claiming to be someone else: discard
 			}
@@ -625,28 +633,30 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 		}
 		return ac.Audit(claims)
 	}
-	var agreed *AuditResult
+	var auditors []graph.NodeID
+	var decided [][][]byte
 	for _, v := range honest {
-		if !view.local(v) {
-			continue
+		if nd := claimNodes.nodes[v]; nd != nil && view.local(v) {
+			auditors = append(auditors, v)
+			decided = append(decided, decide(nd))
 		}
-		nd := claimNodes.nodes[v]
-		if nd == nil {
-			continue
-		}
-		res := decodeAudit(nd)
-		if agreed == nil {
-			agreed = res
-		} else if !auditEqual(agreed, res) {
-			return nil, fmt.Errorf("core: instance %d: audit divergence at node %d (bug)", k, v)
-		}
-		ir.Outputs[v] = res.Output
+	}
+	results, err := agreeAudit(k, auditors, decided, audit)
+	if err != nil {
+		return nil, err
+	}
+	var agreed *AuditResult
+	for i, v := range auditors {
+		ir.Outputs[v] = results[i].Output
+	}
+	if len(results) > 0 {
+		agreed = results[0]
 	}
 	if agreed == nil && view.partial() {
 		// Fall back to a local faulty node's passive decode for the fold.
 		for _, q := range participants {
 			if nd := claimNodes.nodes[q]; nd != nil {
-				agreed = decodeAudit(nd)
+				agreed = audit(decide(nd))
 				break
 			}
 		}
@@ -809,6 +819,27 @@ func (p *Protocol) runBroadcast(engine PhaseEngine, states map[graph.NodeID]*nod
 		nd.Finish()
 	}
 	return &broadcastResult{nodes: nodes, stats: stats}, nil
+}
+
+// agreeAudit audits the claims every local fault-free node decided and
+// checks that their findings agree; decided[i] holds nodes[i]'s decision
+// for each participant. Audit is a pure function of those bytes, so a node
+// whose decisions equal the first node's shares its result, and only a
+// node that decided other bytes is audited again, which must reach the
+// same findings.
+func agreeAudit(k int, nodes []graph.NodeID, decided [][][]byte, audit func([][]byte) *AuditResult) ([]*AuditResult, error) {
+	results := make([]*AuditResult, len(decided))
+	for i, raw := range decided {
+		if i > 0 && slices.EqualFunc(raw, decided[0], bytes.Equal) {
+			results[i] = results[0]
+			continue
+		}
+		results[i] = audit(raw)
+		if i > 0 && !auditEqual(results[0], results[i]) {
+			return nil, fmt.Errorf("core: instance %d: audit divergence at node %d (bug)", k, nodes[i])
+		}
+	}
+	return results, nil
 }
 
 func auditEqual(a, b *AuditResult) bool {

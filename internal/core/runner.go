@@ -39,7 +39,10 @@ type InstanceResult struct {
 	Rho     int
 	SymBits uint
 	Stripes int
-	// Outputs maps each fault-free node to its decided value.
+	// Outputs maps each fault-free node to its decided value. Values are
+	// read-only: nodes that decided the same bytes may share one backing
+	// array (every node's default value when the source is gone, and the
+	// one audited output after Phase 3).
 	Outputs map[graph.NodeID][]byte
 	// Mismatch reports whether any (agreed) flag was MISMATCH.
 	Mismatch bool

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -560,6 +561,38 @@ func BenchmarkInstanceWithDisputeControl(b *testing.B) {
 		if _, err := r.RunInstance(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlanInstance times one generation-0 plan (relay table excluded,
+// it is built by NewProtocol): the coding scheme draw and its verification,
+// and the arborescence packing. The shapes are dispute_churn's K7 and
+// paced_thin's thin7.
+func BenchmarkPlanInstance(b *testing.B) {
+	thin7, err := topo.OneThinLink(7, 2, 3, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"K7_f2_1KiB", core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1 << 10, Seed: 1}},
+		{"thin7_f1_4KiB", core.Config{Graph: thin7, Source: 1, F: 1, LenBytes: 4 << 10, Seed: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p, err := core.NewProtocol(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds := core.NewDisputeState(bc.cfg.Graph)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.PlanInstance(ds, 1, rand.New(rand.NewSource(bc.cfg.Seed))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 	"slices"
 )
 
-// flowNet is a Dinic max-flow solver over an arbitrary arc list. It is
-// built fresh per query, except that MinPairwiseMincut restores the
-// residual capacities between its flows; graphs at NAB scale are small so
-// clarity wins.
+// flowNet is a Dinic max-flow solver over an arbitrary arc list. A query
+// that runs several flows on one graph (Net, MinPairwiseMincut) builds it
+// once and restores the residual capacities between its flows.
 type flowNet struct {
 	n     int
 	to    []int   // arc head
@@ -17,6 +16,7 @@ type flowNet struct {
 	head  [][]int // adjacency: node -> arc indices
 	level []int
 	iter  []int
+	queue []int // bfs's queue, reused by every phase
 }
 
 // newFlowNet returns an empty net of n nodes with room for the given
@@ -24,7 +24,7 @@ type flowNet struct {
 // regrow the arc arrays: relay.NewTable builds one per ordered node pair
 // on every Open.
 func newFlowNet(n, arcs int) *flowNet {
-	return &flowNet{n: n, to: make([]int, 0, 2*arcs), cap: make([]int64, 0, 2*arcs), head: make([][]int, n), level: make([]int, n), iter: make([]int, n)}
+	return &flowNet{n: n, to: make([]int, 0, 2*arcs), cap: make([]int64, 0, 2*arcs), head: make([][]int, n), level: make([]int, n), iter: make([]int, n), queue: make([]int, 0, n)}
 }
 
 func (fn *flowNet) addArc(from, to int, c int64) int {
@@ -40,12 +40,10 @@ func (fn *flowNet) bfs(s, t int) bool {
 	for i := range fn.level {
 		fn.level[i] = -1
 	}
-	queue := make([]int, 0, fn.n)
 	fn.level[s] = 0
-	queue = append(queue, s)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue := append(fn.queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
 		for _, id := range fn.head[v] {
 			if fn.cap[id] > 0 && fn.level[fn.to[id]] < 0 {
 				fn.level[fn.to[id]] = fn.level[v] + 1
@@ -53,6 +51,7 @@ func (fn *flowNet) bfs(s, t int) bool {
 			}
 		}
 	}
+	fn.queue = queue
 	return fn.level[t] >= 0
 }
 
@@ -144,26 +143,74 @@ func (g *Directed) BroadcastMincut(src NodeID) (int64, error) {
 	if !g.HasNode(src) {
 		return 0, fmt.Errorf("graph: source %d not in graph", src)
 	}
-	best := int64(math.MaxInt64)
-	for _, v := range g.Nodes() {
-		if v == src {
-			continue
-		}
-		mc, err := g.MaxFlow(src, v)
-		if err != nil {
-			return 0, err
-		}
-		if mc < best {
-			best = mc
-		}
-	}
 	if g.NumNodes() < 2 {
 		return 0, fmt.Errorf("graph: broadcast mincut needs at least 2 nodes")
 	}
+	best := NewNet(g).MinFlowFrom(src, 0)
 	if best == 0 {
 		return 0, fmt.Errorf("graph: some node unreachable from %d", src)
 	}
 	return best, nil
+}
+
+// Net is a flow net over one graph's edges whose capacities change in
+// place between flow queries, so a caller probing many capacity variants
+// of a graph builds the net once. Edge i is the graph's i-th edge in
+// (From, To) order; an edge whose capacity drops to 0 carries no flow, as
+// if it were removed.
+type Net struct {
+	nodes []NodeID
+	edges []Edge // Cap is the edge's current capacity; edge i is arc 2i
+	fn    *flowNet
+}
+
+// NewNet returns the flow net of g's nodes and edges.
+func NewNet(g *Directed) *Net {
+	nodes, edges := g.Nodes(), g.Edges()
+	ix := newIndexer(nodes)
+	fn := newFlowNet(len(nodes), len(edges))
+	for _, e := range edges {
+		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
+	}
+	return &Net{nodes: nodes, edges: edges, fn: fn}
+}
+
+// Nodes returns the net's vertices in ascending order. The slice is the
+// net's own; callers must not modify it.
+func (nt *Net) Nodes() []NodeID { return nt.nodes }
+
+// Edges returns the net's edges in (From, To) order with their current
+// capacities. The slice is the net's own; change capacities with AddCap.
+func (nt *Net) Edges() []Edge { return nt.edges }
+
+// AddCap changes edge i's capacity by d.
+func (nt *Net) AddCap(i int, d int64) { nt.edges[i].Cap += d }
+
+// MinFlowFrom returns the least max-flow from src to any other node under
+// the current capacities: the broadcast mincut. It stops at the first
+// node, in ascending order, whose flow is below floor and returns that
+// flow, so the result is exact for floor <= 0. With no other node it
+// returns math.MaxInt64. src must be a node of the net.
+func (nt *Net) MinFlowFrom(src NodeID, floor int64) int64 {
+	s, ok := slices.BinarySearch(nt.nodes, src)
+	if !ok {
+		panic(fmt.Sprintf("graph: flow source %d not in net", src))
+	}
+	best := int64(math.MaxInt64)
+	for t := range nt.nodes {
+		if t == s {
+			continue
+		}
+		for i, e := range nt.edges {
+			nt.fn.cap[2*i], nt.fn.cap[2*i+1] = e.Cap, 0
+		}
+		flow := nt.fn.maxflow(s, t)
+		best = min(best, flow)
+		if flow < floor {
+			break
+		}
+	}
+	return best
 }
 
 // MinPairwiseMincut returns U_H of the paper for H = g: the minimum over

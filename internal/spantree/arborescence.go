@@ -112,6 +112,10 @@ func (a *Arborescence) Validate(g *graph.Directed) error {
 // such that the number of trees using each directed edge never exceeds its
 // capacity. It returns an error if MINCUT(g, root, v) < k for some v
 // (Edmonds' condition) or if extraction fails unexpectedly.
+//
+// The trees are grown on one flow net of g: taking an edge into a tree,
+// probing it and backtracking change that edge's capacity in the net, and
+// g itself is never modified.
 func PackArborescences(g *graph.Directed, root graph.NodeID, k int) ([]*Arborescence, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: k = %d must be positive", k)
@@ -119,20 +123,11 @@ func PackArborescences(g *graph.Directed, root graph.NodeID, k int) ([]*Arboresc
 	if !g.HasNode(root) {
 		return nil, fmt.Errorf("spantree: root %d not in graph", root)
 	}
-	for _, v := range g.Nodes() {
-		if v == root {
-			continue
-		}
-		mc, err := g.MaxFlow(root, v)
-		if err != nil {
-			return nil, fmt.Errorf("spantree: %w", err)
-		}
-		if mc < int64(k) {
-			return nil, fmt.Errorf("spantree: MINCUT(root,%d) = %d < k = %d", v, mc, k)
-		}
+	work := graph.NewNet(g)
+	if gamma := work.MinFlowFrom(root, 0); gamma < int64(k) {
+		return nil, fmt.Errorf("spantree: broadcast mincut from root %d is %d < k = %d", root, gamma, k)
 	}
 
-	work := g.Clone()
 	trees := make([]*Arborescence, 0, k)
 	for t := k; t >= 1; t-- {
 		// extractArborescence consumes one capacity unit per tree edge from
@@ -146,23 +141,14 @@ func PackArborescences(g *graph.Directed, root graph.NodeID, k int) ([]*Arboresc
 	return trees, nil
 }
 
-// decCap reduces edge capacity by one, removing the edge at zero.
-func decCap(g *graph.Directed, from, to graph.NodeID) {
-	c := g.Cap(from, to)
-	g.RemoveEdge(from, to)
-	if c > 1 {
-		g.MustAddEdge(from, to, c-1)
-	}
-}
-
-// extractArborescence grows one spanning arborescence in work (a graph
+// extractArborescence grows one spanning arborescence in work (a net
 // whose every vertex has mincut >= t from root) such that after removing
 // the tree's edges every vertex retains mincut >= t-1. Candidate edges are
 // accepted under the strong Lovász safety condition; if no candidate
 // passes, the search backtracks (existence is guaranteed by Edmonds'
 // theorem, so backtracking is insurance against pathological tie-breaks).
-func extractArborescence(work *graph.Directed, root graph.NodeID, t int) (*Arborescence, error) {
-	nodes := work.Nodes()
+func extractArborescence(work *graph.Net, root graph.NodeID, t int) (*Arborescence, error) {
+	nodes, edges := work.Nodes(), work.Edges()
 	parent := map[graph.NodeID]graph.NodeID{}
 	inTree := map[graph.NodeID]bool{root: true}
 
@@ -171,20 +157,21 @@ func extractArborescence(work *graph.Directed, root graph.NodeID, t int) (*Arbor
 		if len(inTree) == len(nodes) {
 			return true
 		}
-		for _, e := range candidateEdges(work, inTree) {
-			if !safeEdge(work, root, t, inTree, e) {
+		for _, i := range candidateEdges(edges, inTree) {
+			if !safeEdge(work, root, t, i) {
 				continue
 			}
+			e := edges[i]
 			parent[e.To] = e.From
 			inTree[e.To] = true
-			decCap(work, e.From, e.To)
+			work.AddCap(i, -1)
 			if grow() {
 				return true
 			}
 			// backtrack
 			delete(parent, e.To)
 			delete(inTree, e.To)
-			incCap(work, e.From, e.To)
+			work.AddCap(i, 1)
 		}
 		return false
 	}
@@ -194,43 +181,28 @@ func extractArborescence(work *graph.Directed, root graph.NodeID, t int) (*Arbor
 	return &Arborescence{Root: root, Parent: parent}, nil
 }
 
-func incCap(g *graph.Directed, from, to graph.NodeID) {
-	c := g.Cap(from, to)
-	g.RemoveEdge(from, to)
-	g.MustAddEdge(from, to, c+1)
-}
-
-// candidateEdges returns edges from inside the partial tree to outside,
-// in deterministic order.
-func candidateEdges(work *graph.Directed, inTree map[graph.NodeID]bool) []graph.Edge {
-	var out []graph.Edge
-	for _, e := range work.Edges() {
-		if inTree[e.From] && !inTree[e.To] {
-			out = append(out, e)
+// candidateEdges returns the indices of the edges with capacity left from
+// inside the partial tree to outside, in (From, To) order.
+func candidateEdges(edges []graph.Edge, inTree map[graph.NodeID]bool) []int {
+	var out []int
+	for i, e := range edges {
+		if e.Cap > 0 && inTree[e.From] && !inTree[e.To] {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// safeEdge reports whether consuming one unit of e keeps
+// safeEdge reports whether consuming one unit of work's edge i keeps
 // MINCUT(root, v) >= t-1 for every vertex v outside the grown tree and
 // every vertex already inside it (the strong invariant guaranteeing the
 // remaining graph supports the other t-1 trees).
-func safeEdge(work *graph.Directed, root graph.NodeID, t int, inTree map[graph.NodeID]bool, e graph.Edge) bool {
-	decCap(work, e.From, e.To)
-	defer incCap(work, e.From, e.To)
+func safeEdge(work *graph.Net, root graph.NodeID, t int, i int) bool {
 	need := int64(t - 1)
 	if need == 0 {
 		return true
 	}
-	for _, v := range work.Nodes() {
-		if v == root {
-			continue
-		}
-		mc, err := work.MaxFlow(root, v)
-		if err != nil || mc < need {
-			return false
-		}
-	}
-	return true
+	work.AddCap(i, -1)
+	defer work.AddCap(i, 1)
+	return work.MinFlowFrom(root, need) >= need
 }
