@@ -187,12 +187,13 @@ func runJoinFromSnapshot(t *testing.T, q, snapEvery, killAfter int, chaos *trans
 // TestClusterJoinFromSnapshot is the tentpole's acceptance check: a
 // blank-WAL process joins a live 4-process TCP cluster mid-stream from a
 // digest-validated snapshot, and the merged commit sequence + dispute
-// sets stay byte-identical to the lockstep oracle.
+// sets stay byte-identical to the lockstep oracle. The stream is long
+// enough that the kill after 10 commits lands mid-stream.
 func TestClusterJoinFromSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e skipped in -short mode")
 	}
-	runJoinFromSnapshot(t, 32, 8, 10, nil)
+	runJoinFromSnapshot(t, 48, 8, 10, nil)
 }
 
 // TestClusterJoinFromSnapshotUnderChaos layers the PR 7 hostile physics —

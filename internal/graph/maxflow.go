@@ -7,8 +7,8 @@ import (
 )
 
 // flowNet is a Dinic max-flow solver over an arbitrary arc list. A query
-// that runs several flows on one graph (Net, MinPairwiseMincut) builds it
-// once and restores the residual capacities between its flows.
+// that runs several flows on one graph (Net, PathNet, MinPairwiseMincut)
+// builds it once and restores the residual capacities between its flows.
 type flowNet struct {
 	n     int
 	to    []int   // arc head
@@ -21,8 +21,7 @@ type flowNet struct {
 
 // newFlowNet returns an empty net of n nodes with room for the given
 // number of arcs (each stored with its reverse), so building it does not
-// regrow the arc arrays: relay.NewTable builds one per ordered node pair
-// on every Open.
+// regrow the arc arrays.
 func newFlowNet(n, arcs int) *flowNet {
 	return &flowNet{n: n, to: make([]int, 0, 2*arcs), cap: make([]int64, 0, 2*arcs), head: make([][]int, n), level: make([]int, n), iter: make([]int, n), queue: make([]int, 0, n)}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeDisjointPaths returns up to want internally-node-disjoint directed
@@ -10,14 +11,54 @@ import (
 // t). It uses unit-capacity node splitting so no two returned paths share an
 // intermediate node; the direct edge s->t, if present, yields the
 // single-hop path. Fewer than want paths are returned when the graph cannot
-// support them; callers check len(result).
+// support them; callers check len(result). A caller that needs many pairs
+// builds one PathNet instead.
 //
 // This is the substrate for the paper's complete-graph emulation: with
 // connectivity >= 2f+1 and at most f faults, sending a message along 2f+1
 // node-disjoint paths and taking the majority at the receiver implements
 // reliable end-to-end communication between fault-free nodes.
 func (g *Directed) NodeDisjointPaths(s, t NodeID, want int) ([][]NodeID, error) {
-	if !g.HasNode(s) || !g.HasNode(t) {
+	return NewPathNet(g).Paths(s, t, want)
+}
+
+// PathNet is the split-node flow net of NodeDisjointPaths, built once for
+// a graph and reset per pair. Every node v is split into v_in -> v_out
+// with capacity 1, and every edge (u,v) becomes u_out -> v_in with
+// capacity 1 (a path uses an edge at most once). Every ordered pair's net
+// has these same arcs; only the pair's own endpoints get infinite internal
+// capacity.
+type PathNet struct {
+	nodes []NodeID // ascending; node i is split into 2i (in) and 2i+1 (out)
+	edges [][2]int // edge j's endpoint positions; its arc is 2(len(nodes)+j)
+	fn    *flowNet
+	full  []int64 // every arc's capacity with no endpoint set
+	used  [][]int // per node position: heads of the edges the flow used
+}
+
+// NewPathNet builds the split-node net of g.
+func NewPathNet(g *Directed) *PathNet {
+	nodes := g.Nodes()
+	n := len(nodes)
+	ix := newIndexer(nodes)
+	pn := &PathNet{nodes: nodes, fn: newFlowNet(2*n, n+g.NumEdges()), used: make([][]int, n)}
+	for i := range nodes {
+		pn.fn.addArc(2*i, 2*i+1, 1)
+	}
+	for _, e := range g.Edges() {
+		u, v := ix.idx[e.From], ix.idx[e.To]
+		pn.fn.addArc(2*u+1, 2*v, 1)
+		pn.edges = append(pn.edges, [2]int{u, v})
+	}
+	pn.full = slices.Clone(pn.fn.cap)
+	return pn
+}
+
+// Paths is NodeDisjointPaths(s, t, want) on the net's graph.
+func (pn *PathNet) Paths(s, t NodeID, want int) ([][]NodeID, error) {
+	si, okS := slices.BinarySearch(pn.nodes, s)
+	ti, okT := slices.BinarySearch(pn.nodes, t)
+	if !okS || !okT {
 		return nil, fmt.Errorf("graph: path endpoints %d,%d not both present", s, t)
 	}
 	if s == t {
@@ -26,66 +67,49 @@ func (g *Directed) NodeDisjointPaths(s, t NodeID, want int) ([][]NodeID, error) 
 	if want <= 0 {
 		return nil, fmt.Errorf("graph: want %d paths, must be positive", want)
 	}
-
-	// Split every node v into v_in -> v_out with capacity 1, except s and t
-	// which get infinite internal capacity. Each original edge (u,v) becomes
-	// u_out -> v_in with capacity 1 (a path uses an edge at most once).
-	nodes := g.Nodes()
-	ix := newIndexer(nodes)
-	n := len(nodes)
-	inOf := func(i int) int { return 2 * i }
-	outOf := func(i int) int { return 2*i + 1 }
-	fn := newFlowNet(2*n, n+g.NumEdges())
+	fn, n := pn.fn, len(pn.nodes)
+	copy(fn.cap, pn.full)
 	const inf = int64(math.MaxInt32)
-	for i, v := range nodes {
-		c := int64(1)
-		if v == s || v == t {
-			c = inf
-		}
-		fn.addArc(inOf(i), outOf(i), c)
-	}
-	type arcEdge struct {
-		arc  int
-		from NodeID
-		to   NodeID
-	}
-	arcs := make([]arcEdge, 0, g.NumEdges())
-	for _, e := range g.Edges() {
-		id := fn.addArc(outOf(ix.idx[e.From]), inOf(ix.idx[e.To]), 1)
-		arcs = append(arcs, arcEdge{arc: id, from: e.From, to: e.To})
-	}
-	// Limit total flow to want paths via a super-source arc.
-	// Simpler: run full maxflow and trim.
-	val := fn.maxflow(outOf(ix.idx[s]), inOf(ix.idx[t]))
+	fn.cap[2*si], fn.cap[2*ti] = inf, inf
+	val := fn.maxflow(2*si+1, 2*ti)
 	if val == 0 {
 		return nil, nil
 	}
 
 	// Collect used edges and decompose into paths by walking from s.
-	usedOut := map[NodeID][]NodeID{}
-	for _, ae := range arcs {
-		if fn.cap[ae.arc] == 0 { // saturated unit arc => used
-			usedOut[ae.from] = append(usedOut[ae.from], ae.to)
+	for i := range pn.used {
+		pn.used[i] = pn.used[i][:0]
+	}
+	for j, e := range pn.edges {
+		if fn.cap[2*(n+j)] == 0 { // saturated unit arc => used
+			pn.used[e[0]] = append(pn.used[e[0]], e[1])
 		}
 	}
-	paths := make([][]NodeID, 0, val)
-	for p := int64(0); p < val && len(paths) < want; p++ {
-		path := []NodeID{s}
-		cur := s
-		for cur != t {
-			outs := usedOut[cur]
+	// Every path's nodes go into one array; the paths are windows of it.
+	var flat []NodeID
+	var ends []int
+	for p := int64(0); p < val && len(ends) < want; p++ {
+		first := len(flat)
+		flat = append(flat, s)
+		for cur := si; cur != ti; {
+			outs := pn.used[cur]
 			if len(outs) == 0 {
-				return nil, fmt.Errorf("graph: internal error decomposing flow at node %d", cur)
+				return nil, fmt.Errorf("graph: internal error decomposing flow at node %d", pn.nodes[cur])
 			}
-			next := outs[len(outs)-1]
-			usedOut[cur] = outs[:len(outs)-1]
-			path = append(path, next)
-			cur = next
-			if len(path) > g.NumNodes()+1 {
+			pn.used[cur] = outs[:len(outs)-1]
+			cur = outs[len(outs)-1]
+			flat = append(flat, pn.nodes[cur])
+			if len(flat)-first > n+1 {
 				return nil, fmt.Errorf("graph: internal error: path exceeds node count (cycle in flow)")
 			}
 		}
-		paths = append(paths, path)
+		ends = append(ends, len(flat))
+	}
+	paths := make([][]NodeID, len(ends))
+	first := 0
+	for i, end := range ends {
+		paths[i] = flat[first:end:end]
+		first = end
 	}
 	return paths, nil
 }
@@ -108,19 +132,18 @@ func (g *Directed) VertexConnectivity() (int, error) {
 	if len(nodes) < 2 {
 		return 0, fmt.Errorf("graph: connectivity needs at least 2 nodes")
 	}
+	pn := NewPathNet(g)
 	best := math.MaxInt
 	for _, s := range nodes {
 		for _, t := range nodes {
 			if s == t {
 				continue
 			}
-			k, err := g.VertexConnectivityPair(s, t)
+			paths, err := pn.Paths(s, t, g.NumNodes()*g.NumNodes()+1)
 			if err != nil {
 				return 0, err
 			}
-			if k < best {
-				best = k
-			}
+			best = min(best, len(paths))
 		}
 	}
 	return best, nil

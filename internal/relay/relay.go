@@ -15,6 +15,7 @@ package relay
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"nab/internal/graph"
@@ -25,31 +26,34 @@ import (
 type Table struct {
 	k      int
 	rounds int
-	paths  map[[2]graph.NodeID][][]graph.NodeID
+	nodes  []graph.NodeID     // ascending
+	paths  [][][]graph.NodeID // paths[i*len(nodes)+j]: nodes[i] -> nodes[j]
 }
 
 // NewTable computes k node-disjoint paths for every ordered pair of nodes
-// in g. It returns an error if some pair cannot support k paths (the
-// network's connectivity is below k).
+// in g, on one split-node flow net reset per pair. It returns an error if
+// some pair cannot support k paths (the network's connectivity is below
+// k).
 func NewTable(g *graph.Directed, k int) (*Table, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("relay: k = %d must be positive", k)
 	}
-	t := &Table{k: k, paths: map[[2]graph.NodeID][][]graph.NodeID{}}
 	nodes := g.Nodes()
-	for _, s := range nodes {
-		for _, d := range nodes {
+	t := &Table{k: k, nodes: nodes, paths: make([][][]graph.NodeID, len(nodes)*len(nodes))}
+	pn := graph.NewPathNet(g)
+	for i, s := range nodes {
+		for j, d := range nodes {
 			if s == d {
 				continue
 			}
-			paths, err := g.NodeDisjointPaths(s, d, k)
+			paths, err := pn.Paths(s, d, k)
 			if err != nil {
 				return nil, fmt.Errorf("relay: paths %d->%d: %w", s, d, err)
 			}
 			if len(paths) < k {
 				return nil, fmt.Errorf("relay: only %d node-disjoint paths %d->%d, need %d (connectivity too low)", len(paths), s, d, k)
 			}
-			t.paths[[2]graph.NodeID{s, d}] = paths
+			t.paths[i*len(nodes)+j] = paths
 			for _, p := range paths {
 				if hops := len(p) - 1; hops > t.rounds {
 					t.rounds = hops
@@ -69,7 +73,12 @@ func (t *Table) Rounds() int { return t.rounds }
 
 // Paths returns the precomputed paths from s to d (nil if absent).
 func (t *Table) Paths(s, d graph.NodeID) [][]graph.NodeID {
-	return t.paths[[2]graph.NodeID{s, d}]
+	i, okS := slices.BinarySearch(t.nodes, s)
+	j, okD := slices.BinarySearch(t.nodes, d)
+	if !okS || !okD {
+		return nil
+	}
+	return t.paths[i*len(t.nodes)+j]
 }
 
 // Packet is the wire format of one path copy. Copies travel as *Packet,

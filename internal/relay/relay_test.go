@@ -2,6 +2,7 @@ package relay
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"nab/internal/graph"
@@ -44,6 +45,56 @@ func TestNewTableValidation(t *testing.T) {
 	}
 	if p := tab.Paths(1, 1); p != nil {
 		t.Error("self path should be nil")
+	}
+}
+
+// TestTableMatchesNodeDisjointPaths: the positional table answers every
+// ordered pair with that pair's own NodeDisjointPaths, and a pair with a
+// node outside the graph with nil. (graph's TestPathNetMatchesPerPairNets
+// pins the shared flow net against a net built per pair.)
+func TestTableMatchesNodeDisjointPaths(t *testing.T) {
+	ring := graph.NewDirected()
+	for i := 1; i <= 6; i++ {
+		for _, d := range []int{1, 2} {
+			j := graph.NodeID((i-1+d)%6 + 1)
+			ring.MustAddEdge(graph.NodeID(i), j, 1)
+			ring.MustAddEdge(j, graph.NodeID(i), 1)
+		}
+	}
+	for _, tc := range []struct {
+		g *graph.Directed
+		k int
+	}{{completeBi(7, 1), 5}, {completeBi(4, 2), 3}, {ring, 3}} {
+		tab, err := NewTable(tc.g, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range tc.g.Nodes() {
+			for _, d := range tc.g.Nodes() {
+				want, _ := tc.g.NodeDisjointPaths(s, d, tc.k)
+				if got := tab.Paths(s, d); !reflect.DeepEqual(got, want) {
+					t.Errorf("n = %d: Paths(%d, %d) = %v, want %v", tc.g.NumNodes(), s, d, got, want)
+				}
+			}
+			if p := tab.Paths(s, 99); p != nil {
+				t.Errorf("Paths(%d, 99) = %v, want nil", s, p)
+			}
+			if p := tab.Paths(0, s); p != nil {
+				t.Errorf("Paths(0, %d) = %v, want nil", s, p)
+			}
+		}
+	}
+}
+
+// BenchmarkNewTable times the relay table of K7 with 2f+1 = 5 paths per
+// pair, which every Open builds.
+func BenchmarkNewTable(b *testing.B) {
+	g := completeBi(7, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTable(g, 5); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

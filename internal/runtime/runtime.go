@@ -5,8 +5,11 @@
 // operational. Pipelining overlaps instances, not the nodes of one
 // instance: each execution runs on one goroutine that steps whichever of
 // its hosted nodes has a frame from every in-neighbour, so a runtime holds
-// one receive loop per hosted node plus one goroutine per execution in
-// flight.
+// one goroutine per execution in flight and none per node. The transport
+// hands every inbound frame to the runtime's Serve handler, which files it
+// in its execution's mailboxes on whichever goroutine delivered it: the
+// sending execution's own on the in-process bus, a link or socket reader
+// goroutine otherwise.
 //
 // The runtime reuses the exact phase logic of internal/core (Protocol /
 // InstancePlan / DisputeState) on a message-driven PhaseEngine, so every
@@ -102,8 +105,8 @@ type SchedulePlane interface {
 	Committed(k int)
 }
 
-// Runtime hosts the nodes' receive loops, the links and the scheduler
-// for one topology; each instance execution steps its hosted nodes on a
+// Runtime hosts the frame demultiplexer, the links and the scheduler for
+// one topology; each instance execution steps its hosted nodes on a
 // goroutine of its own.
 type Runtime struct {
 	cfg    Config
@@ -137,8 +140,8 @@ type Runtime struct {
 	closeErr  error
 }
 
-// New validates cfg, builds the transport (unless supplied) and starts the
-// per-node receive loops.
+// New validates cfg, builds the transport (unless supplied) and serves its
+// frames to the runtime's demultiplexer.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Window == 0 {
 		cfg.Window = 4
@@ -204,11 +207,7 @@ func New(cfg Config) (*Runtime, error) {
 		pending: map[uint64][]*transport.Message{},
 		ds:      core.NewDisputeState(cfg.Graph),
 	}
-	for _, v := range rt.topo.nodes {
-		if locals == nil || locals[v] {
-			go rt.recvLoop(v)
-		}
-	}
+	tr.Serve(rt.dispatch)
 	return rt, nil
 }
 
@@ -277,9 +276,9 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 	rt.ds = ds
 	rt.nextLaunch = launchBase
 	rt.maxLaunch = launchBase
-	// The receive loops run from New on, so a booting cluster process can
-	// already hold frames a faster peer sent for the launches it is about
-	// to start: those stay buffered. Frames at or below launchBase belong
+	// The transport serves frames from New on, so a booting cluster
+	// process can already hold frames a faster peer sent for the launches
+	// it is about to start: those stay buffered. Frames at or below launchBase belong
 	// to an abandoned epoch and go.
 	for launch := range rt.pending {
 		if launch <= launchBase || launch > launchBase+rt.pendingSlack() {
@@ -299,39 +298,36 @@ func (rt *Runtime) pendingSlack() uint64 {
 	return uint64(4*rt.cfg.Window + 8)
 }
 
-// recvLoop demultiplexes node v's inbound frames to the owning instance
-// engines. Frames for past launches (aborted or committed speculation)
-// are dropped; frames for launches this process has not started yet —
+// dispatch is the transport's Serve handler: it demultiplexes one inbound
+// frame to the owning instance engine, on whichever goroutine delivered
+// it. Frames for past launches (aborted or committed speculation) are
+// dropped; frames for launches this process has not started yet —
 // possible only across processes, where peers run ahead — are buffered
-// until the flight registers, within pendingSlack.
-func (rt *Runtime) recvLoop(v graph.NodeID) {
-	for {
-		m, err := rt.tr.Recv(v)
-		if err != nil {
-			return
-		}
-		if fr.Enabled() {
-			fr.Record(fr.Event{
-				Type: fr.EvFrameRecv, Node: int32(m.To), Peer: int32(m.From),
-				Inst: m.Instance, Step: m.Step, Arg: uint64(m.Bits),
-			})
-		}
-		rt.engMu.RLock()
-		eng, ok := rt.engines[m.Instance]
-		rt.engMu.RUnlock()
-		if ok {
-			eng.deliver(m)
-			continue
-		}
-		rt.engMu.Lock()
-		if eng, ok = rt.engines[m.Instance]; !ok &&
-			m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
-			rt.pending[m.Instance] = append(rt.pending[m.Instance], m)
-		}
-		rt.engMu.Unlock()
-		if ok {
-			eng.deliver(m)
-		}
+// until the flight registers, within pendingSlack. It takes only engMu
+// and the engine's mutex, neither held across a Send, so it never blocks
+// on the sender it may run inside.
+func (rt *Runtime) dispatch(m *transport.Message) {
+	if fr.Enabled() {
+		fr.Record(fr.Event{
+			Type: fr.EvFrameRecv, Node: int32(m.To), Peer: int32(m.From),
+			Inst: m.Instance, Step: m.Step, Arg: uint64(m.Bits),
+		})
+	}
+	rt.engMu.RLock()
+	eng, ok := rt.engines[m.Instance]
+	rt.engMu.RUnlock()
+	if ok {
+		eng.deliver(m)
+		return
+	}
+	rt.engMu.Lock()
+	if eng, ok = rt.engines[m.Instance]; !ok &&
+		m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
+		rt.pending[m.Instance] = append(rt.pending[m.Instance], m)
+	}
+	rt.engMu.Unlock()
+	if ok {
+		eng.deliver(m)
 	}
 }
 

@@ -769,9 +769,10 @@ func TestRestoreResumesMidSequence(t *testing.T) {
 
 // hostileLinks wraps a transport so that node dup sends every step frame
 // twice, each one that carries packets after an extra frame whose body is
-// not a packet list, and node slow's frames leave late. Under one lock it records every step frame a
-// receive loop takes in, and flags any step frame sent for step s+1 — a
-// node released step s — before every in-neighbour's step-s frame arrived.
+// not a packet list, and node slow's frames leave late. Its Serve handler
+// records, under one lock, every step frame before the runtime takes it
+// in, and Send flags any step frame sent for step s+1 — a node released
+// step s — before every in-neighbour's step-s frame arrived.
 type hostileLinks struct {
 	transport.Transport
 	g         *graph.Directed
@@ -797,16 +798,15 @@ func (h *hostileLinks) Dial(from, to graph.NodeID) (transport.Link, error) {
 	return hostileLink{h, l}, nil
 }
 
-func (h *hostileLinks) Recv(self graph.NodeID) (*transport.Message, error) {
-	m, err := h.Transport.Recv(self)
-	if err == nil {
+func (h *hostileLinks) Serve(deliver func(*transport.Message)) {
+	h.Transport.Serve(func(m *transport.Message) {
 		if m.Packets != nil {
 			h.mu.Lock()
 			h.arrived[frameAt{m.Instance, m.From, m.To, m.Step}] = true
 			h.mu.Unlock()
 		}
-	}
-	return m, err
+		deliver(m)
+	})
 }
 
 type hostileLink struct {
@@ -988,10 +988,11 @@ func TestSmallSessionAllocsPerCommit(t *testing.T) {
 const maxAllocsPerCommit = 1206
 
 // TestGoroutinesPerExecution pins the runtime's goroutine budget: one
-// receive loop per hosted node and one goroutine per instance execution,
-// whatever the phase or step, so a K7 session with W = 4 never holds more
-// than baseline + 7 + 4 + a few (the sampler among them). Per-node
-// goroutines per phase would hold 7 per execution on top.
+// goroutine per instance execution, whatever the phase or step, and none
+// per hosted node — the transport hands frames to the runtime on the
+// sender's goroutine — so a K7 session with W = 4 never holds more than
+// baseline + 4 + a few (the sampler among them). A receive goroutine per
+// node would add 7, and per-node goroutines per phase 7 per execution.
 func TestGoroutinesPerExecution(t *testing.T) {
 	const nodes, window, lenBytes, commits, slack = 7, 4, 64, 400, 4
 	base := goruntime.NumGoroutine()
@@ -1027,7 +1028,7 @@ func TestGoroutinesPerExecution(t *testing.T) {
 		t.Fatalf("committed %d instances, want %d", res.Committed(), commits)
 	}
 	t.Logf("peak %d goroutines, baseline %d", peak, base)
-	if limit := base + nodes + window + slack; peak > limit {
-		t.Errorf("peak %d goroutines, want <= %d (baseline %d + %d nodes + W = %d + %d)", peak, limit, base, nodes, window, slack)
+	if limit := base + window + slack; peak > limit {
+		t.Errorf("peak %d goroutines, want <= %d (baseline %d + W = %d + %d)", peak, limit, base, window, slack)
 	}
 }

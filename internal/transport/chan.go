@@ -22,7 +22,7 @@ type ChanOptions struct {
 }
 
 // Chan is the in-process Transport: the mesh core hosting every node, so
-// each directed link feeds its receiver's inbox.
+// each directed link feeds its receiver's delivery point.
 type Chan struct{ *mesh }
 
 // NewChan builds the bus over topology g. Nodes and links are fixed at
@@ -34,10 +34,11 @@ func NewChan(g *graph.Directed, opt ChanOptions) *Chan {
 // Dial implements Transport.
 func (t *Chan) Dial(from, to graph.NodeID) (Link, error) { return t.dial(from, to, nil) }
 
-// Close implements Transport: every link's queue is flushed to its
-// receiver's inbox without waiting for release times, best effort within
-// one second (a frame meeting a full inbox is discarded), and every Send
-// from then on returns ErrClosed.
+// Close implements Transport: the Serve handler is not called again, and
+// every Send from then on returns ErrClosed. Without a handler, every
+// link's queue is flushed to its receiver's inbox without waiting for
+// release times, best effort within one second (a frame meeting a full
+// inbox is discarded), and Recv still returns what was delivered.
 func (t *Chan) Close() error {
 	t.close()
 	return nil

@@ -19,8 +19,8 @@ import (
 // reliable, so chaos only delays and reorders. Loss is modelled by kill -9
 // plus the rejoin rollback. At Close a link's queue is flushed without
 // waiting for release times, best effort within one second shared by every
-// link: a frame that then meets a full inbox or a dropped socket is
-// discarded.
+// link: a frame that then meets a closed receiver, a full inbox or a
+// dropped socket is discarded.
 //
 // Determinism: every per-frame decision (jitter draw, reorder draw) is a
 // pure function of (Seed, link, instance, step). The runtime sends one

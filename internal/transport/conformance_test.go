@@ -32,6 +32,7 @@ func (mp meshPair) host(v graph.NodeID) *Peer {
 	return mp.b
 }
 func (mp meshPair) Dial(from, to graph.NodeID) (Link, error) { return mp.host(from).Dial(from, to) }
+func (mp meshPair) Serve(deliver func(*Message))             { mp.a.Serve(deliver); mp.b.Serve(deliver) }
 func (mp meshPair) Recv(self graph.NodeID) (*Message, error) { return mp.host(self).Recv(self) }
 func (mp meshPair) LinkBits() map[[2]graph.NodeID]int64      { return mp.a.LinkBits() }
 func (mp meshPair) Close() error                             { mp.a.Close(); return mp.b.Close() }

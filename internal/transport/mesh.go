@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,14 +10,17 @@ import (
 	"nab/internal/graph"
 )
 
-// queueDepth bounds every node's inbox and every link's queue, in frames.
-// A full queue blocks Send: backpressure from a receiver that stopped
-// reading, never the token bucket.
+// queueDepth bounds every link's queue and every node's inbox, in frames.
+// A full link queue blocks Send. An inbox holds frames only until Serve,
+// or for a caller that reads them with Recv; a full one blocks its sinks
+// until Serve or Recv drains it. Neither bound is the token bucket's, and
+// neither bounds bytes.
 const queueDepth = 4096
 
 // mesh is the in-memory core every Transport is built on (see the package
-// comment): the inboxes of the nodes hosted here, one link per directed
-// link, Recv, send-side LinkBits and the close signal.
+// comment): the delivery point of the nodes hosted here (the Serve handler,
+// or their inboxes before it), one link per directed link, Recv,
+// send-side LinkBits and the close signal.
 type mesh struct {
 	g  *graph.Directed
 	tu time.Duration
@@ -32,6 +36,12 @@ type mesh struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	running   sync.WaitGroup // link queue goroutines
+
+	// serveMu is read-held around every handler call; close write-locks
+	// it to set shut, so no call runs once Close has returned.
+	serveMu sync.RWMutex
+	handler func(*Message) // set once by Serve
+	shut    bool
 }
 
 // newMesh builds the core over topology g for the nodes hosted here.
@@ -53,7 +63,7 @@ func newMesh(g *graph.Directed, hosted []graph.NodeID, tu time.Duration, chaos *
 }
 
 // link is the one state and the one Send of a directed link, shared by
-// every dialer: its sink is the receiver's inbox when the receiver is
+// every dialer: its sink is the mesh's delivery point when the receiver is
 // hosted here, a socket (peer.go) otherwise. Whether Send delivers inline
 // or through the link's queue is fixed when the link opens.
 type link struct {
@@ -65,9 +75,8 @@ type link struct {
 
 	dialMu sync.Mutex
 	open   bool
-	direct bool          // unpaced, chaos-free in-memory link: Send delivers inline
-	inbox  chan *Message // the receiver's inbox; nil for a socket link
-	sock   *sock         // nil for an in-memory link
+	direct bool  // unpaced, chaos-free in-memory link: Send delivers inline
+	sock   *sock // nil for an in-memory link
 
 	// The queue of any other link. Its goroutine, started by the first
 	// Send, alone touches pace and the socket writer.
@@ -115,32 +124,31 @@ func (c *mesh) dial(from, to graph.NodeID, remote func(*link) error) (Link, erro
 	l.dialMu.Lock()
 	defer l.dialMu.Unlock()
 	if !l.open {
-		if inbox, ok := c.inboxes[to]; ok {
-			l.inbox = inbox
-		} else if err := remote(l); err != nil {
-			return nil, err
+		_, local := c.inboxes[to]
+		if !local {
+			if err := remote(l); err != nil {
+				return nil, err
+			}
 		}
-		l.direct = l.inbox != nil && c.tu <= 0 && l.chaos == nil
+		l.direct = local && c.tu <= 0 && l.chaos == nil
 		l.open = true
 	}
 	return l, nil
 }
 
 // Send implements Link. Every frame passes admit; a direct link then
-// hands it to the receiver's inbox, any other link appends it to its queue
-// and returns without waiting for release time or token bucket.
+// delivers it on the caller's goroutine, any other link appends it to its
+// queue and returns without waiting for release time or token bucket.
 func (l *link) Send(m *Message) error {
 	if err := l.admit(m); err != nil {
 		return err
 	}
 	if l.direct {
-		select {
-		case l.inbox <- m:
-			l.lm.count(m)
-			return nil
-		case <-l.c.closed:
+		if !l.c.deliver(m) {
 			return ErrClosed
 		}
+		l.lm.count(m)
+		return nil
 	}
 	select {
 	case l.slots <- struct{}{}:
@@ -282,14 +290,72 @@ func (l *link) deliver(m *Message) {
 		l.write(m)
 		return
 	}
+	l.c.deliver(m)
+}
+
+// deliver is the one delivery point of the nodes hosted here: every sink
+// calls it with a frame addressed to one of them. After Serve it calls the
+// handler; before, it queues the frame in the node's inbox. It reports
+// false once the transport has closed.
+func (c *mesh) deliver(m *Message) bool {
+	c.serveMu.RLock()
+	if h := c.handler; h != nil {
+		shut := c.shut
+		if !shut {
+			h(m)
+		}
+		c.serveMu.RUnlock()
+		return !shut
+	}
+	c.serveMu.RUnlock()
+	inbox := c.inboxes[m.To]
 	select {
-	case l.inbox <- m:
-	case <-l.c.closed:
+	case inbox <- m:
+	case <-c.closed:
 		// Closing flushes without blocking: a full inbox has no reader
 		// left to wait for.
 		select {
-		case l.inbox <- m:
+		case inbox <- m:
 		default:
+		}
+		return false
+	}
+	// A Serve that stored its handler after the check above may have
+	// drained the inbox before this frame was in it: hand it over here.
+	c.serveMu.RLock()
+	served := c.handler != nil
+	c.serveMu.RUnlock()
+	if served {
+		c.drain(inbox)
+	}
+	return true
+}
+
+// Serve implements Transport: it stores the handler, then hands it every
+// frame that reached an inbox before the call. A sink that queues into an
+// inbox concurrently drains it again after its push, so each frame is
+// delivered exactly once.
+func (c *mesh) Serve(deliver func(*Message)) {
+	c.serveMu.Lock()
+	if c.handler != nil {
+		c.serveMu.Unlock()
+		panic("transport: Serve called twice")
+	}
+	c.handler = deliver
+	c.serveMu.Unlock()
+	for _, inbox := range c.inboxes {
+		c.drain(inbox)
+	}
+}
+
+// drain hands every frame waiting in inbox to the Serve handler.
+func (c *mesh) drain(inbox chan *Message) {
+	for {
+		select {
+		case m := <-inbox:
+			c.deliver(m)
+		default:
+			return
 		}
 	}
 }
@@ -352,6 +418,9 @@ func (c *mesh) close() bool {
 		c.mu.Lock()
 		close(c.closed)
 		c.mu.Unlock()
+		c.serveMu.Lock()
+		c.shut = true
+		c.serveMu.Unlock()
 		flushed := make(chan struct{})
 		go func() {
 			c.running.Wait()
@@ -371,6 +440,12 @@ func (c *mesh) Recv(self graph.NodeID) (*Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: node %d is not hosted here", self)
 	}
+	c.serveMu.RLock()
+	served := c.handler != nil
+	c.serveMu.RUnlock()
+	if served {
+		return nil, errServed
+	}
 	select {
 	case m := <-inbox:
 		return m, nil
@@ -384,6 +459,9 @@ func (c *mesh) Recv(self graph.NodeID) (*Message, error) {
 		}
 	}
 }
+
+// errServed is Recv's answer once a Serve handler receives every frame.
+var errServed = errors.New("transport: Recv after Serve; the handler receives every frame")
 
 // LinkBits implements Transport: the send-side charges of every link
 // dialed here.

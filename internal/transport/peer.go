@@ -166,7 +166,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 	}()
 	conn.SetReadDeadline(time.Now().Add(p.opt.DialTimeout))
 	from, to, err := readHandshake(conn)
-	inbox, local := p.inboxes[to]
+	_, local := p.inboxes[to]
 	verdict := byte(peerAccept)
 	if err != nil {
 		verdict = peerRejectBad
@@ -214,9 +214,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			p.recvd[key] += m.Bits
 			p.mu.Unlock()
 		}
-		select {
-		case inbox <- m:
-		case <-p.closed:
+		if !p.deliver(m) {
 			return
 		}
 	}

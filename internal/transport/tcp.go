@@ -22,7 +22,7 @@ type TCPOptions struct {
 // (see wire.go) from the link's queue — no link short-circuits in memory,
 // and forged or mis-pinned frames are dropped on receipt exactly as a
 // cluster process would drop them. TCP itself only routes: Dial to the
-// sender's peer, Recv to the receiver's.
+// sender's peer, Recv to the receiver's, Serve to every peer.
 type TCP struct {
 	peers map[graph.NodeID]*Peer
 }
@@ -79,6 +79,13 @@ func (t *TCP) Dial(from, to graph.NodeID) (Link, error) {
 		return nil, fmt.Errorf("transport: no link (%d,%d) in topology", from, to)
 	}
 	return p.Dial(from, to)
+}
+
+// Serve implements Transport: every peer hands its frames to deliver.
+func (t *TCP) Serve(deliver func(*Message)) {
+	for _, p := range t.peers {
+		p.Serve(deliver)
+	}
 }
 
 // Recv implements Transport.

@@ -21,11 +21,12 @@
 // One in-memory core (mesh.go) and one socket stack (peer.go) sit behind
 // every Transport:
 //
-//   - mesh: the core — inboxes of the nodes hosted here and one link per
-//     directed link, whose one Send admits and meters every frame and
-//     queues it for the link's goroutine (chaos release time, token
-//     bucket, then inbox or socket) unless the link is an unpaced,
-//     chaos-free in-memory one; Recv, LinkBits;
+//   - mesh: the core — the one delivery point of the nodes hosted here
+//     and one link per directed link, whose one Send admits and meters
+//     every frame and queues it for the link's goroutine (chaos release
+//     time, token bucket, then delivery or socket) unless the link is an
+//     unpaced, chaos-free in-memory one, which delivers inline; Serve,
+//     Recv, LinkBits;
 //   - Chan: the mesh hosting every node, no sockets — the default
 //     substrate for the pipelined runtime and for tests;
 //   - Peer: the mesh plus a listener and one handshake-pinned socket per
@@ -36,6 +37,13 @@
 //   - TCP: one single-node Peer per node on loopback listeners behind a
 //     routing composite, so every link is a real socket — the
 //     realistic-serving substrate used by cmd/nabserve.
+//
+// Delivery is push: a receiver hands the transport one handler with
+// Serve, and every sink — a direct link's Send on the sender's goroutine,
+// a queued link's goroutine, a Peer's socket reader — calls it with each
+// frame addressed to a node hosted here. Frames that arrive before Serve
+// wait in per-node inboxes and are handed over at Serve. Recv reads those
+// inboxes, for callers that never Serve.
 //
 // Bits are metered where frames are admitted, on the send side; a Peer
 // also meters the frames it receives from remote senders, so a process
@@ -95,10 +103,11 @@ type Packet struct {
 // and nothing above the transport depends on arrival order — the runtime
 // keys every frame by (instance, step). Send never waits for the token
 // bucket: a paced frame waits in its link's queue, so a sender's frames to
-// fast links never queue behind its slow one. Send blocks only when the
-// receiver stops draining, and is safe for concurrent use. Links are
-// owned by their Transport — dialing a link again returns the same Link —
-// and live until it closes.
+// fast links never queue behind its slow one. On an unpaced, chaos-free
+// in-memory link Send runs the receiver's Serve handler inline. Send
+// blocks only when a receiver that never Serves stops calling Recv, and
+// is safe for concurrent use. Links are owned by their Transport —
+// dialing a link again returns the same Link — and live until it closes.
 type Link interface {
 	Send(m *Message) error
 }
@@ -109,9 +118,17 @@ type Transport interface {
 	// Dial opens the sender half of directed link (from, to). Dialing a
 	// link absent from the topology fails: physics forbids it.
 	Dial(from, to graph.NodeID) (Link, error)
+	// Serve makes deliver the receiver of every frame addressed to a node
+	// hosted here, including the frames that arrived before the call. It
+	// is called at most once, before the first Dial. deliver may run on
+	// any goroutine, concurrently, and inside a Send; it must not block
+	// and must not call Send. Once Close has returned it is never called
+	// again.
+	Serve(deliver func(*Message))
 	// Recv blocks until the next frame addressed to self arrives, in
-	// arrival order across all of self's in-links. It returns ErrClosed
-	// after Close.
+	// arrival order across all of self's in-links, for callers that never
+	// Serve: after Serve it fails at once. It returns ErrClosed after
+	// Close, once the frames delivered before it are read.
 	Recv(self graph.NodeID) (*Message, error)
 	// LinkBits snapshots the cumulative per-link capacity charges in bits
 	// (framing excluded).

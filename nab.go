@@ -113,7 +113,8 @@ type (
 	// against CapacityReport's Theorem 2/3 bounds.
 	PipelineReport = runtime.Report
 	// Transport is a pluggable point-to-point substrate (per-link
-	// Dial/Send/Recv with capacity accounting).
+	// Dial/Send, push delivery to one Serve handler, capacity
+	// accounting).
 	Transport = transport.Transport
 	// TransportOptions tunes the in-process bus (token-bucket pacing,
 	// optional chaos physics).
