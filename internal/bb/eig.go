@@ -129,7 +129,7 @@ type slot struct {
 type Node struct {
 	self         graph.NodeID
 	participants []graph.NodeID // ascending
-	ranks        []int32        // ranks[i] is the layout rank of participants[i]
+	rankAt       []int32        // rankAt[i] is the layout rank of the relay table's node i, -1 for a non-participant
 	ids          []graph.NodeID // ids[r] is the participant with layout rank r
 	selfRank     int32
 	t            int // residual fault tolerance; t+1 EIG rounds
@@ -163,8 +163,7 @@ func NewNode(self graph.NodeID, participants []graph.NodeID, t int, router *rela
 			return nil, fmt.Errorf("bb: participant %d listed twice", sorted[i])
 		}
 	}
-	selfAt, ok := slices.BinarySearch(sorted, self)
-	if !ok {
+	if _, ok := slices.BinarySearch(sorted, self); !ok {
 		return nil, fmt.Errorf("bb: node %d not among participants", self)
 	}
 	lay, err := layoutFor(n, t)
@@ -175,17 +174,24 @@ func NewNode(self graph.NodeID, participants []graph.NodeID, t int, router *rela
 	// before "2"): the order reports of one level take on the wire.
 	ids := slices.Clone(sorted)
 	slices.SortFunc(ids, compareDecimal)
-	ranks := make([]int32, n)
+	tab := router.Table()
+	rankAt := make([]int32, tab.NumNodes())
+	for i := range rankAt {
+		rankAt[i] = -1
+	}
 	for r, id := range ids {
-		at, _ := slices.BinarySearch(sorted, id)
-		ranks[at] = int32(r)
+		i := tab.Index(id)
+		if i < 0 {
+			return nil, fmt.Errorf("bb: participant %d not in the relay table", id)
+		}
+		rankAt[i] = int32(r)
 	}
 	return &Node{
 		self:         self,
 		participants: sorted,
-		ranks:        ranks,
+		rankAt:       rankAt,
 		ids:          ids,
-		selfRank:     ranks[selfAt],
+		selfRank:     rankAt[tab.Index(self)],
 		t:            t,
 		router:       router,
 		relayRounds:  router.Table().Rounds(),
@@ -210,10 +216,11 @@ func (nd *Node) Rounds() int { return (nd.t+1)*nd.relayRounds + 1 }
 // msgID labels the relay traffic of EIG round k.
 func msgID(k int) string { return "eig:" + strconv.Itoa(k) }
 
-// rankOf returns the layout rank of participant id, or -1 for a stranger.
+// rankOf returns the layout rank of participant id, or -1 for a stranger:
+// a non-participant, or an id the relay table does not know.
 func (nd *Node) rankOf(id graph.NodeID) int32 {
-	if at, ok := slices.BinarySearch(nd.participants, id); ok {
-		return nd.ranks[at]
+	if i := nd.router.Table().Index(id); i >= 0 {
+		return nd.rankAt[i]
 	}
 	return -1
 }

@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"math"
 	"testing"
 
 	"nab/internal/graph"
@@ -79,6 +80,9 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(99, parts, 1, r, nil); err == nil {
 		t.Error("self not participant: expected error")
+	}
+	if _, err := NewNode(1, []graph.NodeID{1, 2, 3, 99}, 1, r, nil); err == nil {
+		t.Error("participant outside the relay table: expected error")
 	}
 }
 
@@ -321,10 +325,25 @@ func TestValidLabelRules(t *testing.T) {
 		{[]graph.NodeID{2, 99}, 2, 3, false}, // non-participant
 		{[]graph.NodeID{2, 4}, 2, 3, true},
 		{[]graph.NodeID{2, 4}, 1, 3, false}, // wrong length for round
+		// Byzantine ids outside the relay table's position table.
+		{[]graph.NodeID{2, -4}, 2, 3, false},
+		{[]graph.NodeID{2, 1 << 40}, 2, 3, false},
+		{[]graph.NodeID{2}, 1, -1, false},
+		{[]graph.NodeID{2}, 1, math.MaxInt, false},
 	}
 	for i, c := range cases {
 		if got := nd.validLabel(c.path, c.k, c.from); got != c.want {
 			t.Errorf("case %d: validLabel(%v,%d,%d) = %v, want %v", i, c.path, c.k, c.from, got, c.want)
+		}
+	}
+	for _, id := range []graph.NodeID{math.MinInt, -4, -1, 0, 5, 99, 1 << 40, math.MaxInt} {
+		if r := nd.rankOf(id); r != -1 {
+			t.Errorf("rankOf(%d) = %d, want -1 for a stranger", id, r)
+		}
+	}
+	for _, id := range g.Nodes() {
+		if r := nd.rankOf(id); r < 0 || nd.ids[r] != id {
+			t.Errorf("rankOf(%d) = %d, not its layout rank", id, r)
 		}
 	}
 }

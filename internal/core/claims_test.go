@@ -91,10 +91,15 @@ func buildAuditFixture(t testing.TB) (*auditContext, map[graph.NodeID]*Claims, [
 			}
 		}
 	}
-	for _, st := range states {
-		if err := st.finishPhase1(); err != nil {
+	var ordered []*nodeState
+	for _, v := range g.Nodes() {
+		if err := states[v].finishPhase1(); err != nil {
 			t.Fatal(err)
 		}
+		ordered = append(ordered, states[v])
+	}
+	if err := packValues(ordered); err != nil {
+		t.Fatal(err)
 	}
 	// Phase 2: encode on every edge, record and check.
 	sent := map[[2]graph.NodeID][]gf.Elem{}

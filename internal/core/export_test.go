@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"nab/internal/bb"
+	"nab/internal/coding"
+	"nab/internal/gf"
 	"nab/internal/graph"
 	"nab/internal/sim"
 )
@@ -75,35 +77,48 @@ type Phase3Run struct {
 // Phase3Runs runs one instance per input on the lockstep engine, folding
 // each, and returns the instances that ran Phase 3.
 func Phase3Runs(cfg Config, inputs [][]byte) ([]Phase3Run, error) {
-	p, err := NewProtocol(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ds := NewDisputeState(cfg.Graph)
 	var runs []Phase3Run
-	for i, in := range inputs {
-		k := i + 1
-		pl := p.Plan(ds)
+	err := runFolded(cfg, inputs, func() *claimsTap {
 		tap := &claimsTap{Engine: sim.New(cfg.Graph)}
 		tap.SetRecording(false)
-		ir, err := pl.Execute(tap, k, in)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Fold(ds, ir); err != nil {
-			return nil, err
-		}
+		return tap
+	}, func(pl *InstancePlan, tap *claimsTap, ir *InstanceResult) {
 		if !ir.Phase3 {
-			continue
+			return
 		}
-		nd := tap.claims[p.honestNodes()[0]]
+		nd := tap.claims[pl.p.honestNodes()[0]]
 		raw := map[graph.NodeID][]byte{}
 		for _, q := range pl.gk.Nodes() {
 			raw[q] = nd.Decide(q)
 		}
 		runs = append(runs, Phase3Run{Plan: pl, Result: ir, Raw: raw})
+	})
+	return runs, err
+}
+
+// runFolded runs one instance per input, each on a fresh engine from
+// newEngine, folding each into one dispute state, and hands every
+// instance's plan, engine and result to visit.
+func runFolded[E PhaseEngine](cfg Config, inputs [][]byte, newEngine func() E, visit func(*InstancePlan, E, *InstanceResult)) error {
+	p, err := NewProtocol(cfg)
+	if err != nil {
+		return err
 	}
-	return runs, nil
+	ds := NewDisputeState(cfg.Graph)
+	for i, in := range inputs {
+		k := i + 1
+		pl := p.Plan(ds)
+		e := newEngine()
+		ir, err := pl.Execute(e, k, in)
+		if err != nil {
+			return err
+		}
+		if err := p.Fold(ds, ir); err != nil {
+			return err
+		}
+		visit(pl, e, ir)
+	}
+	return nil
 }
 
 // claimsTap is a lockstep engine that keeps the EIG nodes of the claims
@@ -129,4 +144,64 @@ func (e *claimsTap) RunPhase(name string, rounds int) (*sim.PhaseStats, error) {
 	}
 	e.phase = nil
 	return e.Engine.RunPhase(name, rounds)
+}
+
+// EqualityNode is one node's equality-check state after an instance: its
+// Phase-1 value, its packed x, the symbols it recorded for each in-edge
+// and the flag it computed (before any adversary override).
+type EqualityNode struct {
+	Value     []byte
+	X         []gf.Elem
+	RecvCoded []CodedClaim
+	Flag      bool
+}
+
+// EqualityRun is one instance's equality check: the plan's coding scheme,
+// the symbols sent on each G_k edge in round 0, and every node's state.
+type EqualityRun struct {
+	K      int
+	Scheme *coding.Scheme
+	Sent   map[[2]graph.NodeID][]gf.Elem
+	Nodes  map[graph.NodeID]EqualityNode
+}
+
+// EqualityRuns runs one instance per input on the lockstep engine, every
+// node in the one execution, folding each, and returns the equality check
+// of every instance that ran one.
+func EqualityRuns(cfg Config, inputs [][]byte) ([]EqualityRun, error) {
+	var runs []EqualityRun
+	err := runFolded(cfg, inputs, func() *equalityTap {
+		tap := &equalityTap{Engine: sim.New(cfg.Graph), states: map[graph.NodeID]*nodeState{}}
+		tap.SetRecording(true)
+		return tap
+	}, func(pl *InstancePlan, tap *equalityTap, ir *InstanceResult) {
+		if len(tap.states) == 0 {
+			return
+		}
+		run := EqualityRun{K: ir.K, Scheme: pl.scheme, Sent: map[[2]graph.NodeID][]gf.Elem{}, Nodes: map[graph.NodeID]EqualityNode{}}
+		for _, r := range tap.Records() {
+			if em, ok := r.Msg.Body.(EqMsg); ok && r.Phase == "equality" && r.Round == 0 {
+				run.Sent[[2]graph.NodeID{r.Msg.From, r.Msg.To}] = em.Symbols
+			}
+		}
+		for v, st := range tap.states {
+			run.Nodes[v] = EqualityNode{Value: st.value, X: st.x, RecvCoded: st.recvCoded, Flag: st.flag}
+		}
+		runs = append(runs, run)
+	})
+	return runs, err
+}
+
+// equalityTap is a lockstep engine that keeps the node states of the
+// equality check.
+type equalityTap struct {
+	*sim.Engine
+	states map[graph.NodeID]*nodeState
+}
+
+func (e *equalityTap) SetProcess(v graph.NodeID, p sim.Process) error {
+	if c, ok := p.(equalityCheck); ok {
+		e.states[v] = c.st
+	}
+	return e.Engine.SetProcess(v, p)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -50,10 +51,23 @@ type nodeState struct {
 	sentClaims []TreeEdgeClaim
 
 	value     []byte
-	x         []gf.Elem // stripes x rho symbols, stripe-major
+	x         []gf.Elem // stripes x rho symbols, stripe-major; shared read-only by co-hosted nodes of equal value
 	sentCoded []CodedClaim
 	recvCoded []CodedClaim
 	flag      bool
+
+	// coded holds this execution's equality-check encodings by G_k edge
+	// position, published by local honest senders; nil when the execution
+	// hosts a single node of G_k.
+	coded []codedEdge
+}
+
+// codedEdge is one G_k edge's equality-check encoding: X * C_e for the
+// sender's packed value x. A receiver whose x is the same slice reads it
+// in place of encoding X * C_e again.
+type codedEdge struct {
+	x    []gf.Elem
+	syms []gf.Elem
 }
 
 // nodeAdj is one node's neighbourhood in a plan: its out- and in-edges in
@@ -63,13 +77,31 @@ type nodeAdj struct {
 	out      []graph.Edge     // G_k out-edges, by destination
 	in       []graph.Edge     // G_k in-edges, by origin
 	children [][]graph.NodeID // children[t]: the node's children in tree t, ascending
+
+	// Positions in G_k's (From, To) edge order: out[j] is edge outAt+j,
+	// in[i] is edge inAt[i].
+	outAt int
+	inAt  []int
 }
 
 // planAdjacency returns every G_k node's neighbourhood.
 func planAdjacency(gk *graph.Directed, trees []*spantree.Arborescence) map[graph.NodeID]*nodeAdj {
 	adj := make(map[graph.NodeID]*nodeAdj, gk.NumNodes())
-	for _, v := range gk.Nodes() {
-		adj[v] = &nodeAdj{out: gk.OutEdges(v), in: gk.InEdges(v), children: make([][]graph.NodeID, len(trees))}
+	nodes := gk.Nodes()
+	at := 0
+	for _, v := range nodes {
+		a := &nodeAdj{out: gk.OutEdges(v), in: gk.InEdges(v), children: make([][]graph.NodeID, len(trees)), outAt: at}
+		adj[v] = a
+		at += len(a.out)
+	}
+	for _, v := range nodes {
+		a := adj[v]
+		a.inAt = make([]int, len(a.in))
+		for i, e := range a.in {
+			from := adj[e.From]
+			j, _ := slices.BinarySearchFunc(from.out, v, func(e graph.Edge, to graph.NodeID) int { return cmp.Compare(e.To, to) })
+			a.inAt[i] = from.outAt + j
+		}
 	}
 	for ti, tr := range trees {
 		for _, e := range tr.Edges() {
@@ -181,82 +213,127 @@ func (st *nodeState) finishPhase1() error {
 			}
 		}
 	}
-	x, err := coding.PackValue(st.value, st.rho*st.stripes, st.symBits)
-	if err != nil {
-		return fmt.Errorf("core: node %d pack: %w", st.id, err)
-	}
-	st.x = x
 	return nil
 }
 
-// equalityProcess returns the two-round equality-check behaviour:
-// round 0 sends X_i * C_e on every outgoing edge of G_k, round 1 verifies
-// every incoming edge's symbols and sets the MISMATCH flag.
-func (st *nodeState) equalityProcess() sim.Process {
-	return sim.StepFunc(func(round int, inbox []sim.Message) []sim.Message {
-		switch round {
-		case 0:
-			if st.adv.SilentIn("equality") {
-				return nil
-			}
-			// One symbol array for every out-edge, one window each.
-			n := 0
-			for _, e := range st.adj.out {
-				n += st.stripes * int(e.Cap)
-			}
-			all := make([]gf.Elem, n)
-			out := make([]sim.Message, 0, len(st.adj.out))
-			st.sentCoded = slices.Grow(st.sentCoded, len(st.adj.out))
-			for _, e := range st.adj.out {
-				size := st.stripes * int(e.Cap)
-				syms := all[:size:size]
-				all = all[size:]
-				if err := st.scheme.EncodeStripes(st.id, e.To, st.x, syms); err != nil {
-					panic("core: encode: " + err.Error())
-				}
-				syms = st.adv.CorruptCoded(e.To, syms)
-				st.sentCoded = append(st.sentCoded, CodedClaim{From: st.id, To: e.To, Symbols: syms})
-				out = append(out, sim.Message{
-					From: st.id,
-					To:   e.To,
-					Bits: int64(len(syms)) * int64(st.symBits),
-					Body: EqMsg{Symbols: syms},
-				})
-			}
-			return out
-		case 1:
-			in := st.adj.in
-			got := make([][]gf.Elem, len(in)) // by in-edge; nil if missing
-			seen := make([]bool, len(in))
-			for _, m := range inbox {
-				em, ok := m.Body.(EqMsg)
-				if !ok {
-					continue
-				}
-				i, ok := slices.BinarySearchFunc(in, m.From, func(e graph.Edge, from graph.NodeID) int { return cmp.Compare(e.From, from) })
-				if !ok {
-					continue // not an instance-graph link; protocol ignores it
-				}
-				if !seen[i] {
-					got[i], seen[i] = em.Symbols, true
-				}
-			}
-			st.recvCoded = slices.Grow(st.recvCoded, len(in))
-			for i, e := range in {
-				syms := got[i] // nil if missing: counts as mismatch
-				st.recvCoded = append(st.recvCoded, CodedClaim{From: e.From, To: st.id, Symbols: syms})
-				mm, err := st.scheme.CheckStripes(e.From, st.id, st.x, syms)
-				if err != nil {
-					panic("core: check: " + err.Error())
-				}
-				if mm {
-					st.flag = true
-				}
-			}
-			return nil
+// packValues packs X for every node of states, once per distinct value:
+// nodes whose Phase-1 values are byte-equal share one read-only x. states
+// must be in a deterministic order.
+func packValues(states []*nodeState) error {
+	for i, st := range states {
+		if j := slices.IndexFunc(states[:i], func(o *nodeState) bool { return bytes.Equal(o.value, st.value) }); j >= 0 {
+			st.x = states[j].x
+			continue
 		}
+		x, err := coding.PackValue(st.value, st.rho*st.stripes, st.symBits)
+		if err != nil {
+			return fmt.Errorf("core: node %d pack: %w", st.id, err)
+		}
+		st.x = x
+	}
+	return nil
+}
+
+// equalityProcess returns the node's two-round equality-check behaviour.
+func (st *nodeState) equalityProcess() sim.Process { return equalityCheck{st} }
+
+// equalityCheck is the equality check of one node: round 0 sends X_i * C_e
+// on every outgoing edge of G_k, round 1 verifies every incoming edge's
+// symbols and sets the MISMATCH flag.
+type equalityCheck struct{ st *nodeState }
+
+// Step implements sim.Process.
+func (c equalityCheck) Step(round int, inbox []sim.Message) []sim.Message {
+	switch round {
+	case 0:
+		return c.st.sendCoded()
+	case 1:
+		c.st.checkCoded(inbox)
+	}
+	return nil
+}
+
+// sendCoded encodes X_i * C_e for every out-edge e. An honest sender
+// publishes each encoding, uncorrupted, for the co-hosted receivers.
+func (st *nodeState) sendCoded() []sim.Message {
+	if st.adv.SilentIn("equality") {
 		return nil
-	})
+	}
+	_, honest := st.adv.(Honest)
+	// One symbol array for every out-edge, one window each.
+	n := 0
+	for _, e := range st.adj.out {
+		n += st.stripes * int(e.Cap)
+	}
+	all := make([]gf.Elem, n)
+	out := make([]sim.Message, 0, len(st.adj.out))
+	st.sentCoded = slices.Grow(st.sentCoded, len(st.adj.out))
+	for j, e := range st.adj.out {
+		size := st.stripes * int(e.Cap)
+		syms := all[:size:size]
+		all = all[size:]
+		if err := st.scheme.EncodeStripes(st.id, e.To, st.x, syms); err != nil {
+			panic("core: encode: " + err.Error())
+		}
+		syms = st.adv.CorruptCoded(e.To, syms)
+		if honest && st.coded != nil {
+			st.coded[st.adj.outAt+j] = codedEdge{x: st.x, syms: syms}
+		}
+		st.sentCoded = append(st.sentCoded, CodedClaim{From: st.id, To: e.To, Symbols: syms})
+		out = append(out, sim.Message{
+			From: st.id,
+			To:   e.To,
+			Bits: int64(len(syms)) * int64(st.symBits),
+			Body: EqMsg{Symbols: syms},
+		})
+	}
+	return out
+}
+
+// checkCoded records the symbols received on every in-edge and raises the
+// flag if any of them differs from X_i * C_e.
+func (st *nodeState) checkCoded(inbox []sim.Message) {
+	in := st.adj.in
+	got := make([][]gf.Elem, len(in)) // by in-edge; nil if missing
+	seen := make([]bool, len(in))
+	for _, m := range inbox {
+		em, ok := m.Body.(EqMsg)
+		if !ok {
+			continue
+		}
+		i, ok := slices.BinarySearchFunc(in, m.From, func(e graph.Edge, from graph.NodeID) int { return cmp.Compare(e.From, from) })
+		if !ok {
+			continue // not an instance-graph link; protocol ignores it
+		}
+		if !seen[i] {
+			got[i], seen[i] = em.Symbols, true
+		}
+	}
+	st.recvCoded = slices.Grow(st.recvCoded, len(in))
+	for i, e := range in {
+		syms := got[i] // nil if missing: counts as mismatch
+		st.recvCoded = append(st.recvCoded, CodedClaim{From: e.From, To: st.id, Symbols: syms})
+		if st.mismatch(i, syms) {
+			st.flag = true
+		}
+	}
+}
+
+// mismatch reports whether syms, received on in-edge i, differ from
+// X_i * C_e. When a co-hosted honest sender encoded this node's very x
+// for the edge, its published symbols are X_i * C_e and no encoding is
+// repeated; otherwise CheckStripes encodes them.
+func (st *nodeState) mismatch(i int, syms []gf.Elem) bool {
+	if st.coded != nil {
+		if c := st.coded[st.adj.inAt[i]]; c.syms != nil && &c.x[0] == &st.x[0] {
+			return !coding.ValuesEqual(c.syms, syms)
+		}
+	}
+	mm, err := st.scheme.CheckStripes(st.adj.in[i].From, st.id, st.x, syms)
+	if err != nil {
+		panic("core: check: " + err.Error())
+	}
+	return mm
 }
 
 // buildClaims assembles the node's Phase-3 transcript from its records.

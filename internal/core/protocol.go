@@ -423,9 +423,11 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 
 	// Node states over the physical graph G; nodes outside V_k participate
 	// only as relays. Only local nodes get state: remote nodes run in the
-	// processes hosting them.
+	// processes hosting them; ordered lists the states in node order.
 	states := map[graph.NodeID]*nodeState{}
-	for _, v := range pl.gk.Nodes() {
+	participants := pl.gk.Nodes()
+	var ordered []*nodeState
+	for _, v := range participants {
 		if !view.local(v) {
 			continue
 		}
@@ -433,7 +435,9 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 		if sc, ok := adv.(InstanceScoped); ok {
 			adv = sc.ForInstance(k)
 		}
-		states[v] = newNodeState(v, adv, p.cfg.Source, input, p.lenBits, pl.rho, pl.symBits, pl.stripes, pl.trees, pl.scheme, pl.adj[v])
+		st := newNodeState(v, adv, p.cfg.Source, input, p.lenBits, pl.rho, pl.symBits, pl.stripes, pl.trees, pl.scheme, pl.adj[v])
+		states[v] = st
+		ordered = append(ordered, st)
 	}
 
 	// ---- Phase 1: unreliable broadcast over the packed arborescences.
@@ -460,7 +464,7 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	ir.Phase1Time = p1.CutThroughTime()
 	ir.Phase1SFTime = p1.StoreForwardTime()
 	ir.Phase1Rounds = pl.maxDepth
-	for _, st := range states {
+	for _, st := range ordered {
 		if err := st.finishPhase1(); err != nil {
 			return nil, err
 		}
@@ -477,7 +481,18 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 		return ir, nil
 	}
 
-	// ---- Phase 2, step 2.1: equality check.
+	// ---- Phase 2, step 2.1: equality check. Co-hosted nodes of equal
+	// value share one packed X, and each G_k edge between them is encoded
+	// once: by its sender, for the receiver too.
+	if err := packValues(ordered); err != nil {
+		return nil, err
+	}
+	if len(ordered) > 1 {
+		coded := make([]codedEdge, pl.gk.NumEdges())
+		for _, st := range ordered {
+			st.coded = coded
+		}
+	}
 	for _, v := range p.cfg.Graph.Nodes() {
 		if !view.local(v) {
 			continue
@@ -501,7 +516,6 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	ir.EqualityTime = eq.CutThroughTime()
 
 	// ---- Phase 2, step 2.2: agree on every node's 1-bit flag.
-	participants := pl.gk.Nodes()
 	recordPhase(k, flight.PhaseFlags)
 	flagNodes, err := p.runBroadcast(engine, states, participants, pl.tolerance, func(st *nodeState) []byte {
 		if st.announcedFlag() {

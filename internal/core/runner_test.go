@@ -534,17 +534,33 @@ func TestSevenNodeTwoFaults(t *testing.T) {
 	}
 }
 
+// BenchmarkInstanceFaultFree times one fault-free instance through the
+// lockstep runner: K4 with a 4-byte value, where the per-instance protocol
+// cost dominates, and bulk_chan's shape (K7, f = 2, 64 KiB), where packing
+// and the equality-check coding do.
 func BenchmarkInstanceFaultFree(b *testing.B) {
-	r, err := core.NewRunner(baseConfig(nil))
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := input4(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.RunInstance(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"K4_f1_4B", baseConfig(nil)},
+		{"K7_f2_64KiB", core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 64 << 10, Seed: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r, err := core.NewRunner(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := make([]byte, bc.cfg.LenBytes)
+			rand.New(rand.NewSource(1)).Read(in)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.RunInstance(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -28,7 +28,16 @@ type Table struct {
 	rounds int
 	nodes  []graph.NodeID     // ascending
 	paths  [][][]graph.NodeID // paths[i*len(nodes)+j]: nodes[i] -> nodes[j]
+
+	// pos[v-nodes[0]] is the index of node v in nodes, -1 for an id
+	// between two nodes; nil when the ids are too sparse for a table, and
+	// Index binary searches nodes instead.
+	pos []int32
 }
+
+// maxSlotsPerNode bounds the position table at this many slots per node,
+// so ids spread far apart cost a binary search, not a huge table.
+const maxSlotsPerNode = 8
 
 // NewTable computes k node-disjoint paths for every ordered pair of nodes
 // in g, on one split-node flow net reset per pair. It returns an error if
@@ -40,6 +49,17 @@ func NewTable(g *graph.Directed, k int) (*Table, error) {
 	}
 	nodes := g.Nodes()
 	t := &Table{k: k, nodes: nodes, paths: make([][][]graph.NodeID, len(nodes)*len(nodes))}
+	if n := len(nodes); n > 0 {
+		if d := uint64(nodes[n-1]) - uint64(nodes[0]); d < maxSlotsPerNode*uint64(n) {
+			t.pos = make([]int32, d+1)
+			for i := range t.pos {
+				t.pos[i] = -1
+			}
+			for i, v := range nodes {
+				t.pos[v-nodes[0]] = int32(i)
+			}
+		}
+	}
 	pn := graph.NewPathNet(g)
 	for i, s := range nodes {
 		for j, d := range nodes {
@@ -71,11 +91,30 @@ func (t *Table) K() int { return t.k }
 // needs: the maximum hop count over all paths.
 func (t *Table) Rounds() int { return t.rounds }
 
+// NumNodes returns the number of nodes the table covers.
+func (t *Table) NumNodes() int { return len(t.nodes) }
+
+// Index returns the position of node v among the table's nodes in
+// ascending order, or -1 if the table does not cover v.
+func (t *Table) Index(v graph.NodeID) int {
+	if t.pos == nil {
+		if i, ok := slices.BinarySearch(t.nodes, v); ok {
+			return i
+		}
+		return -1
+	}
+	// Ids below nodes[0] wrap to large offsets, so one bound check
+	// rejects them with the ids past the last node.
+	if i := uint64(v) - uint64(t.nodes[0]); i < uint64(len(t.pos)) {
+		return int(t.pos[i])
+	}
+	return -1
+}
+
 // Paths returns the precomputed paths from s to d (nil if absent).
 func (t *Table) Paths(s, d graph.NodeID) [][]graph.NodeID {
-	i, okS := slices.BinarySearch(t.nodes, s)
-	j, okD := slices.BinarySearch(t.nodes, d)
-	if !okS || !okD {
+	i, j := t.Index(s), t.Index(d)
+	if i < 0 || j < 0 {
 		return nil
 	}
 	return t.paths[i*len(t.nodes)+j]

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,48 @@ func TestTableMatchesNodeDisjointPaths(t *testing.T) {
 			}
 			if p := tab.Paths(0, s); p != nil {
 				t.Errorf("Paths(0, %d) = %v, want nil", s, p)
+			}
+		}
+	}
+}
+
+// TestTableIndexStrangers: Index answers a node's position through the
+// table indexed by id, or by binary search when the ids are too sparse for
+// one, and reads every other id, negative or past the last node, as a
+// stranger (-1, and nil paths).
+func TestTableIndexStrangers(t *testing.T) {
+	sparse := graph.NewDirected()
+	ids := []graph.NodeID{-7, 3, 1 << 20, 1 << 40}
+	for _, a := range ids {
+		for _, b := range ids {
+			if a != b {
+				sparse.MustAddEdge(a, b, 1)
+			}
+		}
+	}
+	for _, g := range []*graph.Directed{completeBi(7, 1), sparse} {
+		tab, err := NewTable(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := g.Nodes()
+		for i, v := range nodes {
+			if got := tab.Index(v); got != i {
+				t.Errorf("Index(%d) = %d, want %d", v, got, i)
+			}
+		}
+		for _, v := range []graph.NodeID{math.MinInt, -8, -1, 0, 8, 1<<20 + 1, 1<<40 + 1, math.MaxInt} {
+			if g.HasNode(v) {
+				continue
+			}
+			if got := tab.Index(v); got != -1 {
+				t.Errorf("%d nodes: Index(%d) = %d, want -1", len(nodes), v, got)
+			}
+			if p := tab.Paths(nodes[0], v); p != nil {
+				t.Errorf("%d nodes: Paths(%d, %d) = %v, want nil", len(nodes), nodes[0], v, p)
+			}
+			if p := tab.Paths(v, nodes[0]); p != nil {
+				t.Errorf("%d nodes: Paths(%d, %d) = %v, want nil", len(nodes), v, nodes[0], p)
 			}
 		}
 	}
