@@ -121,43 +121,37 @@ var _ core.Adversary = MuteClaims{}
 func (MuteClaims) CorruptClaims(*core.Claims) *core.Claims { return nil }
 
 // Random flips coins for every decision, driven by a seeded RNG — the
-// fuzzing adversary for correctness sweeps (E8).
-//
-// Set Seed (and leave RNG nil) for the instance-scoped form: every
-// instance k draws from a fresh RNG derived from (Seed, k), so hook
-// sequences are reproducible under pipelined speculation, barrier replays
-// and multi-process clusters at any window. A non-nil RNG is the legacy
-// shared-stream form, deterministic only under Window=1.
+// fuzzing adversary for correctness sweeps (E8). Every instance k draws
+// from a fresh stream derived from (Seed, k), so hook sequences are
+// reproducible under pipelined speculation, barrier replays and
+// multi-process clusters at any window.
 type Random struct {
 	core.Honest
-	RNG  *rand.Rand
 	Seed int64
+
+	stream *rand.Rand // this instance's draws; nil until first used
 }
 
 var _ core.Adversary = (*Random)(nil)
 var _ core.InstanceScoped = (*Random)(nil)
 
-// ForInstance implements core.InstanceScoped: with no shared RNG, each
-// instance gets its own stream seeded by (Seed, k) via a splitmix64
-// finalizer, so re-executions of instance k behave identically.
+// ForInstance implements core.InstanceScoped: instance k gets its own
+// stream, seeded by (Seed, k) via a splitmix64 finalizer, so re-executions
+// of instance k behave identically.
 func (r *Random) ForInstance(k int) core.Adversary {
-	if r.RNG != nil {
-		return r // legacy shared-stream form
-	}
 	z := uint64(r.Seed) + uint64(k+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &Random{RNG: rand.New(rand.NewSource(int64(z ^ (z >> 31))))}
+	return &Random{Seed: r.Seed, stream: rand.New(rand.NewSource(int64(z ^ (z >> 31))))}
 }
 
-// rng returns the stream to draw from, lazily deriving the instance-0
-// stream when a zero-value Random is used directly (callers should prefer
-// ForInstance via the core executor).
+// rng returns the stream to draw from, seeding it from Seed when a Random
+// is used directly rather than through ForInstance.
 func (r *Random) rng() *rand.Rand {
-	if r.RNG == nil {
-		r.RNG = rand.New(rand.NewSource(r.Seed))
+	if r.stream == nil {
+		r.stream = rand.New(rand.NewSource(r.Seed))
 	}
-	return r.RNG
+	return r.stream
 }
 
 // CorruptBlock randomly flips one bit half the time.

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/rand"
 	"testing"
 
 	"nab/internal/core"
@@ -99,16 +98,30 @@ func TestClaimLiar(t *testing.T) {
 	}
 }
 
+// TestRandomAdversaryDeterministic: one seed gives one stream, per
+// instance: two Randoms of equal Seed agree on instance k however often
+// ForInstance is asked, and distinct instances draw distinct streams.
 func TestRandomAdversaryDeterministic(t *testing.T) {
-	a1 := &Random{RNG: rand.New(rand.NewSource(5))}
-	a2 := &Random{RNG: rand.New(rand.NewSource(5))}
+	a1, a2 := &Random{Seed: 5}, &Random{Seed: 5}
 	in := chunk(32, 0xAA)
-	for i := 0; i < 50; i++ {
-		b1 := a1.CorruptBlock(0, 2, in)
-		b2 := a2.CorruptBlock(0, 2, in)
-		if b1.BitLen != b2.BitLen || string(b1.Bytes) != string(b2.Bytes) {
-			t.Fatal("same seed diverged")
+	draws := func(a core.Adversary) string {
+		var out []byte
+		for i := 0; i < 50; i++ {
+			b := a.CorruptBlock(0, 2, in)
+			out = append(out, b.Bytes...)
 		}
+		return string(out)
+	}
+	for k := 1; k <= 3; k++ {
+		if draws(a1.ForInstance(k)) != draws(a2.ForInstance(k)) {
+			t.Fatalf("instance %d: same seed diverged", k)
+		}
+	}
+	if draws(a1.ForInstance(1)) == draws(a1.ForInstance(2)) {
+		t.Error("instances 1 and 2 drew the same stream")
+	}
+	if draws(a1) != draws(a2) {
+		t.Error("same seed diverged outside ForInstance")
 	}
 }
 

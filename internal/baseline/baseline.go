@@ -55,7 +55,6 @@ func RunEIG(g *graph.Directed, source graph.NodeID, f int, input []byte) (*Resul
 		return nil, fmt.Errorf("baseline: relay table: %w", err)
 	}
 	engine := sim.New(g)
-	engine.SetRecording(false)
 	participants := g.Nodes()
 	nodes := map[graph.NodeID]*bb.Node{}
 	var rounds int
@@ -94,7 +93,6 @@ func RunFlood(g *graph.Directed, source graph.NodeID, f int, input []byte) (*Res
 		return nil, fmt.Errorf("baseline: relay table: %w", err)
 	}
 	engine := sim.New(g)
-	engine.SetRecording(false)
 	routers := map[graph.NodeID]*relay.Router{}
 	for _, v := range g.Nodes() {
 		v := v

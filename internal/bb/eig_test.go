@@ -358,7 +358,6 @@ func BenchmarkEIG7(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.New(g)
-		e.SetRecording(false)
 		var sample *Node
 		for _, v := range participants {
 			router := relay.NewRouter(v, tab)

@@ -162,6 +162,7 @@ type eigRun struct {
 func runOracle(t *testing.T, g *graph.Directed, tab *relay.Table, tol int, values map[graph.NodeID][]byte, byz map[graph.NodeID]bool, seed int64, mk eigCtor) eigRun {
 	t.Helper()
 	e := sim.New(g)
+	e.SetRecording(true)
 	participants := g.Nodes()
 	honest := map[graph.NodeID]eigProc{}
 	rounds := 0
@@ -283,7 +284,6 @@ func TestEIGBroadcastAllocs(t *testing.T) {
 	participants := g.Nodes()
 	allocs := testing.AllocsPerRun(5, func() {
 		e := sim.New(g)
-		e.SetRecording(false)
 		nodes := make([]*Node, 0, len(participants))
 		for _, v := range participants {
 			nd, err := NewNode(v, participants, 2, relay.NewRouter(v, tab), []byte{1})

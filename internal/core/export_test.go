@@ -79,9 +79,7 @@ type Phase3Run struct {
 func Phase3Runs(cfg Config, inputs [][]byte) ([]Phase3Run, error) {
 	var runs []Phase3Run
 	err := runFolded(cfg, inputs, func() *claimsTap {
-		tap := &claimsTap{Engine: sim.New(cfg.Graph)}
-		tap.SetRecording(false)
-		return tap
+		return &claimsTap{Engine: sim.New(cfg.Graph)}
 	}, func(pl *InstancePlan, tap *claimsTap, ir *InstanceResult) {
 		if !ir.Phase3 {
 			return

@@ -45,7 +45,7 @@ type nodeState struct {
 
 	input []byte // source only
 
-	myBlocks   []BitChunk // one per tree; zero chunk until received
+	myBlocks   []BitChunk // one per tree; empty until received (finishPhase1 defaults the rest)
 	haveBlock  []bool
 	recvClaims []TreeEdgeClaim
 	sentClaims []TreeEdgeClaim
@@ -122,9 +122,6 @@ func newNodeState(id graph.NodeID, adv Adversary, source graph.NodeID, input []b
 		myBlocks:  make([]BitChunk, len(trees)),
 		haveBlock: make([]bool, len(trees)),
 	}
-	for ti := range trees {
-		st.myBlocks[ti] = normalizeChunk(BitChunk{}, st.blockBits(ti))
-	}
 	return st
 }
 
@@ -194,25 +191,26 @@ func (st *nodeState) forwardBlock(out []sim.Message, tree int) []sim.Message {
 }
 
 // finishPhase1 assembles the node's value from its (normalized) blocks; the
-// source uses its own input.
+// source uses its own input. A tree that never delivered reads as the
+// all-zero default block, and the node records a "received nothing" claim
+// for it, so the audit sees the default-value read.
 func (st *nodeState) finishPhase1() error {
 	if st.id == st.source {
 		st.value = st.input
-	} else {
-		v, err := joinBits(st.myBlocks, st.lenBits)
-		if err != nil {
-			return fmt.Errorf("core: node %d join: %w", st.id, err)
-		}
-		st.value = v
-		// Record "received nothing" claims for trees that never delivered,
-		// so the audit sees the default-value reads.
-		for ti, ok := range st.haveBlock {
-			if !ok {
-				parent := st.trees[ti].Parent[st.id]
-				st.recvClaims = append(st.recvClaims, TreeEdgeClaim{Tree: ti, From: parent, To: st.id, Block: st.myBlocks[ti]})
-			}
+		return nil
+	}
+	for ti, ok := range st.haveBlock {
+		if !ok {
+			st.myBlocks[ti] = normalizeChunk(BitChunk{}, st.blockBits(ti))
+			parent := st.trees[ti].Parent[st.id]
+			st.recvClaims = append(st.recvClaims, TreeEdgeClaim{Tree: ti, From: parent, To: st.id, Block: st.myBlocks[ti]})
 		}
 	}
+	v, err := joinBits(st.myBlocks, st.lenBits)
+	if err != nil {
+		return fmt.Errorf("core: node %d join: %w", st.id, err)
+	}
+	st.value = v
 	return nil
 }
 

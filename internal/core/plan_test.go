@@ -115,7 +115,6 @@ func TestPlanCacheMatchesFreshPlan(t *testing.T) {
 					checked[ds.Gen()], cur = true, pl
 				}
 				eng := sim.New(tc.cfg.Graph)
-				eng.SetRecording(false)
 				ir, err := pl.Execute(eng, k, input(k, tc.cfg.LenBytes))
 				if err != nil {
 					t.Fatal(err)
@@ -143,7 +142,6 @@ func TestPlanCacheRestoreDoesNotAlias(t *testing.T) {
 	ds := core.NewDisputeState(cfg.Graph)
 	for k := 1; ds.Gen() == 0; k++ {
 		eng := sim.New(cfg.Graph)
-		eng.SetRecording(false)
 		ir, err := p.Plan(ds).Execute(eng, k, input(k, cfg.LenBytes))
 		if err != nil {
 			t.Fatal(err)

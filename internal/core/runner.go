@@ -191,7 +191,6 @@ func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
 	}
 	plan := r.proto.Plan(r.ds)
 	engine := sim.New(r.proto.cfg.Graph)
-	engine.SetRecording(false)
 	ir, err := plan.Execute(engine, k, input)
 	if err != nil {
 		return nil, err

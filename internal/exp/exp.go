@@ -535,7 +535,7 @@ func E8Correctness(w io.Writer, trials, lenBytes int, seed int64) error {
 			case 3:
 				advs[v] = &adversary.CodedCorruptor{}
 			default:
-				advs[v] = &adversary.Random{RNG: rand.New(rand.NewSource(rng.Int63()))}
+				advs[v] = &adversary.Random{Seed: rng.Int63()}
 			}
 		}
 		cfg := core.Config{

@@ -45,7 +45,6 @@ func simulatePipelinedPhase1(g *graph.Directed, source graph.NodeID, lenBits, q 
 
 	run := func(instances int, injectEvery int) (float64, error) {
 		e := sim.New(g)
-		e.SetRecording(false)
 		for _, v := range g.Nodes() {
 			v := v
 			if v == source {

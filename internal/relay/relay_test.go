@@ -412,7 +412,6 @@ func BenchmarkRelayPhase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.New(g)
-		e.SetRecording(false)
 		routers := map[graph.NodeID]*Router{}
 		for _, v := range g.Nodes() {
 			v := v

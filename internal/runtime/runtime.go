@@ -9,7 +9,8 @@
 // hands every inbound frame to the runtime's Serve handler, which files it
 // in its execution's mailboxes on whichever goroutine delivered it: the
 // sending execution's own on the in-process bus, a link or socket reader
-// goroutine otherwise.
+// goroutine otherwise. A frame for a launch this process has not started
+// yet files the same way, into mailboxes the launch then adopts.
 //
 // The runtime reuses the exact phase logic of internal/core (Protocol /
 // InstancePlan / DisputeState) on a message-driven PhaseEngine, so every
@@ -118,16 +119,14 @@ type Runtime struct {
 	linkMu sync.RWMutex
 	links  map[[2]graph.NodeID]transport.Link
 
-	engMu   sync.RWMutex
-	engines map[uint64]*instanceEngine
-	// pending buffers frames for launches not registered yet: peer
-	// processes number launches identically but register them at their own
-	// pace, so a frame may arrive before the local flight exists. Frames
-	// for launches at or below maxLaunch belong to completed or aborted
-	// executions and are dropped; so are frames claiming a launch further
-	// ahead than any honest peer can run (see pendingSlack), which bounds
-	// the buffer against a peer streaming garbage launch numbers.
-	pending   map[uint64][]*transport.Message
+	// engines holds the engine of every started execution (numbered at or
+	// below maxLaunch) and of every later launch a frame reached first:
+	// peers number launches identically but start them at their own pace.
+	// A frame for a launch at or below maxLaunch with no engine belongs to
+	// a finished or aborted execution and is dropped, and so is one further
+	// ahead than any honest peer runs (see pendingSlack).
+	engMu     sync.RWMutex
+	engines   map[uint64]*instanceEngine
 	maxLaunch uint64
 
 	// Scheduler state: ds is mutated only inside Run (folds are
@@ -204,7 +203,6 @@ func New(cfg Config) (*Runtime, error) {
 		topo:    newTopology(cfg.Graph),
 		links:   map[[2]graph.NodeID]transport.Link{},
 		engines: map[uint64]*instanceEngine{},
-		pending: map[uint64][]*transport.Message{},
 		ds:      core.NewDisputeState(cfg.Graph),
 	}
 	tr.Serve(rt.dispatch)
@@ -270,25 +268,22 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 	}
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()
-	if len(rt.engines) != 0 {
-		return fmt.Errorf("runtime: RestoreSnapshot with %d executions in flight", len(rt.engines))
+	for launch := range rt.engines {
+		if launch <= rt.maxLaunch {
+			return fmt.Errorf("runtime: RestoreSnapshot with execution %d in flight", launch)
+		}
 	}
 	rt.ds = ds
 	rt.nextLaunch = launchBase
-	rt.maxLaunch = launchBase
 	// The transport serves frames from New on, so a booting cluster
 	// process can already hold frames a faster peer sent for the launches
-	// it is about to start: those stay buffered. Frames at or below launchBase belong
-	// to an abandoned epoch and go.
-	for launch := range rt.pending {
-		if launch <= launchBase || launch > launchBase+rt.pendingSlack() {
-			delete(rt.pending, launch)
-		}
-	}
+	// it is about to start: their engines stay. Those at or below
+	// launchBase belong to an abandoned epoch and go.
+	rt.passLaunch(launchBase)
 	return nil
 }
 
-// pendingSlack bounds how far beyond the newest local launch a buffered
+// pendingSlack bounds how far beyond the newest local launch an early
 // frame's launch number may run. An honest peer's scheduler is at most
 // one window of speculative launches past the oldest uncommitted
 // instance, and it cannot commit (hence advance) an instance before this
@@ -301,11 +296,11 @@ func (rt *Runtime) pendingSlack() uint64 {
 // dispatch is the transport's Serve handler: it demultiplexes one inbound
 // frame to the owning instance engine, on whichever goroutine delivered
 // it. Frames for past launches (aborted or committed speculation) are
-// dropped; frames for launches this process has not started yet —
-// possible only across processes, where peers run ahead — are buffered
-// until the flight registers, within pendingSlack. It takes only engMu
-// and the engine's mutex, neither held across a Send, so it never blocks
-// on the sender it may run inside.
+// dropped; a frame for a launch this process has not started yet —
+// possible only across processes, where peers run ahead — creates that
+// launch's engine, within pendingSlack. It takes only engMu and the
+// engine's mutex, neither held across a Send, so it never blocks on the
+// sender it may run inside.
 func (rt *Runtime) dispatch(m *transport.Message) {
 	if fr.Enabled() {
 		fr.Record(fr.Event{
@@ -316,16 +311,15 @@ func (rt *Runtime) dispatch(m *transport.Message) {
 	rt.engMu.RLock()
 	eng, ok := rt.engines[m.Instance]
 	rt.engMu.RUnlock()
-	if ok {
-		eng.deliver(m)
-		return
+	if !ok {
+		rt.engMu.Lock()
+		if eng, ok = rt.engines[m.Instance]; !ok &&
+			m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
+			eng, ok = newInstanceEngine(m.Instance, rt.topo, rt.sendFrame, rt.locals), true
+			rt.engines[m.Instance] = eng
+		}
+		rt.engMu.Unlock()
 	}
-	rt.engMu.Lock()
-	if eng, ok = rt.engines[m.Instance]; !ok &&
-		m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
-		rt.pending[m.Instance] = append(rt.pending[m.Instance], m)
-	}
-	rt.engMu.Unlock()
 	if ok {
 		eng.deliver(m)
 	}
@@ -363,20 +357,31 @@ func (rt *Runtime) sendFrame(m *transport.Message) error {
 	return l.Send(m)
 }
 
-func (rt *Runtime) register(eng *instanceEngine) {
+// start returns the engine of the next launch, adopting the one an early
+// frame created. Launch numbers only grow, so an early engine numbered
+// below it never starts and goes.
+func (rt *Runtime) start(launch uint64) *instanceEngine {
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()
-	rt.engines[eng.launch] = eng
-	if eng.launch > rt.maxLaunch {
-		rt.maxLaunch = eng.launch
+	eng := rt.engines[launch]
+	rt.passLaunch(launch)
+	if eng == nil {
+		eng = newInstanceEngine(launch, rt.topo, rt.sendFrame, rt.locals)
 	}
-	// Frames are keyed by step, so buffered and direct deliveries may
-	// interleave in any order; draining under engMu only keeps the
-	// buffer's handoff to the engine atomic.
-	for _, m := range rt.pending[eng.launch] {
-		eng.deliver(m)
+	rt.engines[launch] = eng
+	return eng
+}
+
+// passLaunch drops the early engines numbered at or below n, which no
+// execution will take, and makes n the newest started launch. engMu must
+// be write-held.
+func (rt *Runtime) passLaunch(n uint64) {
+	for l := range rt.engines {
+		if l > rt.maxLaunch && l <= n {
+			delete(rt.engines, l)
+		}
 	}
-	delete(rt.pending, eng.launch)
+	rt.maxLaunch = n
 }
 
 func (rt *Runtime) unregister(eng *instanceEngine) {
@@ -445,10 +450,10 @@ func (res *Result) InstancesPerSec() float64 {
 // Determinism caveat: an Adversary whose hooks consume hidden shared
 // state sees hook interleavings that depend on the window; its behaviour
 // is replayed deterministically only with Window=1. Adversaries
-// implementing core.InstanceScoped (e.g. adversary.Random with a Seed and
-// nil RNG) draw per-instance state instead and are deterministic under
-// any window, as are stateless adversaries (Crash, BlockFlipper,
-// CodedCorruptor, FalseAlarm, flag liars).
+// implementing core.InstanceScoped (e.g. adversary.Random) draw
+// per-instance state instead and are deterministic under any window, as
+// are stateless adversaries (Crash, BlockFlipper, CodedCorruptor,
+// FalseAlarm, flag liars).
 func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit func(*core.InstanceResult) error) (*Result, error) {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
@@ -473,7 +478,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		f := &flight{
 			k:       k,
 			gen:     rt.ds.Gen(),
-			eng:     newInstanceEngine(rt.nextLaunch, rt.topo, rt.sendFrame, rt.locals),
+			eng:     rt.start(rt.nextLaunch),
 			done:    make(chan struct{}),
 			started: time.Now(),
 		}
@@ -492,7 +497,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			lv = &core.LocalView{Locals: rt.locals, Sched: f.view}
 		}
 		inflight[k] = f
-		rt.register(f.eng)
 		in := inputs[k] // read under the scheduler, not in the goroutine
 		plan := rt.proto.Plan(rt.ds)
 		go func() {
@@ -656,11 +660,9 @@ type syncAdversary struct {
 	inner core.Adversary
 }
 
-// ForInstance forwards core.InstanceScoped: a genuinely per-instance
-// adversary is used by one execution at a time, so it gets a wrapper of
-// its own. An adversary that answers ForInstance with itself (the legacy
-// shared-stream form) must keep THIS wrapper — a fresh one would hand
-// overlapping instances distinct mutexes around shared state.
+// ForInstance forwards core.InstanceScoped: a per-instance adversary is
+// used by one execution at a time, so it gets a wrapper of its own; one
+// that answers with itself keeps this wrapper and its mutex.
 func (s *syncAdversary) ForInstance(k int) core.Adversary {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,11 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	goruntime "runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,9 +48,8 @@ func runBatch(rt *runtime.Runtime, inputs [][]byte) (*runtime.Result, error) {
 // scenario names an adversary assignment; mk builds fresh adversary state
 // per runner so lockstep and pipelined replays start identical.
 type scenario struct {
-	name   string
-	window int // 0 = default (4); stateful adversaries need 1 for replay
-	mk     func() map[graph.NodeID]core.Adversary
+	name string
+	mk   func() map[graph.NodeID]core.Adversary
 }
 
 func scenarios(victim graph.NodeID) []scenario {
@@ -68,12 +67,8 @@ func scenarios(victim graph.NodeID) []scenario {
 		{name: "FalseAlarm", mk: func() map[graph.NodeID]core.Adversary {
 			return map[graph.NodeID]core.Adversary{victim: adversary.FalseAlarm{}}
 		}},
-		{name: "Random", window: 1, mk: func() map[graph.NodeID]core.Adversary {
-			return map[graph.NodeID]core.Adversary{victim: &adversary.Random{RNG: rand.New(rand.NewSource(99))}}
-		}},
-		// The instance-scoped form (core.InstanceScoped) draws fresh
-		// per-instance streams, so it byte-matches lockstep at the
-		// default window too.
+		// Random draws a fresh stream per instance (core.InstanceScoped),
+		// so it byte-matches lockstep at the default window.
 		{name: "SeededRandom", mk: func() map[graph.NodeID]core.Adversary {
 			return map[graph.NodeID]core.Adversary{victim: &adversary.Random{Seed: 99}}
 		}},
@@ -129,7 +124,7 @@ func TestOutputsMatchLockstep(t *testing.T) {
 				}
 
 				cfg.Adversaries = sc.mk()
-				rt, err := runtime.New(runtime.Config{Config: cfg, Window: sc.window})
+				rt, err := runtime.New(runtime.Config{Config: cfg})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,6 +343,89 @@ func TestLaunchNumbersIgnoreArrivalTiming(t *testing.T) {
 			t.Errorf("instance %d gen %d: launch %d with late submissions, %d with all queued", key[0], key[1], n, want)
 		}
 	}
+}
+
+// TestEarlyFramesFiledOnceAndReleased: a frame for a launch this process
+// has not started yet is filed in that launch's mailboxes on arrival, so
+// a repeat of it is dropped at once and held by nothing. When a dispute
+// barrier makes the process skip that launch number, the frame goes as
+// soon as a later launch starts. Finalizers show what the runtime still
+// references.
+func TestEarlyFramesFiledOnceAndReleased(t *testing.T) {
+	g := topo.CompleteBi(7, 1)
+	cfg := core.Config{
+		Graph: g, Source: 1, F: 2, LenBytes: 16, Seed: 5,
+		Adversaries: map[graph.NodeID]core.Adversary{3: adversary.FalseAlarm{}},
+	}
+	tr := transport.NewChan(g, transport.ChanOptions{})
+	rt, err := runtime.New(runtime.Config{Config: cfg, Window: 4, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	link, err := tr.Dial(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Launch 2 is numbered for instance 2 on the first generation; the
+	// false alarm at instance 1 retires that generation before a second
+	// submission arrives, so the process skips it.
+	const skipped = 2
+	send := func() *atomic.Bool {
+		m := &transport.Message{Instance: skipped, Step: 1, From: 2, To: 4, Packets: []transport.Packet{}}
+		gone := new(atomic.Bool)
+		goruntime.SetFinalizer(m, func(*transport.Message) { gone.Store(true) })
+		if err := link.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		return gone
+	}
+	first, repeat := send(), send()
+	if !collected(repeat, 200) {
+		t.Error("the repeat of an early frame is still held")
+	}
+	if collected(first, 5) {
+		t.Fatal("the early frame was released before its launch number passed")
+	}
+
+	flight.Default().Enable(1 << 16)
+	defer flight.Default().Disable() // the recorder is process-global
+	const q = 3
+	inputs := mkInputs(q, cfg.LenBytes)
+	subs := make(chan []byte, q)
+	subs <- inputs[0]
+	res, err := rt.RunStream(context.Background(), subs, func(ir *core.InstanceResult) error {
+		if ir.K < q {
+			subs <- inputs[ir.K]
+		} else {
+			close(subs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed() != q {
+		t.Fatalf("committed %d instances, want %d", res.Committed(), q)
+	}
+	for _, ev := range flight.Default().Events() {
+		if ev.Type == flight.EvLaunch && ev.Inst == skipped {
+			t.Fatalf("launch %d ran instance %d; the test needs it skipped", skipped, ev.K)
+		}
+	}
+	if !collected(first, 200) {
+		t.Error("the frame of a skipped launch is still held after later launches started")
+	}
+}
+
+// collected runs the garbage collector until gone is set, at most tries
+// times, and reports whether it was.
+func collected(gone *atomic.Bool, tries int) bool {
+	for i := 0; i < tries && !gone.Load(); i++ {
+		goruntime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return gone.Load()
 }
 
 // TestStreamingRuns checks that consecutive Run calls continue the

@@ -81,7 +81,7 @@ type Engine struct {
 
 // New returns an engine over topology g. All nodes default to Silent.
 func New(g *graph.Directed) *Engine {
-	e := &Engine{g: g.Clone(), links: NewLinks(g), procs: map[graph.NodeID]Process{}, record: true}
+	e := &Engine{g: g.Clone(), links: NewLinks(g), procs: map[graph.NodeID]Process{}}
 	for _, v := range g.Nodes() {
 		e.procs[v] = Silent
 	}
@@ -103,7 +103,7 @@ func (e *Engine) SetProcess(v graph.NodeID, p Process) error {
 	return nil
 }
 
-// SetRecording toggles transcript recording (on by default).
+// SetRecording toggles transcript recording (off by default).
 func (e *Engine) SetRecording(on bool) { e.record = on }
 
 // Records returns the transcript so far.

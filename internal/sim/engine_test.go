@@ -194,6 +194,7 @@ func TestPendingCrossesPhases(t *testing.T) {
 func TestTranscriptRecording(t *testing.T) {
 	g := lineGraph(2, 1)
 	e := New(g)
+	e.SetRecording(true)
 	if err := e.SetProcess(1, StepFunc(func(round int, inbox []Message) []Message {
 		if round == 0 {
 			return []Message{{From: 1, To: 2, Bits: 3}}
@@ -209,9 +210,8 @@ func TestTranscriptRecording(t *testing.T) {
 	if len(recs) != 1 || recs[0].Phase != "x" || recs[0].Round != 0 || recs[0].Msg.Bits != 3 {
 		t.Fatalf("records = %+v", recs)
 	}
-	// Recording can be disabled.
+	// Recording is off by default.
 	e2 := New(g)
-	e2.SetRecording(false)
 	if err := e2.SetProcess(1, StepFunc(func(round int, inbox []Message) []Message {
 		return []Message{{From: 1, To: 2, Bits: 1}}
 	})); err != nil {
@@ -294,7 +294,6 @@ func TestByzantineBodyCorruption(t *testing.T) {
 func BenchmarkRunPhase(b *testing.B) {
 	g := lineGraph(10, 4)
 	e := New(g)
-	e.SetRecording(false)
 	for i := 1; i < 10; i++ {
 		v := graph.NodeID(i)
 		if err := e.SetProcess(v, StepFunc(func(round int, inbox []Message) []Message {

@@ -11,16 +11,15 @@ import (
 )
 
 // queueDepth bounds every link's queue and every node's inbox, in frames.
-// A full link queue blocks Send. An inbox holds frames only until Serve,
-// or for a caller that reads them with Recv; a full one blocks its sinks
-// until Serve or Recv drains it. Neither bound is the token bucket's, and
-// neither bounds bytes.
+// A full link queue blocks Send. Inboxes serve only callers that never
+// Serve; a full one blocks its sinks until Recv drains it. Neither bound is
+// the token bucket's, and neither bounds bytes.
 const queueDepth = 4096
 
 // mesh is the in-memory core every Transport is built on (see the package
 // comment): the delivery point of the nodes hosted here (the Serve handler,
-// or their inboxes before it), one link per directed link, Recv,
-// send-side LinkBits and the close signal.
+// or their inboxes for a caller that Recvs instead), one link per directed
+// link, Recv, send-side LinkBits and the close signal.
 type mesh struct {
 	g  *graph.Directed
 	tu time.Duration
@@ -39,9 +38,11 @@ type mesh struct {
 
 	// serveMu is read-held around every handler call; close write-locks
 	// it to set shut, so no call runs once Close has returned.
-	serveMu sync.RWMutex
-	handler func(*Message) // set once by Serve
-	shut    bool
+	serveMu     sync.RWMutex
+	handler     func(*Message) // set once by Serve
+	shut        bool
+	reading     chan struct{} // closed by Serve or the first Recv: a Peer's socket readers start then
+	readingOnce sync.Once
 }
 
 // newMesh builds the core over topology g for the nodes hosted here.
@@ -55,6 +56,7 @@ func newMesh(g *graph.Directed, hosted []graph.NodeID, tu time.Duration, chaos *
 		epoch:    time.Now(),
 		links:    map[[2]graph.NodeID]*link{},
 		closed:   make(chan struct{}),
+		reading:  make(chan struct{}),
 	}
 	for _, v := range hosted {
 		c.inboxes[v] = make(chan *Message, queueDepth)
@@ -295,8 +297,8 @@ func (l *link) deliver(m *Message) {
 
 // deliver is the one delivery point of the nodes hosted here: every sink
 // calls it with a frame addressed to one of them. After Serve it calls the
-// handler; before, it queues the frame in the node's inbox. It reports
-// false once the transport has closed.
+// handler; a caller that never Serves finds the frame in the node's inbox.
+// It reports false once the transport has closed.
 func (c *mesh) deliver(m *Message) bool {
 	c.serveMu.RLock()
 	if h := c.handler; h != nil {
@@ -311,6 +313,7 @@ func (c *mesh) deliver(m *Message) bool {
 	inbox := c.inboxes[m.To]
 	select {
 	case inbox <- m:
+		return true
 	case <-c.closed:
 		// Closing flushes without blocking: a full inbox has no reader
 		// left to wait for.
@@ -320,21 +323,10 @@ func (c *mesh) deliver(m *Message) bool {
 		}
 		return false
 	}
-	// A Serve that stored its handler after the check above may have
-	// drained the inbox before this frame was in it: hand it over here.
-	c.serveMu.RLock()
-	served := c.handler != nil
-	c.serveMu.RUnlock()
-	if served {
-		c.drain(inbox)
-	}
-	return true
 }
 
-// Serve implements Transport: it stores the handler, then hands it every
-// frame that reached an inbox before the call. A sink that queues into an
-// inbox concurrently drains it again after its push, so each frame is
-// delivered exactly once.
+// Serve implements Transport: it stores the handler, then lets the socket
+// readers start.
 func (c *mesh) Serve(deliver func(*Message)) {
 	c.serveMu.Lock()
 	if c.handler != nil {
@@ -343,22 +335,11 @@ func (c *mesh) Serve(deliver func(*Message)) {
 	}
 	c.handler = deliver
 	c.serveMu.Unlock()
-	for _, inbox := range c.inboxes {
-		c.drain(inbox)
-	}
+	c.startReading()
 }
 
-// drain hands every frame waiting in inbox to the Serve handler.
-func (c *mesh) drain(inbox chan *Message) {
-	for {
-		select {
-		case m := <-inbox:
-			c.deliver(m)
-		default:
-			return
-		}
-	}
-}
+// startReading releases the socket readers, once.
+func (c *mesh) startReading() { c.readingOnce.Do(func() { close(c.reading) }) }
 
 type queued struct {
 	m   *Message
@@ -446,6 +427,7 @@ func (c *mesh) Recv(self graph.NodeID) (*Message, error) {
 	if served {
 		return nil, errServed
 	}
+	c.startReading()
 	select {
 	case m := <-inbox:
 		return m, nil

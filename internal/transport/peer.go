@@ -67,9 +67,10 @@ const (
 // topology's nodes this process hosts, one TCP listener for inbound links,
 // and one socket link per outgoing directed link whose receiver is hosted
 // by a remote process (local-to-local links stay in memory). Peer is the
-// only code that listens, accepts, handshakes and reads frames: frames for
-// links the handshake did not pin, or violating physics, are dropped on
-// receipt.
+// only code that listens, accepts, handshakes and reads frames: it accepts
+// and handshakes from construction on, reads from Serve (or the first
+// Recv) on, and drops frames for links the handshake did not pin, or
+// violating physics, on receipt.
 //
 // Trust model: the mesh assumes a trusted network boundary. The
 // handshake pins each connection to one directed link but does not
@@ -196,6 +197,11 @@ func (p *Peer) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	select { // nothing is read before Serve: early frames wait in the kernel
+	case <-p.reading:
+	case <-p.closed:
+		return
+	}
 	br := bufio.NewReader(conn)
 	for {
 		m, err := ReadFrame(br)

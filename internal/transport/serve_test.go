@@ -156,15 +156,17 @@ func TestServeConformance(t *testing.T) {
 	}
 }
 
-// TestPeerServeHandsOverEarlyFrames: a peer process can receive frames
-// before its runtime calls Serve. They wait in the inbox — filling it and
-// blocking the socket reader — and Serve hands every one to the handler,
-// exactly once, also while the sender keeps sending.
-func TestPeerServeHandsOverEarlyFrames(t *testing.T) {
+// TestPeerReadsNothingBeforeServe: a peer process can be sent frames
+// before its runtime calls Serve. It reads none of them — they wait in the
+// kernel's socket buffer, so they reach neither an inbox nor the
+// receiver's inbound bits — and once Serve starts the socket readers each
+// reaches the handler exactly once, also while the sender keeps sending.
+func TestPeerReadsNothingBeforeServe(t *testing.T) {
 	mp := openMeshPair(t, topo.Fig1a())
 	defer mp.Close()
 	l := mustDial(t, mp, 1, 2)
-	const early, total = queueDepth + 200, queueDepth + 1200
+	key := [2]graph.NodeID{1, 2}
+	const early, total = 500, 3000
 	send := func(from, to int) {
 		for i := from; i < to; i++ {
 			if err := l.Send(&Message{Instance: uint64(i + 1), Step: 1, From: 1, To: 2, Bits: 1, Packets: onePacket}); err != nil {
@@ -174,11 +176,23 @@ func TestPeerServeHandsOverEarlyFrames(t *testing.T) {
 		}
 	}
 	send(0, early)
-	inbox := mp.b.inboxes[2]
-	for deadline := time.Now().Add(10 * time.Second); len(inbox) < queueDepth; time.Sleep(time.Millisecond) {
+	// The sender's link goroutine has taken every early frame off its
+	// queue once the queue's slots are free; it flushes the socket as soon
+	// as no frame is due.
+	mp.a.mu.Lock()
+	sl := mp.a.links[key]
+	mp.a.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); len(sl.slots) > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("inbox holds %d frames, want it full (%d)", len(inbox), queueDepth)
+			t.Fatalf("%d frames still queued at the sender", len(sl.slots))
 		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if bits := mp.b.LinkBits()[key]; bits != 0 {
+		t.Errorf("receiver counted %d inbound bits before Serve, want 0", bits)
+	}
+	if n := len(mp.b.inboxes[2]); n != 0 {
+		t.Errorf("%d frames read into the inbox before Serve", n)
 	}
 
 	s := newServed()
@@ -188,9 +202,6 @@ func TestPeerServeHandsOverEarlyFrames(t *testing.T) {
 		send(early, total)
 	}()
 	mp.Serve(s.deliver)
-	if n := s.count(); n < queueDepth {
-		t.Errorf("Serve handed over %d frames, want the %d waiting", n, queueDepth)
-	}
 	<-done
 	s.waitFor(t, total)
 	time.Sleep(20 * time.Millisecond)
@@ -199,7 +210,7 @@ func TestPeerServeHandsOverEarlyFrames(t *testing.T) {
 	if s.n != total || len(s.got) != total {
 		t.Errorf("handler received %d frames, %d distinct; want %d once each", s.n, len(s.got), total)
 	}
-	if len(inbox) != 0 {
-		t.Errorf("%d frames left in the inbox after Serve", len(inbox))
+	if bits := mp.b.LinkBits()[key]; bits != total {
+		t.Errorf("receiver counted %d inbound bits, want %d", bits, total)
 	}
 }

@@ -41,9 +41,11 @@
 // Delivery is push: a receiver hands the transport one handler with
 // Serve, and every sink — a direct link's Send on the sender's goroutine,
 // a queued link's goroutine, a Peer's socket reader — calls it with each
-// frame addressed to a node hosted here. Frames that arrive before Serve
-// wait in per-node inboxes and are handed over at Serve. Recv reads those
-// inboxes, for callers that never Serve.
+// frame addressed to a node hosted here. Serve comes before the first
+// Dial, and a Peer reads nothing from its sockets before it, so a frame
+// that arrives early waits in the kernel's socket buffer and never changes
+// delivery path. Recv, for callers that never Serve, reads per-node
+// inboxes instead; its first call starts the socket readers.
 //
 // Bits are metered where frames are admitted, on the send side; a Peer
 // also meters the frames it receives from remote senders, so a process
@@ -105,9 +107,11 @@ type Packet struct {
 // bucket: a paced frame waits in its link's queue, so a sender's frames to
 // fast links never queue behind its slow one. On an unpaced, chaos-free
 // in-memory link Send runs the receiver's Serve handler inline. Send
-// blocks only when a receiver that never Serves stops calling Recv, and
-// is safe for concurrent use. Links are owned by their Transport —
-// dialing a link again returns the same Link — and live until it closes.
+// blocks only while the receiver takes no frames — one that never Serves
+// stops calling Recv, or a remote one has not Served yet and its socket
+// buffer and the link's queue are full — and is safe for concurrent use.
+// Links are owned by their Transport — dialing a link again returns the
+// same Link — and live until it closes.
 type Link interface {
 	Send(m *Message) error
 }
@@ -119,16 +123,18 @@ type Transport interface {
 	// link absent from the topology fails: physics forbids it.
 	Dial(from, to graph.NodeID) (Link, error)
 	// Serve makes deliver the receiver of every frame addressed to a node
-	// hosted here, including the frames that arrived before the call. It
-	// is called at most once, before the first Dial. deliver may run on
-	// any goroutine, concurrently, and inside a Send; it must not block
-	// and must not call Send. Once Close has returned it is never called
+	// hosted here, and starts the socket readers: frames remote senders
+	// wrote before the call are read after it. It is called at most once,
+	// before the first Dial and the first Recv. deliver may run on any
+	// goroutine, concurrently, and inside a Send; it must not block and
+	// must not call Send. Once Close has returned it is never called
 	// again.
 	Serve(deliver func(*Message))
 	// Recv blocks until the next frame addressed to self arrives, in
 	// arrival order across all of self's in-links, for callers that never
-	// Serve: after Serve it fails at once. It returns ErrClosed after
-	// Close, once the frames delivered before it are read.
+	// Serve: after Serve it fails at once. Its first call starts the
+	// socket readers. It returns ErrClosed after Close, once the frames
+	// delivered before it are read.
 	Recv(self graph.NodeID) (*Message, error)
 	// LinkBits snapshots the cumulative per-link capacity charges in bits
 	// (framing excluded).
