@@ -245,34 +245,49 @@ func TestPlanBuildsOncePerGeneration(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/plans.golden")
 
-// TestPlansGolden pins the generation-0 plans of dispute_churn's K7 and
-// paced_thin's thin7 to testdata/plans.golden: the scheme draw count, a
-// digest of every edge matrix, and every arborescence. The file was
-// written by the map-mutating arborescence packer the flow-net packer
-// replaced, so a plan that moves shows here.
+// TestPlansGolden pins plans to testdata/plans.golden: the scheme draw
+// count, a digest of every edge matrix, and every arborescence. The
+// networks are the generation-0 G_k of dispute_churn's K7, paced_thin's
+// thin7 and E4's six networks, and one K7 G_k after a fold that removes a
+// faulty node and a disputed pair's links. The first two networks' lines
+// were written by the map-mutating arborescence packer the flow-net
+// packer replaced, and the rest by the map-backed graph.Directed, so a
+// plan that moves shows here.
 func TestPlansGolden(t *testing.T) {
 	thin7, err := topo.OneThinLink(7, 2, 3, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	for _, tc := range []struct {
+	type goldenCase struct {
 		name string
 		cfg  core.Config
-	}{
-		{"K7 f=2 1KiB", core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1 << 10, Seed: 1}},
-		{"thin7 f=1 4KiB", core.Config{Graph: thin7, Source: 1, F: 1, LenBytes: 4 << 10, Seed: 1}},
-	} {
+		at   core.SnapshotState // the dispute state the plan is made on
+	}
+	k7 := core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1 << 10, Seed: 1}
+	cases := []goldenCase{
+		{name: "K7 f=2 1KiB", cfg: k7},
+		{name: "thin7 f=1 4KiB", cfg: core.Config{Graph: thin7, Source: 1, F: 1, LenBytes: 4 << 10, Seed: 1}},
+	}
+	for _, pc := range planCases(t)[:6] {
+		cases = append(cases, goldenCase{name: pc.name, cfg: pc.cfg})
+	}
+	cases = append(cases, goldenCase{name: "K7 f=2 1KiB, 5 faulty, 2-3 disputed", cfg: k7,
+		at: core.SnapshotState{K: 4, Gen: 2, Disputes: [][2]graph.NodeID{{2, 3}}, Faulty: []graph.NodeID{5}}})
+	var sb strings.Builder
+	for _, tc := range cases {
 		p, err := core.NewProtocol(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := core.NewDisputeState(tc.cfg.Graph)
-		pl, err := p.PlanInstance(ds, 1, rand.New(rand.NewSource(core.PlanSeed(tc.cfg.Seed, ds.Gen()))))
+		ds, err := p.RestoreState(tc.at, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := pl.Fields(1)
+		pl, err := p.PlanInstance(ds, ds.K()+1, rand.New(rand.NewSource(core.PlanSeed(tc.cfg.Seed, ds.Gen()))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := pl.Fields(ds.K() + 1)
 		if err != nil {
 			t.Fatal(err)
 		}
