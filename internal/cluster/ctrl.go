@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -252,8 +253,9 @@ type ctrlPlane struct {
 	listener net.Listener
 	expect   int // processes counted at the shutdown barrier
 	subMu    sync.Mutex
-	log      []ctrlMsg
+	log      []ctrlMsg // replayed to each new subscriber
 	subs     []chan ctrlMsg
+	joined   int            // subscriptions accepted so far, redials included
 	writers  sync.WaitGroup // per-follower writers, drained by Close
 
 	// Coordinator rollback-round state: one ack counter for the current
@@ -295,8 +297,25 @@ func (p *ctrlPlane) Execution(k, gen int) runtime.ExecutionView {
 }
 
 // Committed implements runtime.SchedulePlane: a committed instance's
-// decisions, and any that arrive for it later, are never read again.
-func (p *ctrlPlane) Committed(k int) { p.d.prune(k) }
+// decisions, and any that arrive for it later, are never read again. The
+// coordinator also drops them from its replay log, so a run without a
+// rollback keeps O(W) decisions there rather than one per instance. It
+// keeps them until every follower has subscribed: a follower whose
+// subscription lands after the coordinator committed an instance may
+// still be waiting for that instance's decisions.
+func (p *ctrlPlane) Committed(k int) {
+	p.d.prune(k)
+	if p.listener == nil {
+		return
+	}
+	p.subMu.Lock()
+	if p.joined >= p.expect-1 {
+		p.log = slices.DeleteFunc(p.log, func(m ctrlMsg) bool {
+			return (m.Type == "mismatch" || m.Type == "audit") && m.K <= k
+		})
+	}
+	p.subMu.Unlock()
+}
 
 // newCoordinator opens the control-plane listener (or adopts a held one
 // from a reservation) and starts serving decision streams to followers.
@@ -340,6 +359,7 @@ func (p *ctrlPlane) acceptLoop() {
 		}
 		backlog := append([]ctrlMsg(nil), p.log...)
 		p.subs = append(p.subs, ch)
+		p.joined++
 		p.writers.Add(1)
 		p.subMu.Unlock()
 		go func() {

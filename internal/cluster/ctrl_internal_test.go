@@ -28,6 +28,11 @@ import (
 // audit entry, bound the buffer by 4W. The crashed node's host sends the
 // coordinator nothing, so only its pace bounds its lag; it does no
 // protocol work and keeps up.
+//
+// The coordinator's replay log, sampled at its commits, holds the
+// decisions it broadcast for instances it has not committed: at most W
+// instances past its commits, with a mismatch and at most one audit
+// entry each, so the same 4W bounds it. Without pruning it ends near 300.
 func TestDecisionBuffersBounded(t *testing.T) {
 	const window, instances = 4, 300
 	g := topo.CompleteBi(7, 1)
@@ -54,6 +59,7 @@ func TestDecisionBuffersBounded(t *testing.T) {
 	}
 
 	peaks := make([]int, len(nodes))
+	logPeak := -1 // the coordinator's replay log
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, v := range nodes {
@@ -71,11 +77,16 @@ func TestDecisionBuffersBounded(t *testing.T) {
 				subs <- in
 			}
 			close(subs)
-			d := n.ctrl.d
+			p, d := n.ctrl, n.ctrl.d
 			_, errs[i] = n.Stream(context.Background(), subs, func(*core.InstanceResult) error {
 				d.mu.Lock()
 				peaks[i] = max(peaks[i], len(d.mismatch)+len(d.audits))
 				d.mu.Unlock()
+				if p.listener != nil {
+					p.subMu.Lock()
+					logPeak = max(logPeak, len(p.log))
+					p.subMu.Unlock()
+				}
 				return nil
 			})
 		}(i, v)
@@ -91,5 +102,8 @@ func TestDecisionBuffersBounded(t *testing.T) {
 			t.Errorf("process %d: decision buffer peaked at %d entries, want at most %d", i, peak, 4*window)
 		}
 	}
-	t.Logf("decision buffer peaks per process: %v", peaks)
+	if logPeak < 0 || logPeak > 4*window {
+		t.Errorf("coordinator replay log peaked at %d entries, want 0 to %d", logPeak, 4*window)
+	}
+	t.Logf("decision buffer peaks per process: %v; coordinator replay log peak: %d", peaks, logPeak)
 }

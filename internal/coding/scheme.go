@@ -243,29 +243,16 @@ func (s *Scheme) scratchFor(n int) *[]gf.Elem {
 	return bp
 }
 
-// blockIndex maps the nodes of subgraph H to row-block positions for the
-// expanded matrices: nodes sorted ascending; the last (reference) node has
-// no block. Returns the ordering, block index map, and reference node.
-func blockIndex(h *graph.Directed) ([]graph.NodeID, map[graph.NodeID]int, graph.NodeID) {
-	nodes := h.Nodes()
-	ref := nodes[len(nodes)-1]
-	blocks := map[graph.NodeID]int{}
-	for i, v := range nodes[:len(nodes)-1] {
-		blocks[v] = i
-	}
-	return nodes, blocks, ref
-}
-
 // AssembleCH builds the (|H|-1)*rho x m matrix C_H of Appendix C.1 for
 // subgraph H: the horizontal concatenation of the expanded matrices B_e of
 // every edge of H, where B_e places C_e in the tail node's block and -C_e
 // (= C_e in characteristic 2) in the head node's block, the reference node
-// contributing no block. Column order follows h.Edges() with slot order
-// inside each edge.
+// contributing no block. Node i of H (graph.Directed.Index) owns block i
+// and the last node is the reference. Column order follows h.Edges() with
+// slot order inside each edge.
 func (s *Scheme) AssembleCH(h *graph.Directed) (*linalg.Matrix, error) {
-	_, blocks, ref := blockIndex(h)
-	nBlocks := len(blocks)
-	if nBlocks == 0 {
+	nBlocks := h.NumNodes() - 1
+	if nBlocks <= 0 {
 		return nil, fmt.Errorf("coding: subgraph has fewer than 2 nodes")
 	}
 	totalCols := int(h.TotalCapacity())
@@ -282,17 +269,16 @@ func (s *Scheme) AssembleCH(h *graph.Directed) (*linalg.Matrix, error) {
 		if int64(ce.Cols()) != e.Cap {
 			return nil, fmt.Errorf("coding: matrix for (%d,%d) has %d cols, capacity %d", e.From, e.To, ce.Cols(), e.Cap)
 		}
+		from, _ := h.Index(e.From)
+		to, _ := h.Index(e.To)
 		for c := 0; c < int(e.Cap); c++ {
-			if e.From != ref {
-				bi := blocks[e.From]
-				for r := 0; r < s.rho; r++ {
-					ch.Set(bi*s.rho+r, col, ce.At(r, c))
+			// The head's block gets -C_e, which equals C_e in
+			// characteristic 2.
+			for _, bi := range [2]int{from, to} {
+				if bi == nBlocks {
+					continue
 				}
-			}
-			if e.To != ref {
-				bi := blocks[e.To]
 				for r := 0; r < s.rho; r++ {
-					// -C_e equals C_e in characteristic 2.
 					ch.Set(bi*s.rho+r, col, ce.At(r, c))
 				}
 			}

@@ -78,8 +78,8 @@ type nodeAdj struct {
 	in       []graph.Edge     // G_k in-edges, by origin
 	children [][]graph.NodeID // children[t]: the node's children in tree t, ascending
 
-	// Positions in G_k's (From, To) edge order: out[j] is edge outAt+j,
-	// in[i] is edge inAt[i].
+	// Edge positions in G_k (graph.Directed.EdgeIndex): out[j] is edge
+	// outAt+j, in[i] is edge inAt[i].
 	outAt int
 	inAt  []int
 }
@@ -87,21 +87,15 @@ type nodeAdj struct {
 // planAdjacency returns every G_k node's neighbourhood.
 func planAdjacency(gk *graph.Directed, trees []*spantree.Arborescence) map[graph.NodeID]*nodeAdj {
 	adj := make(map[graph.NodeID]*nodeAdj, gk.NumNodes())
-	nodes := gk.Nodes()
 	at := 0
-	for _, v := range nodes {
+	for _, v := range gk.Nodes() {
 		a := &nodeAdj{out: gk.OutEdges(v), in: gk.InEdges(v), children: make([][]graph.NodeID, len(trees)), outAt: at}
-		adj[v] = a
-		at += len(a.out)
-	}
-	for _, v := range nodes {
-		a := adj[v]
 		a.inAt = make([]int, len(a.in))
 		for i, e := range a.in {
-			from := adj[e.From]
-			j, _ := slices.BinarySearchFunc(from.out, v, func(e graph.Edge, to graph.NodeID) int { return cmp.Compare(e.To, to) })
-			a.inAt[i] = from.outAt + j
+			a.inAt[i], _ = gk.EdgeIndex(e.From, v)
 		}
+		adj[v] = a
+		at += len(a.out)
 	}
 	for ti, tr := range trees {
 		for _, e := range tr.Edges() {

@@ -8,6 +8,8 @@ package dispute
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,7 +84,7 @@ func (s *Set) Support() []graph.NodeID {
 		seen[p[0]] = struct{}{}
 		seen[p[1]] = struct{}{}
 	}
-	return graph.SortedNodeSet(seen)
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // MarkFaulty records that v has been directly identified as faulty (step

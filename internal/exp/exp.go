@@ -33,7 +33,7 @@ func E1Fig1(w io.Writer) error {
 	t := texttab.New("E1: Figure 1 worked example (n=4, f=1)",
 		"quantity", "paper", "measured")
 	for _, j := range []graph.NodeID{2, 3, 4} {
-		mc, err := g.MinCut(1, j)
+		mc, err := g.MaxFlow(1, j)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,11 @@
 // Graphs follow the paper's model: simple directed graphs with positive
 // integer link capacities; the undirected version of a directed graph merges
 // antiparallel edges by summing their capacities.
+//
+// A graph owns the numbering of its nodes and edges: node i is the i-th
+// node in ascending order and edge i the i-th edge in (From, To) order
+// (Directed.Index, Directed.EdgeIndex). The flow nets here, the simulator's
+// link counters and the protocol's plans all index by these positions.
 package graph
 
 import (
@@ -27,51 +32,60 @@ type Edge struct {
 	Cap  int64
 }
 
-// Directed is a simple directed graph with integer edge capacities.
-// The zero value is an empty graph ready to use.
+// Directed is a simple directed graph with integer edge capacities. Every
+// mutator keeps the nodes ascending and the edges in (From, To) order, so
+// the positions Index and EdgeIndex return need no lazily built index and
+// a graph shared read-only stays safe. The zero value is an empty graph
+// ready to use.
 type Directed struct {
-	nodes map[NodeID]struct{}
-	caps  map[[2]NodeID]int64
+	nodes []NodeID // ascending
+	edges []Edge   // sorted by (From, To)
 }
 
 // NewDirected returns an empty directed graph.
-func NewDirected() *Directed {
-	return &Directed{nodes: map[NodeID]struct{}{}, caps: map[[2]NodeID]int64{}}
+func NewDirected() *Directed { return &Directed{} }
+
+// Index returns v's position in Nodes(); ok is false when v is not a
+// vertex of g.
+func (g *Directed) Index(v NodeID) (i int, ok bool) { return slices.BinarySearch(g.nodes, v) }
+
+// EdgeIndex returns the position of edge (from, to) in Edges(); ok is
+// false when g has no such edge.
+func (g *Directed) EdgeIndex(from, to NodeID) (i int, ok bool) {
+	return slices.BinarySearchFunc(g.edges, Edge{From: from, To: to}, compareEdges)
 }
 
-func (g *Directed) ensure() {
-	if g.nodes == nil {
-		g.nodes = map[NodeID]struct{}{}
-	}
-	if g.caps == nil {
-		g.caps = map[[2]NodeID]int64{}
-	}
+// pos returns the position of vertex v, which must be in g.
+func (g *Directed) pos(v NodeID) int {
+	i, _ := g.Index(v)
+	return i
 }
 
 // AddNode inserts a vertex (no-op if present).
 func (g *Directed) AddNode(v NodeID) {
-	g.ensure()
-	g.nodes[v] = struct{}{}
+	if i, ok := g.Index(v); !ok {
+		g.nodes = slices.Insert(g.nodes, i, v)
+	}
 }
 
 // AddEdge inserts a directed edge with the given capacity, adding endpoints
 // as needed. It returns an error for non-positive capacity, self-loops, or
-// duplicate edges (the model is a simple graph).
+// duplicate edges (the model is a simple graph). Keeping the edges sorted
+// makes it O(E), which is nothing at NAB's n <= 10.
 func (g *Directed) AddEdge(from, to NodeID, capacity int64) error {
-	g.ensure()
 	if capacity <= 0 {
 		return fmt.Errorf("graph: edge (%d,%d) capacity %d must be positive", from, to, capacity)
 	}
 	if from == to {
 		return fmt.Errorf("graph: self-loop at node %d", from)
 	}
-	key := [2]NodeID{from, to}
-	if _, dup := g.caps[key]; dup {
+	i, dup := g.EdgeIndex(from, to)
+	if dup {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", from, to)
 	}
-	g.nodes[from] = struct{}{}
-	g.nodes[to] = struct{}{}
-	g.caps[key] = capacity
+	g.AddNode(from)
+	g.AddNode(to)
+	g.edges = slices.Insert(g.edges, i, Edge{From: from, To: to, Cap: capacity})
 	return nil
 }
 
@@ -93,7 +107,9 @@ func (g *Directed) AddBiEdge(a, b NodeID, capacity int64) error {
 
 // RemoveEdge deletes the directed edge (from, to) if present.
 func (g *Directed) RemoveEdge(from, to NodeID) {
-	delete(g.caps, [2]NodeID{from, to})
+	if i, ok := g.EdgeIndex(from, to); ok {
+		g.edges = slices.Delete(g.edges, i, i+1)
+	}
 }
 
 // RemoveBetween deletes both directed edges between a and b, matching the
@@ -105,31 +121,29 @@ func (g *Directed) RemoveBetween(a, b NodeID) {
 
 // RemoveNode deletes a vertex and all incident edges.
 func (g *Directed) RemoveNode(v NodeID) {
-	if g.nodes == nil {
-		return
-	}
-	delete(g.nodes, v)
-	for key := range g.caps {
-		if key[0] == v || key[1] == v {
-			delete(g.caps, key)
-		}
+	if i, ok := g.Index(v); ok {
+		g.nodes = slices.Delete(g.nodes, i, i+1)
+		g.edges = slices.DeleteFunc(g.edges, func(e Edge) bool { return e.From == v || e.To == v })
 	}
 }
 
 // HasNode reports whether v is a vertex of g.
 func (g *Directed) HasNode(v NodeID) bool {
-	_, ok := g.nodes[v]
+	_, ok := g.Index(v)
 	return ok
 }
 
 // Cap returns the capacity of edge (from,to), or 0 if absent.
 func (g *Directed) Cap(from, to NodeID) int64 {
-	return g.caps[[2]NodeID{from, to}]
+	if i, ok := g.EdgeIndex(from, to); ok {
+		return g.edges[i].Cap
+	}
+	return 0
 }
 
 // HasEdge reports whether the directed edge exists.
 func (g *Directed) HasEdge(from, to NodeID) bool {
-	_, ok := g.caps[[2]NodeID{from, to}]
+	_, ok := g.EdgeIndex(from, to)
 	return ok
 }
 
@@ -137,27 +151,13 @@ func (g *Directed) HasEdge(from, to NodeID) bool {
 func (g *Directed) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the directed edge count.
-func (g *Directed) NumEdges() int { return len(g.caps) }
+func (g *Directed) NumEdges() int { return len(g.edges) }
 
 // Nodes returns the vertices in ascending order.
-func (g *Directed) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(g.nodes))
-	for v := range g.nodes {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
+func (g *Directed) Nodes() []NodeID { return append(make([]NodeID, 0, len(g.nodes)), g.nodes...) }
 
 // Edges returns all edges sorted by (From, To).
-func (g *Directed) Edges() []Edge {
-	out := make([]Edge, 0, len(g.caps))
-	for key, c := range g.caps {
-		out = append(out, Edge{From: key[0], To: key[1], Cap: c})
-	}
-	slices.SortFunc(out, compareEdges)
-	return out
-}
+func (g *Directed) Edges() []Edge { return append(make([]Edge, 0, len(g.edges)), g.edges...) }
 
 // compareEdges orders edges by (From, To).
 func compareEdges(a, b Edge) int {
@@ -166,108 +166,74 @@ func compareEdges(a, b Edge) int {
 
 // OutEdges returns edges leaving v, sorted by destination.
 func (g *Directed) OutEdges(v NodeID) []Edge {
-	var out []Edge
-	for key, c := range g.caps {
-		if key[0] == v {
-			out = append(out, Edge{From: v, To: key[1], Cap: c})
-		}
+	i, _ := slices.BinarySearchFunc(g.edges, v, func(e Edge, v NodeID) int { return cmp.Compare(e.From, v) })
+	j := i
+	for j < len(g.edges) && g.edges[j].From == v {
+		j++
 	}
-	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
-	return out
+	return append([]Edge(nil), g.edges[i:j]...)
 }
 
 // InEdges returns edges entering v, sorted by origin.
 func (g *Directed) InEdges(v NodeID) []Edge {
 	var out []Edge
-	for key, c := range g.caps {
-		if key[1] == v {
-			out = append(out, Edge{From: key[0], To: v, Cap: c})
+	for _, e := range g.edges {
+		if e.To == v {
+			out = append(out, e)
 		}
 	}
-	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
 	return out
 }
 
-// Neighbors returns nodes adjacent to v by an edge in either direction.
+// Neighbors returns nodes adjacent to v by an edge in either direction,
+// ascending.
 func (g *Directed) Neighbors(v NodeID) []NodeID {
-	seen := map[NodeID]struct{}{}
-	for key := range g.caps {
+	var out []NodeID
+	for _, e := range g.edges {
 		switch v {
-		case key[0]:
-			seen[key[1]] = struct{}{}
-		case key[1]:
-			seen[key[0]] = struct{}{}
+		case e.From:
+			out = append(out, e.To)
+		case e.To:
+			out = append(out, e.From)
 		}
 	}
-	out := make([]NodeID, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Clone returns a deep copy of g.
 func (g *Directed) Clone() *Directed {
-	c := NewDirected()
-	for v := range g.nodes {
-		c.nodes[v] = struct{}{}
-	}
-	for k, v := range g.caps {
-		c.caps[k] = v
-	}
-	return c
+	return &Directed{nodes: slices.Clone(g.nodes), edges: slices.Clone(g.edges)}
 }
 
 // Induced returns the subgraph induced by keep: only vertices in keep and
 // edges between them survive.
 func (g *Directed) Induced(keep []NodeID) *Directed {
-	in := map[NodeID]struct{}{}
-	for _, v := range keep {
-		if g.HasNode(v) {
-			in[v] = struct{}{}
+	c := &Directed{}
+	for _, v := range g.nodes {
+		if slices.Contains(keep, v) {
+			c.nodes = append(c.nodes, v)
 		}
 	}
-	c := NewDirected()
-	for v := range in {
-		c.nodes[v] = struct{}{}
-	}
-	for key, cp := range g.caps {
-		if _, a := in[key[0]]; !a {
-			continue
+	for _, e := range g.edges {
+		if c.HasNode(e.From) && c.HasNode(e.To) {
+			c.edges = append(c.edges, e)
 		}
-		if _, b := in[key[1]]; !b {
-			continue
-		}
-		c.caps[key] = cp
 	}
 	return c
 }
 
 // Equal reports whether g and o have identical vertex and edge sets.
 func (g *Directed) Equal(o *Directed) bool {
-	if len(g.nodes) != len(o.nodes) || len(g.caps) != len(o.caps) {
-		return false
-	}
-	for v := range g.nodes {
-		if !o.HasNode(v) {
-			return false
-		}
-	}
-	for k, c := range g.caps {
-		if o.caps[k] != c {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(g.nodes, o.nodes) && slices.Equal(g.edges, o.edges)
 }
 
 // TotalCapacity returns the sum of all edge capacities (the "m" of the
 // Theorem 1 proof when applied to a subgraph).
 func (g *Directed) TotalCapacity() int64 {
 	var sum int64
-	for _, c := range g.caps {
-		sum += c
+	for _, e := range g.edges {
+		sum += e.Cap
 	}
 	return sum
 }
@@ -276,7 +242,7 @@ func (g *Directed) TotalCapacity() int64 {
 func (g *Directed) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Directed{n=%d:", g.NumNodes())
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		fmt.Fprintf(&sb, " %d->%d:%d", e.From, e.To, e.Cap)
 	}
 	sb.WriteString("}")

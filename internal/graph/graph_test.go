@@ -142,7 +142,7 @@ func TestFig1aMincuts(t *testing.T) {
 	g := fig1a()
 	cases := map[NodeID]int64{2: 2, 3: 3, 4: 2}
 	for target, want := range cases {
-		got, err := g.MinCut(1, target)
+		got, err := g.MaxFlow(1, target)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func (fn *flowNet) dfs(v, t int, limit int64) int64 {
 		if fn.cap[id] <= 0 || fn.level[w] != fn.level[v]+1 {
 			continue
 		}
-		pushed := fn.dfs(w, t, minI64(limit, fn.cap[id]))
+		pushed := fn.dfs(w, t, min(limit, fn.cap[id]))
 		if pushed > 0 {
 			fn.cap[id] -= pushed
 			fn.cap[id^1] += pushed
@@ -91,25 +91,13 @@ func (fn *flowNet) maxflow(s, t int) int64 {
 	return flow
 }
 
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
+// flowNet returns the flow net of g's edges, arc 2i carrying edge i.
+func (g *Directed) flowNet() *flowNet {
+	fn := newFlowNet(len(g.nodes), len(g.edges))
+	for _, e := range g.edges {
+		fn.addArc(g.pos(e.From), g.pos(e.To), e.Cap)
 	}
-	return b
-}
-
-// indexer maps NodeIDs to dense ints.
-type indexer struct {
-	ids []NodeID
-	idx map[NodeID]int
-}
-
-func newIndexer(nodes []NodeID) *indexer {
-	ix := &indexer{ids: nodes, idx: make(map[NodeID]int, len(nodes))}
-	for i, v := range nodes {
-		ix.idx[v] = i
-	}
-	return ix
+	return fn
 }
 
 // MaxFlow returns the maximum s-t flow value in g. By the max-flow/min-cut
@@ -122,17 +110,8 @@ func (g *Directed) MaxFlow(s, t NodeID) (int64, error) {
 	if s == t {
 		return 0, fmt.Errorf("graph: maxflow source equals sink (%d)", s)
 	}
-	ix := newIndexer(g.Nodes())
-	fn := newFlowNet(len(ix.ids), g.NumEdges())
-	for _, e := range g.Edges() {
-		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
-	}
-	return fn.maxflow(ix.idx[s], ix.idx[t]), nil
+	return g.flowNet().maxflow(g.pos(s), g.pos(t)), nil
 }
-
-// MinCut is an alias for MaxFlow, named for readability at call sites that
-// reason about cuts (MINCUT(G, s, t) in the paper).
-func (g *Directed) MinCut(s, t NodeID) (int64, error) { return g.MaxFlow(s, t) }
 
 // BroadcastMincut returns gamma = min over all other nodes j of
 // MINCUT(g, src, j): the highest rate at which src can (unreliably)
@@ -154,25 +133,17 @@ func (g *Directed) BroadcastMincut(src NodeID) (int64, error) {
 
 // Net is a flow net over one graph's edges whose capacities change in
 // place between flow queries, so a caller probing many capacity variants
-// of a graph builds the net once. Edge i is the graph's i-th edge in
-// (From, To) order; an edge whose capacity drops to 0 carries no flow, as
-// if it were removed.
+// of a graph builds the net once. Nodes and edges are numbered as in the
+// graph (Directed.Index, Directed.EdgeIndex); an edge whose capacity drops
+// to 0 carries no flow, as if it were removed.
 type Net struct {
 	nodes []NodeID
-	edges []Edge // Cap is the edge's current capacity; edge i is arc 2i
+	edges []Edge // the graph's edges; Cap is the edge's current capacity
 	fn    *flowNet
 }
 
 // NewNet returns the flow net of g's nodes and edges.
-func NewNet(g *Directed) *Net {
-	nodes, edges := g.Nodes(), g.Edges()
-	ix := newIndexer(nodes)
-	fn := newFlowNet(len(nodes), len(edges))
-	for _, e := range edges {
-		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
-	}
-	return &Net{nodes: nodes, edges: edges, fn: fn}
-}
+func NewNet(g *Directed) *Net { return &Net{nodes: g.Nodes(), edges: g.Edges(), fn: g.flowNet()} }
 
 // Nodes returns the net's vertices in ascending order. The slice is the
 // net's own; callers must not modify it.
@@ -219,12 +190,11 @@ func (nt *Net) MinFlowFrom(src NodeID, floor int64) int64 {
 // order. Returns an error when g is disconnected or has fewer than two
 // nodes.
 func (g *Directed) MinPairwiseMincut() (int64, error) {
-	nodes := g.Nodes()
-	if len(nodes) < 2 {
+	if len(g.nodes) < 2 {
 		return 0, fmt.Errorf("graph: pairwise mincut needs at least 2 nodes")
 	}
 	var und []Edge
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		switch {
 		case e.From < e.To:
 			und = append(und, Edge{From: e.From, To: e.To, Cap: e.Cap + g.Cap(e.To, e.From)})
@@ -233,17 +203,17 @@ func (g *Directed) MinPairwiseMincut() (int64, error) {
 		}
 	}
 	slices.SortFunc(und, compareEdges)
-	ix := newIndexer(nodes)
-	fn := newFlowNet(len(nodes), 2*len(und))
+	fn := newFlowNet(len(g.nodes), 2*len(und))
 	for _, e := range und {
-		fn.addArc(ix.idx[e.From], ix.idx[e.To], e.Cap)
-		fn.addArc(ix.idx[e.To], ix.idx[e.From], e.Cap)
+		u, v := g.pos(e.From), g.pos(e.To)
+		fn.addArc(u, v, e.Cap)
+		fn.addArc(v, u, e.Cap)
 	}
 	full := slices.Clone(fn.cap)
-	// The global minimum cut separates nodes[0] from some vertex, so the
-	// n-1 flows from nodes[0] find it.
+	// The global minimum cut separates node 0 from some vertex, so the
+	// n-1 flows from node 0 find it.
 	best := int64(math.MaxInt64)
-	for v := 1; v < len(nodes); v++ {
+	for v := 1; v < len(g.nodes); v++ {
 		copy(fn.cap, full)
 		best = min(best, fn.maxflow(0, v))
 	}
@@ -251,15 +221,4 @@ func (g *Directed) MinPairwiseMincut() (int64, error) {
 		return 0, fmt.Errorf("graph: graph is disconnected")
 	}
 	return best, nil
-}
-
-// SortedNodeSet converts a node set to a sorted slice, for deterministic
-// iteration in algorithms and tests.
-func SortedNodeSet(set map[NodeID]struct{}) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -38,15 +38,13 @@ type PathNet struct {
 
 // NewPathNet builds the split-node net of g.
 func NewPathNet(g *Directed) *PathNet {
-	nodes := g.Nodes()
-	n := len(nodes)
-	ix := newIndexer(nodes)
-	pn := &PathNet{nodes: nodes, fn: newFlowNet(2*n, n+g.NumEdges()), used: make([][]int, n)}
-	for i := range nodes {
+	n := g.NumNodes()
+	pn := &PathNet{nodes: g.Nodes(), fn: newFlowNet(2*n, n+g.NumEdges()), used: make([][]int, n)}
+	for i := range n {
 		pn.fn.addArc(2*i, 2*i+1, 1)
 	}
-	for _, e := range g.Edges() {
-		u, v := ix.idx[e.From], ix.idx[e.To]
+	for _, e := range g.edges {
+		u, v := g.pos(e.From), g.pos(e.To)
 		pn.fn.addArc(2*u+1, 2*v, 1)
 		pn.edges = append(pn.edges, [2]int{u, v})
 	}

@@ -15,11 +15,12 @@ import (
 // barrier; the scheduler re-executes the instance on the fresh snapshot.
 var errAborted = errors.New("runtime: instance aborted")
 
-// topology is the step topology of one Runtime: every node's sorted in-
-// and out-neighbours and the link index of each out-link, built once in
-// New and shared read-only by every instance engine.
+// topology is the step topology of one Runtime, built once in New and
+// shared read-only by every instance engine. Its per-node arrays are
+// indexed by the graph's node numbering (graph.Directed.Index) and its
+// links by the graph's edge numbering (sim.Links.EdgeIndex).
 type topology struct {
-	nodes    []graph.NodeID   // ascending
+	nodes    []graph.NodeID   // the graph's Nodes(): node i is nodes[i]
 	in       [][]graph.NodeID // in[i]: nodes[i]'s in-neighbours, ascending
 	out      [][]graph.NodeID // out[i]: nodes[i]'s out-neighbours, ascending
 	outLinks [][]int          // outLinks[i][j]: index of link (nodes[i], out[i][j])
@@ -36,7 +37,7 @@ func newTopology(g *graph.Directed) *topology {
 			t.in[i] = append(t.in[i], e.From)
 		}
 		for _, e := range g.OutEdges(v) {
-			l, _ := t.links.Index(v, e.To)
+			l, _ := t.links.EdgeIndex(v, e.To)
 			t.out[i] = append(t.out[i], e.To)
 			t.outLinks[i] = append(t.outLinks[i], l)
 		}

@@ -132,7 +132,7 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 					e.dropped++
 					continue
 				}
-				link, ok := e.links.Index(m.From, m.To)
+				link, ok := e.links.EdgeIndex(m.From, m.To)
 				if !ok {
 					e.dropped++
 					continue

@@ -4,33 +4,27 @@ import (
 	"nab/internal/graph"
 )
 
-// Links numbers the directed links of one topology in (From, To) order, so
-// per-link counters live in flat arrays instead of maps. Engines build it
-// once per topology; it is immutable and safe for concurrent use.
+// Links is the link numbering of one topology, the graph's own
+// (graph.Directed.EdgeIndex), so per-link counters live in flat arrays
+// instead of maps. Engines build it once per topology; it is immutable and
+// safe for concurrent use.
 type Links struct {
-	edges []graph.Edge
-	index map[[2]graph.NodeID]int
+	g     *graph.Directed
+	edges []graph.Edge // g's edges: link i is edges[i]
 }
 
-// NewLinks indexes the links of g.
+// NewLinks numbers the links of g.
 func NewLinks(g *graph.Directed) *Links {
-	edges := g.Edges()
-	l := &Links{edges: edges, index: make(map[[2]graph.NodeID]int, len(edges))}
-	for i, e := range edges {
-		l.index[[2]graph.NodeID{e.From, e.To}] = i
-	}
-	return l
+	g = g.Clone()
+	return &Links{g: g, edges: g.Edges()}
 }
 
 // Len returns the number of links.
 func (l *Links) Len() int { return len(l.edges) }
 
-// Index returns the index of link (from, to); ok is false when the
+// EdgeIndex returns the index of link (from, to); ok is false when the
 // topology has no such link.
-func (l *Links) Index(from, to graph.NodeID) (i int, ok bool) {
-	i, ok = l.index[[2]graph.NodeID{from, to}]
-	return i, ok
-}
+func (l *Links) EdgeIndex(from, to graph.NodeID) (i int, ok bool) { return l.g.EdgeIndex(from, to) }
 
 // PhaseStats aggregates the capacity charges of one phase. Every engine —
 // the lockstep Engine here and internal/runtime's message-driven engine —

@@ -31,14 +31,9 @@ func PackUndirectedTrees(g *graph.Directed, k int) ([][]UnitEdge, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("spantree: k = %d must be positive", k)
 	}
-	nodes := g.Nodes()
-	n := len(nodes)
+	n := g.NumNodes()
 	if n < 2 {
 		return nil, fmt.Errorf("spantree: need at least 2 nodes, have %d", n)
-	}
-	idx := make(map[graph.NodeID]int, n)
-	for i, v := range nodes {
-		idx[v] = i
 	}
 
 	// Expand capacities into unit edges, deterministically ordered.
@@ -51,7 +46,8 @@ func PackUndirectedTrees(g *graph.Directed, k int) ([][]UnitEdge, error) {
 
 	mu := newMatroidUnion(n, k)
 	for ui := range units {
-		a, b := idx[units[ui].From], idx[units[ui].To]
+		a, _ := g.Index(units[ui].From)
+		b, _ := g.Index(units[ui].To)
 		mu.insert(ui, a, b)
 	}
 	if got := mu.totalSize(); got < k*(n-1) {
@@ -88,10 +84,6 @@ func ValidateTreePacking(g *graph.Directed, trees [][]UnitEdge) error {
 			return fmt.Errorf("spantree: tree %d has %d edges, want %d", ti, len(tree), n-1)
 		}
 		dsu := newDSU(n)
-		idx := map[graph.NodeID]int{}
-		for i, v := range g.Nodes() {
-			idx[v] = i
-		}
 		for _, e := range tree {
 			if seen[e] {
 				return fmt.Errorf("spantree: unit edge %v reused across trees", e)
@@ -100,7 +92,9 @@ func ValidateTreePacking(g *graph.Directed, trees [][]UnitEdge) error {
 			if e.Slot < 0 || int64(e.Slot) >= g.Cap(e.From, e.To) {
 				return fmt.Errorf("spantree: unit edge %v exceeds capacity %d", e, g.Cap(e.From, e.To))
 			}
-			if !dsu.union(idx[e.From], idx[e.To]) {
+			a, _ := g.Index(e.From)
+			b, _ := g.Index(e.To)
+			if !dsu.union(a, b) {
 				return fmt.Errorf("spantree: tree %d has a cycle at %v", ti, e)
 			}
 		}

@@ -23,7 +23,7 @@ func TestFig1aPaperNumbers(t *testing.T) {
 	if gamma != 2 {
 		t.Errorf("gamma = %d, want 2", gamma)
 	}
-	mc3, err := g.MinCut(1, 3)
+	mc3, err := g.MaxFlow(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

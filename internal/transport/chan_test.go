@@ -34,7 +34,7 @@ func TestChanPacingMatchesSimAccounting(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			loads = append(loads, load{e.From, e.To, per})
 		}
-		link, _ := links.Index(e.From, e.To)
+		link, _ := links.EdgeIndex(e.From, e.To)
 		for i := 0; i < frames; i++ {
 			ps.Charge(0, link, per)
 			perLink[[2]graph.NodeID{e.From, e.To}] += per
