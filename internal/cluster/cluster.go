@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -189,12 +190,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 	// The source's host coordinates: it can decode every schedule
 	// decision itself (the source never leaves the instance graph while
 	// instances still run phases) and streams them to followers.
-	isCoord := false
-	for _, v := range locals {
-		if v == cfg.Source {
-			isCoord = true
-		}
-	}
+	isCoord := slices.Contains(locals, cfg.Source)
 	procs := map[string]bool{}
 	for _, ns := range cfg.Nodes {
 		procs[ns.Addr] = true
@@ -205,26 +201,30 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		if opt.Reservation != nil {
 			cl = opt.Reservation.Take(cfg.CtrlAddr)
 		}
-		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, durable, cfg.SnapshotInterval)
+		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, durable, cfg.SnapshotInterval, cfg.LenBytes)
 	} else {
-		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable)
+		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable, cfg.LenBytes)
 	}
 	if err != nil {
 		tr.Close()
 		return nil, err
 	}
 
-	rt, err := runtime.New(runtime.Config{
+	rcfg := runtime.Config{
 		Config:     coreCfg,
 		Window:     cfg.Window,
 		Transport:  tr,
 		LocalNodes: locals,
-		Plane:      ctrl,
-	})
+	}
+	if isCoord {
+		rcfg.Publish = ctrl.publish
+	}
+	rt, err := runtime.New(rcfg)
 	if err != nil {
 		ctrl.Close()
 		return nil, err // runtime owns (and closed) the transport
 	}
+	ctrl.attach(rt)
 	n := &Node{
 		cfg: cfg, opt: opt, rec: rec, locals: locals, tr: tr, ctrl: ctrl, rt: rt,
 		stop: make(chan struct{}),
@@ -307,10 +307,11 @@ func (n *Node) Stream(ctx context.Context, subs <-chan []byte, commit func(*core
 func (n *Node) Dropped() int64 { return n.tr.Dropped() }
 
 // Close leaves the cluster: shuts the runtime (and its transport) and
-// the control plane down. Idempotent.
+// the control plane down, failing pending decision waits. Idempotent.
 func (n *Node) Close() error {
 	n.stopOnce.Do(func() { close(n.stop) })
 	err := n.rt.Close()
 	n.ctrl.Close()
+	n.rt.FailDecisions(fmt.Errorf("cluster: control plane closed"))
 	return err
 }

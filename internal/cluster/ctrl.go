@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -20,12 +21,14 @@ import (
 // process cannot always decode from its own nodes' broadcasts: the agreed
 // MISMATCH bit (does Phase 3 run?) and the audit findings (what does
 // every process fold?). The coordinator — the process hosting the source
-// — decodes both locally for every instance and streams them to
-// followers as JSON lines; followers buffer them keyed by (instance,
-// generation) and only consult the buffer when a local node has fallen
-// out of the instance graph (i.e. was proven faulty), so trusting the
-// coordinator for them weakens nothing: honest nodes always decode their
-// own decisions.
+// — decodes both locally for every instance (runtime.Config.Publish) and
+// streams them to followers as JSON lines. Each carries its execution's
+// launch number, which every process gives the same execution, and a
+// follower files it into that execution with runtime.Decide, exactly as
+// a frame is filed. Only an execution whose local nodes have all fallen
+// out of the instance graph (i.e. were proven faulty) reads it, so
+// trusting the coordinator for them weakens nothing: honest nodes always
+// decode their own decisions.
 //
 // Decisions are replayed to late-connecting followers, making process
 // start order irrelevant.
@@ -49,7 +52,7 @@ import (
 type ctrlMsg struct {
 	Type     string            `json:"type"`
 	K        int               `json:"k"`
-	Gen      int               `json:"gen"`
+	Launch   uint64            `json:"launch,omitempty"` // decisions: the execution's launch number
 	Mismatch bool              `json:"mismatch,omitempty"`
 	Output   []byte            `json:"output,omitempty"`
 	Disputes [][2]graph.NodeID `json:"disputes,omitempty"`
@@ -70,142 +73,24 @@ type ctrlMsg struct {
 	Servers []int64 `json:"servers,omitempty"` // fetch: eligible serving processes
 }
 
-// decisionKey identifies one execution: barrier replays of instance k run
-// on a later dispute generation.
-type decisionKey struct{ k, gen int }
+// msgMax bounds one control message for payloads of lenBytes bytes. The
+// largest is an audit, whose Output is the payload in base64 (4/3 of
+// it); snapshots, dispute lists and the rest are small.
+func msgMax(lenBytes int) int { return 2*lenBytes + 64<<10 }
 
-// decisions is the shared buffer of received (or locally made) decisions.
-type decisions struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	mismatch map[decisionKey]bool
-	audits   map[decisionKey]*core.AuditResult
-	failed   error // control connection broken: all waits fail
-}
-
-func newDecisions() *decisions {
-	d := &decisions{
-		mismatch: map[decisionKey]bool{},
-		audits:   map[decisionKey]*core.AuditResult{},
-	}
-	d.cond = sync.NewCond(&d.mu)
-	return d
-}
-
-func (d *decisions) put(m ctrlMsg) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := decisionKey{m.K, m.Gen}
-	switch m.Type {
-	case "mismatch":
-		d.mismatch[key] = m.Mismatch
-	case "audit":
-		d.audits[key] = &core.AuditResult{Output: m.Output, Disputes: m.Disputes, Faulty: m.Faulty}
-	}
-	d.cond.Broadcast()
-}
-
-// prune drops the decisions of instances at or below k.
-func (d *decisions) prune(k int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for key := range d.mismatch {
-		if key.k <= k {
-			delete(d.mismatch, key)
-		}
-	}
-	for key := range d.audits {
-		if key.k <= k {
-			delete(d.audits, key)
-		}
-	}
-}
-
-func (d *decisions) fail(err error) {
-	d.mu.Lock()
-	if d.failed == nil {
-		d.failed = err
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-// view is one execution's runtime.ExecutionView over the decision
-// buffer. closed is guarded by the decisions mutex, so a waiter that has
-// checked it cannot miss the Close broadcast (a wakeup fired between the
-// check and cond.Wait would be lost under a separate lock).
-type view struct {
-	d      *decisions
-	key    decisionKey
-	pub    func(ctrlMsg) error // non-nil on the coordinator: broadcast
-	closed bool                // guarded by d.mu
-}
-
-var _ runtime.ExecutionView = (*view)(nil)
-
-// Close implements runtime.ExecutionView (idempotent).
-func (v *view) Close() {
-	v.d.mu.Lock()
-	v.closed = true
-	v.d.cond.Broadcast()
-	v.d.mu.Unlock()
-}
-
-// wait blocks until ready() yields a value, the view closes, or the
-// control plane fails. Caller-side state is all under d.mu.
-func wait[T any](v *view, what string, ready func() (T, bool)) (T, error) {
-	v.d.mu.Lock()
-	defer v.d.mu.Unlock()
+// readMsgs hands each message read from conn to handle until the
+// connection fails or a message is malformed or longer than max bytes.
+func readMsgs(conn net.Conn, max int, handle func(ctrlMsg)) error {
+	lim := &io.LimitedReader{R: conn}
+	dec := json.NewDecoder(lim)
 	for {
-		if val, ok := ready(); ok {
-			return val, nil
+		lim.N = int64(max) // on top of what the decoder already buffered
+		var m ctrlMsg
+		if err := dec.Decode(&m); err != nil {
+			return err
 		}
-		var zero T
-		if v.d.failed != nil {
-			return zero, fmt.Errorf("cluster: control plane: %w", v.d.failed)
-		}
-		if v.closed {
-			return zero, fmt.Errorf("cluster: execution (k=%d, gen=%d) abandoned while awaiting %s", v.key.k, v.key.gen, what)
-		}
-		v.d.cond.Wait()
+		handle(m)
 	}
-}
-
-// DecidedMismatch implements core.ScheduleView: record, and on the
-// coordinator broadcast to the followers.
-func (v *view) DecidedMismatch(mismatch bool) error {
-	msg := ctrlMsg{Type: "mismatch", K: v.key.k, Gen: v.key.gen, Mismatch: mismatch}
-	v.d.put(msg)
-	if v.pub != nil {
-		return v.pub(msg)
-	}
-	return nil
-}
-
-// NeedMismatch implements core.ScheduleView.
-func (v *view) NeedMismatch() (bool, error) {
-	return wait(v, "mismatch decision", func() (bool, bool) {
-		mm, ok := v.d.mismatch[v.key]
-		return mm, ok
-	})
-}
-
-// DecidedAudit implements core.ScheduleView.
-func (v *view) DecidedAudit(a *core.AuditResult) error {
-	msg := ctrlMsg{Type: "audit", K: v.key.k, Gen: v.key.gen, Output: a.Output, Disputes: a.Disputes, Faulty: a.Faulty}
-	v.d.put(msg)
-	if v.pub != nil {
-		return v.pub(msg)
-	}
-	return nil
-}
-
-// NeedAudit implements core.ScheduleView.
-func (v *view) NeedAudit() (*core.AuditResult, error) {
-	return wait(v, "audit decision", func() (*core.AuditResult, bool) {
-		a, ok := v.d.audits[v.key]
-		return a, ok
-	})
 }
 
 // phase is one step of a rollback round: reconnect (a follower redialing
@@ -230,14 +115,17 @@ func (ph phase) String() string {
 // phaseAck is the ack type the coordinator counts in each phase.
 var phaseAck = map[phase]string{phaseSync: "synced", phaseFetch: "joined", phaseRewind: "rewound"}
 
-// ctrlPlane is the per-process control-plane endpoint; it implements
-// runtime.SchedulePlane. Besides the decision stream it hosts the
-// shutdown barrier: a process that finished its workload must keep its
-// sockets open until every peer finished too (stragglers still flush
-// final-round frames to early finishers), so each process announces
-// "done" and tears down only after the coordinator's "alldone".
+// ctrlPlane is the per-process control-plane endpoint. Besides the
+// decision stream it hosts the shutdown barrier: a process that finished
+// its workload must keep its sockets open until every peer finished too
+// (stragglers still flush final-round frames to early finishers), so each
+// process announces "done" and tears down only after the coordinator's
+// "alldone".
 type ctrlPlane struct {
-	d *decisions
+	// rt is the runtime decisions are filed into (follower) and whose
+	// window bounds the replay log (coordinator); set by attach.
+	rt     *runtime.Runtime
+	msgMax int
 
 	// durable enables the crash-recovery behaviours: follower control
 	// connections redial instead of failing the decision stream, and the
@@ -285,43 +173,44 @@ type ctrlPlane struct {
 	closeOnce sync.Once
 }
 
-var _ runtime.SchedulePlane = (*ctrlPlane)(nil)
-
-// Execution implements runtime.SchedulePlane.
-func (p *ctrlPlane) Execution(k, gen int) runtime.ExecutionView {
-	v := &view{d: p.d, key: decisionKey{k, gen}}
-	if p.listener != nil {
-		v.pub = p.broadcast
+// attach hands the plane its process's runtime and, on a follower,
+// starts reading the decision stream into it.
+func (p *ctrlPlane) attach(rt *runtime.Runtime) {
+	p.rt = rt
+	if p.listener == nil {
+		go p.readLoop()
 	}
-	return v
 }
 
-// Committed implements runtime.SchedulePlane: a committed instance's
-// decisions, and any that arrive for it later, are never read again. The
-// coordinator also drops them from its replay log, so a run without a
-// rollback keeps O(W) decisions there rather than one per instance. It
-// keeps them until every follower has subscribed: a follower whose
-// subscription lands after the coordinator committed an instance may
-// still be waiting for that instance's decisions.
-func (p *ctrlPlane) Committed(k int) {
-	p.d.prune(k)
-	if p.listener == nil {
-		return
+// publish is the coordinator's runtime.Config.Publish: it logs one of its
+// executions' decisions for replay and streams it to every follower. An
+// instance launches only once the instance a window below it has
+// committed, so the decision of instance K means every instance at or
+// below K-W is committed here: their decisions leave the log, and a run
+// without a rollback keeps O(W) of them rather than one per instance. The
+// log keeps them until every follower has subscribed: a follower whose
+// subscription lands late may still be waiting for them.
+func (p *ctrlPlane) publish(d runtime.Decision) error {
+	m := ctrlMsg{Type: "mismatch", K: d.K, Launch: d.Launch, Mismatch: d.Mismatch}
+	if a := d.Audit; a != nil {
+		m = ctrlMsg{Type: "audit", K: d.K, Launch: d.Launch, Output: a.Output, Disputes: a.Disputes, Faulty: a.Faulty}
 	}
 	p.subMu.Lock()
 	if p.joined >= p.expect-1 {
-		p.log = slices.DeleteFunc(p.log, func(m ctrlMsg) bool {
-			return (m.Type == "mismatch" || m.Type == "audit") && m.K <= k
+		p.log = slices.DeleteFunc(p.log, func(l ctrlMsg) bool {
+			return (l.Type == "mismatch" || l.Type == "audit") && l.K <= d.K-p.rt.Window()
 		})
 	}
 	p.subMu.Unlock()
+	p.broadcast(m)
+	return nil
 }
 
 // newCoordinator opens the control-plane listener (or adopts a held one
 // from a reservation) and starts serving decision streams to followers.
 // expect is the number of processes the shutdown barrier waits for (the
 // coordinator included).
-func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapEvery int) (*ctrlPlane, error) {
+func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapEvery, lenBytes int) (*ctrlPlane, error) {
 	if l == nil {
 		var err error
 		l, err = net.Listen("tcp", addr)
@@ -330,7 +219,7 @@ func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapE
 		}
 	}
 	p := &ctrlPlane{
-		d: newDecisions(), durable: durable, addr: addr,
+		msgMax: msgMax(lenBytes), durable: durable, addr: addr,
 		events: make(chan ctrlMsg, 64), listener: l, expect: expect,
 		snapEvery: snapEvery,
 		allDone:   make(chan struct{}), closed: make(chan struct{}),
@@ -390,27 +279,23 @@ func (p *ctrlPlane) acceptLoop() {
 // "synced" naming another id is dropped, and every "state" is stamped with
 // the pinned id (dropped while unpinned) whatever Peer it claims.
 func (p *ctrlPlane) readConn(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	defer conn.Close()
 	var lead int64
-	for {
-		var m ctrlMsg
-		if err := dec.Decode(&m); err != nil {
-			return
-		}
+	readMsgs(conn, p.msgMax, func(m ctrlMsg) {
 		switch m.Type {
 		case "synced":
 			if lead != 0 && m.Peer != lead {
-				continue
+				return
 			}
 			lead = m.Peer
 		case "state":
 			if lead == 0 {
-				continue
+				return
 			}
 			m.Peer = lead
 		}
 		p.handle(m)
-	}
+	})
 }
 
 // handle is the coordinator's one inbound path: every message a process
@@ -463,16 +348,7 @@ func (p *ctrlPlane) Events() <-chan ctrlMsg { return p.events }
 // and to the local supervisor, without entering the replay log.
 func (p *ctrlPlane) broadcastCtl(m ctrlMsg) {
 	p.subMu.Lock()
-	keep := p.subs[:0]
-	for _, ch := range p.subs {
-		select {
-		case ch <- m:
-			keep = append(keep, ch)
-		default:
-			close(ch)
-		}
-	}
-	p.subs = keep
+	p.fanOutLocked(m)
 	p.subMu.Unlock()
 	p.pushEvent(m)
 }
@@ -662,15 +538,20 @@ func (p *ctrlPlane) countDone(round int) {
 	}
 }
 
-// broadcast appends to the log and fans out to every follower. A
-// follower too far behind to keep a 4096-decision buffer is cut off
-// rather than silently skipped: closing its channel makes its writer
-// goroutine exit and close the connection, so the follower's decision
-// stream fails fast instead of hanging a later Need* forever.
-func (p *ctrlPlane) broadcast(m ctrlMsg) error {
+// broadcast appends m to the replay log and fans it out to every follower.
+func (p *ctrlPlane) broadcast(m ctrlMsg) {
 	p.subMu.Lock()
 	defer p.subMu.Unlock()
 	p.log = append(p.log, m)
+	p.fanOutLocked(m)
+}
+
+// fanOutLocked queues m to every follower. A follower too far behind to
+// keep a 4096-message buffer is cut off rather than silently skipped:
+// closing its channel makes its writer goroutine exit and close the
+// connection, so the follower's decision stream fails fast instead of
+// hanging a later Need* forever. Callers hold subMu.
+func (p *ctrlPlane) fanOutLocked(m ctrlMsg) {
 	keep := p.subs[:0]
 	for _, ch := range p.subs {
 		select {
@@ -681,13 +562,12 @@ func (p *ctrlPlane) broadcast(m ctrlMsg) error {
 		}
 	}
 	p.subs = keep
-	return nil
 }
 
-// newFollower dials the coordinator (retrying while the cluster boots)
-// and starts buffering its decision stream. Canceling ctx aborts the
+// newFollower dials the coordinator (retrying while the cluster boots);
+// attach starts reading its decision stream. Canceling ctx aborts the
 // boot-time retry loop.
-func newFollower(ctx context.Context, addr string, timeout time.Duration, durable bool) (*ctrlPlane, error) {
+func newFollower(ctx context.Context, addr string, timeout time.Duration, durable bool, lenBytes int) (*ctrlPlane, error) {
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
@@ -695,50 +575,47 @@ func newFollower(ctx context.Context, addr string, timeout time.Duration, durabl
 	if err != nil {
 		return nil, fmt.Errorf("cluster: control dial %s: %w", addr, err)
 	}
-	p := &ctrlPlane{
-		d: newDecisions(), durable: durable, addr: addr,
+	return &ctrlPlane{
+		msgMax: msgMax(lenBytes), durable: durable, addr: addr,
 		events: make(chan ctrlMsg, 64), conn: conn,
 		allDone: make(chan struct{}), closed: make(chan struct{}),
-	}
-	go p.readLoop()
-	return p, nil
+	}, nil
 }
 
 func (p *ctrlPlane) readLoop() {
 	p.connMu.Lock()
 	conn, gen := p.conn, p.connGen
 	p.connMu.Unlock()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	for {
-		var m ctrlMsg
-		if err := dec.Decode(&m); err != nil {
-			if p.durable {
-				// The coordinator process died. Tell the supervisor —
-				// which will redial and rejoin once the coordinator is
-				// back — instead of failing every pending decision wait.
-				// The event is stamped with this connection's generation,
-				// so a loss reported by an already-replaced connection
-				// cannot tear down its healthy successor.
-				select {
-				case <-p.closed:
-				default:
-					p.pushEvent(ctrlMsg{Type: "ctrldown", K: gen})
-				}
-				return
-			}
-			p.d.fail(fmt.Errorf("decision stream ended: %w", err))
-			p.doneOnce.Do(func() { close(p.allDone) })
-			return
-		}
+	err := readMsgs(conn, p.msgMax, func(m ctrlMsg) {
 		switch m.Type {
 		case "alldone":
 			p.doneOnce.Do(func() { close(p.allDone) })
 		case "sync", "fetch", "state", "rewind", "resume":
 			p.pushEvent(m)
-		default:
-			p.d.put(m)
+		case "mismatch":
+			p.rt.Decide(runtime.Decision{Launch: m.Launch, K: m.K, Mismatch: m.Mismatch})
+		case "audit":
+			a := &core.AuditResult{Output: m.Output, Disputes: m.Disputes, Faulty: m.Faulty}
+			p.rt.Decide(runtime.Decision{Launch: m.Launch, K: m.K, Audit: a})
 		}
+	})
+	conn.Close()
+	if p.durable {
+		// The coordinator process died. Tell the supervisor — which will
+		// redial and rejoin once the coordinator is back — instead of
+		// failing every pending decision wait. The event is stamped with
+		// this connection's generation, so a loss reported by an
+		// already-replaced connection cannot tear down its healthy
+		// successor.
+		select {
+		case <-p.closed:
+		default:
+			p.pushEvent(ctrlMsg{Type: "ctrldown", K: gen})
+		}
+		return
 	}
+	p.rt.FailDecisions(fmt.Errorf("cluster: decision stream ended: %w", err))
+	p.doneOnce.Do(func() { close(p.allDone) })
 }
 
 // released reports whether the shutdown barrier has opened.
@@ -766,7 +643,7 @@ func (p *ctrlPlane) barrier(ctx context.Context, timeout time.Duration) {
 	}
 }
 
-// Close tears the control plane down; pending waits fail.
+// Close tears the control plane down and opens the shutdown barrier.
 func (p *ctrlPlane) Close() error {
 	p.closeOnce.Do(func() {
 		close(p.closed)
@@ -797,7 +674,6 @@ func (p *ctrlPlane) Close() error {
 			p.conn.Close()
 		}
 		p.connMu.Unlock()
-		p.d.fail(fmt.Errorf("control plane closed"))
 		p.doneOnce.Do(func() { close(p.allDone) })
 	})
 	return nil

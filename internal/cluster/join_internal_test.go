@@ -476,7 +476,7 @@ func TestJoinFetchValidation(t *testing.T) {
 // the pinned id on every state it relays — so a follower sending state
 // under two Peer values casts one vote.
 func TestJoinStatePinnedToConnection(t *testing.T) {
-	p, err := newCoordinator("127.0.0.1:0", 4, nil, true, 0)
+	p, err := newCoordinator("127.0.0.1:0", 4, nil, true, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestRollbackErrorNamesRoundAndPhase(t *testing.T) {
 	l.Close()
 	n := &Node{
 		opt: Options{BootTimeout: 200 * time.Millisecond},
-		ctrl: &ctrlPlane{d: newDecisions(), durable: true, addr: addr, events: make(chan ctrlMsg, 1),
+		ctrl: &ctrlPlane{durable: true, addr: addr, events: make(chan ctrlMsg, 1),
 			allDone: make(chan struct{}), closed: make(chan struct{})},
 		lastRound: 3,
 	}

@@ -441,20 +441,8 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 	}
 
 	// ---- Phase 1: unreliable broadcast over the packed arborescences.
-	for _, v := range p.cfg.Graph.Nodes() {
-		if !view.local(v) {
-			continue
-		}
-		st, inVk := states[v]
-		if !inVk {
-			if err := engine.SetProcess(v, sim.Silent); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := engine.SetProcess(v, st.phase1Process()); err != nil {
-			return nil, err
-		}
+	if err := p.setProcesses(engine, states, view, (*nodeState).phase1Process); err != nil {
+		return nil, err
 	}
 	recordPhase(k, flight.Phase1)
 	p1, err := engine.RunPhase("phase1", pl.maxDepth+1)
@@ -493,20 +481,8 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 			st.coded = coded
 		}
 	}
-	for _, v := range p.cfg.Graph.Nodes() {
-		if !view.local(v) {
-			continue
-		}
-		st, inVk := states[v]
-		if !inVk {
-			if err := engine.SetProcess(v, sim.Silent); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := engine.SetProcess(v, st.equalityProcess()); err != nil {
-			return nil, err
-		}
+	if err := p.setProcesses(engine, states, view, (*nodeState).equalityProcess); err != nil {
+		return nil, err
 	}
 	recordPhase(k, flight.PhaseEquality)
 	eq, err := engine.RunPhase("equality", 2)
@@ -699,6 +675,25 @@ func (pl *InstancePlan) ExecuteLocal(engine PhaseEngine, k int, input []byte, vi
 
 	ir.TotalBits = p1.TotalBits() + eq.TotalBits() + fl.TotalBits() + dc.TotalBits()
 	return ir, nil
+}
+
+// setProcesses gives every local node of G its process for the next
+// phase: proc of its state for a node in V_k, sim.Silent for one outside
+// it, which only relays.
+func (p *Protocol) setProcesses(engine PhaseEngine, states map[graph.NodeID]*nodeState, view *LocalView, proc func(*nodeState) sim.Process) error {
+	for _, v := range p.cfg.Graph.Nodes() {
+		if !view.local(v) {
+			continue
+		}
+		pr := sim.Silent
+		if st, inVk := states[v]; inVk {
+			pr = proc(st)
+		}
+		if err := engine.SetProcess(v, pr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fold applies instance ir to the cross-instance state: ir.K must be the

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"nab/internal/core"
 	"nab/internal/graph"
 	"nab/internal/sim"
 	"nab/internal/transport"
@@ -164,46 +165,59 @@ func (mb *mailbox) take() []sim.Message {
 // round r are delivered in round r+1, inboxes are ordered by sender,
 // final-round emissions carry into the next phase, a node can send only on
 // its own outgoing links, and every bit is charged to its link.
+//
+// It is also the execution's core.ScheduleView: decisions its own nodes
+// derive go to publish, and one they cannot derive is waited for until
+// Decide files it.
 type instanceEngine struct {
-	launch uint64
-	topo   *topology
-	send   func(*transport.Message) error
+	launch  uint64
+	k       int // the instance; set by start, before the execution runs
+	topo    *topology
+	send    func(*transport.Message) error
+	publish func(Decision) error // nil: decisions stay local
 
 	locals []int         // positions in topo.nodes of the hosted nodes
 	procs  []sim.Process // by position; hosted nodes only
 	mail   []*mailbox    // by position; nil for a node hosted elsewhere
 
-	// mu guards the mailboxes and aborted. cond wakes RunPhase when a
-	// hosted node's next step becomes ready or the execution aborts.
-	mu      sync.Mutex
-	cond    sync.Cond
-	aborted bool
+	// mu guards the mailboxes, aborted and the filed decisions. cond wakes
+	// the execution when a hosted node's next step becomes ready, a
+	// decision it waits for is filed or fails, or the execution aborts.
+	mu           sync.Mutex
+	cond         sync.Cond
+	aborted      bool
+	mismatch     bool
+	haveMismatch bool
+	audit        *core.AuditResult
+	decErr       error // set by FailDecisions
 
 	stepBase uint32
 	dropped  int64 // written by RunPhase; read once the execution is done
 }
 
-// newInstanceEngine builds the engine for one execution. With a non-nil
-// locals set, only those nodes get mailboxes and run here: the remaining
-// nodes run in peer processes, whose step frames arrive over the shared
-// transport exactly like local ones — step synchronization does not care
-// which process a neighbour lives in.
-func newInstanceEngine(launch uint64, topo *topology, send func(*transport.Message) error, locals map[graph.NodeID]bool) *instanceEngine {
+// newEngine builds the engine for one execution; engMu must be
+// write-held. With LocalNodes set, only those nodes get mailboxes and run
+// here: the remaining nodes run in peer processes, whose step frames
+// arrive over the shared transport exactly like local ones — step
+// synchronization does not care which process a neighbour lives in.
+func (rt *Runtime) newEngine(launch uint64) *instanceEngine {
 	e := &instanceEngine{
-		launch: launch,
-		topo:   topo,
-		send:   send,
-		procs:  make([]sim.Process, len(topo.nodes)),
-		mail:   make([]*mailbox, len(topo.nodes)),
+		launch:  launch,
+		topo:    rt.topo,
+		send:    rt.sendFrame,
+		publish: rt.cfg.Publish,
+		decErr:  rt.decErr,
+		procs:   make([]sim.Process, len(rt.topo.nodes)),
+		mail:    make([]*mailbox, len(rt.topo.nodes)),
 	}
 	e.cond.L = &e.mu
-	for i, v := range topo.nodes {
-		if locals != nil && !locals[v] {
+	for i, v := range rt.topo.nodes {
+		if rt.locals != nil && !rt.locals[v] {
 			continue
 		}
 		e.locals = append(e.locals, i)
 		e.procs[i] = sim.Silent
-		e.mail[i] = newMailbox(topo.in[i])
+		e.mail[i] = newMailbox(rt.topo.in[i])
 	}
 	return e
 }
@@ -236,13 +250,80 @@ func (e *instanceEngine) deliver(m *transport.Message) {
 	e.mu.Unlock()
 }
 
-// abort cancels the execution: RunPhase returns errAborted instead of
-// waiting for another step. Idempotent.
+// abort cancels the execution: RunPhase and a Need* wait return
+// errAborted instead of waiting on. Idempotent.
 func (e *instanceEngine) abort() {
 	e.mu.Lock()
 	e.aborted = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
+}
+
+// decide files d for a Need* wait.
+func (e *instanceEngine) decide(d Decision) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if d.Audit != nil {
+		e.audit = d.Audit
+	} else {
+		e.mismatch, e.haveMismatch = d.Mismatch, true
+	}
+	e.cond.Broadcast()
+}
+
+// failDecisions makes a decision wait fail with err.
+func (e *instanceEngine) failDecisions(err error) {
+	e.mu.Lock()
+	e.decErr = err
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// DecidedMismatch implements core.ScheduleView.
+func (e *instanceEngine) DecidedMismatch(mismatch bool) error {
+	return e.publishDecision(Decision{Mismatch: mismatch})
+}
+
+// DecidedAudit implements core.ScheduleView.
+func (e *instanceEngine) DecidedAudit(a *core.AuditResult) error {
+	return e.publishDecision(Decision{Audit: a})
+}
+
+func (e *instanceEngine) publishDecision(d Decision) error {
+	if e.publish == nil {
+		return nil
+	}
+	d.Launch, d.K = e.launch, e.k
+	return e.publish(d)
+}
+
+// NeedMismatch implements core.ScheduleView.
+func (e *instanceEngine) NeedMismatch() (mm bool, err error) {
+	err = e.await("mismatch decision", func() bool { mm = e.mismatch; return e.haveMismatch })
+	return mm, err
+}
+
+// NeedAudit implements core.ScheduleView.
+func (e *instanceEngine) NeedAudit() (a *core.AuditResult, err error) {
+	err = e.await("audit decision", func() bool { a = e.audit; return a != nil })
+	return a, err
+}
+
+// await waits until filed, called under e.mu, reports the decision in,
+// the execution aborts or decisions fail.
+func (e *instanceEngine) await(what string, filed func() bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !filed() {
+		switch {
+		case e.aborted:
+			return errAborted
+		case e.decErr != nil:
+			return fmt.Errorf("runtime: instance %d: %s: %w", e.k, what, e.decErr)
+		}
+		e.cond.Wait()
+	}
+	return nil
 }
 
 // Dropped returns how many emissions violated physics.

@@ -10,7 +10,8 @@
 // in its execution's mailboxes on whichever goroutine delivered it: the
 // sending execution's own on the in-process bus, a link or socket reader
 // goroutine otherwise. A frame for a launch this process has not started
-// yet files the same way, into mailboxes the launch then adopts.
+// yet files the same way, into mailboxes the launch then adopts; so does a
+// schedule decision another process made for the launch (Decide).
 //
 // The runtime reuses the exact phase logic of internal/core (Protocol /
 // InstancePlan / DisputeState) on a message-driven PhaseEngine, so every
@@ -75,35 +76,26 @@ type Config struct {
 	// identical commit/barrier decisions (folds are deterministic and
 	// agreed), and an execution's launch number depends only on its
 	// instance, the barriers before it and the window, not on when its
-	// submission arrived. That keeps frame routing aligned across
-	// processes without any coordination traffic.
+	// submission arrived. That keeps frame and decision routing aligned
+	// across processes without any coordination traffic.
 	LocalNodes []graph.NodeID
 
-	// Plane resolves mid-instance schedule decisions for partial runtimes
-	// whose local nodes cannot decode them (see core.ScheduleView).
-	// Required when LocalNodes is set and a local node can be excluded
-	// from the instance graph.
-	Plane SchedulePlane
+	// Publish, when set, receives every schedule decision an execution
+	// derives from its own nodes (see core.ScheduleView) — a cluster
+	// coordinator streams them to the processes whose local nodes all fall
+	// outside V_k and cannot. Such a process files each one it receives
+	// with Decide, and the execution waiting for it reads it there.
+	Publish func(Decision) error
 }
 
-// ExecutionView is one instance execution's core.ScheduleView; Close is
-// called (possibly more than once — it must be idempotent) when the
-// execution commits or is abandoned at a dispute barrier, and must
-// unblock any pending Need* call.
-type ExecutionView interface {
-	core.ScheduleView
-	Close()
-}
-
-// SchedulePlane hands out per-execution schedule views, keyed by the
-// instance number and the dispute-state generation it executes on (a
-// barrier replay of instance k runs on a later generation). Committed is
-// called as instance k commits, before the commit callback: no execution
-// of an instance at or below k runs until a restore rewinds the runtime,
-// so the plane may drop what it holds for them.
-type SchedulePlane interface {
-	Execution(k, gen int) ExecutionView
-	Committed(k int)
+// Decision is one mid-instance schedule decision of the execution with
+// launch number Launch, which runs instance K: the agreed MISMATCH bit or,
+// when Audit is set, the dispute-control audit findings.
+type Decision struct {
+	Launch   uint64
+	K        int
+	Mismatch bool
+	Audit    *core.AuditResult
 }
 
 // Runtime hosts the frame demultiplexer, the links and the scheduler for
@@ -120,14 +112,16 @@ type Runtime struct {
 	links  map[[2]graph.NodeID]transport.Link
 
 	// engines holds the engine of every started execution (numbered at or
-	// below maxLaunch) and of every later launch a frame reached first:
-	// peers number launches identically but start them at their own pace.
-	// A frame for a launch at or below maxLaunch with no engine belongs to
-	// a finished or aborted execution and is dropped, and so is one further
-	// ahead than any honest peer runs (see pendingSlack).
+	// below maxLaunch) and of every later launch a frame or decision
+	// reached first: peers number launches identically but start them at
+	// their own pace. A frame or decision for a launch at or below
+	// maxLaunch with no engine belongs to a finished or aborted execution
+	// and is dropped, and so is one further ahead than any honest peer runs
+	// (see pendingSlack).
 	engMu     sync.RWMutex
 	engines   map[uint64]*instanceEngine
 	maxLaunch uint64
+	decErr    error // set by FailDecisions: fails every engine's decision waits
 
 	// Scheduler state: ds is mutated only inside Run (folds are
 	// serialized); runMu admits one Run at a time.
@@ -293,14 +287,10 @@ func (rt *Runtime) pendingSlack() uint64 {
 	return uint64(4*rt.cfg.Window + 8)
 }
 
-// dispatch is the transport's Serve handler: it demultiplexes one inbound
-// frame to the owning instance engine, on whichever goroutine delivered
-// it. Frames for past launches (aborted or committed speculation) are
-// dropped; a frame for a launch this process has not started yet —
-// possible only across processes, where peers run ahead — creates that
-// launch's engine, within pendingSlack. It takes only engMu and the
-// engine's mutex, neither held across a Send, so it never blocks on the
-// sender it may run inside.
+// dispatch is the transport's Serve handler: it files one inbound frame
+// into its launch's engine, on whichever goroutine delivered it. It takes
+// only engMu and the engine's mutex, neither held across a Send, so it
+// never blocks on the sender it may run inside.
 func (rt *Runtime) dispatch(m *transport.Message) {
 	if fr.Enabled() {
 		fr.Record(fr.Event{
@@ -308,21 +298,51 @@ func (rt *Runtime) dispatch(m *transport.Message) {
 			Inst: m.Instance, Step: m.Step, Arg: uint64(m.Bits),
 		})
 	}
-	rt.engMu.RLock()
-	eng, ok := rt.engines[m.Instance]
-	rt.engMu.RUnlock()
-	if !ok {
-		rt.engMu.Lock()
-		if eng, ok = rt.engines[m.Instance]; !ok &&
-			m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
-			eng, ok = newInstanceEngine(m.Instance, rt.topo, rt.sendFrame, rt.locals), true
-			rt.engines[m.Instance] = eng
-		}
-		rt.engMu.Unlock()
-	}
-	if ok {
+	if eng := rt.engine(m.Instance); eng != nil {
 		eng.deliver(m)
 	}
+}
+
+// Decide files a schedule decision that Publish produced in another
+// process into its launch's execution, releasing that execution's Need*
+// wait. It routes like a frame (see dispatch).
+func (rt *Runtime) Decide(d Decision) {
+	if eng := rt.engine(d.Launch); eng != nil {
+		eng.decide(d)
+	}
+}
+
+// FailDecisions makes every current and later Need* wait of an execution
+// fail with err instead of waiting for a Decide — the decision stream is
+// gone.
+func (rt *Runtime) FailDecisions(err error) {
+	rt.engMu.Lock()
+	defer rt.engMu.Unlock()
+	rt.decErr = err
+	for _, eng := range rt.engines {
+		eng.failDecisions(err)
+	}
+}
+
+// engine returns launch's engine. Past launches (aborted or committed
+// speculation) have none and yield nil; a launch this process has not
+// started yet — possible only across processes, where peers run ahead —
+// gets its engine now, which start adopts, unless it lies beyond
+// pendingSlack.
+func (rt *Runtime) engine(launch uint64) *instanceEngine {
+	rt.engMu.RLock()
+	eng := rt.engines[launch]
+	rt.engMu.RUnlock()
+	if eng != nil {
+		return eng
+	}
+	rt.engMu.Lock()
+	defer rt.engMu.Unlock()
+	if eng = rt.engines[launch]; eng == nil && launch > rt.maxLaunch && launch <= rt.maxLaunch+rt.pendingSlack() {
+		eng = rt.newEngine(launch)
+		rt.engines[launch] = eng
+	}
+	return eng
 }
 
 // sendFrame routes one frame onto its (lazily dialed, shared) link. The
@@ -357,17 +377,18 @@ func (rt *Runtime) sendFrame(m *transport.Message) error {
 	return l.Send(m)
 }
 
-// start returns the engine of the next launch, adopting the one an early
-// frame created. Launch numbers only grow, so an early engine numbered
-// below it never starts and goes.
-func (rt *Runtime) start(launch uint64) *instanceEngine {
+// start returns the engine of the next launch, which runs instance k,
+// adopting the one an early frame or decision created. Launch numbers only
+// grow, so an early engine numbered below it never starts and goes.
+func (rt *Runtime) start(launch uint64, k int) *instanceEngine {
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()
 	eng := rt.engines[launch]
 	rt.passLaunch(launch)
 	if eng == nil {
-		eng = newInstanceEngine(launch, rt.topo, rt.sendFrame, rt.locals)
+		eng = rt.newEngine(launch)
 	}
+	eng.k = k
 	rt.engines[launch] = eng
 	return eng
 }
@@ -395,7 +416,7 @@ type flight struct {
 	k       int
 	gen     int
 	eng     *instanceEngine
-	view    ExecutionView // nil without a schedule plane
+	lv      core.LocalView
 	done    chan struct{}
 	ir      *core.InstanceResult
 	err     error
@@ -478,7 +499,7 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		f := &flight{
 			k:       k,
 			gen:     rt.ds.Gen(),
-			eng:     rt.start(rt.nextLaunch),
+			eng:     rt.start(rt.nextLaunch, k),
 			done:    make(chan struct{}),
 			started: time.Now(),
 		}
@@ -489,35 +510,23 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 				Inst: rt.nextLaunch, K: int32(k), Gen: int32(f.gen),
 			})
 		}
-		if rt.cfg.Plane != nil {
-			f.view = rt.cfg.Plane.Execution(f.k, f.gen)
-		}
-		var lv *core.LocalView
-		if rt.locals != nil || f.view != nil {
-			lv = &core.LocalView{Locals: rt.locals, Sched: f.view}
-		}
+		f.lv = core.LocalView{Locals: rt.locals, Sched: f.eng}
 		inflight[k] = f
 		in := inputs[k] // read under the scheduler, not in the goroutine
 		plan := rt.proto.Plan(rt.ds)
 		go func() {
 			defer close(f.done)
-			f.ir, f.err = plan.ExecuteLocal(f.eng, f.k, in, lv)
+			f.ir, f.err = plan.ExecuteLocal(f.eng, f.k, in, &f.lv)
 		}()
 	}
 	finish := func(f *flight) {
 		rt.unregister(f.eng)
-		if f.view != nil {
-			f.view.Close()
-		}
 		res.Dropped += f.eng.Dropped()
 		delete(inflight, f.k)
 		mInflight.Dec()
 	}
 	reap := func(f *flight) {
 		f.eng.abort()
-		if f.view != nil {
-			f.view.Close() // unblock a Need* wait between phases
-		}
 		<-f.done
 		finish(f)
 	}
@@ -584,9 +593,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		res.Add(f.ir, commit == nil)
 		delete(inputs, f.k)
-		if rt.cfg.Plane != nil {
-			rt.cfg.Plane.Committed(f.k)
-		}
 		mCommitLatency.Observe(time.Since(f.started).Seconds())
 		if fr.Enabled() {
 			fr.Record(fr.Event{
