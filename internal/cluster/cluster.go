@@ -89,6 +89,7 @@ type Node struct {
 	opt    Options
 	rec    *Recovery // nil without a WAL; see Recovery
 	locals []graph.NodeID
+	lead   int64 // the lowest local node id: this process's control-plane identity
 	tr     *transport.Peer
 	ctrl   *ctrlPlane
 	rt     *runtime.Runtime
@@ -99,7 +100,12 @@ type Node struct {
 	lastRound     int                    // last rollback round this process acked
 	rejoinPending bool                   // announce a rejoin when the supervisor starts
 	committed     []*core.InstanceResult // committed results above the floor, recovery + live
-	inputs        *inputBuffer           // retained submissions for re-execution
+
+	// Retained submissions for re-execution, keyed by instance, and the
+	// highest instance with one. The stream's feeder owns both while a
+	// stream runs, the supervisor between streams (see feed).
+	inputs map[int][]byte
+	tail   int
 
 	// Snapshot state-sync bookkeeping (rec != nil). base is the floor
 	// snapshot everything below is folded into; committed[i] holds
@@ -107,7 +113,6 @@ type Node struct {
 	// identical across honest processes, the substance of join-round
 	// cross-validation.
 	blank   bool // a joiner that has not completed its join round yet
-	lead    int64
 	base    wal.Snapshot
 	chain   []uint64
 	encBuf  []byte      // AppendCommitFold scratch
@@ -169,6 +174,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		return nil, fmt.Errorf("cluster: node %d has no spec", id)
 	}
 	locals := cfg.Colocated(id)
+	lead := int64(cfg.Lead(spec.Addr))
 	coreCfg, err := cfg.CoreConfig()
 	if err != nil {
 		return nil, err
@@ -203,7 +209,7 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 		}
 		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, durable, cfg.SnapshotInterval, cfg.LenBytes)
 	} else {
-		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable, cfg.LenBytes)
+		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable, cfg.LenBytes, lead)
 	}
 	if err != nil {
 		tr.Close()
@@ -227,10 +233,9 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 	ctrl.attach(rt)
 	n := &Node{
 		cfg: cfg, opt: opt, rec: rec, locals: locals, tr: tr, ctrl: ctrl, rt: rt,
-		stop: make(chan struct{}),
+		lead: lead, stop: make(chan struct{}),
 	}
 	if durable {
-		n.lead = int64(cfg.Lead(spec.Addr))
 		n.base.Digest = wal.DigestSeed
 		if rec.Base != nil {
 			n.base = *rec.Base
@@ -244,7 +249,11 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 			}
 			n.extend(ir)
 		}
-		n.inputs = newInputBuffer(rec.Inputs)
+		n.inputs = map[int][]byte{}
+		for k, in := range rec.Inputs {
+			n.inputs[k] = in
+			n.tail = max(n.tail, k)
+		}
 		if err := rt.RestoreSnapshot(0, n.base.SnapshotState, n.committed); err != nil {
 			ctrl.Close()
 			rt.Close()

@@ -37,14 +37,17 @@ import (
 // "done", a rejoin, the rollback round's phase acks, a join server's
 // state — takes one path: up(m). A follower writes it to its control
 // connection, whose reader on the coordinator hands it to handle(m); the
-// coordinator calls handle(m) directly. The reader pins each connection to
-// the lead node id of its first "synced" ack and stamps that id on every
-// "state" it relays, so one process casts one join vote.
+// coordinator calls handle(m) directly. A follower opens every control
+// connection by announcing its lead node id ("subscribe"); the reader pins
+// the connection to that id and stamps it on every message it hands on, so
+// one process casts one join vote, and the coordinator counts followers,
+// not connections, before it prunes the replay log.
 
 // ctrlMsg is one control-plane message on the wire.
 //
 // Decision types ("mismatch", "audit") are logged and replayed to
-// late-connecting followers. The rollback-round types — up: "rejoin",
+// late-connecting followers. "subscribe" opens a follower's connection.
+// The rollback-round types — up: "rejoin",
 // "synced", "joined", "rewound", "state"; down: "sync", "fetch",
 // "rewind", "resume" and the relayed "state" — are live-only: each
 // belongs to one rollback round (Round), and replaying a stale round to a
@@ -66,7 +69,7 @@ type ctrlMsg struct {
 	// pushes one "state" and the joiner acks "joined" (see join.go).
 	Blank   bool    `json:"blank,omitempty"`   // synced: the acker is a blank joiner
 	Floor   int     `json:"floor,omitempty"`   // synced: acker's rewind floor
-	Peer    int64   `json:"peer,omitempty"`    // synced/state/joined: lead node id of the sender
+	Peer    int64   `json:"peer,omitempty"`    // subscribe/synced/state/joined: lead node id of the sender
 	M       int     `json:"m,omitempty"`       // fetch: the pre-join watermark
 	Data    []byte  `json:"data,omitempty"`    // state: canonical snapshot bytes at K
 	Digest  uint64  `json:"digest,omitempty"`  // state: commit-chain digest at M
@@ -132,19 +135,20 @@ type ctrlPlane struct {
 	// rollback-round messages flow.
 	durable bool
 	addr    string
+	lead    int64 // follower: the id it subscribes under
 	// events surfaces rollback-round messages (and control-link loss,
 	// Type "ctrldown") to the process's stream supervisor. Only written
 	// in durable mode, where the supervisor is guaranteed to consume.
 	events chan ctrlMsg
 
 	// Coordinator side.
-	listener net.Listener
-	expect   int // processes counted at the shutdown barrier
-	subMu    sync.Mutex
-	log      []ctrlMsg // replayed to each new subscriber
-	subs     []chan ctrlMsg
-	joined   int            // subscriptions accepted so far, redials included
-	writers  sync.WaitGroup // per-follower writers, drained by Close
+	listener   net.Listener
+	expect     int // processes counted at the shutdown barrier
+	subMu      sync.Mutex
+	log        []*ctrlMsg // replayed to each new subscriber
+	subs       []chan *ctrlMsg
+	subscribed map[int64]bool // lead ids that have subscribed, redials counted once
+	writers    sync.WaitGroup // per-follower writers, drained by Close
 
 	// Coordinator rollback-round state: one ack counter for the current
 	// phase, the round's sync acks (the rewind target and the join
@@ -188,16 +192,16 @@ func (p *ctrlPlane) attach(rt *runtime.Runtime) {
 // committed, so the decision of instance K means every instance at or
 // below K-W is committed here: their decisions leave the log, and a run
 // without a rollback keeps O(W) of them rather than one per instance. The
-// log keeps them until every follower has subscribed: a follower whose
-// subscription lands late may still be waiting for them.
+// log keeps them until every follower has subscribed under its own id: a
+// follower whose subscription lands late may still be waiting for them.
 func (p *ctrlPlane) publish(d runtime.Decision) error {
 	m := ctrlMsg{Type: "mismatch", K: d.K, Launch: d.Launch, Mismatch: d.Mismatch}
 	if a := d.Audit; a != nil {
 		m = ctrlMsg{Type: "audit", K: d.K, Launch: d.Launch, Output: a.Output, Disputes: a.Disputes, Faulty: a.Faulty}
 	}
 	p.subMu.Lock()
-	if p.joined >= p.expect-1 {
-		p.log = slices.DeleteFunc(p.log, func(l ctrlMsg) bool {
+	if len(p.subscribed) >= p.expect-1 {
+		p.log = slices.DeleteFunc(p.log, func(l *ctrlMsg) bool {
 			return (l.Type == "mismatch" || l.Type == "audit") && l.K <= d.K-p.rt.Window()
 		})
 	}
@@ -221,8 +225,8 @@ func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapE
 	p := &ctrlPlane{
 		msgMax: msgMax(lenBytes), durable: durable, addr: addr,
 		events: make(chan ctrlMsg, 64), listener: l, expect: expect,
-		snapEvery: snapEvery,
-		allDone:   make(chan struct{}), closed: make(chan struct{}),
+		subscribed: map[int64]bool{}, snapEvery: snapEvery,
+		allDone: make(chan struct{}), closed: make(chan struct{}),
 	}
 	go p.acceptLoop()
 	return p, nil
@@ -236,8 +240,9 @@ func (p *ctrlPlane) acceptLoop() {
 		}
 		// Register the subscriber and replay the decision log so far; the
 		// writer goroutine owns the connection's write half, the reader
-		// feeds the follower's messages to handle.
-		ch := make(chan ctrlMsg, 4096)
+		// feeds the follower's messages to handle. The queue holds shared
+		// pointers to immutable messages: 8 bytes a slot.
+		ch := make(chan *ctrlMsg, 4096)
 		p.subMu.Lock()
 		select {
 		case <-p.closed: // accepted under Close: its writers are already drained
@@ -246,9 +251,8 @@ func (p *ctrlPlane) acceptLoop() {
 			return
 		default:
 		}
-		backlog := append([]ctrlMsg(nil), p.log...)
+		backlog := append([]*ctrlMsg(nil), p.log...)
 		p.subs = append(p.subs, ch)
-		p.joined++
 		p.writers.Add(1)
 		p.subMu.Unlock()
 		go func() {
@@ -275,26 +279,23 @@ func (p *ctrlPlane) acceptLoop() {
 }
 
 // readConn feeds one follower connection's messages to handle. The
-// connection's identity is the lead id of its first "synced": a later
-// "synced" naming another id is dropped, and every "state" is stamped with
-// the pinned id (dropped while unpinned) whatever Peer it claims.
+// connection's identity is the lead id of its first "subscribe", which
+// counts that follower as subscribed; every later message is stamped with
+// it whatever Peer it claims, and messages before it are dropped.
 func (p *ctrlPlane) readConn(conn net.Conn) {
 	defer conn.Close()
 	var lead int64
 	readMsgs(conn, p.msgMax, func(m ctrlMsg) {
-		switch m.Type {
-		case "synced":
-			if lead != 0 && m.Peer != lead {
-				return
-			}
+		switch {
+		case m.Type == "subscribe" && lead == 0 && m.Peer != 0:
 			lead = m.Peer
-		case "state":
-			if lead == 0 {
-				return
-			}
+			p.subMu.Lock()
+			p.subscribed[lead] = true
+			p.subMu.Unlock()
+		case lead != 0 && m.Type != "subscribe":
 			m.Peer = lead
+			p.handle(m)
 		}
-		p.handle(m)
 	})
 }
 
@@ -348,7 +349,7 @@ func (p *ctrlPlane) Events() <-chan ctrlMsg { return p.events }
 // and to the local supervisor, without entering the replay log.
 func (p *ctrlPlane) broadcastCtl(m ctrlMsg) {
 	p.subMu.Lock()
-	p.fanOutLocked(m)
+	p.fanOutLocked(&m)
 	p.subMu.Unlock()
 	p.pushEvent(m)
 }
@@ -476,20 +477,9 @@ func (p *ctrlPlane) Reconnect(ctx context.Context, timeout time.Duration) error 
 	if p.listener != nil || !p.durable {
 		return fmt.Errorf("cluster: reconnect on a non-durable or coordinator control plane")
 	}
-	if timeout <= 0 {
-		timeout = 20 * time.Second
-	}
-	conn, err := transport.DialRetry(p.addr, timeout, ctx.Done())
-	if err != nil {
+	if err := p.dial(ctx, timeout); err != nil {
 		return fmt.Errorf("cluster: control redial %s: %w", p.addr, err)
 	}
-	p.connMu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
-	}
-	p.conn = conn
-	p.connGen++
-	p.connMu.Unlock()
 	go p.readLoop()
 	return nil
 }
@@ -542,16 +532,17 @@ func (p *ctrlPlane) countDone(round int) {
 func (p *ctrlPlane) broadcast(m ctrlMsg) {
 	p.subMu.Lock()
 	defer p.subMu.Unlock()
-	p.log = append(p.log, m)
-	p.fanOutLocked(m)
+	p.log = append(p.log, &m)
+	p.fanOutLocked(&m)
 }
 
 // fanOutLocked queues m to every follower. A follower too far behind to
 // keep a 4096-message buffer is cut off rather than silently skipped:
 // closing its channel makes its writer goroutine exit and close the
 // connection, so the follower's decision stream fails fast instead of
-// hanging a later Need* forever. Callers hold subMu.
-func (p *ctrlPlane) fanOutLocked(m ctrlMsg) {
+// hanging a later Need* forever. Callers hold subMu; nobody changes *m
+// after it is queued.
+func (p *ctrlPlane) fanOutLocked(m *ctrlMsg) {
 	keep := p.subs[:0]
 	for _, ch := range p.subs {
 		select {
@@ -564,22 +555,43 @@ func (p *ctrlPlane) fanOutLocked(m ctrlMsg) {
 	p.subs = keep
 }
 
-// newFollower dials the coordinator (retrying while the cluster boots);
-// attach starts reading its decision stream. Canceling ctx aborts the
-// boot-time retry loop.
-func newFollower(ctx context.Context, addr string, timeout time.Duration, durable bool, lenBytes int) (*ctrlPlane, error) {
+// newFollower dials the coordinator (retrying while the cluster boots)
+// and subscribes as lead; attach starts reading its decision stream.
+// Canceling ctx aborts the boot-time retry loop.
+func newFollower(ctx context.Context, addr string, timeout time.Duration, durable bool, lenBytes int, lead int64) (*ctrlPlane, error) {
+	p := &ctrlPlane{
+		msgMax: msgMax(lenBytes), durable: durable, addr: addr, lead: lead,
+		events:  make(chan ctrlMsg, 64),
+		allDone: make(chan struct{}), closed: make(chan struct{}),
+	}
+	if err := p.dial(ctx, timeout); err != nil {
+		return nil, fmt.Errorf("cluster: control dial %s: %w", addr, err)
+	}
+	return p, nil
+}
+
+// dial connects a follower to the coordinator, retrying for up to timeout
+// (20s when unset), opens the connection with the follower's "subscribe"
+// and makes it the current one.
+func (p *ctrlPlane) dial(ctx context.Context, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 20 * time.Second
 	}
-	conn, err := transport.DialRetry(addr, timeout, ctx.Done())
+	conn, err := transport.DialRetry(p.addr, timeout, ctx.Done())
 	if err != nil {
-		return nil, fmt.Errorf("cluster: control dial %s: %w", addr, err)
+		return err
 	}
-	return &ctrlPlane{
-		msgMax: msgMax(lenBytes), durable: durable, addr: addr,
-		events: make(chan ctrlMsg, 64), conn: conn,
-		allDone: make(chan struct{}), closed: make(chan struct{}),
-	}, nil
+	// A connection that dies under the announcement fails its reader too,
+	// which reports the loss like any other.
+	_ = json.NewEncoder(conn).Encode(ctrlMsg{Type: "subscribe", Peer: p.lead})
+	p.connMu.Lock()
+	if p.conn != nil {
+		p.conn.Close()
+	}
+	p.conn = conn
+	p.connGen++
+	p.connMu.Unlock()
+	return nil
 }
 
 func (p *ctrlPlane) readLoop() {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 
 	"nab/internal/core"
 	"nab/internal/graph"
+	"nab/internal/runtime"
 	"nab/internal/topo"
 )
 
@@ -137,5 +139,55 @@ func TestControlLineBounded(t *testing.T) {
 		if _, err := io.Copy(io.Discard, conn); err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("%s: the coordinator kept the connection of an oversize message open", tc.name)
 		}
+	}
+}
+
+// TestReplayLogKeptUntilFollowersSubscribe: the coordinator prunes its
+// decision replay log only once every follower has subscribed under its
+// own lead id. Three raw connections to a K4 coordinator read their replay
+// and close without subscribing; after 3W more decisions, instance 1's is
+// still in the log for the followers that have not subscribed yet.
+func TestReplayLogKeptUntilFollowersSubscribe(t *testing.T) {
+	g := topo.CompleteBi(4, 1)
+	rsv, err := ReserveAddrs(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsv.Close()
+	addrs := rsv.Addrs()
+	cfg := &Config{
+		Topology: g.Marshal(), Source: 1, F: 1, LenBytes: 16, Seed: 5,
+		Window: 2, Instances: 1, CtrlAddr: addrs[4],
+	}
+	for i, v := range g.Nodes() {
+		cfg.Nodes = append(cfg.Nodes, NodeSpec{ID: v, Addr: addrs[i]})
+	}
+	n, err := Start(cfg, 1, Options{Reservation: rsv}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	p := n.ctrl
+	p.publish(runtime.Decision{K: 1, Launch: 1})
+	for range 3 {
+		conn, err := net.Dial("tcp", cfg.CtrlAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var m ctrlMsg
+		if err := json.NewDecoder(conn).Decode(&m); err != nil || m.K != 1 {
+			t.Fatalf("replay = %+v, %v; want instance 1's decision", m, err)
+		}
+		conn.Close()
+	}
+	w := n.rt.Window()
+	for k := 2; k <= 3*w+1; k++ {
+		p.publish(runtime.Decision{K: k, Launch: uint64(k)})
+	}
+	p.subMu.Lock()
+	defer p.subMu.Unlock()
+	if len(p.log) == 0 || p.log[0].K != 1 {
+		t.Fatalf("instance 1's decision left the replay log before any follower subscribed (%d entries)", len(p.log))
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"nab/internal/core"
@@ -164,11 +165,9 @@ func (v *votes) add(m ctrlMsg) (*joinResult, error) {
 	return &joinResult{base: snap, m: v.fetch.M, mDigest: m.Digest}, nil
 }
 
-// joinFetch runs the blank process's side of one fetch phase: count the
-// servers' relayed state votes until f+1 match, leave the agreed state in
-// n.pending for the rewind to install, and ack "joined". A non-nil abort
-// event means the round was restarted (or the control link died) under it.
-func (n *Node) joinFetch(round int, fetch ctrlMsg, next func() (ctrlMsg, error)) (*ctrlMsg, error) {
+// tally opens a blank joiner's vote table for one fetch phase, in which
+// the servers' relayed state votes count until f+1 match.
+func (n *Node) tally(fetch ctrlMsg) (*votes, error) {
 	need := n.cfg.F + 1
 	if len(fetch.Servers) < need {
 		// With fewer than f+1 eligible servers, every vote could be
@@ -179,34 +178,7 @@ func (n *Node) joinFetch(round int, fetch ctrlMsg, next func() (ctrlMsg, error))
 		mJoinQuorumShort.Inc()
 		return nil, fmt.Errorf("cluster: join needs %d eligible snapshot servers to cross-validate against up to %d Byzantine processes; the round offers %d", need, n.cfg.F, len(fetch.Servers))
 	}
-	v := newVotes(fetch, need)
-	for {
-		ev, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if ev.Type == "sync" || ev.Type == "ctrldown" {
-			return &ev, nil
-		}
-		if ev.Type != "state" || ev.Round != round {
-			continue
-		}
-		res, err := v.add(ev)
-		if err != nil {
-			return nil, err
-		}
-		if res == nil {
-			continue
-		}
-		n.pending = res
-		mJoinRounds.Inc()
-		mJoinServerRejects.Add(int64(v.cast - need))
-		if err := n.ctrl.up(ctrlMsg{Type: "joined", Round: round, Peer: n.lead}); err != nil {
-			ev := n.ctrl.ctrldownNow()
-			return &ev, nil
-		}
-		return nil, nil
-	}
+	return newVotes(fetch, need), nil
 }
 
 // applyRewind rewinds this process to the round's floor m on the agreed
@@ -243,7 +215,7 @@ func (n *Node) applyRewind(m int, epoch uint64) error {
 	if err := n.rt.RestoreSnapshot(n.epoch<<32, n.base.SnapshotState, n.committed[:m-n.base.K]); err != nil {
 		return err
 	}
-	n.inputs.prune(m)
+	maps.DeleteFunc(n.inputs, func(k int, _ []byte) bool { return k <= m })
 	// Re-pin every outbound mesh link before acknowledging: a connection
 	// to the restarted peer can look healthy until the first post-resume
 	// write discovers the dead socket.

@@ -391,7 +391,7 @@ func TestJoinFetchRefusesShortQuorum(t *testing.T) {
 	cfg, _ := joinConfig(t, 4, 0, nil) // F = 1: the quorum needs 2 servers
 	n := &Node{cfg: cfg}
 	for _, servers := range [][]int64{nil, {7}} {
-		_, err := n.joinFetch(1, ctrlMsg{Type: "fetch", K: 0, M: 2, Servers: servers}, nil)
+		_, err := n.tally(ctrlMsg{Type: "fetch", K: 0, M: 2, Servers: servers})
 		if err == nil || !strings.Contains(err.Error(), "eligible snapshot servers") {
 			t.Errorf("servers %v: err = %v, want a short-quorum refusal", servers, err)
 		}
@@ -472,9 +472,9 @@ func TestJoinFetchValidation(t *testing.T) {
 
 // TestJoinStatePinnedToConnection pins server identity to the
 // control connection: the coordinator drops a state sent before the
-// connection's first synced and a synced naming another id, and stamps
-// the pinned id on every state it relays — so a follower sending state
-// under two Peer values casts one vote.
+// connection's subscription and a second subscription naming another id,
+// and stamps the subscribed id on every state it relays — so a follower
+// sending state under two Peer values casts one vote.
 func TestJoinStatePinnedToConnection(t *testing.T) {
 	p, err := newCoordinator("127.0.0.1:0", 4, nil, true, 0, 16)
 	if err != nil {
@@ -490,8 +490,8 @@ func TestJoinStatePinnedToConnection(t *testing.T) {
 	enc := json.NewEncoder(conn)
 	for _, m := range []ctrlMsg{
 		{Type: "state", Round: 1, Peer: 2, Data: snap, Digest: 1}, // unpinned: dropped
-		{Type: "synced", Peer: 2},
-		{Type: "synced", Peer: 3}, // re-pin to another id: dropped
+		{Type: "subscribe", Peer: 2},
+		{Type: "subscribe", Peer: 3}, // re-pin to another id: dropped
 		{Type: "state", Round: 1, Peer: 2, Data: snap, Digest: 2},
 		{Type: "state", Round: 1, Peer: 3, Data: snap, Digest: 2},
 	} {

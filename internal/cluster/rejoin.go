@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"nab/internal/core"
@@ -41,100 +40,49 @@ import (
 // The same machinery covers a coordinator restart: followers observe the
 // dead control connection ("ctrldown"), redial until the coordinator is
 // back, and announce "rejoin" themselves.
+//
+// Re-execution needs the submissions again, so the process retains every
+// one it pulled in Node.inputs until a rewind floor passes it. One feeder
+// per supervised stream hands the runtime its inputs from the runtime's
+// watermark on, pulling a fresh submission from the session only when the
+// next instance has none retained: a session's Submit blocks once the
+// window, the feeder's buffer and the one submission in its hand are full,
+// as on every other engine. The supervisor then waits in one select — on
+// the stream, on rollback events and, once the workload is done, on the
+// shutdown barrier — and drives each rollback round as one event loop.
 
-// inputBuffer retains every submission pulled from the session so
-// rollback rounds can re-feed instances the runtime already consumed.
-// Entries at or below the cluster-wide rollback floor are pruned at each
-// rewind; retention between rollbacks is the cost of durability.
-type inputBuffer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	data   map[int][]byte
-	tail   int // highest instance with a known input
-	closed bool
-}
-
-func newInputBuffer(recovered map[int][]byte) *inputBuffer {
-	b := &inputBuffer{data: map[int][]byte{}}
-	b.cond = sync.NewCond(&b.mu)
-	for k, in := range recovered {
-		b.data[k] = in
-		if k > b.tail {
-			b.tail = k
-		}
-	}
-	return b
-}
-
-// put appends the next submission and returns its instance number.
-func (b *inputBuffer) put(in []byte) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tail++
-	b.data[b.tail] = in
-	b.cond.Broadcast()
-	return b.tail
-}
-
-func (b *inputBuffer) closeBuf() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// prune drops inputs at or below floor — instances every process of the
-// cluster has committed can never be rolled back to again.
-func (b *inputBuffer) prune(floor int) {
-	b.mu.Lock()
-	for k := range b.data {
-		if k <= floor {
-			delete(b.data, k)
-		}
-	}
-	b.mu.Unlock()
-}
-
-// feed pumps inputs from+1, from+2, ... into out, closing it when the
-// buffer is closed and drained. A close of stop aborts the feed (the
-// stream it supplies was canceled).
-func (b *inputBuffer) feed(stop <-chan struct{}, out chan<- []byte, from int) {
-	defer close(out)
+// feed starts a stream's feeder: it sends the inputs of instances from+1,
+// from+2, ... on the returned channel, buffered to the window so the
+// runtime finds its next window of inputs ready. While the next instance
+// has no retained input it pulls one from subs as instance tail+1 and
+// keeps it for re-execution (a joiner's payloads start at 1, so they fill
+// the instances below its floor too). It closes the channel when subs
+// closes or ctx ends; inputs and tail are the feeder's until then.
+func (n *Node) feed(ctx context.Context, subs <-chan []byte, from int) <-chan []byte {
+	out := make(chan []byte, max(1, n.rt.Window()))
 	go func() {
-		<-stop
-		// Broadcast under the mutex: an unlocked wakeup can fire between
-		// the feeder's stop-check and its cond.Wait and be lost forever.
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}()
-	next := from + 1
-	for {
-		b.mu.Lock()
-		for {
-			if _, ok := b.data[next]; ok || b.closed {
-				break
+		defer close(out)
+		for k := from + 1; ; k++ {
+			for n.tail < k {
+				select {
+				case in, ok := <-subs:
+					if !ok {
+						return
+					}
+					n.tail++
+					n.inputs[n.tail] = in
+				case <-ctx.Done():
+					return
+				}
 			}
 			select {
-			case <-stop:
-				b.mu.Unlock()
+			case out <- n.inputs[k]:
+			case <-ctx.Done():
 				return
-			default:
 			}
-			b.cond.Wait()
 		}
-		in, ok := b.data[next]
-		b.mu.Unlock()
-		if !ok {
-			return // closed and drained
-		}
-		select {
-		case out <- in:
-			next++
-		case <-stop:
-			return
-		}
-	}
+	}()
+	return out
 }
 
 // streamDurable is Stream's crash-recovery form: RunStream supervised
@@ -142,23 +90,6 @@ func (b *inputBuffer) feed(stop <-chan struct{}, out chan<- []byte, from int) {
 // watermark, the whole committed history (recovered + live) aggregated
 // into the result.
 func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit func(*core.InstanceResult) error) (*runtime.Result, error) {
-	// Pump the session's submissions into the retained buffer.
-	go func() {
-		for {
-			select {
-			case in, ok := <-subs:
-				if !ok {
-					n.inputs.closeBuf()
-					return
-				}
-				n.inputs.put(in)
-			case <-ctx.Done():
-				n.inputs.closeBuf()
-				return
-			}
-		}
-	}()
-
 	events := n.ctrl.Events()
 	commitFn := func(ir *core.InstanceResult) error {
 		if ir.K <= n.watermark() {
@@ -183,6 +114,19 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		return nil
 	}
+	fail := func(err error) (*runtime.Result, error) {
+		n.ctrl.barrier(ctx, time.Second)
+		return nil, err
+	}
+	// result spans the whole committed history, not just the last
+	// supervised RunStream.
+	result := func(res *runtime.Result) (*runtime.Result, error) {
+		res.RunResult = core.RunResult{LenBits: res.LenBits}
+		for _, ir := range n.committed {
+			res.Add(ir, commit == nil)
+		}
+		return res, nil
+	}
 
 	// A restarted process opens its rejoin round now, from inside the
 	// supervisor: an announcement that dies with its control connection
@@ -200,131 +144,109 @@ func (n *Node) streamDurable(ctx context.Context, subs <-chan []byte, commit fun
 		}
 		if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
 			if err := n.rollback(ctx, n.ctrl.ctrldownNow()); err != nil {
-				n.ctrl.barrier(ctx, time.Second)
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
 
-	var lastRes *runtime.Result
+	type streamRes struct {
+		res *runtime.Result
+		err error
+	}
 	for {
+		// RunStream holds the runtime's lock while it runs: read the
+		// watermark before it starts.
 		innerCtx, cancel := context.WithCancel(ctx)
-		innerSubs := make(chan []byte, max(1, n.rt.Window()))
-		go n.inputs.feed(innerCtx.Done(), innerSubs, n.rt.Committed())
-		type streamRes struct {
-			res *runtime.Result
-			err error
-		}
+		inputs := n.feed(innerCtx, subs, n.rt.Committed())
 		done := make(chan streamRes, 1)
 		go func() {
-			res, err := n.rt.RunStream(innerCtx, innerSubs, commitFn)
+			res, err := n.rt.RunStream(innerCtx, inputs, commitFn)
 			done <- streamRes{res, err}
 		}()
 
-		var sr streamRes
-		var rollEv *ctrlMsg
+		// Wait for the stream, then — workload complete — park at the
+		// shutdown barrier, mesh intact, still answering rollbacks for
+		// peers that crashed near the end. A sync or a control loss in
+		// either state starts a rollback round (ev); every other exit
+		// returns the result or err.
+		var res *runtime.Result
+		var ev *ctrlMsg
+		var err error
+		var allDone <-chan struct{}
+		var linger <-chan time.Time
 	wait:
 		for {
 			select {
-			case sr = <-done:
-				break wait
-			case ev := <-events:
-				if (ev.Type == "sync" || ev.Type == "ctrldown") && !n.ctrl.staleCtrldown(ev) {
-					cancel()
-					sr = <-done
-					rollEv = &ev
+			case sr := <-done:
+				done = nil
+				if res, err = sr.res, sr.err; err != nil {
+					if ctx.Err() != nil {
+						err = ctx.Err()
+					}
 					break wait
 				}
-				// rewind/resume of a round we already left, or a loss
-				// reported by an already-replaced control conn: stale.
+				if n.ctrl.up(ctrlMsg{Type: "done", Round: n.lastRound}) != nil {
+					// The control link died while announcing: treat as a
+					// pending coordinator restart.
+					down := n.ctrl.ctrldownNow()
+					ev = &down
+					break wait
+				}
+				allDone, linger = n.ctrl.allDone, time.After(rejoinLinger)
+			case <-allDone:
+				break wait
+			case <-linger:
+				break wait
+			case e := <-events:
+				if (e.Type != "sync" && e.Type != "ctrldown") || n.ctrl.staleCtrldown(e) {
+					// rewind/resume of a round we already left, or a loss
+					// reported by an already-replaced control conn: stale.
+					continue
+				}
+				if res == nil || e.Type == "sync" || !n.ctrl.released() {
+					ev = &e
+				}
+				// Otherwise the reader closed allDone before it reported
+				// the loss: the coordinator released us and exited. Do not
+				// redial.
+				break wait
 			case <-ctx.Done():
-				cancel()
-				<-done
-				n.ctrl.barrier(ctx, time.Second)
-				return nil, ctx.Err()
+				if res == nil {
+					err = ctx.Err()
+				}
+				break wait
 			}
 		}
+		// End the stream and its feeder: inputs and tail are the
+		// supervisor's again.
 		cancel()
-
-		if rollEv != nil {
-			if err := n.rollback(ctx, *rollEv); err != nil {
-				n.ctrl.barrier(ctx, time.Second)
-				return nil, err
-			}
-			continue
+		if done != nil {
+			<-done
 		}
-		if sr.err != nil {
-			n.ctrl.barrier(ctx, time.Second)
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, sr.err
+		for range inputs {
 		}
-		lastRes = sr.res
-
-		// Workload complete: park at the shutdown barrier, mesh intact,
-		// still answering rollbacks for peers that crashed near the end.
-		ev, err := n.park(ctx, events)
-		if err != nil {
-			return nil, err
-		}
-		if ev == nil {
-			// The result spans the whole committed history, not just the
-			// last supervised RunStream.
-			res := lastRes
-			res.RunResult = core.RunResult{LenBits: res.LenBits}
-			for _, ir := range n.committed {
-				res.Add(ir, commit == nil)
-			}
-			return res, nil
+		switch {
+		case err != nil:
+			return fail(err)
+		case ev == nil:
+			return result(res)
 		}
 		if err := n.rollback(ctx, *ev); err != nil {
-			n.ctrl.barrier(ctx, time.Second)
-			return nil, err
-		}
-	}
-}
-
-// park announces this process done and waits for the cluster to finish —
-// or for a rollback round that pulls it back in. A nil event means the
-// process is released.
-func (n *Node) park(ctx context.Context, events <-chan ctrlMsg) (*ctrlMsg, error) {
-	if err := n.ctrl.up(ctrlMsg{Type: "done", Round: n.lastRound}); err != nil {
-		// The control link died while announcing: treat as a pending
-		// coordinator restart.
-		ev := n.ctrl.ctrldownNow()
-		return &ev, nil
-	}
-	timeout := time.After(rejoinLinger)
-	for {
-		select {
-		case <-n.ctrl.allDone:
-			return nil, nil
-		case ev := <-events:
-			if (ev.Type == "sync" || ev.Type == "ctrldown") && !n.ctrl.staleCtrldown(ev) {
-				if ev.Type == "ctrldown" && n.ctrl.released() {
-					// The reader closes allDone before it reports the loss:
-					// the coordinator released us and exited. Do not redial.
-					return nil, nil
-				}
-				return &ev, nil
-			}
-		case <-timeout:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, nil
+			return fail(err)
 		}
 	}
 }
 
 // rollback drives this process through one rollback round (possibly
-// restarted by further rejoins): ack the sync with our watermark; in a
-// join round push our state as a server or, blank, count the servers'
-// votes; rewind the runtime to the agreed floor on the agreed launch
-// epoch, ack, and wait for the cluster-wide resume. Every error leaving
-// it names the round (before its sync arrives, the last one this process
-// acked) and the phase it failed in, and leaves a black-box dump unless
-// the caller's context ended.
+// restarted by further rejoins) as one loop over its events, starting
+// with ev: ack the sync with our watermark; in a join round push our
+// state as a server or, blank, count the servers' votes; rewind the
+// runtime to the agreed floor m on the agreed launch epoch, ack, and wait
+// for the cluster-wide resume. A fresh sync or a control loss at any
+// point restarts the round. Every error leaving it names the round
+// (before its sync arrives, the last one this process acked) and the
+// phase it failed in, and leaves a black-box dump unless the caller's
+// context ended.
 func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 	ph := phaseSync
 	defer func() {
@@ -338,30 +260,22 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 	events := n.ctrl.Events()
 	deadline := time.After(rejoinLinger)
 	began := time.Now()
-	next := func() (ctrlMsg, error) {
-		for {
-			select {
-			case ev := <-events:
-				if n.ctrl.staleCtrldown(ev) {
-					continue // a replaced conn's loss; the successor is live
-				}
-				return ev, nil
-			case <-deadline:
-				return ctrlMsg{}, fmt.Errorf("cluster: timed out after %v", rejoinLinger)
-			case <-ctx.Done():
-				return ctrlMsg{}, ctx.Err()
-			}
-		}
-	}
+	// The round's state: whether we acked its sync, whether we rewound,
+	// the floor m we rewound to, and a blank joiner's vote table.
+	synced, rewound, m := false, false, 0
+	var tally *votes
 	for {
-		switch ev.Type {
-		case "ctrldown":
+		var reply *ctrlMsg
+		switch {
+		case n.ctrl.staleCtrldown(ev):
+			// A replaced conn's loss; the successor is live.
+		case ev.Type == "ctrldown":
 			// Coordinator restart: redial until it is back, announce
 			// ourselves, then wait for its sync. A connection that dies
 			// again under the announcement — a dial raced into the dead
-			// listener's backlog — just loops back here, bounded by the
+			// listener's backlog — just comes back here, bounded by the
 			// round deadline.
-			ph = phaseReconnect
+			ph, synced = phaseReconnect, false
 			recordRound(flight.EvRejoinRound, flight.RoundReconnect, n.lastRound, n.watermark())
 			select {
 			case <-deadline:
@@ -373,95 +287,74 @@ func (n *Node) rollback(ctx context.Context, ev ctrlMsg) (err error) {
 			if err := n.ctrl.Reconnect(ctx, n.opt.BootTimeout); err != nil {
 				return err
 			}
-			if err := n.ctrl.up(ctrlMsg{Type: "rejoin"}); err != nil {
-				ev = n.ctrl.ctrldownNow()
-				continue
-			}
-			if ev, err = next(); err != nil {
-				return err
-			}
-		case "sync":
-			ph = phaseSync
-			round := ev.Round
-			n.lastRound = round
+			reply = &ctrlMsg{Type: "rejoin"}
+		case ev.Type == "sync":
+			ph, n.lastRound = phaseSync, ev.Round
+			synced, rewound, m, tally = true, false, 0, nil
 			mRollbackRounds.Inc()
 			watermark := n.watermark()
-			recordRound(flight.EvRejoinRound, flight.RoundSync, round, watermark)
-			synced := ctrlMsg{Type: "synced", Round: round, K: watermark, Epoch: n.epoch, Floor: n.base.K, Blank: n.blank, Peer: n.lead}
-			if err := n.ctrl.up(synced); err != nil {
-				ev = n.ctrl.ctrldownNow()
-				continue
-			}
-			// The round's event loop: a join round's fetch phase runs
-			// between the sync ack and the rewind, and the resume only
-			// lands after our rewound ack. A fresh sync or a control loss
-			// at any point restarts the round via the outer dispatch.
-			m, rewound := 0, false
-		round:
-			for {
-				if ev, err = next(); err != nil {
-					return err
-				}
-				switch {
-				case ev.Type == "sync" || ev.Type == "ctrldown":
-					break round // round restarted under us, or dead coordinator
-				case ev.Round != round:
-					// A stale round's straggler; ignore.
-				case ev.Type == "fetch" && n.blank:
-					ph = phaseFetch
-					recordRound(flight.EvJoinRound, flight.RoundFetch, round, ev.K)
-					abort, err := n.joinFetch(round, ev, next)
-					if err != nil {
-						return err
-					}
-					if abort != nil {
-						ev = *abort
-						break round
-					}
-				case ev.Type == "fetch":
-					ph = phaseFetch
-					state, err := n.stateMsg(ev)
-					if err != nil {
-						return err
-					}
-					if state != nil && n.ctrl.up(*state) != nil {
-						ev = n.ctrl.ctrldownNow()
-						break round
-					}
-				case ev.Type == "rewind" && !rewound:
-					ph = phaseRewind
-					m = ev.K
-					recordRound(flight.EvRejoinRound, flight.RoundRewind, round, m)
-					if err := n.applyRewind(m, ev.Epoch); err != nil {
-						return err
-					}
-					rewound = true
-					if err := n.ctrl.up(ctrlMsg{Type: "rewound", Round: round}); err != nil {
-						ev = n.ctrl.ctrldownNow()
-						break round
-					}
-				case ev.Type == "resume" && rewound:
-					ph = phaseResume
-					if err := n.persistFloorAt(m); err != nil {
-						return err
-					}
-					mRejoinDuration.Observe(time.Since(began).Seconds())
-					if !n.joinBegan.IsZero() {
-						// First resume after a blank join: the satellite
-						// instrument measures the joiner's whole
-						// announce→resume arc, not just this round.
-						mJoinDuration.Observe(time.Since(n.joinBegan).Seconds())
-						n.joinBegan = time.Time{}
-					}
-					recordRound(flight.EvRejoinRound, flight.RoundResume, round, m)
-					return nil
-				}
-			}
-			// Loop with the event that broke the round.
-		default:
-			if ev, err = next(); err != nil {
+			recordRound(flight.EvRejoinRound, flight.RoundSync, ev.Round, watermark)
+			reply = &ctrlMsg{Type: "synced", Round: ev.Round, K: watermark, Epoch: n.epoch, Floor: n.base.K, Blank: n.blank, Peer: n.lead}
+		case !synced || ev.Round != n.lastRound:
+			// Before our sync ack, or a stale round's straggler; ignore.
+		case ev.Type == "fetch" && n.blank:
+			ph = phaseFetch
+			recordRound(flight.EvJoinRound, flight.RoundFetch, ev.Round, ev.K)
+			if tally, err = n.tally(ev); err != nil {
 				return err
 			}
+		case ev.Type == "state" && tally != nil:
+			res, err := tally.add(ev)
+			if err != nil {
+				return err
+			}
+			if res != nil {
+				// The agreed state waits in pending for the rewind.
+				n.pending = res
+				mJoinRounds.Inc()
+				mJoinServerRejects.Add(int64(tally.cast - tally.need))
+				tally = nil
+				reply = &ctrlMsg{Type: "joined", Round: ev.Round, Peer: n.lead}
+			}
+		case ev.Type == "fetch":
+			ph = phaseFetch
+			if reply, err = n.stateMsg(ev); err != nil {
+				return err
+			}
+		case ev.Type == "rewind" && !rewound:
+			ph, m = phaseRewind, ev.K
+			recordRound(flight.EvRejoinRound, flight.RoundRewind, ev.Round, m)
+			if err := n.applyRewind(m, ev.Epoch); err != nil {
+				return err
+			}
+			rewound = true
+			reply = &ctrlMsg{Type: "rewound", Round: ev.Round}
+		case ev.Type == "resume" && rewound:
+			ph = phaseResume
+			if err := n.persistFloorAt(m); err != nil {
+				return err
+			}
+			mRejoinDuration.Observe(time.Since(began).Seconds())
+			if !n.joinBegan.IsZero() {
+				// First resume after a blank join: the satellite
+				// instrument measures the joiner's whole announce→resume
+				// arc, not just this round.
+				mJoinDuration.Observe(time.Since(n.joinBegan).Seconds())
+				n.joinBegan = time.Time{}
+			}
+			recordRound(flight.EvRejoinRound, flight.RoundResume, ev.Round, m)
+			return nil
+		}
+		if reply != nil && n.ctrl.up(*reply) != nil {
+			ev = n.ctrl.ctrldownNow()
+			continue
+		}
+		select {
+		case ev = <-events:
+		case <-deadline:
+			return fmt.Errorf("cluster: timed out after %v", rejoinLinger)
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
