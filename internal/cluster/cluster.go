@@ -208,6 +208,9 @@ func StartContext(ctx context.Context, cfg *Config, id graph.NodeID, opt Options
 			cl = opt.Reservation.Take(cfg.CtrlAddr)
 		}
 		ctrl, err = newCoordinator(cfg.CtrlAddr, len(procs), cl, durable, cfg.SnapshotInterval, cfg.LenBytes)
+		if err == nil {
+			ctrl.lead = lead
+		}
 	} else {
 		ctrl, err = newFollower(ctx, cfg.CtrlAddr, opt.BootTimeout, durable, cfg.LenBytes, lead)
 	}

@@ -40,8 +40,19 @@ import (
 // coordinator calls handle(m) directly. A follower opens every control
 // connection by announcing its lead node id ("subscribe"); the reader pins
 // the connection to that id and stamps it on every message it hands on, so
-// one process casts one join vote, and the coordinator counts followers,
-// not connections, before it prunes the replay log.
+// one process casts one join vote, the coordinator counts followers, not
+// connections, before it prunes the replay log, and each process counts
+// once per round phase and once at the shutdown barrier. The coordinator
+// stamps its own messages with its own lead.
+//
+// The coordinator's half is one coordinator value behind one mutex: the
+// replay log, the follower queues, the subscribed ids and the
+// roundMachine, which runs the rollback round and the shutdown barrier as
+// a pure function of the messages sent up. handle, publish and Close take
+// the lock, step the machine and fan its broadcasts out to the follower
+// queues without blocking. Events for the coordinator's own supervisor
+// are pushed only once the lock is released, so a slow supervisor holds
+// back the caller that fed it, never the lock.
 
 // ctrlMsg is one control-plane message on the wire.
 //
@@ -98,7 +109,7 @@ func readMsgs(conn net.Conn, max int, handle func(ctrlMsg)) error {
 
 // phase is one step of a rollback round: reconnect (a follower redialing
 // a restarted coordinator), sync, fetch (join rounds only), rewind and
-// resume. The coordinator's round state names the phase whose acks it is
+// resume. The coordinator's roundMachine names the phase whose acks it is
 // counting, phaseIdle between rounds.
 type phase int
 
@@ -115,15 +126,136 @@ func (ph phase) String() string {
 	return [...]string{"idle", "reconnect", "sync", "fetch", "rewind", "resume"}[ph]
 }
 
-// phaseAck is the ack type the coordinator counts in each phase.
-var phaseAck = map[phase]string{phaseSync: "synced", phaseFetch: "joined", phaseRewind: "rewound"}
+// phases is the coordinator's round table: for each phase whose acks it
+// counts, the ack, whether only the round's blank joiners send it (else
+// every process does), and the phase its last ack opens. A sync that
+// finds blank joiners among non-blank processes opens fetch instead.
+var phases = map[phase]struct {
+	ack     string
+	joiners bool
+	next    phase
+}{
+	phaseSync:   {ack: "synced", next: phaseRewind},
+	phaseFetch:  {ack: "joined", joiners: true, next: phaseRewind},
+	phaseRewind: {ack: "rewound", next: phaseIdle},
+}
+
+// roundMachine is the coordinator's rollback round and shutdown barrier
+// as a pure machine: step holds no lock and does no I/O. Every message
+// it counts carries its sender's lead id in Peer, and it counts each
+// process once per phase and once per barrier.
+type roundMachine struct {
+	expect    int // processes in the cluster, the coordinator included
+	snapEvery int // snapshot boundary interval for join bases (0: the default)
+
+	round    int
+	ph       phase
+	acks     []ctrlMsg // the current phase's acks, one per lead, in arrival order
+	joiners  []int64   // the round's blank joiners, fixed by its sync
+	rewind   ctrlMsg   // the broadcast that opens the round's rewind
+	done     []int64   // leads at the shutdown barrier in this round
+	released bool      // the barrier opened ("alldone" went out)
+}
+
+// step takes one message a process sent up and returns the broadcasts it
+// opens. A "rejoin" (re)starts a round at sync: a newcomer mid-round must
+// be counted, which makes reconnection order irrelevant, and every
+// process re-announces "done" after its post-rollback stream. An ack
+// counts only in the current round and in the phase that expects it. A
+// "done" counts only in the round it was announced in: one sent just
+// before a crash-triggered rollback must not release the barrier while a
+// straggler still needs its peers' sockets. A "state" is relayed for the
+// joiners to count.
+func (r *roundMachine) step(m ctrlMsg) []ctrlMsg {
+	switch m.Type {
+	case "rejoin":
+		r.round++
+		r.ph, r.acks, r.done = phaseSync, nil, nil
+		return []ctrlMsg{{Type: "sync", Round: r.round}}
+	case "done":
+		if m.Round != r.round || r.released || slices.Contains(r.done, m.Peer) {
+			return nil
+		}
+		r.done = append(r.done, m.Peer)
+		if r.released = len(r.done) >= r.expect; !r.released {
+			return nil
+		}
+		return []ctrlMsg{{Type: "alldone"}}
+	case "state":
+		return []ctrlMsg{m}
+	}
+	row, ok := phases[r.ph]
+	if !ok || m.Type != row.ack || m.Round != r.round || row.joiners && !slices.Contains(r.joiners, m.Peer) ||
+		slices.ContainsFunc(r.acks, func(a ctrlMsg) bool { return a.Peer == m.Peer }) {
+		return nil
+	}
+	r.acks = append(r.acks, m)
+	need := r.expect
+	if row.joiners {
+		need = len(r.joiners)
+	}
+	if len(r.acks) < need {
+		return nil
+	}
+	acks := r.acks
+	r.ph, r.acks = row.next, nil
+	switch {
+	case m.Type == "synced":
+		return []ctrlMsg{r.target(acks)}
+	case r.ph == phaseRewind:
+		return []ctrlMsg{r.rewind}
+	}
+	return []ctrlMsg{{Type: "resume", Round: r.round}}
+}
+
+// target completes a sync and returns the broadcast that opens the next
+// phase. The rewind goes to the minimum watermark m of the non-blank
+// processes, on a launch epoch above every epoch in use. A blank joiner's
+// zero watermark must not drag m down (its peers pruned re-execution
+// inputs below their past floors), and it cannot serve state. If some
+// but not all processes are blank, the fetch phase comes first and the
+// whole cluster rewinds to the snapshot boundary J instead: the joiner
+// re-executes (J, m] live, which re-emits the commits a dead incarnation
+// took with it, and checks its chain at m against the digest f+1 servers
+// agreed on. J is the newest snapshot granule at or below m, raised to
+// the highest non-blank floor: no process can rewind below its floor,
+// and floors never exceed m, so every non-blank process can serve.
+func (r *roundMachine) target(synced []ctrlMsg) ctrlMsg {
+	m, floor := -1, 0
+	var servers []int64
+	r.rewind, r.joiners = ctrlMsg{Type: "rewind", Round: r.round}, nil
+	for _, s := range synced {
+		r.rewind.Epoch = max(r.rewind.Epoch, s.Epoch+1)
+		if s.Blank {
+			r.joiners = append(r.joiners, s.Peer)
+			continue
+		}
+		if m < 0 || s.K < m {
+			m = s.K
+		}
+		floor = max(floor, s.Floor)
+		servers = append(servers, s.Peer)
+	}
+	r.rewind.K = max(m, 0) // every process is blank: a fresh cluster
+	if r.joiners == nil || servers == nil {
+		return r.rewind
+	}
+	every := r.snapEvery
+	if every <= 0 {
+		every = DefaultSnapshotInterval
+	}
+	r.ph, r.rewind.K = phaseFetch, max(m-m%every, floor)
+	return ctrlMsg{Type: "fetch", Round: r.round, K: r.rewind.K, M: m, Servers: servers}
+}
 
 // ctrlPlane is the per-process control-plane endpoint. Besides the
 // decision stream it hosts the shutdown barrier: a process that finished
 // its workload must keep its sockets open until every peer finished too
 // (stragglers still flush final-round frames to early finishers), so each
 // process announces "done" and tears down only after the coordinator's
-// "alldone".
+// "alldone". On the coordinator, listener and coord are set; everything
+// its connections, its runtime's publish and its own supervisor share is
+// in coord, behind coord's one lock.
 type ctrlPlane struct {
 	// rt is the runtime decisions are filed into (follower) and whose
 	// window bounds the replay log (coordinator); set by attach.
@@ -135,32 +267,16 @@ type ctrlPlane struct {
 	// rollback-round messages flow.
 	durable bool
 	addr    string
-	lead    int64 // follower: the id it subscribes under
+	// lead is the process's control-plane identity: a follower
+	// subscribes under it, the coordinator stamps it on its own messages.
+	lead int64
 	// events surfaces rollback-round messages (and control-link loss,
 	// Type "ctrldown") to the process's stream supervisor. Only written
 	// in durable mode, where the supervisor is guaranteed to consume.
 	events chan ctrlMsg
 
-	// Coordinator side.
-	listener   net.Listener
-	expect     int // processes counted at the shutdown barrier
-	subMu      sync.Mutex
-	log        []*ctrlMsg // replayed to each new subscriber
-	subs       []chan *ctrlMsg
-	subscribed map[int64]bool // lead ids that have subscribed, redials counted once
-	writers    sync.WaitGroup // per-follower writers, drained by Close
-
-	// Coordinator rollback-round state: one ack counter for the current
-	// phase, the round's sync acks (the rewind target and the join
-	// servers are computed from them) and the rewind the round ends with.
-	rbMu      sync.Mutex
-	rbRound   int
-	rbPhase   phase
-	rbAcks    int
-	rbNeed    int
-	rbSynced  []ctrlMsg
-	rbTarget  ctrlMsg
-	snapEvery int // snapshot boundary interval for join bases
+	listener net.Listener
+	coord    *coordinator
 
 	// Follower side.
 	conn    net.Conn
@@ -168,13 +284,22 @@ type ctrlPlane struct {
 	connMu  sync.Mutex // guards conn replacement on durable redial
 	sendMu  sync.Mutex
 
-	doneMu    sync.Mutex
-	doneCount int
-	allDone   chan struct{}
-	doneOnce  sync.Once
+	allDone  chan struct{}
+	doneOnce sync.Once
 
 	closed    chan struct{}
 	closeOnce sync.Once
+}
+
+// coordinator is the coordinator's shared state. mu guards every field
+// but writers.
+type coordinator struct {
+	mu         sync.Mutex
+	log        []*ctrlMsg      // replayed to each new subscriber
+	subs       []chan *ctrlMsg // one queue per follower connection
+	subscribed map[int64]bool  // lead ids that have subscribed, redials counted once
+	rounds     roundMachine
+	writers    sync.WaitGroup // per-follower writers, drained by Close
 }
 
 // attach hands the plane its process's runtime and, on a follower,
@@ -199,14 +324,16 @@ func (p *ctrlPlane) publish(d runtime.Decision) error {
 	if a := d.Audit; a != nil {
 		m = ctrlMsg{Type: "audit", K: d.K, Launch: d.Launch, Output: a.Output, Disputes: a.Disputes, Faulty: a.Faulty}
 	}
-	p.subMu.Lock()
-	if len(p.subscribed) >= p.expect-1 {
-		p.log = slices.DeleteFunc(p.log, func(l *ctrlMsg) bool {
+	c := p.coord
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.subscribed) >= c.rounds.expect-1 {
+		c.log = slices.DeleteFunc(c.log, func(l *ctrlMsg) bool {
 			return (l.Type == "mismatch" || l.Type == "audit") && l.K <= d.K-p.rt.Window()
 		})
 	}
-	p.subMu.Unlock()
-	p.broadcast(m)
+	c.log = append(c.log, &m)
+	c.fanOutLocked(&m)
 	return nil
 }
 
@@ -224,8 +351,8 @@ func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapE
 	}
 	p := &ctrlPlane{
 		msgMax: msgMax(lenBytes), durable: durable, addr: addr,
-		events: make(chan ctrlMsg, 64), listener: l, expect: expect,
-		subscribed: map[int64]bool{}, snapEvery: snapEvery,
+		events: make(chan ctrlMsg, 64), listener: l,
+		coord:   &coordinator{subscribed: map[int64]bool{}, rounds: roundMachine{expect: expect, snapEvery: snapEvery}},
 		allDone: make(chan struct{}), closed: make(chan struct{}),
 	}
 	go p.acceptLoop()
@@ -233,6 +360,7 @@ func newCoordinator(addr string, expect int, l net.Listener, durable bool, snapE
 }
 
 func (p *ctrlPlane) acceptLoop() {
+	c := p.coord
 	for {
 		conn, err := p.listener.Accept()
 		if err != nil {
@@ -243,20 +371,20 @@ func (p *ctrlPlane) acceptLoop() {
 		// feeds the follower's messages to handle. The queue holds shared
 		// pointers to immutable messages: 8 bytes a slot.
 		ch := make(chan *ctrlMsg, 4096)
-		p.subMu.Lock()
+		c.mu.Lock()
 		select {
 		case <-p.closed: // accepted under Close: its writers are already drained
-			p.subMu.Unlock()
+			c.mu.Unlock()
 			conn.Close()
 			return
 		default:
 		}
-		backlog := append([]*ctrlMsg(nil), p.log...)
-		p.subs = append(p.subs, ch)
-		p.writers.Add(1)
-		p.subMu.Unlock()
+		backlog := append([]*ctrlMsg(nil), c.log...)
+		c.subs = append(c.subs, ch)
+		c.writers.Add(1)
+		c.mu.Unlock()
 		go func() {
-			defer p.writers.Done()
+			defer c.writers.Done()
 			defer conn.Close()
 			bw := bufio.NewWriter(conn)
 			enc := json.NewEncoder(bw)
@@ -289,9 +417,9 @@ func (p *ctrlPlane) readConn(conn net.Conn) {
 		switch {
 		case m.Type == "subscribe" && lead == 0 && m.Peer != 0:
 			lead = m.Peer
-			p.subMu.Lock()
-			p.subscribed[lead] = true
-			p.subMu.Unlock()
+			p.coord.mu.Lock()
+			p.coord.subscribed[lead] = true
+			p.coord.mu.Unlock()
 		case lead != 0 && m.Type != "subscribe":
 			m.Peer = lead
 			p.handle(m)
@@ -300,26 +428,64 @@ func (p *ctrlPlane) readConn(conn net.Conn) {
 }
 
 // handle is the coordinator's one inbound path: every message a process
-// sends up lands here, the coordinator's own included (see up).
+// sends up lands here, the coordinator's own included (see up). It steps
+// the round machine and broadcasts what that opens. "alldone" enters the
+// replay log, for a follower that subscribes after the release; the rest
+// are live-only and also go to the local supervisor. A rewind empties the
+// log: decisions at or below its target are never consulted again and
+// later ones are re-made identically by the re-execution, so replay to
+// future re-subscribers does not grow without bound across rollbacks.
 func (p *ctrlPlane) handle(m ctrlMsg) {
-	switch m.Type {
-	case "done":
-		p.countDone(m.Round)
-	case "rejoin":
-		p.startRollback()
-	case "synced", "joined", "rewound":
-		p.ack(m)
-	case "state":
-		// Relayed by rebroadcast: the joiners count it, everyone else
-		// ignores it.
-		p.broadcastCtl(m)
+	if m.Type == "rejoin" && !p.durable {
+		return
+	}
+	c := p.coord
+	c.mu.Lock()
+	out := c.rounds.step(m)
+	for i := range out {
+		b := &out[i]
+		switch b.Type {
+		case "alldone":
+			c.log = append(c.log, b)
+			p.doneOnce.Do(func() { close(p.allDone) })
+		case "rewind":
+			c.log = nil
+		}
+		c.fanOutLocked(b)
+	}
+	c.mu.Unlock()
+	for _, b := range out {
+		if b.Type != "alldone" {
+			p.pushEvent(b)
+		}
 	}
 }
 
+// fanOutLocked queues m to every follower. A follower too far behind to
+// keep a 4096-message buffer is cut off rather than silently skipped:
+// closing its channel makes its writer goroutine exit and close the
+// connection, so the follower's decision stream fails fast instead of
+// hanging a later Need* forever. Callers hold mu; nobody changes *m after
+// it is queued.
+func (c *coordinator) fanOutLocked(m *ctrlMsg) {
+	keep := c.subs[:0]
+	for _, ch := range c.subs {
+		select {
+		case ch <- m:
+			keep = append(keep, ch)
+		default:
+			close(ch)
+		}
+	}
+	c.subs = keep
+}
+
 // up sends one message to the coordinator: over the control connection
-// from a follower, straight into handle on the coordinator itself.
+// from a follower, straight into handle, stamped with its own lead, on
+// the coordinator itself.
 func (p *ctrlPlane) up(m ctrlMsg) error {
 	if p.listener != nil {
+		m.Peer = p.lead
 		p.handle(m)
 		return nil
 	}
@@ -344,132 +510,6 @@ func (p *ctrlPlane) pushEvent(m ctrlMsg) {
 
 // Events returns the supervisor's rollback-message stream (durable mode).
 func (p *ctrlPlane) Events() <-chan ctrlMsg { return p.events }
-
-// broadcastCtl fans a live-only rollback message out to every follower
-// and to the local supervisor, without entering the replay log.
-func (p *ctrlPlane) broadcastCtl(m ctrlMsg) {
-	p.subMu.Lock()
-	p.fanOutLocked(&m)
-	p.subMu.Unlock()
-	p.pushEvent(m)
-}
-
-// startRollback opens a fresh rollback round: every process is told to
-// abort its stream and report its committed watermark. A rejoin arriving
-// mid-round restarts the round (the newcomer must be counted), which is
-// what makes process reconnection order irrelevant.
-func (p *ctrlPlane) startRollback() {
-	if !p.durable {
-		return
-	}
-	p.rbMu.Lock()
-	p.rbRound++
-	p.rbPhase, p.rbAcks, p.rbNeed, p.rbSynced = phaseSync, 0, p.expect, nil
-	round := p.rbRound
-	p.rbMu.Unlock()
-	// Every process re-announces "done" after its post-rollback stream,
-	// so the shutdown barrier restarts its count.
-	p.doneMu.Lock()
-	p.doneCount = 0
-	p.doneMu.Unlock()
-	p.broadcastCtl(ctrlMsg{Type: "sync", Round: round})
-}
-
-// ack counts one phase ack of the current round; acks of another round
-// or another phase are stale and dropped. The phase's last ack moves the
-// round on: sync → [fetch] → rewind → resume.
-func (p *ctrlPlane) ack(m ctrlMsg) {
-	p.rbMu.Lock()
-	if m.Round != p.rbRound || m.Type != phaseAck[p.rbPhase] {
-		p.rbMu.Unlock()
-		return
-	}
-	if m.Type == "synced" {
-		p.rbSynced = append(p.rbSynced, m)
-	}
-	p.rbAcks++
-	if p.rbAcks < p.rbNeed {
-		p.rbMu.Unlock()
-		return
-	}
-	next := p.advanceLocked()
-	p.rbMu.Unlock()
-	if next.Type == "rewind" {
-		// Decisions at or below the target are never consulted again and
-		// later ones are re-made identically by the re-execution; dropping
-		// the log keeps replay to future re-subscribers from growing without
-		// bound across rollbacks.
-		p.subMu.Lock()
-		p.log = nil
-		p.subMu.Unlock()
-	}
-	p.broadcastCtl(next)
-}
-
-// advanceLocked completes the current phase and returns the broadcast
-// that opens the next one. Completing the sync fixes the rollback target
-// — the minimum committed instance over the non-blank processes and a
-// launch epoch above every epoch in use. Callers hold rbMu.
-func (p *ctrlPlane) advanceLocked() ctrlMsg {
-	p.rbAcks = 0
-	switch p.rbPhase {
-	case phaseSync:
-		minK, epoch, joins := -1, uint64(0), 0
-		for _, s := range p.rbSynced {
-			if s.Blank {
-				// A blank joiner has no history: its zero watermark must not
-				// drag the rewind target down (its peers pruned re-execution
-				// inputs below their past floors), and it cannot serve state.
-				joins++
-			} else if minK < 0 || s.K < minK {
-				minK = s.K
-			}
-			epoch = max(epoch, s.Epoch)
-		}
-		minK = max(minK, 0) // every process is blank: a fresh cluster
-		p.rbTarget = ctrlMsg{Type: "rewind", Round: p.rbRound, K: minK, Epoch: epoch + 1}
-		if joins > 0 && joins < len(p.rbSynced) {
-			// Join round: insert the fetch phase, and rewind the whole
-			// cluster to the snapshot boundary rather than the minimum
-			// watermark. The joiner re-executes (boundary, minimum] live —
-			// that re-drive is what re-emits the commits a dead incarnation
-			// took to its grave — and checks its chain at the minimum
-			// against the digest f+1 servers agreed on.
-			fetch := p.fetchTargetLocked(minK)
-			p.rbTarget.K = fetch.K
-			p.rbPhase, p.rbNeed = phaseFetch, joins
-			return fetch
-		}
-	case phaseRewind:
-		p.rbPhase = phaseIdle
-		return ctrlMsg{Type: "resume", Round: p.rbRound}
-	}
-	p.rbPhase, p.rbNeed = phaseRewind, p.expect
-	return p.rbTarget
-}
-
-// fetchTargetLocked computes the join round's "fetch" broadcast: the
-// snapshot boundary J the whole round rewinds to, the pre-join minimum
-// watermark m the servers' digests are taken at, and the serving
-// processes. The boundary starts at the newest snapshot granule at or
-// below m and is raised to the highest non-blank floor: no process can
-// rewind below its own floor, and floors never exceed m (each is a
-// previous round's target, and watermarks only grow), so after the clamp
-// every non-blank process is an eligible server. Callers hold rbMu.
-func (p *ctrlPlane) fetchTargetLocked(m int) ctrlMsg {
-	every := p.snapEvery
-	if every <= 0 {
-		every = DefaultSnapshotInterval
-	}
-	fetch := ctrlMsg{Type: "fetch", Round: p.rbRound, K: m - m%every, M: m}
-	for _, s := range p.rbSynced {
-		if !s.Blank {
-			fetch.K = max(fetch.K, s.Floor)
-			fetch.Servers = append(fetch.Servers, s.Peer)
-		}
-	}
-	return fetch
-}
 
 // Reconnect re-establishes a durable follower's control connection after
 // the coordinator restarted, and restarts the decision reader.
@@ -502,57 +542,6 @@ func (p *ctrlPlane) ctrldownNow() ctrlMsg {
 	p.connMu.Lock()
 	defer p.connMu.Unlock()
 	return ctrlMsg{Type: "ctrldown", K: p.connGen}
-}
-
-// countDone tallies one process at the shutdown barrier; the last one
-// releases everyone. The announcement carries the rollback round it was
-// made in: a "done" sent just before a crash-triggered rollback may land
-// after the round reset the count, and counting it would release the
-// barrier while a straggler still needs its peers' sockets.
-func (p *ctrlPlane) countDone(round int) {
-	p.rbMu.Lock()
-	current := p.rbRound
-	p.rbMu.Unlock()
-	if round != current {
-		return
-	}
-	p.doneMu.Lock()
-	p.doneCount++
-	reached := p.doneCount >= p.expect
-	p.doneMu.Unlock()
-	if reached {
-		p.doneOnce.Do(func() {
-			p.broadcast(ctrlMsg{Type: "alldone"})
-			close(p.allDone)
-		})
-	}
-}
-
-// broadcast appends m to the replay log and fans it out to every follower.
-func (p *ctrlPlane) broadcast(m ctrlMsg) {
-	p.subMu.Lock()
-	defer p.subMu.Unlock()
-	p.log = append(p.log, &m)
-	p.fanOutLocked(&m)
-}
-
-// fanOutLocked queues m to every follower. A follower too far behind to
-// keep a 4096-message buffer is cut off rather than silently skipped:
-// closing its channel makes its writer goroutine exit and close the
-// connection, so the follower's decision stream fails fast instead of
-// hanging a later Need* forever. Callers hold subMu; nobody changes *m
-// after it is queued.
-func (p *ctrlPlane) fanOutLocked(m *ctrlMsg) {
-	keep := p.subs[:0]
-	for _, ch := range p.subs {
-		select {
-		case ch <- m:
-			keep = append(keep, ch)
-		default:
-			close(ch)
-		}
-	}
-	p.subs = keep
 }
 
 // newFollower dials the coordinator (retrying while the cluster boots)
@@ -661,19 +650,20 @@ func (p *ctrlPlane) Close() error {
 		close(p.closed)
 		if p.listener != nil {
 			p.listener.Close()
-			p.subMu.Lock()
-			for _, ch := range p.subs {
+			c := p.coord
+			c.mu.Lock()
+			for _, ch := range c.subs {
 				close(ch)
 			}
-			p.subs = nil
-			p.subMu.Unlock()
+			c.subs = nil
+			c.mu.Unlock()
 			// Let each writer flush what is queued — the "alldone" release
 			// above all — before the process exits: a follower that sees
 			// the connection end without it takes the coordinator for
 			// crashed and waits out a redial.
 			flushed := make(chan struct{})
 			go func() {
-				p.writers.Wait()
+				c.writers.Wait()
 				close(flushed)
 			}()
 			select {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,9 +79,9 @@ func TestDecisionBuffersBounded(t *testing.T) {
 			p := n.ctrl
 			_, errs[i] = n.Stream(context.Background(), subs, func(*core.InstanceResult) error {
 				if p.listener != nil {
-					p.subMu.Lock()
-					logPeak = max(logPeak, len(p.log))
-					p.subMu.Unlock()
+					p.coord.mu.Lock()
+					logPeak = max(logPeak, len(p.coord.log))
+					p.coord.mu.Unlock()
 				}
 				return nil
 			})
@@ -185,9 +186,110 @@ func TestReplayLogKeptUntilFollowersSubscribe(t *testing.T) {
 	for k := 2; k <= 3*w+1; k++ {
 		p.publish(runtime.Decision{K: k, Launch: uint64(k)})
 	}
-	p.subMu.Lock()
-	defer p.subMu.Unlock()
-	if len(p.log) == 0 || p.log[0].K != 1 {
-		t.Fatalf("instance 1's decision left the replay log before any follower subscribed (%d entries)", len(p.log))
+	p.coord.mu.Lock()
+	defer p.coord.mu.Unlock()
+	if len(p.coord.log) == 0 || p.coord.log[0].K != 1 {
+		t.Fatalf("instance 1's decision left the replay log before any follower subscribed (%d entries)", len(p.coord.log))
+	}
+}
+
+// TestRoundMachine drives the coordinator's round machine message by
+// message, with no sockets and no processes, and checks the broadcasts
+// each message opens.
+func TestRoundMachine(t *testing.T) {
+	type step struct {
+		in  ctrlMsg
+		out []ctrlMsg
+	}
+	rejoin := ctrlMsg{Type: "rejoin"}
+	syncOf := func(round int) []ctrlMsg { return []ctrlMsg{{Type: "sync", Round: round}} }
+	synced := func(peer int64, round, k, floor int, epoch uint64) ctrlMsg {
+		return ctrlMsg{Type: "synced", Peer: peer, Round: round, K: k, Floor: floor, Epoch: epoch}
+	}
+	blank := func(peer int64, round int) ctrlMsg {
+		return ctrlMsg{Type: "synced", Peer: peer, Round: round, Blank: true}
+	}
+	from := func(typ string, peer int64, round int) ctrlMsg { return ctrlMsg{Type: typ, Peer: peer, Round: round} }
+	resume := func(round int) []ctrlMsg { return []ctrlMsg{{Type: "resume", Round: round}} }
+	for _, tc := range []struct {
+		name      string
+		expect    int
+		snapEvery int
+		steps     []step
+	}{
+		{"K4Rejoin", 4, 0, []step{
+			{rejoin, syncOf(1)},
+			{synced(1, 1, 10, 0, 1), nil},
+			{synced(2, 1, 7, 0, 3), nil},
+			{synced(3, 1, 12, 0, 2), nil},
+			{synced(4, 1, 9, 0, 1), []ctrlMsg{{Type: "rewind", Round: 1, K: 7, Epoch: 4}}},
+			{from("rewound", 1, 1), nil},
+			{from("rewound", 2, 1), nil},
+			{from("rewound", 3, 1), nil},
+			{from("rewound", 4, 1), resume(1)},
+		}},
+		{"JoinInsertsFetch", 4, 4, []step{
+			{rejoin, syncOf(1)},
+			{synced(1, 1, 12, 10, 2), nil},
+			{blank(4, 1), nil},
+			{synced(2, 1, 11, 8, 2), nil},
+			{synced(3, 1, 13, 0, 1), []ctrlMsg{{Type: "fetch", Round: 1, K: 10, M: 11, Servers: []int64{1, 2, 3}}}},
+			{from("joined", 1, 1), nil}, // a server is not a joiner
+			{ctrlMsg{Type: "state", Round: 1, Peer: 2, Digest: 7}, []ctrlMsg{{Type: "state", Round: 1, Peer: 2, Digest: 7}}},
+			{from("joined", 4, 1), []ctrlMsg{{Type: "rewind", Round: 1, K: 10, Epoch: 3}}},
+			{from("rewound", 1, 1), nil},
+			{from("rewound", 2, 1), nil},
+			{from("rewound", 3, 1), nil},
+			{from("rewound", 4, 1), resume(1)},
+		}},
+		{"AllBlank", 3, 0, []step{
+			{rejoin, syncOf(1)},
+			{blank(1, 1), nil},
+			{blank(2, 1), nil},
+			{blank(3, 1), []ctrlMsg{{Type: "rewind", Round: 1, K: 0, Epoch: 1}}},
+		}},
+		{"StaleWrongPhaseRepeated", 3, 0, []step{
+			{rejoin, syncOf(1)},
+			{rejoin, syncOf(2)},
+			{synced(1, 1, 5, 0, 0), nil}, // stale round
+			{from("rewound", 1, 2), nil}, // wrong phase
+			{synced(1, 2, 5, 0, 0), nil}, // counted
+			{synced(1, 2, 5, 0, 0), nil}, // repeated
+			{synced(2, 2, 6, 0, 0), nil}, // one short: the repeat did not count
+			{synced(3, 2, 7, 0, 0), []ctrlMsg{{Type: "rewind", Round: 2, K: 5, Epoch: 1}}},
+			{synced(3, 2, 7, 0, 0), nil}, // wrong phase now
+			{from("rewound", 1, 2), nil},
+			{from("rewound", 1, 2), nil},
+			{from("rewound", 2, 2), nil},
+			{from("rewound", 3, 2), resume(2)},
+			{from("rewound", 3, 2), nil}, // idle: nothing to count
+		}},
+		{"RejoinRestartsRound", 3, 0, []step{
+			{rejoin, syncOf(1)},
+			{synced(1, 1, 1, 0, 0), nil},
+			{synced(2, 1, 1, 0, 0), nil},
+			{rejoin, syncOf(2)},
+			{synced(3, 2, 7, 0, 0), nil},
+			{synced(1, 2, 5, 0, 0), nil},
+			{synced(2, 2, 6, 0, 0), []ctrlMsg{{Type: "rewind", Round: 2, K: 5, Epoch: 1}}},
+		}},
+		{"StaleDone", 2, 0, []step{
+			{from("done", 1, 0), nil},
+			{rejoin, syncOf(1)},
+			{from("done", 2, 0), nil}, // announced before the rollback
+			{from("done", 1, 1), nil},
+			{from("done", 1, 1), nil}, // repeated
+			{from("done", 2, 1), []ctrlMsg{{Type: "alldone"}}},
+			{from("done", 2, 1), nil},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := roundMachine{expect: tc.expect, snapEvery: tc.snapEvery}
+			for i, s := range tc.steps {
+				if got := r.step(s.in); !reflect.DeepEqual(got, s.out) {
+					t.Fatalf("step %d: %+v opened %+v, want %+v", i, s.in, got, s.out)
+				}
+			}
+		})
 	}
 }

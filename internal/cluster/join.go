@@ -16,7 +16,7 @@ import (
 //
 // A blank process announces an ordinary rejoin, but its sync ack carries
 // Blank, so the coordinator inserts a "fetch" phase between sync and
-// rewind (see ctrlPlane.advanceLocked). During that phase every process is
+// rewind (see roundMachine.target). During that phase every process is
 // parked inside its rollback round — streams canceled, sockets open — so
 // non-blank processes double as snapshot servers. On the fetch each
 // eligible server pushes one "state" message, relayed by the coordinator
