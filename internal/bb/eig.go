@@ -13,8 +13,10 @@
 //
 // The EIG tree is index-addressed: an immutable layout per (|P|, t)
 // numbers every label once (see layout), and a Node keeps one value slot
-// per label. Building a round's reports, filing a received batch and the
-// final majority recursion are walks over those indices; nothing on the
+// per label. Every node shares that layout, so a round's report batch
+// carries values only: the sender and the round imply which label each
+// value reports. Building a batch, filing a received one and the final
+// majority recursion are walks over those indices; nothing on the
 // per-round path formats, parses or hashes a label.
 package bb
 
@@ -22,6 +24,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -38,13 +42,10 @@ const maxLabels = 1 << 22
 
 // layout is the shape of the EIG label tree for n participants and
 // tolerance t, shared by every Node of that shape. Participants appear as
-// ranks 0..n-1; a label is a sequence of 1..t+1 distinct ranks. Labels are
-// numbered level by level (all length-1 labels, then length-2, ...), and
-// within a level in lexicographic rank order, so a label's children are
-// consecutive on the next level. A Node ranks its participants by the
-// byte order of their decimal ids (see NewNode), which makes index order
-// within a level the order of the comma-joined decimal label keys — the
-// order round reports have always had on the wire.
+// ranks 0..n-1, in ascending id order; a label is a sequence of 1..t+1
+// distinct ranks. Labels are numbered level by level (all length-1 labels,
+// then length-2, ...), and within a level in lexicographic rank order, so
+// a label's children are consecutive on the next level.
 type layout struct {
 	n int // participants
 	// level[l] is the index of the first label of length l+1; level[t+1]
@@ -116,11 +117,31 @@ func (lay *layout) contains(i, q int32) bool {
 	return false
 }
 
-// slot is one label's reported value; ok tells a stored empty value (which
-// is re-reported) from a label nothing was filed under.
-type slot struct {
-	val []byte
-	ok  bool
+// batch yields, in wire order, the labels the participant of rank q
+// reports in EIG round k (k <= t), each with the label a receiver files
+// it under: in round 0 q's own label, filed as itself; in round k >= 1
+// every length-k label without q, filed under the label extended by q.
+func (lay *layout) batch(k int, q int32) iter.Seq2[int32, int32] {
+	return func(yield func(label, filed int32) bool) {
+		if k == 0 {
+			yield(q, q)
+			return
+		}
+		for i := lay.level[k-1]; i < lay.level[k]; i++ {
+			if c := lay.child[int(i)*lay.n+int(q)]; c >= 0 && !yield(i, c) {
+				return
+			}
+		}
+	}
+}
+
+// batchLen is the number of values in every round-k batch: one in round
+// 0, else the length-k labels without the sender, n-k of every n.
+func (lay *layout) batchLen(k int) int {
+	if k == 0 {
+		return 1
+	}
+	return int(lay.level[k]-lay.level[k-1]) / lay.n * (lay.n - k)
 }
 
 // Node is the per-node state of one simultaneous-EIG execution. It
@@ -128,9 +149,7 @@ type slot struct {
 // value for any general.
 type Node struct {
 	self         graph.NodeID
-	participants []graph.NodeID // ascending
-	rankAt       []int32        // rankAt[i] is the layout rank of the relay table's node i, -1 for a non-participant
-	ids          []graph.NodeID // ids[r] is the participant with layout rank r
+	participants []graph.NodeID // ascending: a participant's index is its layout rank
 	selfRank     int32
 	t            int // residual fault tolerance; t+1 EIG rounds
 	router       *relay.Router
@@ -138,10 +157,9 @@ type Node struct {
 	myValue      []byte
 
 	lay       *layout
-	slots     []slot         // one per label of lay
-	harvested []bool         // EIG rounds already harvested
-	path      []graph.NodeID // scratch: one report's label
-	votes     [][]byte       // scratch: n child values per interior level
+	slots     [][]byte // one reported value per label of lay; nil and empty alike mean none
+	harvested []bool   // EIG rounds already harvested
+	votes     [][]byte // scratch: n child values per interior level
 }
 
 // NewNode builds the EIG state for node self broadcasting myValue, among
@@ -163,51 +181,32 @@ func NewNode(self graph.NodeID, participants []graph.NodeID, t int, router *rela
 			return nil, fmt.Errorf("bb: participant %d listed twice", sorted[i])
 		}
 	}
-	if _, ok := slices.BinarySearch(sorted, self); !ok {
+	selfRank, ok := slices.BinarySearch(sorted, self)
+	if !ok {
 		return nil, fmt.Errorf("bb: node %d not among participants", self)
+	}
+	for _, id := range sorted {
+		if router.Table().Index(id) < 0 {
+			return nil, fmt.Errorf("bb: participant %d not in the relay table", id)
+		}
 	}
 	lay, err := layoutFor(n, t)
 	if err != nil {
 		return nil, err
 	}
-	// Rank participants by the byte order of their decimal ids ("10" sorts
-	// before "2"): the order reports of one level take on the wire.
-	ids := slices.Clone(sorted)
-	slices.SortFunc(ids, compareDecimal)
-	tab := router.Table()
-	rankAt := make([]int32, tab.NumNodes())
-	for i := range rankAt {
-		rankAt[i] = -1
-	}
-	for r, id := range ids {
-		i := tab.Index(id)
-		if i < 0 {
-			return nil, fmt.Errorf("bb: participant %d not in the relay table", id)
-		}
-		rankAt[i] = int32(r)
-	}
 	return &Node{
 		self:         self,
 		participants: sorted,
-		rankAt:       rankAt,
-		ids:          ids,
-		selfRank:     rankAt[tab.Index(self)],
+		selfRank:     int32(selfRank),
 		t:            t,
 		router:       router,
 		relayRounds:  router.Table().Rounds(),
 		myValue:      myValue,
 		lay:          lay,
-		slots:        make([]slot, len(lay.parent)),
+		slots:        make([][]byte, len(lay.parent)),
 		harvested:    make([]bool, t+1),
-		path:         make([]graph.NodeID, t+1),
 		votes:        make([][]byte, t*n),
 	}, nil
-}
-
-// compareDecimal orders node ids as their decimal strings compare.
-func compareDecimal(a, b graph.NodeID) int {
-	var ab, bb [20]byte
-	return bytes.Compare(strconv.AppendInt(ab[:0], int64(a), 10), strconv.AppendInt(bb[:0], int64(b), 10))
 }
 
 // Rounds returns the number of simulator rounds one full execution needs.
@@ -215,15 +214,6 @@ func (nd *Node) Rounds() int { return (nd.t+1)*nd.relayRounds + 1 }
 
 // msgID labels the relay traffic of EIG round k.
 func msgID(k int) string { return "eig:" + strconv.Itoa(k) }
-
-// rankOf returns the layout rank of participant id, or -1 for a stranger:
-// a non-participant, or an id the relay table does not know.
-func (nd *Node) rankOf(id graph.NodeID) int32 {
-	if i := nd.router.Table().Index(id); i >= 0 {
-		return nd.rankAt[i]
-	}
-	return -1
-}
 
 // Step implements sim.Process: it forwards relay traffic every round and,
 // on EIG round boundaries, harvests the previous round's majorities and
@@ -252,34 +242,29 @@ func (nd *Node) Finish() {
 	}
 }
 
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // sendRound appends EIG round k's report batch, addressed to every other
-// participant, to out. The batch is varint K, varint report count, then per
-// report varint path length, varint node ids, varint value length, value —
-// compact because the flag broadcast's cost is the paper's O(n^alpha)
-// additive overhead, so every byte of framing is throughput lost at
-// finite L. Round 0 announces the node's own value; round k >= 1 reports
-// every stored label of length k that does not contain the node.
+// participant, to out. The batch is uvarint k, then per label of
+// lay.batch(k, selfRank) uvarint value length and value, an unfilled
+// label sent as empty — compact because the flag broadcast's cost is the
+// paper's O(n^alpha) additive overhead, so every byte of framing is
+// throughput lost at finite L. Each round gets a fresh batch: receivers
+// file values that alias it (storeRound; on in-process engines these are
+// the sender's very bytes), so reusing it would rewrite their trees.
 func (nd *Node) sendRound(out []sim.Message, k int) []sim.Message {
-	lo, hi, length := nd.selfRank, nd.selfRank+1, 1
 	if k == 0 {
-		nd.slots[nd.selfRank] = slot{val: nd.myValue, ok: true}
-	} else {
-		lo, hi, length = nd.lay.level[k-1], nd.lay.level[k], k
+		nd.slots[nd.selfRank] = nd.myValue
 	}
-	count, size := 0, 0
-	for i := lo; i < hi; i++ {
-		if nd.reports(i, k) {
-			count++
-			size += nd.reportSize(i, length)
-		}
+	size := uvarintLen(uint64(k))
+	for i := range nd.lay.batch(k, nd.selfRank) {
+		size += uvarintLen(uint64(len(nd.slots[i]))) + len(nd.slots[i])
 	}
-	payload := make([]byte, 0, 2*binary.MaxVarintLen64+size)
-	payload = binary.AppendVarint(payload, int64(k))
-	payload = binary.AppendVarint(payload, int64(count))
-	for i := lo; i < hi; i++ {
-		if nd.reports(i, k) {
-			payload = nd.appendReport(payload, i, length)
-		}
+	payload := binary.AppendUvarint(make([]byte, 0, size), uint64(k))
+	for i := range nd.lay.batch(k, nd.selfRank) {
+		payload = binary.AppendUvarint(payload, uint64(len(nd.slots[i])))
+		payload = append(payload, nd.slots[i]...)
 	}
 	id := msgID(k)
 	out = slices.Grow(out, (len(nd.participants)-1)*nd.router.Table().K())
@@ -291,225 +276,81 @@ func (nd *Node) sendRound(out []sim.Message, k int) []sim.Message {
 	return out
 }
 
-// reports tells whether label i goes into this node's round-k batch.
-func (nd *Node) reports(i int32, k int) bool {
-	return nd.slots[i].ok && (k == 0 || !nd.lay.contains(i, nd.selfRank))
-}
-
-// reportSize is the encoded size of the report for label i of the given
-// length.
-func (nd *Node) reportSize(i int32, length int) int {
-	val := nd.slots[i].val
-	size := varintLen(int64(length)) + varintLen(int64(len(val))) + len(val)
-	for ; i >= 0; i = nd.lay.parent[i] {
-		size += varintLen(int64(nd.ids[nd.lay.last[i]]))
-	}
-	return size
-}
-
-// appendReport appends the report for label i of the given length — path
-// length, path ids, value length, value — to buf.
+// decodeRound checks that raw is a round-k batch of exactly count values
+// — every length inside raw, every uvarint complete, nothing after the
+// last value — and returns the position of the first value. A Byzantine
+// sender can emit anything; a batch that fails here is dropped whole.
 //
 //nab:allocfree
-func (nd *Node) appendReport(buf []byte, i int32, length int) []byte {
-	path := nd.path[:length]
-	for j, d := i, length-1; j >= 0; j, d = nd.lay.parent[j], d-1 {
-		path[d] = nd.ids[nd.lay.last[j]]
+func decodeRound(raw []byte, k, count int) (body int, ok bool) {
+	got, body := binary.Uvarint(raw)
+	if body <= 0 || got != uint64(k) {
+		return 0, false
 	}
-	buf = binary.AppendVarint(buf, int64(length))
-	for _, id := range path {
-		buf = binary.AppendVarint(buf, int64(id))
+	pos := body
+	for ; count > 0; count-- {
+		if _, pos, ok = readValue(raw, pos); !ok {
+			return 0, false
+		}
 	}
-	val := nd.slots[i].val
-	buf = binary.AppendVarint(buf, int64(len(val)))
-	return append(buf, val...)
+	return body, pos == len(raw)
 }
 
-// varintLen is the number of bytes binary.AppendVarint writes for v.
-func varintLen(v int64) int {
-	u := uint64(v<<1) ^ uint64(v>>63) // zig-zag, as encoding/binary
-	n := 1
-	for ; u >= 0x80; u >>= 7 {
-		n++
-	}
-	return n
-}
-
-// readVarint decodes the varint at raw[pos:]; ok is false when it is
-// truncated or overflows 64 bits.
-func readVarint(raw []byte, pos int) (v int64, next int, ok bool) {
+// readValue decodes the length-prefixed value at raw[pos:]: the value (a
+// sub-slice of raw) and the position after it.
+//
+//nab:allocfree
+func readValue(raw []byte, pos int) (val []byte, next int, ok bool) {
 	if pos >= len(raw) {
-		return 0, pos, false
+		return nil, pos, false
 	}
-	v, n := binary.Varint(raw[pos:])
-	if n <= 0 {
-		return 0, pos, false
+	vlen, n := binary.Uvarint(raw[pos:])
+	if n <= 0 || vlen > uint64(len(raw)-pos-n) {
+		return nil, pos, false
 	}
-	return v, pos + n, true
-}
-
-// readRoundHeader decodes a batch's round number and report count. The
-// count is bounded by the batch length (every report takes a byte or
-// more), so a forged count cannot drive a long loop.
-func readRoundHeader(raw []byte) (k, count int64, pos int, ok bool) {
-	if k, pos, ok = readVarint(raw, 0); !ok {
-		return 0, 0, 0, false
-	}
-	if count, pos, ok = readVarint(raw, pos); !ok || count < 0 || count > int64(len(raw)) {
-		return 0, 0, 0, false
-	}
-	return k, count, pos, true
-}
-
-// readReport decodes the report at raw[pos:]: its path length, its value
-// (a sub-slice of raw) and the position of the next report. The first
-// len(path) ids of the path are written into path; the rest are checked and
-// skipped, so a caller passes a buffer as long as the labels it can use.
-func readReport(raw []byte, pos int, path []graph.NodeID) (plen int64, val []byte, next int, ok bool) {
-	if plen, pos, ok = readVarint(raw, pos); !ok || plen < 0 || plen > int64(len(raw)) {
-		return 0, nil, 0, false
-	}
-	for j := int64(0); j < plen; j++ {
-		var id int64
-		if id, pos, ok = readVarint(raw, pos); !ok {
-			return 0, nil, 0, false
-		}
-		if j < int64(len(path)) {
-			path[j] = graph.NodeID(id)
-		}
-	}
-	var vlen int64
-	if vlen, pos, ok = readVarint(raw, pos); !ok || vlen < 0 || int64(pos)+vlen > int64(len(raw)) {
-		return 0, nil, 0, false
-	}
-	end := pos + int(vlen)
-	return plen, raw[pos:end], end, true
-}
-
-// decodeRoundNumber checks that raw is a well-formed report batch — every
-// length inside raw, every varint complete — and returns its round number.
-// Bytes after the last report are ignored. A Byzantine sender can emit
-// anything; a batch that fails here is dropped whole.
-//
-//nab:allocfree
-func decodeRoundNumber(raw []byte) (k int64, ok bool) {
-	k, count, pos, ok := readRoundHeader(raw)
-	for ; ok && count > 0; count-- {
-		_, _, pos, ok = readReport(raw, pos, nil)
-	}
-	return k, ok
+	pos += n
+	return raw[pos : pos+int(vlen)], pos + int(vlen), true
 }
 
 // harvest consumes the relay majorities of EIG round k and updates the
-// tree. Invalid or missing reports are simply not stored; resolve treats
-// them as the default value.
+// tree. Missing or malformed batches file nothing; resolve treats an
+// unfilled label as the default value.
 func (nd *Node) harvest(k int) {
 	if nd.harvested[k] {
 		return
 	}
 	nd.harvested[k] = true
 	id := msgID(k)
-	for _, p := range nd.participants {
+	for q, p := range nd.participants {
 		if p == nd.self {
 			continue
 		}
-		raw, ok := nd.router.Majority(p, id)
-		if !ok {
-			continue
+		if raw, ok := nd.router.Majority(p, id); ok {
+			nd.storeRound(raw, k, int32(q))
 		}
-		if got, ok := decodeRoundNumber(raw); !ok || got != int64(k) {
-			continue
-		}
-		nd.storeRound(raw, k, p)
 	}
 	if k == nd.t {
 		return // the leaves have no children to self-report into
 	}
 	// Self-report: val(alpha . self) = val(alpha) for labels of length k+1
 	// not containing self (a node trusts what it already knows).
-	for i := nd.lay.level[k]; i < nd.lay.level[k+1]; i++ {
-		if !nd.slots[i].ok {
-			continue
-		}
-		if c := nd.lay.child[int(i)*nd.lay.n+int(nd.selfRank)]; c >= 0 {
-			nd.store(c, nd.slots[i].val)
-		}
+	for i, c := range nd.lay.batch(k+1, nd.selfRank) {
+		nd.slots[c] = nd.slots[i]
 	}
 }
 
-// storeRound files the reports of a round-k batch from participant from,
-// already checked by decodeRoundNumber. Values alias raw.
+// storeRound files a round-k batch from the participant of rank q, or
+// nothing if decodeRound rejects it. Values alias raw.
 //
 //nab:allocfree
-func (nd *Node) storeRound(raw []byte, k int, from graph.NodeID) {
-	path := nd.path[:max(k, 1)]
-	_, count, pos, _ := readRoundHeader(raw)
-	for ; count > 0; count-- {
-		var plen int64
-		var val []byte
-		plen, val, pos, _ = readReport(raw, pos, path)
-		if plen != int64(len(path)) {
-			continue
-		}
-		if i := nd.labelIndex(path, k, from); i >= 0 {
-			nd.store(i, val)
-		}
+func (nd *Node) storeRound(raw []byte, k int, q int32) {
+	pos, ok := decodeRound(raw, k, nd.lay.batchLen(k))
+	if !ok {
+		return
 	}
-}
-
-// store files val under label i unless something already is: the first
-// report per label wins.
-//
-//nab:allocfree
-func (nd *Node) store(i int32, val []byte) {
-	if !nd.slots[i].ok {
-		nd.slots[i] = slot{val: val, ok: true}
+	for _, c := range nd.lay.batch(k, q) {
+		nd.slots[c], pos, _ = readValue(raw, pos)
 	}
-}
-
-// labelIndex returns the slot a round-k report from participant from with
-// the given label is stored under, or -1 if the label is not acceptable.
-// Round-0 reports carry the general's own single-element label and are
-// stored under it; round-k (k >= 1) reports carry labels of length k over
-// distinct participants, not containing from, and are stored under the
-// label extended by from.
-//
-//nab:allocfree
-func (nd *Node) labelIndex(path []graph.NodeID, k int, from graph.NodeID) int32 {
-	if k == 0 {
-		if len(path) != 1 || path[0] != from {
-			return -1
-		}
-		return nd.rankOf(from)
-	}
-	if len(path) != k {
-		return -1
-	}
-	return nd.extend(nd.pathIndex(path), from)
-}
-
-// pathIndex returns the index of the label path spells, or -1 if it is
-// not one: empty, longer than t+1, naming a stranger or repeating a node.
-func (nd *Node) pathIndex(path []graph.NodeID) int32 {
-	if len(path) == 0 {
-		return -1
-	}
-	// Level-1 labels are numbered by rank.
-	i := nd.rankOf(path[0])
-	for _, id := range path[1:] {
-		i = nd.extend(i, id)
-	}
-	return i
-}
-
-// extend returns the index of label i extended by participant id, or -1 if
-// i is -1 or a leaf, id is a stranger or id already occurs in label i.
-func (nd *Node) extend(i int32, id graph.NodeID) int32 {
-	q := nd.rankOf(id)
-	if i < 0 || q < 0 || i >= nd.lay.level[nd.t] {
-		return -1
-	}
-	return nd.lay.child[int(i)*nd.lay.n+int(q)]
 }
 
 // Decide returns the agreed value for the given general, after all rounds
@@ -517,11 +358,11 @@ func (nd *Node) extend(i int32, id graph.NodeID) int32 {
 // default is returned when the general never delivered anything decodable.
 // The result may alias a received report: callers must not modify it.
 func (nd *Node) Decide(general graph.NodeID) []byte {
-	r := nd.rankOf(general)
-	if r < 0 {
+	r, ok := slices.BinarySearch(nd.participants, general)
+	if !ok {
 		return nil
 	}
-	return nd.resolve(r, 0)
+	return nd.resolve(int32(r), 0)
 }
 
 // resolve implements the recursive EIG decision rule for label i at depth
@@ -532,7 +373,7 @@ func (nd *Node) Decide(general graph.NodeID) []byte {
 //nab:allocfree
 func (nd *Node) resolve(i int32, depth int) []byte {
 	if depth == nd.t {
-		return nd.slots[i].val
+		return nd.slots[i]
 	}
 	n := nd.lay.n
 	votes := nd.votes[depth*n : depth*n : (depth+1)*n]

@@ -1,7 +1,9 @@
 package bb
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"nab/internal/graph"
@@ -100,10 +102,12 @@ func TestAllHonestAgreement(t *testing.T) {
 			}
 		}
 	}
-	// Unknown general decides nil.
+	// Unknown generals decide nil.
 	for _, nd := range nodes {
-		if nd.Decide(99) != nil {
-			t.Error("unknown general should decide nil")
+		for _, id := range []graph.NodeID{math.MinInt, -4, 0, 5, 99, 1 << 40, math.MaxInt} {
+			if nd.Decide(id) != nil {
+				t.Errorf("unknown general %d should decide nil", id)
+			}
 		}
 		break
 	}
@@ -134,8 +138,8 @@ func equivocatingGeneral(self graph.NodeID, participants []graph.NodeID, tol int
 						if err != nil {
 							continue
 						}
-						for j := range msg.Reports {
-							msg.Reports[j].Val = []byte("Y")
+						for j := range msg.Vals {
+							msg.Vals[j] = []byte("Y")
 						}
 						raw := marshalRound(msg)
 						pkt.Payload = raw
@@ -199,8 +203,8 @@ func lyingRelayer(self graph.NodeID, participants []graph.NodeID, tol int) func(
 				if err != nil {
 					continue
 				}
-				for j := range msg.Reports {
-					msg.Reports[j].Val = []byte("poison")
+				for j := range msg.Vals {
+					msg.Vals[j] = []byte("poison")
 				}
 				raw := marshalRound(msg)
 				pkt.Payload = raw
@@ -289,62 +293,99 @@ func TestToleranceZeroFastPath(t *testing.T) {
 	}
 }
 
-func TestLabelKeyRoundTrip(t *testing.T) {
-	path := []graph.NodeID{3, 1, 4}
-	back := parseKey(labelKey(path))
-	if len(back) != 3 || back[0] != 3 || back[1] != 1 || back[2] != 4 {
-		t.Errorf("round trip failed: %v", back)
+// k7Node builds node self of a K7 execution with t = 2, outside any
+// engine, to be fed batches directly.
+func k7Node(t *testing.T, self graph.NodeID) *Node {
+	t.Helper()
+	g := completeBi(7, 2)
+	tab, err := relay.NewTable(g, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if parseKey("not,a,number") != nil {
-		t.Error("parseKey should reject garbage")
+	nd, err := NewNode(self, g.Nodes(), 2, relay.NewRouter(self, tab), []byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// TestBatchRules files round-1 batches from node 2 at node 1. Only a batch
+// of the right round with exactly one value per implied label and nothing
+// after the last value files anything; any other is dropped whole.
+func TestBatchRules(t *testing.T) {
+	vals := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}} // [1] [3] [4] [5] [6] [7]
+	valid := marshalRound(roundMsg{K: 1, Vals: vals})
+	cases := []struct {
+		name  string
+		batch []byte
+		files bool
+	}{
+		{"valid", valid, true},
+		{"wrong round", marshalRound(roundMsg{K: 2, Vals: vals}), false},
+		{"round 0", marshalRound(roundMsg{K: 0, Vals: vals}), false},
+		{"one value short", marshalRound(roundMsg{K: 1, Vals: vals[:5]}), false},
+		{"one value extra", marshalRound(roundMsg{K: 1, Vals: append(vals[:6:6], []byte{7})}), false},
+		{"trailing byte", append(valid[:len(valid):len(valid)], 0x80), false},
+		{"value length past the end", append(valid[:len(valid)-2:len(valid)-2], 2, 6), false},
+		{"empty", nil, false},
+	}
+	for _, c := range cases {
+		nd := k7Node(t, 1)
+		nd.storeRound(c.batch, 1, nd.labelAt(2))
+		for i, v := range nd.slots {
+			if v != nil && !c.files {
+				t.Errorf("%s: filed %v under slot %d", c.name, v, i)
+			}
+		}
+		if c.files {
+			for j, id := range []graph.NodeID{1, 3, 4, 5, 6, 7} {
+				if got := nd.slots[nd.labelAt(id, 2)]; !bytes.Equal(got, vals[j]) {
+					t.Errorf("%s: [%d 2] holds %v, want %v", c.name, id, got, vals[j])
+				}
+			}
+		}
 	}
 }
 
-func TestValidLabelRules(t *testing.T) {
-	g := completeBi(4, 1)
-	tab, err := relay.NewTable(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, err := NewNode(1, g.Nodes(), 1, relay.NewRouter(1, tab), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		path []graph.NodeID
-		k    int
-		from graph.NodeID
-		want bool
-	}{
-		{[]graph.NodeID{2}, 0, 2, true},
-		{[]graph.NodeID{3}, 0, 2, false},     // round 0 must be self-label
-		{[]graph.NodeID{2, 3}, 0, 2, false},  // wrong length
-		{[]graph.NodeID{2}, 1, 3, true},      // round 1 label of length 1
-		{[]graph.NodeID{2}, 1, 2, false},     // sender in label
-		{[]graph.NodeID{2, 2}, 2, 3, false},  // duplicate
-		{[]graph.NodeID{2, 99}, 2, 3, false}, // non-participant
-		{[]graph.NodeID{2, 4}, 2, 3, true},
-		{[]graph.NodeID{2, 4}, 1, 3, false}, // wrong length for round
-		// Byzantine ids outside the relay table's position table.
-		{[]graph.NodeID{2, -4}, 2, 3, false},
-		{[]graph.NodeID{2, 1 << 40}, 2, 3, false},
-		{[]graph.NodeID{2}, 1, -1, false},
-		{[]graph.NodeID{2}, 1, math.MaxInt, false},
-	}
-	for i, c := range cases {
-		if got := nd.validLabel(c.path, c.k, c.from); got != c.want {
-			t.Errorf("case %d: validLabel(%v,%d,%d) = %v, want %v", i, c.path, c.k, c.from, got, c.want)
+// TestEmptyValueDecidesLikeUnsent: a label its reporter never filled goes
+// out as an empty value, which the receiver files; had the label not been
+// sent at all, the receiver's slot would stay unfilled. Every decision,
+// nil-ness included, must be the same either way.
+func TestEmptyValueDecidesLikeUnsent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	decided := map[bool]int{}
+	for trial := 0; trial < 100; trial++ {
+		sent, unsent := k7Node(t, 1), k7Node(t, 1)
+		for k := 0; k <= sent.t; k++ {
+			for q := int32(1); q < 7; q++ {
+				vals := make([][]byte, sent.lay.batchLen(k))
+				for j := range vals {
+					if v := rng.Intn(4); v > 0 {
+						vals[j] = []byte{byte(v)}
+					} else {
+						vals[j] = []byte{}
+					}
+				}
+				batch := marshalRound(roundMsg{K: uint64(k), Vals: vals})
+				sent.storeRound(batch, k, q)
+				unsent.storeRound(batch, k, q)
+			}
+		}
+		for i, v := range unsent.slots {
+			if v != nil && len(v) == 0 {
+				unsent.slots[i] = nil
+			}
+		}
+		for _, gen := range sent.participants {
+			got, want := sent.Decide(gen), unsent.Decide(gen)
+			if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("trial %d: general %d decides %#v with empty values, %#v with them unsent", trial, gen, got, want)
+			}
+			decided[got == nil]++
 		}
 	}
-	for _, id := range []graph.NodeID{math.MinInt, -4, -1, 0, 5, 99, 1 << 40, math.MaxInt} {
-		if r := nd.rankOf(id); r != -1 {
-			t.Errorf("rankOf(%d) = %d, want -1 for a stranger", id, r)
-		}
-	}
-	for _, id := range g.Nodes() {
-		if r := nd.rankOf(id); r < 0 || nd.ids[r] != id {
-			t.Errorf("rankOf(%d) = %d, not its layout rank", id, r)
-		}
+	if decided[true] == 0 || decided[false] == 0 {
+		t.Fatalf("decisions %v: want both nil and non-nil outcomes", decided)
 	}
 }
 

@@ -1,16 +1,27 @@
 package bb
 
-import "nab/internal/graph"
+import (
+	"slices"
 
-// validLabel is the acceptance rule for one incoming report's label, as
-// the tests have always phrased it. For a round the protocol runs (k <= t)
-// it is exactly "labelIndex finds the report a slot"; the rule is also
-// asked about k = t+1, where the extended label would lie below the
-// leaves, so there the label and the sender are judged without a slot.
-func (nd *Node) validLabel(path []graph.NodeID, k int, from graph.NodeID) bool {
-	if k <= nd.t {
-		return nd.labelIndex(path, k, from) >= 0
+	"nab/internal/graph"
+)
+
+// labelAt returns the slot of the label spelled by participant ids, or -1
+// if they spell none (a stranger, a repeated id, longer than t+1).
+func (nd *Node) labelAt(ids ...graph.NodeID) int32 {
+	i := int32(-1)
+	for d, id := range ids {
+		q, ok := slices.BinarySearch(nd.participants, id)
+		switch {
+		case !ok || d > nd.t:
+			return -1
+		case d == 0:
+			i = int32(q)
+		default:
+			if i = nd.lay.child[int(i)*nd.lay.n+q]; i < 0 {
+				return -1
+			}
+		}
 	}
-	i, q := nd.pathIndex(path), nd.rankOf(from)
-	return len(path) == k && i >= 0 && q >= 0 && !nd.lay.contains(i, q)
+	return i
 }

@@ -1,6 +1,8 @@
 // The map-keyed EIG implementation this package shipped before the
-// index-addressed tree, kept verbatim as the differential oracle (refNode)
-// and as the reference codec for the in-place round decoder.
+// index-addressed tree, kept as the differential oracle (refNode), and the
+// reference codec for the in-place round decoder. Its batches carry values
+// only, like the tree's, but it lists each batch's labels by its own
+// recursion over participant ids rather than from the shared layout.
 package bb
 
 import (
@@ -31,95 +33,54 @@ type refNode struct {
 	harvested map[int]bool      // EIG rounds already harvested
 }
 
-// labelVal is the wire form of one EIG tree report.
+// labelVal is one stored EIG tree label and its value.
 type labelVal struct {
 	Path []graph.NodeID
 	Val  []byte
 }
 
-// roundMsg is the wire form of one EIG round's report batch. It uses a
-// compact varint framing (not JSON): the flag broadcast's cost is the
-// paper's O(n^alpha) additive overhead, so every byte of framing is pure
-// throughput loss at finite L.
+// roundMsg is the wire form of one EIG round's report batch: the round
+// number and one value per label the sender reports, in the order
+// refNode.reported lists them. It uses a compact uvarint framing (not
+// JSON): the flag broadcast's cost is the paper's O(n^alpha) additive
+// overhead, so every byte of framing is pure throughput loss at finite L.
 type roundMsg struct {
-	K       int
-	Reports []labelVal
+	K    uint64
+	Vals [][]byte
 }
 
-// marshalRound encodes a roundMsg: varint K, varint report count, then per
-// report varint path length, varint node ids, varint value length, value.
+// marshalRound encodes a roundMsg: uvarint K, then per value uvarint
+// length and value.
 func marshalRound(m roundMsg) []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putInt := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	putInt(int64(m.K))
-	putInt(int64(len(m.Reports)))
-	for _, r := range m.Reports {
-		putInt(int64(len(r.Path)))
-		for _, id := range r.Path {
-			putInt(int64(id))
-		}
-		putInt(int64(len(r.Val)))
-		buf = append(buf, r.Val...)
+	buf := binary.AppendUvarint(nil, m.K)
+	for _, v := range m.Vals {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
 	}
 	return buf
 }
 
-// unmarshalRound decodes marshalRound's format; malformed input returns an
-// error (Byzantine senders can emit garbage).
+// unmarshalRound decodes marshalRound's format, reading values until the
+// input ends; malformed input returns an error (Byzantine senders can
+// emit garbage).
 func unmarshalRound(raw []byte) (roundMsg, error) {
 	var m roundMsg
-	pos := 0
-	getInt := func() (int64, error) {
-		v, n := binary.Varint(raw[pos:])
+	k, n := binary.Uvarint(raw)
+	if n <= 0 {
+		return m, fmt.Errorf("bb: truncated round number")
+	}
+	m.K = k
+	for pos := n; pos < len(raw); {
+		vlen, n := binary.Uvarint(raw[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("bb: truncated varint at %d", pos)
+			return m, fmt.Errorf("bb: truncated value length at %d", pos)
 		}
 		pos += n
-		return v, nil
-	}
-	k, err := getInt()
-	if err != nil {
-		return m, err
-	}
-	m.K = int(k)
-	count, err := getInt()
-	if err != nil {
-		return m, err
-	}
-	if count < 0 || count > int64(len(raw)) {
-		return m, fmt.Errorf("bb: implausible report count %d", count)
-	}
-	m.Reports = make([]labelVal, 0, count)
-	for i := int64(0); i < count; i++ {
-		plen, err := getInt()
-		if err != nil {
-			return m, err
-		}
-		if plen < 0 || plen > int64(len(raw)) {
-			return m, fmt.Errorf("bb: implausible path length %d", plen)
-		}
-		path := make([]graph.NodeID, plen)
-		for j := range path {
-			id, err := getInt()
-			if err != nil {
-				return m, err
-			}
-			path[j] = graph.NodeID(id)
-		}
-		vlen, err := getInt()
-		if err != nil {
-			return m, err
-		}
-		if vlen < 0 || int64(pos)+vlen > int64(len(raw)) {
+		if vlen > uint64(len(raw)-pos) {
 			return m, fmt.Errorf("bb: implausible value length %d", vlen)
 		}
-		val := raw[pos : pos+int(vlen)]
+		m.Vals = append(m.Vals, raw[pos:pos+int(vlen)])
 		pos += int(vlen)
-		m.Reports = append(m.Reports, labelVal{Path: path, Val: val})
 	}
 	return m, nil
 }
@@ -195,22 +156,19 @@ func (nd *refNode) Finish() {
 	}
 }
 
-// sendRound emits EIG round k's reports to every other participant.
+// sendRound emits EIG round k's reports to every other participant: the
+// node's own value in round 0, then one value per label reported, an
+// unfilled label sent as empty.
 func (nd *refNode) sendRound(k int) []sim.Message {
-	var reports []labelVal
 	if k == 0 {
 		// Generals announce their own value.
 		nd.vals[labelKey([]graph.NodeID{nd.self})] = nd.myValue
-		reports = append(reports, labelVal{Path: []graph.NodeID{nd.self}, Val: nd.myValue})
-	} else {
-		for _, lv := range nd.storedAtLevel(k) {
-			if containsNode(lv.Path, nd.self) {
-				continue
-			}
-			reports = append(reports, lv)
-		}
 	}
-	payload := marshalRound(roundMsg{K: k, Reports: reports})
+	msg := roundMsg{K: uint64(k)}
+	for _, label := range nd.reported(k, nd.self) {
+		msg.Vals = append(msg.Vals, nd.vals[labelKey(label)])
+	}
+	payload := marshalRound(msg)
 	var out []sim.Message
 	for _, q := range nd.participants {
 		if q == nd.self {
@@ -218,6 +176,30 @@ func (nd *refNode) sendRound(k int) []sim.Message {
 		}
 		out = append(out, nd.router.Send(q, msgID(k), payload)...)
 	}
+	return out
+}
+
+// reported lists the labels participant from reports in round k, in wire
+// order: its own label in round 0; in round k >= 1 every label of k
+// distinct participants without from, in lexicographic order of ids.
+func (nd *refNode) reported(k int, from graph.NodeID) [][]graph.NodeID {
+	if k == 0 {
+		return [][]graph.NodeID{{from}}
+	}
+	var out [][]graph.NodeID
+	var grow func(label []graph.NodeID)
+	grow = func(label []graph.NodeID) {
+		if len(label) == k {
+			out = append(out, append([]graph.NodeID(nil), label...))
+			return
+		}
+		for _, q := range nd.participants {
+			if q != from && !containsNode(label, q) {
+				grow(append(label, q))
+			}
+		}
+	}
+	grow(nil)
 	return out
 }
 
@@ -268,22 +250,23 @@ func (nd *refNode) harvest(k int) {
 			continue
 		}
 		msg, err := unmarshalRound(raw)
-		if err != nil || msg.K != k {
+		if err != nil || msg.K != uint64(k) {
 			continue
 		}
-		for _, lv := range msg.Reports {
-			if !nd.validLabel(lv.Path, k, p) {
-				continue
-			}
+		labels := nd.reported(k, p)
+		if len(msg.Vals) != len(labels) {
+			continue
+		}
+		for j, label := range labels {
 			// Round 0 carries the general's own label [g]; later rounds
-			// extend the reported label by the reporting sender.
-			stored := lv.Path
+			// report labels the receiver extends by the sender.
+			stored := label
 			if k > 0 {
-				stored = append(append([]graph.NodeID(nil), lv.Path...), p)
+				stored = append(label, p)
 			}
 			key := labelKey(stored)
 			if _, dup := nd.vals[key]; !dup {
-				nd.vals[key] = lv.Val
+				nd.vals[key] = msg.Vals[j]
 			}
 		}
 	}
@@ -299,26 +282,6 @@ func (nd *refNode) harvest(k int) {
 			nd.vals[key] = lv.Val
 		}
 	}
-}
-
-// validLabel checks an incoming report's label. Round-0 reports carry the
-// general's own single-element label; round-k (k >= 1) reports from p carry
-// labels of length k over distinct participants, not containing p.
-func (nd *refNode) validLabel(path []graph.NodeID, k int, from graph.NodeID) bool {
-	if k == 0 {
-		return len(path) == 1 && path[0] == from
-	}
-	if len(path) != k {
-		return false
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range path {
-		if !nd.inP[v] || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return !seen[from]
 }
 
 func containsNode(path []graph.NodeID, v graph.NodeID) bool {
